@@ -23,7 +23,7 @@ from .params import (
     max_detuning,
 )
 from .propagator import PulseSchedule, PulseSegment, execute_schedule
-from .spin_model import SpinSystem, single_donor_static
+from .spin_model import SpinSystem, frame_rotation, single_donor_static
 
 __all__ = [
     "gate_fidelity",
@@ -65,36 +65,14 @@ def spectator_fidelity(u: np.ndarray, gate: np.ndarray, targets: Sequence[int],
     """
     n = system.num_sites
     sites = [system.electron_site(q) for q in targets]
-    spec_sites = [s for s in range(n) if s not in sites]
-    k, m = len(sites), len(spec_sites)
-    dim_s = 2**m
-    block = np.zeros((dim_s, dim_s), dtype=complex)
-    for grow in range(2**k):
-        for gcol in range(2**k):
-            weight = np.conj(gate[grow, gcol])
-            if weight == 0.0:
-                continue
-            for srow in range(dim_s):
-                for scol in range(dim_s):
-                    row = _merge_bits(grow, srow, sites, spec_sites, n)
-                    col = _merge_bits(gcol, scol, sites, spec_sites, n)
-                    block[srow, scol] += weight * u[row, col]
-    block /= 2**k
+    rest = [s for s in range(n) if s not in sites]
+    dim_g, dim_s = 2 ** len(sites), 2 ** len(rest)
+    order = sites + rest
+    legs = u.reshape((2,) * (2 * n)).transpose(order + [n + s for s in order])
+    legs = legs.reshape(dim_g, dim_s, dim_g, dim_s)
+    block = np.tensordot(np.conj(gate), legs, axes=([0, 1], [0, 2])) / dim_g
     scale = math.sqrt(max(np.trace(block.conj().T @ block).real / dim_s, 1e-300))
     return float(abs(np.trace(block)) / (dim_s * scale))
-
-
-def _merge_bits(gate_idx: int, spec_idx: int, sites: Sequence[int],
-                spec_sites: Sequence[int], n: int) -> int:
-    bits = [0] * n
-    for pos, s in enumerate(sites):
-        bits[s] = (gate_idx >> (len(sites) - 1 - pos)) & 1
-    for pos, s in enumerate(spec_sites):
-        bits[s] = (spec_idx >> (len(spec_sites) - 1 - pos)) & 1
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
 
 
 def rabi_probability(t: float, delta_omega: float, b_ac: float,
@@ -251,11 +229,8 @@ def frozen_nucleus_check(
     )
     u_ref = execute_schedule(local).unitary
 
-    # frame-map the electron part at the final time (diagonal, per electron)
-    total = schedule.total_duration
-    phase = 0.5 * carrier_frequency(p) * total
-    r4 = np.kron(np.diag([np.exp(-1j * phase), np.exp(1j * phase)]), np.eye(2))
-    u_map = r4 @ fine
+    # frame-map the electron part at the final time
+    u_map = frame_rotation(schedule.total_duration, p, SpinSystem(1, include_nuclei=True)) @ fine
 
     flip = 0.0
     fdev = 0.0

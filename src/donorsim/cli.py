@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, analysis, gates
-from .params import (
-    DeviceParameters,
-    InfeasibleDetuningError,
-    load_device_parameters,
-)
+from .params import DeviceParameters, load_device_parameters
 from .propagator import (
     execute_schedule,
     schedule_from_text,
@@ -151,14 +147,10 @@ def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
 
 def _cmd_gate(args, cfg: RunConfig) -> int:
     p = cfg.device
-    try:
-        spec = _build_spec(args, p)
-        system = SpinSystem(num_donors=args.qubits) if args.qubits else None
-        report = gates.compile_gate(spec, p, system=system,
-                                    extended_correction=args.extended_correction)
-    except (InfeasibleDetuningError, ValueError) as exc:
-        print(f"gate synthesis failed: {exc}", file=sys.stderr)
-        return 2
+    spec = _build_spec(args, p)
+    system = SpinSystem(num_donors=args.qubits) if args.qubits else None
+    report = gates.compile_gate(spec, p, system=system,
+                                extended_correction=args.extended_correction)
     payload = {
         "config": cfg.as_dict(),
         "gate": {"kind": spec.kind, "targets": list(spec.targets), "theta": spec.theta,
@@ -242,11 +234,7 @@ def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]
 
 
 def _cmd_table(args, cfg: RunConfig) -> int:
-    try:
-        rows, cols = _table_rows(args.which, cfg.device)
-    except (InfeasibleDetuningError, ValueError) as exc:
-        print(f"table generation failed: {exc}", file=sys.stderr)
-        return 2
+    rows, cols = _table_rows(args.which, cfg.device)
     _emit(_render_rows(rows, cols, cfg), cfg.out)
     return 0
 
@@ -263,11 +251,7 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
             print(f"bad --param {item!r}; expected name=v1,v2,...", file=sys.stderr)
             return 2
         grid[key] = [float(v) for v in values.split(",")]
-    try:
-        rows = analysis.sweep(grid, args.metric, cfg.device)
-    except (InfeasibleDetuningError, ValueError) as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return 2
+    rows = analysis.sweep(grid, args.metric, cfg.device)
     _emit(_render_rows(rows, list(grid.keys()) + [args.metric], cfg), cfg.out)
     return 0
 
@@ -279,13 +263,9 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
 def _cmd_schedule(args, cfg: RunConfig) -> int:
     p = cfg.device
     if args.action == "dump":
-        try:
-            spec = _build_spec(args, p)
-            system = SpinSystem(num_donors=args.qubits) if args.qubits else None
-            sched = gates.synthesize(spec, p, system, extended_correction=args.extended_correction)
-        except (InfeasibleDetuningError, ValueError) as exc:
-            print(f"gate synthesis failed: {exc}", file=sys.stderr)
-            return 2
+        spec = _build_spec(args, p)
+        system = SpinSystem(num_donors=args.qubits) if args.qubits else None
+        sched = gates.synthesize(spec, p, system, extended_correction=args.extended_correction)
         _emit(_audit_lines(cfg) + schedule_to_text(sched, p), cfg.out)
         return 0
     with open(args.file) as fh:
@@ -382,13 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            device = load_device_parameters(fh.read())
-    else:
-        device = DeviceParameters()
-    cfg = RunConfig(device=device, seed=args.seed, fmt=args.format, out=args.out)
-    return args.func(args, cfg)
+    # the one place where bad input (files, values, infeasible requests) becomes
+    # a one-line message and exit code 2; InfeasibleDetuningError is a ValueError
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                device = load_device_parameters(fh.read())
+        else:
+            device = DeviceParameters()
+        cfg = RunConfig(device=device, seed=args.seed, fmt=args.format, out=args.out)
+        return args.func(args, cfg)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import numpy as np
 
 from .params import DeviceParameters, InfeasibleDetuningError, dipole_strength, max_detuning
 from .propagator import ExecutionResult, PulseSchedule, PulseSegment, execute_schedule
-from .spin_model import ID2, SX, SY, SZ, SpinSystem
+from .spin_model import ID2, SX, SY, SZ, SpinSystem, embed
 
 __all__ = [
     "GateSpec",
@@ -245,14 +245,19 @@ def synth_correction(
     raise InfeasibleDetuningError("no feasible correction window found")
 
 
-def _deficit_after(segments: list[PulseSegment], p: DeviceParameters) -> float:
-    """Spectator angle still missing to complete whole revolutions.
+def _spectator_angle(segments, p: DeviceParameters) -> float:
+    """Angle the resonant spectators turn through over `segments`.
 
     Spectators rotate only while the global drive is on; drive-gated windows
     (long dipole interactions, SWAP) freeze the spectator clock.
     """
     total = sum(seg.duration for seg in segments if seg.rf_on)
-    gamma = 2.0 * p.transverse_energy / p.constants.hbar * total
+    return 2.0 * p.transverse_energy / p.constants.hbar * total
+
+
+def _deficit_after(segments: list[PulseSegment], p: DeviceParameters) -> float:
+    """Spectator angle still missing to complete whole revolutions."""
+    gamma = _spectator_angle(segments, p)
     return (2.0 * math.pi - gamma % (2.0 * math.pi)) % (2.0 * math.pi)
 
 
@@ -522,9 +527,9 @@ def synth_swap(j: float, qubit_a: int, qubit_b: int, p: DeviceParameters,
                system: SpinSystem | None = None) -> PulseSchedule:
     """SWAP: one exchange pulse with J*t = pi/4 (hbar units), drive gated off.
 
-    exp(-i pi/4 sigma.sigma) is SWAP up to global phase.  The correction step
-    is omitted; the residual spectator rotation of 2 mu_B B_ac t / hbar is tiny
-    for exchange-scale couplings and is noted in the gate report.
+    exp(-i pi/4 sigma.sigma) is SWAP up to global phase.  With the drive
+    gated off the spectators do not rotate, so no correction step is needed;
+    the gate report notes the (zero) residual spectator rotation.
     """
     if j <= 0.0:
         raise ValueError("swap needs a positive exchange coupling")
@@ -680,29 +685,8 @@ def ideal_unitary(spec: GateSpec) -> np.ndarray:
 
 def embed_ideal(spec: GateSpec, system: SpinSystem) -> np.ndarray:
     """Ideal gate acting on its targets, identity on all other sites."""
-    gate = ideal_unitary(spec)
-    sites = [system.electron_site(q) for q in spec.targets]
-    n = system.num_sites
-    dim = system.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    k = len(sites)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - s)) & 1 for s in range(n)]
-        gate_col = 0
-        for b in (bits[s] for s in sites):
-            gate_col = (gate_col << 1) | b
-        for gate_row in range(2**k):
-            amp = gate[gate_row, gate_col]
-            if amp == 0.0:
-                continue
-            new_bits = list(bits)
-            for idx, s in enumerate(sites):
-                new_bits[s] = (gate_row >> (k - 1 - idx)) & 1
-            row = 0
-            for b in new_bits:
-                row = (row << 1) | b
-            out[row, col] += amp
-    return out
+    sites = tuple(system.electron_site(q) for q in spec.targets)
+    return embed(ideal_unitary(spec), sites, system.num_sites)
 
 
 def compile_gate(
@@ -721,8 +705,8 @@ def compile_gate(
     steps = tuple((seg.label, seg.duration) for seg in schedule.segments)
     notes = ""
     if spec.kind == "swap":
-        gamma = 2.0 * p.transverse_energy / p.constants.hbar * schedule.total_duration
-        notes = (f"correction omitted; residual spectator rotation "
-                 f"{gamma:.3e} rad over the interaction window")
+        gamma = _spectator_angle(schedule.segments, p)
+        notes = (f"drive gated off; residual spectator rotation {gamma:.3e} rad, "
+                 f"no correction step")
     return GateReport(spec=spec, schedule=schedule, ideal=ideal, achieved=result.unitary,
                       fidelity=fidelity, step_durations=steps, notes=notes)

@@ -88,6 +88,10 @@ class DeviceParameters:
     def __post_init__(self):
         if self.a_min is None:
             object.__setattr__(self, "a_min", 0.5 * self.a0)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.b_ac < self.b:
             raise ValueError("require 0 < b_ac < b")
         if not 0.0 <= self.a_min <= self.a0:
@@ -270,5 +274,9 @@ def load_device_parameters(text: str, constants: PhysicalConstants = CONSTANTS) 
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        values[key] = val if key == "alignment" else float(val)
+        try:
+            values[key] = val if key == "alignment" else float(val)
+        except ValueError:
+            raise ValueError(f"config line {lineno}: {key} must be a number, "
+                             f"got {val!r}") from None
     return DeviceParameters(constants=constants, **values)

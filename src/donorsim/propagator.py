@@ -20,14 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .params import CONSTANTS, DeviceParameters, hyperfine_for_frequency, max_detuning
-from .spin_model import (
-    E_SX,
-    E_SZ,
-    SpinSystem,
-    assert_hermitian,
-    electron_pair_dot,
-    pauli_on,
-)
+from .spin_model import SpinSystem, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
     "PulseSegment",
@@ -63,11 +56,14 @@ class PulseSegment:
     label: str = ""
 
     def __post_init__(self):
-        if self.duration < 0.0:
-            raise ValueError("segment duration must be non-negative")
         object.__setattr__(self, "detunings", dict(self.detunings))
         object.__setattr__(self, "couplings",
                            {tuple(sorted(k)): v for k, v in dict(self.couplings).items()})
+        controls = (self.duration, *self.detunings.values(), *self.couplings.values())
+        if not all(math.isfinite(v) for v in controls):
+            raise ValueError("segment duration, detunings and couplings must be finite")
+        if self.duration < 0.0:
+            raise ValueError("segment duration must be non-negative")
         for j in self.couplings.values():
             if j < 0.0:
                 raise ValueError("exchange coupling must be non-negative")
@@ -141,26 +137,9 @@ def propagate_constant(h: np.ndarray, t: float, hbar: float = CONSTANTS.hbar) ->
 
 def segment_hamiltonian(schedule: PulseSchedule, segment: PulseSegment) -> np.ndarray:
     """Rotating-frame Hamiltonian of one segment on the schedule's system."""
-    system = schedule.system
-    n = system.num_sites
-    dim = system.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    for donor in range(system.num_donors):
-        site = system.electron_site(donor)
-        if segment.rf_on:
-            h += schedule.transverse_energy * pauli_on(E_SX, site, n)
-        dw = segment.detunings.get(donor, 0.0)
-        if dw:
-            h += schedule.hbar * dw * pauli_on(E_SZ, site, n)
-    for (qa, qb), j in segment.couplings.items():
-        if j:
-            h += j * electron_pair_dot(system.electron_site(qa), system.electron_site(qb), n)
-    for (qa, qb), d in schedule.dipole.items():
-        if d:
-            sa, sb = system.electron_site(qa), system.electron_site(qb)
-            h += d * (electron_pair_dot(sa, sb, n)
-                      - 3.0 * pauli_on(E_SZ, sa, n) @ pauli_on(E_SZ, sb, n))
-    return h
+    drive = schedule.transverse_energy if segment.rf_on else 0.0
+    return rotating_hamiltonian(schedule.system, drive, segment.detunings, segment.couplings,
+                                schedule.dipole, schedule.hbar)
 
 
 def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
@@ -456,6 +435,8 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                 tuple(int(x) for x in key.split("-")): j * _UEV
                 for key, j in _parse_pairs(fields.get("j_uev", ""), str).items()
             }
+            if "duration_ns" not in fields:
+                raise ValueError(f"line {lineno}: segment has no duration_ns")
             segments.append(
                 PulseSegment(
                     duration=float(fields["duration_ns"]) * 1e-9,

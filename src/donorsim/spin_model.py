@@ -22,6 +22,8 @@ exp(-i H t / hbar).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import Mapping
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "SZ",
     "ID2",
     "SpinSystem",
+    "embed",
     "pauli_on",
     "electron_pauli",
     "is_hermitian",
@@ -46,6 +49,7 @@ __all__ = [
     "single_donor_static",
     "single_donor_driven",
     "single_electron_lab",
+    "rotating_hamiltonian",
     "single_electron_rotating",
     "two_electron_rotating",
     "dipole_term",
@@ -121,12 +125,27 @@ class SpinSystem:
         return labels
 
 
+def embed(op: np.ndarray, sites: tuple[int, ...], num_sites: int) -> np.ndarray:
+    """Place a 2^k x 2^k operator on the ordered `sites`, identity on every other site.
+
+    sites[0] carries the most significant qubit of op's index, so
+    embed(np.kron(a, b), (s, t), n) acts as a on site s and b on site t.
+    """
+    rest = [s for s in range(num_sites) if s not in sites]
+    k, m = len(sites), len(rest)
+    if k + m != num_sites or op.shape != (2**k, 2**k):
+        raise ValueError("sites must be distinct, in range and match the operator size")
+    # one leg per site: op rows, op columns, identity rows, identity columns
+    full = np.multiply.outer(op, np.eye(2**m, dtype=complex)).reshape((2,) * (2 * num_sites))
+    order = list(sites) + rest
+    rows = [i if i < k else k + i for i in map(order.index, range(num_sites))]
+    cols = [r + (k if r < k else m) for r in rows]
+    return full.transpose(rows + cols).reshape(2**num_sites, 2**num_sites)
+
+
 def pauli_on(op: np.ndarray, site: int, num_sites: int) -> np.ndarray:
     """Embed a single-site operator at `site` in the num_sites tensor product."""
-    out = np.array([[1.0 + 0.0j]])
-    for s in range(num_sites):
-        out = np.kron(out, op if s == site else ID2)
-    return out
+    return embed(op, (site,), num_sites)
 
 
 def electron_pauli(system: SpinSystem, donor: int, axis: str) -> np.ndarray:
@@ -147,24 +166,23 @@ def assert_hermitian(h: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("operator is not Hermitian within tolerance")
 
 
+# sigma . sigma on two sites, summed in x, y, z order
+_PAIR_DOT = np.kron(SX, SX) + np.kron(SY, SY) + np.kron(SZ, SZ)
+_HYPERFINE_DOT = np.kron(E_SX, SX) + np.kron(E_SY, SY) + np.kron(E_SZ, SZ)
+
+
 def electron_pair_dot(site_a: int, site_b: int, num_sites: int) -> np.ndarray:
     """sigma_a . sigma_b for two electron sites.
 
     Both sites carry the flipped (logical) representation, so the matrix is the
     plain XX + YY + ZZ.
     """
-    out = np.zeros((2**num_sites, 2**num_sites), dtype=complex)
-    for op in (SX, SY, SZ):
-        out += pauli_on(op, site_a, num_sites) @ pauli_on(op, site_b, num_sites)
-    return out
+    return embed(_PAIR_DOT, (site_a, site_b), num_sites)
 
 
 def hyperfine_dot(e_site: int, n_site: int, num_sites: int) -> np.ndarray:
     """sigma_e . sigma_n between an electron (logical basis) and a nucleus (spin basis)."""
-    out = np.zeros((2**num_sites, 2**num_sites), dtype=complex)
-    for e_op, n_op in ((E_SX, SX), (E_SY, SY), (E_SZ, SZ)):
-        out += pauli_on(e_op, e_site, num_sites) @ pauli_on(n_op, n_site, num_sites)
-    return out
+    return embed(_HYPERFINE_DOT, (e_site, n_site), num_sites)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +261,42 @@ def _check_detuning(dw: float, p: DeviceParameters) -> None:
         )
 
 
+def rotating_hamiltonian(
+    system: SpinSystem,
+    drive: float,
+    detunings: Mapping[int, float],
+    couplings: Mapping[tuple[int, int], float],
+    dipole: Mapping[tuple[int, int], float],
+    hbar: float,
+) -> np.ndarray:
+    """Rotating-frame register Hamiltonian, the one assembly of its terms:
+
+    sum_q (drive sx_q + hbar dw_q sz_q) + sum_pairs J s.s + sum_pairs D (s.s - 3 sz sz)
+
+    drive is mu_B B_ac (0 while gated off), detunings map donors to dw (rad/s),
+    couplings and dipole map donor pairs to J and D (J).  The dipole form holds
+    only for z-aligned donors; other alignments with dipole pairs are rejected.
+    """
+    if system.alignment != "z" and any(dipole.values()):
+        raise ValueError("rotating frame with dipole coupling requires z alignment")
+    n = system.num_sites
+    h = np.zeros((system.dim, system.dim), dtype=complex)
+    for donor in range(system.num_donors):
+        site = system.electron_site(donor)
+        if drive:
+            h += drive * pauli_on(E_SX, site, n)
+        dw = detunings.get(donor, 0.0)
+        if dw:
+            h += hbar * dw * pauli_on(E_SZ, site, n)
+    for (qa, qb), j in couplings.items():
+        if j:
+            h += j * electron_pair_dot(system.electron_site(qa), system.electron_site(qb), n)
+    for (qa, qb), d in dipole.items():
+        if d:
+            h += dipole_term(d, "z", n, system.electron_site(qa), system.electron_site(qb))
+    return h
+
+
 def single_electron_rotating(delta_omega: float, p: DeviceParameters) -> np.ndarray:
     """Rotating-frame single-electron Hamiltonian hbar*dw*sigma_z^e + mu_B*B_ac*sigma_x^e.
 
@@ -250,7 +304,8 @@ def single_electron_rotating(delta_omega: float, p: DeviceParameters) -> np.ndar
     and the eigenvalue gap is 2*Omega with Omega^2 = (mu_B B_ac)^2 + hbar^2 dw^2.
     """
     _check_detuning(delta_omega, p)
-    return p.constants.hbar * delta_omega * E_SZ + p.transverse_energy * E_SX
+    return rotating_hamiltonian(SpinSystem(1), p.transverse_energy, {0: delta_omega}, {}, {},
+                                p.constants.hbar)
 
 
 def two_electron_rotating(dw1: float, dw2: float, j: float, p: DeviceParameters) -> np.ndarray:
@@ -260,11 +315,8 @@ def two_electron_rotating(dw1: float, dw2: float, j: float, p: DeviceParameters)
     """
     if j < 0.0:
         raise ValueError("exchange coupling must be non-negative")
-    c = p.constants
-    h = p.transverse_energy * (pauli_on(E_SX, 0, 2) + pauli_on(E_SX, 1, 2))
-    h += c.hbar * dw1 * pauli_on(E_SZ, 0, 2) + c.hbar * dw2 * pauli_on(E_SZ, 1, 2)
-    h += j * electron_pair_dot(0, 1, 2)
-    return h
+    return rotating_hamiltonian(SpinSystem(2), p.transverse_energy, {0: dw1, 1: dw2},
+                                {(0, 1): j}, {}, p.constants.hbar)
 
 
 def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
@@ -277,9 +329,8 @@ def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
     if alignment not in _AXES:
         raise ValueError("alignment must be a unit axis 'x', 'y' or 'z'")
     axis_op = {"x": E_SX, "y": E_SY, "z": E_SZ}[alignment]
-    h = electron_pair_dot(site_a, site_b, num_sites)
-    h -= 3.0 * pauli_on(axis_op, site_a, num_sites) @ pauli_on(axis_op, site_b, num_sites)
-    return d_coupling * h
+    return d_coupling * embed(_PAIR_DOT - 3.0 * np.kron(axis_op, axis_op),
+                              (site_a, site_b), num_sites)
 
 
 def two_electron_rotating_full(
@@ -288,7 +339,10 @@ def two_electron_rotating_full(
     """Exchange plus dipole two-electron rotating-frame Hamiltonian (z-aligned only)."""
     if p.alignment != "z":
         raise ValueError("rotating frame with dipole coupling requires z alignment")
-    return two_electron_rotating(dw1, dw2, j, p) + dipole_term(d_coupling, "z")
+    if j < 0.0:
+        raise ValueError("exchange coupling must be non-negative")
+    return rotating_hamiltonian(SpinSystem(2), p.transverse_energy, {0: dw1, 1: dw2},
+                                {(0, 1): j}, {(0, 1): d_coupling}, p.constants.hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +357,8 @@ def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndar
     phase = 0.5 * carrier_frequency(p) * t
     # sigma_z^e = -Z in the logical basis, so the matrix is exp(-i phase Z)
     single = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
-    out = np.array([[1.0 + 0.0j]])
-    for site in range(system.num_sites):
-        nuclear = system.include_nuclei and site % 2 == 1
-        out = np.kron(out, ID2 if nuclear else single)
-    return out
+    electrons = tuple(system.electron_site(q) for q in range(system.num_donors))
+    return embed(reduce(np.kron, [single] * len(electrons)), electrons, system.num_sites)
 
 
 def to_rotating_frame(

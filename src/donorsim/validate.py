@@ -39,6 +39,7 @@ from .spin_model import (
     SpinSystem,
     dipole_term,
     electron_pauli,
+    frame_rotation,
     is_hermitian,
     single_donor_driven,
     single_donor_static,
@@ -220,8 +221,6 @@ def check_rabi_match(p: DeviceParameters, rng) -> tuple[bool, str]:
 
 def check_integrator_order(p: DeviceParameters, rng) -> tuple[bool, str]:
     from .propagator import _lab_donor_unitary
-    from .spin_model import frame_rotation
-
     seg = PulseSegment(duration=2e-9, detunings={0: -0.4 * max_detuning(p)})
     sched = PulseSchedule(segments=(seg,), b_ac=p.b_ac, system=SpinSystem(1),
                           frame="lab", carrier=carrier_frequency(p),
@@ -344,8 +343,6 @@ def check_multi_step_x(p: DeviceParameters, rng) -> tuple[bool, str]:
 
 
 def check_frame_equivalence_random(p: DeviceParameters, rng) -> tuple[bool, str]:
-    from .spin_model import frame_rotation
-
     worst = 0.0
     for _ in range(20):
         segs = tuple(
@@ -364,8 +361,6 @@ def check_frame_equivalence_random(p: DeviceParameters, rng) -> tuple[bool, str]
 
 
 def check_frame_equivalence_gates(p: DeviceParameters, rng) -> tuple[bool, str]:
-    from .spin_model import frame_rotation
-
     def run():
         worst_f = 0.0
         worst_norm = 0.0

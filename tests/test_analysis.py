@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,41 @@ def test_gate_fidelity_rejects(rng):
         gate_fidelity(np.eye(2, dtype=complex) * 2.0, np.eye(2, dtype=complex))
 
 
+def _merge_bits(gate_idx, spec_idx, sites, spec_sites, n):
+    bits = [0] * n
+    for pos, s in enumerate(sites):
+        bits[s] = (gate_idx >> (len(sites) - 1 - pos)) & 1
+    for pos, s in enumerate(spec_sites):
+        bits[s] = (spec_idx >> (len(spec_sites) - 1 - pos)) & 1
+    out = 0
+    for b in bits:
+        out = (out << 1) | b
+    return out
+
+
+def _spectator_fidelity_loop(u, gate, targets, system):
+    """Reference: contract the target legs of u against conj(gate) index by index."""
+    n = system.num_sites
+    sites = [system.electron_site(q) for q in targets]
+    spec_sites = [s for s in range(n) if s not in sites]
+    k, m = len(sites), len(spec_sites)
+    dim_s = 2**m
+    block = np.zeros((dim_s, dim_s), dtype=complex)
+    for grow in range(2**k):
+        for gcol in range(2**k):
+            weight = np.conj(gate[grow, gcol])
+            if weight == 0.0:
+                continue
+            for srow in range(dim_s):
+                for scol in range(dim_s):
+                    row = _merge_bits(grow, srow, sites, spec_sites, n)
+                    col = _merge_bits(gcol, scol, sites, spec_sites, n)
+                    block[srow, scol] += weight * u[row, col]
+    block /= 2**k
+    scale = math.sqrt(max(np.trace(block.conj().T @ block).real / dim_s, 1e-300))
+    return float(abs(np.trace(block)) / (dim_s * scale))
+
+
 def test_spectator_fidelity_factorized(rng):
     system = SpinSystem(2)
     gate = _haar(2, rng)
@@ -55,6 +91,14 @@ def test_spectator_fidelity_factorized(rng):
     assert spectator_fidelity(ident, gate, (0,), system) == pytest.approx(1.0, abs=1e-12)
     rotated = np.kron(gate, _haar(2, rng))
     assert spectator_fidelity(rotated, gate, (0,), system) < 1.0 - 1e-3
+    # the tensor contraction agrees with the index loop for every target tuple
+    for system in (SpinSystem(1), SpinSystem(2), SpinSystem(3),
+                   SpinSystem(1, include_nuclei=True), SpinSystem(2, include_nuclei=True)):
+        for k in range(1, system.num_donors + 1):
+            for targets in itertools.permutations(range(system.num_donors), k):
+                u, gate = _haar(system.dim, rng), _haar(2**k, rng)
+                assert spectator_fidelity(u, gate, targets, system) == pytest.approx(
+                    _spectator_fidelity_loop(u, gate, targets, system), abs=1e-14)
 
 
 def test_rabi_probability_limits(p):

@@ -139,3 +139,35 @@ def test_validate_zero_range_rejections(tmp_path, capsys):
     code, out = run_cli(capsys, "--config", str(cfgfile), "validate")
     assert code == 0
     assert "correctly rejected" in out
+
+
+_SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
+
+
+@pytest.mark.parametrize("argv,files,message", [
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment a_over_a0=0:0.9 rf=on\n"}, "line 3",
+                 id="missing_duration"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 a_over_a0=0:0.1 rf=on\n"},
+                 "exceeds", id="a_out_of_range"),
+    pytest.param(["schedule", "load", "{tmp}/absent.sched"], {}, "absent.sched",
+                 id="missing_file"),
+    pytest.param(["--config", "{tmp}/dev.cfg", "table", "II"], {"dev.cfg": "b_ac = abc\n"},
+                 "b_ac", id="non_numeric_config"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\nalignment = x\ndipole_uev = 0-1:0.01\n"
+                             "segment duration_ns=1 rf=on\n"}, "z alignment",
+                 id="x_aligned_dipole"),
+    pytest.param(["sweep", "--metric", "spectator_period_ns", "--param", "b_ac=abc"], {},
+                 "'abc'", id="non_numeric_sweep"),
+])
+def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
+    """Bad files and values end in one stderr line and exit 2, not a traceback."""
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text)
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from donorsim.gates import (
 )
 from donorsim.params import DeviceParameters, InfeasibleDetuningError
 from donorsim.propagator import concat_schedules, execute_schedule
-from donorsim.spin_model import SpinSystem
+from donorsim.spin_model import SpinSystem, embed
 
 # frozen from the closed forms (independent evaluation; see test_params for
 # the underlying device numbers)
@@ -288,6 +289,11 @@ def test_cnot_rejects(p):
         synth_cnot("exchange", 0, 1, p)  # no coupling
     with pytest.raises(ValueError):
         synth_cnot("dipole", 0, 1, p.replace(alignment="x"), d=30e-9)
+    # an x-aligned register breaks the secular dipole form of the rotating frame
+    for mode in ("dipole", "combined"):
+        with pytest.raises(ValueError, match="z alignment"):
+            compile_gate(GateSpec("cnot", (0, 1), mode=mode, j=1e-27, d=30e-9), p,
+                         SpinSystem(2, alignment="x"))
     with pytest.raises(ValueError):
         synth_cnot("exchange", 0, 0, p, j=1e-27)
 
@@ -309,6 +315,13 @@ def test_swap_fidelity(p):
     assert gate_fidelity(u2, np.eye(4, dtype=complex)) >= 1.0 - 1e-10
     with pytest.raises(ValueError):
         synth_swap(0.0, 0, 1, p)
+
+
+def test_swap_note_counts_driven_time_only(p):
+    system = SpinSystem(3)
+    rep = compile_gate(GateSpec("swap", (0, 1), j=_table_j(p)), p, system)
+    assert "residual spectator rotation 0.000e+00 rad" in rep.notes
+    assert spectator_fidelity(rep.achieved, SWAP_MATRIX, (0, 1), system) == 1.0
 
 
 def test_idle(p):
@@ -378,13 +391,51 @@ def test_ideal_unitaries():
     assert np.allclose(near, -np.eye(2), atol=1e-9)
 
 
-def test_embed_ideal_orderings(p):
+def _embed_loop(gate, sites, n):
+    """Reference embedding: walk every basis column and rewrite the target bits."""
+    dim = 2**n
+    out = np.zeros((dim, dim), dtype=complex)
+    k = len(sites)
+    for col in range(dim):
+        bits = [(col >> (n - 1 - s)) & 1 for s in range(n)]
+        gate_col = 0
+        for b in (bits[s] for s in sites):
+            gate_col = (gate_col << 1) | b
+        for gate_row in range(2**k):
+            amp = gate[gate_row, gate_col]
+            if amp == 0.0:
+                continue
+            new_bits = list(bits)
+            for idx, s in enumerate(sites):
+                new_bits[s] = (gate_row >> (k - 1 - idx)) & 1
+            row = 0
+            for b in new_bits:
+                row = (row << 1) | b
+            out[row, col] += amp
+    return out
+
+
+def test_embed_ideal_orderings(p, rng):
     system = SpinSystem(3)
     emb = embed_ideal(GateSpec("cnot", (2, 0)), system)
     # control on qubit 2, target qubit 0: |q0 q1 q2> = |001> -> |101>
     col = 0b001
     assert emb[0b101, col] == 1.0
     assert emb[col, col] == 0.0
+    # embed reproduces the bit loop exactly for every ordered site tuple
+    for system in (SpinSystem(1), SpinSystem(2), SpinSystem(3),
+                   SpinSystem(1, include_nuclei=True), SpinSystem(2, include_nuclei=True)):
+        n = system.num_sites
+        for k in range(1, n + 1):
+            for sites in itertools.permutations(range(n), k):
+                op = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+                assert np.array_equal(embed(op, sites, n), _embed_loop(op, sites, n))
+        for q in range(system.num_donors):
+            spec = GateSpec("hadamard", (q,))
+            assert np.array_equal(embed_ideal(spec, system),
+                                  _embed_loop(HADAMARD, (system.electron_site(q),), n))
+    with pytest.raises(ValueError):
+        embed(np.eye(4), (0, 0), 2)
 
 
 def test_gate_spec_validation():

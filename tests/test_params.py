@@ -54,6 +54,13 @@ def test_device_defaults(p):
         {"d": -1.0},
         {"eps_r": 0.5},
         {"alignment": "w"},
+        {"d": math.inf},
+        {"b": math.nan},
+        {"a0": math.inf},
+        {"a_min": math.nan},
+        {"a_star": math.inf},
+        {"eps_r": math.inf},
+        {"b_ac": math.nan},
     ],
 )
 def test_device_validation(kwargs):

@@ -100,6 +100,13 @@ def test_segment_validation():
         PulseSegment(duration=-1e-9)
     with pytest.raises(ValueError):
         PulseSegment(duration=1e-9, couplings={(0, 1): -1e-27})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            PulseSegment(duration=bad)
+        with pytest.raises(ValueError):
+            PulseSegment(duration=1e-9, detunings={0: bad})
+        with pytest.raises(ValueError):
+            PulseSegment(duration=1e-9, couplings={(0, 1): bad})
 
 
 def test_validate_schedule_controls(p):
