@@ -1,31 +1,53 @@
-"""Benchmark the lab-frame stepping kernels: numba stream vs pure-numpy tree.
+"""Time the closed-form lab-frame stepping kernels against step-by-step loops.
 
-The numba path is the default; setting DONORSIM_BACKEND=numpy selects the
-vectorized fallback.  This script times both implementations directly (no env
-juggling needed) on the workloads that dominate real runs: the SU(2) midpoint
-stream behind frame-equivalence checks, and the 4-dim split-step stream behind
-the frozen-nucleus oracle.
+Both kernels evaluate the n-step midpoint (SU(2)) and Strang (4-dim donor)
+products in closed form.  This script times them on the workloads that
+dominate real runs, the SU(2) stream behind frame-equivalence checks and the
+4-dim stream behind the frozen-nucleus oracle, next to a plain Python loop
+over the same steps, and prints the max-norm difference between the two.
 
 Usage: python benchmarks/bench_kernels.py [--steps N]
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
 
 from donorsim import DeviceParameters
-from donorsim._kernels import (
-    HAVE_NUMBA,
-    _donor4_tree_np,
-    _su2_tree_np,
-    donor4_strang_product,
-)
+from donorsim._kernels import donor4_strang_product, su2_lab_product
 from donorsim.params import carrier_frequency
 from donorsim.spin_model import single_donor_static
 
-if HAVE_NUMBA:
-    from donorsim._kernels import _donor4_strang_nb, _su2_stream_nb
+
+def _rot2(angle, th):
+    """exp(-i angle (X cos th + Y sin th))."""
+    c, s = math.cos(angle), -1j * math.sin(angle)
+    return np.array([[c, s * complex(math.cos(th), -math.sin(th))],
+                     [s * complex(math.cos(th), math.sin(th)), c]])
+
+
+def su2_loop(az, ax, omega, phi0, t0, dt, n):
+    w = math.hypot(az, ax)
+    ca, sa = math.cos(w * dt), math.sin(w * dt) / w
+    u = np.eye(2, dtype=complex)
+    for k in range(n):
+        th = omega * (t0 + (k + 0.5) * dt) + phi0
+        # exp(-i dt (az Z + ax (X cos th + Y sin th)))
+        off = -1j * sa * ax * complex(math.cos(th), math.sin(th))
+        u = np.array([[ca - 1j * sa * az, -off.conjugate()],
+                      [off, ca + 1j * sa * az]]) @ u
+    return u
+
+
+def donor4_loop(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
+    u = np.eye(4, dtype=complex)
+    for k in range(n):
+        th = omega * (t0 + (k + 0.5) * dt) + chi
+        mid = np.kron(_rot2(gx_e * dt, phase_sign_e * th), _rot2(gx_n * dt, th))
+        u = e_half @ mid @ e_half @ u
+    return u
 
 
 def _time(fn, *args, repeats=3):
@@ -38,9 +60,17 @@ def _time(fn, *args, repeats=3):
     return best, out
 
 
+def _report(name, n, fast, loop):
+    (t_fast, u_fast), (t_loop, u_loop) = fast, loop
+    print(f"{name}, {n} steps:")
+    print(f"  closed form : {t_fast * 1e3:.3f} ms")
+    print(f"  step loop   : {t_loop:.3f} s  ({t_loop / n * 1e9:.0f} ns/step)")
+    print(f"  max-norm difference {np.abs(u_fast - u_loop).max():.1e}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--steps", type=int, default=2_000_000)
+    parser.add_argument("--steps", type=int, default=200_000)
     args = parser.parse_args()
     n = args.steps
 
@@ -50,33 +80,16 @@ def main():
     az = -(0.5 * w_ac - 1.2e8)
     ax = p.transverse_energy / p.constants.hbar
 
-    print(f"numba available: {HAVE_NUMBA}")
-    print(f"su2 midpoint stream, {n} steps (dt = {dt:.2e} s):")
     su2_args = (az, ax, -w_ac, 0.0, 0.0, dt, n)
-    if HAVE_NUMBA:
-        _su2_stream_nb(*map(float, su2_args[:-1]), 10)  # compile
-        t_nb, u_nb = _time(_su2_stream_nb, *su2_args)
-        print(f"  numba stream : {t_nb:.3f} s  ({t_nb / n * 1e9:.1f} ns/step)")
-    t_np, u_np = _time(_su2_tree_np, *su2_args)
-    print(f"  numpy tree   : {t_np:.3f} s  ({t_np / n * 1e9:.1f} ns/step)")
-    if HAVE_NUMBA:
-        print(f"  speedup      : {t_np / t_nb:.1f}x; results agree to "
-              f"{np.abs(u_nb - u_np).max():.1e}")
+    _report("su2 midpoint stream", n, _time(su2_lab_product, *su2_args),
+            _time(su2_loop, *su2_args, repeats=1))
 
-    m = max(n // 20, 10_000)
+    m = max(n // 20, 1000)
     w_static, v = np.linalg.eigh(single_donor_static(p.a0, p))
     e_half = (v * np.exp(-1j * w_static * (dt / (2 * p.constants.hbar)))) @ v.conj().T
     d4_args = (e_half, ax, -1.0, 0.0, w_ac, 0.0, 0.0, dt, m)
-    print(f"donor 4-dim split-step stream, {m} steps:")
-    if HAVE_NUMBA:
-        donor4_strang_product(e_half, ax, -1.0, 0.0, w_ac, 0.0, 0.0, dt, 10)  # compile
-        t_nb4, u_nb4 = _time(_donor4_strang_nb, *d4_args)
-        print(f"  numba stream : {t_nb4:.3f} s  ({t_nb4 / m * 1e9:.1f} ns/step)")
-    t_np4, u_np4 = _time(_donor4_tree_np, *d4_args)
-    print(f"  numpy tree   : {t_np4:.3f} s  ({t_np4 / m * 1e9:.1f} ns/step)")
-    if HAVE_NUMBA:
-        print(f"  speedup      : {t_np4 / t_nb4:.1f}x; results agree to "
-              f"{np.abs(u_nb4 - u_np4).max():.1e}")
+    _report("donor 4-dim split-step stream", m, _time(donor4_strang_product, *d4_args),
+            _time(donor4_loop, *d4_args, repeats=1))
 
 
 if __name__ == "__main__":

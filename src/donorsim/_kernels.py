@@ -1,11 +1,5 @@
 """Hot numeric kernels: midpoint-rule time-stepping for lab-frame propagation.
 
-Two implementations are provided for each kernel: a numba @njit streaming loop
-(default) and a vectorized pure-numpy path that builds per-step propagators in
-chunks and combines them by pairwise tree reduction.  Selection is by the
-environment variable DONORSIM_BACKEND: "numba" (default when importable) or
-"numpy".  `benchmarks/bench_kernels.py` compares the two.
-
 Kernel conventions (natural units, rates in rad/s):
 
     su2:    H(t)/hbar = az*Z + ax*(X cos(w t + phi0) + Y sin(w t + phi0))
@@ -13,40 +7,29 @@ Kernel conventions (natural units, rates in rad/s):
             around the midpoint-time drive, drive(t) the tensor product of
             closed-form 2x2 transverse rotations on electron and nucleus.
 
-Every step propagator is the exact exponential of a Hermitian generator, so
-products are unitary up to roundoff; callers re-unitarize segment results with
+The drive is purely co-rotating, so step k is a z-rotation conjugate of the
+zero-phase step M: M_k = P(th_k) M P(-th_k) with th_k = th_0 + k*delta and
+delta = w*dt.  The n-step product therefore collapses exactly to
+
+    P(th_0 + n*delta) (P(-delta) M)^n P(-th_0),
+
+which both kernels evaluate in closed form instead of stepping: the same
+discretization (and the same dt^2 error) at O(1) cost for SU(2) and O(log n)
+for the 4-dim step.  Callers re-unitarize segment results with
 `nearest_unitary`.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "HAVE_NUMBA",
-    "su2_lab_product",
-    "donor4_strang_product",
-    "nearest_unitary",
-]
+__all__ = ["su2_lab_product", "donor4_strang_product", "nearest_unitary"]
 
-_requested = os.environ.get("DONORSIM_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise ValueError(f"DONORSIM_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-HAVE_NUMBA = False
-if _requested != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# max-norm of [e_half, generator of P] above which the closed form is invalid
+_COMMUTATOR_TOL = 1e-12
+_SU2_GEN = np.array([1.0, -1.0])  # diagonal of Z
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
@@ -55,211 +38,57 @@ def nearest_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-# ---------------------------------------------------------------------------
-# SU(2) midpoint stream
-# ---------------------------------------------------------------------------
-
-def _su2_stream_py(az, ax, omega, phi0, t0, dt, n):
-    out = np.eye(2, dtype=np.complex128)
-    w = np.sqrt(az * az + ax * ax)
-    if w == 0.0 or n == 0:
-        return out
-    alpha = w * dt
-    ca = np.cos(alpha)
-    sa = np.sin(alpha)
-    nz = az / w
-    nt = ax / w
-    u00 = 1.0 + 0.0j
-    u01 = 0.0 + 0.0j
-    u10 = 0.0 + 0.0j
-    u11 = 1.0 + 0.0j
-    for k in range(n):
-        th = omega * (t0 + (k + 0.5) * dt) + phi0
-        nx = nt * np.cos(th)
-        ny = nt * np.sin(th)
-        m00 = ca - 1j * sa * nz
-        m11 = ca + 1j * sa * nz
-        m01 = -1j * sa * (nx - 1j * ny)
-        m10 = -1j * sa * (nx + 1j * ny)
-        v00 = m00 * u00 + m01 * u10
-        v01 = m00 * u01 + m01 * u11
-        v10 = m10 * u00 + m11 * u10
-        v11 = m10 * u01 + m11 * u11
-        u00, u01, u10, u11 = v00, v01, v10, v11
-    out[0, 0] = u00
-    out[0, 1] = u01
-    out[1, 0] = u10
-    out[1, 1] = u11
-    return out
+def _telescope(power, gen, omega, phase0, t0, dt, n):
+    """P(th_0 + n delta) power P(-th_0), with P(th) = exp(-i th diag(gen) / 2)."""
+    th0 = omega * (t0 + 0.5 * dt) + phase0
+    th_end = omega * (t0 + (n + 0.5) * dt) + phase0
+    return np.exp(-0.5j * th_end * gen)[:, None] * power * np.exp(0.5j * th0 * gen)[None, :]
 
 
-def _su2_step_matrices(az, ax, omega, phi0, t0, dt, k0, k1):
-    """Vectorized midpoint-step propagators for steps k0..k1-1, shape (k1-k0, 2, 2)."""
-    w = np.hypot(az, ax)
-    alpha = w * dt
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    nz, nt = az / w, ax / w
-    th = omega * (t0 + (np.arange(k0, k1) + 0.5) * dt) + phi0
-    nx = nt * np.cos(th)
-    ny = nt * np.sin(th)
-    m = np.empty((k1 - k0, 2, 2), dtype=complex)
-    m[:, 0, 0] = ca - 1j * sa * nz
-    m[:, 1, 1] = ca + 1j * sa * nz
-    m[:, 0, 1] = -1j * sa * (nx - 1j * ny)
-    m[:, 1, 0] = -1j * sa * (nx + 1j * ny)
-    return m
-
-
-def _tree_product(m: np.ndarray) -> np.ndarray:
-    """Ordered product m[-1] @ ... @ m[0] by pairwise reduction (log-depth roundoff)."""
-    while m.shape[0] > 1:
-        if m.shape[0] % 2:
-            tail = m[-1]
-            m = np.matmul(m[1:-1:2], m[0:-1:2])
-            m[-1] = tail @ m[-1]
-        else:
-            m = np.matmul(m[1::2], m[0::2])
-    return m[0]
-
-
-def _su2_tree_np(az, ax, omega, phi0, t0, dt, n, chunk=1 << 16):
-    if n == 0 or (az == 0.0 and ax == 0.0):
-        return np.eye(2, dtype=complex)
-    u = np.eye(2, dtype=complex)
-    for k0 in range(0, n, chunk):
-        k1 = min(k0 + chunk, n)
-        u = _tree_product(_su2_step_matrices(az, ax, omega, phi0, t0, dt, k0, k1)) @ u
-    return u
-
-
-# ---------------------------------------------------------------------------
-# 4-dim donor Strang stream
-# ---------------------------------------------------------------------------
-
-def _rot2_entries(angle, th):
-    """Entries of exp(-i angle (X cos th + Y sin th)); angle may be negative."""
-    ca = np.cos(abs(angle))
-    sa = np.sin(abs(angle))
-    s = 0.0 if angle == 0.0 else (1.0 if angle > 0.0 else -1.0)
-    off = -1j * sa * s
-    return ca, off * (np.cos(th) - 1j * np.sin(th)), off * (np.cos(th) + 1j * np.sin(th))
-
-
-def _donor4_strang_py(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
-    u = np.eye(4, dtype=np.complex128)
-    de = np.zeros((2, 2), dtype=np.complex128)
-    dn = np.zeros((2, 2), dtype=np.complex128)
-    for k in range(n):
-        th = omega * (t0 + (k + 0.5) * dt) + chi
-        ca, o01, o10 = _rot2_entries(gx_e * dt, phase_sign_e * th)
-        de[0, 0] = ca
-        de[1, 1] = ca
-        de[0, 1] = o01
-        de[1, 0] = o10
-        ca, o01, o10 = _rot2_entries(gx_n * dt, th)
-        dn[0, 0] = ca
-        dn[1, 1] = ca
-        dn[0, 1] = o01
-        dn[1, 0] = o10
-        mid = np.kron(de, dn)
-        u = (e_half @ (mid @ e_half)) @ u
-    return u
-
-
-def _donor4_tree_np(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n, chunk=1 << 13):
-    if n == 0:
-        return np.eye(4, dtype=complex)
-    u = np.eye(4, dtype=complex)
-    for k0 in range(0, n, chunk):
-        k1 = min(k0 + chunk, n)
-        th = omega * (t0 + (np.arange(k0, k1) + 0.5) * dt) + chi
-        factors = []
-        for gx, sgn in ((gx_e, phase_sign_e), (gx_n, 1.0)):
-            m = np.zeros((k1 - k0, 2, 2), dtype=complex)
-            a = abs(gx) * dt
-            ca, sa = np.cos(a), np.sin(a)
-            m[:, 0, 0] = ca
-            m[:, 1, 1] = ca
-            if gx != 0.0:
-                s = 1.0 if gx > 0.0 else -1.0
-                phase = sgn * th
-                m[:, 0, 1] = -1j * sa * s * (np.cos(phase) - 1j * np.sin(phase))
-                m[:, 1, 0] = -1j * sa * s * (np.cos(phase) + 1j * np.sin(phase))
-            factors.append(m)
-        de, dn = factors
-        mid = np.einsum("kab,kcd->kacbd", de, dn).reshape(k1 - k0, 4, 4)
-        steps = np.matmul(e_half, np.matmul(mid, e_half))
-        u = _tree_product(steps) @ u
-    return u
-
-
-# ---------------------------------------------------------------------------
-# numba versions
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _su2_stream_nb = njit(cache=True, fastmath=False)(_su2_stream_py)
-
-    @njit(cache=True, fastmath=False)
-    def _donor4_strang_nb(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
-        u = np.eye(4, dtype=np.complex128)
-        mid = np.zeros((4, 4), dtype=np.complex128)
-        ae = abs(gx_e) * dt
-        an = abs(gx_n) * dt
-        ca_e = np.cos(ae)
-        sa_e = np.sin(ae) * (1.0 if gx_e >= 0.0 else -1.0)
-        ca_n = np.cos(an)
-        sa_n = np.sin(an) * (1.0 if gx_n >= 0.0 else -1.0)
-        for k in range(n):
-            th = omega * (t0 + (k + 0.5) * dt) + chi
-            the = phase_sign_e * th
-            e01 = -1j * sa_e * (np.cos(the) - 1j * np.sin(the))
-            e10 = -1j * sa_e * (np.cos(the) + 1j * np.sin(the))
-            if gx_n != 0.0:
-                n01 = -1j * sa_n * (np.cos(th) - 1j * np.sin(th))
-                n10 = -1j * sa_n * (np.cos(th) + 1j * np.sin(th))
-            else:
-                n01 = 0.0j
-                n10 = 0.0j
-            # kron(de, dn) with de = [[ca_e, e01], [e10, ca_e]], dn likewise
-            mid[0, 0] = ca_e * ca_n
-            mid[0, 1] = ca_e * n01
-            mid[1, 0] = ca_e * n10
-            mid[1, 1] = ca_e * ca_n
-            mid[0, 2] = e01 * ca_n
-            mid[0, 3] = e01 * n01
-            mid[1, 2] = e01 * n10
-            mid[1, 3] = e01 * ca_n
-            mid[2, 0] = e10 * ca_n
-            mid[2, 1] = e10 * n01
-            mid[3, 0] = e10 * n10
-            mid[3, 1] = e10 * ca_n
-            mid[2, 2] = ca_e * ca_n
-            mid[2, 3] = ca_e * n01
-            mid[3, 2] = ca_e * n10
-            mid[3, 3] = ca_e * ca_n
-            u = (e_half @ (mid @ e_half)) @ u
-        return u
+def _rot2(angle: float) -> np.ndarray:
+    """exp(-i angle X): the zero-phase transverse rotation."""
+    c, s = math.cos(angle), -1j * math.sin(angle)
+    return np.array([[c, s], [s, c]])
 
 
 def su2_lab_product(az, ax, omega, phi0, t0, dt, n):
-    """Ordered product of n midpoint-step SU(2) propagators (see module docstring)."""
-    if BACKEND == "numba":
-        return _su2_stream_nb(float(az), float(ax), float(omega), float(phi0),
-                              float(t0), float(dt), int(n))
-    return _su2_tree_np(float(az), float(ax), float(omega), float(phi0),
-                        float(t0), float(dt), int(n))
+    """Ordered product of n midpoint-step SU(2) propagators (see module docstring).
+
+    The power of P(-delta) M = a0 - i v.sigma is taken in angle form,
+    cos(n beta) - i sin(n beta) v.sigma / |v| with beta = atan2(|v|, a0), so
+    its roundoff does not grow with n.
+    """
+    w = math.hypot(az, ax)
+    if w == 0.0 or n == 0:
+        return np.eye(2, dtype=complex)
+    ca, sa = math.cos(w * dt), math.sin(w * dt)
+    nz, nt = az / w, ax / w
+    c, s = math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt)
+    a0 = c * ca + s * sa * nz
+    vx, vy, vz = c * sa * nt, -s * sa * nt, c * sa * nz - s * ca
+    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
+    beta = math.atan2(norm, a0)
+    cb = math.cos(n * beta)
+    sb = math.sin(n * beta) / norm if norm > 0.0 else 0.0
+    power = np.array([[cb - 1j * sb * vz, -sb * (vy + 1j * vx)],
+                      [sb * (vy - 1j * vx), cb + 1j * sb * vz]])
+    return _telescope(power, _SU2_GEN, omega, phi0, t0, dt, n)
 
 
 def donor4_strang_product(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
     """Second-order split-step product for the driven 4-dim donor Hamiltonian.
 
     e_half is the precomputed half-step static propagator
-    exp(-i H_static dt / (2 hbar)).
+    exp(-i H_static dt / (2 hbar)).  The closed form needs it to commute with
+    exp(-i th (phase_sign_e Z_e + Z_n) / 2), the z-rotation the drive phase
+    applies (total physical S_z at phase_sign_e = -1); ValueError otherwise.
     """
-    args = (np.ascontiguousarray(e_half, dtype=np.complex128), float(gx_e),
-            float(phase_sign_e), float(gx_n), float(omega), float(chi),
-            float(t0), float(dt), int(n))
-    if BACKEND == "numba":
-        return _donor4_strang_nb(*args)
-    return _donor4_tree_np(*args)
+    e_half = np.asarray(e_half, dtype=complex)
+    gen = np.kron(phase_sign_e * _SU2_GEN, np.ones(2)) + np.tile(_SU2_GEN, 2)
+    if np.abs(e_half * (gen[None, :] - gen[:, None])).max() > _COMMUTATOR_TOL:
+        raise ValueError("e_half does not commute with the drive's z-rotation")
+    if n == 0:
+        return np.eye(4, dtype=complex)
+    step = e_half @ np.kron(_rot2(gx_e * dt), _rot2(gx_n * dt)) @ e_half
+    power = np.linalg.matrix_power(np.exp(0.5j * omega * dt * gen)[:, None] * step, int(n))
+    return _telescope(power, gen, omega, chi, t0, dt, n)

@@ -22,7 +22,12 @@ from .params import (
     local_control_tradeoff,
     max_detuning,
 )
-from .propagator import PulseSchedule, PulseSegment, execute_schedule
+from .propagator import (
+    PulseSchedule,
+    PulseSegment,
+    execute_schedule,
+    validate_schedule_controls,
+)
 from .spin_model import SpinSystem, frame_rotation, single_donor_static
 
 __all__ = [
@@ -198,6 +203,7 @@ def frozen_nucleus_check(
     """
     if schedule.system.include_nuclei:
         raise ValueError("pass the electron-only schedule; the oracle adds the nucleus")
+    validate_schedule_controls(schedule, p)
     if donor is None:
         touched = {q for seg in schedule.segments for q in seg.detunings}
         donor = min(touched) if touched else 0
@@ -206,12 +212,16 @@ def frozen_nucleus_check(
     coarse = _donor4_evolution(schedule, donor, p, steps, include_nuclear_drive)
     while True:
         fine = _donor4_evolution(schedule, donor, p, 2 * steps, include_nuclear_drive)
-        if np.abs(fine - coarse).max() <= tol:
+        diff = np.abs(fine - coarse).max()
+        if diff <= tol:
             break
         coarse = fine
         steps *= 2
         if steps > 1 << 16:
-            raise RuntimeError("nuclear oracle did not converge")
+            raise RuntimeError(
+                f"nuclear oracle did not converge to {tol} in max-norm: last difference "
+                f"{diff:.3e} at {steps} steps per carrier period"
+            )
 
     # electron-only reference: the donor's local rotating-frame schedule
     local = schedule.replace(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, analysis, gates
+from . import analysis, gates
 from .params import DeviceParameters, load_device_parameters
 from .propagator import (
     execute_schedule,
@@ -68,7 +68,7 @@ class RunConfig:
         return {
             "b": d.b, "b_ac": d.b_ac, "a0": d.a0, "a_min": d.a_min, "d": d.d,
             "a_star": d.a_star, "eps_r": d.eps_r, "alignment": d.alignment,
-            "seed": self.seed, "format": self.fmt, "backend": _kernels.BACKEND,
+            "seed": self.seed, "format": self.fmt,
         }
 
 
@@ -362,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # the one place where bad input (files, values, infeasible requests) becomes
-    # a one-line message and exit code 2; InfeasibleDetuningError is a ValueError
+    # the one place where bad input (files, values, infeasible or unsupported
+    # requests) becomes a one-line message and exit code 2;
+    # InfeasibleDetuningError is a ValueError
     try:
         if args.config:
             with open(args.config) as fh:
@@ -372,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             device = DeviceParameters()
         cfg = RunConfig(device=device, seed=args.seed, fmt=args.format, out=args.out)
         return args.func(args, cfg)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NotImplementedError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2
 

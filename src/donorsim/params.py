@@ -52,8 +52,9 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"constant {f.name} must be strictly positive")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"constant {f.name} must be finite and strictly positive")
 
 
 CONSTANTS = PhysicalConstants()

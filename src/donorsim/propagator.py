@@ -200,13 +200,15 @@ def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
     coarse = assemble(steps)
     while True:
         fine = assemble(2 * steps)
-        if np.abs(fine - coarse).max() <= lab_tol:
+        diff = np.abs(fine - coarse).max()
+        if diff <= lab_tol:
             return fine
         steps *= 2
         coarse = fine
         if steps > 1 << 18:
             raise RuntimeError(
-                f"lab-frame integration did not converge to {lab_tol} in max-norm"
+                f"lab-frame integration did not converge to {lab_tol} in max-norm: last "
+                f"difference {diff:.3e} at {steps} steps per carrier period"
             )
 
 
@@ -437,12 +439,15 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
             }
             if "duration_ns" not in fields:
                 raise ValueError(f"line {lineno}: segment has no duration_ns")
+            rf = fields.get("rf", "on")
+            if rf not in ("on", "off"):
+                raise ValueError(f"line {lineno}: rf must be 'on' or 'off', got {rf!r}")
             segments.append(
                 PulseSegment(
                     duration=float(fields["duration_ns"]) * 1e-9,
                     detunings=detunings,
                     couplings=couplings,
-                    rf_on=fields.get("rf", "on") == "on",
+                    rf_on=rf == "on",
                     label=label,
                 )
             )

@@ -21,6 +21,7 @@ exp(-i H t / hbar).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping
@@ -193,9 +194,14 @@ def single_donor_static(a: float, p: DeviceParameters) -> np.ndarray:
     """Static donor Hamiltonian on electron (x) nucleus (4-dim), no drive.
 
     mu_B B sigma_z^e - g_n mu_n B sigma_z^n + A sigma_e . sigma_n
+
+    A is taken signed.  The frozen-nucleus oracle reads a detuning dw as
+    A = hyperfine_for_frequency(omega_ac + 2 dw): its extended branch already
+    goes above A0 for positive dw, and at dw within ~0.05 % of -max_detuning
+    it steps just below 0.
     """
-    if a < 0.0:
-        raise ValueError("hyperfine energy must be non-negative")
+    if not math.isfinite(a):
+        raise ValueError("hyperfine energy must be finite")
     c = p.constants
     h = c.mu_b * p.b * pauli_on(E_SZ, 0, 2)
     h -= c.g_n * c.mu_n * p.b * pauli_on(SZ, 1, 2)

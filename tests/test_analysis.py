@@ -15,8 +15,9 @@ from donorsim.analysis import (
     sweep,
     timescale_table,
 )
-from donorsim.gates import spectator_period, synth_x, synth_z
+from donorsim.gates import spectator_period, synth_x, synth_y, synth_z
 from donorsim.params import max_detuning
+from donorsim.propagator import PulseSegment
 from donorsim.spin_model import SX, SpinSystem
 
 
@@ -140,6 +141,33 @@ def test_nuclear_flip_x_gate(p):
     flip, fdev = frozen_nucleus_check(sched, p)
     assert flip <= 1e-4
     assert fdev <= 1e-3
+
+
+def test_frozen_nucleus_near_detuning_bound(p):
+    """A legal Y gate whose correction sits at dw/dmax = -0.9997.
+
+    The oracle's reading of that detuning is a hyperfine value just below 0.
+    """
+    sched = synth_y(4.177247349626241, 0, p, SpinSystem(1))
+    assert min(dw for seg in sched.segments for dw in seg.detunings.values()) \
+        < -0.999 * max_detuning(p)
+    flip, fdev = frozen_nucleus_check(sched, p)
+    assert flip <= 1e-4
+    assert fdev <= 1e-3
+
+
+def test_frozen_nucleus_rejects_out_of_bound_detuning(p):
+    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    seg = PulseSegment(duration=1e-9, detunings={0: -1.01 * max_detuning(p)})
+    with pytest.raises(ValueError, match="exceeds the device bound"):
+        frozen_nucleus_check(sched.replace(segments=(seg,)), p)
+
+
+def test_frozen_nucleus_convergence_error_reports_progress(p):
+    """An unreachable tolerance ends at the step ceiling, saying how close it got."""
+    sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
+    with pytest.raises(RuntimeError, match=r"last difference \S+ at 131072 steps"):
+        frozen_nucleus_check(sched, p, tol=1e-300)
 
 
 def test_nuclear_flip_zero_duration(p):

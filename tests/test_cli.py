@@ -161,6 +161,13 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  id="x_aligned_dipole"),
     pytest.param(["sweep", "--metric", "spectator_period_ns", "--param", "b_ac=abc"], {},
                  "'abc'", id="non_numeric_sweep"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "frame = lab\ninclude_nuclei = true\n"
+                             "segment duration_ns=1 rf=on\n"}, "electron-only",
+                 id="lab_frame_with_nuclei"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=of\n"},
+                 "line 3: rf must be 'on' or 'off'", id="rf_typo"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""

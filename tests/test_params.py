@@ -38,6 +38,9 @@ def test_constants_positive_and_frozen():
         c.mu_b = 1.0
     with pytest.raises(ValueError):
         params.PhysicalConstants(mu_b=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            params.PhysicalConstants(hbar=bad)
 
 
 def test_device_defaults(p):

@@ -21,7 +21,13 @@ from donorsim.propagator import (
     trace_to_csv,
     validate_schedule_controls,
 )
-from donorsim.spin_model import SX, SpinSystem, frame_rotation, single_electron_rotating
+from donorsim.spin_model import (
+    SX,
+    SpinSystem,
+    frame_rotation,
+    single_donor_static,
+    single_electron_rotating,
+)
 from donorsim.gates import synth_hadamard, synth_x, synth_y
 
 
@@ -142,6 +148,14 @@ def test_lab_frame_gate_equivalence(p):
     assert 1.0 - gate_fidelity(mapped, u_rot) <= 1e-6
 
 
+def test_lab_convergence_error_reports_progress(p):
+    """An unreachable lab_tol ends at the step ceiling, saying how close it got."""
+    seg = PulseSegment(duration=0.3e-9, detunings={0: -0.4 * max_detuning(p)})
+    lab = _schedule([seg], p, frame="lab", carrier=carrier_frequency(p))
+    with pytest.raises(RuntimeError, match=r"last difference \S+ at 524288 steps"):
+        execute_schedule(lab, lab_tol=1e-300)
+
+
 def test_lab_frame_rejects_couplings(p):
     seg = PulseSegment(duration=1e-9, couplings={(0, 1): 1e-27})
     lab = _schedule([seg], p, n=2, frame="lab", carrier=carrier_frequency(p))
@@ -149,12 +163,75 @@ def test_lab_frame_rejects_couplings(p):
         execute_schedule(lab)
 
 
-def test_kernel_backends_agree(p):
+def _su2_reference_loop(az, ax, omega, phi0, t0, dt, n):
+    """Step-by-step midpoint product, one closed-form 2x2 step at a time."""
+    w = math.hypot(az, ax)
+    ca, sa = math.cos(w * dt), math.sin(w * dt)
+    nz, nt = az / w, ax / w
+    u = np.eye(2, dtype=complex)
+    for k in range(n):
+        th = omega * (t0 + (k + 0.5) * dt) + phi0
+        off = -1j * sa * nt * complex(math.cos(th), math.sin(th))
+        u = np.array([[ca - 1j * sa * nz, -off.conjugate()],
+                      [off, ca + 1j * sa * nz]]) @ u
+    return u
+
+
+def test_su2_kernel_against_reference_loop(p):
     az, ax = -1.7e11, 1.1e8
     w = -carrier_frequency(p)
-    u_fast = _kernels.su2_lab_product(az, ax, w, 0.0, 0.0, 1e-14, 200000)
-    u_np = _kernels._su2_tree_np(az, ax, w, 0.0, 0.0, 1e-14, 200000)
-    assert np.abs(u_fast - u_np).max() <= 1e-10
+    u_kernel = _kernels.su2_lab_product(az, ax, w, 0.0, 0.0, 1e-14, 200000)
+    u_loop = _su2_reference_loop(az, ax, w, 0.0, 0.0, 1e-14, 200000)
+    assert np.abs(u_kernel - u_loop).max() <= 1e-10
+
+
+def _rot2(angle, th):
+    """exp(-i angle (X cos th + Y sin th))."""
+    c, s = math.cos(angle), -1j * math.sin(angle)
+    return np.array([[c, s * complex(math.cos(th), -math.sin(th))],
+                     [s * complex(math.cos(th), math.sin(th)), c]])
+
+
+def _donor4_reference_loop(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
+    """Step-by-step Strang product: e_half, midpoint-time drive, e_half."""
+    u = np.eye(4, dtype=complex)
+    for k in range(n):
+        th = omega * (t0 + (k + 0.5) * dt) + chi
+        mid = np.kron(_rot2(gx_e * dt, phase_sign_e * th), _rot2(gx_n * dt, th))
+        u = (e_half @ (mid @ e_half)) @ u
+    return u
+
+
+def _static_half_step(a, p, dt):
+    w, v = np.linalg.eigh(single_donor_static(a, p))
+    return (v * np.exp(-1j * w * (dt / (2.0 * p.constants.hbar)))) @ v.conj().T
+
+
+@pytest.mark.parametrize("rf_on,nuclear_drive", [(False, False), (True, False), (True, True)],
+                         ids=["rf_off", "rf_on", "rf_on_nuclear_drive"])
+def test_donor4_kernel_against_reference_loop(p, rf_on, nuclear_drive):
+    c = p.constants
+    w_ac = carrier_frequency(p)
+    dt = 2.0 * math.pi / w_ac / 128
+    e_half = _static_half_step(0.7 * p.a0, p, dt)
+    gx_e = p.transverse_energy / c.hbar if rf_on else 0.0
+    # the nuclear rate scaled up 1e3-fold, to the electron's order, so that
+    # its rotation shows well above roundoff
+    gx_n = -1e3 * c.g_n * c.mu_n * p.b_ac / c.hbar if nuclear_drive else 0.0
+    args = (e_half, gx_e, -1.0, gx_n, w_ac, 0.4, 1.3e-9, dt, 3000)
+    u_kernel = _kernels.donor4_strang_product(*args)
+    u_loop = _donor4_reference_loop(*args)
+    assert np.abs(u_kernel - u_loop).max() <= 1e-10
+
+
+def test_donor4_kernel_rejects_non_commuting_e_half(p):
+    w_ac = carrier_frequency(p)
+    dt = 2.0 * math.pi / w_ac / 128
+    e_half = _static_half_step(p.a0, p, dt)
+    ax = p.transverse_energy / p.constants.hbar
+    # the hyperfine flip-flop conserves total physical S_z, i.e. phase sign -1 only
+    with pytest.raises(ValueError, match="commute"):
+        _kernels.donor4_strang_product(e_half, ax, 1.0, 0.0, w_ac, 0.0, 0.0, dt, 100)
 
 
 def test_kernel_against_expm_oracle(p):
