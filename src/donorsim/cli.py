@@ -8,6 +8,7 @@ so runs are auditable, and identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,6 +152,12 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
     system = SpinSystem(num_donors=args.qubits) if args.qubits else None
     report = gates.compile_gate(spec, p, system=system,
                                 extended_correction=args.extended_correction)
+    # the trace is computed before anything is written, so a bad --initial or
+    # --samples leaves no gate report behind
+    trace = None
+    if args.trace:
+        initial = args.initial or "0" * report.schedule.system.num_sites
+        trace = trace_evolution(report.schedule, initial, samples=args.samples)
     payload = {
         "config": cfg.as_dict(),
         "gate": {"kind": spec.kind, "targets": list(spec.targets), "theta": spec.theta,
@@ -165,9 +172,7 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
         "notes": report.notes,
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n", cfg.out)
-    if args.trace:
-        initial = args.initial or "0" * report.schedule.system.num_sites
-        trace = trace_evolution(report.schedule, initial, samples=args.samples)
+    if trace is not None:
         trace_to_csv(trace, args.trace, header=cfg.as_dict())
     return 0 if payload["passed"] else 1
 
@@ -316,7 +321,13 @@ def _add_gate_flags(sub: argparse.ArgumentParser) -> None:
                      help="add one extra spectator wrap to the final cnot correction")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    Reuse is safe: parse_args returns a fresh Namespace on every call and no
+    argument has a mutable default (--param appends to a new list).
+    """
     parser = argparse.ArgumentParser(
         prog="donorsim",
         description="Pulse compiler and simulator for globally controlled "

@@ -308,25 +308,27 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
     for seg in schedule.segments:
         if seg.duration == 0.0:
             continue
-        w, v = np.linalg.eigh(segment_hamiltonian(schedule, seg))
-        eigs.append((w, v))
+        eigs.append(np.linalg.eigh(segment_hamiltonian(schedule, seg)))
         starts.append(t_acc)
         t_acc += seg.duration
     times = np.linspace(0.0, total, samples)
+    # segment of each sample: the last one starting at or before it (a sample
+    # within 1e-18 of the total below a start already counts as in it)
+    bounds = np.searchsorted(np.array(starts[1:]) - 1e-18 * total, times, side="right")
+    first = np.searchsorted(bounds, np.arange(len(starts) + 1))
     pops = np.empty((samples, schedule.system.dim))
-    seg_idx = 0
     psi_seg_start = psi0
-    for i, t in enumerate(times):
-        while seg_idx + 1 < len(starts) and t >= starts[seg_idx + 1] - 1e-18 * total:
-            w, v = eigs[seg_idx]
-            dt_full = (starts[seg_idx + 1] if seg_idx + 1 < len(starts) else total) - starts[seg_idx]
-            phases = np.exp(-1j * w * (dt_full / schedule.hbar))
-            psi_seg_start = v @ (phases * (v.conj().T @ psi_seg_start))
-            seg_idx += 1
-        w, v = eigs[seg_idx]
-        phases = np.exp(-1j * w * ((t - starts[seg_idx]) / schedule.hbar))
-        psi = v @ (phases * (v.conj().T @ psi_seg_start))
-        pops[i] = np.abs(psi) ** 2
+    for k, (w, v) in enumerate(eigs):
+        c = v.conj().T @ psi_seg_start
+        block = slice(first[k], first[k + 1])
+        phases = np.exp((-1j * w)[None, :] * ((times[block] - starts[k]) / schedule.hbar)[:, None])
+        # a stacked mat-vec, not one GEMM, so every sample is computed exactly
+        # as v @ (phases * c) would compute it alone
+        pops[block] = np.abs((v @ (phases * c)[:, :, None])[..., 0]) ** 2
+        if k + 1 < len(eigs):
+            # full propagator of segment k, also when it holds no sample
+            phases = np.exp(-1j * w * ((starts[k + 1] - starts[k]) / schedule.hbar))
+            psi_seg_start = v @ (phases * c)
     return EvolutionTrace(times, pops, labels, init_label)
 
 
@@ -337,12 +339,12 @@ def trace_to_csv(trace: EvolutionTrace, stream, header: Mapping[str, object] | N
         stream = open(stream, "w")
         close = True
     try:
-        for key, val in (header or {}).items():
-            stream.write(f"# {key} = {val}\n")
-        stream.write("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
-        for t, row in zip(trace.times, trace.populations):
-            cells = [f"{t * 1e9:.12g}"] + [f"{x:.12g}" for x in row]
-            stream.write(",".join(cells) + "\n")
+        lines = [f"# {key} = {val}\n" for key, val in (header or {}).items()]
+        lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
+        cells = np.column_stack([trace.times * 1e9, trace.populations])
+        row = ",".join(["%.12g"] * cells.shape[1]) + "\n"
+        lines.append(row * cells.shape[0] % tuple(cells.ravel().tolist()))
+        stream.write("".join(lines))
     finally:
         if close:
             stream.close()
@@ -402,11 +404,29 @@ def _parse_pairs(text: str, cast_key) -> dict:
     return out
 
 
+def _one_of(key: str, choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(map(repr, choices))}, "
+                             f"got {text!r}")
+        return text
+    return parse
+
+
+def _finite(key: str):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {text!r}")
+        return value
+    return parse
+
+
 def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     """Parse the schedule file format written by schedule_to_text."""
     from .params import carrier_frequency, resonant_frequency
 
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}   # key -> (value, line number)
     segments: list[PulseSegment] = []
     w_ac = carrier_frequency(p)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -458,25 +478,35 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                      "rf_phase", "dipole_uev", "carrier"}
             if key not in known:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            header[key] = val.strip()
-    system = SpinSystem(
-        num_donors=int(header.get("num_donors", "1")),
-        include_nuclei=header.get("include_nuclei", "false") == "true",
-        alignment=header.get("alignment", "z"),
-    )
-    dipole = {
+            header[key] = (val.strip(), lineno)
+
+    def header_value(key: str, default, parse):
+        """Parse a header value (default when absent); errors name its line."""
+        if key not in header:
+            return default
+        text, lineno = header[key]
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+
+    frame = header_value("frame", "rotating", _one_of("frame", ("rotating", "lab")))
+    include_nuclei = header_value("include_nuclei", "false",
+                                  _one_of("include_nuclei", ("true", "false"))) == "true"
+    alignment = header_value("alignment", "z", _one_of("alignment", ("x", "y", "z")))
+    system = header_value("num_donors", SpinSystem(1, include_nuclei, alignment),
+                          lambda text: SpinSystem(int(text), include_nuclei, alignment))
+    dipole = header_value("dipole_uev", {}, lambda text: {
         tuple(int(x) for x in key.split("-")): d * _UEV
-        for key, d in _parse_pairs(header.get("dipole_uev", ""), str).items()
-    }
+        for key, d in _parse_pairs(text, str).items()
+    })
     schedule = PulseSchedule(
         segments=tuple(segments),
-        b_ac=float(header.get("b_ac", p.b_ac)),
+        b_ac=header_value("b_ac", p.b_ac, _finite("b_ac")),
         system=system,
-        frame=header.get("frame", "rotating"),
-        carrier=float(header["carrier"]) if "carrier" in header else (
-            w_ac if header.get("frame") == "lab" else None
-        ),
-        rf_phase=float(header.get("rf_phase", "0")),
+        frame=frame,
+        carrier=header_value("carrier", w_ac if frame == "lab" else None, _finite("carrier")),
+        rf_phase=header_value("rf_phase", 0.0, _finite("rf_phase")),
         dipole=dipole,
         hbar=p.constants.hbar,
         mu_b=p.constants.mu_b,

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from donorsim.cli import main
+from donorsim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,28 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=of\n"},
                  "line 3: rf must be 'on' or 'off'", id="rf_typo"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "include_nuclei = True\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "line 3: include_nuclei must be one of 'true', 'false', got 'True'",
+                 id="include_nuclei_not_bool"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "frame = Lab\nsegment duration_ns=1 rf=on\n"},
+                 "line 3: frame must be one of 'rotating', 'lab', got 'Lab'", id="frame_typo"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "alignment = w\nsegment duration_ns=1 rf=on\n"},
+                 "line 3: alignment must be one of 'x', 'y', 'z', got 'w'",
+                 id="alignment_typo"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = two\nsegment duration_ns=1 rf=on\n"},
+                 "line 1: invalid literal for int() with base 10: 'two'", id="num_donors_not_int"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "# donorsim schedule v1\nnum_donors = 4\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "line 2: num_donors must be 1, 2 or 3", id="num_donors_out_of_range"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "rf_phase = inf\nsegment duration_ns=1 rf=on\n"},
+                 "line 3: rf_phase must be finite, got 'inf'", id="non_finite_header"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""
@@ -178,3 +200,46 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--initial", "zz"], ["--samples", "1"]],
+                         ids=["unknown_initial", "one_sample"])
+def test_gate_trace_fails_before_writing(tmp_path, capsys, flags):
+    out, trace = tmp_path / "x.json", tmp_path / "x.csv"
+    code = main(["--out", str(out), "gate", "--gate", "x", "--trace", str(trace)] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert not out.exists() and not trace.exists()
+    code = main(["gate", "--gate", "x", "--trace", str(trace)] + flags)
+    assert code == 2 and capsys.readouterr().out == ""
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    for grid in ("0.0006,0.0012", "0.0009"):
+        code, out = run_cli(capsys, "--format", "json", "sweep",
+                            "--metric", "spectator_period_ns", "--param", f"b_ac={grid}")
+        assert code == 0
+        assert [r["b_ac"] for r in json.loads(out)["rows"]] == [float(v) for v in grid.split(",")]
+
+    sched = tmp_path / "x.sched"
+    code, out = run_cli(capsys, "--out", str(sched), "schedule", "dump", "--gate", "x")
+    assert code == 0 and out == "" and sched.read_text().count("segment ") == 2
+    code, out = run_cli(capsys, "schedule", "load", str(sched))
+    assert code == 0 and len(json.loads(out)["segments"]) == 2
+
+    trace = tmp_path / "h.csv"
+    code, out = run_cli(capsys, "gate", "--gate", "hadamard", "--trace", str(trace))
+    assert code == 0 and trace.exists()
+    trace.unlink()
+    code, out = run_cli(capsys, "gate", "--gate", "hadamard")
+    assert code == 0 and not trace.exists()
+    assert not list(tmp_path.glob("*.csv"))
+
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "--gate", "w"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, _ = run_cli(capsys, "table", "II")
+    assert code == 0

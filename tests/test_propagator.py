@@ -15,6 +15,7 @@ from donorsim.propagator import (
     concat_schedules,
     execute_schedule,
     propagate_constant,
+    segment_hamiltonian,
     schedule_from_text,
     schedule_to_text,
     trace_evolution,
@@ -28,7 +29,7 @@ from donorsim.spin_model import (
     single_donor_static,
     single_electron_rotating,
 )
-from donorsim.gates import synth_hadamard, synth_x, synth_y
+from donorsim.gates import synth_cnot, synth_hadamard, synth_x, synth_y
 
 
 def _schedule(segments, p, n=1, **kw):
@@ -292,6 +293,99 @@ def test_trace_csv_format(p):
     assert float(lines[-1].split(",")[1]) == pytest.approx(0.5, abs=1e-9)
 
 
+def _trace_reference_loop(schedule, psi0, samples):
+    """Per-sample populations, stepping segment by segment (the former loop)."""
+    total = schedule.total_duration
+    eigs, starts, t_acc = [], [], 0.0
+    for seg in schedule.segments:
+        if seg.duration == 0.0:
+            continue
+        eigs.append(np.linalg.eigh(segment_hamiltonian(schedule, seg)))
+        starts.append(t_acc)
+        t_acc += seg.duration
+    times = np.linspace(0.0, total, samples)
+    pops = np.empty((samples, schedule.system.dim))
+    seg_idx, psi_seg_start = 0, psi0
+    for i, t in enumerate(times):
+        while seg_idx + 1 < len(starts) and t >= starts[seg_idx + 1] - 1e-18 * total:
+            w, v = eigs[seg_idx]
+            dt_full = starts[seg_idx + 1] - starts[seg_idx]
+            phases = np.exp(-1j * w * (dt_full / schedule.hbar))
+            psi_seg_start = v @ (phases * (v.conj().T @ psi_seg_start))
+            seg_idx += 1
+        w, v = eigs[seg_idx]
+        phases = np.exp(-1j * w * ((t - starts[seg_idx]) / schedule.hbar))
+        pops[i] = np.abs(v @ (phases * (v.conj().T @ psi_seg_start))) ** 2
+    return times, pops
+
+
+def _basis(dim, index):
+    psi = np.zeros(dim, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
+def _interleaved_zero_segments(p):
+    dw = 0.5 * max_detuning(p)
+    segs = [PulseSegment(0.0), PulseSegment(3e-9, {0: dw}), PulseSegment(0.0),
+            PulseSegment(0.0, {1: dw}), PulseSegment(2e-9, {1: -dw}, rf_on=False),
+            PulseSegment(0.0), PulseSegment(5e-9), PulseSegment(0.0)]
+    return _schedule(segs, p, n=2)
+
+
+def _boundary_samples(p):
+    # durations 1, 1, 2 ns at 5 samples: the samples at 1 ns and 2 ns sit exactly
+    # on segment starts
+    segs = [PulseSegment(1e-9), PulseSegment(1e-9, {0: 0.3 * max_detuning(p)}),
+            PulseSegment(2e-9, rf_on=False)]
+    return _schedule(segs, p)
+
+
+@pytest.mark.parametrize("make,initial,samples", [
+    pytest.param(lambda p: synth_cnot("exchange", 0, 1, p, j=3.0 * math.pi * p.constants.hbar
+                                      / (8.0 * 1e-11), extended_correction=True),
+                 "00", 1000, id="cnot_extended_1000"),
+    pytest.param(_interleaved_zero_segments, "01", 97, id="zero_duration_segments"),
+    pytest.param(lambda p: synth_hadamard(0, p, SpinSystem(2)), "10", 2, id="two_samples"),
+    pytest.param(_boundary_samples, "0", 5, id="boundary_samples"),
+    pytest.param(lambda p: synth_y(1.0, 1, p, SpinSystem(2)),
+                 np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(0.3j)]), 400, id="custom_initial"),
+    pytest.param(lambda p: synth_x(math.pi, 1, p, SpinSystem(3)), "010", 500, id="three_donors"),
+])
+def test_trace_against_reference_loop(p, make, initial, samples):
+    sched = make(p)
+    tr = trace_evolution(sched, initial, samples=samples)
+    psi0 = (_basis(sched.system.dim, sched.system.basis_labels().index(initial))
+            if isinstance(initial, str) else initial)
+    times, pops = _trace_reference_loop(sched, psi0, samples)
+    assert np.array_equal(tr.times, times)
+    assert np.abs(tr.populations - pops).max() <= 1e-14
+
+
+def _csv_reference(trace, header):
+    lines = [f"# {key} = {val}\n" for key, val in header.items()]
+    lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
+    for t, row in zip(trace.times, trace.populations):
+        lines.append(",".join([f"{t * 1e9:.12g}"] + [f"{x:.12g}" for x in row]) + "\n")
+    return "".join(lines)
+
+
+def test_trace_csv_matches_per_cell_format(p):
+    sched = synth_hadamard(0, p, SpinSystem(2))
+    tr = trace_evolution(sched, "00", samples=50)
+    pops = np.vstack([tr.populations,
+                      [[1.0, 0.0, 0.0, 0.0], [1.0 - 1e-33, 1e-33, 0.0, 0.0],
+                       [0.0, 2.3e-35, 1.0, 0.0], [0.25, 0.25, 0.25, 0.25]]])
+    times = np.concatenate([tr.times, tr.times[-1] + np.arange(1, 5) * 1e-10])
+    tr = EvolutionTrace(times, pops, tr.basis_labels, tr.initial_label)
+    header = {"b": p.b, "b_ac": p.b_ac, "alignment": "z", "seed": 7}
+    buf = io.StringIO()
+    trace_to_csv(tr, buf, header=header)
+    text = buf.getvalue()
+    assert text == _csv_reference(tr, header)
+    assert ",1e-33," in text and ",2.3e-35," in text and ",1,0,0,0\n" in text
+
+
 def test_trace_row_sum_guard():
     with pytest.raises(ValueError):
         EvolutionTrace(times=np.zeros(1), populations=np.array([[0.5, 0.4]]),
@@ -341,8 +435,6 @@ def test_schedule_text_rejects_unknown(p):
 
 
 def test_schedule_round_trip_cnot_modes(p):
-    from donorsim.gates import synth_cnot
-
     j = 3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11)
     for sched in (synth_cnot("exchange", 0, 1, p, j=j),
                   synth_cnot("combined", 0, 1, p, j=j, d=23e-9)):
