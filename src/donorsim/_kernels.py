@@ -15,8 +15,9 @@ delta = w*dt.  The n-step product therefore collapses exactly to
 
 which both kernels evaluate in closed form instead of stepping: the same
 discretization (and the same dt^2 error) at O(1) cost for SU(2) and O(log n)
-for the 4-dim step.  Callers re-unitarize segment results with
-`nearest_unitary`.
+for the 4-dim step.  Callers make one kernel call per segment and refinement
+level, then re-unitarize the level's segment products in one stacked
+`nearest_unitary` call.
 """
 
 from __future__ import annotations
@@ -30,10 +31,16 @@ __all__ = ["su2_lab_product", "donor4_strang_product", "nearest_unitary"]
 # max-norm of [e_half, generator of P] above which the closed form is invalid
 _COMMUTATOR_TOL = 1e-12
 _SU2_GEN = np.array([1.0, -1.0])  # diagonal of Z
+# diagonals of Z (x) 1 and 1 (x) Z on electron (x) nucleus
+_DONOR4_GEN_E = np.array([1.0, 1.0, -1.0, -1.0])
+_DONOR4_GEN_N = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
-    """Polar projection onto the unitary group (removes accumulated roundoff)."""
+    """Polar projection onto the unitary group (removes accumulated roundoff).
+
+    Takes one matrix or a stack of them; each matrix is projected on its own.
+    """
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 
@@ -84,11 +91,13 @@ def donor4_strang_product(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, 
     applies (total physical S_z at phase_sign_e = -1); ValueError otherwise.
     """
     e_half = np.asarray(e_half, dtype=complex)
-    gen = np.kron(phase_sign_e * _SU2_GEN, np.ones(2)) + np.tile(_SU2_GEN, 2)
+    gen = phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N
     if np.abs(e_half * (gen[None, :] - gen[:, None])).max() > _COMMUTATOR_TOL:
         raise ValueError("e_half does not commute with the drive's z-rotation")
     if n == 0:
         return np.eye(4, dtype=complex)
-    step = e_half @ np.kron(_rot2(gx_e * dt), _rot2(gx_n * dt)) @ e_half
+    # rot_e (x) rot_n as one outer product, the multiplications np.kron makes
+    drive = (_rot2(gx_e * dt)[:, None, :, None] * _rot2(gx_n * dt)[None, :, None, :]).reshape(4, 4)
+    step = e_half @ drive @ e_half
     power = np.linalg.matrix_power(np.exp(0.5j * omega * dt * gen)[:, None] * step, int(n))
     return _telescope(power, gen, omega, chi, t0, dt, n)

@@ -25,6 +25,9 @@ from .params import (
 from .propagator import (
     PulseSchedule,
     PulseSegment,
+    _level_product,
+    _refine,
+    _segment_steps,
     execute_schedule,
     validate_schedule_controls,
 )
@@ -158,15 +161,20 @@ def _donor_segments(schedule: PulseSchedule, donor: int):
         yield seg.duration, seg.detunings.get(donor, 0.0), seg.rf_on
 
 
-def _donor4_evolution(schedule: PulseSchedule, donor: int, p: DeviceParameters,
-                      steps_per_period: int, include_nuclear_drive: bool) -> np.ndarray:
-    """Lab-frame propagator of one donor's electron (x) nucleus pair."""
+def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
+                   include_nuclear_drive: bool):
+    """Lab-frame propagator of one donor's electron (x) nucleus pair, as a
+    function of the steps per carrier period.
+
+    Each timed segment's static eigensystem is computed once, here; each call
+    of the returned function makes one kernel call per timed segment.
+    """
     c = p.constants
     w_ac = carrier_frequency(p)
     period = 2.0 * math.pi / w_ac
     gx_e = p.transverse_energy / c.hbar
     gx_n = -c.g_n * c.mu_n * p.b_ac / c.hbar if include_nuclear_drive else 0.0
-    u = np.eye(4, dtype=complex)
+    timed = []   # (start, duration, eigenvalues, eigenvectors, adjoint, rf_on)
     t0 = 0.0
     for duration, dw, rf_on in _donor_segments(schedule, donor):
         if duration > 0.0:
@@ -175,15 +183,22 @@ def _donor4_evolution(schedule: PulseSchedule, donor: int, p: DeviceParameters,
             # generalized Rabi frequency sits at half that resonance offset
             a_phys = hyperfine_for_frequency(w_ac + 2.0 * dw, p)
             w_static, v_static = np.linalg.eigh(single_donor_static(a_phys, p))
-            n = max(int(math.ceil(duration / period * steps_per_period)), 16)
-            dt = duration / n
-            e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * c.hbar)))) @ v_static.conj().T
-            useg = _kernels.donor4_strang_product(
-                e_half, gx_e if rf_on else 0.0, -1.0, gx_n if rf_on else 0.0,
-                w_ac, schedule.rf_phase, t0, dt, n)
-            u = _kernels.nearest_unitary(useg) @ u
+            timed.append((t0, duration, w_static, v_static, v_static.conj().T, rf_on))
         t0 += duration
-    return u
+    pieces = [None] * len(timed)
+
+    def level(steps_per_period: int) -> np.ndarray:
+        products = []
+        for start, duration, w_static, v_static, v_adj, rf_on in timed:
+            n = _segment_steps(duration, period, steps_per_period)
+            dt = duration / n
+            e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * c.hbar)))) @ v_adj
+            products.append(_kernels.donor4_strang_product(
+                e_half, gx_e if rf_on else 0.0, -1.0, gx_n if rf_on else 0.0,
+                w_ac, schedule.rf_phase, start, dt, n))
+        return _level_product(pieces, products, 4)
+
+    return level
 
 
 def frozen_nucleus_check(
@@ -207,21 +222,10 @@ def frozen_nucleus_check(
     if donor is None:
         touched = {q for seg in schedule.segments for q in seg.detunings}
         donor = min(touched) if touched else 0
+    schedule.system.electron_site(donor)
 
-    steps = 64
-    coarse = _donor4_evolution(schedule, donor, p, steps, include_nuclear_drive)
-    while True:
-        fine = _donor4_evolution(schedule, donor, p, 2 * steps, include_nuclear_drive)
-        diff = np.abs(fine - coarse).max()
-        if diff <= tol:
-            break
-        coarse = fine
-        steps *= 2
-        if steps > 1 << 16:
-            raise RuntimeError(
-                f"nuclear oracle did not converge to {tol} in max-norm: last difference "
-                f"{diff:.3e} at {steps} steps per carrier period"
-            )
+    fine = _refine(_donor4_levels(schedule, donor, p, include_nuclear_drive), tol, 1 << 16,
+                   "nuclear oracle")
 
     # electron-only reference: the donor's local rotating-frame schedule
     local = schedule.replace(

@@ -152,29 +152,83 @@ def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
     return u
 
 
-def _lab_donor_unitary(schedule: PulseSchedule, donor: int, steps_per_period: int) -> np.ndarray:
-    """Stream one donor's lab-frame evolution across all segments (global clock)."""
+def _segment_steps(duration: float, period: float, steps_per_period: int) -> int:
+    """Steps of one lab-frame segment: steps_per_period per carrier period, at least 16."""
+    return max(int(math.ceil(duration / period * steps_per_period)), 16)
+
+
+def _level_product(pieces: list, products: list, dim: int) -> np.ndarray:
+    """Time-ordered product of one refinement level's segment unitaries.
+
+    products are the level's kernel results, re-unitarized here in one stacked
+    nearest_unitary call (each matrix still projected on its own).  pieces
+    lists the timed segments in order: None stands for the next of the
+    products, anything else is a fixed unitary.
+    """
+    projected = iter(_kernels.nearest_unitary(np.array(products)) if products else ())
+    u = np.eye(dim, dtype=complex)
+    for piece in pieces:
+        u = (next(projected) if piece is None else piece) @ u
+    return u
+
+
+def _refine(propagate, tol: float, ceiling: int, what: str) -> np.ndarray:
+    """Adaptive step refinement shared by the lab frame and the nuclear oracle.
+
+    propagate(s) is the unitary at s steps per carrier period.  Starting at 64,
+    s doubles until the result moves by at most tol in max-norm; the finer of
+    the last two results is returned.  RuntimeError once s passes the ceiling.
+    """
+    steps = 64
+    coarse = propagate(steps)
+    while True:
+        fine = propagate(2 * steps)
+        diff = np.abs(fine - coarse).max()
+        if diff <= tol:
+            return fine
+        steps *= 2
+        coarse = fine
+        if steps > ceiling:
+            raise RuntimeError(
+                f"{what} did not converge to {tol} in max-norm: last "
+                f"difference {diff:.3e} at {steps} steps per carrier period"
+            )
+
+
+def _lab_donor_levels(schedule: PulseSchedule, donor: int):
+    """One donor's lab-frame evolution across all segments (global clock), as a
+    function of the steps per carrier period.
+
+    The per-segment setup is done once, here; each call of the returned
+    function makes one kernel call per driven segment.
+    """
     w_ac = schedule.carrier
     ax = schedule.transverse_energy / schedule.hbar
     period = 2.0 * math.pi / w_ac
-    u = np.eye(2, dtype=complex)
+    driven = []   # (start, duration, az) of each driven segment
+    pieces = []   # per timed segment: None when driven, else its free precession
     t0 = 0.0
     for seg in schedule.segments:
         if seg.duration > 0.0:
-            dw = seg.detunings.get(donor, 0.0)
             # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw)
-            az = -(0.5 * w_ac + dw)
+            az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
             if seg.rf_on:
-                n = max(int(math.ceil(seg.duration / period * steps_per_period)), 16)
-                useg = _kernels.su2_lab_product(az, ax, -w_ac, -schedule.rf_phase,
-                                                t0, seg.duration / n, n)
-                useg = _kernels.nearest_unitary(useg)
+                driven.append((t0, seg.duration, az))
+                pieces.append(None)
             else:
                 phase = az * seg.duration
-                useg = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
-            u = useg @ u
+                pieces.append(np.diag([np.exp(-1j * phase), np.exp(1j * phase)]))
         t0 += seg.duration
-    return u
+
+    def level(steps_per_period: int) -> np.ndarray:
+        products = []
+        for start, duration, az in driven:
+            n = _segment_steps(duration, period, steps_per_period)
+            products.append(_kernels.su2_lab_product(az, ax, -w_ac, -schedule.rf_phase,
+                                                     start, duration / n, n))
+        return _level_product(pieces, products, 2)
+
+    return level
 
 
 def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
@@ -190,26 +244,15 @@ def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
     if any(schedule.dipole.values()):
         raise NotImplementedError("lab-frame execution does not support dipole coupling")
 
+    first, *rest = [_lab_donor_levels(schedule, donor) for donor in range(system.num_donors)]
+
     def assemble(steps_per_period: int) -> np.ndarray:
-        u = np.array([[1.0 + 0.0j]])
-        for donor in range(system.num_donors):
-            u = np.kron(u, _lab_donor_unitary(schedule, donor, steps_per_period))
+        u = first(steps_per_period)
+        for level in rest:
+            u = np.kron(u, level(steps_per_period))
         return u
 
-    steps = 64
-    coarse = assemble(steps)
-    while True:
-        fine = assemble(2 * steps)
-        diff = np.abs(fine - coarse).max()
-        if diff <= lab_tol:
-            return fine
-        steps *= 2
-        coarse = fine
-        if steps > 1 << 18:
-            raise RuntimeError(
-                f"lab-frame integration did not converge to {lab_tol} in max-norm: last "
-                f"difference {diff:.3e} at {steps} steps per carrier period"
-            )
+    return _refine(assemble, lab_tol, 1 << 18, "lab-frame integration")
 
 
 def execute_schedule(schedule: PulseSchedule, lab_tol: float = 1e-9) -> ExecutionResult:
@@ -428,6 +471,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
 
     header: dict[str, tuple[str, int]] = {}   # key -> (value, line number)
     segments: list[PulseSegment] = []
+    segment_lines: list[int] = []
     w_ac = carrier_frequency(p)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -471,6 +515,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                     label=label,
                 )
             )
+            segment_lines.append(lineno)
         else:
             key, _, val = line.partition("=")
             key = key.strip()
@@ -496,6 +541,12 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     alignment = header_value("alignment", "z", _one_of("alignment", ("x", "y", "z")))
     system = header_value("num_donors", SpinSystem(1, include_nuclei, alignment),
                           lambda text: SpinSystem(int(text), include_nuclei, alignment))
+    for lineno, seg in zip(segment_lines, segments):
+        try:
+            for q in [*seg.detunings, *(q for pair in seg.couplings for q in pair)]:
+                system.electron_site(q)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     dipole = header_value("dipole_uev", {}, lambda text: {
         tuple(int(x) for x in key.split("-")): d * _UEV
         for key, d in _parse_pairs(text, str).items()

@@ -220,17 +220,18 @@ def check_rabi_match(p: DeviceParameters, rng) -> tuple[bool, str]:
 
 
 def check_integrator_order(p: DeviceParameters, rng) -> tuple[bool, str]:
-    from .propagator import _lab_donor_unitary
+    from .propagator import _lab_donor_levels
     seg = PulseSegment(duration=2e-9, detunings={0: -0.4 * max_detuning(p)})
     sched = PulseSchedule(segments=(seg,), b_ac=p.b_ac, system=SpinSystem(1),
                           frame="lab", carrier=carrier_frequency(p),
                           hbar=p.constants.hbar, mu_b=p.constants.mu_b)
     u_rot = execute_schedule(sched.replace(frame="rotating", carrier=None)).unitary
     u_lab_exact = frame_rotation(seg.duration, p, SpinSystem(1)).conj().T @ u_rot
+    level = _lab_donor_levels(sched, 0)
     errs = []
     dts = []
     for steps in (64, 128, 256, 512, 1024):
-        u = _lab_donor_unitary(sched, 0, steps)
+        u = level(steps)
         errs.append(np.abs(u - u_lab_exact).max())
         dts.append(1.0 / steps)
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]

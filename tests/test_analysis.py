@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from donorsim import _kernels
 from donorsim.analysis import (
     SWEEP_METRICS,
+    _donor4_levels,
     frozen_nucleus_check,
     gate_fidelity,
     lab_realization,
@@ -15,10 +17,10 @@ from donorsim.analysis import (
     sweep,
     timescale_table,
 )
-from donorsim.gates import spectator_period, synth_x, synth_y, synth_z
-from donorsim.params import max_detuning
-from donorsim.propagator import PulseSegment
-from donorsim.spin_model import SX, SpinSystem
+from donorsim.gates import spectator_period, synth_hadamard, synth_x, synth_y, synth_z
+from donorsim.params import carrier_frequency, hyperfine_for_frequency, max_detuning
+from donorsim.propagator import PulseSegment, _refine
+from donorsim.spin_model import SX, SpinSystem, single_donor_static
 
 
 def _haar(dim, rng):
@@ -168,6 +170,66 @@ def test_frozen_nucleus_convergence_error_reports_progress(p):
     sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
     with pytest.raises(RuntimeError, match=r"last difference \S+ at 131072 steps"):
         frozen_nucleus_check(sched, p, tol=1e-300)
+
+
+@pytest.mark.parametrize("donor", [5, -1])
+def test_frozen_nucleus_rejects_absent_donor(p, donor):
+    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    with pytest.raises(ValueError, match=f"donor index {donor} out of range"):
+        frozen_nucleus_check(sched, p, donor=donor)
+    with pytest.raises(ValueError, match=f"donor index {donor} out of range"):
+        nuclear_flip_probability(sched, p, donor=donor)
+
+
+def _donor4_reference(schedule, donor, p, steps_per_period, include_nuclear_drive):
+    """The oracle's stream with the static eigensystem and projection per segment."""
+    c = p.constants
+    w_ac = carrier_frequency(p)
+    period = 2.0 * math.pi / w_ac
+    gx_e = p.transverse_energy / c.hbar
+    gx_n = -c.g_n * c.mu_n * p.b_ac / c.hbar if include_nuclear_drive else 0.0
+    u = np.eye(4, dtype=complex)
+    t0 = 0.0
+    for seg in schedule.segments:
+        if seg.duration > 0.0:
+            a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(donor, 0.0), p)
+            w_static, v_static = np.linalg.eigh(single_donor_static(a_phys, p))
+            n = max(int(math.ceil(seg.duration / period * steps_per_period)), 16)
+            dt = seg.duration / n
+            e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * c.hbar)))) @ v_static.conj().T
+            useg = _kernels.donor4_strang_product(
+                e_half, gx_e if seg.rf_on else 0.0, -1.0, gx_n if seg.rf_on else 0.0,
+                w_ac, schedule.rf_phase, t0, dt, n)
+            u = _kernels.nearest_unitary(useg) @ u
+        t0 += seg.duration
+    return u
+
+
+def _oracle_reference(schedule, donor, p, tol, include_nuclear_drive):
+    steps = 64
+    coarse = _donor4_reference(schedule, donor, p, steps, include_nuclear_drive)
+    while True:
+        fine = _donor4_reference(schedule, donor, p, 2 * steps, include_nuclear_drive)
+        if np.abs(fine - coarse).max() <= tol:
+            return fine
+        coarse = fine
+        steps *= 2
+        assert steps <= 1 << 16
+
+
+@pytest.mark.parametrize("include_nuclear_drive", [False, True], ids=["electron_drive",
+                                                                      "nuclear_drive"])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda p: synth_hadamard(0, p, SpinSystem(1)), id="hadamard"),
+    pytest.param(lambda p: synth_x(2.1, 0, p, SpinSystem(1)), id="x_theta"),
+    pytest.param(lambda p: synth_y(4.7, 0, p, SpinSystem(1)), id="y_theta"),
+])
+def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nuclear_drive):
+    """Per-call eigensystems and one stacked projection per level change no bit."""
+    sched = make(p)
+    u = _refine(_donor4_levels(sched, 0, p, include_nuclear_drive), 1e-6, 1 << 16,
+                "nuclear oracle")
+    assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
 
 
 def test_nuclear_flip_zero_duration(p):

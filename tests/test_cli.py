@@ -190,6 +190,13 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "rf_phase = inf\nsegment duration_ns=1 rf=on\n"},
                  "line 3: rf_phase must be finite, got 'inf'", id="non_finite_header"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on\n"
+                             "segment duration_ns=1 a_over_a0=1:0.9 rf=on\n"},
+                 "line 4: donor index 1 out of range", id="segment_detuning_donor_out_of_range"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\nsegment duration_ns=1 j_uev=0-2:1 rf=on\n"},
+                 "line 2: donor index 2 out of range", id="segment_coupling_donor_out_of_range"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""

@@ -6,12 +6,13 @@ import pytest
 import scipy.linalg
 
 from donorsim import _kernels
-from donorsim.analysis import gate_fidelity, rabi_probability
+from donorsim.analysis import gate_fidelity, lab_realization, rabi_probability
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.propagator import (
     EvolutionTrace,
     PulseSchedule,
     PulseSegment,
+    _lab_donor_levels,
     concat_schedules,
     execute_schedule,
     propagate_constant,
@@ -162,6 +163,99 @@ def test_lab_frame_rejects_couplings(p):
     lab = _schedule([seg], p, n=2, frame="lab", carrier=carrier_frequency(p))
     with pytest.raises(NotImplementedError):
         execute_schedule(lab)
+
+
+def _lab_donor_reference(schedule, donor, steps_per_period):
+    """One donor's lab-frame stream, set up again and projected per segment."""
+    w_ac = schedule.carrier
+    ax = schedule.transverse_energy / schedule.hbar
+    period = 2.0 * math.pi / w_ac
+    u = np.eye(2, dtype=complex)
+    t0 = 0.0
+    for seg in schedule.segments:
+        if seg.duration > 0.0:
+            az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
+            if seg.rf_on:
+                n = max(int(math.ceil(seg.duration / period * steps_per_period)), 16)
+                useg = _kernels.su2_lab_product(az, ax, -w_ac, -schedule.rf_phase,
+                                                t0, seg.duration / n, n)
+                useg = _kernels.nearest_unitary(useg)
+            else:
+                phase = az * seg.duration
+                useg = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
+            u = useg @ u
+        t0 += seg.duration
+    return u
+
+
+def _execute_lab_reference(schedule, lab_tol):
+    """Step-halving loop over the kron assembly of the per-donor streams."""
+    def assemble(steps_per_period):
+        u = np.array([[1.0 + 0.0j]])
+        for donor in range(schedule.system.num_donors):
+            u = np.kron(u, _lab_donor_reference(schedule, donor, steps_per_period))
+        return u
+
+    steps = 64
+    coarse = assemble(steps)
+    while True:
+        fine = assemble(2 * steps)
+        if np.abs(fine - coarse).max() <= lab_tol:
+            return fine
+        steps *= 2
+        coarse = fine
+        assert steps <= 1 << 18
+
+
+def _random_lab_schedule(p, rng, num_segments):
+    dw_max = max_detuning(p)
+    segments = [PulseSegment(duration=float(rng.uniform(0.2e-9, 2e-9)),
+                             detunings={0: float(rng.uniform(-dw_max, dw_max))})
+                for _ in range(num_segments)]
+    return _schedule(segments, p, frame="lab", carrier=carrier_frequency(p))
+
+
+def _two_donor_lab_schedule(p):
+    dw = max_detuning(p)
+    segments = [PulseSegment(duration=0.7e-9, detunings={0: -0.3 * dw, 1: 0.5 * dw}),
+                PulseSegment(duration=0.4e-9, detunings={1: -0.8 * dw})]
+    return _schedule(segments, p, n=2, frame="lab", carrier=carrier_frequency(p),
+                     rf_phase=0.3)
+
+
+def _rf_off_and_empty_lab_schedule(p):
+    dw = max_detuning(p)
+    segments = [PulseSegment(duration=0.0, detunings={0: 0.2 * dw}),
+                PulseSegment(duration=0.5e-9, detunings={0: -0.6 * dw}),
+                PulseSegment(duration=0.3e-9, detunings={0: 0.4 * dw}, rf_on=False),
+                PulseSegment(duration=0.0, rf_on=False),
+                PulseSegment(duration=0.8e-9, detunings={0: 0.1 * dw}),
+                PulseSegment(duration=0.2e-9, rf_on=False)]
+    return _schedule(segments, p, frame="lab", carrier=carrier_frequency(p))
+
+
+@pytest.mark.parametrize("make,lab_tol", [
+    pytest.param(lambda p, rng: lab_realization(synth_x(math.pi, 0, p, SpinSystem(1)), p), 1e-6,
+                 id="x_pi"),
+    pytest.param(lambda p, rng: lab_realization(synth_x(math.pi / 2, 0, p, SpinSystem(1)), p),
+                 1e-6, id="x_half_pi"),
+    pytest.param(lambda p, rng: lab_realization(synth_hadamard(0, p, SpinSystem(1)), p), 1e-6,
+                 id="hadamard"),
+    pytest.param(lambda p, rng: _random_lab_schedule(p, rng, 1), 1e-8, id="random_1_segment"),
+    pytest.param(lambda p, rng: _random_lab_schedule(p, rng, 2), 1e-8, id="random_2_segments"),
+    pytest.param(lambda p, rng: _random_lab_schedule(p, rng, 3), 1e-8, id="random_3_segments"),
+    pytest.param(lambda p, rng: _two_donor_lab_schedule(p), 1e-8, id="two_donors"),
+    pytest.param(lambda p, rng: _rf_off_and_empty_lab_schedule(p), 1e-8,
+                 id="rf_off_and_zero_duration"),
+])
+def test_lab_refinement_against_reference_loop(p, rng, make, lab_tol):
+    """Per-call setup and one stacked projection per level change no bit."""
+    sched = make(p, rng)
+    u = execute_schedule(sched, lab_tol=lab_tol).unitary
+    assert np.array_equal(u, _execute_lab_reference(sched, lab_tol))
+    level = _lab_donor_levels(sched, 0)
+    for steps in (64, 128, 1024):
+        assert np.array_equal(level(steps), _lab_donor_reference(sched, 0, steps))
 
 
 def _su2_reference_loop(az, ax, omega, phi0, t0, dt, n):
