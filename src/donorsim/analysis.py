@@ -11,6 +11,7 @@ import numpy as np
 
 from . import _kernels, gates
 from .params import (
+    _CONFIG_FIELDS,
     CONSTANTS,
     DeviceParameters,
     PhysicalConstants,
@@ -43,6 +44,7 @@ __all__ = [
     "nuclear_flip_probability",
     "frozen_nucleus_check",
     "sweep",
+    "SWEEP_FIELDS",
     "SWEEP_METRICS",
 ]
 
@@ -131,7 +133,7 @@ def timescale_table(p: DeviceParameters, t2: float = 0.060,
         note="T_CNOT O(10 us): exchange-gate estimate, no closed form here",
     )
     t_x = gates.synth_x(math.pi, 0, p).total_duration
-    j = 3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11)  # 0.01 ns interaction steps
+    j = gates.interaction_coupling(1e-11, p)  # 0.01 ns interaction steps
     t_cnot = gates.synth_cnot("exchange", 0, 1, p, j=j, extended_correction=True).total_duration
     global_row = TimescaleRow(
         scheme="e-spin (global control)",
@@ -322,6 +324,8 @@ def _metric_local_pi_time_us(p: DeviceParameters) -> float:
                                   p.constants).pi_time * 1e6
 
 
+SWEEP_FIELDS = tuple(f for f in _CONFIG_FIELDS if f != "alignment")
+
 SWEEP_METRICS = {
     "spectator_period_ns": _metric_spectator_period_ns,
     "x_gate_ns": _metric_x_gate_ns,
@@ -342,11 +346,15 @@ def sweep(grid: Mapping[str, Sequence[float]], metric: str,
           p: DeviceParameters) -> list[dict]:
     """Evaluate a named metric over a grid of device-parameter overrides.
 
-    Grid keys are DeviceParameters field names; rows come out in the
-    deterministic product order of the given ranges.
+    Grid keys are the numeric config fields (SWEEP_FIELDS); rows come out in
+    the deterministic product order of the given ranges.
     """
     if not grid or any(len(v) == 0 for v in grid.values()):
         raise ValueError("grid must be non-empty")
+    unknown = sorted(set(grid) - set(SWEEP_FIELDS))
+    if unknown:
+        raise ValueError(f"cannot sweep {', '.join(map(repr, unknown))}; "
+                         f"sweepable fields: {', '.join(SWEEP_FIELDS)}")
     if metric not in SWEEP_METRICS:
         raise ValueError(f"unknown metric {metric!r}; known: {sorted(SWEEP_METRICS)}")
     fn = SWEEP_METRICS[metric]

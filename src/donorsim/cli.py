@@ -119,24 +119,18 @@ def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
 
 def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
     kind = args.gate
-    if kind == "cnot":
+    if kind in ("cnot", "swap"):
         control = args.control if args.control is not None else 0
         target = args.target if args.target is not None else (1 if control != 1 else 0)
-        mode = args.mode or "exchange"
+        mode = (args.mode or "exchange") if kind == "cnot" else None
         j = args.j_uev * _UEV if args.j_uev is not None else None
-        d = args.d_nm * 1e-9 if args.d_nm is not None else None
-        if mode in ("exchange", "combined") and j is None:
+        d = args.d_nm * 1e-9 if args.d_nm is not None and kind == "cnot" else None
+        if mode != "dipole" and j is None:
             # default coupling: interaction steps of args.interaction_step_ns
-            j = 3.0 * math.pi * p.constants.hbar / (8.0 * args.interaction_step_ns * 1e-9)
+            j = gates.interaction_coupling(args.interaction_step_ns * 1e-9, p)
         if mode in ("dipole", "combined") and d is None:
             d = p.d
         return gates.GateSpec(kind, (control, target), mode=mode, j=j, d=d)
-    if kind == "swap":
-        control = args.control if args.control is not None else 0
-        target = args.target if args.target is not None else (1 if control != 1 else 0)
-        j = (args.j_uev * _UEV if args.j_uev is not None
-             else 3.0 * math.pi * p.constants.hbar / (8.0 * args.interaction_step_ns * 1e-9))
-        return gates.GateSpec(kind, (control, target), j=j)
     target = args.target if args.target is not None else 0
     if kind == "idle":
         return gates.GateSpec(kind, (target,), duration=args.duration_ns * 1e-9)
@@ -224,7 +218,7 @@ def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]
         sched = gates.synth_z(math.pi, 0, p)
         steps = [seg.duration for seg in sched.segments]
     elif which == "VI":
-        j = 3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11)
+        j = gates.interaction_coupling(1e-11, p)
         sched = gates.synth_cnot("exchange", 0, 1, p, j=j, extended_correction=True)
         steps = [dur for _, dur in _grouped_steps(sched)]
     else:

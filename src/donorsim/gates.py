@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DeviceParameters, InfeasibleDetuningError, dipole_strength, max_detuning
+from .params import (DeviceParameters, InfeasibleDetuningError, dipole_strength,
+                     exceeds_max_detuning, max_detuning)
 from .propagator import ExecutionResult, PulseSchedule, PulseSegment, execute_schedule
 from .spin_model import ID2, SX, SY, SZ, SpinSystem, embed
 
@@ -40,6 +41,7 @@ __all__ = [
     "synth_swap",
     "synth_idle",
     "synthesize",
+    "interaction_coupling",
     "compose_parallel",
     "ideal_unitary",
     "embed_ideal",
@@ -88,8 +90,9 @@ class GateSpec:
                 raise ValueError("rotation angle must lie in (-2*pi, 2*pi)")
         if self.kind == "cnot" and (self.mode or "exchange") not in _CNOT_MODES:
             raise ValueError(f"unknown cnot mode {self.mode!r}")
-        if self.kind == "idle" and (self.duration is None or self.duration < 0.0):
-            raise ValueError("idle needs a non-negative duration")
+        if self.kind == "idle" and not (self.duration is not None
+                                        and 0.0 <= self.duration < math.inf):
+            raise ValueError("idle needs a finite non-negative duration")
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ def _resonant_segment(theta: float, p: DeviceParameters, label: str) -> PulseSeg
 def _detuning_for_tilt(tilt: float, p: DeviceParameters) -> float:
     """Physical (negative) detuning whose matrix z-tilt is +tilt (energy units)."""
     dw = -tilt / p.constants.hbar
-    if abs(dw) > max_detuning(p) * (1.0 + 1e-9):
+    if exceeds_max_detuning(dw, p):
         raise InfeasibleDetuningError(
             f"needed detuning {abs(dw):.4e} rad/s exceeds the bound {max_detuning(p):.4e}"
         )
@@ -190,10 +193,6 @@ def _make_schedule(
         hbar=p.constants.hbar,
         mu_b=p.constants.mu_b,
     )
-
-
-def _default_system(targets: tuple[int, ...]) -> SpinSystem:
-    return SpinSystem(num_donors=max(targets) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +300,7 @@ def synth_x(theta: float, target: int, p: DeviceParameters,
     step totals exactly one spectator period.  Angles beyond the single-step
     limit are split into equal feasible steps.
     """
-    system = system or _default_system((target,))
-    segments = _x_segments(theta, target, p)
-    return _make_schedule(segments, p, system,
-                          declared_target=embed_ideal(GateSpec("x", (target,), theta=theta),
-                                                      system))
+    return synthesize(GateSpec("x", (target,), theta=theta), p, system)
 
 
 def _y_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
@@ -348,14 +343,7 @@ def synth_y(theta: float, target: int, p: DeviceParameters,
     A final correction step walks the spectators to a whole revolution while
     the target idles.
     """
-    system = system or _default_system((target,))
-    segments = _y_segments(theta, target, p)
-    if segments:
-        corr, _ = synth_correction(_deficit_after(segments, p), (target,), p)
-        segments += corr
-    return _make_schedule(segments, p, system,
-                          declared_target=embed_ideal(GateSpec("y", (target,), theta=theta),
-                                                      system))
+    return synthesize(GateSpec("y", (target,), theta=theta), p, system)
 
 
 def _hadamard_block(target: int, p: DeviceParameters) -> list[PulseSegment]:
@@ -369,12 +357,7 @@ def _hadamard_block(target: int, p: DeviceParameters) -> list[PulseSegment]:
 def synth_hadamard(target: int, p: DeviceParameters,
                    system: SpinSystem | None = None) -> PulseSchedule:
     """Hadamard: one tilted half-revolution (hbar*dw = mu_B B_ac) plus correction."""
-    system = system or _default_system((target,))
-    segments = _hadamard_block(target, p)
-    corr, _ = synth_correction(_deficit_after(segments, p), (target,), p)
-    segments += corr
-    return _make_schedule(segments, p, system,
-                          declared_target=embed_ideal(GateSpec("hadamard", (target,)), system))
+    return synthesize(GateSpec("hadamard", (target,)), p, system)
 
 
 def _z_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
@@ -389,40 +372,30 @@ def _z_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
 def synth_z(theta: float, target: int, p: DeviceParameters,
             system: SpinSystem | None = None) -> PulseSchedule:
     """Z rotation as H R_x(theta) H with a single merged correction step."""
-    system = system or _default_system((target,))
-    segments = _z_segments(theta, target, p)
-    corr, _ = synth_correction(_deficit_after(segments, p), (target,), p)
-    segments += corr
-    return _make_schedule(segments, p, system,
-                          declared_target=embed_ideal(GateSpec("z", (target,), theta=theta),
-                                                      system))
+    return synthesize(GateSpec("z", (target,), theta=theta), p, system)
 
 
 # ---------------------------------------------------------------------------
-# two-qubit gates
+# two-qubit gates and idle
 # ---------------------------------------------------------------------------
 
-def _interaction_angle() -> float:
-    """Exchange pulse angle realizing exp(+i pi/8 sigma.sigma) up to global phase.
-
-    Evolution under +J sigma.sigma generates exp(-i (Jt/hbar) sigma.sigma); the
-    3*pi/8 pulse equals the required +pi/8 pulse times a global phase.
-    """
-    return 3.0 * math.pi / 8.0
+# Exchange pulse angle realizing exp(+i pi/8 sigma.sigma) up to global phase:
+# evolution under +J sigma.sigma generates exp(-i (Jt/hbar) sigma.sigma), and
+# the 3*pi/8 pulse equals the required +pi/8 pulse times a global phase.
+_INTERACTION_ANGLE = 3.0 * math.pi / 8.0
 
 
-def _cnot_segments(
-    mode: str,
-    control: int,
-    target: int,
-    p: DeviceParameters,
-    j: float | None,
-    d: float | None,
-    extended_correction: bool,
-    x_conjugation: bool = True,
-) -> tuple[list[PulseSegment], dict, CorrectionPlan, str]:
-    omega0 = p.transverse_energy
-    hbar = p.constants.hbar
+def interaction_coupling(step_s: float, p: DeviceParameters) -> float:
+    """Exchange J whose 3*pi/8 interaction pulse lasts step_s seconds: 3*pi*hbar/(8*step_s)."""
+    if not (math.isfinite(step_s) and step_s > 0.0):
+        raise ValueError(f"interaction step must be positive and finite, got {step_s:g} s")
+    return 3.0 * math.pi * p.constants.hbar / (8.0 * step_s)
+
+
+def _cnot_segments(spec: GateSpec, p: DeviceParameters, extended_correction: bool,
+                   x_conjugation: bool) -> tuple[list[PulseSegment], dict]:
+    control, target = spec.targets
+    mode, j, d = spec.mode or "exchange", spec.j, spec.d
     dipole = {}
     if mode == "exchange":
         if j is None or j <= 0.0:
@@ -438,7 +411,7 @@ def _cnot_segments(
         sigma_coupling = d_coupling
         couplings = {}
         dipole = {(control, target): d_coupling}
-    elif mode == "combined":
+    else:
         if j is None or j <= 0.0 or d is None or d <= 0.0:
             raise ValueError("combined mode needs positive j and d")
         if p.alignment != "z":
@@ -447,10 +420,8 @@ def _cnot_segments(
         sigma_coupling = j + d_coupling
         couplings = {(control, target): j}
         dipole = {(control, target): d_coupling}
-    else:
-        raise ValueError(f"unknown cnot mode {mode!r}")
 
-    t_int = _interaction_angle() * hbar / sigma_coupling
+    t_int = _INTERACTION_ANGLE * p.constants.hbar / sigma_coupling
     # exchange pulses last a fraction of a drive period, so the always-on field
     # stays on (it commutes with sigma.sigma); dipole-scale pulses span ~1e5
     # periods and are run drive-gated so the bare sigma_z sigma_z error term is
@@ -483,14 +454,12 @@ def _cnot_segments(
     segments += [s.with_label("step 7 hadamard pulse") for s in h2]
     corr, _ = synth_correction(_deficit_after(h2, p), (control,), p)
     segments += [s.with_label("step 7 hadamard correction") for s in corr]
-    final_corr, plan = synth_correction(
+    final_corr, _ = synth_correction(
         _deficit_after(segments, p), (control, target), p,
         extra_wraps=1 if extended_correction else 0,
     )
     segments += [s.with_label("step 8 correction") for s in final_corr]
-    notes = (f"interaction pulses realize exp(i pi/8 s.s) as 3pi/8 pulses of "
-             f"{t_int * 1e9:.4g} ns each")
-    return segments, dipole, plan, notes
+    return segments, dipole
 
 
 def synth_cnot(
@@ -512,15 +481,16 @@ def synth_cnot(
     final correction step; x_conjugation=False replaces the X steps with
     equal-duration idles (diagnostic for the refocusing property).
     """
-    if control == target:
-        raise ValueError("control and target must differ")
-    system = system or _default_system((control, target))
-    segments, dipole, _, notes = _cnot_segments(
-        mode, control, target, p, j, d, extended_correction, x_conjugation
-    )
-    spec = GateSpec("cnot", (control, target), mode=mode, j=j, d=d)
-    return _make_schedule(segments, p, system, declared_target=embed_ideal(spec, system),
-                          dipole=dipole)
+    return _build(GateSpec("cnot", (control, target), mode=mode, j=j, d=d), p, system,
+                  extended_correction, x_conjugation)
+
+
+def _swap_segments(spec: GateSpec, p: DeviceParameters) -> list[PulseSegment]:
+    if spec.j is None or spec.j <= 0.0:
+        raise ValueError("swap needs a positive exchange coupling")
+    duration = math.pi * p.constants.hbar / (4.0 * spec.j)
+    return [PulseSegment(duration=duration, couplings={spec.targets: spec.j},
+                         rf_on=False, label="swap interaction")]
 
 
 def synth_swap(j: float, qubit_a: int, qubit_b: int, p: DeviceParameters,
@@ -531,53 +501,62 @@ def synth_swap(j: float, qubit_a: int, qubit_b: int, p: DeviceParameters,
     gated off the spectators do not rotate, so no correction step is needed;
     the gate report notes the (zero) residual spectator rotation.
     """
-    if j <= 0.0:
-        raise ValueError("swap needs a positive exchange coupling")
-    if qubit_a == qubit_b:
-        raise ValueError("swap qubits must differ")
-    system = system or _default_system((qubit_a, qubit_b))
-    duration = math.pi * p.constants.hbar / (4.0 * j)
-    seg = PulseSegment(duration=duration, couplings={(qubit_a, qubit_b): j},
-                       rf_on=False, label="swap interaction")
-    spec = GateSpec("swap", (qubit_a, qubit_b), j=j)
-    return _make_schedule([seg], p, system, declared_target=embed_ideal(spec, system))
+    return synthesize(GateSpec("swap", (qubit_a, qubit_b), j=j), p, system)
+
+
+def _idle_segments(duration: float, p: DeviceParameters) -> list[PulseSegment]:
+    t_spec = spectator_period(p)
+    periods = round(duration / t_spec)
+    if abs(duration - periods * t_spec) > 1e-9 * max(duration, t_spec):
+        raise ValueError("idle duration must be an integer number of spectator periods")
+    return [PulseSegment(duration=periods * t_spec, label="idle")] if periods else []
 
 
 def synth_idle(duration: float, p: DeviceParameters,
                system: SpinSystem | None = None) -> PulseSchedule:
     """Idle: resonant whole spectator periods (identity on everyone)."""
-    t_spec = spectator_period(p)
-    periods = round(duration / t_spec)
-    if abs(duration - periods * t_spec) > 1e-9 * max(duration, t_spec):
-        raise ValueError("idle duration must be an integer number of spectator periods")
-    system = system or SpinSystem(num_donors=1)
-    segments = []
-    if periods:
-        segments.append(PulseSegment(duration=periods * t_spec, label="idle"))
-    return _make_schedule(segments, p, system,
-                          declared_target=np.eye(system.dim, dtype=complex))
+    return synthesize(GateSpec("idle", (0,), duration=duration), p, system)
+
+
+# ---------------------------------------------------------------------------
+# the synthesis path
+# ---------------------------------------------------------------------------
+
+def _build(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None,
+           extended_correction: bool, x_conjugation: bool = True) -> PulseSchedule:
+    """Segments of spec's kind, wrapped once into a schedule with its declared target."""
+    if system is None:
+        system = SpinSystem(num_donors=1 if spec.kind == "idle" else max(spec.targets) + 1)
+    dipole: dict = {}
+    if spec.kind == "cnot":
+        segments, dipole = _cnot_segments(spec, p, extended_correction, x_conjugation)
+    elif spec.kind == "swap":
+        segments = _swap_segments(spec, p)
+    elif spec.kind == "idle":
+        segments = _idle_segments(spec.duration, p)
+    else:
+        target = spec.targets[0]
+        rotation = {"x": _x_segments, "y": _y_segments, "z": _z_segments}.get(spec.kind)
+        segments = rotation(spec.theta, target, p) if rotation else _hadamard_block(target, p)
+        # X's steps already end on whole spectator periods, so its correction is empty
+        segments += synth_correction(_deficit_after(segments, p), (target,), p)[0]
+    # an idle is the identity on every donor, whichever target it names
+    declared = (np.eye(system.dim, dtype=complex) if spec.kind == "idle"
+                else embed_ideal(spec, system))
+    return _make_schedule(segments, p, system, declared_target=declared, dipole=dipole)
 
 
 def synthesize(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None = None,
                extended_correction: bool = False) -> PulseSchedule:
-    """Dispatch a GateSpec to its synthesizer."""
-    if spec.kind == "x":
-        return synth_x(spec.theta, spec.targets[0], p, system)
-    if spec.kind == "y":
-        return synth_y(spec.theta, spec.targets[0], p, system)
-    if spec.kind == "z":
-        return synth_z(spec.theta, spec.targets[0], p, system)
-    if spec.kind == "hadamard":
-        return synth_hadamard(spec.targets[0], p, system)
-    if spec.kind == "cnot":
-        return synth_cnot(spec.mode or "exchange", spec.targets[0], spec.targets[1], p,
-                          j=spec.j, d=spec.d, system=system,
-                          extended_correction=extended_correction)
-    if spec.kind == "swap":
-        return synth_swap(spec.j, spec.targets[0], spec.targets[1], p, system)
-    if spec.kind == "idle":
-        return synth_idle(spec.duration, p, system)
-    raise ValueError(f"unknown gate kind {spec.kind!r}")
+    """The one path from a GateSpec to a PulseSchedule.
+
+    Lays out the kind's resonant and detuned segments and, for single-qubit
+    kinds, a correction that brings every spectator to a whole 2*pi turn, so
+    each gate lasts whole spectator periods.  The default system has
+    max(targets) + 1 donors (one for idle); extended_correction adds one
+    spectator wrap to a CNOT's final correction.
+    """
+    return _build(spec, p, system, extended_correction)
 
 
 # ---------------------------------------------------------------------------

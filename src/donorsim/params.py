@@ -20,6 +20,7 @@ __all__ = [
     "carrier_frequency",
     "detuning",
     "max_detuning",
+    "exceeds_max_detuning",
     "canonical_detuning_span",
     "hyperfine_for_frequency",
     "exchange_strength",
@@ -148,6 +149,11 @@ def detuning(a: float, p: DeviceParameters) -> float:
 def max_detuning(p: DeviceParameters) -> float:
     """|omega(A_min) - omega(A0)|: the feasibility bound for all schedule synthesis."""
     return abs(resonant_frequency(p.a_min, p) - carrier_frequency(p))
+
+
+def exceeds_max_detuning(dw: float, p: DeviceParameters) -> bool:
+    """Whether |dw| lies beyond max_detuning(p), allowing 1e-9 relative rounding slack."""
+    return abs(dw) > max_detuning(p) * (1.0 + 1e-9)
 
 
 def canonical_detuning_span(p: DeviceParameters) -> float:

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels
-from .params import CONSTANTS, DeviceParameters, hyperfine_for_frequency, max_detuning
+from .params import CONSTANTS, DeviceParameters, exceeds_max_detuning, hyperfine_for_frequency
 from .spin_model import SpinSystem, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
@@ -38,6 +38,18 @@ __all__ = [
 ]
 
 _UEV = 1.602176634e-25  # 1 micro-eV in J
+
+
+def _check_pairs(pairs: dict, what: str, system: SpinSystem | None = None) -> dict:
+    """pairs, once every coupled pair names two different donors (of system, when given)."""
+    for pair in pairs:
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise ValueError(f"{what} pair {'-'.join(map(str, pair))} "
+                             f"must name two different donors")
+        if system is not None:
+            for q in pair:
+                system.electron_site(q)
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,7 @@ class PulseSegment:
         for j in self.couplings.values():
             if j < 0.0:
                 raise ValueError("exchange coupling must be non-negative")
+        _check_pairs(self.couplings, "exchange")
 
     def with_label(self, label: str) -> "PulseSegment":
         return replace(self, label=label)
@@ -101,12 +114,11 @@ class PulseSchedule:
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "dipole",
                            {tuple(sorted(k)): v for k, v in dict(self.dipole).items()})
+        _check_pairs(self.dipole, "dipole", self.system)
         for seg in self.segments:
             for q in seg.detunings:
                 self.system.electron_site(q)
-            for pair in seg.couplings:
-                for q in pair:
-                    self.system.electron_site(q)
+            _check_pairs(seg.couplings, "exchange", self.system)
 
     @property
     def transverse_energy(self) -> float:
@@ -283,10 +295,9 @@ def concat_schedules(first: PulseSchedule, second: PulseSchedule) -> PulseSchedu
 
 def validate_schedule_controls(schedule: PulseSchedule, p: DeviceParameters) -> None:
     """Check every segment's controls against the device's tunable ranges."""
-    bound = max_detuning(p) * (1.0 + 1e-9)
     for i, seg in enumerate(schedule.segments):
         for q, dw in seg.detunings.items():
-            if abs(dw) > bound:
+            if exceeds_max_detuning(dw, p):
                 raise ValueError(
                     f"segment {i}: detuning {dw:.6e} on donor {q} exceeds the device bound"
                 )
@@ -465,6 +476,12 @@ def _finite(key: str):
     return parse
 
 
+def _pair_values(text: str, unit: float) -> dict:
+    """'a-b:v,...' as {(a, b): v * unit}."""
+    return {tuple(int(x) for x in key.split("-")): v * unit
+            for key, v in _parse_pairs(text, str).items()}
+
+
 def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     """Parse the schedule file format written by schedule_to_text."""
     from .params import carrier_frequency, resonant_frequency
@@ -497,24 +514,18 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                 q: resonant_frequency(frac * p.a0, p) - w_ac
                 for q, frac in _parse_pairs(fields.get("a_over_a0", ""), int).items()
             }
-            couplings = {
-                tuple(int(x) for x in key.split("-")): j * _UEV
-                for key, j in _parse_pairs(fields.get("j_uev", ""), str).items()
-            }
+            couplings = _pair_values(fields.get("j_uev", ""), _UEV)
             if "duration_ns" not in fields:
                 raise ValueError(f"line {lineno}: segment has no duration_ns")
             rf = fields.get("rf", "on")
             if rf not in ("on", "off"):
                 raise ValueError(f"line {lineno}: rf must be 'on' or 'off', got {rf!r}")
-            segments.append(
-                PulseSegment(
-                    duration=float(fields["duration_ns"]) * 1e-9,
-                    detunings=detunings,
-                    couplings=couplings,
-                    rf_on=rf == "on",
-                    label=label,
-                )
-            )
+            try:
+                segments.append(PulseSegment(
+                    duration=float(fields["duration_ns"]) * 1e-9, detunings=detunings,
+                    couplings=couplings, rf_on=rf == "on", label=label))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
             segment_lines.append(lineno)
         else:
             key, _, val = line.partition("=")
@@ -547,10 +558,8 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                 system.electron_site(q)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
-    dipole = header_value("dipole_uev", {}, lambda text: {
-        tuple(int(x) for x in key.split("-")): d * _UEV
-        for key, d in _parse_pairs(text, str).items()
-    })
+    dipole = header_value("dipole_uev", {},
+                          lambda text: _check_pairs(_pair_values(text, _UEV), "dipole", system))
     schedule = PulseSchedule(
         segments=tuple(segments),
         b_ac=header_value("b_ac", p.b_ac, _finite("b_ac")),

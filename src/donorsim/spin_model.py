@@ -32,6 +32,7 @@ from .params import (
     DeviceParameters,
     InfeasibleDetuningError,
     carrier_frequency,
+    exceeds_max_detuning,
     max_detuning,
     resonant_frequency,
 )
@@ -261,7 +262,7 @@ def single_donor_driven(
 # ---------------------------------------------------------------------------
 
 def _check_detuning(dw: float, p: DeviceParameters) -> None:
-    if abs(dw) > max_detuning(p) * (1.0 + 1e-9):
+    if exceeds_max_detuning(dw, p):
         raise InfeasibleDetuningError(
             f"detuning {dw:.6e} rad/s exceeds the tunable bound {max_detuning(p):.6e}"
         )

@@ -260,7 +260,7 @@ def _synth_all(p: DeviceParameters) -> list[tuple[str, PulseSchedule]]:
            ("y(pi)", gates.synth_y(math.pi, 0, p)),
            ("z(pi)", gates.synth_z(math.pi, 0, p)),
            ("hadamard", gates.synth_hadamard(0, p))]
-    j = 3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11)
+    j = gates.interaction_coupling(1e-11, p)
     out.append(("cnot", gates.synth_cnot("exchange", 0, 1, p, j=j)))
     return out
 

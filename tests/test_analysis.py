@@ -6,6 +6,7 @@ import pytest
 
 from donorsim import _kernels
 from donorsim.analysis import (
+    SWEEP_FIELDS,
     SWEEP_METRICS,
     _donor4_levels,
     frozen_nucleus_check,
@@ -286,6 +287,13 @@ def test_sweep_grid_order_deterministic(p):
     assert [(r["b_ac"], r["b"]) for r in rows] == [
         (1e-3, 1.0), (1e-3, 2.0), (2e-3, 1.0), (2e-3, 2.0)
     ]
+
+
+def test_sweep_rejects_non_numeric_fields(p):
+    assert SWEEP_FIELDS == ("b", "b_ac", "a0", "a_min", "d", "a_star", "eps_r")
+    for key in ("foo", "constants", "alignment"):
+        with pytest.raises(ValueError, match=f"cannot sweep '{key}'; sweepable fields: b, "):
+            sweep({key: [1.0]}, "spectator_period_ns", p)
 
 
 def test_sweep_rejects(p):

@@ -197,6 +197,36 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": "num_donors = 2\nsegment duration_ns=1 j_uev=0-2:1 rf=on\n"},
                  "line 2: donor index 2 out of range", id="segment_coupling_donor_out_of_range"),
+    pytest.param(["gate", "--gate", "cnot", "--interaction-step-ns", "0"], {},
+                 "interaction step must be positive and finite",
+                 id="cnot_zero_interaction_step"),
+    pytest.param(["schedule", "dump", "--gate", "swap", "--interaction-step-ns", "-1"], {},
+                 "interaction step must be positive and finite",
+                 id="swap_negative_interaction_step"),
+    pytest.param(["gate", "--gate", "swap", "--interaction-step-ns", "nan"], {},
+                 "interaction step must be positive and finite", id="swap_nan_interaction_step"),
+    pytest.param(["gate", "--gate", "idle", "--duration-ns", "inf"], {},
+                 "idle needs a finite non-negative duration", id="idle_infinite_duration"),
+    pytest.param(["gate", "--gate", "idle", "--duration-ns", "nan"], {},
+                 "idle needs a finite non-negative duration", id="idle_nan_duration"),
+    pytest.param(["sweep", "--metric", "spectator_period_ns", "--param", "foo=1"], {},
+                 "cannot sweep 'foo'; sweepable fields: b, b_ac, a0, a_min, d, a_star, eps_r",
+                 id="sweep_unknown_field"),
+    pytest.param(["sweep", "--metric", "spectator_period_ns", "--param", "constants=1"], {},
+                 "cannot sweep 'constants'", id="sweep_non_numeric_field"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\ndipole_uev = 0-5:0.01\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "line 2: donor index 5 out of range", id="dipole_donor_out_of_range"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\ndipole_uev = 0-0:0.01\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "line 2: dipole pair 0-0 must name two different donors", id="dipole_self_pair"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\nsegment duration_ns=1 rf=on\n"
+                             "segment duration_ns=1 j_uev=1-1:1 rf=on\n"},
+                 "line 3: exchange pair 1-1 must name two different donors",
+                 id="segment_exchange_self_pair"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""

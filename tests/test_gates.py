@@ -25,6 +25,7 @@ from donorsim.gates import (
     synth_y,
     synth_z,
     synthesize,
+    interaction_coupling,
     _hadamard_block,
     _make_schedule,
 )
@@ -467,3 +468,60 @@ def test_synthesize_dispatch(p):
                  GateSpec("idle", (0,), duration=0.0)):
         sched = synthesize(spec, p)
         assert sched.declared_target is not None
+
+
+def test_synth_functions_route_through_synthesize(p):
+    j = _table_j(p)
+    system = SpinSystem(3)
+    t_idle = 3 * spectator_period(p)
+    pairs = [
+        (synth_x(2.0, 1, p), GateSpec("x", (1,), theta=2.0)),
+        (synth_y(-1.0, 0, p, system), GateSpec("y", (0,), theta=-1.0)),
+        (synth_z(math.pi, 2, p), GateSpec("z", (2,), theta=math.pi)),
+        (synth_hadamard(1, p, system), GateSpec("hadamard", (1,))),
+        (synth_swap(j, 2, 0, p), GateSpec("swap", (2, 0), j=j)),
+        (synth_idle(t_idle, p), GateSpec("idle", (0,), duration=t_idle)),
+        (synth_cnot("combined", 1, 0, p, j=j, d=30e-9, extended_correction=True),
+         GateSpec("cnot", (1, 0), mode="combined", j=j, d=30e-9)),
+    ]
+    for sched, spec in pairs:
+        ref = synthesize(spec, p, sched.system, extended_correction=spec.kind == "cnot")
+        assert sched.segments == ref.segments and sched.dipole == ref.dipole
+        assert np.array_equal(sched.declared_target, ref.declared_target)
+    assert synth_x(2.0, 1, p).system == SpinSystem(2)
+    assert synthesize(GateSpec("idle", (2,), duration=0.0), p).system == SpinSystem(1)
+
+
+@pytest.mark.parametrize("b_ac", [2e-4, 5e-4, 1.2e-3, 2e-3, 5e-3])
+def test_x_needs_no_correction(b_ac):
+    """Every X step already ends on whole spectator periods."""
+    p = DeviceParameters(b_ac=b_ac)
+    t_spec = spectator_period(p)
+    for theta in np.linspace(-2.0 * math.pi, 2.0 * math.pi, 401)[1:-1]:
+        sched = synth_x(float(theta), 0, p)
+        assert not any("correction" in seg.label for seg in sched.segments)
+        periods = round(sched.total_duration / t_spec)
+        assert abs(sched.total_duration - periods * t_spec) <= 1e-12 * t_spec * max(periods, 1)
+
+
+def test_gate_spec_rejects_non_finite_idle():
+    for bad in (math.inf, math.nan, -1e-9, None):
+        with pytest.raises(ValueError, match="idle needs a finite non-negative duration"):
+            GateSpec("idle", (0,), duration=bad)
+
+
+def test_swap_needs_coupling(p):
+    for j in (None, 0.0, -1e-25):
+        with pytest.raises(ValueError, match="swap needs a positive exchange coupling"):
+            synthesize(GateSpec("swap", (0, 1), j=j), p)
+
+
+def test_interaction_coupling(p):
+    j = interaction_coupling(1e-11, p)
+    assert j == 3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11)
+    sched = synth_cnot("exchange", 0, 1, p, j=j)
+    interactions = [seg for seg in sched.segments if seg.couplings]
+    assert [seg.duration for seg in interactions] == pytest.approx([1e-11, 1e-11], rel=1e-12)
+    for bad in (0.0, -1e-11, math.inf, math.nan):
+        with pytest.raises(ValueError, match="interaction step must be positive and finite"):
+            interaction_coupling(bad, p)

@@ -112,6 +112,17 @@ def test_max_detuning_frozen(p):
     assert max_detuning(p.replace(a_min=p.a0)) == 0.0
 
 
+def test_exceeds_max_detuning(p):
+    bound = max_detuning(p)
+    for dw in (0.0, bound, -bound, -bound * (1.0 + 0.5e-9)):
+        assert not params.exceeds_max_detuning(dw, p)
+    for dw in (bound * (1.0 + 2e-9), -1.01 * bound):
+        assert params.exceeds_max_detuning(dw, p)
+    zero_range = p.replace(a_min=p.a0)
+    assert not params.exceeds_max_detuning(0.0, zero_range)
+    assert params.exceeds_max_detuning(-1.0, zero_range)
+
+
 def test_max_detuning_linearizes(p):
     # halving the tuning range halves dw_max to first order
     half_range = p.replace(a_min=0.75 * p.a0)

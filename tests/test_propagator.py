@@ -117,6 +117,20 @@ def test_segment_validation():
             PulseSegment(duration=1e-9, couplings={(0, 1): bad})
 
 
+def test_segment_rejects_self_pair():
+    with pytest.raises(ValueError, match="exchange pair 1-1 must name two different donors"):
+        PulseSegment(duration=1e-9, couplings={(1, 1): 1e-27})
+
+
+def test_schedule_checks_dipole_pairs(p):
+    seg = PulseSegment(duration=1e-9)
+    assert _schedule([seg], p, n=2, dipole={(1, 0): 1e-30}).dipole == {(0, 1): 1e-30}
+    with pytest.raises(ValueError, match="dipole pair 0-0 must name two different donors"):
+        _schedule([seg], p, n=2, dipole={(0, 0): 1e-30})
+    with pytest.raises(ValueError, match="donor index 5 out of range"):
+        _schedule([seg], p, n=2, dipole={(0, 5): 1e-30})
+
+
 def test_validate_schedule_controls(p):
     good = _schedule([PulseSegment(duration=1e-9, detunings={0: -0.9 * max_detuning(p)})], p)
     validate_schedule_controls(good, p)
