@@ -119,31 +119,42 @@ def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
 
 def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
     kind = args.gate
+    if kind == "idle" and args.target is not None:
+        raise ValueError("--target does not apply to idle, which acts on every donor")
+    if kind == "swap" and args.d_nm is not None:
+        raise ValueError("--d-nm does not apply to swap, which uses exchange only")
     if kind in ("cnot", "swap"):
         control = args.control if args.control is not None else 0
         target = args.target if args.target is not None else (1 if control != 1 else 0)
         mode = (args.mode or "exchange") if kind == "cnot" else None
         j = args.j_uev * _UEV if args.j_uev is not None else None
-        d = args.d_nm * 1e-9 if args.d_nm is not None and kind == "cnot" else None
+        d = args.d_nm * 1e-9 if args.d_nm is not None else None
         if mode != "dipole" and j is None:
             # default coupling: interaction steps of args.interaction_step_ns
             j = gates.interaction_coupling(args.interaction_step_ns * 1e-9, p)
         if mode in ("dipole", "combined") and d is None:
             d = p.d
         return gates.GateSpec(kind, (control, target), mode=mode, j=j, d=d)
-    target = args.target if args.target is not None else 0
     if kind == "idle":
-        return gates.GateSpec(kind, (target,), duration=args.duration_ns * 1e-9)
+        return gates.GateSpec(kind, (0,), duration=args.duration_ns * 1e-9)
+    target = args.target if args.target is not None else 0
     if kind == "hadamard":
         return gates.GateSpec(kind, (target,))
     theta = args.theta if args.theta is not None else math.pi
     return gates.GateSpec(kind, (target,), theta=theta)
 
 
+def _requested_system(args) -> SpinSystem | None:
+    """The --qubits system, or None for the gate's default one."""
+    return None if args.qubits is None else SpinSystem(num_donors=args.qubits)
+
+
 def _cmd_gate(args, cfg: RunConfig) -> int:
+    if not math.isfinite(args.threshold):
+        raise ValueError(f"threshold must be finite, got {args.threshold}")
     p = cfg.device
     spec = _build_spec(args, p)
-    system = SpinSystem(num_donors=args.qubits) if args.qubits else None
+    system = _requested_system(args)
     report = gates.compile_gate(spec, p, system=system,
                                 extended_correction=args.extended_correction)
     # the trace is computed before anything is written, so a bad --initial or
@@ -263,8 +274,8 @@ def _cmd_schedule(args, cfg: RunConfig) -> int:
     p = cfg.device
     if args.action == "dump":
         spec = _build_spec(args, p)
-        system = SpinSystem(num_donors=args.qubits) if args.qubits else None
-        sched = gates.synthesize(spec, p, system, extended_correction=args.extended_correction)
+        sched = gates.synthesize(spec, p, _requested_system(args),
+                                 extended_correction=args.extended_correction)
         _emit(_audit_lines(cfg) + schedule_to_text(sched, p), cfg.out)
         return 0
     with open(args.file) as fh:

@@ -156,11 +156,19 @@ def segment_hamiltonian(schedule: PulseSchedule, segment: PulseSegment) -> np.nd
 
 def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
     u = np.eye(schedule.system.dim, dtype=complex)
+    # a segment that repeats an earlier one of this schedule (same duration,
+    # drive and controls) reuses its propagator; nothing is kept across calls
+    propagators = {}
     for seg in schedule.segments:
         if seg.duration == 0.0:
             continue
-        u = propagate_constant(segment_hamiltonian(schedule, seg), seg.duration,
-                               schedule.hbar) @ u
+        key = (seg.duration, seg.rf_on, tuple(seg.detunings.items()),
+               tuple(seg.couplings.items()))
+        step = propagators.get(key)
+        if step is None:
+            step = propagators[key] = propagate_constant(
+                segment_hamiltonian(schedule, seg), seg.duration, schedule.hbar)
+        u = step @ u
     return u
 
 

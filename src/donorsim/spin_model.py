@@ -21,10 +21,12 @@ exp(-i H t / hbar).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Mapping
+from functools import cache, reduce
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -69,6 +71,7 @@ ID2 = np.eye(2, dtype=complex)
 
 # electron spin operators in the logical basis (|0> = spin-down first)
 E_SX, E_SY, E_SZ = SX, -SY, -SZ
+_E_AXIS = {"x": E_SX, "y": E_SY, "z": E_SZ}
 
 _AXES = ("x", "y", "z")
 
@@ -152,8 +155,7 @@ def pauli_on(op: np.ndarray, site: int, num_sites: int) -> np.ndarray:
 
 def electron_pauli(system: SpinSystem, donor: int, axis: str) -> np.ndarray:
     """Spin operator sigma_axis of a donor electron, embedded in the full space."""
-    op = {"x": E_SX, "y": E_SY, "z": E_SZ}[axis]
-    return pauli_on(op, system.electron_site(donor), system.num_sites)
+    return pauli_on(_E_AXIS[axis], system.electron_site(donor), system.num_sites)
 
 
 def is_hermitian(h: np.ndarray, tol: float = 1e-12) -> bool:
@@ -171,6 +173,12 @@ def assert_hermitian(h: np.ndarray, tol: float = 1e-12) -> None:
 # sigma . sigma on two sites, summed in x, y, z order
 _PAIR_DOT = np.kron(SX, SX) + np.kron(SY, SY) + np.kron(SZ, SZ)
 _HYPERFINE_DOT = np.kron(E_SX, SX) + np.kron(E_SY, SY) + np.kron(E_SZ, SZ)
+
+
+def _dipole_pair(alignment: str) -> np.ndarray:
+    """sigma.sigma - 3 (sigma.n)(sigma.n) on two electron sites, n the unit axis."""
+    axis_op = _E_AXIS[alignment]
+    return _PAIR_DOT - 3.0 * np.kron(axis_op, axis_op)
 
 
 def electron_pair_dot(site_a: int, site_b: int, num_sites: int) -> np.ndarray:
@@ -268,6 +276,54 @@ def _check_detuning(dw: float, p: DeviceParameters) -> None:
         )
 
 
+class _RegisterOps(NamedTuple):
+    """The rotating-frame operators of one SpinSystem, embedded and read-only."""
+
+    sx: tuple[np.ndarray, ...]                            # sigma_x^e per donor
+    sz: tuple[np.ndarray, ...]                            # sigma_z^e per donor
+    exchange: Mapping[tuple[int, int], np.ndarray]        # s.s per ordered donor pair
+    dipole: Mapping[tuple[int, int], np.ndarray]          # s.s - 3 sz sz, likewise
+
+
+def _read_only(op: np.ndarray) -> np.ndarray:
+    op.flags.writeable = False
+    return op
+
+
+@cache
+def _register_ops(system: SpinSystem) -> _RegisterOps:
+    """The operator basis rotating_hamiltonian sums, built once per system.
+
+    At most 15 systems exist (1-3 donors, nuclei on or off, three
+    alignments), so the cache stays small.  Each operator is exactly what
+    pauli_on, electron_pair_dot and dipole_term return (embed only moves
+    entries), so sums over it are bit for bit the per-term sums.
+    """
+    n = system.num_sites
+    sites = [system.electron_site(q) for q in range(system.num_donors)]
+    pairs = list(itertools.permutations(range(system.num_donors), 2))
+    dipole_z = _dipole_pair("z")
+    return _RegisterOps(
+        sx=tuple(_read_only(pauli_on(E_SX, s, n)) for s in sites),
+        sz=tuple(_read_only(pauli_on(E_SZ, s, n)) for s in sites),
+        exchange=MappingProxyType({
+            (a, b): _read_only(electron_pair_dot(sites[a], sites[b], n)) for a, b in pairs}),
+        dipole=MappingProxyType({
+            (a, b): _read_only(embed(dipole_z, (sites[a], sites[b]), n)) for a, b in pairs}),
+    )
+
+
+def _pair_op(table: Mapping[tuple[int, int], np.ndarray], system: SpinSystem,
+             qa: int, qb: int) -> np.ndarray:
+    op = table.get((qa, qb))
+    if op is None:
+        # the errors the per-term builders raise: the donor range, then embed's
+        system.electron_site(qa)
+        system.electron_site(qb)
+        raise ValueError("sites must be distinct, in range and match the operator size")
+    return op
+
+
 def rotating_hamiltonian(
     system: SpinSystem,
     drive: float,
@@ -283,24 +339,24 @@ def rotating_hamiltonian(
     drive is mu_B B_ac (0 while gated off), detunings map donors to dw (rad/s),
     couplings and dipole map donor pairs to J and D (J).  The dipole form holds
     only for z-aligned donors; other alignments with dipole pairs are rejected.
+    Each term is a coefficient times an operator of the system's cached basis.
     """
     if system.alignment != "z" and any(dipole.values()):
         raise ValueError("rotating frame with dipole coupling requires z alignment")
-    n = system.num_sites
+    ops = _register_ops(system)
     h = np.zeros((system.dim, system.dim), dtype=complex)
     for donor in range(system.num_donors):
-        site = system.electron_site(donor)
         if drive:
-            h += drive * pauli_on(E_SX, site, n)
+            h += drive * ops.sx[donor]
         dw = detunings.get(donor, 0.0)
         if dw:
-            h += hbar * dw * pauli_on(E_SZ, site, n)
+            h += hbar * dw * ops.sz[donor]
     for (qa, qb), j in couplings.items():
         if j:
-            h += j * electron_pair_dot(system.electron_site(qa), system.electron_site(qb), n)
+            h += j * _pair_op(ops.exchange, system, qa, qb)
     for (qa, qb), d in dipole.items():
         if d:
-            h += dipole_term(d, "z", n, system.electron_site(qa), system.electron_site(qb))
+            h += d * _pair_op(ops.dipole, system, qa, qb)
     return h
 
 
@@ -335,9 +391,7 @@ def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
     """
     if alignment not in _AXES:
         raise ValueError("alignment must be a unit axis 'x', 'y' or 'z'")
-    axis_op = {"x": E_SX, "y": E_SY, "z": E_SZ}[alignment]
-    return d_coupling * embed(_PAIR_DOT - 3.0 * np.kron(axis_op, axis_op),
-                              (site_a, site_b), num_sites)
+    return d_coupling * embed(_dipole_pair(alignment), (site_a, site_b), num_sites)
 
 
 def two_electron_rotating_full(

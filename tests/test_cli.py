@@ -227,6 +227,22 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                              "segment duration_ns=1 j_uev=1-1:1 rf=on\n"},
                  "line 3: exchange pair 1-1 must name two different donors",
                  id="segment_exchange_self_pair"),
+    pytest.param(["gate", "--gate", "x", "--qubits", "0"], {},
+                 "num_donors must be 1, 2 or 3", id="gate_zero_qubits"),
+    pytest.param(["schedule", "dump", "--gate", "hadamard", "--qubits", "0"], {},
+                 "num_donors must be 1, 2 or 3", id="dump_zero_qubits"),
+    pytest.param(["gate", "--gate", "x", "--threshold", "nan"], {},
+                 "threshold must be finite, got nan", id="threshold_nan"),
+    pytest.param(["gate", "--gate", "x", "--threshold", "inf"], {},
+                 "threshold must be finite, got inf", id="threshold_infinite"),
+    pytest.param(["gate", "--gate", "idle", "--target", "2", "--duration-ns", "0"], {},
+                 "--target does not apply to idle", id="idle_with_target"),
+    pytest.param(["schedule", "dump", "--gate", "idle", "--target", "0"], {},
+                 "--target does not apply to idle", id="dump_idle_with_target"),
+    pytest.param(["gate", "--gate", "swap", "--d-nm", "30"], {},
+                 "--d-nm does not apply to swap", id="swap_with_separation"),
+    pytest.param(["schedule", "dump", "--gate", "swap", "--d-nm", "30"], {},
+                 "--d-nm does not apply to swap", id="dump_swap_with_separation"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""

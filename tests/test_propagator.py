@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from donorsim import _kernels
+from donorsim import _kernels, propagator
 from donorsim.analysis import gate_fidelity, lab_realization, rabi_probability
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.propagator import (
@@ -30,7 +30,15 @@ from donorsim.spin_model import (
     single_donor_static,
     single_electron_rotating,
 )
-from donorsim.gates import synth_cnot, synth_hadamard, synth_x, synth_y
+from donorsim.gates import (
+    GateSpec,
+    compose_parallel,
+    interaction_coupling,
+    synth_cnot,
+    synth_hadamard,
+    synth_x,
+    synth_y,
+)
 
 
 def _schedule(segments, p, n=1, **kw):
@@ -93,6 +101,63 @@ def test_execute_composition(p, rng):
     u12 = execute_schedule(concat_schedules(s1, s2)).unitary
     u = execute_schedule(s2).unitary @ execute_schedule(s1).unitary
     assert np.abs(u12 - u).max() <= 1e-13
+
+
+def _execute_reference_loop(schedule):
+    """One propagator per timed segment, nothing reused (the former loop)."""
+    u = np.eye(schedule.system.dim, dtype=complex)
+    for seg in schedule.segments:
+        if seg.duration == 0.0:
+            continue
+        u = propagate_constant(segment_hamiltonian(schedule, seg), seg.duration,
+                               schedule.hbar) @ u
+    return u
+
+
+def _repeats_with_zero_and_rf_off(p):
+    dw, j = -0.4 * max_detuning(p), interaction_coupling(1e-11, p)
+    a = PulseSegment(3e-9, {0: dw})
+    a_off = PulseSegment(3e-9, {0: dw}, rf_on=False)
+    zero = PulseSegment(0.0, {1: dw})
+    c = PulseSegment(3e-9, {0: dw}, {(0, 1): j})
+    # same Hamiltonian as a under another key, and a's controls with another sign
+    a_explicit = PulseSegment(3e-9, {0: dw, 1: 0.0})
+    a_flipped = PulseSegment(3e-9, {0: -dw})
+    segs = [zero, a, a_off, zero, a, a_off, c, a, zero, c, a_explicit, a_flipped, a, a_off]
+    return _schedule(segs, p, n=2)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda p: synth_y(4.5, 0, p, SpinSystem(2)), id="multi_block_y"),
+    pytest.param(lambda p: synth_cnot("combined", 0, 1, p, j=interaction_coupling(1e-11, p),
+                                      d=30e-9), id="combined_cnot_dipole"),
+    pytest.param(lambda p: compose_parallel([GateSpec("x", (0,), theta=1.0),
+                                             GateSpec("y", (2,), theta=5.0)], p,
+                                            SpinSystem(3)), id="parallel_padding"),
+    pytest.param(_repeats_with_zero_and_rf_off, id="zero_duration_and_rf_off"),
+    pytest.param(lambda p: synth_y(5.0, 1, p, SpinSystem(2, include_nuclei=True)),
+                 id="nuclei"),
+])
+def test_execute_rotating_against_reference_loop(p, monkeypatch, make):
+    sched = make(p)
+    reference = _execute_reference_loop(sched)
+    timed = [seg for seg in sched.segments if seg.duration > 0.0]
+    distinct = {(seg.duration, seg.rf_on, tuple(seg.detunings.items()),
+                 tuple(seg.couplings.items())) for seg in timed}
+    assert len(distinct) < len(timed)
+    calls = []
+
+    def counting(h, t, hbar):
+        calls.append(t)
+        return propagate_constant(h, t, hbar)
+
+    monkeypatch.setattr(propagator, "propagate_constant", counting)
+    u = execute_schedule(sched).unitary
+    assert len(calls) == len(distinct)
+    assert u.tobytes() == reference.tobytes()
+    # nothing carries over to the next call
+    assert execute_schedule(sched).unitary.tobytes() == reference.tobytes()
+    assert len(calls) == 2 * len(distinct)
 
 
 def test_concat_rejects_mismatch(p):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,12 +10,15 @@ from donorsim.spin_model import (
     E_SX,
     E_SZ,
     SpinSystem,
+    _register_ops,
     dipole_term,
     electron_pair_dot,
     electron_pauli,
     frame_rotation,
     hyperfine_dot,
     is_hermitian,
+    pauli_on,
+    rotating_hamiltonian,
     single_donor_driven,
     single_donor_static,
     single_electron_lab,
@@ -123,6 +127,92 @@ def test_rotating_hamiltonian_axis_and_gap(p):
 def test_rotating_hamiltonian_range(p):
     with pytest.raises(InfeasibleDetuningError):
         single_electron_rotating(1.01 * max_detuning(p), p)
+
+
+ALL_SYSTEMS = [SpinSystem(n, nuclei, axis)
+               for n in (1, 2, 3) for nuclei in (False, True) for axis in ("x", "y", "z")
+               if not (nuclei and n > 2)]
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_register_ops_match_per_term_builders():
+    assert len(ALL_SYSTEMS) == 15
+    for system in ALL_SYSTEMS:
+        ops = _register_ops(system)
+        n = system.num_sites
+        sites = [system.electron_site(q) for q in range(system.num_donors)]
+        assert [_bits(op) for op in ops.sx] == [_bits(pauli_on(E_SX, s, n)) for s in sites]
+        assert [_bits(op) for op in ops.sz] == [_bits(pauli_on(E_SZ, s, n)) for s in sites]
+        pairs = list(itertools.permutations(range(system.num_donors), 2))
+        assert sorted(ops.exchange) == sorted(ops.dipole) == sorted(pairs)
+        for a, b in pairs:
+            assert _bits(ops.exchange[a, b]) == _bits(electron_pair_dot(sites[a], sites[b], n))
+            assert _bits(ops.dipole[a, b]) == _bits(dipole_term(1.0, "z", n, sites[a], sites[b]))
+        assert _register_ops(SpinSystem(system.num_donors, system.include_nuclei,
+                                        system.alignment)) is ops
+
+
+def test_register_ops_are_read_only():
+    ops = _register_ops(SpinSystem(2))
+    for op in (ops.sx[0], ops.sz[1], ops.exchange[0, 1], ops.dipole[1, 0]):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            op += 1.0
+    with pytest.raises(TypeError):
+        ops.exchange[0, 1] = np.zeros((4, 4))
+    assert _bits(ops.sx[0]) == _bits(pauli_on(E_SX, 0, 2))
+
+
+def _rotating_reference(system, drive, detunings, couplings, dipole, hbar):
+    """Per-term assembly, every operator embedded on the spot (the former loop)."""
+    n = system.num_sites
+    h = np.zeros((system.dim, system.dim), dtype=complex)
+    for donor in range(system.num_donors):
+        site = system.electron_site(donor)
+        if drive:
+            h += drive * pauli_on(E_SX, site, n)
+        dw = detunings.get(donor, 0.0)
+        if dw:
+            h += hbar * dw * pauli_on(E_SZ, site, n)
+    for (qa, qb), j in couplings.items():
+        if j:
+            h += j * electron_pair_dot(system.electron_site(qa), system.electron_site(qb), n)
+    for (qa, qb), d in dipole.items():
+        if d:
+            h += dipole_term(d, "z", n, system.electron_site(qa), system.electron_site(qb))
+    return h
+
+
+def test_rotating_hamiltonian_against_per_term_assembly(p, rng):
+    hbar, dw_max = p.constants.hbar, max_detuning(p)
+    for system in ALL_SYSTEMS:
+        pairs = list(itertools.permutations(range(system.num_donors), 2))
+        for _ in range(4):
+            drive = p.transverse_energy * float(rng.choice([0.0, 1.0, rng.uniform(0.5, 2.0)]))
+            detunings = {q: float(rng.choice([0.0, -0.0, rng.uniform(-dw_max, dw_max)]))
+                         for q in range(system.num_donors) if rng.uniform() < 0.8}
+            couplings = {pair: float(rng.choice([0.0, rng.uniform(0.0, 1e-23)]))
+                         for pair in pairs if rng.uniform() < 0.5}
+            dipole = ({pair: float(rng.uniform(-1e-25, 1e-25)) for pair in pairs[:2]}
+                      if system.alignment == "z" else {})
+            args = (system, drive, detunings, couplings, dipole, hbar)
+            assert _bits(rotating_hamiltonian(*args)) == _bits(_rotating_reference(*args))
+
+
+def test_rotating_hamiltonian_rejects_bad_pairs(p):
+    hbar = p.constants.hbar
+    with pytest.raises(ValueError, match="donor index 2 out of range"):
+        rotating_hamiltonian(SpinSystem(2), 0.0, {}, {(0, 2): 1e-24}, {}, hbar)
+    with pytest.raises(ValueError, match="donor index -1 out of range"):
+        rotating_hamiltonian(SpinSystem(2), 0.0, {}, {}, {(-1, 0): 1e-25}, hbar)
+    with pytest.raises(ValueError, match="sites must be distinct"):
+        rotating_hamiltonian(SpinSystem(2), 0.0, {}, {(1, 1): 1e-24}, {}, hbar)
+    # a zero coefficient skips its term, as before, whatever the pair
+    assert not rotating_hamiltonian(SpinSystem(2), 0.0, {}, {(1, 1): 0.0}, {}, hbar).any()
 
 
 def test_two_electron_commutator(p):
