@@ -117,12 +117,28 @@ def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
 # gate command
 # ---------------------------------------------------------------------------
 
+def _check_gate_options(args) -> None:
+    """Reject an option the requested gate would ignore, with the reason."""
+    kind, mode = args.gate, args.mode or "exchange"
+    what = f"cnot in {mode} mode" if kind == "cnot" else kind
+    rules = {  # option: (the gate uses it, reason)
+        "theta": (kind in ("x", "y", "z"), "only x, y and z take an angle"),
+        "target": (kind != "idle", "idle acts on every donor"),
+        "control": (kind in ("cnot", "swap"), "only cnot and swap have a control"),
+        "mode": (kind == "cnot", "only cnot has a coupling mode"),
+        "j_uev": (kind == "swap" or (kind == "cnot" and mode != "dipole"),
+                  "only swap and exchange or combined cnot use exchange"),
+        "d_nm": (kind == "cnot" and mode != "exchange",
+                 "only dipole or combined cnot use a separation"),
+    }
+    for name, (used, reason) in rules.items():
+        if getattr(args, name) is not None and not used:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to {what}: {reason}")
+
+
 def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
+    _check_gate_options(args)
     kind = args.gate
-    if kind == "idle" and args.target is not None:
-        raise ValueError("--target does not apply to idle, which acts on every donor")
-    if kind == "swap" and args.d_nm is not None:
-        raise ValueError("--d-nm does not apply to swap, which uses exchange only")
     if kind in ("cnot", "swap"):
         control = args.control if args.control is not None else 0
         target = args.target if args.target is not None else (1 if control != 1 else 0)

@@ -202,9 +202,15 @@ def exchange_peak_separation(p: DeviceParameters) -> float:
 def dipole_strength(d: float, p: DeviceParameters | PhysicalConstants = CONSTANTS) -> float:
     """Magnetic dipole-dipole coupling D(d) = (mu_0 / 4 pi) mu_B^2 / d^3, in J."""
     c = p.constants if isinstance(p, DeviceParameters) else p
-    if d <= 0.0:
-        raise ValueError("separation must be positive")
-    return c.mu_0 / (4.0 * math.pi) * c.mu_b**2 / d**3
+    try:
+        strength = c.mu_0 / (4.0 * math.pi) * c.mu_b**2 / d**3
+    except (OverflowError, ZeroDivisionError):   # d**3 overflows, or underflows to 0
+        strength = 0.0
+    # also rejects d <= 0, nan and inf, and a D that underflows to 0
+    if not 0.0 < strength < math.inf:
+        raise ValueError(f"separation must be positive and give a finite non-zero "
+                         f"dipole coupling, got {d!r} m")
+    return strength
 
 
 def exchange_dipole_crossover(p: DeviceParameters, d_hi: float = 100e-9) -> float:

@@ -11,6 +11,7 @@ lab segments; drive phases are never reset at segment boundaries.
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .params import CONSTANTS, DeviceParameters, exceeds_max_detuning, hyperfine_for_frequency
-from .spin_model import SpinSystem, assert_hermitian, rotating_hamiltonian
+from .spin_model import SpinSystem, _read_only, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
     "PulseSegment",
@@ -144,6 +145,11 @@ def propagate_constant(h: np.ndarray, t: float, hbar: float = CONSTANTS.hbar) ->
         raise ValueError("propagation time must be non-negative")
     assert_hermitian(h)
     w, v = np.linalg.eigh(h)
+    return _exponentiate(w, v, t, hbar)
+
+
+def _exponentiate(w: np.ndarray, v: np.ndarray, t: float, hbar: float) -> np.ndarray:
+    """exp(-i H t / hbar) from H's eigensystem (w, v): the one propagator formula."""
     return (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
 
 
@@ -154,21 +160,45 @@ def segment_hamiltonian(schedule: PulseSchedule, segment: PulseSegment) -> np.nd
                                 schedule.dipole, schedule.hbar)
 
 
+# Global-control gates are built from a few pulses that recur within and across
+# gates, so rotating-frame execution keeps the eigensystems and propagators of
+# the most recent ones for the whole process.  The key holds every input of
+# rotating_hamiltonian; the pair tuples keep dict order, which is the order the
+# exchange and dipole terms are summed in, so equal keys give bit-identical H.
+_CACHE_SIZE = 128
+
+
+def _segment_key(schedule: PulseSchedule, segment: PulseSegment) -> tuple:
+    """The Hamiltonian key of one segment: (system, drive, dipole, hbar, detunings, couplings)."""
+    return (schedule.system, schedule.transverse_energy if segment.rf_on else 0.0,
+            tuple(schedule.dipole.items()), schedule.hbar,
+            tuple(segment.detunings.items()), tuple(segment.couplings.items()))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _eigensystem(system: SpinSystem, drive: float, dipole_items: tuple, hbar: float,
+                 detuning_items: tuple, coupling_items: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigh (w, v) of one rotating-frame segment Hamiltonian."""
+    h = rotating_hamiltonian(system, drive, dict(detuning_items), dict(coupling_items),
+                             dict(dipole_items), hbar)
+    assert_hermitian(h)
+    w, v = np.linalg.eigh(h)
+    return _read_only(w), _read_only(v)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _propagator(system: SpinSystem, drive: float, dipole_items: tuple, hbar: float,
+                detuning_items: tuple, coupling_items: tuple, duration: float) -> np.ndarray:
+    """Read-only exp(-i H t / hbar) of one segment Hamiltonian (same key as _eigensystem)."""
+    w, v = _eigensystem(system, drive, dipole_items, hbar, detuning_items, coupling_items)
+    return _read_only(_exponentiate(w, v, duration, hbar))
+
+
 def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
     u = np.eye(schedule.system.dim, dtype=complex)
-    # a segment that repeats an earlier one of this schedule (same duration,
-    # drive and controls) reuses its propagator; nothing is kept across calls
-    propagators = {}
     for seg in schedule.segments:
-        if seg.duration == 0.0:
-            continue
-        key = (seg.duration, seg.rf_on, tuple(seg.detunings.items()),
-               tuple(seg.couplings.items()))
-        step = propagators.get(key)
-        if step is None:
-            step = propagators[key] = propagate_constant(
-                segment_hamiltonian(schedule, seg), seg.duration, schedule.hbar)
-        u = step @ u
+        if seg.duration > 0.0:
+            u = _propagator(*_segment_key(schedule, seg), seg.duration) @ u
     return u
 
 
@@ -370,7 +400,7 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
     for seg in schedule.segments:
         if seg.duration == 0.0:
             continue
-        eigs.append(np.linalg.eigh(segment_hamiltonian(schedule, seg)))
+        eigs.append(_eigensystem(*_segment_key(schedule, seg)))
         starts.append(t_acc)
         t_acc += seg.duration
     times = np.linspace(0.0, total, samples)

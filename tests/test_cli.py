@@ -243,6 +243,52 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  "--d-nm does not apply to swap", id="swap_with_separation"),
     pytest.param(["schedule", "dump", "--gate", "swap", "--d-nm", "30"], {},
                  "--d-nm does not apply to swap", id="dump_swap_with_separation"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "dipole", "--d-nm", "inf"], {},
+                 "give a finite non-zero dipole coupling, got inf m",
+                 id="dipole_cnot_infinite_separation"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "combined", "--d-nm", "inf"], {},
+                 "give a finite non-zero dipole coupling, got inf m",
+                 id="combined_cnot_infinite_separation"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "dipole", "--d-nm", "1e200"], {},
+                 "got 1e+191 m", id="dipole_cnot_cube_overflows"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "combined", "--j-uev", "5",
+                  "--d-nm", "1e104"], {}, "got 1e+95 m", id="combined_cnot_coupling_underflows"),
+    pytest.param(["schedule", "dump", "--gate", "cnot", "--mode", "dipole", "--d-nm", "1e-300"],
+                 {}, "got 1e-309 m", id="dipole_cnot_cube_underflows"),
+    pytest.param(["sweep", "--metric", "dipole_uev", "--param", "d=1e-300"], {},
+                 "give a finite non-zero dipole coupling, got 1e-300 m",
+                 id="sweep_dipole_cube_underflows"),
+    pytest.param(["gate", "--gate", "hadamard", "--theta", "1"], {},
+                 "--theta does not apply to hadamard: only x, y and z take an angle",
+                 id="hadamard_with_theta"),
+    pytest.param(["gate", "--gate", "cnot", "--theta", "1"], {},
+                 "--theta does not apply to cnot in exchange mode", id="cnot_with_theta"),
+    pytest.param(["schedule", "dump", "--gate", "swap", "--theta", "1"], {},
+                 "--theta does not apply to swap", id="dump_swap_with_theta"),
+    pytest.param(["gate", "--gate", "idle", "--theta", "1"], {},
+                 "--theta does not apply to idle", id="idle_with_theta"),
+    pytest.param(["gate", "--gate", "x", "--control", "1"], {},
+                 "--control does not apply to x: only cnot and swap have a control",
+                 id="x_with_control"),
+    pytest.param(["gate", "--gate", "idle", "--control", "0"], {},
+                 "--control does not apply to idle", id="idle_with_control"),
+    pytest.param(["gate", "--gate", "swap", "--mode", "exchange"], {},
+                 "--mode does not apply to swap: only cnot has a coupling mode",
+                 id="swap_with_mode"),
+    pytest.param(["schedule", "dump", "--gate", "y", "--mode", "dipole"], {},
+                 "--mode does not apply to y", id="dump_y_with_mode"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "dipole", "--j-uev", "5"], {},
+                 "--j-uev does not apply to cnot in dipole mode", id="dipole_cnot_with_exchange"),
+    pytest.param(["gate", "--gate", "z", "--j-uev", "5"], {},
+                 "--j-uev does not apply to z", id="z_with_exchange"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "exchange", "--d-nm", "30"], {},
+                 "--d-nm does not apply to cnot in exchange mode",
+                 id="exchange_cnot_with_separation"),
+    pytest.param(["schedule", "dump", "--gate", "cnot", "--d-nm", "30"], {},
+                 "--d-nm does not apply to cnot in exchange mode",
+                 id="dump_default_cnot_with_separation"),
+    pytest.param(["gate", "--gate", "hadamard", "--d-nm", "30"], {},
+                 "--d-nm does not apply to hadamard", id="hadamard_with_separation"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""

@@ -170,6 +170,18 @@ def test_dipole_strength(p):
         dipole_strength(0.0, p)
 
 
+def test_dipole_strength_rejects_float_limits(p):
+    # inf gave D = 0, 1e191 overflowed d**3, 1e-309 underflowed it to 0 and
+    # 1e95 underflowed D to 0
+    for d in (math.inf, math.nan, -30e-9, 0.0, -0.0, 1e191, 1e-309, 1e95):
+        with pytest.raises(ValueError, match="finite non-zero dipole coupling"):
+            dipole_strength(d, p)
+    for d in (1e89, 1e-107):
+        assert 0.0 < dipole_strength(d, p) < math.inf
+    c = p.constants
+    assert dipole_strength(30e-9, p) == c.mu_0 / (4.0 * math.pi) * c.mu_b**2 / (30e-9) ** 3
+
+
 def test_exchange_dipole_crossover(p):
     d_star = exchange_dipole_crossover(p)
     assert exchange_strength(d_star * 1.01, p) < dipole_strength(d_star * 1.01, p)

@@ -127,6 +127,15 @@ def _repeats_with_zero_and_rf_off(p):
     return _schedule(segs, p, n=2)
 
 
+def _hamiltonian_key(seg):
+    return (seg.rf_on, tuple(seg.detunings.items()), tuple(seg.couplings.items()))
+
+
+def _clear_caches():
+    propagator._eigensystem.cache_clear()
+    propagator._propagator.cache_clear()
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda p: synth_y(4.5, 0, p, SpinSystem(2)), id="multi_block_y"),
     pytest.param(lambda p: synth_cnot("combined", 0, 1, p, j=interaction_coupling(1e-11, p),
@@ -138,26 +147,79 @@ def _repeats_with_zero_and_rf_off(p):
     pytest.param(lambda p: synth_y(5.0, 1, p, SpinSystem(2, include_nuclei=True)),
                  id="nuclei"),
 ])
-def test_execute_rotating_against_reference_loop(p, monkeypatch, make):
+def test_execute_rotating_against_reference_loop(p, make):
     sched = make(p)
     reference = _execute_reference_loop(sched)
     timed = [seg for seg in sched.segments if seg.duration > 0.0]
-    distinct = {(seg.duration, seg.rf_on, tuple(seg.detunings.items()),
-                 tuple(seg.couplings.items())) for seg in timed}
+    hamiltonians = {_hamiltonian_key(seg) for seg in timed}
+    distinct = {(seg.duration, *_hamiltonian_key(seg)) for seg in timed}
     assert len(distinct) < len(timed)
-    calls = []
-
-    def counting(h, t, hbar):
-        calls.append(t)
-        return propagate_constant(h, t, hbar)
-
-    monkeypatch.setattr(propagator, "propagate_constant", counting)
+    _clear_caches()
     u = execute_schedule(sched).unitary
-    assert len(calls) == len(distinct)
+    assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
+    assert propagator._propagator.cache_info().misses == len(distinct)
     assert u.tobytes() == reference.tobytes()
-    # nothing carries over to the next call
+    # the next call takes every propagator from the cache and diagonalizes nothing
     assert execute_schedule(sched).unitary.tobytes() == reference.tobytes()
-    assert len(calls) == 2 * len(distinct)
+    assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
+    assert propagator._propagator.cache_info().misses == len(distinct)
+    assert propagator._propagator.cache_info().hits == 2 * len(timed) - len(distinct)
+
+
+def _key_variants(p):
+    """Pairs of schedules that differ only in one input of the segment Hamiltonian."""
+    dw, j = -0.4 * max_detuning(p), interaction_coupling(1e-11, p)
+    segs = (PulseSegment(3e-9, {0: dw}), PulseSegment(2e-9, {1: dw}, {(0, 1): j}),
+            PulseSegment(3e-9, {0: dw}, rf_on=False))
+    base = _schedule(segs, p, n=2)
+    three = _schedule([PulseSegment(3e-9, {0: dw}, {(0, 1): j, (1, 2): 0.37 * j}),
+                       PulseSegment(3e-9, {0: dw}, {(1, 2): 0.37 * j, (0, 1): j})], p, n=3)
+    d = 0.7 * j
+    return {
+        "b_ac": (base, base.replace(b_ac=1.5 * p.b_ac)),
+        "hbar": (base, base.replace(hbar=1.01 * p.constants.hbar)),
+        "dipole": (base.replace(dipole={(0, 1): d}), base.replace(dipole={(0, 1): 1.3 * d})),
+        "alignment": (base, base.replace(system=SpinSystem(2, alignment="x"))),
+        "nuclei": (base, base.replace(system=SpinSystem(2, include_nuclei=True))),
+        "coupling_order": (three.replace(segments=three.segments[:1]),
+                           three.replace(segments=three.segments[1:])),
+        "dipole_order": (three.replace(dipole={(0, 1): d, (1, 2): 0.3 * d}),
+                         three.replace(dipole={(1, 2): 0.3 * d, (0, 1): d})),
+    }
+
+
+@pytest.mark.parametrize("which", ["b_ac", "hbar", "dipole", "alignment", "nuclei",
+                                   "coupling_order", "dipole_order"])
+def test_rotating_cache_key_is_complete(p, which):
+    """Each schedule of a pair matches its own uncached result, in either order."""
+    pair = _key_variants(p)[which]
+    references = {id(sched): _execute_reference_loop(sched).tobytes() for sched in pair}
+    # alignment only enters the rotating frame through a dipole term, which
+    # needs z alignment, so that pair shares its unitary but not its key
+    assert (len(set(references.values())) == 2) == (which != "alignment")
+    first, second = pair
+    assert propagator._segment_key(first, first.segments[0]) != \
+        propagator._segment_key(second, second.segments[0])
+    for order in (pair, pair[::-1]):
+        _clear_caches()
+        for sched in order:
+            assert execute_schedule(sched).unitary.tobytes() == references[id(sched)]
+
+
+def test_rotating_caches_are_read_only_and_bounded(p):
+    sched = synth_y(4.5, 0, p, SpinSystem(2))
+    key = propagator._segment_key(sched, sched.segments[0])
+    w, v = propagator._eigensystem(*key)
+    step = propagator._propagator(*key, sched.segments[0].duration)
+    for cached in (w, v, step):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    # the executed unitary is a fresh array, not a cached one
+    u = execute_schedule(sched.replace(segments=sched.segments[:1])).unitary
+    u[0, 0] = 0.0
+    assert step[0, 0] != 0.0
+    for cache in (propagator._eigensystem, propagator._propagator):
+        assert 0 < cache.cache_info().maxsize <= 128
 
 
 def test_concat_rejects_mismatch(p):
@@ -514,7 +576,7 @@ def _boundary_samples(p):
     return _schedule(segs, p)
 
 
-@pytest.mark.parametrize("make,initial,samples", [
+_TRACE_CASES = [
     pytest.param(lambda p: synth_cnot("exchange", 0, 1, p, j=3.0 * math.pi * p.constants.hbar
                                       / (8.0 * 1e-11), extended_correction=True),
                  "00", 1000, id="cnot_extended_1000"),
@@ -524,7 +586,10 @@ def _boundary_samples(p):
     pytest.param(lambda p: synth_y(1.0, 1, p, SpinSystem(2)),
                  np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(0.3j)]), 400, id="custom_initial"),
     pytest.param(lambda p: synth_x(math.pi, 1, p, SpinSystem(3)), "010", 500, id="three_donors"),
-])
+]
+
+
+@pytest.mark.parametrize("make,initial,samples", _TRACE_CASES)
 def test_trace_against_reference_loop(p, make, initial, samples):
     sched = make(p)
     tr = trace_evolution(sched, initial, samples=samples)
@@ -533,6 +598,25 @@ def test_trace_against_reference_loop(p, make, initial, samples):
     times, pops = _trace_reference_loop(sched, psi0, samples)
     assert np.array_equal(tr.times, times)
     assert np.abs(tr.populations - pops).max() <= 1e-14
+
+
+@pytest.mark.parametrize("make,initial,samples", _TRACE_CASES)
+def test_trace_cached_eigensystems_match_per_segment_eigh(p, monkeypatch, make, initial,
+                                                          samples):
+    sched = make(p)
+    hamiltonians = {_hamiltonian_key(seg) for seg in sched.segments if seg.duration > 0.0}
+    _clear_caches()
+    cold = trace_evolution(sched, initial, samples=samples)
+    warm = trace_evolution(sched, initial, samples=samples)
+    assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
+    # reference: the same sampling with a fresh eigh of each segment Hamiltonian
+    monkeypatch.setattr(propagator, "_segment_key", lambda schedule, seg: (schedule, seg))
+    monkeypatch.setattr(propagator, "_eigensystem", lambda schedule, seg: np.linalg.eigh(
+        segment_hamiltonian(schedule, seg)))
+    reference = trace_evolution(sched, initial, samples=samples)
+    for tr in (cold, warm):
+        assert tr.times.tobytes() == reference.times.tobytes()
+        assert tr.populations.tobytes() == reference.populations.tobytes()
 
 
 def _csv_reference(trace, header):
