@@ -130,6 +130,12 @@ def _check_gate_options(args) -> None:
                   "only swap and exchange or combined cnot use exchange"),
         "d_nm": (kind == "cnot" and mode != "exchange",
                  "only dipole or combined cnot use a separation"),
+        "extended_correction": (kind == "cnot", "only cnot has a final correction to extend"),
+        "duration_ns": (kind == "idle", "only idle takes a duration"),
+        "interaction_step_ns": ((kind == "swap" or (kind == "cnot" and mode != "dipole"))
+                                and args.j_uev is None,
+                                "only swap and exchange or combined cnot without --j-uev "
+                                "pick J from it"),
     }
     for name, (used, reason) in rules.items():
         if getattr(args, name) is not None and not used:
@@ -147,12 +153,14 @@ def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
         d = args.d_nm * 1e-9 if args.d_nm is not None else None
         if mode != "dipole" and j is None:
             # default coupling: interaction steps of args.interaction_step_ns
-            j = gates.interaction_coupling(args.interaction_step_ns * 1e-9, p)
+            step_ns = 0.01 if args.interaction_step_ns is None else args.interaction_step_ns
+            j = gates.interaction_coupling(step_ns * 1e-9, p)
         if mode in ("dipole", "combined") and d is None:
             d = p.d
         return gates.GateSpec(kind, (control, target), mode=mode, j=j, d=d)
     if kind == "idle":
-        return gates.GateSpec(kind, (0,), duration=args.duration_ns * 1e-9)
+        duration_ns = 0.0 if args.duration_ns is None else args.duration_ns
+        return gates.GateSpec(kind, (0,), duration=duration_ns * 1e-9)
     target = args.target if args.target is not None else 0
     if kind == "hadamard":
         return gates.GateSpec(kind, (target,))
@@ -168,17 +176,23 @@ def _requested_system(args) -> SpinSystem | None:
 def _cmd_gate(args, cfg: RunConfig) -> int:
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
+    if not args.trace:
+        for name in ("initial", "samples"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} does not apply without --trace: "
+                                 f"only the population trace uses it")
     p = cfg.device
     spec = _build_spec(args, p)
     system = _requested_system(args)
     report = gates.compile_gate(spec, p, system=system,
-                                extended_correction=args.extended_correction)
+                                extended_correction=bool(args.extended_correction))
     # the trace is computed before anything is written, so a bad --initial or
     # --samples leaves no gate report behind
     trace = None
     if args.trace:
         initial = args.initial or "0" * report.schedule.system.num_sites
-        trace = trace_evolution(report.schedule, initial, samples=args.samples)
+        samples = 1000 if args.samples is None else args.samples
+        trace = trace_evolution(report.schedule, initial, samples=samples)
     payload = {
         "config": cfg.as_dict(),
         "gate": {"kind": spec.kind, "targets": list(spec.targets), "theta": spec.theta,
@@ -291,7 +305,7 @@ def _cmd_schedule(args, cfg: RunConfig) -> int:
     if args.action == "dump":
         spec = _build_spec(args, p)
         sched = gates.synthesize(spec, p, _requested_system(args),
-                                 extended_correction=args.extended_correction)
+                                 extended_correction=bool(args.extended_correction))
         _emit(_audit_lines(cfg) + schedule_to_text(sched, p), cfg.out)
         return 0
     with open(args.file) as fh:
@@ -334,11 +348,12 @@ def _add_gate_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=["exchange", "dipole", "combined"])
     sub.add_argument("--j-uev", type=float, help="exchange coupling in ueV")
     sub.add_argument("--d-nm", type=float, help="donor separation in nm")
-    sub.add_argument("--interaction-step-ns", type=float, default=0.01,
-                     help="interaction step used to pick J when --j-uev is absent")
-    sub.add_argument("--duration-ns", type=float, default=0.0, help="idle duration")
+    sub.add_argument("--interaction-step-ns", type=float,
+                     help="interaction step used to pick J when --j-uev is absent "
+                          "(default 0.01)")
+    sub.add_argument("--duration-ns", type=float, help="idle duration (default 0)")
     sub.add_argument("--qubits", type=int, help="system size (default: targets only)")
-    sub.add_argument("--extended-correction", action="store_true",
+    sub.add_argument("--extended-correction", action="store_true", default=None,
                      help="add one extra spectator wrap to the final cnot correction")
 
 
@@ -365,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument("--threshold", type=float, default=1.0 - 1e-4)
     gate.add_argument("--trace", help="write a population-trace CSV here")
     gate.add_argument("--initial", help="initial basis label for the trace")
-    gate.add_argument("--samples", type=int, default=1000)
+    gate.add_argument("--samples", type=int, help="trace samples (default 1000)")
     gate.set_defaults(func=_cmd_gate)
 
     table = subs.add_parser("table", help="regenerate a reference timing table")

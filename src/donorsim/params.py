@@ -7,7 +7,9 @@ frequencies in rad/s, fields in T, lengths in m.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
@@ -36,6 +38,26 @@ class InfeasibleDetuningError(ValueError):
     """Raised when a requested rotation needs a detuning outside the tunable range."""
 
 
+@functools.cache
+def _float_fields(cls) -> tuple[str, ...]:
+    """Names of the fields of dataclass cls that are annotated as floats."""
+    return tuple(f.name for f in fields(cls) if "float" in str(f.type))
+
+
+def _store_floats(obj) -> None:
+    """Store each real number given for a float field of a frozen dataclass as
+    a Python float.
+
+    Equal inputs then also compute with the same types (a numpy float32 would
+    make float32 arithmetic), so equal keys of the synthesis and propagator
+    caches stand for bit-identical results.
+    """
+    for name in _float_fields(type(obj)):
+        value = getattr(obj, name)
+        if type(value) is not float and value is not None and isinstance(value, numbers.Real):
+            object.__setattr__(obj, name, float(value))
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Fundamental constants (SI).  Fixed at construction, never mutated.
@@ -52,6 +74,7 @@ class PhysicalConstants:
     eps_0: float = 8.8541878128e-12    # vacuum permittivity, F/m
 
     def __post_init__(self):
+        _store_floats(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0.0):
@@ -88,6 +111,7 @@ class DeviceParameters:
     constants: PhysicalConstants = field(default=CONSTANTS)
 
     def __post_init__(self):
+        _store_floats(self)
         if self.a_min is None:
             object.__setattr__(self, "a_min", 0.5 * self.a0)
         for f in fields(self):

@@ -15,6 +15,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -60,6 +61,7 @@ class PulseSegment:
     detunings maps donor index -> detuning omega(A) - omega_ac in rad/s
     (equivalently the per-donor hyperfine setting; the schedule file format
     stores A/A0).  couplings maps donor pairs -> exchange energy J in J.
+    Both are read-only copies, so one segment can be shared by many schedules.
     """
 
     duration: float
@@ -69,21 +71,29 @@ class PulseSegment:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "detunings", dict(self.detunings))
-        object.__setattr__(self, "couplings",
-                           {tuple(sorted(k)): v for k, v in dict(self.couplings).items()})
-        controls = (self.duration, *self.detunings.values(), *self.couplings.values())
+        detunings = dict(self.detunings)
+        couplings = {tuple(sorted(k)): v for k, v in dict(self.couplings).items()}
+        controls = (self.duration, *detunings.values(), *couplings.values())
         if not all(math.isfinite(v) for v in controls):
             raise ValueError("segment duration, detunings and couplings must be finite")
         if self.duration < 0.0:
             raise ValueError("segment duration must be non-negative")
-        for j in self.couplings.values():
+        for j in couplings.values():
             if j < 0.0:
                 raise ValueError("exchange coupling must be non-negative")
-        _check_pairs(self.couplings, "exchange")
+        _check_pairs(couplings, "exchange")
+        object.__setattr__(self, "detunings", MappingProxyType(detunings))
+        object.__setattr__(self, "couplings", MappingProxyType(couplings))
 
     def with_label(self, label: str) -> "PulseSegment":
-        return replace(self, label=label)
+        """This segment under another label.
+
+        A label is not a control, so the already validated fields are copied
+        as they are instead of being checked again.
+        """
+        seg = object.__new__(type(self))
+        seg.__dict__.update(self.__dict__, label=label)
+        return seg
 
 
 @dataclass(frozen=True)
@@ -92,8 +102,9 @@ class PulseSchedule:
 
     All segments share one frame.  dipole maps donor pairs to an always-on
     dipole-dipole coupling D (J); unlike exchange it cannot be gated off, so it
-    applies during every segment.  declared_target is the ideal unitary the
-    schedule is meant to implement (None when unknown).
+    applies during every segment; the mapping is a read-only copy.
+    declared_target is the ideal unitary the schedule is meant to implement
+    (None when unknown).
     """
 
     segments: tuple[PulseSegment, ...]
@@ -113,8 +124,8 @@ class PulseSchedule:
         if self.frame == "lab" and self.carrier is None:
             raise ValueError("lab-frame schedules need the carrier frequency")
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "dipole",
-                           {tuple(sorted(k)): v for k, v in dict(self.dipole).items()})
+        object.__setattr__(self, "dipole", MappingProxyType(
+            {tuple(sorted(k)): v for k, v in dict(self.dipole).items()}))
         _check_pairs(self.dipole, "dipole", self.system)
         for seg in self.segments:
             for q in seg.detunings:

@@ -289,6 +289,35 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  id="dump_default_cnot_with_separation"),
     pytest.param(["gate", "--gate", "hadamard", "--d-nm", "30"], {},
                  "--d-nm does not apply to hadamard", id="hadamard_with_separation"),
+    pytest.param(["gate", "--gate", "x", "--extended-correction"], {},
+                 "--extended-correction does not apply to x: only cnot has a final correction",
+                 id="x_with_extended_correction"),
+    pytest.param(["schedule", "dump", "--gate", "swap", "--extended-correction"], {},
+                 "--extended-correction does not apply to swap",
+                 id="dump_swap_with_extended_correction"),
+    pytest.param(["gate", "--gate", "x", "--duration-ns", "5"], {},
+                 "--duration-ns does not apply to x: only idle takes a duration",
+                 id="x_with_duration"),
+    pytest.param(["schedule", "dump", "--gate", "cnot", "--duration-ns", "0"], {},
+                 "--duration-ns does not apply to cnot in exchange mode",
+                 id="dump_cnot_with_duration"),
+    pytest.param(["gate", "--gate", "x", "--interaction-step-ns", "3"], {},
+                 "--interaction-step-ns does not apply to x", id="x_with_interaction_step"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "dipole", "--interaction-step-ns", "3"],
+                 {}, "--interaction-step-ns does not apply to cnot in dipole mode",
+                 id="dipole_cnot_with_interaction_step"),
+    pytest.param(["gate", "--gate", "cnot", "--j-uev", "5", "--interaction-step-ns", "3"], {},
+                 "--interaction-step-ns does not apply to cnot in exchange mode: only swap "
+                 "and exchange or combined cnot without --j-uev pick J from it",
+                 id="cnot_with_coupling_and_interaction_step"),
+    pytest.param(["schedule", "dump", "--gate", "swap", "--j-uev", "5",
+                  "--interaction-step-ns", "3"], {},
+                 "--interaction-step-ns does not apply to swap",
+                 id="dump_swap_with_coupling_and_interaction_step"),
+    pytest.param(["gate", "--gate", "x", "--samples", "10"], {},
+                 "--samples does not apply without --trace", id="samples_without_trace"),
+    pytest.param(["gate", "--gate", "x", "--initial", "0"], {},
+                 "--initial does not apply without --trace", id="initial_without_trace"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""
@@ -299,6 +328,38 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "--gate", "cnot", "--extended-correction"],
+    ["gate", "--gate", "cnot", "--mode", "combined", "--interaction-step-ns", "0.02"],
+    ["gate", "--gate", "swap", "--interaction-step-ns", "0.02"],
+    ["gate", "--gate", "idle", "--duration-ns", "0"],
+    ["schedule", "dump", "--gate", "idle", "--duration-ns", "0"],
+    ["gate", "--gate", "x", "--samples", "1000", "--initial", "1", "--trace", "{tmp}/x.csv"],
+], ids=["cnot_extended", "combined_step", "swap_step", "idle_duration", "dump_idle_duration",
+        "trace_options"])
+def test_gate_options_in_use_are_accepted(tmp_path, capsys, argv):
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert code == 0 and capsys.readouterr().err == ""
+
+
+def test_option_defaults_match_explicit_values(tmp_path, capsys):
+    """The defaults applied inside equal the values they stand for, byte for byte."""
+    traces = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    run_cli(capsys, "gate", "--gate", "x", "--trace", str(traces[0]))
+    run_cli(capsys, "gate", "--gate", "x", "--trace", str(traces[1]), "--samples", "1000")
+    assert traces[0].read_bytes() == traces[1].read_bytes()
+    rows = [ln for ln in traces[0].read_text().splitlines() if ln[:1].isdigit()]
+    assert len(rows) == 1000
+    for implicit, explicit in [
+        (["gate", "--gate", "cnot"], ["--interaction-step-ns", "0.01"]),
+        (["gate", "--gate", "swap"], ["--interaction-step-ns", "0.01"]),
+        (["gate", "--gate", "idle"], ["--duration-ns", "0"]),
+        (["schedule", "dump", "--gate", "cnot", "--mode", "combined"],
+         ["--interaction-step-ns", "0.01"]),
+    ]:
+        assert run_cli(capsys, *implicit) == run_cli(capsys, *implicit, *explicit)
 
 
 @pytest.mark.parametrize("flags", [["--initial", "zz"], ["--samples", "1"]],

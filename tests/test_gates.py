@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from donorsim import gates
 from donorsim.analysis import gate_fidelity, spectator_fidelity
 from donorsim.gates import (
     CNOT_MATRIX,
@@ -30,7 +33,7 @@ from donorsim.gates import (
     _make_schedule,
 )
 from donorsim.params import DeviceParameters, InfeasibleDetuningError
-from donorsim.propagator import concat_schedules, execute_schedule
+from donorsim.propagator import PulseSegment, concat_schedules, execute_schedule
 from donorsim.spin_model import SpinSystem, embed
 
 # frozen from the closed forms (independent evaluation; see test_params for
@@ -145,7 +148,7 @@ def test_hadamard_durations_and_fidelity(p):
 
 def test_hadamard_squared_is_identity(p):
     # two uncorrected pulses plus one merged correction
-    segments = _hadamard_block(0, p) + _hadamard_block(0, p)
+    segments = [*_hadamard_block(0, p), *_hadamard_block(0, p)]
     from donorsim.gates import _deficit_after
 
     corr, _ = synth_correction(_deficit_after(segments, p), (0,), p)
@@ -525,3 +528,236 @@ def test_interaction_coupling(p):
     for bad in (0.0, -1e-11, math.inf, math.nan):
         with pytest.raises(ValueError, match="interaction step must be positive and finite"):
             interaction_coupling(bad, p)
+
+
+# ---------------------------------------------------------------------------
+# synthesis caches
+# ---------------------------------------------------------------------------
+
+_SYNTHESIS_CACHES = (gates._layout, gates._hadamard_block, gates._correction,
+                     gates._cnot_hadamard_step)
+
+
+def _clear_synthesis_caches():
+    for cache in _SYNTHESIS_CACHES:
+        cache.cache_clear()
+
+
+def _exact(x):
+    """A number with its type and every bit, so 1 != 1.0 and 0.0 != -0.0."""
+    return type(x).__name__, float(x).hex()
+
+
+def _fingerprint(sched):
+    """Everything synthesis decides, bit for bit, plus the executed unitary."""
+    segments = tuple(
+        (_exact(seg.duration), tuple((q, _exact(v)) for q, v in seg.detunings.items()),
+         tuple((pair, _exact(v)) for pair, v in seg.couplings.items()), seg.rf_on, seg.label)
+        for seg in sched.segments)
+    return (segments, tuple((pair, _exact(v)) for pair, v in sched.dipole.items()),
+            sched.system, _exact(sched.b_ac), _exact(sched.hbar), _exact(sched.mu_b),
+            sched.declared_target.tobytes(), execute_schedule(sched).unitary.tobytes())
+
+
+def _synth(spec, p, system=None, extended_correction=False, x_conjugation=True):
+    if spec.kind == "cnot":
+        return synth_cnot(spec.mode, *spec.targets, p, j=spec.j, d=spec.d, system=system,
+                          extended_correction=extended_correction,
+                          x_conjugation=x_conjugation)
+    return synthesize(spec, p, system, extended_correction)
+
+
+def _equal_values(v):
+    """Values equal to the float v (so sharing its cache key) of other types or signs."""
+    out = [np.float64(v)]
+    if v == int(v):
+        out += [int(v), np.int64(int(v))]
+    if float(np.float32(v)) == v:
+        out.append(np.float32(v))
+    if v == 0.0:
+        out.append(-v)
+    return out
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, -6.0, 0.5, 1.5, math.pi, -math.pi / 2]),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi, exclude_min=True, exclude_max=True))
+
+
+@st.composite
+def _synthesis_cases(draw):
+    """(spec, twin, system, extended_correction, x_conjugation): twin equals spec
+    but for the type or sign of one number."""
+    p = DeviceParameters()
+    donors = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("x", "y", "z", "hadamard", "idle")
+                                + (("cnot", "swap") if donors > 1 else ())))
+    fields = {}
+    if kind in ("x", "y", "z"):
+        fields["theta"] = draw(_ANGLES)
+        targets = (draw(st.integers(0, donors - 1)),)
+    elif kind in ("cnot", "swap"):
+        targets = tuple(draw(st.permutations(range(donors)))[:2])
+        mode = draw(st.sampled_from(("exchange", "dipole", "combined"))) if kind == "cnot" else None
+        if mode:
+            fields["mode"] = mode
+        if mode != "dipole":
+            fields["j"] = draw(st.floats(1.0, 10.0)) * _table_j(p)
+        if mode in ("dipole", "combined"):
+            fields["d"] = draw(st.floats(20e-9, 40e-9))
+    elif kind == "idle":
+        fields["duration"] = draw(st.integers(0, 3)) * spectator_period(p)
+        targets = (0,)
+    else:
+        targets = (draw(st.integers(0, donors - 1)),)
+    spec = GateSpec(kind, targets, **fields)
+    twin = spec
+    numbers = [name for name, v in fields.items() if isinstance(v, float)]
+    if numbers:
+        name = draw(st.sampled_from(numbers))
+        twin = GateSpec(kind, targets, **{**fields,
+                                          name: draw(st.sampled_from(_equal_values(fields[name])))})
+    system = draw(st.sampled_from((None, SpinSystem(donors))))
+    extended = draw(st.booleans()) if kind == "cnot" else False
+    x_conjugation = draw(st.booleans()) if kind == "cnot" else True
+    return spec, twin, system, extended, x_conjugation
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_synthesis_cases())
+def test_synthesis_cold_and_warm_are_bit_identical(p, case):
+    spec, twin, system, extended, x_conjugation = case
+    assert twin == spec
+    _clear_synthesis_caches()
+    cold = _fingerprint(_synth(spec, p, system, extended, x_conjugation))
+    assert _fingerprint(_synth(spec, p, system, extended, x_conjugation)) == cold
+    # an equal spec of other number types fills the entry spec then reads
+    _clear_synthesis_caches()
+    assert _fingerprint(_synth(twin, p, system, extended, x_conjugation)) == cold
+    assert _fingerprint(_synth(spec, p, system, extended, x_conjugation)) == cold
+
+
+def _key_pairs(p):
+    """Builds that differ in one input of the gate cache key, and in nothing else."""
+    j = _table_j(p)
+    x = GateSpec("x", (0,), theta=math.pi)
+    cnot = GateSpec("cnot", (0, 1), mode="combined", j=j, d=30e-9)
+    two = SpinSystem(2)
+    slow = dataclasses.replace(p.constants, hbar=p.constants.hbar * (1.0 + 1e-9))
+    return {
+        "theta": [(x, p, two, False, True),
+                  (GateSpec("x", (0,), theta=math.nextafter(math.pi, 4.0)), p, two, False, True)],
+        "kind": [(x, p, two, False, True), (GateSpec("y", (0,), theta=math.pi), p, two, False, True)],
+        "targets": [(cnot, p, two, False, True),
+                    (GateSpec("cnot", (1, 0), mode="combined", j=j, d=30e-9), p, two, False, True)],
+        "mode": [(GateSpec("cnot", (0, 1), mode="exchange", j=j, d=30e-9), p, two, False, True),
+                 (cnot, p, two, False, True)],
+        "j": [(cnot, p, two, False, True),
+              (GateSpec("cnot", (0, 1), mode="combined", j=2.0 * j, d=30e-9), p, two, False, True)],
+        "d": [(cnot, p, two, False, True),
+              (GateSpec("cnot", (0, 1), mode="combined", j=j, d=31e-9), p, two, False, True)],
+        "duration": [(GateSpec("idle", (0,), duration=spectator_period(p)), p, two, False, True),
+                     (GateSpec("idle", (0,), duration=2.0 * spectator_period(p)), p, two, False,
+                      True)],
+        "b_ac": [(x, p, two, False, True), (x, p.replace(b_ac=1.3e-3), two, False, True)],
+        "a_min": [(x, p, two, False, True), (x, p.replace(a_min=0.9 * p.a0), two, False, True)],
+        "b": [(x, p.replace(a_min=0.9 * p.a0), two, False, True),
+              (x, p.replace(a_min=0.9 * p.a0, b=0.05), two, False, True)],
+        "hbar": [(x, p, two, False, True), (x, p.replace(constants=slow), two, False, True)],
+        "system": [(x, p, two, False, True), (x, p, SpinSystem(3), False, True)],
+        "nuclei": [(x, p, two, False, True),
+                   (x, p, SpinSystem(2, include_nuclei=True), False, True)],
+        "extended_correction": [(cnot, p, two, False, True), (cnot, p, two, True, True)],
+        "x_conjugation": [(cnot, p, two, False, True), (cnot, p, two, False, False)],
+    }
+
+
+@pytest.mark.parametrize("which", list(_key_pairs(DeviceParameters())))
+def test_synthesis_cache_key_is_complete(p, which):
+    """Each build of a pair matches its own uncached build, in either order."""
+    pair = _key_pairs(p)[which]
+    references = []
+    for spec, dev, system, extended, x_conjugation in pair:
+        _clear_synthesis_caches()
+        references.append(_fingerprint(gates._build(spec, dev, system, extended, x_conjugation)))
+    assert references[0] != references[1]
+    for order in ((0, 1), (1, 0)):
+        _clear_synthesis_caches()
+        for k in order:
+            assert _fingerprint(gates._build(*pair[k])) == references[k]
+
+
+def test_synthesis_entries_are_shared_and_errors_are_not_cached(p):
+    _clear_synthesis_caches()
+    x = synth_x(1.0, 1, p)
+    assert synthesize(GateSpec("x", (1,), theta=1.0), p, SpinSystem(2)) is x
+    cnot = synth_cnot("exchange", 0, 1, p, j=_table_j(p), system=SpinSystem(3))
+    assert synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=_table_j(p)), p,
+                      SpinSystem(3)) is cnot
+    hits = gates._layout.cache_info().hits
+    compose_parallel([GateSpec("x", (1,), theta=1.0), GateSpec("hadamard", (0,))], p,
+                     SpinSystem(2))
+    assert gates._layout.cache_info().hits == hits + 1
+    bad = p.replace(a_min=p.a0)
+    size = gates._layout.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InfeasibleDetuningError, match="exceeds the bound"):
+            synth_hadamard(0, bad)
+    assert gates._layout.cache_info().currsize == size
+
+
+def test_equal_devices_share_entries_bit_for_bit():
+    """A device given numpy scalars equals one given floats and so shares its
+    cache entries; both must build the same bits."""
+    plain = DeviceParameters(b_ac=2.0**-10)
+    numpy_typed = DeviceParameters(b_ac=np.float32(2.0**-10), b=np.int64(2))
+    assert numpy_typed == plain
+    spec = GateSpec("cnot", (0, 1), mode="combined", j=_table_j(plain), d=30e-9)
+    references = []
+    for dev in (plain, numpy_typed):
+        _clear_synthesis_caches()
+        references.append(_fingerprint(synthesize(spec, dev)))
+    assert references[0] == references[1]
+
+
+def test_cached_synthesis_is_read_only_and_bounded(p):
+    sched = synth_cnot("combined", 0, 1, p, j=_table_j(p), d=30e-9)
+    assert synth_cnot("combined", 0, 1, p, j=_table_j(p), d=30e-9) is sched
+    with pytest.raises(ValueError, match="read-only"):
+        sched.declared_target[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        sched.dipole[(0, 1)] = 0.0
+    pulse = next(seg for seg in sched.segments if seg.detunings)
+    interaction = next(seg for seg in sched.segments if seg.couplings)
+    with pytest.raises(TypeError):
+        pulse.detunings[0] = 0.0
+    with pytest.raises(TypeError):
+        interaction.couplings[(0, 1)] = 0.0
+    assert compile_gate(GateSpec("x", (0,), theta=1.0), p).ideal.flags.writeable is False
+    for cache in _SYNTHESIS_CACHES:
+        assert 0 < cache.cache_info().maxsize <= 128
+    assert isinstance(_hadamard_block(0, p), tuple)
+
+
+def test_synth_correction_returns_a_fresh_list(p):
+    first, plan = synth_correction(1.0, (0,), p)
+    first.append(PulseSegment(duration=1e-9))
+    first[0] = PulseSegment(duration=2e-9)
+    again, plan_again = synth_correction(1.0, (0,), p)
+    assert len(again) == 1 and again[0].label == "correction" and plan_again == plan
+    assert again is not first
+
+
+def test_with_label_equals_replace(p):
+    for seg in synth_cnot("combined", 0, 1, p, j=_table_j(p), d=30e-9).segments:
+        relabelled = seg.with_label("renamed")
+        reference = dataclasses.replace(seg, label="renamed")
+        assert type(relabelled) is PulseSegment
+        for f in dataclasses.fields(PulseSegment):
+            assert getattr(relabelled, f.name) == getattr(reference, f.name)
+        assert relabelled == reference and relabelled.label == "renamed"
+        assert seg.label != "renamed"
+        with pytest.raises(TypeError):
+            relabelled.detunings[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            relabelled.label = "again"

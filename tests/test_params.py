@@ -71,6 +71,18 @@ def test_device_validation(kwargs):
         DeviceParameters(**kwargs)
 
 
+def test_real_fields_are_stored_as_floats():
+    """Numpy and integer inputs become Python floats, so equal parameter sets
+    compute with the same types; a numpy infinity is no longer let through."""
+    dev = DeviceParameters(b=np.int64(2), b_ac=np.float32(2.0**-10), a0=np.float64(2e-26))
+    assert dev == DeviceParameters(b=2.0, b_ac=2.0**-10, a0=2e-26)
+    for name in ("b", "b_ac", "a0", "a_min"):
+        assert type(getattr(dev, name)) is float
+    assert type(params.PhysicalConstants(hbar=np.float32(2.0**-112)).hbar) is float
+    with pytest.raises(ValueError, match="b must be finite"):
+        DeviceParameters(b=np.float32(math.inf))
+
+
 def test_resonant_frequency_zero_hyperfine(p):
     # both correction terms vanish at A = 0
     assert resonant_frequency(0.0, p) == pytest.approx(

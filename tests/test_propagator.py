@@ -244,6 +244,22 @@ def test_segment_validation():
             PulseSegment(duration=1e-9, couplings={(0, 1): bad})
 
 
+def test_segment_checks_hold_at_every_boundary(p):
+    """A relabel skips the checks; building a segment, here or from a file, does not."""
+    with pytest.raises(ValueError, match="must be finite"):
+        PulseSegment(duration=math.nan)
+    seg = PulseSegment(duration=1e-9, detunings={0: -1e8}, couplings={(1, 0): 1e-27})
+    assert seg.couplings == {(0, 1): 1e-27}
+    with pytest.raises(TypeError):
+        seg.detunings[0] = math.nan
+    header = "# donorsim schedule v1\nnum_donors = 2\n"
+    for line, message in [("segment duration_ns=nan rf=on", "must be finite"),
+                           ("segment duration_ns=-1 rf=on", "must be non-negative"),
+                           ("segment duration_ns=1 j_uev=0-1:-1 rf=on", "must be non-negative")]:
+        with pytest.raises(ValueError, match=f"^line 3: .*{message}"):
+            schedule_from_text(header + line + "\n", p)
+
+
 def test_segment_rejects_self_pair():
     with pytest.raises(ValueError, match="exchange pair 1-1 must name two different donors"):
         PulseSegment(duration=1e-9, couplings={(1, 1): 1e-27})
