@@ -18,11 +18,21 @@ discretization (and the same dt^2 error) at O(1) cost for SU(2) and O(log n)
 for the 4-dim step.  Callers make one kernel call per segment and refinement
 level, then re-unitarize the level's segment products in one stacked
 `nearest_unitary` call.
+
+Global control repeats pulses (identical tilted half-revolutions and
+resonant pi pulses within and across gates), so the 4-dim power
+(P(-delta) M)^n is memoized: `_strang_power` keeps the 128 most recent
+powers, keyed on the bytes of e_half and of (gx_e, phase_sign_e, gx_n,
+omega, dt) and on n, and computes each from its key alone, so a hit has the
+bits of a recomputation.  The commutator check and the telescope (which
+depends on t0 and chi) still run on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 
 import numpy as np
 
@@ -96,8 +106,24 @@ def donor4_strang_product(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, 
         raise ValueError("e_half does not commute with the drive's z-rotation")
     if n == 0:
         return np.eye(4, dtype=complex)
+    power = _strang_power(e_half.tobytes(), struct.pack("5d", gx_e, phase_sign_e, gx_n, omega, dt),
+                          int(n))
+    return _telescope(power, gen, omega, chi, t0, dt, n)
+
+
+@functools.lru_cache(maxsize=128)
+def _strang_power(e_half_bytes: bytes, scalars: bytes, n: int) -> np.ndarray:
+    """(P(-delta) M)^n of donor4_strang_product, read-only, from its cache key.
+
+    e_half_bytes is the C-order 4x4 complex matrix and scalars the packed
+    doubles (gx_e, phase_sign_e, gx_n, omega, dt).
+    """
+    e_half = np.frombuffer(e_half_bytes, dtype=complex).reshape(4, 4)
+    gx_e, phase_sign_e, gx_n, omega, dt = struct.unpack("5d", scalars)
+    gen = phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N
     # rot_e (x) rot_n as one outer product, the multiplications np.kron makes
     drive = (_rot2(gx_e * dt)[:, None, :, None] * _rot2(gx_n * dt)[None, :, None, :]).reshape(4, 4)
     step = e_half @ drive @ e_half
-    power = np.linalg.matrix_power(np.exp(0.5j * omega * dt * gen)[:, None] * step, int(n))
-    return _telescope(power, gen, omega, chi, t0, dt, n)
+    power = np.linalg.matrix_power(np.exp(0.5j * omega * dt * gen)[:, None] * step, n)
+    power.flags.writeable = False
+    return power

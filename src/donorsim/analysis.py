@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -163,13 +164,25 @@ def _donor_segments(schedule: PulseSchedule, donor: int):
         yield seg.duration, seg.detunings.get(donor, 0.0), seg.rf_on
 
 
+@functools.lru_cache(maxsize=128)
+def _static_eigensystem(a_phys: float, p: DeviceParameters):
+    """Read-only (eigenvalues, eigenvectors, adjoint) of single_donor_static(a_phys, p)."""
+    w_static, v_static = np.linalg.eigh(single_donor_static(a_phys, p))
+    v_adj = v_static.conj().T
+    for array in (w_static, v_static, v_adj):
+        array.flags.writeable = False
+    return w_static, v_static, v_adj
+
+
 def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
                    include_nuclear_drive: bool):
     """Lab-frame propagator of one donor's electron (x) nucleus pair, as a
     function of the steps per carrier period.
 
-    Each timed segment's static eigensystem is computed once, here; each call
-    of the returned function makes one kernel call per timed segment.
+    Each timed segment's static eigensystem is looked up once per call, here,
+    in the process-wide `_static_eigensystem` cache (128 entries, keyed on the
+    hyperfine value and the device); each call of the returned function makes
+    one kernel call per timed segment, whose n-step power the kernel memoizes.
     """
     c = p.constants
     w_ac = carrier_frequency(p)
@@ -184,8 +197,7 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
             # shift; the physical hyperfine value that produces the same
             # generalized Rabi frequency sits at half that resonance offset
             a_phys = hyperfine_for_frequency(w_ac + 2.0 * dw, p)
-            w_static, v_static = np.linalg.eigh(single_donor_static(a_phys, p))
-            timed.append((t0, duration, w_static, v_static, v_static.conj().T, rf_on))
+            timed.append((t0, duration, *_static_eigensystem(a_phys, p), rf_on))
         t0 += duration
     pieces = [None] * len(timed)
 

@@ -128,6 +128,15 @@ class DeviceParameters:
             raise ValueError("eps_r must be >= 1")
         if self.alignment not in ("x", "y", "z"):
             raise ValueError("alignment must be one of 'x', 'y', 'z'")
+        # hashed once, since every gate, propagator and oracle cache lookup
+        # hashes the device; the alignment enters as its axis index, not as a
+        # str (whose hash differs between processes), so a pickled copy's
+        # stored hash stays valid
+        values = tuple(getattr(self, f.name) for f in fields(self) if f.name != "alignment")
+        object.__setattr__(self, "_hash", hash((values, "xyz".index(self.alignment))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def transverse_energy(self) -> float:

@@ -238,8 +238,12 @@ def _refine(propagate, tol: float, ceiling: int, what: str) -> np.ndarray:
 
     propagate(s) is the unitary at s steps per carrier period.  Starting at 64,
     s doubles until the result moves by at most tol in max-norm; the finer of
-    the last two results is returned.  RuntimeError once s passes the ceiling.
+    the last two results is returned.  ValueError, before any level is
+    computed, unless tol is finite and positive; RuntimeError once s passes
+    the ceiling.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{what} tolerance must be finite and positive, got {tol!r}")
     steps = 64
     coarse = propagate(steps)
     while True:

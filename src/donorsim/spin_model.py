@@ -199,10 +199,22 @@ def hyperfine_dot(e_site: int, n_site: int, num_sites: int) -> np.ndarray:
 # single-donor Hamiltonians
 # ---------------------------------------------------------------------------
 
+@cache
+def _donor_ops() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_z^e, sigma_z^n and sigma_e . sigma_n on electron (x) nucleus, read-only."""
+    return (_read_only(pauli_on(E_SZ, 0, 2)), _read_only(pauli_on(SZ, 1, 2)),
+            _read_only(hyperfine_dot(0, 1, 2)))
+
+
 def single_donor_static(a: float, p: DeviceParameters) -> np.ndarray:
     """Static donor Hamiltonian on electron (x) nucleus (4-dim), no drive.
 
     mu_B B sigma_z^e - g_n mu_n B sigma_z^n + A sigma_e . sigma_n
+
+    The three operators are embedded once per process and cached read-only
+    (`_donor_ops`), as `rotating_hamiltonian` does with its basis; they are
+    exactly what pauli_on and hyperfine_dot return, so the sum is bit for bit
+    the per-term one.
 
     A is taken signed.  The frozen-nucleus oracle reads a detuning dw as
     A = hyperfine_for_frequency(omega_ac + 2 dw): its extended branch already
@@ -212,9 +224,10 @@ def single_donor_static(a: float, p: DeviceParameters) -> np.ndarray:
     if not math.isfinite(a):
         raise ValueError("hyperfine energy must be finite")
     c = p.constants
-    h = c.mu_b * p.b * pauli_on(E_SZ, 0, 2)
-    h -= c.g_n * c.mu_n * p.b * pauli_on(SZ, 1, 2)
-    h += a * hyperfine_dot(0, 1, 2)
+    sz_e, sz_n, hyperfine = _donor_ops()
+    h = c.mu_b * p.b * sz_e
+    h -= c.g_n * c.mu_n * p.b * sz_n
+    h += a * hyperfine
     return h
 
 

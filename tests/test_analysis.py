@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from donorsim import _kernels
+from donorsim import DeviceParameters, _kernels, spin_model
 from donorsim.analysis import (
     SWEEP_FIELDS,
     SWEEP_METRICS,
     _donor4_levels,
+    _static_eigensystem,
     frozen_nucleus_check,
     gate_fidelity,
     lab_realization,
@@ -173,6 +175,22 @@ def test_frozen_nucleus_convergence_error_reports_progress(p):
         frozen_nucleus_check(sched, p, tol=1e-300)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_frozen_nucleus_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
+    """A tolerance that is not finite and positive fails before any level runs."""
+    sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
+
+    def no_kernel(*args):
+        raise AssertionError("a refinement level ran")
+
+    monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
+    message = f"nuclear oracle tolerance must be finite and positive, got {tol!r}"
+    with pytest.raises(ValueError, match=message):
+        frozen_nucleus_check(sched, p, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        nuclear_flip_probability(sched, p, tol=tol)
+
+
 @pytest.mark.parametrize("donor", [5, -1])
 def test_frozen_nucleus_rejects_absent_donor(p, donor):
     sched = synth_x(math.pi, 0, p, SpinSystem(1))
@@ -230,7 +248,71 @@ def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nucle
     sched = make(p)
     u = _refine(_donor4_levels(sched, 0, p, include_nuclear_drive), 1e-6, 1 << 16,
                 "nuclear oracle")
+    # the reference computes every power afresh, not from the entries u left behind
+    _kernels._strang_power.cache_clear()
     assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
+
+
+def _clear_oracle_caches():
+    _kernels._strang_power.cache_clear()
+    _static_eigensystem.cache_clear()
+    spin_model._donor_ops.cache_clear()
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["x", "y", "hadamard"]),
+       theta=st.floats(min_value=0.05, max_value=2.0 * math.pi),
+       include_nuclear_drive=st.booleans())
+def test_frozen_nucleus_cache_state_changes_no_bit(kind, theta, include_nuclear_drive):
+    """Cache-cold and cache-warm oracle calls give the same bits, also when the
+    warm caches hold the entries of the other drive setting."""
+    p = DeviceParameters()
+    one = SpinSystem(1)
+    sched = {"x": lambda: synth_x(theta, 0, p, one), "y": lambda: synth_y(theta, 0, p, one),
+             "hadamard": lambda: synth_hadamard(0, p, one)}[kind]()
+
+    def unitary(drive):
+        return _refine(_donor4_levels(sched, 0, p, drive), 1e-6, 1 << 16,
+                       "nuclear oracle").tobytes()
+
+    def check(drive):
+        return [x.hex() for x in frozen_nucleus_check(sched, p, include_nuclear_drive=drive)]
+
+    drives = (include_nuclear_drive, not include_nuclear_drive)
+    cold = {}
+    for drive in drives:
+        _clear_oracle_caches()
+        u = unitary(drive)
+        _clear_oracle_caches()
+        cold[drive] = u, check(drive)
+    for drive in drives:
+        assert (unitary(drive), check(drive)) == cold[drive]
+
+
+def test_frozen_nucleus_power_cache_dedupes_segments(p, monkeypatch):
+    """A Y gate's repeated pulses cost one power per distinct (segment, level)."""
+    sched = synth_y(4.7, 0, p, SpinSystem(1))
+    timed = [seg for seg in sched.segments if seg.duration > 0.0]
+    distinct = {(seg.duration, tuple(seg.detunings.items()), seg.rf_on) for seg in timed}
+    assert (len(timed), len(distinct)) == (9, 3)
+    calls = []
+    kernel = _kernels.donor4_strang_product
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "donor4_strang_product", counted)
+    _clear_oracle_caches()
+    cold = frozen_nucleus_check(sched, p)
+    levels, rest = divmod(len(calls), len(timed))
+    assert rest == 0 and levels >= 2
+    assert _kernels._strang_power.cache_info().misses == len(distinct) * levels
+    assert _static_eigensystem.cache_info().misses == len(distinct)
+    assert frozen_nucleus_check(sched, p) == cold
+    assert _kernels._strang_power.cache_info().misses == len(distinct) * levels
+    assert _static_eigensystem.cache_info().misses == len(distinct)
+    assert len(calls) == 2 * levels * len(timed)
 
 
 def test_nuclear_flip_zero_duration(p):

@@ -83,6 +83,22 @@ def test_real_fields_are_stored_as_floats():
         DeviceParameters(b=np.float32(math.inf))
 
 
+def test_device_hash_is_stored_and_tracks_fields(p):
+    """The hash is taken once; equal devices hash equal, replace() rehashes,
+    and a pickled copy keeps an equal hash."""
+    import pickle
+
+    assert DeviceParameters() == p and hash(DeviceParameters()) == hash(p)
+    changed = p.replace(b=1.5)
+    assert changed != p
+    assert hash(changed) == hash(DeviceParameters(b=1.5))
+    assert hash(changed.replace(b=p.b)) == hash(p)
+    assert changed.replace(b=p.b) == p
+    assert "_hash" not in repr(p)
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and hash(copy) == hash(p)
+
+
 def test_resonant_frequency_zero_hyperfine(p):
     # both correction terms vanish at A = 0
     assert resonant_frequency(0.0, p) == pytest.approx(

@@ -315,6 +315,21 @@ def test_lab_convergence_error_reports_progress(p):
         execute_schedule(lab, lab_tol=1e-300)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_lab_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
+    """A tolerance that is not finite and positive fails before any level runs."""
+    seg = PulseSegment(duration=1e-9, detunings={0: -0.4 * max_detuning(p)})
+    lab = _schedule([seg], p, frame="lab", carrier=carrier_frequency(p))
+
+    def no_kernel(*args):
+        raise AssertionError("a refinement level ran")
+
+    monkeypatch.setattr(_kernels, "su2_lab_product", no_kernel)
+    with pytest.raises(ValueError, match=f"lab-frame integration tolerance must be finite "
+                                         f"and positive, got {tol!r}"):
+        execute_schedule(lab, lab_tol=tol)
+
+
 def test_lab_frame_rejects_couplings(p):
     seg = PulseSegment(duration=1e-9, couplings={(0, 1): 1e-27})
     lab = _schedule([seg], p, n=2, frame="lab", carrier=carrier_frequency(p))
