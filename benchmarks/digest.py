@@ -1,0 +1,89 @@
+"""Digest every result of one benchmark workload's op stream, one line per op.
+
+    python benchmarks/digest.py compile 1 2 3 --ops 700
+    python benchmarks/digest.py lab_verify 1 301 --ops 700
+    python benchmarks/digest.py session 1 3 7 11 301 302 303 2024
+
+For each seed, builds the workload from `perfbench/workloads.py` (read, not
+changed), runs its ops in order and prints one line per op:
+
+    compile, lab_verify:  <seed> <index> <failures> <digest> <label>
+    session:              <seed> <index> <exit code> <sha256 of its outputs> <label>
+
+compile and lab_verify run their first N ops (--ops, default 700) and print
+the op's own digest: for compile the executed unitary with its gate and
+spectator fidelities; for lab_verify the frame-mapped lab unitaries with their
+infidelities and max-norm errors, or the oracle's nuclear flip probability
+and electron deviation.  session runs every command of its fixed list once
+through `donorsim.cli.main` in a fresh temporary directory and hashes the
+`--out` file followed by the `--trace` CSV, if the command writes one; it
+takes no --ops.  The package is imported from this checkout's `src`, so
+running the script in two checkouts and diffing the results shows whether
+they compute and write the same bits.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from donorsim import cli  # noqa: E402
+from workloads import CompileWorkload, LabVerifyWorkload, SessionWorkload  # noqa: E402
+
+
+def op_digests(workload_class, seed: int, ops: int):
+    """Yield (index, failure count, digest hex, label) for each of the first ops ops."""
+    workload = workload_class(seed)
+    for idx in range(ops):
+        op = workload.op(idx)
+        outcome = op.run()
+        yield idx, len(outcome.failures), outcome.digest.hex(), op.label
+
+
+def session_digests(seed: int):
+    """Yield (index, exit code, sha256 hex, label) for each session command."""
+    with tempfile.TemporaryDirectory() as workdir:
+        for idx, (label, argv, outputs) in enumerate(SessionWorkload(seed, workdir).commands):
+            code = cli.main(list(argv))
+            h = hashlib.sha256()
+            for path in outputs:
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+            yield idx, code, h.hexdigest(), label
+
+
+OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("workload", choices=[*OP_WORKLOADS, "session"])
+    parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
+    parser.add_argument("--ops", type=int,
+                        help="ops per seed, in the workload's order (default 700; "
+                             "compile and lab_verify only)")
+    args = parser.parse_args(argv)
+    if args.workload == "session":
+        if args.ops is not None:
+            parser.error("--ops does not apply to session: it runs its fixed command list")
+        for seed in args.seeds:
+            for idx, code, digest, label in session_digests(seed):
+                print(f"{seed} {idx:02d} {code} {digest} {label}")
+        return 0
+    ops = 700 if args.ops is None else args.ops
+    if ops < 0:
+        parser.error("--ops must be non-negative")
+    for seed in args.seeds:
+        for idx, failures, digest, label in op_digests(OP_WORKLOADS[args.workload], seed, ops):
+            print(f"{seed} {idx:04d} {failures} {digest} {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -15,9 +15,10 @@ delta = w*dt.  The n-step product therefore collapses exactly to
 
 which both kernels evaluate in closed form instead of stepping: the same
 discretization (and the same dt^2 error) at O(1) cost for SU(2) and O(log n)
-for the 4-dim step.  Callers make one kernel call per segment and refinement
-level, then re-unitarize the level's segment products in one stacked
-`nearest_unitary` call.
+for the 4-dim step.  Both callers, the lab frame and the frozen-nucleus
+oracle, run through one level driver, `propagator._lab_levels`: it makes one
+kernel call per stepped segment and refinement level, then re-unitarizes the
+level's segment products in one stacked `nearest_unitary` call.
 
 Global control repeats pulses (identical tilted half-revolutions and
 resonant pi pulses within and across gates), so the 4-dim power

@@ -27,9 +27,9 @@ from .params import (
 from .propagator import (
     PulseSchedule,
     PulseSegment,
-    _level_product,
+    _lab_levels,
     _refine,
-    _segment_steps,
+    _timed_segments,
     execute_schedule,
     validate_schedule_controls,
 )
@@ -157,13 +157,6 @@ def lab_realization(schedule: PulseSchedule, p: DeviceParameters) -> PulseSchedu
     return schedule.replace(frame="lab", carrier=carrier_frequency(p))
 
 
-def _donor_segments(schedule: PulseSchedule, donor: int):
-    for seg in schedule.segments:
-        if any(seg.couplings.values()):
-            raise ValueError("the nuclear oracle covers single-qubit schedules only")
-        yield seg.duration, seg.detunings.get(donor, 0.0), seg.rf_on
-
-
 @functools.lru_cache(maxsize=128)
 def _static_eigensystem(a_phys: float, p: DeviceParameters):
     """Read-only (eigenvalues, eigenvectors, adjoint) of single_donor_static(a_phys, p)."""
@@ -177,42 +170,37 @@ def _static_eigensystem(a_phys: float, p: DeviceParameters):
 def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
                    include_nuclear_drive: bool):
     """Lab-frame propagator of one donor's electron (x) nucleus pair, as a
-    function of the steps per carrier period.
+    function of the steps per carrier period (see propagator._lab_levels).
 
     Each timed segment's static eigensystem is looked up once per call, here,
     in the process-wide `_static_eigensystem` cache (128 entries, keyed on the
-    hyperfine value and the device); each call of the returned function makes
-    one kernel call per timed segment, whose n-step power the kernel memoizes.
+    hyperfine value and the device); each level makes one kernel call per
+    timed segment, rf-off ones included (with zero drive), whose n-step power
+    the kernel memoizes.
     """
+    if any(any(seg.couplings.values()) for seg in schedule.segments):
+        raise ValueError("the nuclear oracle covers single-qubit schedules only")
     c = p.constants
     w_ac = carrier_frequency(p)
-    period = 2.0 * math.pi / w_ac
     gx_e = p.transverse_energy / c.hbar
     gx_n = -c.g_n * c.mu_n * p.b_ac / c.hbar if include_nuclear_drive else 0.0
-    timed = []   # (start, duration, eigenvalues, eigenvectors, adjoint, rf_on)
-    t0 = 0.0
-    for duration, dw, rf_on in _donor_segments(schedule, donor):
-        if duration > 0.0:
-            # the schedule's detuning convention counts the full level-splitting
-            # shift; the physical hyperfine value that produces the same
-            # generalized Rabi frequency sits at half that resonance offset
-            a_phys = hyperfine_for_frequency(w_ac + 2.0 * dw, p)
-            timed.append((t0, duration, *_static_eigensystem(a_phys, p), rf_on))
-        t0 += duration
-    pieces = [None] * len(timed)
 
-    def level(steps_per_period: int) -> np.ndarray:
-        products = []
-        for start, duration, w_static, v_static, v_adj, rf_on in timed:
-            n = _segment_steps(duration, period, steps_per_period)
-            dt = duration / n
+    def strang(w_static, v_static, v_adj, rf_on):
+        def step(t0, dt, n):
             e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * c.hbar)))) @ v_adj
-            products.append(_kernels.donor4_strang_product(
+            return _kernels.donor4_strang_product(
                 e_half, gx_e if rf_on else 0.0, -1.0, gx_n if rf_on else 0.0,
-                w_ac, schedule.rf_phase, start, dt, n))
-        return _level_product(pieces, products, 4)
+                w_ac, schedule.rf_phase, t0, dt, n)
+        return step
 
-    return level
+    timed = []
+    for start, seg in _timed_segments(schedule):
+        # the schedule's detuning convention counts the full level-splitting
+        # shift; the physical hyperfine value that produces the same
+        # generalized Rabi frequency sits at half that resonance offset
+        a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(donor, 0.0), p)
+        timed.append((start, seg.duration, strang(*_static_eigensystem(a_phys, p), seg.rf_on)))
+    return _lab_levels(timed, 2.0 * math.pi / w_ac, 4)
 
 
 def frozen_nucleus_check(

@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, gates
 from .params import DeviceParameters, load_device_parameters
 from .propagator import (
+    _NotConverged,
     execute_schedule,
     schedule_from_text,
     schedule_to_text,
@@ -410,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # the one place where bad input (files, values, infeasible or unsupported
-    # requests) becomes a one-line message and exit code 2;
-    # InfeasibleDetuningError is a ValueError
+    # requests, a schedule whose refinement does not converge) becomes a
+    # one-line message and exit code 2; InfeasibleDetuningError is a ValueError
     try:
         if args.config:
             with open(args.config) as fh:
@@ -420,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
             device = DeviceParameters()
         cfg = RunConfig(device=device, seed=args.seed, fmt=args.format, out=args.out)
         return args.func(args, cfg)
-    except (OSError, ValueError, NotImplementedError) as exc:
+    except (OSError, ValueError, NotImplementedError, _NotConverged) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2
 

@@ -213,24 +213,42 @@ def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
     return u
 
 
-def _segment_steps(duration: float, period: float, steps_per_period: int) -> int:
-    """Steps of one lab-frame segment: steps_per_period per carrier period, at least 16."""
-    return max(int(math.ceil(duration / period * steps_per_period)), 16)
+def _timed_segments(schedule: PulseSchedule):
+    """(start, segment) of each segment of positive duration, on one global clock."""
+    t0 = 0.0
+    for seg in schedule.segments:
+        if seg.duration > 0.0:
+            yield t0, seg
+        t0 += seg.duration
 
 
-def _level_product(pieces: list, products: list, dim: int) -> np.ndarray:
-    """Time-ordered product of one refinement level's segment unitaries.
+def _lab_levels(timed: list, period: float, dim: int):
+    """A lab-frame evolution as a function of the steps per carrier period.
 
-    products are the level's kernel results, re-unitarized here in one stacked
-    nearest_unitary call (each matrix still projected on its own).  pieces
-    lists the timed segments in order: None stands for the next of the
-    products, anything else is a fixed unitary.
+    timed lists (start, duration, step) per timed segment in time order; step
+    is a fixed unitary or step(t0, dt, n), the segment's n-step kernel product
+    from global time t0.  Each level steps every segment at steps_per_period
+    per carrier period (at least 16), re-unitarizes the stepped products in
+    one stacked nearest_unitary call (each matrix still projected on its own)
+    and returns their time-ordered product with the fixed unitaries.
     """
-    projected = iter(_kernels.nearest_unitary(np.array(products)) if products else ())
-    u = np.eye(dim, dtype=complex)
-    for piece in pieces:
-        u = (next(projected) if piece is None else piece) @ u
-    return u
+    def level(steps_per_period: int) -> np.ndarray:
+        products = []
+        for start, duration, step in timed:
+            if callable(step):
+                n = max(int(math.ceil(duration / period * steps_per_period)), 16)
+                products.append(step(start, duration / n, n))
+        projected = iter(_kernels.nearest_unitary(np.array(products)) if products else ())
+        u = np.eye(dim, dtype=complex)
+        for _, _, step in timed:
+            u = (next(projected) if callable(step) else step) @ u
+        return u
+
+    return level
+
+
+class _NotConverged(RuntimeError):
+    """An adaptive refinement passed its step ceiling without converging."""
 
 
 def _refine(propagate, tol: float, ceiling: int, what: str) -> np.ndarray:
@@ -239,8 +257,8 @@ def _refine(propagate, tol: float, ceiling: int, what: str) -> np.ndarray:
     propagate(s) is the unitary at s steps per carrier period.  Starting at 64,
     s doubles until the result moves by at most tol in max-norm; the finer of
     the last two results is returned.  ValueError, before any level is
-    computed, unless tol is finite and positive; RuntimeError once s passes
-    the ceiling.
+    computed, unless tol is finite and positive; _NotConverged (a
+    RuntimeError) once s passes the ceiling.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"{what} tolerance must be finite and positive, got {tol!r}")
@@ -254,7 +272,7 @@ def _refine(propagate, tol: float, ceiling: int, what: str) -> np.ndarray:
         steps *= 2
         coarse = fine
         if steps > ceiling:
-            raise RuntimeError(
+            raise _NotConverged(
                 f"{what} did not converge to {tol} in max-norm: last "
                 f"difference {diff:.3e} at {steps} steps per carrier period"
             )
@@ -262,38 +280,26 @@ def _refine(propagate, tol: float, ceiling: int, what: str) -> np.ndarray:
 
 def _lab_donor_levels(schedule: PulseSchedule, donor: int):
     """One donor's lab-frame evolution across all segments (global clock), as a
-    function of the steps per carrier period.
+    function of the steps per carrier period (see _lab_levels).
 
-    The per-segment setup is done once, here; each call of the returned
-    function makes one kernel call per driven segment.
+    Driven segments step with the SU(2) kernel; rf-off segments are their
+    free precession, computed once, here.
     """
     w_ac = schedule.carrier
     ax = schedule.transverse_energy / schedule.hbar
-    period = 2.0 * math.pi / w_ac
-    driven = []   # (start, duration, az) of each driven segment
-    pieces = []   # per timed segment: None when driven, else its free precession
-    t0 = 0.0
-    for seg in schedule.segments:
-        if seg.duration > 0.0:
-            # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw)
-            az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
-            if seg.rf_on:
-                driven.append((t0, seg.duration, az))
-                pieces.append(None)
-            else:
-                phase = az * seg.duration
-                pieces.append(np.diag([np.exp(-1j * phase), np.exp(1j * phase)]))
-        t0 += seg.duration
 
-    def level(steps_per_period: int) -> np.ndarray:
-        products = []
-        for start, duration, az in driven:
-            n = _segment_steps(duration, period, steps_per_period)
-            products.append(_kernels.su2_lab_product(az, ax, -w_ac, -schedule.rf_phase,
-                                                     start, duration / n, n))
-        return _level_product(pieces, products, 2)
+    def driven(az):
+        return lambda t0, dt, n: _kernels.su2_lab_product(az, ax, -w_ac, -schedule.rf_phase,
+                                                          t0, dt, n)
 
-    return level
+    timed = []
+    for start, seg in _timed_segments(schedule):
+        # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw)
+        az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
+        phase = az * seg.duration
+        timed.append((start, seg.duration, driven(az) if seg.rf_on
+                      else np.diag([np.exp(-1j * phase), np.exp(1j * phase)])))
+    return _lab_levels(timed, 2.0 * math.pi / w_ac, 2)
 
 
 def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
@@ -409,15 +415,9 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
     if samples < 2:
         raise ValueError("need at least 2 samples")
 
-    eigs = []
-    starts = []
-    t_acc = 0.0
-    for seg in schedule.segments:
-        if seg.duration == 0.0:
-            continue
-        eigs.append(_eigensystem(*_segment_key(schedule, seg)))
-        starts.append(t_acc)
-        t_acc += seg.duration
+    timed = list(_timed_segments(schedule))
+    starts = [start for start, _ in timed]
+    eigs = [_eigensystem(*_segment_key(schedule, seg)) for _, seg in timed]
     times = np.linspace(0.0, total, samples)
     # segment of each sample: the last one starting at or before it (a sample
     # within 1e-18 of the total below a start already counts as in it)

@@ -444,7 +444,7 @@ def to_rotating_frame(
     R(0) is the identity.  The map is unitary; dimensions must match.
     """
     if system is None:
-        num = round(np.log2(obj.shape[0]))
+        num = obj.shape[0].bit_length() - 1
         if 2**num != obj.shape[0] or not 1 <= num <= 3:
             raise ValueError("cannot infer spin system; pass one explicitly")
         system = SpinSystem(num_donors=num)

@@ -236,12 +236,26 @@ def _oracle_reference(schedule, donor, p, tol, include_nuclear_drive):
         assert steps <= 1 << 16
 
 
+def _rf_off_and_empty_schedule(p):
+    """Rotating-frame twin of test_propagator's rf-off and zero-duration lab
+    schedule, with its detunings made non-positive to stay within the device bound."""
+    dw = max_detuning(p)
+    segments = (PulseSegment(duration=0.0, detunings={0: -0.2 * dw}),
+                PulseSegment(duration=0.5e-9, detunings={0: -0.6 * dw}),
+                PulseSegment(duration=0.3e-9, detunings={0: -0.4 * dw}, rf_on=False),
+                PulseSegment(duration=0.0, rf_on=False),
+                PulseSegment(duration=0.8e-9, detunings={0: -0.1 * dw}),
+                PulseSegment(duration=0.2e-9, rf_on=False))
+    return synth_x(math.pi, 0, p, SpinSystem(1)).replace(segments=segments, declared_target=None)
+
+
 @pytest.mark.parametrize("include_nuclear_drive", [False, True], ids=["electron_drive",
                                                                       "nuclear_drive"])
 @pytest.mark.parametrize("make", [
     pytest.param(lambda p: synth_hadamard(0, p, SpinSystem(1)), id="hadamard"),
     pytest.param(lambda p: synth_x(2.1, 0, p, SpinSystem(1)), id="x_theta"),
     pytest.param(lambda p: synth_y(4.7, 0, p, SpinSystem(1)), id="y_theta"),
+    pytest.param(_rf_off_and_empty_schedule, id="rf_off_and_zero_duration"),
 ])
 def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nuclear_drive):
     """Per-call eigensystems and one stacked projection per level change no bit."""

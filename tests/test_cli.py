@@ -153,6 +153,11 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  "exceeds", id="a_out_of_range"),
     pytest.param(["schedule", "load", "{tmp}/absent.sched"], {}, "absent.sched",
                  id="missing_file"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "frame = lab\nnum_donors = 1\nsegment duration_ns=1000000 "
+                             "a_over_a0=0:0.9 rf=on label='long'\n"},
+                 "schedule failed: lab-frame integration did not converge to 1e-09",
+                 id="lab_refinement_does_not_converge"),
     pytest.param(["--config", "{tmp}/dev.cfg", "table", "II"], {"dev.cfg": "b_ac = abc\n"},
                  "b_ac", id="non_numeric_config"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],

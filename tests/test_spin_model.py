@@ -299,6 +299,9 @@ def test_frame_map_identity_and_norm(p, rng):
     assert abs(np.linalg.norm(mapped) - 1.0) <= 1e-12
     with pytest.raises(ValueError):
         to_rotating_frame(psi, 0.0, p, SpinSystem(1))
+    for dim in (0, 16):
+        with pytest.raises(ValueError, match="cannot infer spin system"):
+            to_rotating_frame(np.zeros((dim, dim)), 0.0, p)
 
 
 def test_frame_map_skips_nuclei(p):
