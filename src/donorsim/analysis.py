@@ -13,6 +13,7 @@ import numpy as np
 from . import _kernels, gates
 from .params import (
     _CONFIG_FIELDS,
+    _UEV,
     CONSTANTS,
     DeviceParameters,
     PhysicalConstants,
@@ -176,18 +177,23 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
     in the process-wide `_static_eigensystem` cache (128 entries, keyed on the
     hyperfine value and the device); each level makes one kernel call per
     timed segment, rf-off ones included (with zero drive), whose n-step power
-    the kernel memoizes.
+    the kernel memoizes.  The drive comes from the schedule, as in the
+    electron-only reference; the device sets the carrier and the static
+    Hamiltonian, so a lab-frame schedule must run at the device carrier.
     """
     if any(any(seg.couplings.values()) for seg in schedule.segments):
         raise ValueError("the nuclear oracle covers single-qubit schedules only")
-    c = p.constants
     w_ac = carrier_frequency(p)
-    gx_e = p.transverse_energy / c.hbar
-    gx_n = -c.g_n * c.mu_n * p.b_ac / c.hbar if include_nuclear_drive else 0.0
+    if schedule.frame == "lab" and schedule.carrier != w_ac:
+        raise ValueError(f"the nuclear oracle runs at the device carrier {w_ac!r} rad/s; "
+                         f"the schedule's carrier is {schedule.carrier!r} rad/s")
+    c, hbar = p.constants, schedule.hbar
+    gx_e = schedule.transverse_energy / hbar
+    gx_n = -c.g_n * c.mu_n * schedule.b_ac / hbar if include_nuclear_drive else 0.0
 
     def strang(w_static, v_static, v_adj, rf_on):
         def step(t0, dt, n):
-            e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * c.hbar)))) @ v_adj
+            e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * hbar)))) @ v_adj
             return _kernels.donor4_strang_product(
                 e_half, gx_e if rf_on else 0.0, -1.0, gx_n if rf_on else 0.0,
                 w_ac, schedule.rf_phase, t0, dt, n)
@@ -229,8 +235,10 @@ def frozen_nucleus_check(
     fine = _refine(_donor4_levels(schedule, donor, p, include_nuclear_drive), tol, 1 << 16,
                    "nuclear oracle")
 
-    # electron-only reference: the donor's local rotating-frame schedule
+    # electron-only reference: the donor's local rotating-frame schedule, also
+    # for a lab-frame input, since the oracle's result is mapped to that frame
     local = schedule.replace(
+        frame="rotating",
         system=SpinSystem(num_donors=1),
         segments=tuple(
             PulseSegment(
@@ -312,11 +320,11 @@ def _metric_max_detuning_rad_s(p: DeviceParameters) -> float:
 
 
 def _metric_exchange_uev(p: DeviceParameters) -> float:
-    return exchange_strength(p.d, p) / 1.602176634e-25
+    return exchange_strength(p.d, p) / _UEV
 
 
 def _metric_dipole_uev(p: DeviceParameters) -> float:
-    return dipole_strength(p.d, p) / 1.602176634e-25
+    return dipole_strength(p.d, p) / _UEV
 
 
 def _metric_local_pi_time_us(p: DeviceParameters) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, gates
-from .params import DeviceParameters, load_device_parameters
+from .params import _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
     _NotConverged,
     execute_schedule,
@@ -30,8 +30,6 @@ from .spin_model import SpinSystem
 from .validate import run_validation
 
 __all__ = ["main", "RunConfig", "REFERENCE_TIMINGS_NS", "REFERENCE_TIMESCALES"]
-
-_UEV = 1.602176634e-25
 
 # Published reference timings (ns) the synthesizer is validated against.
 REFERENCE_TIMINGS_NS = {

@@ -59,12 +59,6 @@ CNOT_MATRIX = np.array(
 SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
-# Synthesis is a pure function of frozen inputs, and global control builds
-# every gate from a few recurring pulse blocks, so whole gates and those blocks
-# are memoized in bounded tables that live for the whole process.  Cached
-# values are shared: segments are frozen, their mappings and declared targets
-# are read-only, and list-returning public functions hand out fresh lists.
-_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -226,16 +220,8 @@ def synth_correction(
     device bound).  deficit = 0 with no extra wraps needs no correction; no
     feasible pair with k <= extra_wraps + 4 is an error (cannot happen at the
     default drive amplitude, where the revolution windows tile all durations
-    beyond half a spectator period).  The caller owns the returned list.
+    beyond half a spectator period).
     """
-    segments, plan = _correction(deficit, tuple(idle_targets), p, extra_wraps)
-    return list(segments), plan
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _correction(deficit: float, idle_targets: tuple[int, ...], p: DeviceParameters,
-                extra_wraps: int) -> tuple[tuple[PulseSegment, ...], CorrectionPlan]:
-    """synth_correction's segments, as a tuple, and plan (see there)."""
     deficit = deficit % (2.0 * math.pi)
     if deficit < 1e-12 or 2.0 * math.pi - deficit < 1e-12:
         deficit = 0.0
@@ -243,13 +229,13 @@ def _correction(deficit: float, idle_targets: tuple[int, ...], p: DeviceParamete
     hbar = p.constants.hbar
     t_spec = spectator_period(p)
     if deficit == 0.0 and extra_wraps == 0:
-        return (), CorrectionPlan(0.0, 0, 0.0, 0.0, 0)
+        return [], CorrectionPlan(0.0, 0, 0.0, 0.0, 0)
     omega_hi = _omega_max(p)
     for k in range(extra_wraps, extra_wraps + 5):
         t_c = (deficit + 2.0 * math.pi * k) * hbar / (2.0 * omega0)
         if not idle_targets:
             plan = CorrectionPlan(deficit, k, t_c, 0.0, 0)
-            return (PulseSegment(duration=t_c, label="correction"),), plan
+            return [PulseSegment(duration=t_c, label="correction")], plan
         n_lo = max(1, math.ceil(t_c / t_spec - 1e-12))
         n_hi = math.floor(t_c * omega_hi / (math.pi * hbar) + 1e-12)
         if n_lo > n_hi:
@@ -261,7 +247,7 @@ def _correction(deficit: float, idle_targets: tuple[int, ...], p: DeviceParamete
         plan = CorrectionPlan(deficit, k, t_c, dw, n)
         seg = PulseSegment(duration=t_c, detunings={q: dw for q in idle_targets},
                            label="correction")
-        return (seg,), plan
+        return [seg], plan
     raise InfeasibleDetuningError("no feasible correction window found")
 
 
@@ -367,13 +353,12 @@ def synth_y(theta: float, target: int, p: DeviceParameters,
     return synthesize(GateSpec("y", (target,), theta=theta), p, system)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _hadamard_block(target: int, p: DeviceParameters) -> tuple[PulseSegment, ...]:
+def _hadamard_block(target: int, p: DeviceParameters) -> list[PulseSegment]:
     """Uncorrected Hadamard: half-revolution about (x+z)/sqrt2, tilt mu_B B_ac."""
     omega0 = p.transverse_energy
     dw = _detuning_for_tilt(omega0, p)
     duration = math.pi * p.constants.hbar / (2.0 * math.sqrt(2.0) * omega0)
-    return (PulseSegment(duration=duration, detunings={target: dw}, label="hadamard pulse"),)
+    return [PulseSegment(duration=duration, detunings={target: dw}, label="hadamard pulse")]
 
 
 def synth_hadamard(target: int, p: DeviceParameters,
@@ -384,7 +369,7 @@ def synth_hadamard(target: int, p: DeviceParameters,
 
 def _z_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
     theta = _normalize_angle(theta)
-    segments = list(_hadamard_block(target, p))
+    segments = _hadamard_block(target, p)
     if theta > 0.0:
         segments.append(_resonant_segment(theta, p, "z resonant rotation"))
     segments += _hadamard_block(target, p)
@@ -412,19 +397,6 @@ def interaction_coupling(step_s: float, p: DeviceParameters) -> float:
     if not (math.isfinite(step_s) and step_s > 0.0):
         raise ValueError(f"interaction step must be positive and finite, got {step_s:g} s")
     return 3.0 * math.pi * p.constants.hbar / (8.0 * step_s)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cnot_hadamard_step(step: int, control: int, p: DeviceParameters) -> tuple[PulseSegment, ...]:
-    """CNOT step 1 or 7: a Hadamard on the control and its own correction.
-
-    Both depend on the control and the device alone, so every CNOT on that
-    control shares them.
-    """
-    pulse = tuple(seg.with_label(f"step {step} hadamard pulse")
-                  for seg in _hadamard_block(control, p))
-    corr = _correction(_deficit_after(pulse, p), (control,), p, 0)[0]
-    return pulse + tuple(seg.with_label(f"step {step} hadamard correction") for seg in corr)
 
 
 def _cnot_segments(spec: GateSpec, p: DeviceParameters, extended_correction: bool,
@@ -475,15 +447,23 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters, extended_correction: boo
         # diagnostic variant: equal-duration idle (both qubits revolve)
         return _full_revolution_segment(2.0, (control, target), p, label)
 
-    segments = list(_cnot_hadamard_step(1, control, p))
+    # steps 1 and 7 are the corrected Hadamard gate on the control, relabelled;
+    # _build, not synthesize, so a CNOT counts as one synthesis request
+    pulse, *correction = _build(GateSpec("hadamard", (control,)), p, None, False).segments
+
+    def hadamard_step(step: int) -> list[PulseSegment]:
+        return [pulse.with_label(f"step {step} hadamard pulse"),
+                *(seg.with_label(f"step {step} hadamard correction") for seg in correction)]
+
+    segments = hadamard_step(1)
     segments.append(interact("step 2 interaction"))
     segments.append(x_on_control("step 3 x on control"))
     segments.append(interact("step 4 interaction"))
     segments.append(x_on_control("step 5 x on control"))
     segments.append(_resonant_segment(math.pi / 2.0, p, "step 6 resonant pi/2 pair"))
-    segments += _cnot_hadamard_step(7, control, p)
-    final_corr = _correction(_deficit_after(segments, p), (control, target), p,
-                             1 if extended_correction else 0)[0]
+    segments += hadamard_step(7)
+    final_corr, _ = synth_correction(_deficit_after(segments, p), (control, target), p,
+                                     1 if extended_correction else 0)
     segments += [s.with_label("step 8 correction") for s in final_corr]
     return segments, dipole
 
@@ -559,7 +539,10 @@ def _build(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None,
     return _layout(spec, p, system, extended_correction, x_conjugation)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+# Synthesis is a pure function of frozen inputs, so each whole gate is laid out
+# once per process in one bounded table.  Its schedules are shared: segments
+# are frozen, and their mappings and declared targets are read-only.
+@functools.lru_cache(maxsize=128)
 def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem,
             extended_correction: bool, x_conjugation: bool) -> PulseSchedule:
     """Segments of spec's kind, wrapped once into a schedule with its declared target."""
@@ -574,9 +557,9 @@ def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem,
         target = spec.targets[0]
         rotation = {"x": _x_segments, "y": _y_segments, "z": _z_segments}.get(spec.kind)
         segments = (rotation(spec.theta, target, p) if rotation
-                    else list(_hadamard_block(target, p)))
+                    else _hadamard_block(target, p))
         # X's steps already end on whole spectator periods, so its correction is empty
-        segments += _correction(_deficit_after(segments, p), (target,), p, 0)[0]
+        segments += synth_correction(_deficit_after(segments, p), (target,), p)[0]
     # an idle is the identity on every donor, whichever target it names
     declared = (np.eye(system.dim, dtype=complex) if spec.kind == "idle"
                 else embed_ideal(spec, system))

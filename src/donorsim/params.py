@@ -82,6 +82,7 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
+_UEV = 1.602176634e-25  # 1 micro-eV in J
 
 
 @dataclass(frozen=True)

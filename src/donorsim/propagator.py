@@ -21,7 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels
-from .params import CONSTANTS, DeviceParameters, exceeds_max_detuning, hyperfine_for_frequency
+from .params import (_UEV, CONSTANTS, DeviceParameters, exceeds_max_detuning,
+                     hyperfine_for_frequency)
 from .spin_model import SpinSystem, _read_only, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
     "schedule_from_text",
     "trace_to_csv",
 ]
-
-_UEV = 1.602176634e-25  # 1 micro-eV in J
 
 
 def _check_pairs(pairs: dict, what: str, system: SpinSystem | None = None) -> dict:
@@ -536,13 +535,15 @@ def _pair_values(text: str, unit: float) -> dict:
 
 
 def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
-    """Parse the schedule file format written by schedule_to_text."""
+    """Parse the schedule file format written by schedule_to_text.
+
+    Hyperfine settings convert to detunings against the file's carrier, or
+    the device carrier when the file names none, as schedule_to_text wrote them.
+    """
     from .params import carrier_frequency, resonant_frequency
 
     header: dict[str, tuple[str, int]] = {}   # key -> (value, line number)
-    segments: list[PulseSegment] = []
-    segment_lines: list[int] = []
-    w_ac = carrier_frequency(p)
+    segment_lines: list[tuple[int, dict, bool, str]] = []   # (line number, fields, rf, label)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -563,23 +564,12 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
             unknown = set(fields) - {"duration_ns", "a_over_a0", "j_uev", "rf"}
             if unknown:
                 raise ValueError(f"line {lineno}: unknown segment fields {sorted(unknown)}")
-            detunings = {
-                q: resonant_frequency(frac * p.a0, p) - w_ac
-                for q, frac in _parse_pairs(fields.get("a_over_a0", ""), int).items()
-            }
-            couplings = _pair_values(fields.get("j_uev", ""), _UEV)
             if "duration_ns" not in fields:
                 raise ValueError(f"line {lineno}: segment has no duration_ns")
             rf = fields.get("rf", "on")
             if rf not in ("on", "off"):
                 raise ValueError(f"line {lineno}: rf must be 'on' or 'off', got {rf!r}")
-            try:
-                segments.append(PulseSegment(
-                    duration=float(fields["duration_ns"]) * 1e-9, detunings=detunings,
-                    couplings=couplings, rf_on=rf == "on", label=label))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-            segment_lines.append(lineno)
+            segment_lines.append((lineno, fields, rf == "on", label))
         else:
             key, _, val = line.partition("=")
             key = key.strip()
@@ -605,12 +595,25 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     alignment = header_value("alignment", "z", _one_of("alignment", ("x", "y", "z")))
     system = header_value("num_donors", SpinSystem(1, include_nuclei, alignment),
                           lambda text: SpinSystem(int(text), include_nuclei, alignment))
-    for lineno, seg in zip(segment_lines, segments):
+    device_carrier = carrier_frequency(p)
+    carrier = header_value("carrier", device_carrier if frame == "lab" else None,
+                           _finite("carrier"))
+    w_ac = device_carrier if carrier is None else carrier
+    segments = []
+    for lineno, fields, rf_on, label in segment_lines:
         try:
+            detunings = {
+                q: resonant_frequency(frac * p.a0, p) - w_ac
+                for q, frac in _parse_pairs(fields.get("a_over_a0", ""), int).items()
+            }
+            seg = PulseSegment(
+                duration=float(fields["duration_ns"]) * 1e-9, detunings=detunings,
+                couplings=_pair_values(fields.get("j_uev", ""), _UEV), rf_on=rf_on, label=label)
             for q in [*seg.detunings, *(q for pair in seg.couplings for q in pair)]:
                 system.electron_site(q)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        segments.append(seg)
     dipole = header_value("dipole_uev", {},
                           lambda text: _check_pairs(_pair_values(text, _UEV), "dipole", system))
     schedule = PulseSchedule(
@@ -618,7 +621,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
         b_ac=header_value("b_ac", p.b_ac, _finite("b_ac")),
         system=system,
         frame=frame,
-        carrier=header_value("carrier", w_ac if frame == "lab" else None, _finite("carrier")),
+        carrier=carrier,
         rf_phase=header_value("rf_phase", 0.0, _finite("rf_phase")),
         dipole=dipole,
         hbar=p.constants.hbar,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,25 @@ def test_frozen_nucleus_rejects_absent_donor(p, donor):
         frozen_nucleus_check(sched, p, donor=donor)
     with pytest.raises(ValueError, match=f"donor index {donor} out of range"):
         nuclear_flip_probability(sched, p, donor=donor)
+
+
+def test_frozen_nucleus_takes_the_drive_from_the_schedule(p):
+    """The oracle drives at the schedule's B_ac, as its electron-only reference
+    does; a lab-frame schedule at the device carrier gives the rotating-frame
+    result, and one off that carrier is refused."""
+    sched = synth_x(math.pi, 0, p, SpinSystem(1)).replace(b_ac=1.0e-3)
+    flip, fdev = frozen_nucleus_check(sched, p)
+    assert (flip, fdev) == frozen_nucleus_check(sched, p.replace(b_ac=1.0e-3))
+    assert flip <= 1e-5 and fdev <= 1e-5
+    hadamard = synth_hadamard(0, p, SpinSystem(1))
+    assert frozen_nucleus_check(lab_realization(hadamard, p), p) \
+        == frozen_nucleus_check(hadamard, p)
+    lab = lab_realization(synth_x(math.pi, 0, p, SpinSystem(1)), p)
+    off = lab.replace(carrier=lab.carrier * (1.0 + 1e-6))
+    message = (f"device carrier {lab.carrier!r} rad/s; "
+               f"the schedule's carrier is {off.carrier!r} rad/s")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        frozen_nucleus_check(off, p)
 
 
 def _donor4_reference(schedule, donor, p, steps_per_period, include_nuclear_drive):

@@ -534,8 +534,7 @@ def test_interaction_coupling(p):
 # synthesis caches
 # ---------------------------------------------------------------------------
 
-_SYNTHESIS_CACHES = (gates._layout, gates._hadamard_block, gates._correction,
-                     gates._cnot_hadamard_step)
+_SYNTHESIS_CACHES = (gates._layout,)
 
 
 def _clear_synthesis_caches():
@@ -736,7 +735,27 @@ def test_cached_synthesis_is_read_only_and_bounded(p):
     assert compile_gate(GateSpec("x", (0,), theta=1.0), p).ideal.flags.writeable is False
     for cache in _SYNTHESIS_CACHES:
         assert 0 < cache.cache_info().maxsize <= 128
-    assert isinstance(_hadamard_block(0, p), tuple)
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipole", "combined"])
+def test_cnot_hadamard_steps_are_the_hadamard_gate(p, mode):
+    """A CNOT's steps 1 and 7 are the corrected Hadamard gate on its control,
+    relabelled, bit for bit."""
+    def bits(segments):
+        return [(seg.label, seg.rf_on, _exact(seg.duration),
+                 tuple((q, _exact(v)) for q, v in seg.detunings.items()),
+                 tuple((pair, _exact(v)) for pair, v in seg.couplings.items()))
+                for seg in segments]
+
+    j = None if mode == "dipole" else _table_j(p)
+    d = None if mode == "exchange" else 30e-9
+    _clear_synthesis_caches()
+    cnot = synth_cnot(mode, 1, 0, p, j=j, d=d, system=SpinSystem(3))
+    pulse, correction = synth_hadamard(1, p).segments
+    for step in (1, 7):
+        steps = [seg for seg in cnot.segments if seg.label.startswith(f"step {step} ")]
+        assert bits(steps) == bits([pulse.with_label(f"step {step} hadamard pulse"),
+                                    correction.with_label(f"step {step} hadamard correction")])
 
 
 def test_synth_correction_returns_a_fresh_list(p):
