@@ -5,9 +5,11 @@ products in closed form.  This script times them on the workloads that
 dominate real runs, the SU(2) stream behind frame-equivalence checks and the
 4-dim stream behind the frozen-nucleus oracle, next to a plain Python loop
 over the same steps, and prints the max-norm difference between the two.
-The donor kernel memoizes its n-step power, so its closed-form time is taken
-with the cache cleared before every repeat, and the time of a cache hit (the
-same call again) is printed on a line of its own.
+The donor kernel takes the static Hamiltonian and hbar and memoizes the
+n-step power (with the eigensystem and half-step propagator behind it), so
+its closed-form time is taken with `_kernels._strang_power` cleared before
+every repeat, and the time of a cache hit (the same call again) is printed on
+a line of its own.  The step loop builds the half-step propagator itself.
 
 Usage: python benchmarks/bench_kernels.py [--steps N]
 """
@@ -44,7 +46,9 @@ def su2_loop(az, ax, omega, phi0, t0, dt, n):
     return u
 
 
-def donor4_loop(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
+def donor4_loop(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
+    w, v = np.linalg.eigh(h_static)
+    e_half = (v * np.exp(-1j * w * (dt / (2 * hbar)))) @ v.conj().T
     u = np.eye(4, dtype=complex)
     for k in range(n):
         th = omega * (t0 + (k + 0.5) * dt) + chi
@@ -93,9 +97,8 @@ def main():
             _time(su2_loop, *su2_args, repeats=1))
 
     m = max(n // 20, 1000)
-    w_static, v = np.linalg.eigh(single_donor_static(p.a0, p))
-    e_half = (v * np.exp(-1j * w_static * (dt / (2 * p.constants.hbar)))) @ v.conj().T
-    d4_args = (e_half, ax, -1.0, 0.0, w_ac, 0.0, 0.0, dt, m)
+    d4_args = (single_donor_static(p.a0, p), p.constants.hbar, ax, -1.0, 0.0, w_ac, 0.0, 0.0,
+               dt, m)
     cold = _time(donor4_strang_product, *d4_args, before=_kernels._strang_power.cache_clear)
     hit = _time(donor4_strang_product, *d4_args)
     _report("donor 4-dim split-step stream", m, cold, _time(donor4_loop, *d4_args, repeats=1),

@@ -21,12 +21,15 @@ kernel call per stepped segment and refinement level, then re-unitarizes the
 level's segment products in one stacked `nearest_unitary` call.
 
 Global control repeats pulses (identical tilted half-revolutions and
-resonant pi pulses within and across gates), so the 4-dim power
-(P(-delta) M)^n is memoized: `_strang_power` keeps the 128 most recent
-powers, keyed on the bytes of e_half and of (gx_e, phase_sign_e, gx_n,
-omega, dt) and on n, and computes each from its key alone, so a hit has the
-bits of a recomputation.  The commutator check and the telescope (which
-depends on t0 and chi) still run on every call.
+resonant pi pulses within and across gates), so the 4-dim kernel takes the
+static Hamiltonian itself and memoizes everything that follows from it:
+`_strang_power` keeps the 128 most recent n-step powers (P(-delta) M)^n,
+keyed on the bytes of H_static, the packed doubles (hbar, gx_e,
+phase_sign_e, gx_n, omega, dt) and n.  A miss computes, from the key alone,
+H_static's eigensystem, the half-step propagator, the commutator check and
+the power, so a hit has the bits of a recomputation and a failed check is
+never stored.  Only the key (the bytes of H_static and the packed scalars)
+and the telescope (which depends on t0 and chi) are computed on every call.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 __all__ = ["su2_lab_product", "donor4_strang_product", "nearest_unitary"]
 
-# max-norm of [e_half, generator of P] above which the closed form is invalid
+# max-norm of [half-step propagator, generator of P] above which the closed form is invalid
 _COMMUTATOR_TOL = 1e-12
 _SU2_GEN = np.array([1.0, -1.0])  # diagonal of Z
 # diagonals of Z (x) 1 and 1 (x) Z on electron (x) nucleus
@@ -93,38 +96,42 @@ def su2_lab_product(az, ax, omega, phi0, t0, dt, n):
     return _telescope(power, _SU2_GEN, omega, phi0, t0, dt, n)
 
 
-def donor4_strang_product(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
+def donor4_strang_product(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
     """Second-order split-step product for the driven 4-dim donor Hamiltonian.
 
-    e_half is the precomputed half-step static propagator
-    exp(-i H_static dt / (2 hbar)).  The closed form needs it to commute with
-    exp(-i th (phase_sign_e Z_e + Z_n) / 2), the z-rotation the drive phase
-    applies (total physical S_z at phase_sign_e = -1); ValueError otherwise.
+    Each step is S drive(t_mid) S with the half-step static propagator
+    S = exp(-i H_static dt / (2 hbar)), all of it computed and memoized in
+    `_strang_power` from (H_static, the scalars, n).  The closed form needs S
+    to commute with exp(-i th (phase_sign_e Z_e + Z_n) / 2), the z-rotation
+    the drive phase applies (total physical S_z at phase_sign_e = -1);
+    ValueError otherwise.  n = 0 gives the identity without looking at
+    H_static.
     """
-    e_half = np.asarray(e_half, dtype=complex)
-    gen = phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N
-    if np.abs(e_half * (gen[None, :] - gen[:, None])).max() > _COMMUTATOR_TOL:
-        raise ValueError("e_half does not commute with the drive's z-rotation")
     if n == 0:
         return np.eye(4, dtype=complex)
-    power = _strang_power(e_half.tobytes(), struct.pack("5d", gx_e, phase_sign_e, gx_n, omega, dt),
+    h_bytes = np.asarray(h_static, dtype=complex).tobytes()
+    power = _strang_power(h_bytes, struct.pack("6d", hbar, gx_e, phase_sign_e, gx_n, omega, dt),
                           int(n))
-    return _telescope(power, gen, omega, chi, t0, dt, n)
+    return _telescope(power, phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N, omega, chi, t0, dt, n)
 
 
 @functools.lru_cache(maxsize=128)
-def _strang_power(e_half_bytes: bytes, scalars: bytes, n: int) -> np.ndarray:
+def _strang_power(h_bytes: bytes, scalars: bytes, n: int) -> np.ndarray:
     """(P(-delta) M)^n of donor4_strang_product, read-only, from its cache key.
 
-    e_half_bytes is the C-order 4x4 complex matrix and scalars the packed
-    doubles (gx_e, phase_sign_e, gx_n, omega, dt).
+    h_bytes is the C-order 4x4 complex H_static and scalars the packed
+    doubles (hbar, gx_e, phase_sign_e, gx_n, omega, dt).
     """
-    e_half = np.frombuffer(e_half_bytes, dtype=complex).reshape(4, 4)
-    gx_e, phase_sign_e, gx_n, omega, dt = struct.unpack("5d", scalars)
+    h_static = np.frombuffer(h_bytes, dtype=complex).reshape(4, 4)
+    hbar, gx_e, phase_sign_e, gx_n, omega, dt = struct.unpack("6d", scalars)
+    w, v = np.linalg.eigh(h_static)
+    half = (v * np.exp(-1j * w * (dt / (2.0 * hbar)))) @ v.conj().T
     gen = phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N
+    if np.abs(half * (gen[None, :] - gen[:, None])).max() > _COMMUTATOR_TOL:
+        raise ValueError("the static Hamiltonian does not commute with the drive's z-rotation")
     # rot_e (x) rot_n as one outer product, the multiplications np.kron makes
     drive = (_rot2(gx_e * dt)[:, None, :, None] * _rot2(gx_n * dt)[None, :, None, :]).reshape(4, 4)
-    step = e_half @ drive @ e_half
+    step = half @ drive @ half
     power = np.linalg.matrix_power(np.exp(0.5j * omega * dt * gen)[:, None] * step, n)
     power.flags.writeable = False
     return power

@@ -54,7 +54,7 @@ __all__ = [
 def _assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > tol:
+    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol:
         raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -158,30 +158,19 @@ def lab_realization(schedule: PulseSchedule, p: DeviceParameters) -> PulseSchedu
     return schedule.replace(frame="lab", carrier=carrier_frequency(p))
 
 
-@functools.lru_cache(maxsize=128)
-def _static_eigensystem(a_phys: float, p: DeviceParameters):
-    """Read-only (eigenvalues, eigenvectors, adjoint) of single_donor_static(a_phys, p)."""
-    w_static, v_static = np.linalg.eigh(single_donor_static(a_phys, p))
-    v_adj = v_static.conj().T
-    for array in (w_static, v_static, v_adj):
-        array.flags.writeable = False
-    return w_static, v_static, v_adj
-
-
 def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
                    include_nuclear_drive: bool):
     """Lab-frame propagator of one donor's electron (x) nucleus pair, as a
     function of the steps per carrier period (see propagator._lab_levels).
 
-    Each timed segment's static eigensystem is looked up once per call, here,
-    in the process-wide `_static_eigensystem` cache (128 entries, keyed on the
-    hyperfine value and the device); each level makes one kernel call per
-    timed segment, rf-off ones included (with zero drive), whose n-step power
-    the kernel memoizes.  The drive comes from the schedule, as in the
-    electron-only reference; the device sets the carrier and the static
+    Each timed segment steps with the split-step kernel on its static
+    Hamiltonian, rf-off ones included (with zero drive); the kernel memoizes
+    everything but the telescope.  The drive comes from the schedule, as in
+    the electron-only reference; the device sets the carrier and the static
     Hamiltonian, so a lab-frame schedule must run at the device carrier.
     """
-    if any(any(seg.couplings.values()) for seg in schedule.segments):
+    if any(schedule.dipole.values()) or any(any(seg.couplings.values())
+                                            for seg in schedule.segments):
         raise ValueError("the nuclear oracle covers single-qubit schedules only")
     w_ac = carrier_frequency(p)
     if schedule.frame == "lab" and schedule.carrier != w_ac:
@@ -191,21 +180,16 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
     gx_e = schedule.transverse_energy / hbar
     gx_n = -c.g_n * c.mu_n * schedule.b_ac / hbar if include_nuclear_drive else 0.0
 
-    def strang(w_static, v_static, v_adj, rf_on):
-        def step(t0, dt, n):
-            e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * hbar)))) @ v_adj
-            return _kernels.donor4_strang_product(
-                e_half, gx_e if rf_on else 0.0, -1.0, gx_n if rf_on else 0.0,
-                w_ac, schedule.rf_phase, t0, dt, n)
-        return step
-
     timed = []
     for start, seg in _timed_segments(schedule):
         # the schedule's detuning convention counts the full level-splitting
         # shift; the physical hyperfine value that produces the same
         # generalized Rabi frequency sits at half that resonance offset
         a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(donor, 0.0), p)
-        timed.append((start, seg.duration, strang(*_static_eigensystem(a_phys, p), seg.rf_on)))
+        timed.append((start, seg.duration, functools.partial(
+            _kernels.donor4_strang_product, single_donor_static(a_phys, p), hbar,
+            gx_e if seg.rf_on else 0.0, -1.0, gx_n if seg.rf_on else 0.0,
+            w_ac, schedule.rf_phase)))
     return _lab_levels(timed, 2.0 * math.pi / w_ac, 4)
 
 

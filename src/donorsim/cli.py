@@ -287,8 +287,9 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
     for item in args.param:
         key, _, values = item.partition("=")
         if not values:
-            print(f"bad --param {item!r}; expected name=v1,v2,...", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad --param {item!r}; expected name=v1,v2,...")
+        if key in grid:
+            raise ValueError(f"--param {key} given more than once")
         grid[key] = [float(v) for v in values.split(",")]
     rows = analysis.sweep(grid, args.metric, cfg.device)
     _emit(_render_rows(rows, list(grid.keys()) + [args.metric], cfg), cfg.out)

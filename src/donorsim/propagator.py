@@ -159,8 +159,15 @@ def propagate_constant(h: np.ndarray, t: float, hbar: float = CONSTANTS.hbar) ->
 
 
 def _exponentiate(w: np.ndarray, v: np.ndarray, t: float, hbar: float) -> np.ndarray:
-    """exp(-i H t / hbar) from H's eigensystem (w, v): the one propagator formula."""
-    return (v * np.exp(-1j * w * (t / hbar))) @ v.conj().T
+    """exp(-i H t / hbar) from H's eigensystem (w, v): the one propagator formula.
+
+    ValueError, naming t, when a phase w t / hbar is not finite.
+    """
+    rate = t / hbar
+    # eigh returns w in ascending order, so its two ends bound every |w|
+    if not math.isfinite(rate * float(max(-w[0], w[-1]))):
+        raise ValueError(f"duration {t!r} s is too long: its propagator phase is not finite")
+    return (v * np.exp(-1j * w * rate)) @ v.conj().T
 
 
 def segment_hamiltonian(schedule: PulseSchedule, segment: PulseSegment) -> np.ndarray:
@@ -286,18 +293,16 @@ def _lab_donor_levels(schedule: PulseSchedule, donor: int):
     """
     w_ac = schedule.carrier
     ax = schedule.transverse_energy / schedule.hbar
-
-    def driven(az):
-        return lambda t0, dt, n: _kernels.su2_lab_product(az, ax, -w_ac, -schedule.rf_phase,
-                                                          t0, dt, n)
-
     timed = []
     for start, seg in _timed_segments(schedule):
         # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw)
         az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
-        phase = az * seg.duration
-        timed.append((start, seg.duration, driven(az) if seg.rf_on
-                      else np.diag([np.exp(-1j * phase), np.exp(1j * phase)])))
+        if seg.rf_on:
+            step = functools.partial(_kernels.su2_lab_product, az, ax, -w_ac, -schedule.rf_phase)
+        else:
+            phase = az * seg.duration
+            step = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
+        timed.append((start, seg.duration, step))
     return _lab_levels(timed, 2.0 * math.pi / w_ac, 2)
 
 
@@ -376,7 +381,7 @@ class EvolutionTrace:
 
     def __post_init__(self):
         sums = self.populations.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-9:
+        if not np.abs(sums - 1.0).max() <= 1e-9:
             raise ValueError("trace rows must sum to 1 within 1e-9")
 
 
@@ -391,7 +396,7 @@ def _resolve_state(initial, system: SpinSystem) -> tuple[np.ndarray, str]:
     psi = np.asarray(initial, dtype=complex)
     if psi.shape != (system.dim,):
         raise ValueError("initial state has the wrong dimension")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:
         raise ValueError("initial state must be normalized")
     return psi, "custom"
 

@@ -11,7 +11,6 @@ from donorsim.analysis import (
     SWEEP_FIELDS,
     SWEEP_METRICS,
     _donor4_levels,
-    _static_eigensystem,
     frozen_nucleus_check,
     gate_fidelity,
     lab_realization,
@@ -21,7 +20,7 @@ from donorsim.analysis import (
     sweep,
     timescale_table,
 )
-from donorsim.gates import spectator_period, synth_hadamard, synth_x, synth_y, synth_z
+from donorsim.gates import spectator_period, synth_cnot, synth_hadamard, synth_x, synth_y, synth_z
 from donorsim.params import carrier_frequency, hyperfine_for_frequency, max_detuning
 from donorsim.propagator import PulseSegment, _refine
 from donorsim.spin_model import SX, SpinSystem, single_donor_static
@@ -54,6 +53,9 @@ def test_gate_fidelity_rejects(rng):
         gate_fidelity(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         gate_fidelity(np.eye(2, dtype=complex) * 2.0, np.eye(2, dtype=complex))
+    # NaN fails the unitarity check instead of passing through it
+    with pytest.raises(ValueError, match="not unitary"):
+        gate_fidelity(np.full((2, 2), np.nan), np.eye(2))
 
 
 def _merge_bits(gate_idx, spec_idx, sites, spec_sites, n):
@@ -192,6 +194,19 @@ def test_frozen_nucleus_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
         nuclear_flip_probability(sched, p, tol=tol)
 
 
+@pytest.mark.parametrize("mode,coupling", [("dipole", {"d": 30e-9}), ("exchange", {"j": 1e-25})])
+def test_frozen_nucleus_rejects_coupled_schedules_up_front(p, monkeypatch, mode, coupling):
+    """Dipole and exchange couplings are refused before any level runs."""
+    sched = synth_cnot(mode, 0, 1, p, **coupling)
+
+    def no_kernel(*args):
+        raise AssertionError("a refinement level ran")
+
+    monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
+    with pytest.raises(ValueError, match="the nuclear oracle covers single-qubit schedules only"):
+        frozen_nucleus_check(sched, p)
+
+
 @pytest.mark.parametrize("donor", [5, -1])
 def test_frozen_nucleus_rejects_absent_donor(p, donor):
     sched = synth_x(math.pi, 0, p, SpinSystem(1))
@@ -221,7 +236,7 @@ def test_frozen_nucleus_takes_the_drive_from_the_schedule(p):
 
 
 def _donor4_reference(schedule, donor, p, steps_per_period, include_nuclear_drive):
-    """The oracle's stream with the static eigensystem and projection per segment."""
+    """The oracle's stream with the static Hamiltonian and projection per segment."""
     c = p.constants
     w_ac = carrier_frequency(p)
     period = 2.0 * math.pi / w_ac
@@ -232,13 +247,10 @@ def _donor4_reference(schedule, donor, p, steps_per_period, include_nuclear_driv
     for seg in schedule.segments:
         if seg.duration > 0.0:
             a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(donor, 0.0), p)
-            w_static, v_static = np.linalg.eigh(single_donor_static(a_phys, p))
             n = max(int(math.ceil(seg.duration / period * steps_per_period)), 16)
-            dt = seg.duration / n
-            e_half = (v_static * np.exp(-1j * w_static * (dt / (2.0 * c.hbar)))) @ v_static.conj().T
             useg = _kernels.donor4_strang_product(
-                e_half, gx_e if seg.rf_on else 0.0, -1.0, gx_n if seg.rf_on else 0.0,
-                w_ac, schedule.rf_phase, t0, dt, n)
+                single_donor_static(a_phys, p), c.hbar, gx_e if seg.rf_on else 0.0, -1.0,
+                gx_n if seg.rf_on else 0.0, w_ac, schedule.rf_phase, t0, seg.duration / n, n)
             u = _kernels.nearest_unitary(useg) @ u
         t0 += seg.duration
     return u
@@ -278,7 +290,7 @@ def _rf_off_and_empty_schedule(p):
     pytest.param(_rf_off_and_empty_schedule, id="rf_off_and_zero_duration"),
 ])
 def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nuclear_drive):
-    """Per-call eigensystems and one stacked projection per level change no bit."""
+    """Per-segment kernel calls and one stacked projection per level change no bit."""
     sched = make(p)
     u = _refine(_donor4_levels(sched, 0, p, include_nuclear_drive), 1e-6, 1 << 16,
                 "nuclear oracle")
@@ -289,7 +301,6 @@ def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nucle
 
 def _clear_oracle_caches():
     _kernels._strang_power.cache_clear()
-    _static_eigensystem.cache_clear()
     spin_model._donor_ops.cache_clear()
 
 
@@ -342,10 +353,8 @@ def test_frozen_nucleus_power_cache_dedupes_segments(p, monkeypatch):
     levels, rest = divmod(len(calls), len(timed))
     assert rest == 0 and levels >= 2
     assert _kernels._strang_power.cache_info().misses == len(distinct) * levels
-    assert _static_eigensystem.cache_info().misses == len(distinct)
     assert frozen_nucleus_check(sched, p) == cold
     assert _kernels._strang_power.cache_info().misses == len(distinct) * levels
-    assert _static_eigensystem.cache_info().misses == len(distinct)
     assert len(calls) == 2 * levels * len(timed)
 
 

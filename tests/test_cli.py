@@ -166,6 +166,19 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  id="x_aligned_dipole"),
     pytest.param(["sweep", "--metric", "spectator_period_ns", "--param", "b_ac=abc"], {},
                  "'abc'", id="non_numeric_sweep"),
+    pytest.param(["sweep", "--metric", "x_gate_ns", "--param", "b_ac"], {},
+                 "sweep failed: bad --param 'b_ac'; expected name=v1,v2,...",
+                 id="sweep_param_without_values"),
+    pytest.param(["sweep", "--metric", "x_gate_ns", "--param", "b_ac=1e-3",
+                  "--param", "b_ac=2e-3"], {},
+                 "sweep failed: --param b_ac given more than once", id="sweep_param_repeated"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1e300 rf=on\n"},
+                 "schedule failed: duration 1.0000000000000001e+291 s is too long",
+                 id="load_non_finite_phase"),
+    pytest.param(["gate", "--gate", "idle", "--duration-ns", "1e300"], {},
+                 "gate failed: duration 1.0000000000000001e+291 s is too long",
+                 id="idle_non_finite_phase"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "frame = lab\ninclude_nuclei = true\n"
                              "segment duration_ns=1 rf=on\n"}, "electron-only",

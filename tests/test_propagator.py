@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,10 @@ def test_propagate_rejects(p):
         propagate_constant(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-9)
     with pytest.raises(ValueError):
         propagate_constant(np.zeros((2, 2)), -1e-9)
+    # a phase w t / hbar that overflows is named, not turned into NaN
+    for t in (1e300, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"duration {t!r} s is too long")):
+            propagate_constant(single_electron_rotating(0.0, p), t, p.constants.hbar)
 
 
 def test_rabi_populations_match_formula(p, rng):
@@ -461,8 +466,10 @@ def _rot2(angle, th):
                      [s * complex(math.cos(th), math.sin(th)), c]])
 
 
-def _donor4_reference_loop(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
+def _donor4_reference_loop(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
     """Step-by-step Strang product: e_half, midpoint-time drive, e_half."""
+    w, v = np.linalg.eigh(h_static)
+    e_half = (v * np.exp(-1j * w * (dt / (2.0 * hbar)))) @ v.conj().T
     u = np.eye(4, dtype=complex)
     for k in range(n):
         th = omega * (t0 + (k + 0.5) * dt) + chi
@@ -471,36 +478,36 @@ def _donor4_reference_loop(e_half, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt,
     return u
 
 
-def _static_half_step(a, p, dt):
-    w, v = np.linalg.eigh(single_donor_static(a, p))
-    return (v * np.exp(-1j * w * (dt / (2.0 * p.constants.hbar)))) @ v.conj().T
-
-
 @pytest.mark.parametrize("rf_on,nuclear_drive", [(False, False), (True, False), (True, True)],
                          ids=["rf_off", "rf_on", "rf_on_nuclear_drive"])
 def test_donor4_kernel_against_reference_loop(p, rf_on, nuclear_drive):
     c = p.constants
     w_ac = carrier_frequency(p)
     dt = 2.0 * math.pi / w_ac / 128
-    e_half = _static_half_step(0.7 * p.a0, p, dt)
     gx_e = p.transverse_energy / c.hbar if rf_on else 0.0
     # the nuclear rate scaled up 1e3-fold, to the electron's order, so that
     # its rotation shows well above roundoff
     gx_n = -1e3 * c.g_n * c.mu_n * p.b_ac / c.hbar if nuclear_drive else 0.0
-    args = (e_half, gx_e, -1.0, gx_n, w_ac, 0.4, 1.3e-9, dt, 3000)
+    args = (single_donor_static(0.7 * p.a0, p), c.hbar, gx_e, -1.0, gx_n, w_ac, 0.4, 1.3e-9,
+            dt, 3000)
     u_kernel = _kernels.donor4_strang_product(*args)
     u_loop = _donor4_reference_loop(*args)
     assert np.abs(u_kernel - u_loop).max() <= 1e-10
 
 
 def test_donor4_kernel_rejects_non_commuting_e_half(p):
+    """A failed commutator check raises on every call and is never memoized."""
     w_ac = carrier_frequency(p)
     dt = 2.0 * math.pi / w_ac / 128
-    e_half = _static_half_step(p.a0, p, dt)
     ax = p.transverse_energy / p.constants.hbar
+    args = (single_donor_static(p.a0, p), p.constants.hbar, ax, 1.0, 0.0, w_ac, 0.0, 0.0, dt, 100)
+    _kernels._strang_power.cache_clear()
     # the hyperfine flip-flop conserves total physical S_z, i.e. phase sign -1 only
-    with pytest.raises(ValueError, match="commute"):
-        _kernels.donor4_strang_product(e_half, ax, 1.0, 0.0, w_ac, 0.0, 0.0, dt, 100)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="commute"):
+            _kernels.donor4_strang_product(*args)
+    info = _kernels._strang_power.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
 def test_kernel_against_expm_oracle(p):
@@ -547,6 +554,12 @@ def test_trace_rejects(p):
         trace_evolution(sched, np.array([0.5, 0.0], dtype=complex))
     with pytest.raises(NotImplementedError):
         trace_evolution(sched.replace(frame="lab", carrier=carrier_frequency(p)), "0")
+    # NaN fails the norm and row-sum checks instead of passing through them
+    with pytest.raises(ValueError, match="normalized"):
+        trace_evolution(sched, np.array([np.nan, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="sum to 1"):
+        EvolutionTrace(times=np.zeros(2), populations=np.array([[1.0, 0.0], [np.nan, 0.0]]),
+                       basis_labels=("0", "1"), initial_label="0")
 
 
 def test_trace_csv_format(p):
