@@ -3,12 +3,13 @@
     python benchmarks/digest.py compile 1 2 3 --ops 700
     python benchmarks/digest.py lab_verify 1 301 --ops 700
     python benchmarks/digest.py session 1 3 7 11 301 302 303 2024
+    python benchmarks/digest.py validate 7
 
 For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
 
     compile, lab_verify:  <seed> <index> <failures> <digest> <label>
-    session:              <seed> <index> <exit code> <sha256 of its outputs> <label>
+    session, validate:    <seed> <index> <exit code> <sha256 of its outputs> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
 the op's own digest: for compile the executed unitary with its gate and
@@ -17,7 +18,9 @@ infidelities and max-norm errors, or the oracle's nuclear flip probability
 and electron deviation.  session runs every command of its fixed list once
 through `donorsim.cli.main` in a fresh temporary directory and hashes the
 `--out` file followed by the `--trace` CSV, if the command writes one; it
-takes no --ops.  The package is imported from this checkout's `src`, so
+takes no --ops.  validate is not a benchmark workload: it runs `donorsim
+validate --seed <seed>` through `cli.main` once in text and once in json and
+hashes each output file.  The package is imported from this checkout's `src`, so
 running the script in two checkouts and diffing the results shows whether
 they compute and write the same bits.
 """
@@ -46,10 +49,21 @@ def op_digests(workload_class, seed: int, ops: int):
         yield idx, len(outcome.failures), outcome.digest.hex(), op.label
 
 
-def session_digests(seed: int):
-    """Yield (index, exit code, sha256 hex, label) for each session command."""
+def validate_commands(seed: int, workdir: str) -> list:
+    """(label, argv, outputs) of `donorsim validate` in text and in json."""
+    commands = []
+    for fmt in ("text", "json"):
+        path = os.path.join(workdir, f"validate.{fmt}")
+        commands.append((f"validate {fmt}", ["--format", fmt, "--seed", str(seed),
+                                             "--out", path, "validate"], [path]))
+    return commands
+
+
+def cli_digests(make_commands, seed: int):
+    """Yield (index, exit code, sha256 hex, label) for each command of
+    make_commands(seed, workdir), run in order in a fresh temporary workdir."""
     with tempfile.TemporaryDirectory() as workdir:
-        for idx, (label, argv, outputs) in enumerate(SessionWorkload(seed, workdir).commands):
+        for idx, (label, argv, outputs) in enumerate(make_commands(seed, workdir)):
             code = cli.main(list(argv))
             h = hashlib.sha256()
             for path in outputs:
@@ -59,21 +73,24 @@ def session_digests(seed: int):
 
 
 OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
+CLI_WORKLOADS = {"session": lambda seed, workdir: SessionWorkload(seed, workdir).commands,
+                 "validate": validate_commands}
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("workload", choices=[*OP_WORKLOADS, "session"])
+    parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_WORKLOADS])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--ops", type=int,
                         help="ops per seed, in the workload's order (default 700; "
                              "compile and lab_verify only)")
     args = parser.parse_args(argv)
-    if args.workload == "session":
+    if args.workload in CLI_WORKLOADS:
         if args.ops is not None:
-            parser.error("--ops does not apply to session: it runs its fixed command list")
+            parser.error(f"--ops does not apply to {args.workload}: "
+                         f"it runs its fixed command list")
         for seed in args.seeds:
-            for idx, code, digest, label in session_digests(seed):
+            for idx, code, digest, label in cli_digests(CLI_WORKLOADS[args.workload], seed):
                 print(f"{seed} {idx:02d} {code} {digest} {label}")
         return 0
     ops = 700 if args.ops is None else args.ops

@@ -51,10 +51,18 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """Read-only real identity of size dim, shared by every unitarity check."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def _assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol:
+    if not np.abs(u.conj().T @ u - _identity(u.shape[0])).max() <= tol:
         raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -64,7 +72,7 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError("unitaries have different dimensions")
     _assert_unitary(u)
     _assert_unitary(v)
-    return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
+    return float(abs((u.conj().T @ v).trace()) / u.shape[0])
 
 
 def spectator_fidelity(u: np.ndarray, gate: np.ndarray, targets: Sequence[int],
@@ -74,17 +82,20 @@ def spectator_fidelity(u: np.ndarray, gate: np.ndarray, targets: Sequence[int],
     Contracts the target legs of `u` against the ideal gate; for an exactly
     factorized u = phase * (gate (x) S) the result is |Tr S| / dim normalized
     by the contraction's scale, i.e. 1 iff S is the identity up to phase.
+    The contraction is one product of conj(gate), flattened, with u's legs
+    ordered (target out, target in, rest out, rest in): the product
+    np.tensordot forms for it.
     """
     n = system.num_sites
     sites = [system.electron_site(q) for q in targets]
     rest = [s for s in range(n) if s not in sites]
     dim_g, dim_s = 2 ** len(sites), 2 ** len(rest)
-    order = sites + rest
-    legs = u.reshape((2,) * (2 * n)).transpose(order + [n + s for s in order])
-    legs = legs.reshape(dim_g, dim_s, dim_g, dim_s)
-    block = np.tensordot(np.conj(gate), legs, axes=([0, 1], [0, 2])) / dim_g
-    scale = math.sqrt(max(np.trace(block.conj().T @ block).real / dim_s, 1e-300))
-    return float(abs(np.trace(block)) / (dim_s * scale))
+    legs = u.reshape((2,) * (2 * n)).transpose(
+        sites + [n + s for s in sites] + rest + [n + s for s in rest])
+    block = np.dot(np.conj(gate).reshape(1, dim_g * dim_g),
+                   legs.reshape(dim_g * dim_g, dim_s * dim_s)).reshape(dim_s, dim_s) / dim_g
+    scale = math.sqrt(max((block.conj().T @ block).trace().real / dim_s, 1e-300))
+    return float(abs(block.trace()) / (dim_s * scale))
 
 
 def rabi_probability(t: float, delta_omega: float, b_ac: float,

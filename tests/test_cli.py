@@ -179,6 +179,15 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["gate", "--gate", "idle", "--duration-ns", "1e300"], {},
                  "gate failed: duration 1.0000000000000001e+291 s is too long",
                  id="idle_non_finite_phase"),
+    # finite phases far past 2**33 rad, in lab free precession and in the rotating frame
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "frame = lab\nsegment duration_ns=1e300 rf=off\n"},
+                 "schedule failed: duration 1.0000000000000001e+291 s is too long: "
+                 "its propagator phase exceeds 2**33 rad", id="load_lab_huge_phase"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1e259 rf=on\n"},
+                 "schedule failed: duration 1e+250 s is too long: "
+                 "its propagator phase exceeds 2**33 rad", id="load_rotating_huge_phase"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "frame = lab\ninclude_nuclei = true\n"
                              "segment duration_ns=1 rf=on\n"}, "electron-only",
@@ -355,8 +364,9 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     ["gate", "--gate", "idle", "--duration-ns", "0"],
     ["schedule", "dump", "--gate", "idle", "--duration-ns", "0"],
     ["gate", "--gate", "x", "--samples", "1000", "--initial", "1", "--trace", "{tmp}/x.csv"],
+    ["gate", "--gate", "cnot", "--mode", "dipole", "--d-nm", "40", "--trace", "{tmp}/c.csv"],
 ], ids=["cnot_extended", "combined_step", "swap_step", "idle_duration", "dump_idle_duration",
-        "trace_options"])
+        "trace_options", "dipole_cnot_long_windows"])
 def test_gate_options_in_use_are_accepted(tmp_path, capsys, argv):
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == 0 and capsys.readouterr().err == ""

@@ -83,6 +83,47 @@ def test_propagate_rejects(p):
             propagate_constant(single_electron_rotating(0.0, p), t, p.constants.hbar)
 
 
+def test_phase_bound_is_inclusive(p):
+    """A phase of 2**33 rad passes, the next float past it (and NaN) fails."""
+    bound = 2.0 ** 33
+    for w in (bound, math.nextafter(bound, 0.0)):
+        propagate_constant(np.diag([-w, w]), 1.0, hbar=1.0)
+    for w in (math.nextafter(bound, math.inf), math.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                "duration 1.0 s is too long: its propagator phase exceeds 2**33 rad")):
+            propagator._check_phase(w, 1.0)
+    with pytest.raises(ValueError, match="duration 1.0 s is too long"):
+        propagate_constant(np.diag([-math.nextafter(bound, math.inf), 0.0]), 1.0, hbar=1.0)
+
+
+@pytest.mark.parametrize("frame,rf_on", [("rotating", True), ("lab", True), ("lab", False)])
+def test_huge_finite_phase_is_rejected(p, frame, rf_on):
+    """A 1e250 s segment has a finite phase with no meaning: execution and traces
+    name its duration instead of returning a unitary."""
+    sched = _schedule([PulseSegment(1e-9), PulseSegment(1e250, rf_on=rf_on)], p, frame=frame,
+                      carrier=carrier_frequency(p) if frame == "lab" else None)
+    runs = [lambda: execute_schedule(sched)]
+    if frame == "rotating":
+        runs.append(lambda: trace_evolution(sched, "0"))
+    for run in runs:
+        with pytest.raises(ValueError, match=re.escape("duration 1e+250 s is too long")):
+            run()
+
+
+def test_dipole_cnot_windows_stay_within_the_phase_bound(p):
+    """The longest windows the package synthesizes, the dipole CNOT's at the
+    widest separation the benchmark draws, pass the lab-frame phase check."""
+    cnot = synth_cnot("dipole", 0, 1, p, d=40e-9)
+    lab = lab_realization(cnot.replace(dipole={}), p)
+    w_ac = carrier_frequency(p)
+    phases = [abs(0.5 * w_ac + seg.detunings.get(q, 0.0)) * seg.duration
+              for seg in lab.segments for q in (0, 1)]
+    assert 1e8 < max(phases) < 2.0 ** 33
+    for q in (0, 1):
+        _lab_donor_levels(lab, q)
+    assert gate_fidelity(execute_schedule(cnot).unitary, cnot.declared_target) >= 1.0 - 1e-4
+
+
 def test_rabi_populations_match_formula(p, rng):
     for _ in range(100):
         dw = rng.uniform(-max_detuning(p), max_detuning(p))
@@ -166,11 +207,63 @@ def test_execute_rotating_against_reference_loop(p, make):
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
     assert propagator._propagator.cache_info().misses == len(distinct)
     assert u.tobytes() == reference.tobytes()
-    # the next call takes every propagator from the cache and diagonalizes nothing
-    assert execute_schedule(sched).unitary.tobytes() == reference.tobytes()
+    # a copy (which has no memo) takes every propagator from the cache and
+    # diagonalizes nothing
+    assert execute_schedule(sched.replace()).unitary.tobytes() == reference.tobytes()
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
     assert propagator._propagator.cache_info().misses == len(distinct)
     assert propagator._propagator.cache_info().hits == 2 * len(timed) - len(distinct)
+
+
+@st.composite
+def _memo_cases(draw):
+    """A fresh copy of a synthesized gate on 1-3 donors, with nuclei on up to 2."""
+    p = DeviceParameters()
+    donors = draw(st.integers(1, 3))
+    system = SpinSystem(donors, include_nuclei=donors < 3 and draw(st.booleans()))
+    kind = draw(st.sampled_from(("x", "y", "z", "hadamard")
+                                + (("cnot", "swap") if donors > 1 else ())))
+    fields = {}
+    if kind in ("cnot", "swap"):
+        targets = tuple(draw(st.permutations(range(donors)))[:2])
+    else:
+        targets = (draw(st.integers(0, donors - 1)),)
+    if kind in ("x", "y", "z"):
+        fields["theta"] = draw(st.floats(0.05, 2.0 * math.pi, exclude_max=True))
+    elif kind == "cnot":
+        fields["mode"] = draw(st.sampled_from(("exchange", "dipole", "combined")))
+    if fields.get("mode") != "dipole" and kind in ("cnot", "swap"):
+        fields["j"] = draw(st.floats(1.0, 10.0)) * interaction_coupling(1e-11, p)
+    if fields.get("mode") in ("dipole", "combined"):
+        fields["d"] = draw(st.floats(20e-9, 40e-9))
+    # the synthesized schedule is shared and may carry a memo already; a copy has none
+    return synthesize(GateSpec(kind, targets, **fields), p, system).replace()
+
+
+def _counters():
+    return propagator._eigensystem.cache_info(), propagator._propagator.cache_info()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sched=_memo_cases())
+def test_rotating_memo_matches_reference_loop(sched):
+    """The first call, a memo hit and a copy's call give the reference bits, each
+    as a fresh writable array; a hit touches no segment table."""
+    reference = _execute_reference_loop(sched).tobytes()
+    first = execute_schedule(sched).unitary
+    before = _counters()
+    hit = execute_schedule(sched).unitary
+    assert _counters() == before
+    copied = execute_schedule(sched.replace()).unitary
+    for u in (first, hit, copied):
+        assert u.tobytes() == reference
+        assert u.flags.writeable
+    assert not np.shares_memory(first, hit)
+    first[...] = 0.0
+    hit[...] = np.nan
+    assert execute_schedule(sched).unitary.tobytes() == reference
+    with pytest.raises(ValueError, match="read-only"):
+        sched._rotating_unitary[0, 0] = 0.0
 
 
 def _key_variants(p):
@@ -210,7 +303,8 @@ def test_rotating_cache_key_is_complete(p, which):
     for order in (pair, pair[::-1]):
         _clear_caches()
         for sched in order:
-            assert execute_schedule(sched).unitary.tobytes() == references[id(sched)]
+            # a fresh copy has no memo, so each order goes through the segment table
+            assert execute_schedule(sched.replace()).unitary.tobytes() == references[id(sched)]
 
 
 def test_rotating_caches_are_read_only_and_bounded(p):
