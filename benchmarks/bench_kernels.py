@@ -11,6 +11,13 @@ its closed-form time is taken with `_kernels._strang_power` cleared before
 every repeat, and the time of a cache hit (the same call again) is printed on
 a line of its own.  The step loop builds the half-step propagator itself.
 
+A last section times the refinement driver (`propagator._refine` over the
+level driver `_lab_levels`) on three runs: `execute_schedule` of the lab-frame
+X(pi) at lab_tol 1e-6, a fixed 3-segment lab schedule at 1e-8, and
+`frozen_nucleus_check` of Y(pi) (its memo cleared before every repeat).  For
+each it prints the levels evaluated, the levels a sequential step-halving
+loop needs (up to the level returned) and the number of blocks asked for.
+
 Usage: python benchmarks/bench_kernels.py [--steps N]
 """
 
@@ -20,10 +27,11 @@ import time
 
 import numpy as np
 
-from donorsim import DeviceParameters, _kernels
+from donorsim import DeviceParameters, _kernels, analysis, propagator
 from donorsim._kernels import donor4_strang_product, su2_lab_product
-from donorsim.params import carrier_frequency
-from donorsim.spin_model import single_donor_static
+from donorsim.gates import synth_x, synth_y
+from donorsim.params import carrier_frequency, max_detuning
+from donorsim.spin_model import SpinSystem, single_donor_static
 
 
 def _rot2(angle, th):
@@ -103,6 +111,59 @@ def main():
     hit = _time(donor4_strang_product, *d4_args)
     _report("donor 4-dim split-step stream", m, cold, _time(donor4_loop, *d4_args, repeats=1),
             hit)
+    _report_refinements(p)
+
+
+def _level_traffic(run):
+    """(levels evaluated, levels a sequential loop needs, blocks) of the one
+    refinement run() makes, recorded by wrapping the refinement driver."""
+    refine = propagator._refine
+    blocks, returned = [], []
+
+    def recording(propagate, tol, ceiling, what):
+        asked = {}
+
+        def levels(block):
+            blocks.append(list(block))
+            out = propagate(block)
+            asked.update(zip(block, out))
+            return out
+
+        u = refine(levels, tol, ceiling, what)
+        returned.append(next(s for s, v in asked.items() if np.array_equal(v, u)))
+        return u
+
+    propagator._refine = analysis._refine = recording
+    try:
+        run()
+    finally:
+        propagator._refine = analysis._refine = refine
+    # the sequential loop evaluates 64, 128, ..., the level returned
+    return len({s for b in blocks for s in b}), returned[0].bit_length() - 6, len(blocks)
+
+
+def _report_refinements(p):
+    one = SpinSystem(1)
+    x_lab = analysis.lab_realization(synth_x(np.pi, 0, p, one), p)
+    dw = max_detuning(p)
+    three = x_lab.replace(segments=tuple(
+        propagator.PulseSegment(duration=t, detunings={0: f * dw})
+        for t, f in ((0.7e-9, -0.6), (1.3e-9, 0.2), (0.4e-9, 0.9))), declared_target=None)
+    y = synth_y(np.pi, 0, p, one)
+    runs = (
+        ("lab X(pi), lab_tol 1e-6", lambda: propagator.execute_schedule(x_lab, lab_tol=1e-6),
+         None),
+        ("3-segment lab schedule, lab_tol 1e-8",
+         lambda: propagator.execute_schedule(three, lab_tol=1e-8), None),
+        ("frozen-nucleus Y(pi), memo cleared", lambda: analysis.frozen_nucleus_check(y, p),
+         _kernels._strang_power.cache_clear),
+    )
+    print("refinement driver (best of 50):")
+    for name, run, before in runs:
+        t, _ = _time(run, repeats=50, before=before)
+        evaluated, needed, blocks = _level_traffic(run)
+        print(f"  {name}: {t * 1e6:.0f} us; {evaluated} levels evaluated in {blocks} blocks, "
+              f"{needed} needed by a sequential loop")
 
 
 if __name__ == "__main__":

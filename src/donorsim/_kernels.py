@@ -16,9 +16,20 @@ delta = w*dt.  The n-step product therefore collapses exactly to
 which both kernels evaluate in closed form instead of stepping: the same
 discretization (and the same dt^2 error) at O(1) cost for SU(2) and O(log n)
 for the 4-dim step.  Both callers, the lab frame and the frozen-nucleus
-oracle, run through one level driver, `propagator._lab_levels`: it makes one
-kernel call per stepped segment and refinement level, then re-unitarizes the
-level's segment products in one stacked `nearest_unitary` call.
+oracle, run through one level driver, `propagator._lab_levels`, which
+evaluates a block of refinement levels (steps per carrier period) at once:
+the refinement loop `propagator._refine` asks for 64 and 128 first, then for
+the further levels the dt^2 error predicts from the last step-halving
+difference.  The SU(2) kernel takes a block whole: `su2_lab_levels` returns
+one segment's stacked n-step products at every (dt, n) of the block, each
+level's scalars computed on their own (`su2_lab_product` is its one-level
+form).  The 4-dim kernel is called once per segment and level.  The driver
+re-unitarizes every segment product of the block in one stacked
+`nearest_unitary` call and forms the time-ordered products as stacked
+matmuls, each matrix still projected and multiplied on its own.  So a level
+has the same bits in any block, and since the loop still compares the
+levels pair by pair in order, it returns the array, and raises the error
+text, of evaluating one level at a time.
 
 Global control repeats pulses (identical tilted half-revolutions and
 resonant pi pulses within and across gates), so the 4-dim kernel takes the
@@ -40,7 +51,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["su2_lab_product", "donor4_strang_product", "nearest_unitary"]
+__all__ = ["su2_lab_levels", "su2_lab_product", "donor4_strang_product", "nearest_unitary"]
 
 # max-norm of [half-step propagator, generator of P] above which the closed form is invalid
 _COMMUTATOR_TOL = 1e-12
@@ -59,11 +70,13 @@ def nearest_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _telescope(power, gen, omega, phase0, t0, dt, n):
-    """P(th_0 + n delta) power P(-th_0), with P(th) = exp(-i th diag(gen) / 2)."""
-    th0 = omega * (t0 + 0.5 * dt) + phase0
-    th_end = omega * (t0 + (n + 0.5) * dt) + phase0
-    return np.exp(-0.5j * th_end * gen)[:, None] * power * np.exp(0.5j * th0 * gen)[None, :]
+def _telescope(power, gen, th0, th_end):
+    """P(th_end) power P(-th0), with P(th) = exp(-i th diag(gen) / 2).
+
+    th0 and th_end are floats for one power, (L, 1) arrays for a stack of L.
+    """
+    return (np.exp(-0.5j * th_end * gen)[..., :, None] * power
+            * np.exp(0.5j * th0 * gen)[..., None, :])
 
 
 def _rot2(angle: float) -> np.ndarray:
@@ -72,28 +85,47 @@ def _rot2(angle: float) -> np.ndarray:
     return np.array([[c, s], [s, c]])
 
 
-def su2_lab_product(az, ax, omega, phi0, t0, dt, n):
-    """Ordered product of n midpoint-step SU(2) propagators (see module docstring).
+def su2_lab_levels(az, ax, omega, phi0, t0, dts, ns):
+    """Stacked su2_lab_product of one segment at each level (dts[i], ns[i]).
 
     The power of P(-delta) M = a0 - i v.sigma is taken in angle form,
     cos(n beta) - i sin(n beta) v.sigma / |v| with beta = atan2(|v|, a0), so
-    its roundoff does not grow with n.
+    its roundoff does not grow with n.  Each level's scalars are computed
+    alone, and n = 0 (or a zero rate) gives the exact identity.
     """
     w = math.hypot(az, ax)
-    if w == 0.0 or n == 0:
-        return np.eye(2, dtype=complex)
-    ca, sa = math.cos(w * dt), math.sin(w * dt)
+    if w == 0.0:
+        return np.repeat(np.eye(2, dtype=complex)[None], len(ns), axis=0)
     nz, nt = az / w, ax / w
-    c, s = math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt)
-    a0 = c * ca + s * sa * nz
-    vx, vy, vz = c * sa * nt, -s * sa * nt, c * sa * nz - s * ca
-    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    beta = math.atan2(norm, a0)
-    cb = math.cos(n * beta)
-    sb = math.sin(n * beta) / norm if norm > 0.0 else 0.0
-    power = np.array([[cb - 1j * sb * vz, -sb * (vy + 1j * vx)],
-                      [sb * (vy - 1j * vx), cb + 1j * sb * vz]])
-    return _telescope(power, _SU2_GEN, omega, phi0, t0, dt, n)
+    powers, th0, th_end = [], [], []
+    for dt, n in zip(dts, ns):
+        th0.append(omega * (t0 + 0.5 * dt) + phi0)
+        th_end.append(omega * (t0 + (n + 0.5) * dt) + phi0)
+        if n == 0:
+            powers.append(np.eye(2))
+            continue
+        ca, sa = math.cos(w * dt), math.sin(w * dt)
+        c, s = math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt)
+        a0 = c * ca + s * sa * nz
+        vx, vy, vz = c * sa * nt, -s * sa * nt, c * sa * nz - s * ca
+        norm = math.sqrt(vx * vx + vy * vy + vz * vz)
+        beta = math.atan2(norm, a0)
+        cb = math.cos(n * beta)
+        sb = math.sin(n * beta) / norm if norm > 0.0 else 0.0
+        powers.append([[cb - 1j * sb * vz, -sb * (vy + 1j * vx)],
+                       [sb * (vy - 1j * vx), cb + 1j * sb * vz]])
+    out = _telescope(np.array(powers), _SU2_GEN, np.array(th0)[:, None],
+                     np.array(th_end)[:, None])
+    for i, n in enumerate(ns):
+        if n == 0:
+            out[i] = np.eye(2)
+    return out
+
+
+def su2_lab_product(az, ax, omega, phi0, t0, dt, n):
+    """Ordered product of n midpoint-step SU(2) propagators (see module docstring):
+    su2_lab_levels at the one level (dt, n)."""
+    return su2_lab_levels(az, ax, omega, phi0, t0, (dt,), (n,))[0]
 
 
 def donor4_strang_product(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
@@ -112,7 +144,8 @@ def donor4_strang_product(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, 
     h_bytes = np.asarray(h_static, dtype=complex).tobytes()
     power = _strang_power(h_bytes, struct.pack("6d", hbar, gx_e, phase_sign_e, gx_n, omega, dt),
                           int(n))
-    return _telescope(power, phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N, omega, chi, t0, dt, n)
+    return _telescope(power, phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N,
+                      omega * (t0 + 0.5 * dt) + chi, omega * (t0 + (n + 0.5) * dt) + chi)
 
 
 @functools.lru_cache(maxsize=128)

@@ -28,6 +28,7 @@ from .params import (
 from .propagator import (
     PulseSchedule,
     PulseSegment,
+    _check_phase,
     _lab_levels,
     _refine,
     _timed_segments,
@@ -169,16 +170,25 @@ def lab_realization(schedule: PulseSchedule, p: DeviceParameters) -> PulseSchedu
     return schedule.replace(frame="lab", carrier=carrier_frequency(p))
 
 
+def _each_level(kernel, t0: float, dts: list, ns: list) -> list:
+    """kernel(t0, dt, n) at each level (dt, n): one call per level."""
+    return [kernel(t0, dt, n) for dt, n in zip(dts, ns)]
+
+
 def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
                    include_nuclear_drive: bool):
     """Lab-frame propagator of one donor's electron (x) nucleus pair, as a
     function of the steps per carrier period (see propagator._lab_levels).
 
     Each timed segment steps with the split-step kernel on its static
-    Hamiltonian, rf-off ones included (with zero drive); the kernel memoizes
-    everything but the telescope.  The drive comes from the schedule, as in
-    the electron-only reference; the device sets the carrier and the static
-    Hamiltonian, so a lab-frame schedule must run at the device carrier.
+    Hamiltonian, rf-off ones included (with zero drive), one kernel call per
+    level; the kernel memoizes everything but the telescope.  The drive comes
+    from the schedule, as in the electron-only reference; the device sets the
+    carrier and the static Hamiltonian, so a lab-frame schedule must run at
+    the device carrier.  A segment whose static phase |H| t / hbar exceeds
+    propagator._MAX_PHASE is rejected here, before any level runs, with
+    |H| <= mu_B B + |g_n mu_n B| + 3 |A| (sigma_e . sigma_n has eigenvalues
+    1 and -3) standing in for an eigh.
     """
     if any(schedule.dipole.values()) or any(any(seg.couplings.values())
                                             for seg in schedule.segments):
@@ -190,6 +200,7 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
     c, hbar = p.constants, schedule.hbar
     gx_e = schedule.transverse_energy / hbar
     gx_n = -c.g_n * c.mu_n * schedule.b_ac / hbar if include_nuclear_drive else 0.0
+    zeeman = abs(c.mu_b * p.b) + abs(c.g_n * c.mu_n * p.b)
 
     timed = []
     for start, seg in _timed_segments(schedule):
@@ -197,10 +208,11 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
         # shift; the physical hyperfine value that produces the same
         # generalized Rabi frequency sits at half that resonance offset
         a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(donor, 0.0), p)
-        timed.append((start, seg.duration, functools.partial(
+        _check_phase((zeeman + 3.0 * abs(a_phys)) / hbar * seg.duration, seg.duration)
+        timed.append((start, seg.duration, functools.partial(_each_level, functools.partial(
             _kernels.donor4_strang_product, single_donor_static(a_phys, p), hbar,
             gx_e if seg.rf_on else 0.0, -1.0, gx_n if seg.rf_on else 0.0,
-            w_ac, schedule.rf_phase)))
+            w_ac, schedule.rf_phase))))
     return _lab_levels(timed, 2.0 * math.pi / w_ac, 4)
 
 

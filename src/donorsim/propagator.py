@@ -260,56 +260,91 @@ def _lab_levels(timed: list, period: float, dim: int):
     """A lab-frame evolution as a function of the steps per carrier period.
 
     timed lists (start, duration, step) per timed segment in time order; step
-    is a fixed unitary or step(t0, dt, n), the segment's n-step kernel product
-    from global time t0.  Each level steps every segment at steps_per_period
-    per carrier period (at least 16), re-unitarizes the stepped products in
-    one stacked nearest_unitary call (each matrix still projected on its own)
-    and returns their time-ordered product with the fixed unitaries.
+    is a fixed unitary or step(t0, dts, ns), the segment's n-step kernel
+    products from global time t0 at each level's (dt, n), as a stack or a
+    list.  The returned function takes a block of levels (a list of steps per
+    carrier period) and returns the stack of their unitaries; one int gives
+    that level's unitary alone.  A stepped segment takes at least 16 steps at
+    every level and makes one kernel call for the whole block.  The block's
+    stepped products are re-unitarized in one stacked nearest_unitary call
+    and multiplied in time order as stacked matmuls.  Each matrix is still
+    projected and multiplied on its own, so a level has the same bits in any
+    block.
     """
-    def level(steps_per_period: int) -> np.ndarray:
+    def levels(steps_per_period) -> np.ndarray:
+        single = isinstance(steps_per_period, int)
+        block = [steps_per_period] if single else list(steps_per_period)
         products = []
         for start, duration, step in timed:
             if callable(step):
-                n = max(int(math.ceil(duration / period * steps_per_period)), 16)
-                products.append(step(start, duration / n, n))
+                ns = [max(int(math.ceil(duration / period * s)), 16) for s in block]
+                products.append(step(start, [duration / n for n in ns], ns))
         projected = iter(_kernels.nearest_unitary(np.array(products)) if products else ())
-        u = np.eye(dim, dtype=complex)
+        u = np.repeat(np.eye(dim, dtype=complex)[None], len(block), axis=0)
         for _, _, step in timed:
             u = (next(projected) if callable(step) else step) @ u
-        return u
+        return u[0] if single else u
 
-    return level
+    return levels
 
 
 class _NotConverged(RuntimeError):
     """An adaptive refinement passed its step ceiling without converging."""
 
 
+def _predicted_levels(diff: float, tol: float) -> int:
+    """Further step doublings a second-order integrator needs to bring a
+    step-halving difference diff > tol within tol: ceil(log4(diff / tol)),
+    at least 1, and 1 when diff is not finite."""
+    if not math.isfinite(diff):
+        return 1
+    return max(math.ceil((math.log(diff) - math.log(tol)) / math.log(4.0)), 1)
+
+
 def _refine(propagate, tol: float, ceiling: int, what: str) -> np.ndarray:
     """Adaptive step refinement shared by the lab frame and the nuclear oracle.
 
-    propagate(s) is the unitary at s steps per carrier period.  Starting at 64,
-    s doubles until the result moves by at most tol in max-norm; the finer of
-    the last two results is returned.  ValueError, before any level is
-    computed, unless tol is finite and positive; _NotConverged (a
-    RuntimeError) once s passes the ceiling.
+    propagate(block) is the stack of unitaries at the listed steps per
+    carrier period.  Starting at 64, s doubles until the result moves by at
+    most tol in max-norm; the finer of the last two results is returned.
+    ValueError, before any level is computed, unless tol is finite and
+    positive; _NotConverged (a RuntimeError) once s passes the ceiling.
+
+    Levels are asked for in blocks: 64 and 128 first, then, after a pair
+    that misses tol by diff, the ceil(log4(diff / tol)) further levels the
+    integrators' second order predicts (one when diff is not finite), never
+    past the last level the sequential loop could reach (2 * ceiling for a
+    power-of-two ceiling).  The pairs are still compared in order and a
+    level has the same bits in any block, so the returned array and the
+    _NotConverged text are those of evaluating one level at a time.  A block
+    that raises is evaluated again one level at a time, so no level the
+    sequential loop would not reach can raise.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"{what} tolerance must be finite and positive, got {tol!r}")
-    steps = 64
-    coarse = propagate(steps)
+    top = max(128, 1 << ceiling.bit_length())   # the first level past the ceiling
+    block = [64, 128]
+    coarse = None
     while True:
-        fine = propagate(2 * steps)
-        diff = np.abs(fine - coarse).max()
-        if diff <= tol:
-            return fine
-        steps *= 2
-        coarse = fine
-        if steps > ceiling:
-            raise _NotConverged(
-                f"{what} did not converge to {tol} in max-norm: last "
-                f"difference {diff:.3e} at {steps} steps per carrier period"
-            )
+        try:
+            results = propagate(block)
+        except Exception:
+            if len(block) == 1:
+                raise
+            results = (propagate([steps])[0] for steps in block)
+        for steps, fine in zip(block, results):
+            if coarse is not None:
+                diff = np.abs(fine - coarse).max()
+                if diff <= tol:
+                    return fine.copy()
+                if steps > ceiling:
+                    raise _NotConverged(
+                        f"{what} did not converge to {tol} in max-norm: last "
+                        f"difference {diff:.3e} at {steps} steps per carrier period"
+                    )
+            coarse = fine
+        block = [steps << k for k in range(1, _predicted_levels(diff, tol) + 1)
+                 if steps << k <= top]
 
 
 def _lab_donor_levels(schedule: PulseSchedule, donor: int):
@@ -328,7 +363,7 @@ def _lab_donor_levels(schedule: PulseSchedule, donor: int):
         phase = az * seg.duration
         _check_phase(phase, seg.duration)
         if seg.rf_on:
-            step = functools.partial(_kernels.su2_lab_product, az, ax, -w_ac, -schedule.rf_phase)
+            step = functools.partial(_kernels.su2_lab_levels, az, ax, -w_ac, -schedule.rf_phase)
         else:
             step = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
         timed.append((start, seg.duration, step))
@@ -350,10 +385,13 @@ def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
 
     first, *rest = [_lab_donor_levels(schedule, donor) for donor in range(system.num_donors)]
 
-    def assemble(steps_per_period: int) -> np.ndarray:
-        u = first(steps_per_period)
-        for level in rest:
-            u = np.kron(u, level(steps_per_period))
+    def assemble(block: list) -> np.ndarray:
+        u = first(block)
+        for levels in rest:
+            v = levels(block)
+            # np.kron of each level's pair, as one broadcast product
+            u = (u[:, :, None, :, None] * v[:, None, :, None, :]).reshape(
+                len(block), u.shape[1] * v.shape[1], u.shape[2] * v.shape[2])
         return u
 
     return _refine(assemble, lab_tol, 1 << 18, "lab-frame integration")

@@ -227,13 +227,9 @@ def check_integrator_order(p: DeviceParameters, rng) -> tuple[bool, str]:
                           hbar=p.constants.hbar, mu_b=p.constants.mu_b)
     u_rot = execute_schedule(sched.replace(frame="rotating", carrier=None)).unitary
     u_lab_exact = frame_rotation(seg.duration, p, SpinSystem(1)).conj().T @ u_rot
-    level = _lab_donor_levels(sched, 0)
-    errs = []
-    dts = []
-    for steps in (64, 128, 256, 512, 1024):
-        u = level(steps)
-        errs.append(np.abs(u - u_lab_exact).max())
-        dts.append(1.0 / steps)
+    steps = [64, 128, 256, 512, 1024]
+    errs = [np.abs(u - u_lab_exact).max() for u in _lab_donor_levels(sched, 0)(steps)]
+    dts = [1.0 / s for s in steps]
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     return slope >= 2.0 - 0.1, f"log-log error slope {slope:.2f} (want >= 2)"
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,61 @@ def test_frozen_nucleus_cache_state_changes_no_bit(kind, theta, include_nuclear_
         cold[drive] = u, check(drive)
     for drive in drives:
         assert (unitary(drive), check(drive)) == cold[drive]
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(["x", "y", "hadamard"]),
+       theta=st.floats(min_value=0.05, max_value=2.0 * math.pi, exclude_max=True),
+       include_nuclear_drive=st.booleans(),
+       block=st.sets(st.sampled_from([64 << k for k in range(8)]), min_size=1, max_size=4))
+def test_oracle_blocks_match_single_levels_and_the_sequential_loop(kind, theta,
+                                                                    include_nuclear_drive,
+                                                                    block):
+    """Each level of an oracle block has the bits of that level alone, and the
+    block refinement returns the sequential reference loop's unitary."""
+    p = DeviceParameters()
+    one = SpinSystem(1)
+    sched = {"x": lambda: synth_x(theta, 0, p, one), "y": lambda: synth_y(theta, 0, p, one),
+             "hadamard": lambda: synth_hadamard(0, p, one)}[kind]()
+    levels = _donor4_levels(sched, 0, p, include_nuclear_drive)
+    block = sorted(block)
+    stack = levels(block)
+    assert stack.shape == (len(block), 4, 4)
+    for steps, u in zip(block, stack):
+        assert np.array_equal(u, levels(steps))
+    u = _refine(levels, 1e-6, 1 << 16, "nuclear oracle")
+    _kernels._strang_power.cache_clear()
+    assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
+
+
+@pytest.mark.parametrize("rf_on", [True, False], ids=["rf_on", "rf_off"])
+def test_frozen_nucleus_rejects_huge_phases_up_front(p, monkeypatch, rf_on):
+    """A segment whose static phase passes 2**33 rad fails before any level
+    runs, with the duration in the message and no numpy warning."""
+    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    long = PulseSegment(duration=1e250, detunings={0: -0.3 * max_detuning(p)}, rf_on=rf_on)
+    sched = sched.replace(segments=(*sched.segments, long), declared_target=None)
+
+    def no_kernel(*args):
+        raise AssertionError("a refinement level ran")
+
+    monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "duration 1e+250 s is too long: its propagator phase exceeds 2**33 rad")):
+            frozen_nucleus_check(sched, p)
+
+
+@pytest.mark.parametrize("a_over_a0", [-0.01, 0.0, 0.5, 1.0, 2.0])
+def test_oracle_phase_bound_covers_the_static_spectrum(p, a_over_a0):
+    """mu_B B + |g_n mu_n B| + 3|A|, the bound the oracle's phase check uses,
+    is at least the largest |eigenvalue| of the static Hamiltonian."""
+    c = p.constants
+    a = a_over_a0 * p.a0
+    bound = abs(c.mu_b * p.b) + abs(c.g_n * c.mu_n * p.b) + 3.0 * abs(a)
+    largest = np.abs(np.linalg.eigvalsh(single_donor_static(a, p))).max()
+    assert largest <= bound <= largest * (1.0 + 1e-2)
 
 
 def test_frozen_nucleus_power_cache_dedupes_segments(p, monkeypatch):

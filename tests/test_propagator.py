@@ -426,6 +426,7 @@ def test_lab_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
         raise AssertionError("a refinement level ran")
 
     monkeypatch.setattr(_kernels, "su2_lab_product", no_kernel)
+    monkeypatch.setattr(_kernels, "su2_lab_levels", no_kernel)
     with pytest.raises(ValueError, match=f"lab-frame integration tolerance must be finite "
                                          f"and positive, got {tol!r}"):
         execute_schedule(lab, lab_tol=tol)
@@ -529,6 +530,193 @@ def test_lab_refinement_against_reference_loop(p, rng, make, lab_tol):
     level = _lab_donor_levels(sched, 0)
     for steps in (64, 128, 1024):
         assert np.array_equal(level(steps), _lab_donor_reference(sched, 0, steps))
+
+
+@st.composite
+def _lab_block_cases(draw):
+    """A random lab schedule (1-3 segments on 1-2 donors, some rf-off or of
+    zero duration) and a random block of refinement levels."""
+    p = DeviceParameters()
+    dw = max_detuning(p)
+    num_donors = draw(st.integers(1, 2))
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        duration = draw(st.sampled_from([0.0, 0.05e-9]) | st.floats(0.1e-9, 1.5e-9))
+        detunings = {q: draw(st.floats(-dw, dw)) for q in range(num_donors)
+                     if draw(st.booleans())}
+        segments.append(PulseSegment(duration=duration, detunings=detunings,
+                                     rf_on=draw(st.booleans())))
+    sched = _schedule(segments, p, n=num_donors, frame="lab", carrier=carrier_frequency(p),
+                      rf_phase=draw(st.floats(-math.pi, math.pi)))
+    block = sorted(draw(st.sets(st.sampled_from([64 << k for k in range(10)]),
+                                min_size=1, max_size=6)))
+    return sched, block
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_lab_block_cases(), lab_tol=st.sampled_from([1e-6, 1e-8]))
+def test_lab_blocks_match_single_levels_and_the_sequential_loop(case, lab_tol):
+    """Each level of a block has the bits of that level alone and of the
+    per-segment reference stream, and the block refinement returns the
+    sequential step-halving loop's unitary."""
+    sched, block = case
+    for donor in range(sched.system.num_donors):
+        levels = _lab_donor_levels(sched, donor)
+        stack = levels(block)
+        assert stack.shape == (len(block), 2, 2)
+        for steps, u in zip(block, stack):
+            assert np.array_equal(u, levels(steps))
+            assert np.array_equal(u, _lab_donor_reference(sched, donor, steps))
+    assert np.array_equal(execute_schedule(sched, lab_tol=lab_tol).unitary,
+                          _execute_lab_reference(sched, lab_tol))
+
+
+def _su2_closed_form_reference(az, ax, omega, phi0, t0, dt, n):
+    """The one-level closed form in scalar arithmetic, telescope included."""
+    w = math.hypot(az, ax)
+    if w == 0.0 or n == 0:
+        return np.eye(2, dtype=complex)
+    ca, sa = math.cos(w * dt), math.sin(w * dt)
+    nz, nt = az / w, ax / w
+    c, s = math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt)
+    a0 = c * ca + s * sa * nz
+    vx, vy, vz = c * sa * nt, -s * sa * nt, c * sa * nz - s * ca
+    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
+    beta = math.atan2(norm, a0)
+    cb = math.cos(n * beta)
+    sb = math.sin(n * beta) / norm if norm > 0.0 else 0.0
+    power = np.array([[cb - 1j * sb * vz, -sb * (vy + 1j * vx)],
+                      [sb * (vy - 1j * vx), cb + 1j * sb * vz]])
+    th0 = omega * (t0 + 0.5 * dt) + phi0
+    th_end = omega * (t0 + (n + 0.5) * dt) + phi0
+    gen = np.array([1.0, -1.0])
+    return np.exp(-0.5j * th_end * gen)[:, None] * power * np.exp(0.5j * th0 * gen)[None, :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(detuning=st.floats(-3e9, 3e9), ax=st.sampled_from([0.0]) | st.floats(1e6, 3e8),
+       phi0=st.floats(-math.pi, math.pi), t0=st.floats(0.0, 5e-9),
+       duration=st.floats(1e-12, 3e-9),
+       steps=st.lists(st.sampled_from([0, 1, 64, 128, 1024, 1 << 19]), min_size=1,
+                      max_size=5))
+def test_su2_levels_match_one_level_calls(detuning, ax, phi0, t0, duration, steps):
+    """su2_lab_levels equals su2_lab_product level by level, and both equal
+    the scalar closed form, bit for bit."""
+    w_ac = 3.5e11
+    az = -(0.5 * w_ac + detuning)
+    ns = [n if n < 16 else int(math.ceil(duration * w_ac / (2.0 * math.pi) * n)) for n in steps]
+    dts = [duration / max(n, 1) for n in ns]
+    stack = _kernels.su2_lab_levels(az, ax, -w_ac, phi0, t0, dts, ns)
+    for u, dt, n in zip(stack, dts, ns):
+        one = _kernels.su2_lab_product(az, ax, -w_ac, phi0, t0, dt, n)
+        assert u.tobytes() == one.tobytes()
+        assert one.tobytes() == _su2_closed_form_reference(az, ax, -w_ac, phi0, t0, dt,
+                                                           n).tobytes()
+    assert np.array_equal(_kernels.su2_lab_levels(0.0, 0.0, -w_ac, phi0, t0, dts, ns),
+                          np.repeat(np.eye(2)[None], len(ns), axis=0))
+
+
+def _sequential_refine(propagate_one, tol, ceiling, what):
+    """The step-halving loop that evaluates one level at a time."""
+    steps = 64
+    coarse = propagate_one(steps)
+    while True:
+        fine = propagate_one(2 * steps)
+        diff = np.abs(fine - coarse).max()
+        if diff <= tol:
+            return fine
+        steps *= 2
+        coarse = fine
+        if steps > ceiling:
+            raise propagator._NotConverged(
+                f"{what} did not converge to {tol} in max-norm: last "
+                f"difference {diff:.3e} at {steps} steps per carrier period"
+            )
+
+
+def _outcome(refine, propagate, tol, ceiling):
+    """(bytes of the returned array, None) or (None, the raised error's type and text)."""
+    try:
+        return refine(propagate, tol, ceiling, "scripted").tobytes(), None
+    except (RuntimeError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _scripted_levels(values, bad_level=None):
+    """propagate(block) over 1x1 unitaries: level 64 * 2**j reads values[j]
+    (the last value beyond the script); a block holding bad_level raises.
+    Returns it with the list of blocks it was asked for."""
+    requests = []
+
+    def propagate(block):
+        requests.append(list(block))
+        if bad_level in block:
+            raise ValueError(f"level {bad_level} failed")
+        return np.array([[[complex(values[min((s // 64).bit_length() - 1, len(values) - 1)])]]
+                         for s in block])
+    return propagate, requests
+
+
+# level values; consecutive differences give the step-halving differences
+_SCRIPTS = {
+    "first_pair": [0.0, 1e-9],
+    "second_order": list(np.cumsum([0.0] + [1e-3 * 4.0 ** -k for k in range(20)])),
+    "slow_first_order": list(np.cumsum([0.0] + [1e-3 * 2.0 ** -k for k in range(30)])),
+    "fast_fourth_order": list(np.cumsum([0.0] + [1e-2 * 16.0 ** -k for k in range(12)])),
+    "nan_then_recovers": [0.0, 1e-3, math.nan, 0.5, 0.5 + 1e-7],
+    "nan_forever": [0.0, 1e-3, math.nan],
+    "inf_then_recovers": [0.0, math.inf, 0.25, 0.25 + 1e-9],
+    "stalls": [0.0, 1e-3, 2e-3] * 8,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(script=st.sampled_from(sorted(_SCRIPTS)),
+       tol=st.sampled_from([1e-300, 1e-8, 1e-6, 1e-3]),
+       ceiling=st.sampled_from([64, 128, 1 << 10, 1 << 16, 1 << 18]),
+       bad=st.sampled_from([None, 256, 4096, 1 << 15]))
+def test_refine_blocks_match_the_sequential_loop(script, tol, ceiling, bad):
+    """Predicted blocks return the sequential loop's array or raise its error
+    and text, ask for no level above 2 * ceiling and for every level the loop
+    needs, and ask for a level twice only alone, after its block raised: a
+    level that only a block asked for ahead of need never raises."""
+    values = _SCRIPTS[script]
+    blocks, requests = _scripted_levels(values, bad)
+    sequential, seq_requests = _scripted_levels(values, bad)
+    got = _outcome(propagator._refine, blocks, tol, ceiling)
+    want = _outcome(_sequential_refine, lambda s: sequential([s])[0], tol, ceiling)
+    assert got == want
+    levels = [s for block in requests for s in block]
+    assert requests[0] == [64, 128] and max(levels) <= 2 * ceiling
+    assert sorted(set(levels)) == [64 << j for j in range(len(set(levels)))]
+    assert {b[0] for b in seq_requests} <= set(levels)
+    raised = {s for b in requests if bad in b and len(b) > 1 for s in b}
+    for s in set(levels):
+        assert levels.count(s) == 1 + (s in raised and [s] in requests)
+
+
+def test_refine_predicts_the_levels_second_order_needs():
+    """A second-order difference sequence converges in two blocks, each of
+    them as long as the loop needs, and tol=1e-300 runs up to the ceiling in
+    one more block."""
+    propagate, requests = _scripted_levels(_SCRIPTS["second_order"])
+    propagator._refine(propagate, 1e-6, 1 << 18, "scripted")
+    # 1e-3 at (64, 128): ceil(log4(1e3)) = 5 more levels reach 1e-3 / 4**5 < 1e-6
+    assert requests == [[64, 128], [256, 512, 1024, 2048, 4096]]
+    propagate, requests = _scripted_levels(_SCRIPTS["second_order"])
+    with pytest.raises(propagator._NotConverged, match="at 524288 steps"):
+        propagator._refine(propagate, 1e-300, 1 << 18, "scripted")
+    assert requests == [[64, 128], [64 << k for k in range(2, 14)]]
+
+
+def test_refine_never_raises_at_a_level_it_asked_for_ahead_of_need():
+    """A block that overshoots into a failing level is evaluated again one
+    level at a time, up to the level the sequential loop returns."""
+    propagate, requests = _scripted_levels(_SCRIPTS["fast_fourth_order"], bad_level=4096)
+    u = propagator._refine(propagate, 1e-6, 1 << 18, "scripted")
+    # 1e-2 at (64, 128) predicts 7 levels; 1e-2 / 16**4 < 1e-6 at (1024, 2048)
+    assert requests == [[64, 128], [64 << k for k in range(2, 9)], [256], [512], [1024], [2048]]
+    assert u.tobytes() == propagate([2048])[0].tobytes()
 
 
 def _su2_reference_loop(az, ax, omega, phi0, t0, dt, n):
