@@ -7,16 +7,18 @@ dominate real runs, the SU(2) stream behind frame-equivalence checks and the
 over the same steps, and prints the max-norm difference between the two.
 The donor kernel takes the static Hamiltonian and hbar and memoizes the
 n-step power (with the eigensystem and half-step propagator behind it), so
-its closed-form time is taken with `_kernels._strang_power` cleared before
-every repeat, and the time of a cache hit (the same call again) is printed on
-a line of its own.  The step loop builds the half-step propagator itself.
+its closed-form time is taken with every memo table cleared (`_memo.clear()`)
+before every repeat, and the time of a cache hit (the same call again) is
+printed on a line of its own.  The step loop builds the half-step propagator
+itself.
 
 A last section times the refinement driver (`propagator._refine` over the
 level driver `_lab_levels`) on three runs: `execute_schedule` of the lab-frame
 X(pi) at lab_tol 1e-6, a fixed 3-segment lab schedule at 1e-8, and
-`frozen_nucleus_check` of Y(pi) (its memo cleared before every repeat).  For
-each it prints the levels evaluated, the levels a sequential step-halving
-loop needs (up to the level returned) and the number of blocks asked for.
+`frozen_nucleus_check` of Y(pi) (the memo tables cleared before every
+repeat).  For each it prints the levels evaluated, the levels a sequential
+step-halving loop needs (up to the level returned) and the number of blocks
+asked for.
 
 Usage: python benchmarks/bench_kernels.py [--steps N]
 """
@@ -27,7 +29,7 @@ import time
 
 import numpy as np
 
-from donorsim import DeviceParameters, _kernels, analysis, propagator
+from donorsim import DeviceParameters, _memo, analysis, propagator
 from donorsim._kernels import donor4_strang_product, su2_lab_product
 from donorsim.gates import synth_x, synth_y
 from donorsim.params import carrier_frequency, max_detuning
@@ -107,7 +109,7 @@ def main():
     m = max(n // 20, 1000)
     d4_args = (single_donor_static(p.a0, p), p.constants.hbar, ax, -1.0, 0.0, w_ac, 0.0, 0.0,
                dt, m)
-    cold = _time(donor4_strang_product, *d4_args, before=_kernels._strang_power.cache_clear)
+    cold = _time(donor4_strang_product, *d4_args, before=_memo.clear)
     hit = _time(donor4_strang_product, *d4_args)
     _report("donor 4-dim split-step stream", m, cold, _time(donor4_loop, *d4_args, repeats=1),
             hit)
@@ -156,7 +158,7 @@ def _report_refinements(p):
         ("3-segment lab schedule, lab_tol 1e-8",
          lambda: propagator.execute_schedule(three, lab_tol=1e-8), None),
         ("frozen-nucleus Y(pi), memo cleared", lambda: analysis.frozen_nucleus_check(y, p),
-         _kernels._strang_power.cache_clear),
+         _memo.clear),
     )
     print("refinement driver (best of 50):")
     for name, run, before in runs:

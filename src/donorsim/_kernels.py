@@ -34,22 +34,23 @@ text, of evaluating one level at a time.
 Global control repeats pulses (identical tilted half-revolutions and
 resonant pi pulses within and across gates), so the 4-dim kernel takes the
 static Hamiltonian itself and memoizes everything that follows from it:
-`_strang_power` keeps the 128 most recent n-step powers (P(-delta) M)^n,
-keyed on the bytes of H_static, the packed doubles (hbar, gx_e,
-phase_sign_e, gx_n, omega, dt) and n.  A miss computes, from the key alone,
-H_static's eigensystem, the half-step propagator, the commutator check and
-the power, so a hit has the bits of a recomputation and a failed check is
+`_strang_power`, a `_memo` table, keeps the 128 most recent n-step powers
+(P(-delta) M)^n, keyed on the bytes of H_static, the packed doubles (hbar,
+gx_e, phase_sign_e, gx_n, omega, dt) and n.  A miss computes, from the key
+alone, H_static's eigensystem, the half-step propagator, the commutator check
+and the power, so a hit has the bits of a recomputation and a failed check is
 never stored.  Only the key (the bytes of H_static and the packed scalars)
 and the telescope (which depends on t0 and chi) are computed on every call.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 
 import numpy as np
+
+from . import _memo
 
 __all__ = ["su2_lab_levels", "su2_lab_product", "donor4_strang_product", "nearest_unitary"]
 
@@ -148,7 +149,7 @@ def donor4_strang_product(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, 
                       omega * (t0 + 0.5 * dt) + chi, omega * (t0 + (n + 0.5) * dt) + chi)
 
 
-@functools.lru_cache(maxsize=128)
+@_memo.table
 def _strang_power(h_bytes: bytes, scalars: bytes, n: int) -> np.ndarray:
     """(P(-delta) M)^n of donor4_strang_product, read-only, from its cache key.
 

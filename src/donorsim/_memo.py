@@ -1,0 +1,40 @@
+"""The one registry of donorsim's process-wide memo tables.
+
+Global control reuses a few pulses across many gates, so synthesis, the
+rotating-frame eigensystems and propagators, the oracle's Strang powers and a
+few small constants are memoized for the whole process.  Every such table is
+declared here with `table`, so each is a bounded LRU table of SIZE entries,
+`TABLES` lists them all (each with its `cache_info()`), and `clear()` empties
+them at once: a cold start for tests and benchmarks.
+
+`PulseSchedule._rotating_unitary` is not a table: it is a per-object memo
+that lives and dies with its schedule.  `clear()` cannot reach it, so a
+schedule the caller still holds stays warm; execute `sched.replace()` for a
+cold run.
+
+This module imports nothing from donorsim, so any module may use it.
+"""
+
+from __future__ import annotations
+
+import functools
+
+__all__ = ["SIZE", "TABLES", "table", "clear"]
+
+# Entries per table: the bound and the LRU policy live here, not at each memo.
+SIZE = 128
+
+TABLES: list = []
+
+
+def table(fn):
+    """fn memoized in a SIZE-entry LRU table that `clear()` empties."""
+    memo = functools.lru_cache(maxsize=SIZE)(fn)
+    TABLES.append(memo)
+    return memo
+
+
+def clear() -> None:
+    """Empty every table (their hit and miss counts restart at zero)."""
+    for memo in TABLES:
+        memo.cache_clear()

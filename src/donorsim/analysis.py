@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels, gates
+from . import _kernels, _memo, gates
 from .params import (
     _CONFIG_FIELDS,
     _UEV,
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-@functools.cache
+@_memo.table
 def _identity(dim: int) -> np.ndarray:
     """Read-only real identity of size dim, shared by every unitarity check."""
     eye = np.eye(dim)

@@ -8,7 +8,6 @@ so runs are auditable, and identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, gates
+from . import _memo, analysis, gates
 from .params import _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
     _NotConverged,
@@ -357,7 +356,7 @@ def _add_gate_flags(sub: argparse.ArgumentParser) -> None:
                      help="add one extra spectator wrap to the final cnot correction")
 
 
-@functools.cache
+@_memo.table
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use.
 

@@ -16,13 +16,13 @@ spin_model for the representation.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _memo
 from .params import (DeviceParameters, InfeasibleDetuningError, _store_floats,
                      dipole_strength, exceeds_max_detuning, max_detuning)
 from .propagator import ExecutionResult, PulseSchedule, PulseSegment, execute_schedule
@@ -543,7 +543,7 @@ def _build(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None,
 # Synthesis is a pure function of frozen inputs, so each whole gate is laid out
 # once per process in one bounded table.  Its schedules are shared: segments
 # are frozen, and their mappings and declared targets are read-only.
-@functools.lru_cache(maxsize=128)
+@_memo.table
 def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem,
             extended_correction: bool, x_conjugation: bool) -> PulseSchedule:
     """Segments of spec's kind, wrapped once into a schedule with its declared target."""

@@ -7,10 +7,11 @@ frequencies in rad/s, fields in T, lengths in m.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
+
+from . import _memo
 
 __all__ = [
     "PhysicalConstants",
@@ -38,7 +39,7 @@ class InfeasibleDetuningError(ValueError):
     """Raised when a requested rotation needs a detuning outside the tunable range."""
 
 
-@functools.cache
+@_memo.table
 def _float_fields(cls) -> tuple[str, ...]:
     """Names of the fields of dataclass cls that are annotated as floats."""
     return tuple(f.name for f in fields(cls) if "float" in str(f.type))

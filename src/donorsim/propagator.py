@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _memo
 from .params import (_UEV, CONSTANTS, DeviceParameters, exceeds_max_detuning,
                      hyperfine_for_frequency)
 from .spin_model import SpinSystem, _read_only, assert_hermitian, rotating_hamiltonian
@@ -122,6 +122,8 @@ class PulseSchedule:
             raise ValueError("frame must be 'rotating' or 'lab'")
         if self.frame == "lab" and self.carrier is None:
             raise ValueError("lab-frame schedules need the carrier frequency")
+        if self.carrier is not None and not 0.0 < self.carrier < math.inf:
+            raise ValueError(f"carrier must be finite and positive, got {self.carrier!r} rad/s")
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "dipole", MappingProxyType(
             {tuple(sorted(k)): v for k, v in dict(self.dipole).items()}))
@@ -145,7 +147,9 @@ class PulseSchedule:
 
         Every input of the product is a frozen field, so the memo stays valid
         for the object's life; it is stored in the instance dict, which
-        replace() does not copy.
+        replace() does not copy.  It is not a `_memo` table: `_memo.clear()`
+        cannot reach it, so a schedule the caller still holds stays warm, and
+        a cold run executes `sched.replace()`.
         """
         return _read_only(_execute_rotating(self))
 
@@ -210,9 +214,6 @@ def segment_hamiltonian(schedule: PulseSchedule, segment: PulseSegment) -> np.nd
 # the most recent ones for the whole process.  The key holds every input of
 # rotating_hamiltonian; the pair tuples keep dict order, which is the order the
 # exchange and dipole terms are summed in, so equal keys give bit-identical H.
-_CACHE_SIZE = 128
-
-
 def _segment_key(schedule: PulseSchedule, segment: PulseSegment) -> tuple:
     """The Hamiltonian key of one segment: (system, drive, dipole, hbar, detunings, couplings)."""
     return (schedule.system, schedule.transverse_energy if segment.rf_on else 0.0,
@@ -220,7 +221,7 @@ def _segment_key(schedule: PulseSchedule, segment: PulseSegment) -> tuple:
             tuple(segment.detunings.items()), tuple(segment.couplings.items()))
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@_memo.table
 def _eigensystem(system: SpinSystem, drive: float, dipole_items: tuple, hbar: float,
                  detuning_items: tuple, coupling_items: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Read-only eigh (w, v) of one rotating-frame segment Hamiltonian."""
@@ -231,7 +232,7 @@ def _eigensystem(system: SpinSystem, drive: float, dipole_items: tuple, hbar: fl
     return _read_only(w), _read_only(v)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
+@_memo.table
 def _propagator(system: SpinSystem, drive: float, dipole_items: tuple, hbar: float,
                 detuning_items: tuple, coupling_items: tuple, duration: float) -> np.ndarray:
     """Read-only exp(-i H t / hbar) of one segment Hamiltonian (same key as _eigensystem)."""

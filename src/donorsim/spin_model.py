@@ -24,12 +24,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from . import _memo
 from .params import (
     DeviceParameters,
     InfeasibleDetuningError,
@@ -199,7 +200,7 @@ def hyperfine_dot(e_site: int, n_site: int, num_sites: int) -> np.ndarray:
 # single-donor Hamiltonians
 # ---------------------------------------------------------------------------
 
-@cache
+@_memo.table
 def _donor_ops() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma_z^e, sigma_z^n and sigma_e . sigma_n on electron (x) nucleus, read-only."""
     return (_read_only(pauli_on(E_SZ, 0, 2)), _read_only(pauli_on(SZ, 1, 2)),
@@ -303,7 +304,7 @@ def _read_only(op: np.ndarray) -> np.ndarray:
     return op
 
 
-@cache
+@_memo.table
 def _register_ops(system: SpinSystem) -> _RegisterOps:
     """The operator basis rotating_hamiltonian sums, built once per system.
 

