@@ -4,12 +4,14 @@
     python benchmarks/digest.py lab_verify 1 301 --ops 700
     python benchmarks/digest.py session 1 3 7 11 301 302 303 2024
     python benchmarks/digest.py validate 7
+    python benchmarks/digest.py gates 1 2 3
 
 For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
 
     compile, lab_verify:  <seed> <index> <failures> <digest> <label>
     session, validate:    <seed> <index> <exit code> <sha256 of its outputs> <label>
+    gates:                <seed> <index> <sha256 of its fingerprint> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
 the op's own digest: for compile the executed unitary with its gate and
@@ -20,9 +22,15 @@ through `donorsim.cli.main` in a fresh temporary directory and hashes the
 `--out` file followed by the `--trace` CSV, if the command writes one; it
 takes no --ops.  validate is not a benchmark workload: it runs `donorsim
 validate --seed <seed>` through `cli.main` once in text and once in json and
-hashes each output file.  The package is imported from this checkout's `src`, so
-running the script in two checkouts and diffing the results shows whether
-they compute and write the same bits.
+hashes each output file.  gates is not a workload either: it synthesizes
+one seeded list of gate requests, every kind and every cnot mode with each
+combination of extended_correction and x_conjugation (flags the compile
+stream never sets), and hashes each schedule's segments and labels, its
+dipole couplings, its declared target and its executed unitary.  Cnots go
+through `synth_cnot` and the rest through `synthesize`, calls that take the
+same arguments in every checkout.  The package is imported from this
+checkout's `src`, so running the script in two checkouts and diffing the
+results shows whether they compute and write the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +44,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from donorsim import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from donorsim import cli, gates, propagator  # noqa: E402
+from donorsim.params import DeviceParameters  # noqa: E402
+from donorsim.spin_model import SpinSystem  # noqa: E402
 from workloads import CompileWorkload, LabVerifyWorkload, SessionWorkload  # noqa: E402
 
 
@@ -72,6 +84,59 @@ def cli_digests(make_commands, seed: int):
             yield idx, code, h.hexdigest(), label
 
 
+def gate_requests(seed: int):
+    """Yield (label, schedule) of the seeded gate requests, in a fixed order."""
+    p = DeviceParameters()
+    rng = np.random.default_rng([seed])
+    j_table = gates.interaction_coupling(1e-11, p)
+
+    def system(donors: int):
+        return SpinSystem(donors) if rng.integers(2) else None
+
+    for kind in ("x", "y", "z", "hadamard"):
+        donors = int(rng.integers(1, 4))
+        target = int(rng.integers(donors))
+        theta = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi)) if kind != "hadamard" else None
+        spec = gates.GateSpec(kind, (target,), theta=theta)
+        yield f"{kind} {target} theta={theta!r}", gates.synthesize(spec, p, system(donors))
+    periods = int(rng.integers(4))
+    spec = gates.GateSpec("idle", (0,), duration=periods * gates.spectator_period(p))
+    yield f"idle {periods} periods", gates.synthesize(spec, p, system(1))
+    donors = int(rng.integers(2, 4))
+    pair = tuple(int(q) for q in rng.choice(donors, size=2, replace=False))
+    j = float(rng.uniform(1.0, 10.0)) * j_table
+    spec = gates.GateSpec("swap", pair, j=j)
+    yield f"swap {pair} j={j!r}", gates.synthesize(spec, p, system(donors))
+    for mode in ("exchange", "dipole", "combined"):
+        for extended in (False, True):
+            for x_conjugation in (True, False):
+                donors = int(rng.integers(2, 4))
+                control, target = (int(q) for q in rng.choice(donors, size=2, replace=False))
+                j = None if mode == "dipole" else float(rng.uniform(1.0, 10.0)) * j_table
+                d = None if mode == "exchange" else float(rng.uniform(20e-9, 40e-9))
+                sched = gates.synth_cnot(mode, control, target, p, j=j, d=d,
+                                         system=system(donors),
+                                         extended_correction=extended,
+                                         x_conjugation=x_conjugation)
+                yield (f"cnot {mode} ({control}, {target}) j={j!r} d={d!r} "
+                       f"extended_correction={extended} x_conjugation={x_conjugation}"), sched
+
+
+def gate_digests(seed: int):
+    """Yield (index, sha256 hex, label) of each seeded gate request's schedule."""
+    for idx, (label, sched) in enumerate(gate_requests(seed)):
+        h = hashlib.sha256()
+        for seg in sched.segments:
+            h.update(repr((seg.duration.hex(), [(q, v.hex()) for q, v in seg.detunings.items()],
+                           [(pair, v.hex()) for pair, v in seg.couplings.items()],
+                           seg.rf_on, seg.label)).encode())
+        h.update(repr([(pair, v.hex()) for pair, v in sched.dipole.items()]).encode())
+        h.update(repr(sched.system).encode())
+        h.update(sched.declared_target.tobytes())
+        h.update(propagator.execute_schedule(sched).unitary.tobytes())
+        yield idx, h.hexdigest(), f"n={sched.system.num_donors} {label}"
+
+
 OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
 CLI_WORKLOADS = {"session": lambda seed, workdir: SessionWorkload(seed, workdir).commands,
                  "validate": validate_commands}
@@ -79,16 +144,21 @@ CLI_WORKLOADS = {"session": lambda seed, workdir: SessionWorkload(seed, workdir)
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_WORKLOADS])
+    parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_WORKLOADS, "gates"])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--ops", type=int,
                         help="ops per seed, in the workload's order (default 700; "
                              "compile and lab_verify only)")
     args = parser.parse_args(argv)
+    if args.workload not in OP_WORKLOADS and args.ops is not None:
+        parser.error(f"--ops does not apply to {args.workload}: "
+                     f"it runs its fixed list")
+    if args.workload == "gates":
+        for seed in args.seeds:
+            for idx, digest, label in gate_digests(seed):
+                print(f"{seed} {idx:02d} {digest} {label}")
+        return 0
     if args.workload in CLI_WORKLOADS:
-        if args.ops is not None:
-            parser.error(f"--ops does not apply to {args.workload}: "
-                         f"it runs its fixed command list")
         for seed in args.seeds:
             for idx, code, digest, label in cli_digests(CLI_WORKLOADS[args.workload], seed):
                 print(f"{seed} {idx:02d} {code} {digest} {label}")

@@ -155,7 +155,8 @@ def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
             j = gates.interaction_coupling(step_ns * 1e-9, p)
         if mode in ("dipole", "combined") and d is None:
             d = p.d
-        return gates.GateSpec(kind, (control, target), mode=mode, j=j, d=d)
+        return gates.GateSpec(kind, (control, target), mode=mode, j=j, d=d,
+                              extended_correction=bool(args.extended_correction))
     if kind == "idle":
         duration_ns = 0.0 if args.duration_ns is None else args.duration_ns
         return gates.GateSpec(kind, (0,), duration=duration_ns * 1e-9)
@@ -182,8 +183,7 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
     p = cfg.device
     spec = _build_spec(args, p)
     system = _requested_system(args)
-    report = gates.compile_gate(spec, p, system=system,
-                                extended_correction=bool(args.extended_correction))
+    report = gates.compile_gate(spec, p, system=system)
     # the trace is computed before anything is written, so a bad --initial or
     # --samples leaves no gate report behind
     trace = None
@@ -303,8 +303,7 @@ def _cmd_schedule(args, cfg: RunConfig) -> int:
     p = cfg.device
     if args.action == "dump":
         spec = _build_spec(args, p)
-        sched = gates.synthesize(spec, p, _requested_system(args),
-                                 extended_correction=bool(args.extended_correction))
+        sched = gates.synthesize(spec, p, _requested_system(args))
         _emit(_audit_lines(cfg) + schedule_to_text(sched, p), cfg.out)
         return 0
     with open(args.file) as fh:

@@ -63,13 +63,19 @@ SWAP_MATRIX = np.array(
 
 @dataclass(frozen=True)
 class GateSpec:
-    """An abstract gate request.
+    """An abstract gate request: everything synthesis depends on but the device
+    and the system.
 
     kind is one of x, y, z (rotations by theta), hadamard, cnot (targets =
     (control, target), mode exchange|dipole|combined with couplings j and/or
-    separation d), swap (coupling j) and idle (duration).  Integer targets are
-    stored as ints and real numbers as floats, so equal specs, which share one
-    synthesis cache entry, also compute with the same types.
+    separation d), swap (coupling j) and idle (duration).  A cnot's mode
+    defaults to exchange; extended_correction adds one spectator wrap to its
+    final correction, and x_conjugation=False replaces its X steps with
+    equal-duration idles.  A field the kind does not use, or a non-default
+    flag on any kind but cnot, is a ValueError, so equal requests are equal
+    specs.  Integer targets are stored as ints and real numbers as floats, so
+    equal specs, which share one synthesis cache entry, also compute with the
+    same types.
     """
 
     kind: str
@@ -79,6 +85,8 @@ class GateSpec:
     j: float | None = None
     d: float | None = None
     duration: float | None = None
+    extended_correction: bool = False
+    x_conjugation: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(
@@ -92,11 +100,33 @@ class GateSpec:
         expected = {"cnot": 2, "swap": 2}.get(self.kind, 1)
         if len(self.targets) != expected:
             raise ValueError(f"{self.kind} takes {expected} target(s)")
+        cnot = self.kind == "cnot"
+        if cnot:
+            if self.mode is None:
+                object.__setattr__(self, "mode", "exchange")
+            if self.mode not in _CNOT_MODES:
+                raise ValueError(f"unknown cnot mode {self.mode!r}")
+        what = f"cnot in {self.mode} mode" if cnot else self.kind
+        used = {  # field: the kind uses it
+            "theta": self.kind in ("x", "y", "z"),
+            "mode": cnot,
+            "j": self.kind == "swap" or (cnot and self.mode != "dipole"),
+            "d": cnot and self.mode != "exchange",
+            "duration": self.kind == "idle",
+        }
+        for name, in_use in used.items():
+            if getattr(self, name) is not None and not in_use:
+                raise ValueError(f"{name} does not apply to {what}")
+        for name, default in (("extended_correction", False), ("x_conjugation", True)):
+            value = getattr(self, name)
+            if value not in (False, True):
+                raise ValueError(f"{name} must be True or False, got {value!r}")
+            object.__setattr__(self, name, bool(value))
+            if value != default and not cnot:
+                raise ValueError(f"{name} does not apply to {what}")
         if self.kind in ("x", "y", "z"):
             if self.theta is None or not -2.0 * math.pi < self.theta < 2.0 * math.pi:
                 raise ValueError("rotation angle must lie in (-2*pi, 2*pi)")
-        if self.kind == "cnot" and (self.mode or "exchange") not in _CNOT_MODES:
-            raise ValueError(f"unknown cnot mode {self.mode!r}")
         if self.kind == "idle" and not (self.duration is not None
                                         and 0.0 <= self.duration < math.inf):
             raise ValueError("idle needs a finite non-negative duration")
@@ -400,10 +430,9 @@ def interaction_coupling(step_s: float, p: DeviceParameters) -> float:
     return 3.0 * math.pi * p.constants.hbar / (8.0 * step_s)
 
 
-def _cnot_segments(spec: GateSpec, p: DeviceParameters, extended_correction: bool,
-                   x_conjugation: bool) -> tuple[list[PulseSegment], dict]:
+def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegment], dict]:
     control, target = spec.targets
-    mode, j, d = spec.mode or "exchange", spec.j, spec.d
+    mode, j, d = spec.mode, spec.j, spec.d
     dipole = {}
     if mode == "exchange":
         if j is None or j <= 0.0:
@@ -441,16 +470,18 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters, extended_correction: boo
                             rf_on=rf_during_interaction, label=label)
 
     def x_on_control(label: str) -> PulseSegment:
-        if x_conjugation:
+        if spec.x_conjugation:
             # control resonant pi; target detuned to a whole revolution of the
             # same duration (speed ratio 2)
             return _full_revolution_segment(2.0, (target,), p, label)
         # diagnostic variant: equal-duration idle (both qubits revolve)
         return _full_revolution_segment(2.0, (control, target), p, label)
 
-    # steps 1 and 7 are the corrected Hadamard gate on the control, relabelled;
-    # _build, not synthesize, so a CNOT counts as one synthesis request
-    pulse, *correction = _build(GateSpec("hadamard", (control,)), p, None, False).segments
+    # steps 1 and 7 are the corrected Hadamard gate on the control (its table
+    # entry on its own default system), relabelled; _layout, not synthesize, so
+    # a CNOT counts as one synthesis request
+    pulse, *correction = _layout(GateSpec("hadamard", (control,)), p,
+                                 SpinSystem(num_donors=control + 1)).segments
 
     def hadamard_step(step: int) -> list[PulseSegment]:
         return [pulse.with_label(f"step {step} hadamard pulse"),
@@ -464,7 +495,7 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters, extended_correction: boo
     segments.append(_resonant_segment(math.pi / 2.0, p, "step 6 resonant pi/2 pair"))
     segments += hadamard_step(7)
     final_corr, _ = synth_correction(_deficit_after(segments, p), (control, target), p,
-                                     1 if extended_correction else 0)
+                                     1 if spec.extended_correction else 0)
     segments += [s.with_label("step 8 correction") for s in final_corr]
     return segments, dipole
 
@@ -486,10 +517,12 @@ def synth_cnot(
     always-on 1/d^3 coupling with its sigma_z sigma_z error term) or combined
     (j plus dipole).  extended_correction adds one extra spectator wrap to the
     final correction step; x_conjugation=False replaces the X steps with
-    equal-duration idles (diagnostic for the refocusing property).
+    equal-duration idles (diagnostic for the refocusing property).  The
+    arguments become one GateSpec, synthesized like any other.
     """
-    return _build(GateSpec("cnot", (control, target), mode=mode, j=j, d=d), p, system,
-                  extended_correction, x_conjugation)
+    return synthesize(GateSpec("cnot", (control, target), mode=mode, j=j, d=d,
+                               extended_correction=extended_correction,
+                               x_conjugation=x_conjugation), p, system)
 
 
 def _swap_segments(spec: GateSpec, p: DeviceParameters) -> list[PulseSegment]:
@@ -529,27 +562,16 @@ def synth_idle(duration: float, p: DeviceParameters,
 # the synthesis path
 # ---------------------------------------------------------------------------
 
-def _build(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None,
-           extended_correction: bool, x_conjugation: bool = True) -> PulseSchedule:
-    """The schedule of spec on system (default: the gate's own), from the gate cache.
-
-    The key is passed positionally and in full, so every caller shares entries.
-    """
-    if system is None:
-        system = SpinSystem(num_donors=1 if spec.kind == "idle" else max(spec.targets) + 1)
-    return _layout(spec, p, system, extended_correction, x_conjugation)
-
-
 # Synthesis is a pure function of frozen inputs, so each whole gate is laid out
-# once per process in one bounded table.  Its schedules are shared: segments
-# are frozen, and their mappings and declared targets are read-only.
+# once per process in one bounded table keyed on (spec, device, system).  Its
+# schedules are shared: segments are frozen, and their mappings and declared
+# targets are read-only.
 @_memo.table
-def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem,
-            extended_correction: bool, x_conjugation: bool) -> PulseSchedule:
+def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem) -> PulseSchedule:
     """Segments of spec's kind, wrapped once into a schedule with its declared target."""
     dipole: dict = {}
     if spec.kind == "cnot":
-        segments, dipole = _cnot_segments(spec, p, extended_correction, x_conjugation)
+        segments, dipole = _cnot_segments(spec, p)
     elif spec.kind == "swap":
         segments = _swap_segments(spec, p)
     elif spec.kind == "idle":
@@ -567,17 +589,20 @@ def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem,
     return _make_schedule(segments, p, system, declared_target=declared, dipole=dipole)
 
 
-def synthesize(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None = None,
-               extended_correction: bool = False) -> PulseSchedule:
+def synthesize(spec: GateSpec, p: DeviceParameters,
+               system: SpinSystem | None = None) -> PulseSchedule:
     """The one path from a GateSpec to a PulseSchedule.
 
     Lays out the kind's resonant and detuned segments and, for single-qubit
     kinds, a correction that brings every spectator to a whole 2*pi turn, so
     each gate lasts whole spectator periods.  The default system has
-    max(targets) + 1 donors (one for idle); extended_correction adds one
-    spectator wrap to a CNOT's final correction.
+    max(targets) + 1 donors (one for idle).  The result comes from the gate
+    table, keyed on (spec, p, system) with that default resolved first, so
+    every equal request shares one entry.
     """
-    return _build(spec, p, system, extended_correction)
+    if system is None:
+        system = SpinSystem(num_donors=1 if spec.kind == "idle" else max(spec.targets) + 1)
+    return _layout(spec, p, system)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +610,7 @@ def synthesize(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None = 
 # ---------------------------------------------------------------------------
 
 def compose_parallel(specs: list[GateSpec], p: DeviceParameters,
-                     system: SpinSystem | None = None,
-                     extended_correction: bool = False) -> PulseSchedule:
+                     system: SpinSystem | None = None) -> PulseSchedule:
     """Merge gates on disjoint qubit sets into one simultaneous schedule.
 
     Shorter gates are padded with whole-period resonant idles (exactly what
@@ -602,7 +626,7 @@ def compose_parallel(specs: list[GateSpec], p: DeviceParameters,
             raise ValueError(f"gates overlap on qubits {sorted(overlap)}")
         seen.update(spec.targets)
     system = system or SpinSystem(num_donors=max(seen) + 1)
-    schedules = [synthesize(spec, p, system, extended_correction) for spec in specs]
+    schedules = [synthesize(spec, p, system) for spec in specs]
     t_spec = spectator_period(p)
     durations = [s.total_duration for s in schedules]
     t_max = max(durations)
@@ -689,16 +713,12 @@ def embed_ideal(spec: GateSpec, system: SpinSystem) -> np.ndarray:
     return embed(ideal_unitary(spec), sites, system.num_sites)
 
 
-def compile_gate(
-    spec: GateSpec,
-    p: DeviceParameters,
-    system: SpinSystem | None = None,
-    extended_correction: bool = False,
-) -> GateReport:
+def compile_gate(spec: GateSpec, p: DeviceParameters,
+                 system: SpinSystem | None = None) -> GateReport:
     """Synthesize, execute and grade a gate against its ideal unitary."""
     from .analysis import gate_fidelity
 
-    schedule = synthesize(spec, p, system, extended_correction)
+    schedule = synthesize(spec, p, system)
     result: ExecutionResult = execute_schedule(schedule)
     ideal = schedule.declared_target
     fidelity = gate_fidelity(result.unitary, ideal) if schedule.segments else 1.0

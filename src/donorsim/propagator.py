@@ -41,6 +41,18 @@ __all__ = [
 ]
 
 
+def _sorted_pairs(pairs, what: str) -> dict:
+    """pairs keyed by each pair in ascending order; a pair given twice, in
+    either order, is a ValueError."""
+    out = {}
+    for pair, value in dict(pairs).items():
+        key = tuple(sorted(pair))
+        if key in out:
+            raise ValueError(f"{what} pair {'-'.join(map(str, key))} given twice")
+        out[key] = value
+    return out
+
+
 def _check_pairs(pairs: dict, what: str, system: SpinSystem | None = None) -> dict:
     """pairs, once every coupled pair names two different donors (of system, when given)."""
     for pair in pairs:
@@ -71,7 +83,7 @@ class PulseSegment:
 
     def __post_init__(self):
         detunings = dict(self.detunings)
-        couplings = {tuple(sorted(k)): v for k, v in dict(self.couplings).items()}
+        couplings = _sorted_pairs(self.couplings, "exchange")
         controls = (self.duration, *detunings.values(), *couplings.values())
         if not all(math.isfinite(v) for v in controls):
             raise ValueError("segment duration, detunings and couplings must be finite")
@@ -122,11 +134,20 @@ class PulseSchedule:
             raise ValueError("frame must be 'rotating' or 'lab'")
         if self.frame == "lab" and self.carrier is None:
             raise ValueError("lab-frame schedules need the carrier frequency")
-        if self.carrier is not None and not 0.0 < self.carrier < math.inf:
-            raise ValueError(f"carrier must be finite and positive, got {self.carrier!r} rad/s")
+        positive = (("b_ac", "T"), ("hbar", "J*s"), ("mu_b", "J/T"))
+        if self.carrier is not None:
+            positive += (("carrier", "rad/s"),)
+        for name, unit in positive:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r} {unit}")
+        if not -math.inf < self.rf_phase < math.inf:
+            raise ValueError(f"rf_phase must be finite, got {self.rf_phase!r} rad")
+        dipole = _sorted_pairs(self.dipole, "dipole")
+        if not all(0.0 <= d < math.inf for d in dipole.values()):
+            raise ValueError("dipole couplings must be finite and non-negative")
         object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "dipole", MappingProxyType(
-            {tuple(sorted(k)): v for k, v in dict(self.dipole).items()}))
+        object.__setattr__(self, "dipole", MappingProxyType(dipole))
         _check_pairs(self.dipole, "dipole", self.system)
         for seg in self.segments:
             for q in seg.detunings:
@@ -425,14 +446,20 @@ def concat_schedules(first: PulseSchedule, second: PulseSchedule) -> PulseSchedu
     return first.replace(segments=first.segments + second.segments, declared_target=None)
 
 
+def _check_controls(segment: PulseSegment, p: DeviceParameters) -> None:
+    """ValueError unless every detuning of segment is within the device's range."""
+    for q, dw in segment.detunings.items():
+        if exceeds_max_detuning(dw, p):
+            raise ValueError(f"detuning {dw:.6e} on donor {q} exceeds the device bound")
+
+
 def validate_schedule_controls(schedule: PulseSchedule, p: DeviceParameters) -> None:
     """Check every segment's controls against the device's tunable ranges."""
     for i, seg in enumerate(schedule.segments):
-        for q, dw in seg.detunings.items():
-            if exceeds_max_detuning(dw, p):
-                raise ValueError(
-                    f"segment {i}: detuning {dw:.6e} on donor {q} exceeds the device bound"
-                )
+        try:
+            _check_controls(seg, p)
+        except ValueError as exc:
+            raise ValueError(f"segment {i}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +603,17 @@ def schedule_to_text(schedule: PulseSchedule, p: DeviceParameters) -> str:
     return out.getvalue()
 
 
-def _parse_pairs(text: str, cast_key) -> dict:
+def _parse_pairs(text: str, cast_key, twice) -> dict:
+    """'key:v,...' as {cast_key(key): v}; twice(key) names a key given twice."""
     out = {}
     if not text:
         return out
     for item in text.split(","):
         key, _, val = item.partition(":")
-        out[cast_key(key)] = float(val)
+        key = cast_key(key)
+        if key in out:
+            raise ValueError(twice(key))
+        out[key] = float(val)
     return out
 
 
@@ -604,10 +635,12 @@ def _finite(key: str):
     return parse
 
 
-def _pair_values(text: str, unit: float) -> dict:
-    """'a-b:v,...' as {(a, b): v * unit}."""
-    return {tuple(int(x) for x in key.split("-")): v * unit
-            for key, v in _parse_pairs(text, str).items()}
+def _pair_values(text: str, unit: float, what: str) -> dict:
+    """'a-b:v,...' as {(min, max): v * unit}; a pair given twice, in either
+    order, is a ValueError."""
+    pairs = _parse_pairs(text, lambda key: tuple(sorted(int(x) for x in key.split("-"))),
+                         lambda pair: f"{what} pair {'-'.join(map(str, pair))} given twice")
+    return {pair: v * unit for pair, v in pairs.items()}
 
 
 def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
@@ -628,7 +661,8 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
             fields: dict[str, str] = {}
             rest = line[len("segment "):]
             label = ""
-            if " label=" in rest:
+            has_label = " label=" in rest
+            if has_label:
                 rest, _, label_repr = rest.rpartition(" label=")
                 try:
                     label = ast.literal_eval(label_repr)
@@ -636,6 +670,8 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                     raise ValueError(f"line {lineno}: bad label literal") from exc
             for tok in rest.split():
                 key, _, val = tok.partition("=")
+                if key in fields or (key == "label" and has_label):
+                    raise ValueError(f"line {lineno}: segment field {key!r} given twice")
                 fields[key] = val
             unknown = set(fields) - {"duration_ns", "a_over_a0", "j_uev", "rf"}
             if unknown:
@@ -653,6 +689,9 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                      "rf_phase", "dipole_uev", "carrier"}
             if key not in known:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in header:
+                raise ValueError(f"line {lineno}: {key} given twice "
+                                 f"(first on line {header[key][1]})")
             header[key] = (val.strip(), lineno)
 
     def header_value(key: str, default, parse):
@@ -678,21 +717,23 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     segments = []
     for lineno, fields, rf_on, label in segment_lines:
         try:
-            detunings = {
-                q: resonant_frequency(frac * p.a0, p) - w_ac
-                for q, frac in _parse_pairs(fields.get("a_over_a0", ""), int).items()
-            }
+            fractions = _parse_pairs(fields.get("a_over_a0", ""), int,
+                                     lambda q: f"donor {q} named twice in a_over_a0")
+            detunings = {q: resonant_frequency(frac * p.a0, p) - w_ac
+                         for q, frac in fractions.items()}
             seg = PulseSegment(
                 duration=float(fields["duration_ns"]) * 1e-9, detunings=detunings,
-                couplings=_pair_values(fields.get("j_uev", ""), _UEV), rf_on=rf_on, label=label)
+                couplings=_pair_values(fields.get("j_uev", ""), _UEV, "exchange"),
+                rf_on=rf_on, label=label)
             for q in [*seg.detunings, *(q for pair in seg.couplings for q in pair)]:
                 system.electron_site(q)
+            _check_controls(seg, p)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         segments.append(seg)
-    dipole = header_value("dipole_uev", {},
-                          lambda text: _check_pairs(_pair_values(text, _UEV), "dipole", system))
-    schedule = PulseSchedule(
+    dipole = header_value("dipole_uev", {}, lambda text: _check_pairs(
+        _pair_values(text, _UEV, "dipole"), "dipole", system))
+    return PulseSchedule(
         segments=tuple(segments),
         b_ac=header_value("b_ac", p.b_ac, _finite("b_ac")),
         system=system,
@@ -703,5 +744,3 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
         hbar=p.constants.hbar,
         mu_b=p.constants.mu_b,
     )
-    validate_schedule_controls(schedule, p)
-    return schedule

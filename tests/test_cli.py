@@ -235,6 +235,51 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": "num_donors = 2\nsegment duration_ns=1 j_uev=0-2:1 rf=on\n"},
                  "line 2: donor index 2 out of range", id="segment_coupling_donor_out_of_range"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "frame = rotating\nframe = lab\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 4: frame given twice (first on line 3)",
+                 id="header_key_twice"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on rf=off\n"},
+                 "schedule failed: line 3: segment field 'rf' given twice",
+                 id="segment_field_twice"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on label='a' "
+                                                "label='b'\n"},
+                 "schedule failed: line 3: segment field 'label' given twice",
+                 id="segment_label_twice"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 a_over_a0=0:0.9,0:0.8 "
+                                                "rf=on\n"},
+                 "schedule failed: line 3: donor 0 named twice in a_over_a0",
+                 id="a_over_a0_donor_twice"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\nsegment duration_ns=1 rf=on\n"
+                             "segment duration_ns=1 j_uev=0-1:1,1-0:2 rf=on\n"},
+                 "schedule failed: line 3: exchange pair 0-1 given twice",
+                 id="exchange_pair_twice_reversed"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\nsegment duration_ns=1 j_uev=1-0:1,1-0:1 rf=on\n"},
+                 "schedule failed: line 2: exchange pair 0-1 given twice",
+                 id="exchange_pair_twice"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 3\ndipole_uev = 2-1:0.01,0-1:0.01,1-2:0.02\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 2: dipole pair 1-2 given twice",
+                 id="dipole_pair_twice_reversed"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "b_ac = -1e-3\nsegment duration_ns=1 rf=on\n"},
+                 "schedule failed: b_ac must be finite and positive, got -0.001 T",
+                 id="negative_b_ac"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "b_ac = 0\nsegment duration_ns=1 rf=on\n"},
+                 "schedule failed: b_ac must be finite and positive, got 0.0 T", id="zero_b_ac"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on\n"
+                             "segment duration_ns=1 a_over_a0=0:0.1 rf=on\n"},
+                 "schedule failed: line 4: detuning -3.311592e+08 on donor 0 exceeds the "
+                 "device bound", id="detuning_out_of_bound_names_its_line"),
     pytest.param(["gate", "--gate", "cnot", "--interaction-step-ns", "0"], {},
                  "interaction step must be positive and finite",
                  id="cnot_zero_interaction_step"),

@@ -296,7 +296,8 @@ def test_cnot_rejects(p):
     # an x-aligned register breaks the secular dipole form of the rotating frame
     for mode in ("dipole", "combined"):
         with pytest.raises(ValueError, match="z alignment"):
-            compile_gate(GateSpec("cnot", (0, 1), mode=mode, j=1e-27, d=30e-9), p,
+            compile_gate(GateSpec("cnot", (0, 1), mode=mode,
+                                  j=None if mode == "dipole" else 1e-27, d=30e-9), p,
                          SpinSystem(2, alignment="x"))
     with pytest.raises(ValueError):
         synth_cnot("exchange", 0, 0, p, j=1e-27)
@@ -453,6 +454,13 @@ def test_gate_spec_validation():
         GateSpec("cnot", (0, 1), mode="telepathy")
     with pytest.raises(ValueError):
         GateSpec("idle", (0,))
+    # a cnot's default mode is stored, so both spellings are one request
+    assert GateSpec("cnot", (0, 1)).mode == "exchange"
+    assert GateSpec("cnot", (0, 1)) == GateSpec("cnot", (0, 1), mode="exchange")
+    flagged = GateSpec("cnot", (0, 1), extended_correction=np.bool_(True), x_conjugation=0)
+    assert (type(flagged.extended_correction), type(flagged.x_conjugation)) == (bool, bool)
+    with pytest.raises(ValueError, match="^x_conjugation must be True or False, got 'no'$"):
+        GateSpec("cnot", (0, 1), x_conjugation="no")
 
 
 def test_compile_gate_report(p):
@@ -485,10 +493,10 @@ def test_synth_functions_route_through_synthesize(p):
         (synth_swap(j, 2, 0, p), GateSpec("swap", (2, 0), j=j)),
         (synth_idle(t_idle, p), GateSpec("idle", (0,), duration=t_idle)),
         (synth_cnot("combined", 1, 0, p, j=j, d=30e-9, extended_correction=True),
-         GateSpec("cnot", (1, 0), mode="combined", j=j, d=30e-9)),
+         GateSpec("cnot", (1, 0), mode="combined", j=j, d=30e-9, extended_correction=True)),
     ]
     for sched, spec in pairs:
-        ref = synthesize(spec, p, sched.system, extended_correction=spec.kind == "cnot")
+        ref = synthesize(spec, p, sched.system)
         assert sched.segments == ref.segments and sched.dipole == ref.dipole
         assert np.array_equal(sched.declared_target, ref.declared_target)
     assert synth_x(2.0, 1, p).system == SpinSystem(2)
@@ -550,12 +558,12 @@ def _fingerprint(sched):
             sched.declared_target.tobytes(), execute_schedule(sched).unitary.tobytes())
 
 
-def _synth(spec, p, system=None, extended_correction=False, x_conjugation=True):
+def _synth(spec, p, system=None):
     if spec.kind == "cnot":
         return synth_cnot(spec.mode, *spec.targets, p, j=spec.j, d=spec.d, system=system,
-                          extended_correction=extended_correction,
-                          x_conjugation=x_conjugation)
-    return synthesize(spec, p, system, extended_correction)
+                          extended_correction=spec.extended_correction,
+                          x_conjugation=spec.x_conjugation)
+    return synthesize(spec, p, system)
 
 
 def _equal_values(v):
@@ -575,14 +583,8 @@ _ANGLES = st.one_of(
     st.floats(-2.0 * math.pi, 2.0 * math.pi, exclude_min=True, exclude_max=True))
 
 
-@st.composite
-def _synthesis_cases(draw):
-    """(spec, twin, system, extended_correction, x_conjugation): twin equals spec
-    but for the type or sign of one number."""
-    p = DeviceParameters()
-    donors = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(("x", "y", "z", "hadamard", "idle")
-                                + (("cnot", "swap") if donors > 1 else ())))
+def _request_fields(draw, kind, donors, p):
+    """(targets, fields) of a drawn request of kind on donors donors."""
     fields = {}
     if kind in ("x", "y", "z"):
         fields["theta"] = draw(_ANGLES)
@@ -592,6 +594,8 @@ def _synthesis_cases(draw):
         mode = draw(st.sampled_from(("exchange", "dipole", "combined"))) if kind == "cnot" else None
         if mode:
             fields["mode"] = mode
+            fields["extended_correction"] = draw(st.booleans())
+            fields["x_conjugation"] = draw(st.booleans())
         if mode != "dipole":
             fields["j"] = draw(st.floats(1.0, 10.0)) * _table_j(p)
         if mode in ("dipole", "combined"):
@@ -601,65 +605,114 @@ def _synthesis_cases(draw):
         targets = (0,)
     else:
         targets = (draw(st.integers(0, donors - 1)),)
+    return targets, fields
+
+
+@st.composite
+def _synthesis_cases(draw):
+    """(spec, twin, system): twin is an equal request written another way: one
+    number of another type or sign, a default flag or an exchange cnot's mode
+    left out, or a flag given as a numpy bool."""
+    p = DeviceParameters()
+    donors = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("x", "y", "z", "hadamard", "idle")
+                                + (("cnot", "swap") if donors > 1 else ())))
+    targets, fields = _request_fields(draw, kind, donors, p)
     spec = GateSpec(kind, targets, **fields)
+    rewrites = [{name: draw(st.sampled_from(_equal_values(v)))}
+                for name, v in fields.items() if isinstance(v, float)]
+    rewrites += [{name: None} for name, v in fields.items()
+                 if (name, v) in (("mode", "exchange"), ("extended_correction", False),
+                                  ("x_conjugation", True))]
+    rewrites += [{name: np.bool_(v)} for name, v in fields.items() if isinstance(v, bool)]
     twin = spec
-    numbers = [name for name, v in fields.items() if isinstance(v, float)]
-    if numbers:
-        name = draw(st.sampled_from(numbers))
-        twin = GateSpec(kind, targets, **{**fields,
-                                          name: draw(st.sampled_from(_equal_values(fields[name])))})
+    if rewrites:
+        rewrite = draw(st.sampled_from(rewrites))
+        twin_fields = {k: v for k, v in {**fields, **rewrite}.items() if v is not None}
+        twin = GateSpec(kind, targets, **twin_fields)
     system = draw(st.sampled_from((None, SpinSystem(donors))))
-    extended = draw(st.booleans()) if kind == "cnot" else False
-    x_conjugation = draw(st.booleans()) if kind == "cnot" else True
-    return spec, twin, system, extended, x_conjugation
+    return spec, twin, system
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=_synthesis_cases())
 def test_synthesis_cold_and_warm_are_bit_identical(p, case):
-    spec, twin, system, extended, x_conjugation = case
+    spec, twin, system = case
     assert twin == spec
     _memo.clear()
-    cold = _fingerprint(_synth(spec, p, system, extended, x_conjugation))
-    assert _fingerprint(_synth(spec, p, system, extended, x_conjugation)) == cold
+    cold = _fingerprint(_synth(spec, p, system))
+    assert _fingerprint(_synth(spec, p, system)) == cold
     # an equal spec of other number types fills the entry spec then reads
     _memo.clear()
-    assert _fingerprint(_synth(twin, p, system, extended, x_conjugation)) == cold
-    assert _fingerprint(_synth(spec, p, system, extended, x_conjugation)) == cold
+    assert _fingerprint(_synth(twin, p, system)) == cold
+    assert _fingerprint(_synth(spec, p, system)) == cold
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_synthesis_cases())
+def test_equal_requests_share_one_layout_entry(p, case):
+    """However an equal request is written, it reads the entry the first made."""
+    spec, twin, system = case
+    _memo.clear()
+    first = _synth(spec, p, system)
+    misses = gates._layout.cache_info().misses
+    assert _synth(twin, p, system) is first
+    assert synthesize(twin, p, system) is first
+    assert gates._layout.cache_info().misses == misses
+
+
+_UNUSED = {"theta": 1.0, "mode": "exchange", "j": 1e-25, "d": 30e-9, "duration": 0.0}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(gates._GATE_KINDS))
+def test_unused_fields_and_flags_raise(p, data, kind):
+    """A field the kind does not use, or a cnot flag on another kind, is an error
+    that names the field and the kind."""
+    targets, fields = _request_fields(data.draw, kind, 2, p)
+    spec = GateSpec(kind, targets, **fields)
+    what = f"cnot in {spec.mode} mode" if kind == "cnot" else kind
+    unused = [name for name in _UNUSED if name not in fields]
+    if kind != "cnot":
+        unused += ["extended_correction", "x_conjugation"]
+    name = data.draw(st.sampled_from(unused))
+    value = {"extended_correction": True, "x_conjugation": False}.get(name, _UNUSED.get(name))
+    with pytest.raises(ValueError, match=f"^{name} does not apply to {what}$"):
+        GateSpec(kind, targets, **{**fields, name: value})
 
 
 def _key_pairs(p):
-    """Builds that differ in one input of the gate cache key, and in nothing else."""
+    """Requests that differ in one input of the gate cache key, and in nothing else."""
     j = _table_j(p)
     x = GateSpec("x", (0,), theta=math.pi)
     cnot = GateSpec("cnot", (0, 1), mode="combined", j=j, d=30e-9)
     two = SpinSystem(2)
     slow = dataclasses.replace(p.constants, hbar=p.constants.hbar * (1.0 + 1e-9))
     return {
-        "theta": [(x, p, two, False, True),
-                  (GateSpec("x", (0,), theta=math.nextafter(math.pi, 4.0)), p, two, False, True)],
-        "kind": [(x, p, two, False, True), (GateSpec("y", (0,), theta=math.pi), p, two, False, True)],
-        "targets": [(cnot, p, two, False, True),
-                    (GateSpec("cnot", (1, 0), mode="combined", j=j, d=30e-9), p, two, False, True)],
-        "mode": [(GateSpec("cnot", (0, 1), mode="exchange", j=j, d=30e-9), p, two, False, True),
-                 (cnot, p, two, False, True)],
-        "j": [(cnot, p, two, False, True),
-              (GateSpec("cnot", (0, 1), mode="combined", j=2.0 * j, d=30e-9), p, two, False, True)],
-        "d": [(cnot, p, two, False, True),
-              (GateSpec("cnot", (0, 1), mode="combined", j=j, d=31e-9), p, two, False, True)],
-        "duration": [(GateSpec("idle", (0,), duration=spectator_period(p)), p, two, False, True),
-                     (GateSpec("idle", (0,), duration=2.0 * spectator_period(p)), p, two, False,
-                      True)],
-        "b_ac": [(x, p, two, False, True), (x, p.replace(b_ac=1.3e-3), two, False, True)],
-        "a_min": [(x, p, two, False, True), (x, p.replace(a_min=0.9 * p.a0), two, False, True)],
-        "b": [(x, p.replace(a_min=0.9 * p.a0), two, False, True),
-              (x, p.replace(a_min=0.9 * p.a0, b=0.05), two, False, True)],
-        "hbar": [(x, p, two, False, True), (x, p.replace(constants=slow), two, False, True)],
-        "system": [(x, p, two, False, True), (x, p, SpinSystem(3), False, True)],
-        "nuclei": [(x, p, two, False, True),
-                   (x, p, SpinSystem(2, include_nuclei=True), False, True)],
-        "extended_correction": [(cnot, p, two, False, True), (cnot, p, two, True, True)],
-        "x_conjugation": [(cnot, p, two, False, True), (cnot, p, two, False, False)],
+        "theta": [(x, p, two),
+                  (GateSpec("x", (0,), theta=math.nextafter(math.pi, 4.0)), p, two)],
+        "kind": [(x, p, two), (GateSpec("y", (0,), theta=math.pi), p, two)],
+        "targets": [(cnot, p, two),
+                    (GateSpec("cnot", (1, 0), mode="combined", j=j, d=30e-9), p, two)],
+        "mode": [(GateSpec("cnot", (0, 1), mode="exchange", j=j), p, two),
+                 (GateSpec("cnot", (0, 1), mode="combined", j=j, d=30e-9), p, two)],
+        "j": [(cnot, p, two),
+              (GateSpec("cnot", (0, 1), mode="combined", j=2.0 * j, d=30e-9), p, two)],
+        "d": [(cnot, p, two),
+              (GateSpec("cnot", (0, 1), mode="combined", j=j, d=31e-9), p, two)],
+        "duration": [(GateSpec("idle", (0,), duration=spectator_period(p)), p, two),
+                     (GateSpec("idle", (0,), duration=2.0 * spectator_period(p)), p, two)],
+        "b_ac": [(x, p, two), (x, p.replace(b_ac=1.3e-3), two)],
+        "a_min": [(x, p, two), (x, p.replace(a_min=0.9 * p.a0), two)],
+        "b": [(x, p.replace(a_min=0.9 * p.a0), two),
+              (x, p.replace(a_min=0.9 * p.a0, b=0.05), two)],
+        "hbar": [(x, p, two), (x, p.replace(constants=slow), two)],
+        "system": [(x, p, two), (x, p, SpinSystem(3))],
+        "nuclei": [(x, p, two), (x, p, SpinSystem(2, include_nuclei=True))],
+        "extended_correction": [
+            (cnot, p, two), (dataclasses.replace(cnot, extended_correction=True), p, two)],
+        "x_conjugation": [
+            (cnot, p, two), (dataclasses.replace(cnot, x_conjugation=False), p, two)],
     }
 
 
@@ -668,14 +721,14 @@ def test_synthesis_cache_key_is_complete(p, which):
     """Each build of a pair matches its own uncached build, in either order."""
     pair = _key_pairs(p)[which]
     references = []
-    for spec, dev, system, extended, x_conjugation in pair:
+    for spec, dev, system in pair:
         _memo.clear()
-        references.append(_fingerprint(gates._build(spec, dev, system, extended, x_conjugation)))
+        references.append(_fingerprint(synthesize(spec, dev, system)))
     assert references[0] != references[1]
     for order in ((0, 1), (1, 0)):
         _memo.clear()
         for k in order:
-            assert _fingerprint(gates._build(*pair[k])) == references[k]
+            assert _fingerprint(synthesize(*pair[k])) == references[k]
 
 
 def test_synthesis_entries_are_shared_and_errors_are_not_cached(p):

@@ -49,8 +49,8 @@ from donorsim.gates import (
 
 
 def _schedule(segments, p, n=1, **kw):
-    return PulseSchedule(segments=tuple(segments), b_ac=p.b_ac, system=SpinSystem(n),
-                         hbar=p.constants.hbar, mu_b=p.constants.mu_b, **kw)
+    kw = {"b_ac": p.b_ac, "hbar": p.constants.hbar, "mu_b": p.constants.mu_b, **kw}
+    return PulseSchedule(segments=tuple(segments), system=SpinSystem(n), **kw)
 
 
 def test_propagate_identity(p):
@@ -424,11 +424,44 @@ def test_schedule_checks_dipole_pairs(p):
         _schedule([seg], p, n=2, dipole={(0, 5): 1e-30})
 
 
+def test_pairs_given_twice_are_rejected(p):
+    """A pair named in both orders would keep only the last value, so it is an error."""
+    for pairs in ({(0, 1): 1e-27, (1, 0): 2e-27}, {(1, 2): 1e-27, (2, 1): 1e-27}):
+        pair = "-".join(map(str, sorted(next(iter(pairs)))))
+        with pytest.raises(ValueError, match=f"^exchange pair {pair} given twice$"):
+            PulseSegment(duration=1e-9, couplings=pairs)
+        with pytest.raises(ValueError, match=f"^dipole pair {pair} given twice$"):
+            _schedule([PulseSegment(duration=1e-9)], p, n=3, dipole=pairs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-30])
+def test_schedule_rejects_bad_dipole_values(p, bad):
+    with pytest.raises(ValueError, match="dipole couplings must be finite and non-negative"):
+        _schedule([PulseSegment(duration=1e-9)], p, n=2, dipole={(0, 1): bad})
+    assert _schedule([PulseSegment(duration=1e-9)], p, n=2, dipole={(0, 1): 0.0}).dipole
+
+
+@pytest.mark.parametrize("name", ["b_ac", "hbar", "mu_b"])
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.inf, math.nan])
+def test_schedule_rejects_non_positive_scales(p, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
+        _schedule([PulseSegment(duration=1e-9)], p, **{name: bad})
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_schedule_rejects_non_finite_rf_phase(p, frame, bad):
+    with pytest.raises(ValueError, match="^rf_phase must be finite, got"):
+        _schedule([PulseSegment(duration=1e-9)], p, frame=frame,
+                  carrier=carrier_frequency(p), rf_phase=bad)
+
+
 def test_validate_schedule_controls(p):
     good = _schedule([PulseSegment(duration=1e-9, detunings={0: -0.9 * max_detuning(p)})], p)
     validate_schedule_controls(good, p)
-    bad = _schedule([PulseSegment(duration=1e-9, detunings={0: -1.5 * max_detuning(p)})], p)
-    with pytest.raises(ValueError):
+    bad = _schedule([PulseSegment(duration=1e-9),
+                     PulseSegment(duration=1e-9, detunings={0: -1.5 * max_detuning(p)})], p)
+    with pytest.raises(ValueError, match="^segment 1: detuning .* on donor 0 exceeds"):
         validate_schedule_controls(bad, p)
 
 
