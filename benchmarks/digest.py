@@ -26,11 +26,12 @@ hashes each output file.  gates is not a workload either: it synthesizes
 one seeded list of gate requests, every kind and every cnot mode with each
 combination of extended_correction and x_conjugation (flags the compile
 stream never sets), and hashes each schedule's segments and labels, its
-dipole couplings, its declared target and its executed unitary.  Cnots go
-through `synth_cnot` and the rest through `synthesize`, calls that take the
-same arguments in every checkout.  The package is imported from this
-checkout's `src`, so running the script in two checkouts and diffing the
-results shows whether they compute and write the same bits.
+dipole couplings, its declared target and its executed unitary, then its
+`compile_gate` report (fidelity bits, step durations, notes) twice and once
+more after `_memo.clear()`, so a memo that changed a grade would show.  The
+package is imported from this checkout's `src`, so running the script in two
+checkouts and diffing the results shows whether they compute and write the
+same bits.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from donorsim import cli, gates, propagator  # noqa: E402
+from donorsim import _memo, cli, gates, propagator  # noqa: E402
 from donorsim.params import DeviceParameters  # noqa: E402
 from donorsim.spin_model import SpinSystem  # noqa: E402
 from workloads import CompileWorkload, LabVerifyWorkload, SessionWorkload  # noqa: E402
@@ -85,7 +86,7 @@ def cli_digests(make_commands, seed: int):
 
 
 def gate_requests(seed: int):
-    """Yield (label, schedule) of the seeded gate requests, in a fixed order."""
+    """Yield (label, spec, system or None) of the seeded gate requests, in a fixed order."""
     p = DeviceParameters()
     rng = np.random.default_rng([seed])
     j_table = gates.interaction_coupling(1e-11, p)
@@ -98,15 +99,14 @@ def gate_requests(seed: int):
         target = int(rng.integers(donors))
         theta = float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi)) if kind != "hadamard" else None
         spec = gates.GateSpec(kind, (target,), theta=theta)
-        yield f"{kind} {target} theta={theta!r}", gates.synthesize(spec, p, system(donors))
+        yield f"{kind} {target} theta={theta!r}", spec, system(donors)
     periods = int(rng.integers(4))
     spec = gates.GateSpec("idle", (0,), duration=periods * gates.spectator_period(p))
-    yield f"idle {periods} periods", gates.synthesize(spec, p, system(1))
+    yield f"idle {periods} periods", spec, system(1)
     donors = int(rng.integers(2, 4))
     pair = tuple(int(q) for q in rng.choice(donors, size=2, replace=False))
     j = float(rng.uniform(1.0, 10.0)) * j_table
-    spec = gates.GateSpec("swap", pair, j=j)
-    yield f"swap {pair} j={j!r}", gates.synthesize(spec, p, system(donors))
+    yield f"swap {pair} j={j!r}", gates.GateSpec("swap", pair, j=j), system(donors)
     for mode in ("exchange", "dipole", "combined"):
         for extended in (False, True):
             for x_conjugation in (True, False):
@@ -114,17 +114,27 @@ def gate_requests(seed: int):
                 control, target = (int(q) for q in rng.choice(donors, size=2, replace=False))
                 j = None if mode == "dipole" else float(rng.uniform(1.0, 10.0)) * j_table
                 d = None if mode == "exchange" else float(rng.uniform(20e-9, 40e-9))
-                sched = gates.synth_cnot(mode, control, target, p, j=j, d=d,
-                                         system=system(donors),
-                                         extended_correction=extended,
-                                         x_conjugation=x_conjugation)
+                spec = gates.GateSpec("cnot", (control, target), mode=mode, j=j, d=d,
+                                      extended_correction=extended,
+                                      x_conjugation=x_conjugation)
                 yield (f"cnot {mode} ({control}, {target}) j={j!r} d={d!r} "
-                       f"extended_correction={extended} x_conjugation={x_conjugation}"), sched
+                       f"extended_correction={extended} x_conjugation={x_conjugation}"), \
+                    spec, system(donors)
+
+
+def report_fingerprint(report) -> bytes:
+    """The grade of a compile_gate report: fidelity bits, step durations, notes."""
+    return repr((report.fidelity.hex(),
+                 [(label, duration.hex()) for label, duration in report.step_durations],
+                 report.notes)).encode()
 
 
 def gate_digests(seed: int):
-    """Yield (index, sha256 hex, label) of each seeded gate request's schedule."""
-    for idx, (label, sched) in enumerate(gate_requests(seed)):
+    """Yield (index, sha256 hex, label) of each seeded gate request's schedule
+    and compile_gate reports."""
+    p = DeviceParameters()
+    for idx, (label, spec, system) in enumerate(gate_requests(seed)):
+        sched = gates.synthesize(spec, p, system)
         h = hashlib.sha256()
         for seg in sched.segments:
             h.update(repr((seg.duration.hex(), [(q, v.hex()) for q, v in seg.detunings.items()],
@@ -134,6 +144,10 @@ def gate_digests(seed: int):
         h.update(repr(sched.system).encode())
         h.update(sched.declared_target.tobytes())
         h.update(propagator.execute_schedule(sched).unitary.tobytes())
+        for _ in range(2):
+            h.update(report_fingerprint(gates.compile_gate(spec, p, system)))
+        _memo.clear()
+        h.update(report_fingerprint(gates.compile_gate(spec, p, system)))
         yield idx, h.hexdigest(), f"n={sched.system.num_donors} {label}"
 
 

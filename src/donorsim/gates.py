@@ -25,7 +25,7 @@ import numpy as np
 from . import _memo
 from .params import (DeviceParameters, InfeasibleDetuningError, _store_floats,
                      dipole_strength, exceeds_max_detuning, max_detuning)
-from .propagator import ExecutionResult, PulseSchedule, PulseSegment, execute_schedule
+from .propagator import PulseSchedule, PulseSegment, execute_schedule
 from .spin_model import ID2, SX, SY, SZ, SpinSystem, _read_only, embed
 
 __all__ = [
@@ -713,20 +713,40 @@ def embed_ideal(spec: GateSpec, system: SpinSystem) -> np.ndarray:
     return embed(ideal_unitary(spec), sites, system.num_sites)
 
 
-def compile_gate(spec: GateSpec, p: DeviceParameters,
-                 system: SpinSystem | None = None) -> GateReport:
-    """Synthesize, execute and grade a gate against its ideal unitary."""
+# Grading a synthesized schedule is as pure as synthesis, so what compile_gate
+# derives from it lives in a second table with _layout's key.  Each entry holds
+# immutable values only; a miss checks both matrices' unitarity once.
+@_memo.table
+def _grade(spec: GateSpec, p: DeviceParameters, system: SpinSystem
+           ) -> tuple[float, tuple[tuple[str, float], ...], str]:
+    """(fidelity against the declared target, step durations, notes) of spec's schedule."""
     from .analysis import gate_fidelity
 
-    schedule = synthesize(spec, p, system)
-    result: ExecutionResult = execute_schedule(schedule)
-    ideal = schedule.declared_target
-    fidelity = gate_fidelity(result.unitary, ideal) if schedule.segments else 1.0
+    schedule = _layout(spec, p, system)
+    fidelity = (gate_fidelity(schedule._rotating_unitary, schedule.declared_target)
+                if schedule.segments else 1.0)
     steps = tuple((seg.label, seg.duration) for seg in schedule.segments)
     notes = ""
     if spec.kind == "swap":
         gamma = _spectator_angle(schedule.segments, p)
         notes = (f"drive gated off; residual spectator rotation {gamma:.3e} rad, "
                  f"no correction step")
-    return GateReport(spec=spec, schedule=schedule, ideal=ideal, achieved=result.unitary,
-                      fidelity=fidelity, step_durations=steps, notes=notes)
+    return fidelity, steps, notes
+
+
+def compile_gate(spec: GateSpec, p: DeviceParameters,
+                 system: SpinSystem | None = None) -> GateReport:
+    """Synthesize, execute and grade a gate against its ideal unitary.
+
+    The schedule comes from the gate table and its grade (fidelity, step
+    durations, notes) from the grade table, both keyed on (spec, p, system)
+    with the default system resolved first, so a repeated request does no
+    numerics.  `achieved` is a fresh, writable copy of the executed unitary;
+    `ideal` is the schedule's shared, read-only declared target.
+    """
+    schedule = synthesize(spec, p, system)
+    achieved = execute_schedule(schedule).unitary
+    fidelity, steps, notes = _grade(spec, p, schedule.system)
+    return GateReport(spec=spec, schedule=schedule, ideal=schedule.declared_target,
+                      achieved=achieved, fidelity=fidelity, step_durations=steps,
+                      notes=notes)

@@ -14,6 +14,7 @@ import ast
 import functools
 import io
 import math
+import tokenize
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
@@ -635,6 +636,29 @@ def _finite(key: str):
     return parse
 
 
+def _positive(key: str):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{key} must be finite and positive, got {text!r}")
+        return value
+    return parse
+
+
+def _leading_literal(text: str) -> tuple[str, str]:
+    """The string literal text starts with, and the text after it, which must
+    be empty or start with whitespace; anything else is a ValueError."""
+    text = text.lstrip()
+    try:
+        token = next(tokenize.generate_tokens(io.StringIO(text).readline))
+    except tokenize.TokenError as exc:
+        raise ValueError(str(exc)) from exc
+    after = text[token.end[1]:]
+    if token.type != tokenize.STRING or after[:1].strip():
+        raise ValueError(f"expected a string literal, got {text!r}")
+    return token.string, after
+
+
 def _pair_values(text: str, unit: float, what: str) -> dict:
     """'a-b:v,...' as {(min, max): v * unit}; a pair given twice, in either
     order, is a ValueError."""
@@ -659,15 +683,18 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
             continue
         if line.startswith("segment "):
             fields: dict[str, str] = {}
-            rest = line[len("segment "):]
+            rest = line[len("segment"):]
+            # the label is the first field named label, and its literal may
+            # itself hold " label="; fields after it are read like the rest
+            rest, has_label, tail = rest.partition(" label=")
             label = ""
-            has_label = " label=" in rest
             if has_label:
-                rest, _, label_repr = rest.rpartition(" label=")
                 try:
+                    label_repr, after = _leading_literal(tail)
                     label = ast.literal_eval(label_repr)
                 except (ValueError, SyntaxError) as exc:
                     raise ValueError(f"line {lineno}: bad label literal") from exc
+                rest += after
             for tok in rest.split():
                 key, _, val = tok.partition("=")
                 if key in fields or (key == "label" and has_label):
@@ -712,7 +739,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                           lambda text: SpinSystem(int(text), include_nuclei, alignment))
     device_carrier = carrier_frequency(p)
     carrier = header_value("carrier", device_carrier if frame == "lab" else None,
-                           _finite("carrier"))
+                           _positive("carrier"))
     w_ac = device_carrier if carrier is None else carrier
     segments = []
     for lineno, fields, rf_on, label in segment_lines:
@@ -731,11 +758,17 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
         segments.append(seg)
-    dipole = header_value("dipole_uev", {}, lambda text: _check_pairs(
-        _pair_values(text, _UEV, "dipole"), "dipole", system))
+
+    def dipole_values(text: str) -> dict:
+        pairs = _pair_values(text, _UEV, "dipole")
+        if not all(0.0 <= d < math.inf for d in pairs.values()):
+            raise ValueError("dipole couplings must be finite and non-negative")
+        return _check_pairs(pairs, "dipole", system)
+
+    dipole = header_value("dipole_uev", {}, dipole_values)
     return PulseSchedule(
         segments=tuple(segments),
-        b_ac=header_value("b_ac", p.b_ac, _finite("b_ac")),
+        b_ac=header_value("b_ac", p.b_ac, _positive("b_ac")),
         system=system,
         frame=frame,
         carrier=carrier,

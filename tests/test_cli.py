@@ -221,12 +221,12 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "frame = lab\ncarrier = 0\n"
                              "segment duration_ns=1 rf=on\n"},
-                 "schedule failed: carrier must be finite and positive, got 0.0 rad/s",
+                 "schedule failed: line 4: carrier must be finite and positive, got '0'",
                  id="lab_zero_carrier"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "frame = lab\ncarrier = -3.5e11\n"
                              "segment duration_ns=1 rf=on\n"},
-                 "schedule failed: carrier must be finite and positive, got -350000000000.0",
+                 "schedule failed: line 4: carrier must be finite and positive, got '-3.5e11'",
                  id="lab_negative_carrier"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on\n"
@@ -270,11 +270,32 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  id="dipole_pair_twice_reversed"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "b_ac = -1e-3\nsegment duration_ns=1 rf=on\n"},
-                 "schedule failed: b_ac must be finite and positive, got -0.001 T",
+                 "schedule failed: line 3: b_ac must be finite and positive, got '-1e-3'",
                  id="negative_b_ac"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "b_ac = 0\nsegment duration_ns=1 rf=on\n"},
-                 "schedule failed: b_ac must be finite and positive, got 0.0 T", id="zero_b_ac"),
+                 "schedule failed: line 3: b_ac must be finite and positive, got '0'",
+                 id="zero_b_ac"),
+    # header values are range-checked where they are read, so the error names their line
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "b_ac = nan\nsegment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 3: b_ac must be finite and positive, got 'nan'",
+                 id="nan_b_ac"),
+    # a rotating-frame carrier sets the A/A0 reference; a negative one had surfaced
+    # as the first segment's detuning past the device bound
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "carrier = -5\n"
+                             "segment duration_ns=1 a_over_a0=0:0.9 rf=on\n"},
+                 "schedule failed: line 3: carrier must be finite and positive, got '-5'",
+                 id="rotating_negative_carrier"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\ndipole_uev = 0-1:-3\nsegment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 2: dipole couplings must be finite and non-negative",
+                 id="negative_dipole"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\ndipole_uev = 0-1:inf\nsegment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 2: dipole couplings must be finite and non-negative",
+                 id="infinite_dipole"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on\n"
                              "segment duration_ns=1 a_over_a0=0:0.1 rf=on\n"},

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorsim import _memo, gates
+from donorsim import _memo, analysis, gates
 from donorsim.analysis import gate_fidelity, spectator_fidelity
 from donorsim.gates import (
     CNOT_MATRIX,
@@ -367,6 +368,46 @@ def test_parallel_single_gate_unchanged(p):
     assert [s.detunings for s in single.segments] == [s.detunings for s in direct.segments]
 
 
+@st.composite
+def _disjoint_single_qubit_gates(draw):
+    """Two random single-qubit gates on different donors of three, in qubit order."""
+    qubits = sorted(draw(st.permutations(range(3)))[:2])
+    specs = []
+    for q in qubits:
+        kind = draw(st.sampled_from(("x", "y", "z", "hadamard")))
+        theta = None if kind == "hadamard" else draw(
+            st.floats(-2.0 * math.pi, 2.0 * math.pi, exclude_min=True, exclude_max=True))
+        specs.append(GateSpec(kind, (q,), theta=theta))
+    return specs
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=_disjoint_single_qubit_gates())
+def test_parallel_disjoint_gates_compose(p, specs):
+    """Disjoint gates run side by side: the target is the product of their ideals
+    (in either order, and as the site-by-site kron), the schedule lasts as long
+    as the longer gate, on the spectator clock, and gate and spectator are graded
+    like the gates alone."""
+    system = SpinSystem(3)
+    sched = compose_parallel(specs, p, system)
+    first, second = (embed_ideal(spec, system) for spec in specs)
+    sites = {spec.targets[0]: ideal_unitary(spec) for spec in specs}
+    by_site = functools.reduce(np.kron, [sites.get(q, np.eye(2)) for q in range(3)])
+    for product in (second @ first, first @ second, by_site):
+        np.testing.assert_allclose(sched.declared_target, product, rtol=0.0, atol=1e-15)
+
+    longest = max(synthesize(spec, p, system).total_duration for spec in specs)
+    assert sched.total_duration == pytest.approx(longest, rel=1e-12, abs=0.0)
+    periods = sched.total_duration / spectator_period(p)
+    assert periods == pytest.approx(round(periods), rel=1e-12, abs=1e-12)
+
+    u = execute_schedule(sched).unitary
+    assert gate_fidelity(u, sched.declared_target) >= 1.0 - 1e-4
+    ideal = np.kron(*(ideal_unitary(spec) for spec in specs))
+    targets = tuple(spec.targets[0] for spec in specs)
+    assert spectator_fidelity(u, ideal, targets, system) >= 1.0 - 1e-4
+
+
 def test_parallel_rejects_overlap(p):
     with pytest.raises(ValueError):
         compose_parallel(
@@ -471,6 +512,35 @@ def test_compile_gate_report(p):
     )
     rep0 = compile_gate(GateSpec("x", (0,), theta=0.0), p, SpinSystem(1))
     assert rep0.schedule.segments == () and rep0.fidelity == 1.0
+
+
+@pytest.mark.parametrize("spec", [GateSpec("hadamard", (1,)), GateSpec("swap", (0, 1), j=1e-25)],
+                         ids=["hadamard", "swap"])
+def test_equal_compile_requests_grade_once(p, spec, monkeypatch):
+    """A repeated request reads its grade: one _grade miss and one gate_fidelity
+    call (both unitarity checks) for two calls, the second with the default
+    system written out.  Each report gets its own writable achieved unitary;
+    the read-only ideal is shared."""
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return gate_fidelity(u, v)
+
+    monkeypatch.setattr(analysis, "gate_fidelity", counted)
+    _memo.clear()
+    first = compile_gate(spec, p)
+    second = compile_gate(dataclasses.replace(spec), p, SpinSystem(2))
+    info = gates._grade.cache_info()
+    assert (info.misses, info.hits, len(calls)) == (1, 1, 1)
+    assert (second.fidelity, second.step_durations, second.notes) == (
+        first.fidelity, first.step_durations, first.notes)
+    assert second.achieved is not first.achieved
+    assert np.array_equal(second.achieved, first.achieved)
+    assert first.achieved.flags.writeable and second.achieved.flags.writeable
+    second.achieved[0, 0] = 2.0
+    assert first.achieved[0, 0] != 2.0
+    assert second.ideal is first.ideal and not first.ideal.flags.writeable
 
 
 def test_synthesize_dispatch(p):

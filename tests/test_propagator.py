@@ -38,6 +38,7 @@ from donorsim.spin_model import (
 )
 from donorsim.gates import (
     GateSpec,
+    compile_gate,
     compose_parallel,
     interaction_coupling,
     synthesize,
@@ -346,16 +347,20 @@ def test_every_memo_table_is_registered_and_bounded():
 @settings(max_examples=40, deadline=None)
 @given(case=_gate_cases())
 def test_memo_cold_and_warm_are_bit_identical(case):
-    """Synthesis, rotating execution and, for single-qubit gates, the oracle
-    give the same bits from cleared tables and from warm ones."""
+    """Synthesis, rotating execution, compile_gate's grade and, for single-qubit
+    gates, the oracle give the same bits from cleared tables and from warm ones."""
     spec, system = case
     p = DeviceParameters()
 
     def run():
         sched = synthesize(spec, p, system)
+        report = compile_gate(spec, p, system)
         bits = [repr(sched.segments), repr(sorted(sched.dipole.items())),
                 sched.declared_target.tobytes(),
-                execute_schedule(sched.replace()).unitary.tobytes()]
+                execute_schedule(sched.replace()).unitary.tobytes(),
+                report.fidelity.hex(),
+                [(label, duration.hex()) for label, duration in report.step_durations],
+                report.notes]
         if len(spec.targets) == 1 and not system.include_nuclei:
             bits.append([x.hex() for x in frozen_nucleus_check(sched, p)])
         return bits
@@ -1117,7 +1122,9 @@ def test_schedule_text_keeps_a_lab_carriers_detunings(p):
 @st.composite
 def _text_round_trip_cases(draw):
     """A synthesized gate on 1-3 donors, as drawn, or moved to the lab frame at a
-    random carrier within 1e-5 (relative) of the device carrier."""
+    random carrier within 1e-5 (relative) of the device carrier; its first
+    segment may carry a label that itself holds ' label=', quotes or any other
+    text but a newline (which the file writes as a space)."""
     p = DeviceParameters()
     donors = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(("x", "y", "z", "hadamard")
@@ -1140,6 +1147,11 @@ def _text_round_trip_cases(draw):
     elif kind == "swap":
         fields["j"] = j
     sched = synthesize(GateSpec(kind, targets, **fields), p, SpinSystem(donors))
+    if sched.segments and draw(st.booleans()):
+        label = draw(st.sampled_from(("x label=y", "a label='b'", " label= ", "label=\"'\""))
+                     | st.text(max_size=16).filter(lambda text: "\n" not in text))
+        first, *rest = sched.segments
+        sched = sched.replace(segments=(first.with_label(label), *rest))
     if draw(st.booleans()):
         sched = sched.replace(frame="lab", rf_phase=draw(st.floats(-math.pi, math.pi)),
                               carrier=carrier_frequency(p)
