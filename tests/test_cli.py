@@ -1,9 +1,14 @@
+import dataclasses
+import itertools
 import json
 import math
 
 import pytest
 
-from donorsim.cli import build_parser, main
+from donorsim.cli import _build_spec, build_parser, main
+from donorsim.gates import _CNOT_MODES as CNOT_MODES, _GATE_KINDS as GATE_KINDS
+from donorsim.gates import interaction_coupling
+from donorsim.params import _UEV
 
 
 def run_cli(capsys, *argv):
@@ -508,3 +513,82 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     assert "invalid choice" in capsys.readouterr().err
     code, _ = run_cli(capsys, "table", "II")
     assert code == 0
+
+
+# Each gate option with the value it is given and the GateSpec field it sets;
+# --interaction-step-ns sets j as --j-uev does, so giving both is a conflict.
+_GATE_OPTIONS = {
+    "theta": (["--theta", "1"], "theta", 1.0),
+    "target": (["--target", "1"], "targets", 1),
+    "control": (["--control", "2"], "targets", 2),
+    "j_uev": (["--j-uev", "5"], "j", 5.0 * _UEV),
+    "d_nm": (["--d-nm", "30"], "d", 30e-9),
+    "duration_ns": (["--duration-ns", "0"], "duration", 0.0),
+    "extended_correction": (["--extended-correction"], "extended_correction", True),
+    "interaction_step_ns": (["--interaction-step-ns", "0.02"], "j", None),
+}
+
+
+def _spec_accepts(kind, mode, given, p):
+    """Whether GateSpec accepts the request: the spec the CLI builds for the bare
+    kind (and cnot mode), with every given option written into the field it sets.
+
+    --control and --target fill the kind's target slots; an option with no slot
+    on the kind (an idle has none: its one target is ignored) adds a target.
+    """
+    bare = ["schedule", "dump", "--gate", kind] + (["--mode", mode] if kind == "cnot" and mode
+                                                   else [])
+    base = _build_spec(build_parser().parse_args(bare), p)
+    slots = {"cnot": ("control", "target"), "swap": ("control", "target"),
+             "idle": ()}.get(kind, ("target",))
+    targets = list(base.targets)
+    for name in ("control", "target"):
+        if name in given:
+            if name in slots:
+                targets[slots.index(name)] = _GATE_OPTIONS[name][2]
+            else:
+                targets.append(_GATE_OPTIONS[name][2])
+    fields = {"targets": tuple(targets)}
+    if mode is not None:
+        fields["mode"] = mode
+    for name in given:
+        _, field, value = _GATE_OPTIONS[name]
+        if field == "targets":
+            continue
+        if name == "interaction_step_ns":
+            value = interaction_coupling(0.02e-9, p)
+        if field in fields:
+            return False
+        fields[field] = value
+    try:
+        dataclasses.replace(base, **fields)
+    except ValueError:
+        return False
+    return True
+
+
+def test_cli_accepts_exactly_what_gate_spec_accepts(capsys, p):
+    """Over every kind, cnot mode setting and set of given gate options, `schedule
+    dump` exits 0 exactly when GateSpec accepts the spec built from the request,
+    and exits 2 with one stderr line otherwise."""
+    parser = build_parser()
+    dump = parser._subparsers._group_actions[0].choices["schedule"]
+    dump = dump._subparsers._group_actions[0].choices["dump"]
+    choices = {action.dest: tuple(action.choices) for action in dump._actions
+               if action.dest in ("gate", "mode")}
+    assert choices == {"gate": GATE_KINDS, "mode": CNOT_MODES}
+    disagreements = []
+    for kind in choices["gate"]:
+        for mode in (None, *choices["mode"]):
+            for r in range(len(_GATE_OPTIONS) + 1):
+                for given in itertools.combinations(_GATE_OPTIONS, r):
+                    argv = ["schedule", "dump", "--gate", kind]
+                    argv += ["--mode", mode] if mode else []
+                    for name in given:
+                        argv += _GATE_OPTIONS[name][0]
+                    code = main(argv)
+                    err = capsys.readouterr().err
+                    assert code in (0, 2) and len(err.splitlines()) == (code == 2)
+                    if (code == 0) != _spec_accepts(kind, mode, given, p):
+                        disagreements.append((argv, code))
+    assert disagreements == []
