@@ -5,6 +5,7 @@
     python benchmarks/digest.py session 1 3 7 11 301 302 303 2024
     python benchmarks/digest.py validate 7
     python benchmarks/digest.py gates 1 2 3
+    python benchmarks/digest.py cli-gates 1 2
 
 For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
@@ -12,6 +13,7 @@ changed), runs its ops in order and prints one line per op:
     compile, lab_verify:  <seed> <index> <failures> <digest> <label>
     session, validate:    <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
+    cli-gates:            <seed> <index> <exit code> <sha256 of its result> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
 the op's own digest: for compile the executed unitary with its gate and
@@ -28,7 +30,14 @@ combination of extended_correction and x_conjugation (flags the compile
 stream never sets), and hashes each schedule's segments and labels, its
 dipole couplings, its declared target and its executed unitary, then its
 `compile_gate` report (fidelity bits, step durations, notes) twice and once
-more after `_memo.clear()`, so a memo that changed a grade would show.  The
+more after `_memo.clear()`, so a memo that changed a grade would show.
+cli-gates is not a workload either: it runs `donorsim gate` and `donorsim
+schedule dump` through `cli.main` for every gate kind, every cnot mode setting
+(none given, or each mode) and every subset of the gate options --theta,
+--target, --control, --j-uev, --d-nm, --duration-ns, --extended-correction and
+--interaction-step-ns, with option values drawn from the seed, and hashes each
+run's exit code, its stderr and its stdout, so a change to which requests are
+accepted, to an error message or to an output byte would show.  The
 package is imported from this checkout's `src`, so running the script in two
 checkouts and diffing the results shows whether they compute and write the
 same bits.
@@ -37,7 +46,10 @@ same bits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import os
 import sys
 import tempfile
@@ -151,6 +163,43 @@ def gate_digests(seed: int):
         yield idx, h.hexdigest(), f"n={sched.system.num_donors} {label}"
 
 
+def gate_option_values(seed: int) -> dict:
+    """The argv of each gate option, with its value drawn from the seed."""
+    rng = np.random.default_rng([seed])
+    period_ns = gates.spectator_period(DeviceParameters()) * 1e9
+    return {
+        "theta": ["--theta", repr(float(rng.uniform(-2.0 * np.pi, 2.0 * np.pi)))],
+        "target": ["--target", str(int(rng.integers(3)))],
+        "control": ["--control", str(int(rng.integers(3)))],
+        "j_uev": ["--j-uev", repr(float(rng.uniform(1.0, 100.0)))],
+        "d_nm": ["--d-nm", repr(float(rng.uniform(20.0, 40.0)))],
+        "duration_ns": ["--duration-ns", repr(int(rng.integers(4)) * period_ns)],
+        "extended_correction": ["--extended-correction"],
+        "interaction_step_ns": ["--interaction-step-ns", repr(float(rng.uniform(0.005, 0.05)))],
+    }
+
+
+def cli_gate_digests(seed: int):
+    """Yield (index, exit code, sha256 hex, label) of `gate` and `schedule dump`
+    over every kind, cnot mode setting and subset of the seeded gate options."""
+    options = gate_option_values(seed)
+    idx = 0
+    for kind in ("x", "y", "z", "hadamard", "cnot", "swap", "idle"):
+        for mode in (None, "exchange", "dipole", "combined"):
+            for r in range(len(options) + 1):
+                for given in itertools.combinations(options, r):
+                    flags = ["--gate", kind] + (["--mode", mode] if mode else [])
+                    flags += [arg for name in given for arg in options[name]]
+                    for command in (["gate"], ["schedule", "dump"]):
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            code = cli.main(command + flags)
+                        h = hashlib.sha256(f"{code}\n{err.getvalue()}".encode())
+                        h.update(out.getvalue().encode())
+                        yield idx, code, h.hexdigest(), " ".join(command + flags)
+                        idx += 1
+
+
 OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
 CLI_WORKLOADS = {"session": lambda seed, workdir: SessionWorkload(seed, workdir).commands,
                  "validate": validate_commands}
@@ -158,7 +207,8 @@ CLI_WORKLOADS = {"session": lambda seed, workdir: SessionWorkload(seed, workdir)
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_WORKLOADS, "gates"])
+    parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_WORKLOADS, "gates",
+                                             "cli-gates"])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--ops", type=int,
                         help="ops per seed, in the workload's order (default 700; "
@@ -171,6 +221,11 @@ def main(argv: list[str]) -> int:
         for seed in args.seeds:
             for idx, digest, label in gate_digests(seed):
                 print(f"{seed} {idx:02d} {digest} {label}")
+        return 0
+    if args.workload == "cli-gates":
+        for seed in args.seeds:
+            for idx, code, digest, label in cli_gate_digests(seed):
+                print(f"{seed} {idx:05d} {code} {digest} {label}")
         return 0
     if args.workload in CLI_WORKLOADS:
         for seed in args.seeds:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 from . import _memo
@@ -86,6 +87,15 @@ CONSTANTS = PhysicalConstants()
 _UEV = 1.602176634e-25  # 1 micro-eV in J
 
 
+def _check_drive_energy(b_ac: float, mu_b: float) -> None:
+    """Reject a drive amplitude whose energy mu_B * b_ac is not a normal positive
+    float: every gate timing divides by it, and a subnormal one has lost its digits."""
+    energy = mu_b * b_ac
+    if not sys.float_info.min <= energy < math.inf:
+        raise ValueError(f"b_ac = {b_ac!r} T is out of range: its drive energy "
+                         f"mu_B * b_ac = {energy!r} J is not a normal positive float")
+
+
 @dataclass(frozen=True)
 class DeviceParameters:
     """Device knobs for the globally controlled donor electron-spin machine.
@@ -122,6 +132,7 @@ class DeviceParameters:
                 raise ValueError(f"{f.name} must be finite")
         if not 0.0 < self.b_ac < self.b:
             raise ValueError("require 0 < b_ac < b")
+        _check_drive_energy(self.b_ac, self.constants.mu_b)
         if not 0.0 <= self.a_min <= self.a0:
             raise ValueError("require 0 <= a_min <= a0")
         if self.d <= 0.0 or self.a_star <= 0.0:

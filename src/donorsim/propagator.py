@@ -22,8 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels, _memo
-from .params import (_UEV, CONSTANTS, DeviceParameters, exceeds_max_detuning,
-                     hyperfine_for_frequency)
+from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy,
+                     exceeds_max_detuning, hyperfine_for_frequency)
 from .spin_model import SpinSystem, _read_only, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
@@ -142,6 +142,7 @@ class PulseSchedule:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r} {unit}")
+        _check_drive_energy(self.b_ac, self.mu_b)
         if not -math.inf < self.rf_phase < math.inf:
             raise ValueError(f"rf_phase must be finite, got {self.rf_phase!r} rad")
         dipole = _sorted_pairs(self.dipole, "dipole")
@@ -765,10 +766,15 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
             raise ValueError("dipole couplings must be finite and non-negative")
         return _check_pairs(pairs, "dipole", system)
 
+    def drive_amplitude(text: str) -> float:
+        b_ac = _positive("b_ac")(text)
+        _check_drive_energy(b_ac, p.constants.mu_b)
+        return b_ac
+
     dipole = header_value("dipole_uev", {}, dipole_values)
     return PulseSchedule(
         segments=tuple(segments),
-        b_ac=header_value("b_ac", p.b_ac, _positive("b_ac")),
+        b_ac=header_value("b_ac", p.b_ac, drive_amplitude),
         system=system,
         frame=frame,
         carrier=carrier,

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import itertools
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from donorsim.cli import _build_spec, build_parser, main
 from donorsim.gates import _CNOT_MODES as CNOT_MODES, _GATE_KINDS as GATE_KINDS
@@ -165,6 +169,19 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  id="lab_refinement_does_not_converge"),
     pytest.param(["--config", "{tmp}/dev.cfg", "table", "II"], {"dev.cfg": "b_ac = abc\n"},
                  "b_ac", id="non_numeric_config"),
+    # mu_B * b_ac underflows to 0.0 (or a subnormal), which the gate builders divided by
+    *(pytest.param(["--config", "{tmp}/dev.cfg", *argv], {"dev.cfg": "b_ac = 1e-320\n"},
+                   f"{argv[0]} failed: b_ac = 1e-320 T is out of range: its drive energy "
+                   f"mu_B * b_ac = 0.0 J is not a normal positive float",
+                   id=f"underflowing_b_ac_{name}")
+      for name, argv in [("x", ["gate", "--gate", "x"]), ("y", ["gate", "--gate", "y"]),
+                         ("z", ["gate", "--gate", "z"]),
+                         ("hadamard", ["gate", "--gate", "hadamard"]),
+                         ("combined_cnot", ["gate", "--gate", "cnot", "--mode", "combined"]),
+                         ("table_I", ["table", "I"])]),
+    pytest.param(["--config", "{tmp}/dev.cfg", "gate", "--gate", "x"],
+                 {"dev.cfg": "b_ac = 1e-300\n"},
+                 "mu_B * b_ac = 1e-323 J is not a normal positive float", id="subnormal_b_ac"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": "num_donors = 2\nalignment = x\ndipole_uev = 0-1:0.01\n"
                              "segment duration_ns=1 rf=on\n"}, "z alignment",
@@ -281,6 +298,10 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  {"s.sched": _SCHEDULE_HEADER + "b_ac = 0\nsegment duration_ns=1 rf=on\n"},
                  "schedule failed: line 3: b_ac must be finite and positive, got '0'",
                  id="zero_b_ac"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "b_ac = 1e-320\nsegment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 3: b_ac = 1e-320 T is out of range: its drive energy "
+                 "mu_B * b_ac = 0.0 J is not a normal positive float", id="underflowing_b_ac"),
     # header values are range-checked where they are read, so the error names their line
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "b_ac = nan\nsegment duration_ns=1 rf=on\n"},
@@ -592,3 +613,56 @@ def test_cli_accepts_exactly_what_gate_spec_accepts(capsys, p):
                     if (code == 0) != _spec_accepts(kind, mode, given, p):
                         disagreements.append((argv, code))
     assert disagreements == []
+
+
+# Values the boundary fuzz writes into config and schedule files: in range,
+# out of range, not finite, not numbers, and drive amplitudes whose energy
+# mu_B * b_ac is subnormal or zero although b_ac itself is positive.
+_FUZZ_VALUES = ("1.2e-3", "5e-3", "2e-4", "1e-320", "5e-324", "1e-300", "0", "-1e-3", "1e-6",
+                "2.2e-308", "1e300", "nan", "inf", "-inf", "abc", "2", "30e-9", "1.938e-26", "-0")
+_CONFIG_KEYS = ("b", "b_ac", "a0", "a_min", "d", "a_star", "eps_r", "alignment")
+_FUZZ_COMMANDS = (["gate", "--gate", "x"], ["gate", "--gate", "y"], ["gate", "--gate", "z"],
+                  ["gate", "--gate", "hadamard"], ["gate", "--gate", "swap"],
+                  ["gate", "--gate", "cnot", "--mode", "combined"],
+                  ["gate", "--gate", "cnot", "--mode", "dipole"],
+                  ["table", "I"], ["table", "III"], ["table", "VI"],
+                  ["schedule", "dump", "--gate", "y", "--theta", "1"])
+
+
+def _run_bounded(argv):
+    """(exit code, stdout) of cli.main; it must exit 0 or 2 and write no NaN or
+    Infinity, and exit 2 with exactly one stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert len(err.getvalue().splitlines()) == (code == 2), err.getvalue()
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=st.dictionaries(st.sampled_from(_CONFIG_KEYS),
+                              st.sampled_from(_FUZZ_VALUES + ("x", "z")), max_size=3),
+       command=st.sampled_from(_FUZZ_COMMANDS),
+       edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_FUZZ_VALUES)),
+                      max_size=3))
+def test_config_and_schedule_files_exit_0_or_2(tmp_path_factory, config, command, edits):
+    """A generated config file, and a dumped combined-CNOT schedule with some of
+    its numbers replaced, end in exit 0 or 2: no exception escapes and no JSON
+    output holds NaN or Infinity."""
+    tmp = tmp_path_factory.getbasetemp()
+    cfg = tmp / "fuzz.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+    _run_bounded(["--format", "json", "--config", str(cfg), *command])
+
+    code, text = _run_bounded(["schedule", "dump", "--gate", "cnot", "--mode", "combined"])
+    assert code == 0
+    numbers = list(re.finditer(r"(?<![\w.-])-?\d[\w.+-]*", text))
+    for index, value in edits:
+        match = numbers[index % len(numbers)]
+        text = text[:match.start()] + value + text[match.end():]
+        numbers = list(re.finditer(r"(?<![\w.-])-?\d[\w.+-]*", text))
+    sched = tmp / "fuzz.sched"
+    sched.write_text(text)
+    _run_bounded(["--format", "json", "schedule", "load", str(sched)])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import math
@@ -451,6 +452,21 @@ def test_schedule_rejects_bad_dipole_values(p, bad):
 def test_schedule_rejects_non_positive_scales(p, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got"):
         _schedule([PulseSegment(duration=1e-9)], p, **{name: bad})
+
+
+@pytest.mark.parametrize("b_ac,mu_b", [(1e-320, None), (1e-300, None), (1e-3, 1e-310),
+                                      (1e300, 1e10)],
+                         ids=["zero", "subnormal", "subnormal_mu_b", "infinite"])
+def test_schedule_and_device_reject_a_drive_energy_that_is_not_normal(p, b_ac, mu_b):
+    """mu_B * b_ac must be a normal positive float, though each factor is positive."""
+    mu_b = p.constants.mu_b if mu_b is None else mu_b
+    message = "^" + re.escape(f"b_ac = {b_ac!r} T is out of range: its drive energy mu_B * b_ac "
+                              f"= {mu_b * b_ac!r} J is not a normal positive float") + "$"
+    with pytest.raises(ValueError, match=message):
+        _schedule([PulseSegment(duration=1e-9)], p, b_ac=b_ac, mu_b=mu_b)
+    constants = dataclasses.replace(p.constants, mu_b=mu_b)
+    with pytest.raises(ValueError, match=message):
+        DeviceParameters(b=2.0 * b_ac, b_ac=b_ac, constants=constants)
 
 
 @pytest.mark.parametrize("frame", ["rotating", "lab"])
