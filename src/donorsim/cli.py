@@ -115,56 +115,39 @@ def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
 # gate command
 # ---------------------------------------------------------------------------
 
-def _check_gate_options(args) -> None:
-    """Reject an option the requested gate would ignore, with the reason."""
-    kind, mode = args.gate, args.mode or "exchange"
-    what = f"cnot in {mode} mode" if kind == "cnot" else kind
-    rules = {  # option: (the gate uses it, reason)
-        "theta": (kind in ("x", "y", "z"), "only x, y and z take an angle"),
-        "target": (kind != "idle", "idle acts on every donor"),
-        "control": (kind in ("cnot", "swap"), "only cnot and swap have a control"),
-        "mode": (kind == "cnot", "only cnot has a coupling mode"),
-        "j_uev": (kind == "swap" or (kind == "cnot" and mode != "dipole"),
-                  "only swap and exchange or combined cnot use exchange"),
-        "d_nm": (kind == "cnot" and mode != "exchange",
-                 "only dipole or combined cnot use a separation"),
-        "extended_correction": (kind == "cnot", "only cnot has a final correction to extend"),
-        "duration_ns": (kind == "idle", "only idle takes a duration"),
-        "interaction_step_ns": ((kind == "swap" or (kind == "cnot" and mode != "dipole"))
-                                and args.j_uev is None,
-                                "only swap and exchange or combined cnot without --j-uev "
-                                "pick J from it"),
-    }
-    for name, (used, reason) in rules.items():
-        if getattr(args, name) is not None and not used:
-            raise ValueError(f"--{name.replace('_', '-')} does not apply to {what}: {reason}")
+# Each gate option and the GateSpec field it sets, in the order they are checked.
+_GATE_OPTIONS = {"theta": "theta", "target": "target", "control": "control", "mode": "mode",
+                 "j_uev": "j", "d_nm": "d", "extended_correction": "extended_correction",
+                 "duration_ns": "duration", "interaction_step_ns": "interaction_step"}
 
 
 def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
-    _check_gate_options(args)
-    kind = args.gate
-    if kind in ("cnot", "swap"):
-        control = args.control if args.control is not None else 0
-        target = args.target if args.target is not None else (1 if control != 1 else 0)
-        mode = (args.mode or "exchange") if kind == "cnot" else None
-        j = args.j_uev * _UEV if args.j_uev is not None else None
-        d = args.d_nm * 1e-9 if args.d_nm is not None else None
-        if mode != "dipole" and j is None:
-            # default coupling: interaction steps of args.interaction_step_ns
-            step_ns = 0.01 if args.interaction_step_ns is None else args.interaction_step_ns
-            j = gates.interaction_coupling(step_ns * 1e-9, p)
-        if mode in ("dipole", "combined") and d is None:
-            d = p.d
-        return gates.GateSpec(kind, (control, target), mode=mode, j=j, d=d,
-                              extended_correction=bool(args.extended_correction))
-    if kind == "idle":
-        duration_ns = 0.0 if args.duration_ns is None else args.duration_ns
-        return gates.GateSpec(kind, (0,), duration=duration_ns * 1e-9)
-    target = args.target if args.target is not None else 0
-    if kind == "hadamard":
-        return gates.GateSpec(kind, (target,))
-    theta = args.theta if args.theta is not None else math.pi
-    return gates.GateSpec(kind, (target,), theta=theta)
+    """The requested GateSpec, taking gates.GATE_KINDS' defaults for used fields not
+    given; an option the gate would ignore is an error with the reason."""
+    row = gates.GATE_KINDS[args.gate]
+    mode, uses, what = row.usage(args.gate, args.mode)
+    if args.j_uev is not None:
+        uses = set(uses) - {"interaction_step"}  # a given J is not picked from a step
+    value = dict(row.defaults)
+    for option, name in _GATE_OPTIONS.items():
+        if getattr(args, option) is not None:
+            if name not in uses:
+                raise ValueError(f"--{option.replace('_', '-')} does not apply to {what}: "
+                                 f"{gates.GATE_FIELDS[name]}")
+            value[name] = getattr(args, option)
+    if args.target is None and value.get("control") == value["target"]:
+        value["target"] = row.defaults["control"]
+    j = d = duration = None
+    if "j" in uses:
+        j = (args.j_uev * _UEV if args.j_uev is not None
+             else gates.interaction_coupling(value["interaction_step"] * 1e-9, p))
+    if "d" in uses:
+        d = args.d_nm * 1e-9 if args.d_nm is not None else p.d
+    if "duration" in uses:
+        duration = value["duration"] * 1e-9
+    return gates.GateSpec(args.gate, tuple(value[name] for name in row.targets),
+                          theta=value.get("theta"), mode=mode, j=j, d=d, duration=duration,
+                          extended_correction=bool(args.extended_correction))
 
 
 def _requested_system(args) -> SpinSystem | None:
@@ -338,12 +321,12 @@ def _cmd_validate(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_gate_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gate", required=True,
-                     choices=["x", "y", "z", "hadamard", "cnot", "swap", "idle"])
+    sub.add_argument("--gate", required=True, choices=list(gates.GATE_KINDS))
     sub.add_argument("--theta", type=float, help="rotation angle in rad (default pi)")
     sub.add_argument("--target", type=int, help="target qubit index (default 0)")
     sub.add_argument("--control", type=int, help="control qubit for cnot (default 0)")
-    sub.add_argument("--mode", choices=["exchange", "dipole", "combined"])
+    sub.add_argument("--mode", choices=list(dict.fromkeys(
+        mode for row in gates.GATE_KINDS.values() for mode in row.modes if mode)))
     sub.add_argument("--j-uev", type=float, help="exchange coupling in ueV")
     sub.add_argument("--d-nm", type=float, help="donor separation in nm")
     sub.add_argument("--interaction-step-ns", type=float,

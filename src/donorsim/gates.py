@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .propagator import PulseSchedule, PulseSegment, execute_schedule
 from .spin_model import ID2, SX, SY, SZ, SpinSystem, _read_only, embed
 
 __all__ = [
+    "GateKind",
+    "GATE_KINDS",
+    "GATE_FIELDS",
     "GateSpec",
     "CorrectionPlan",
     "GateReport",
@@ -50,8 +54,6 @@ __all__ = [
     "compile_gate",
 ]
 
-_GATE_KINDS = ("x", "y", "z", "hadamard", "cnot", "swap", "idle")
-_CNOT_MODES = ("exchange", "dipole", "combined")
 HADAMARD = (SX + SZ) / math.sqrt(2.0)
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -59,6 +61,58 @@ CNOT_MATRIX = np.array(
 SWAP_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+class GateKind(NamedTuple):
+    """A gate kind's targets in GateSpec order, the fields each mode uses (the
+    first mode is the default; a kind without modes has the one key None), and
+    the CLI's defaults in its units (theta in rad, interaction_step and duration in ns)."""
+
+    targets: tuple[str, ...]
+    modes: Mapping[str | None, tuple[str, ...]]
+    defaults: Mapping[str, float]
+
+    def usage(self, kind: str, mode: str | None) -> tuple[str | None, tuple[str, ...], str]:
+        """(mode, fields used, name in errors); a kind without modes resolves any to None."""
+        if None in self.modes:
+            return None, self.modes[None], kind
+        mode = next(iter(self.modes)) if mode is None else mode
+        if mode not in self.modes:
+            raise ValueError(f"unknown {kind} mode {mode!r}")
+        return mode, self.modes[mode], f"{kind} in {mode} mode"
+
+
+# The one table of gate kinds.  GateSpec validates against it; the CLI takes its
+# --gate and --mode choices, option checks and defaults from it.  J is picked
+# from the CLI's interaction_step when it is not given; a pair's target that
+# defaults onto the given control takes the control's default instead.
+_ROTATION = GateKind(("target",), {None: ("target", "theta")}, {"target": 0, "theta": math.pi})
+_CNOT = ("control", "target", "mode", "extended_correction", "x_conjugation")
+_PAIR_DEFAULTS = {"control": 0, "target": 1, "interaction_step": 0.01}
+GATE_KINDS = {
+    "x": _ROTATION, "y": _ROTATION, "z": _ROTATION,
+    "hadamard": GateKind(("target",), {None: ("target",)}, {"target": 0}),
+    "cnot": GateKind(("control", "target"), {"exchange": (*_CNOT, "j", "interaction_step"),
+                                             "dipole": (*_CNOT, "d"),
+                                             "combined": (*_CNOT, "j", "interaction_step", "d")},
+                     _PAIR_DEFAULTS),
+    "swap": GateKind(("control", "target"), {None: ("control", "target", "j", "interaction_step")},
+                     _PAIR_DEFAULTS),
+    # an idle acts on every donor, so its one target is a placeholder
+    "idle": GateKind(("target",), {None: ("duration",)}, {"target": 0, "duration": 0.0}),
+}
+# why each field the CLI takes does not apply where GATE_KINDS leaves it unused
+GATE_FIELDS = {
+    "theta": "only x, y and z take an angle",
+    "target": "idle acts on every donor",
+    "control": "only cnot and swap have a control",
+    "mode": "only cnot has a coupling mode",
+    "j": "only swap and exchange or combined cnot use exchange",
+    "d": "only dipole or combined cnot use a separation",
+    "extended_correction": "only cnot has a final correction to extend",
+    "duration": "only idle takes a duration",
+    "interaction_step": "only swap and exchange or combined cnot without --j-uev pick J from it",
+}
 
 
 @dataclass(frozen=True)
@@ -71,11 +125,11 @@ class GateSpec:
     separation d), swap (coupling j) and idle (duration).  A cnot's mode
     defaults to exchange; extended_correction adds one spectator wrap to its
     final correction, and x_conjugation=False replaces its X steps with
-    equal-duration idles.  A field the kind does not use, or a non-default
-    flag on any kind but cnot, is a ValueError, so equal requests are equal
-    specs.  Integer targets are stored as ints and real numbers as floats, so
-    equal specs, which share one synthesis cache entry, also compute with the
-    same types.
+    equal-duration idles.  GATE_KINDS says which fields each kind and mode
+    uses; any other field that is set, or a flag that is not at its default,
+    is a ValueError, so equal requests are equal specs.  Integer targets are
+    stored as ints and real numbers as floats, so equal specs, which share one
+    synthesis cache entry, also compute with the same types.
     """
 
     kind: str
@@ -93,43 +147,35 @@ class GateSpec:
             int(t) if type(t) is not int and isinstance(t, numbers.Integral) else t
             for t in self.targets))
         _store_floats(self)
-        if self.kind not in _GATE_KINDS:
+        row = GATE_KINDS.get(self.kind)
+        if row is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(set(self.targets)) != len(self.targets) or any(t < 0 for t in self.targets):
             raise ValueError("targets must be distinct non-negative qubit indices")
-        expected = {"cnot": 2, "swap": 2}.get(self.kind, 1)
-        if len(self.targets) != expected:
-            raise ValueError(f"{self.kind} takes {expected} target(s)")
-        cnot = self.kind == "cnot"
-        if cnot:
-            if self.mode is None:
-                object.__setattr__(self, "mode", "exchange")
-            if self.mode not in _CNOT_MODES:
-                raise ValueError(f"unknown cnot mode {self.mode!r}")
-        what = f"cnot in {self.mode} mode" if cnot else self.kind
-        used = {  # field: the kind uses it
-            "theta": self.kind in ("x", "y", "z"),
-            "mode": cnot,
-            "j": self.kind == "swap" or (cnot and self.mode != "dipole"),
-            "d": cnot and self.mode != "exchange",
-            "duration": self.kind == "idle",
-        }
-        for name, in_use in used.items():
-            if getattr(self, name) is not None and not in_use:
-                raise ValueError(f"{name} does not apply to {what}")
-        for name, default in (("extended_correction", False), ("x_conjugation", True)):
+        if len(self.targets) != len(row.targets):
+            raise ValueError(f"{self.kind} takes {len(row.targets)} target(s)")
+        mode, uses, what = row.usage(self.kind, self.mode)
+        if self.mode is None:
+            object.__setattr__(self, "mode", mode)
+        for name, default in _OPTIONAL_FIELDS:
             value = getattr(self, name)
-            if value not in (False, True):
-                raise ValueError(f"{name} must be True or False, got {value!r}")
-            object.__setattr__(self, name, bool(value))
-            if value != default and not cnot:
+            if default is not None:
+                if value not in (False, True):
+                    raise ValueError(f"{name} must be True or False, got {value!r}")
+                object.__setattr__(self, name, bool(value))
+            if value != default and name not in uses:
                 raise ValueError(f"{name} does not apply to {what}")
-        if self.kind in ("x", "y", "z"):
-            if self.theta is None or not -2.0 * math.pi < self.theta < 2.0 * math.pi:
-                raise ValueError("rotation angle must lie in (-2*pi, 2*pi)")
-        if self.kind == "idle" and not (self.duration is not None
-                                        and 0.0 <= self.duration < math.inf):
+        if "theta" in uses and (self.theta is None
+                                or not -2.0 * math.pi < self.theta < 2.0 * math.pi):
+            raise ValueError("rotation angle must lie in (-2*pi, 2*pi)")
+        if "duration" in uses and not (self.duration is not None
+                                       and 0.0 <= self.duration < math.inf):
             raise ValueError("idle needs a finite non-negative duration")
+
+
+# (name, default) of each GateSpec field after kind and targets, in the order
+# they are checked: the None-default fields first, then the flags
+_OPTIONAL_FIELDS = tuple((f.name, f.default) for f in fields(GateSpec)[2:])
 
 
 @dataclass(frozen=True)
@@ -433,29 +479,20 @@ def interaction_coupling(step_s: float, p: DeviceParameters) -> float:
 def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegment], dict]:
     control, target = spec.targets
     mode, j, d = spec.mode, spec.j, spec.d
+    needs = [name for name in ("j", "d") if name in GATE_KINDS["cnot"].modes[mode]]
+    if any(getattr(spec, name) is None or getattr(spec, name) <= 0.0 for name in needs):
+        raise ValueError(f"{mode} mode needs " + {"exchange": "a positive coupling j",
+                                                  "dipole": "a positive separation d",
+                                                  "combined": "positive j and d"}[mode])
+    # GateSpec holds j only for exchange coupling and d only for dipole coupling
+    couplings = {} if j is None else {(control, target): j}
+    sigma_coupling = 0.0 if j is None else j
     dipole = {}
-    if mode == "exchange":
-        if j is None or j <= 0.0:
-            raise ValueError("exchange mode needs a positive coupling j")
-        sigma_coupling = j
-        couplings = {(control, target): j}
-    elif mode == "dipole":
-        if d is None or d <= 0.0:
-            raise ValueError("dipole mode needs a positive separation d")
+    if d is not None:
         if p.alignment != "z":
             raise ValueError("dipole-coupled gates need z-aligned donors")
         d_coupling = dipole_strength(d, p)
-        sigma_coupling = d_coupling
-        couplings = {}
-        dipole = {(control, target): d_coupling}
-    else:
-        if j is None or j <= 0.0 or d is None or d <= 0.0:
-            raise ValueError("combined mode needs positive j and d")
-        if p.alignment != "z":
-            raise ValueError("dipole-coupled gates need z-aligned donors")
-        d_coupling = dipole_strength(d, p)
-        sigma_coupling = j + d_coupling
-        couplings = {(control, target): j}
+        sigma_coupling += d_coupling
         dipole = {(control, target): d_coupling}
 
     t_int = _INTERACTION_ANGLE * p.constants.hbar / sigma_coupling

@@ -87,13 +87,14 @@ CONSTANTS = PhysicalConstants()
 _UEV = 1.602176634e-25  # 1 micro-eV in J
 
 
-def _check_drive_energy(b_ac: float, mu_b: float) -> None:
-    """Reject a drive amplitude whose energy mu_B * b_ac is not a normal positive
-    float: every gate timing divides by it, and a subnormal one has lost its digits."""
+def _check_drive_energy(b_ac: float, mu_b: float) -> float:
+    """b_ac, unless its drive energy mu_B * b_ac is not a normal positive float:
+    every gate timing divides by it, and a subnormal one has lost its digits."""
     energy = mu_b * b_ac
     if not sys.float_info.min <= energy < math.inf:
         raise ValueError(f"b_ac = {b_ac!r} T is out of range: its drive energy "
                          f"mu_B * b_ac = {energy!r} J is not a normal positive float")
+    return b_ac
 
 
 @dataclass(frozen=True)

@@ -766,15 +766,11 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
             raise ValueError("dipole couplings must be finite and non-negative")
         return _check_pairs(pairs, "dipole", system)
 
-    def drive_amplitude(text: str) -> float:
-        b_ac = _positive("b_ac")(text)
-        _check_drive_energy(b_ac, p.constants.mu_b)
-        return b_ac
-
     dipole = header_value("dipole_uev", {}, dipole_values)
     return PulseSchedule(
         segments=tuple(segments),
-        b_ac=header_value("b_ac", p.b_ac, drive_amplitude),
+        b_ac=header_value("b_ac", p.b_ac, lambda text: _check_drive_energy(
+            _positive("b_ac")(text), p.constants.mu_b)),
         system=system,
         frame=frame,
         carrier=carrier,

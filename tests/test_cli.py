@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorsim.cli import _build_spec, build_parser, main
-from donorsim.gates import _CNOT_MODES as CNOT_MODES, _GATE_KINDS as GATE_KINDS
-from donorsim.gates import interaction_coupling
+from donorsim.gates import GATE_KINDS, interaction_coupling
 from donorsim.params import _UEV
 
 
@@ -597,7 +596,7 @@ def test_cli_accepts_exactly_what_gate_spec_accepts(capsys, p):
     dump = dump._subparsers._group_actions[0].choices["dump"]
     choices = {action.dest: tuple(action.choices) for action in dump._actions
                if action.dest in ("gate", "mode")}
-    assert choices == {"gate": GATE_KINDS, "mode": CNOT_MODES}
+    assert choices == {"gate": tuple(GATE_KINDS), "mode": tuple(GATE_KINDS["cnot"].modes)}
     disagreements = []
     for kind in choices["gate"]:
         for mode in (None, *choices["mode"]):

@@ -735,7 +735,7 @@ _UNUSED = {"theta": 1.0, "mode": "exchange", "j": 1e-25, "d": 30e-9, "duration":
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), kind=st.sampled_from(gates._GATE_KINDS))
+@given(data=st.data(), kind=st.sampled_from(list(gates.GATE_KINDS)))
 def test_unused_fields_and_flags_raise(p, data, kind):
     """A field the kind does not use, or a cnot flag on another kind, is an error
     that names the field and the kind."""
