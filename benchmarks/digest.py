@@ -184,6 +184,7 @@ def cli_gate_digests(seed: int):
     over every kind, cnot mode setting and subset of the seeded gate options."""
     options = gate_option_values(seed)
     idx = 0
+    # fixed lists, not gates.GATE_KINDS, so that two checkouts run the same grid
     for kind in ("x", "y", "z", "hadamard", "cnot", "swap", "idle"):
         for mode in (None, "exchange", "dipole", "combined"):
             for r in range(len(options) + 1):

@@ -479,8 +479,9 @@ def interaction_coupling(step_s: float, p: DeviceParameters) -> float:
 def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegment], dict]:
     control, target = spec.targets
     mode, j, d = spec.mode, spec.j, spec.d
-    needs = [name for name in ("j", "d") if name in GATE_KINDS["cnot"].modes[mode]]
-    if any(getattr(spec, name) is None or getattr(spec, name) <= 0.0 for name in needs):
+    uses = GATE_KINDS["cnot"].modes[mode]
+    if any(name in uses and (value is None or value <= 0.0)
+           for name, value in (("j", j), ("d", d))):
         raise ValueError(f"{mode} mode needs " + {"exchange": "a positive coupling j",
                                                   "dipole": "a positive separation d",
                                                   "combined": "positive j and d"}[mode])
