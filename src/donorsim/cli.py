@@ -115,7 +115,7 @@ def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
 # gate command
 # ---------------------------------------------------------------------------
 
-# Each gate option and the GateSpec field it sets, in the order they are checked.
+# Each gate option and the gates.GATE_KINDS field it sets, in the order they are checked.
 _GATE_OPTIONS = {"theta": "theta", "target": "target", "control": "control", "mode": "mode",
                  "j_uev": "j", "d_nm": "d", "extended_correction": "extended_correction",
                  "duration_ns": "duration", "interaction_step_ns": "interaction_step"}
@@ -133,7 +133,7 @@ def _build_spec(args, p: DeviceParameters) -> gates.GateSpec:
         if getattr(args, option) is not None:
             if name not in uses:
                 raise ValueError(f"--{option.replace('_', '-')} does not apply to {what}: "
-                                 f"{gates.GATE_FIELDS[name]}")
+                                 f"{gates.UNUSED_REASONS[name]}")
             value[name] = getattr(args, option)
     if args.target is None and value.get("control") == value["target"]:
         value["target"] = row.defaults["control"]

@@ -32,7 +32,7 @@ from .spin_model import ID2, SX, SY, SZ, SpinSystem, _read_only, embed
 __all__ = [
     "GateKind",
     "GATE_KINDS",
-    "GATE_FIELDS",
+    "UNUSED_REASONS",
     "GateSpec",
     "CorrectionPlan",
     "GateReport",
@@ -102,7 +102,7 @@ GATE_KINDS = {
     "idle": GateKind(("target",), {None: ("duration",)}, {"target": 0, "duration": 0.0}),
 }
 # why each field the CLI takes does not apply where GATE_KINDS leaves it unused
-GATE_FIELDS = {
+UNUSED_REASONS = {
     "theta": "only x, y and z take an angle",
     "target": "idle acts on every donor",
     "control": "only cnot and swap have a control",
