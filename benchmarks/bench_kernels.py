@@ -15,8 +15,10 @@ itself.
 A last section times the refinement driver (`propagator._refine` over the
 level driver `_lab_levels`) on three runs: `execute_schedule` of the lab-frame
 X(pi) at lab_tol 1e-6, a fixed 3-segment lab schedule at 1e-8, and
-`frozen_nucleus_check` of Y(pi) (the memo tables cleared before every
-repeat).  For each it prints the levels evaluated, the levels a sequential
+`frozen_nucleus_check` of Y(pi).  Each is timed with every memo table cleared
+before every repeat, and again as a memo hit (the same call again, answered
+from `propagator._lab_unitary` or `analysis._oracle_propagator`).  For each
+it prints the levels a cold run evaluates, the levels a sequential
 step-halving loop needs (up to the level returned) and the number of blocks
 asked for.
 
@@ -137,6 +139,7 @@ def _level_traffic(run):
 
     propagator._refine = analysis._refine = recording
     try:
+        _memo.clear()
         run()
     finally:
         propagator._refine = analysis._refine = refine
@@ -153,18 +156,18 @@ def _report_refinements(p):
         for t, f in ((0.7e-9, -0.6), (1.3e-9, 0.2), (0.4e-9, 0.9))), declared_target=None)
     y = synth_y(np.pi, 0, p, one)
     runs = (
-        ("lab X(pi), lab_tol 1e-6", lambda: propagator.execute_schedule(x_lab, lab_tol=1e-6),
-         None),
+        ("lab X(pi), lab_tol 1e-6", lambda: propagator.execute_schedule(x_lab, lab_tol=1e-6)),
         ("3-segment lab schedule, lab_tol 1e-8",
-         lambda: propagator.execute_schedule(three, lab_tol=1e-8), None),
-        ("frozen-nucleus Y(pi), memo cleared", lambda: analysis.frozen_nucleus_check(y, p),
-         _memo.clear),
+         lambda: propagator.execute_schedule(three, lab_tol=1e-8)),
+        ("frozen-nucleus Y(pi)", lambda: analysis.frozen_nucleus_check(y, p)),
     )
-    print("refinement driver (best of 50):")
-    for name, run, before in runs:
-        t, _ = _time(run, repeats=50, before=before)
+    print("refinement driver (best of 50; cold: memo tables cleared before every repeat):")
+    for name, run in runs:
+        cold, _ = _time(run, repeats=50, before=_memo.clear)
+        hit, _ = _time(run, repeats=50)
         evaluated, needed, blocks = _level_traffic(run)
-        print(f"  {name}: {t * 1e6:.0f} us; {evaluated} levels evaluated in {blocks} blocks, "
+        print(f"  {name}: cold {cold * 1e6:.0f} us, memo hit {hit * 1e6:.1f} us; "
+              f"{evaluated} levels evaluated in {blocks} blocks, "
               f"{needed} needed by a sequential loop")
 
 

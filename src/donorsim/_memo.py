@@ -1,8 +1,11 @@
 """The one registry of donorsim's process-wide memo tables.
 
 Global control reuses a few pulses across many gates, so synthesis, grading,
-the rotating-frame eigensystems and propagators, the oracle's Strang powers
-and a few small constants are memoized for the whole process.  Every such table is
+the rotating-frame eigensystems and propagators, the converged lab-frame
+unitaries and oracle propagators (keyed on schedule content), the oracle's
+Strang powers and a few small constants are memoized for the whole process.
+No table stores an exception, so a rejected input raises again on every
+call.  Every such table is
 declared here with `table`, so each is a bounded LRU table of SIZE entries,
 `TABLES` lists them all (each with its `cache_info()`), and `clear()` empties
 them at once: a cold start for tests and benchmarks.

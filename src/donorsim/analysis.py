@@ -29,13 +29,14 @@ from .propagator import (
     PulseSchedule,
     PulseSegment,
     _check_phase,
+    _Keyed,
     _lab_levels,
     _refine,
     _timed_segments,
     execute_schedule,
     validate_schedule_controls,
 )
-from .spin_model import SpinSystem, frame_rotation, single_donor_static
+from .spin_model import SpinSystem, _read_only, frame_rotation, single_donor_static
 
 __all__ = [
     "gate_fidelity",
@@ -216,6 +217,14 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
     return _lab_levels(timed, 2.0 * math.pi / w_ac, 4)
 
 
+@_memo.table
+def _oracle_propagator(keyed: _Keyed, p: DeviceParameters, donor: int, tol: float,
+                       include_nuclear_drive: bool) -> np.ndarray:
+    """Read-only converged electron (x) nucleus propagator of keyed.schedule's donor."""
+    return _read_only(_refine(_donor4_levels(keyed.schedule, donor, p, include_nuclear_drive),
+                              tol, 1 << 16, "nuclear oracle"))
+
+
 def frozen_nucleus_check(
     schedule: PulseSchedule,
     p: DeviceParameters,
@@ -230,6 +239,13 @@ def frozen_nucleus_check(
     the nucleus up, and the worst deviation of the conditional electron state
     from the electron-only rotating-frame result.  The integration step is
     refined until halving changes the propagator by at most tol in max-norm.
+
+    The converged propagator is computed once per (schedule content, p,
+    donor, tol, include_nuclear_drive) while the `_oracle_propagator` table
+    holds it, so a repeated check makes no kernel call; labels and
+    declared_target are not part of the content.  The argument checks, the
+    electron-only reference, the frame map and the populations still run on
+    every call, and errors are raised again on every call.
     """
     if schedule.system.include_nuclei:
         raise ValueError("pass the electron-only schedule; the oracle adds the nucleus")
@@ -239,8 +255,7 @@ def frozen_nucleus_check(
         donor = min(touched) if touched else 0
     schedule.system.electron_site(donor)
 
-    fine = _refine(_donor4_levels(schedule, donor, p, include_nuclear_drive), tol, 1 << 16,
-                   "nuclear oracle")
+    fine = _oracle_propagator(_Keyed(schedule), p, donor, tol, include_nuclear_drive)
 
     # electron-only reference: the donor's local rotating-frame schedule, also
     # for a lab-frame input, since the oracle's result is mapped to that frame

@@ -394,7 +394,45 @@ def _lab_donor_levels(schedule: PulseSchedule, donor: int):
     return _lab_levels(timed, 2.0 * math.pi / w_ac, 2)
 
 
-def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
+# Verification repeats whole schedules, not only pulses: the lab realization
+# of a gate and its oracle check are asked for again and again, and each is a
+# full refinement.  So the converged results are memoized on the schedule's
+# content: every field lab execution or the oracle reads, with labels and
+# declared_target left out.  Numbers compare by value, as in _segment_key; a
+# value equal to another gives the same bits (+0.0 and -0.0 only ever meet a
+# nonzero term or a test against zero).
+def _schedule_key(schedule: PulseSchedule) -> tuple:
+    """(system, frame, carrier, b_ac, mu_b, hbar, rf_phase, dipole items, and
+    (duration, rf_on, detuning items, coupling items) of each segment)."""
+    return (schedule.system, schedule.frame, schedule.carrier, schedule.b_ac, schedule.mu_b,
+            schedule.hbar, schedule.rf_phase, tuple(schedule.dipole.items()),
+            tuple((seg.duration, seg.rf_on, tuple(seg.detunings.items()),
+                   tuple(seg.couplings.items())) for seg in schedule.segments))
+
+
+class _Keyed:
+    """A schedule that hashes and compares as its _schedule_key, so a memo
+    table taking it hits for every schedule of equal content while a miss
+    reads the schedule itself."""
+
+    __slots__ = ("schedule", "key", "_hash")
+
+    def __init__(self, schedule: PulseSchedule):
+        self.schedule = schedule
+        self.key = _schedule_key(schedule)
+        self._hash = hash(self.key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Keyed) and self.key == other.key
+
+
+@_memo.table
+def _lab_unitary(keyed: _Keyed, lab_tol: float) -> np.ndarray:
+    """Read-only converged lab-frame unitary of keyed.schedule at lab_tol."""
+    schedule = keyed.schedule
     system = schedule.system
     if system.include_nuclei:
         raise NotImplementedError(
@@ -418,7 +456,7 @@ def _execute_lab(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
                 len(block), u.shape[1] * v.shape[1], u.shape[2] * v.shape[2])
         return u
 
-    return _refine(assemble, lab_tol, 1 << 18, "lab-frame integration")
+    return _read_only(_refine(assemble, lab_tol, 1 << 18, "lab-frame integration"))
 
 
 def execute_schedule(schedule: PulseSchedule, lab_tol: float = 1e-9) -> ExecutionResult:
@@ -427,13 +465,16 @@ def execute_schedule(schedule: PulseSchedule, lab_tol: float = 1e-9) -> Executio
     Rotating-frame segments compose exactly, once per schedule object: later
     calls copy its memo.  Lab-frame schedules are integrated with midpoint
     stepping refined until a step-halving changes the result by at most
-    lab_tol in max-norm.  The unitary is always a fresh, writable array.
+    lab_tol in max-norm, once per (schedule content, lab_tol) while the
+    `_lab_unitary` table holds it: a schedule differing only in labels or
+    declared_target is a hit, and errors are raised again on every call.
+    The unitary is always a fresh, writable array.
     """
     if schedule.frame == "rotating":
-        u = schedule._rotating_unitary.copy()
+        u = schedule._rotating_unitary
     else:
-        u = _execute_lab(schedule, lab_tol)
-    return ExecutionResult(unitary=u, duration=schedule.total_duration)
+        u = _lab_unitary(_Keyed(schedule), lab_tol)
+    return ExecutionResult(unitary=u.copy(), duration=schedule.total_duration)
 
 
 def concat_schedules(first: PulseSchedule, second: PulseSchedule) -> PulseSchedule:

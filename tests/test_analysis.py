@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from donorsim import DeviceParameters, _kernels, _memo, analysis, spin_model
+from donorsim import DeviceParameters, _kernels, _memo, analysis, propagator, spin_model
 from donorsim.analysis import (
     SWEEP_FIELDS,
     SWEEP_METRICS,
@@ -23,7 +24,7 @@ from donorsim.analysis import (
 )
 from donorsim.gates import spectator_period, synth_cnot, synth_hadamard, synth_x, synth_y, synth_z
 from donorsim.params import carrier_frequency, hyperfine_for_frequency, max_detuning
-from donorsim.propagator import PulseSegment, _refine
+from donorsim.propagator import PulseSchedule, PulseSegment, _refine
 from donorsim.spin_model import SX, SpinSystem, single_donor_static
 
 
@@ -452,7 +453,8 @@ def test_oracle_phase_bound_covers_the_static_spectrum(p, a_over_a0):
 
 
 def test_frozen_nucleus_power_cache_dedupes_segments(p, monkeypatch):
-    """A Y gate's repeated pulses cost one power per distinct (segment, level)."""
+    """A Y gate's repeated pulses cost one power per distinct (segment, level),
+    and a repeated check takes its propagator from the oracle table."""
     sched = synth_y(4.7, 0, p, SpinSystem(1))
     timed = [seg for seg in sched.segments if seg.duration > 0.0]
     distinct = {(seg.duration, tuple(seg.detunings.items()), seg.rf_on) for seg in timed}
@@ -472,7 +474,178 @@ def test_frozen_nucleus_power_cache_dedupes_segments(p, monkeypatch):
     assert _kernels._strang_power.cache_info().misses == len(distinct) * levels
     assert frozen_nucleus_check(sched, p) == cold
     assert _kernels._strang_power.cache_info().misses == len(distinct) * levels
-    assert len(calls) == 2 * levels * len(timed)
+    assert len(calls) == levels * len(timed)
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A random rotating-frame schedule of 1-3 uncoupled segments (some rf-off
+    or of zero duration) on 1-3 donors, and one of its donors."""
+    p = DeviceParameters()
+    dw = max_detuning(p)
+    num_donors = draw(st.integers(1, 3))
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        duration = draw(st.sampled_from([0.0, 0.05e-9]) | st.floats(0.1e-9, 1.5e-9))
+        detunings = {q: draw(st.floats(-dw, dw)) for q in range(num_donors)
+                     if draw(st.booleans())}
+        segments.append(PulseSegment(duration=duration, detunings=detunings,
+                                     rf_on=draw(st.booleans())))
+    sched = PulseSchedule(segments=tuple(segments), b_ac=p.b_ac, system=SpinSystem(num_donors),
+                          rf_phase=draw(st.floats(-math.pi, math.pi)))
+    return sched, draw(st.integers(0, num_donors - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_oracle_cases(), tol=st.sampled_from([1e-6, 1e-8]),
+       include_nuclear_drive=st.booleans())
+def test_oracle_memo_cold_and_warm_are_bit_identical(case, tol, include_nuclear_drive):
+    """An oracle check from a cleared table and the hit of an equal schedule
+    have the same bits."""
+    sched, donor = case
+    p = DeviceParameters()
+
+    def check(s):
+        return [x.hex() for x in frozen_nucleus_check(
+            s, p, donor=donor, tol=tol, include_nuclear_drive=include_nuclear_drive)]
+
+    _memo.clear()
+    cold = check(sched)
+    assert check(sched.replace()) == cold
+    info = analysis._oracle_propagator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_oracle_memo_entries_are_read_only(p):
+    """The table holds a read-only propagator; the check's own arithmetic
+    cannot change a later hit."""
+    sched = synth_y(4.7, 0, p, SpinSystem(1))
+    _memo.clear()
+    cold = frozen_nucleus_check(sched, p)
+    fine = analysis._oracle_propagator(analysis._Keyed(sched), p, 0, 1e-6, False)
+    assert analysis._oracle_propagator.cache_info().hits == 1
+    with pytest.raises(ValueError, match="read-only"):
+        fine[0, 0] = 0.0
+    assert frozen_nucleus_check(sched, p) == cold
+
+
+def _oracle_memo_base(p):
+    dw = max_detuning(p)
+    segments = [PulseSegment(duration=0.7e-9, detunings={0: -0.3 * dw, 1: 0.6 * dw}),
+                PulseSegment(duration=0.4e-9, detunings={0: 0.5 * dw}),
+                PulseSegment(duration=0.3e-9, detunings={1: -0.2 * dw}, rf_on=False),
+                PulseSegment(duration=0.5e-9, detunings={0: 0.1 * dw, 1: -0.7 * dw})]
+    return PulseSchedule(segments=tuple(segments), b_ac=p.b_ac, system=SpinSystem(2),
+                         rf_phase=0.3)
+
+
+def _with_segment(sched, i, **changes):
+    """sched with segment i rebuilt with changes."""
+    segments = list(sched.segments)
+    segments[i] = dataclasses.replace(segments[i], **changes)
+    return sched.replace(segments=tuple(segments))
+
+
+def _oracle_key_variants(p):
+    """(schedule, device, options) of the base call changed in one key field."""
+    base = _oracle_memo_base(p)
+    c = p.constants
+    lab = lab_realization(base, p)
+    return {
+        "base": (base, p, {}),
+        "lab": (lab, p, {}),
+        "carrier": (lab.replace(carrier=1.001 * lab.carrier), p, {}),
+        "b_ac": (base.replace(b_ac=1.5 * p.b_ac), p, {}),
+        "mu_b": (base.replace(mu_b=1.01 * c.mu_b), p, {}),
+        "hbar": (base.replace(hbar=1.01 * c.hbar), p, {}),
+        "rf_phase": (base.replace(rf_phase=0.4), p, {}),
+        "duration": (_with_segment(base, 1, duration=0.5e-9), p, {}),
+        "detuning": (_with_segment(base, 1, detunings={0: 0.4 * max_detuning(p)}), p, {}),
+        "rf_on": (_with_segment(base, 1, rf_on=False), p, {}),
+        "segment_order": (base.replace(segments=base.segments[::-1]), p, {}),
+        "tol": (base, p, {"tol": 1e-10}),
+        "donor": (base, p, {"donor": 1}),
+        "include_nuclear_drive": (base, p, {"include_nuclear_drive": True}),
+        "device": (base, p.replace(b=2.01), {}),
+    }
+
+
+def _oracle_outcome(sched, p, options):
+    """The check's result bits, or the text of the error it raises."""
+    try:
+        return [x.hex() for x in frozen_nucleus_check(sched, p, **options)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("which", ["carrier", "b_ac", "mu_b", "hbar", "rf_phase", "duration",
+                                   "detuning", "rf_on", "segment_order", "tol", "donor",
+                                   "include_nuclear_drive", "device"])
+def test_oracle_memo_key_is_complete(p, which):
+    """A call differing from another in one key field gets its own cold
+    result, whichever of the two the table saw first (a carrier other than
+    the device's is an error, against the device-carrier lab schedule)."""
+    variants = _oracle_key_variants(p)
+    pair = (variants["lab" if which == "carrier" else "base"], variants[which])
+    cold = []
+    for call in pair:
+        _memo.clear()
+        cold.append(_oracle_outcome(*call))
+    assert cold[0] != cold[1]
+    for order in ((0, 1), (1, 0)):
+        _memo.clear()
+        for i in order:
+            assert _oracle_outcome(*pair[i]) == cold[i]
+
+
+def test_oracle_memo_ignores_labels_and_declared_target(p):
+    sched = synth_hadamard(0, p, SpinSystem(1))
+    relabelled = sched.replace(segments=tuple(seg.with_label("other") for seg in sched.segments),
+                               declared_target=None)
+    _memo.clear()
+    cold = frozen_nucleus_check(sched, p)
+    assert frozen_nucleus_check(relabelled, p) == cold
+    info = analysis._oracle_propagator.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _oracle_error_cases(p):
+    """(schedule, options, exception, message) of each error the oracle's
+    refinement raises."""
+    base = _oracle_memo_base(p)
+    lab = lab_realization(base, p)
+    long = base.replace(segments=(*base.segments, PulseSegment(duration=1e250, rf_on=False)))
+    return {
+        "exchange": (base.replace(segments=(PulseSegment(0.5e-9, couplings={(0, 1): 1e-25}),)),
+                     {}, ValueError, "covers single-qubit schedules only"),
+        "dipole": (base.replace(dipole={(0, 1): 1e-25}), {}, ValueError,
+                   "covers single-qubit schedules only"),
+        "carrier": (lab.replace(carrier=1.001 * lab.carrier), {}, ValueError,
+                    "runs at the device carrier"),
+        "huge_phase": (long, {}, ValueError, "propagator phase exceeds 2\\*\\*33 rad"),
+        "zero_tol": (base, {"tol": 0.0}, ValueError, "tolerance must be finite and positive"),
+        "nan_tol": (base, {"tol": math.nan}, ValueError, "tolerance must be finite and positive"),
+        "not_converged": (base, {"tol": 1e-300}, propagator._NotConverged,
+                          "did not converge to 1e-300"),
+    }
+
+
+@pytest.mark.parametrize("which", ["exchange", "dipole", "carrier", "huge_phase", "zero_tol",
+                                   "nan_tol", "not_converged"])
+def test_oracle_memo_stores_no_error(p, which):
+    """An input the oracle's refinement rejects raises the same text on
+    every call and adds no table entry."""
+    sched, options, exc, message = _oracle_error_cases(p)[which]
+    _memo.clear()
+    frozen_nucleus_check(_oracle_memo_base(p), p)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(exc, match=message) as info:
+            frozen_nucleus_check(sched, p, **options)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1]
+    info = analysis._oracle_propagator.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 0, 3)
 
 
 def test_nuclear_flip_zero_duration(p):

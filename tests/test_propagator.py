@@ -349,7 +349,8 @@ def test_every_memo_table_is_registered_and_bounded():
 @given(case=_gate_cases())
 def test_memo_cold_and_warm_are_bit_identical(case):
     """Synthesis, rotating execution, compile_gate's grade and, for single-qubit
-    gates, the oracle give the same bits from cleared tables and from warm ones."""
+    gates, the oracle and lab execution give the same bits from cleared tables
+    and from warm ones."""
     spec, system = case
     p = DeviceParameters()
 
@@ -364,6 +365,8 @@ def test_memo_cold_and_warm_are_bit_identical(case):
                 report.notes]
         if len(spec.targets) == 1 and not system.include_nuclei:
             bits.append([x.hex() for x in frozen_nucleus_check(sched, p)])
+            lab = lab_realization(sched, p)
+            bits.append(execute_schedule(lab, lab_tol=1e-6).unitary.tobytes())
         return bits
 
     _memo.clear()
@@ -636,12 +639,12 @@ def test_lab_refinement_against_reference_loop(p, rng, make, lab_tol):
 
 
 @st.composite
-def _lab_block_cases(draw):
-    """A random lab schedule (1-3 segments on 1-2 donors, some rf-off or of
-    zero duration) and a random block of refinement levels."""
+def _random_lab_schedules(draw, max_donors):
+    """A random lab schedule: 1-3 segments on 1 to max_donors donors, some
+    rf-off or of zero duration."""
     p = DeviceParameters()
     dw = max_detuning(p)
-    num_donors = draw(st.integers(1, 2))
+    num_donors = draw(st.integers(1, max_donors))
     segments = []
     for _ in range(draw(st.integers(1, 3))):
         duration = draw(st.sampled_from([0.0, 0.05e-9]) | st.floats(0.1e-9, 1.5e-9))
@@ -649,8 +652,14 @@ def _lab_block_cases(draw):
                      if draw(st.booleans())}
         segments.append(PulseSegment(duration=duration, detunings=detunings,
                                      rf_on=draw(st.booleans())))
-    sched = _schedule(segments, p, n=num_donors, frame="lab", carrier=carrier_frequency(p),
-                      rf_phase=draw(st.floats(-math.pi, math.pi)))
+    return _schedule(segments, p, n=num_donors, frame="lab", carrier=carrier_frequency(p),
+                     rf_phase=draw(st.floats(-math.pi, math.pi)))
+
+
+@st.composite
+def _lab_block_cases(draw):
+    """A random lab schedule on 1-2 donors and a random block of refinement levels."""
+    sched = draw(_random_lab_schedules(2))
     block = sorted(draw(st.sets(st.sampled_from([64 << k for k in range(10)]),
                                 min_size=1, max_size=6)))
     return sched, block
@@ -672,6 +681,137 @@ def test_lab_blocks_match_single_levels_and_the_sequential_loop(case, lab_tol):
             assert np.array_equal(u, _lab_donor_reference(sched, donor, steps))
     assert np.array_equal(execute_schedule(sched, lab_tol=lab_tol).unitary,
                           _execute_lab_reference(sched, lab_tol))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sched=_random_lab_schedules(3), lab_tol=st.sampled_from([1e-6, 1e-8]))
+def test_lab_memo_cold_and_warm_are_bit_identical(sched, lab_tol):
+    """A lab result from a cleared table and the hit of an equal schedule
+    have the same bits."""
+    _memo.clear()
+    cold = execute_schedule(sched, lab_tol=lab_tol).unitary
+    warm = execute_schedule(sched.replace(), lab_tol=lab_tol).unitary
+    info = propagator._lab_unitary.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_lab_memo_returns_fresh_writable_unitaries(p):
+    """Every call returns its own writable copy; mutating one leaves the
+    read-only table entry, and so a later hit, unchanged."""
+    sched = lab_realization(synth_x(math.pi, 0, p, SpinSystem(1)), p)
+    _memo.clear()
+    first = execute_schedule(sched, lab_tol=1e-6).unitary
+    reference = first.tobytes()
+    hit = execute_schedule(sched, lab_tol=1e-6).unitary
+    assert propagator._lab_unitary.cache_info().hits == 1
+    assert first.flags.writeable and hit.flags.writeable
+    assert not np.shares_memory(first, hit)
+    first[...] = 0.0
+    hit[...] = np.nan
+    assert execute_schedule(sched, lab_tol=1e-6).unitary.tobytes() == reference
+    with pytest.raises(ValueError, match="read-only"):
+        propagator._lab_unitary(propagator._Keyed(sched), 1e-6)[0, 0] = 0.0
+
+
+def _lab_memo_base(p):
+    dw = max_detuning(p)
+    segments = [PulseSegment(duration=0.7e-9, detunings={0: -0.3 * dw}),
+                PulseSegment(duration=0.4e-9, detunings={0: 0.5 * dw}),
+                PulseSegment(duration=0.3e-9, detunings={0: 0.1 * dw})]
+    return _schedule(segments, p, frame="lab", carrier=carrier_frequency(p), rf_phase=0.3)
+
+
+def _with_segment(sched, i, **changes):
+    """sched with segment i rebuilt with changes."""
+    segments = list(sched.segments)
+    segments[i] = dataclasses.replace(segments[i], **changes)
+    return sched.replace(segments=tuple(segments))
+
+
+def _lab_key_variants(p):
+    """The base schedule changed in one field lab execution reads."""
+    base = _lab_memo_base(p)
+    c = p.constants
+    return {
+        "carrier": base.replace(carrier=1.001 * base.carrier),
+        "b_ac": base.replace(b_ac=1.5 * p.b_ac),
+        "mu_b": base.replace(mu_b=1.01 * c.mu_b),
+        "hbar": base.replace(hbar=1.01 * c.hbar),
+        "rf_phase": base.replace(rf_phase=0.4),
+        "duration": _with_segment(base, 1, duration=0.5e-9),
+        "detuning": _with_segment(base, 1, detunings={0: 0.4 * max_detuning(p)}),
+        "rf_on": _with_segment(base, 1, rf_on=False),
+        "segment_order": base.replace(segments=base.segments[::-1]),
+    }
+
+
+@pytest.mark.parametrize("which", ["carrier", "b_ac", "mu_b", "hbar", "rf_phase", "duration",
+                                   "detuning", "rf_on", "segment_order", "lab_tol"])
+def test_lab_memo_key_is_complete(p, which):
+    """A schedule differing from another in one key field gets its own cold
+    result, whichever of the two the table saw first."""
+    base = (_lab_memo_base(p), 1e-8)
+    other = (base[0], 1e-6) if which == "lab_tol" else (_lab_key_variants(p)[which], 1e-8)
+    assert propagator._Keyed(base[0]) != propagator._Keyed(other[0]) or base[1] != other[1]
+    cold = []
+    for sched, lab_tol in (base, other):
+        _memo.clear()
+        cold.append(execute_schedule(sched, lab_tol=lab_tol).unitary.tobytes())
+    assert cold[0] != cold[1]
+    for order in ((0, 1), (1, 0)):
+        _memo.clear()
+        for i in order:
+            sched, lab_tol = (base, other)[i]
+            assert execute_schedule(sched, lab_tol=lab_tol).unitary.tobytes() == cold[i]
+        assert propagator._lab_unitary.cache_info().misses == 2
+
+
+def test_lab_memo_ignores_labels_and_declared_target(p):
+    sched = lab_realization(synth_hadamard(0, p, SpinSystem(1)), p)
+    relabelled = sched.replace(segments=tuple(seg.with_label("other") for seg in sched.segments),
+                               declared_target=None)
+    _memo.clear()
+    u = execute_schedule(sched, lab_tol=1e-6).unitary
+    assert execute_schedule(relabelled, lab_tol=1e-6).unitary.tobytes() == u.tobytes()
+    info = propagator._lab_unitary.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _lab_error_cases(p):
+    """(schedule, lab_tol, exception, message) of each error lab execution raises."""
+    base = _lab_memo_base(p)
+    two = _two_donor_lab_schedule(p)
+    long = base.replace(segments=(PulseSegment(duration=1e-3, detunings={0: 0.2e9}),))
+    return {
+        "nuclei": (base.replace(system=SpinSystem(1, include_nuclei=True)), 1e-8,
+                   NotImplementedError, "covers electron-only systems"),
+        "exchange": (two.replace(segments=(PulseSegment(0.5e-9, couplings={(0, 1): 1e-25}),)),
+                     1e-8, NotImplementedError, "does not support exchange coupling"),
+        "dipole": (two.replace(dipole={(0, 1): 1e-25}), 1e-8, NotImplementedError,
+                   "does not support dipole coupling"),
+        "zero_tol": (base, 0.0, ValueError, "tolerance must be finite and positive"),
+        "nan_tol": (base, math.nan, ValueError, "tolerance must be finite and positive"),
+        "not_converged": (long, 1e-9, propagator._NotConverged, "did not converge to 1e-09"),
+    }
+
+
+@pytest.mark.parametrize("which", ["nuclei", "exchange", "dipole", "zero_tol", "nan_tol",
+                                   "not_converged"])
+def test_lab_memo_stores_no_error(p, which):
+    """An input lab execution rejects raises the same text on every call and
+    adds no table entry."""
+    sched, lab_tol, exc, message = _lab_error_cases(p)[which]
+    _memo.clear()
+    execute_schedule(_lab_memo_base(p), lab_tol=1e-8)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(exc, match=message) as info:
+            execute_schedule(sched, lab_tol=lab_tol)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1]
+    info = propagator._lab_unitary.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 0, 3)
 
 
 def _su2_closed_form_reference(az, ax, omega, phi0, t0, dt, n):
