@@ -17,7 +17,7 @@ level driver `_lab_levels`) on three runs: `execute_schedule` of the lab-frame
 X(pi) at lab_tol 1e-6, a fixed 3-segment lab schedule at 1e-8, and
 `frozen_nucleus_check` of Y(pi).  Each is timed with every memo table cleared
 before every repeat, and again as a memo hit (the same call again, answered
-from `propagator._lab_unitary` or `analysis._oracle_propagator`).  For each
+from `propagator._lab_unitary` or `analysis._oracle_check`).  For each
 it prints the levels a cold run evaluates, the levels a sequential
 step-halving loop needs (up to the level returned) and the number of blocks
 asked for.

@@ -41,8 +41,8 @@ alone, H_static's eigensystem, the half-step propagator, the commutator check
 and the power, so a hit has the bits of a recomputation and a failed check is
 never stored.  Only the key (the bytes of H_static and the packed scalars)
 and the telescope (which depends on t0 and chi) are computed on every call.
-Both callers also memoize their converged results on schedule content
-(`propagator._lab_unitary`, `analysis._oracle_propagator`), so a schedule
+Both callers also memoize their results on the schedule
+(`propagator._lab_unitary`, `analysis._oracle_check`), so a schedule
 verified again in the same process makes no kernel call at all.
 """
 

@@ -1,19 +1,15 @@
 """The one registry of donorsim's process-wide memo tables.
 
 Global control reuses a few pulses across many gates, so synthesis, grading,
-the rotating-frame eigensystems and propagators, the converged lab-frame
-unitaries and oracle propagators (keyed on schedule content), the oracle's
-Strang powers and a few small constants are memoized for the whole process.
-No table stores an exception, so a rejected input raises again on every
-call.  Every such table is
-declared here with `table`, so each is a bounded LRU table of SIZE entries,
-`TABLES` lists them all (each with its `cache_info()`), and `clear()` empties
-them at once: a cold start for tests and benchmarks.
-
-`PulseSchedule._rotating_unitary` is not a table: it is a per-object memo
-that lives and dies with its schedule.  `clear()` cannot reach it, so a
-schedule the caller still holds stays warm; execute `sched.replace()` for a
-cold run.
+the rotating-frame eigensystems and propagators, every execution result (the
+rotating-frame and converged lab-frame unitaries and the frozen-nucleus
+checks, each keyed on the schedule, which compares by its controls), the
+oracle's Strang powers and a few small constants are memoized for the whole
+process.  No table stores an exception, so a rejected input raises again on
+every call.  Every such table is declared here with `table`, so each is a
+bounded LRU table of SIZE entries, `TABLES` lists them all (each with its
+`cache_info()`), and `clear()` empties them at once: a cold start for tests
+and benchmarks.
 
 This module imports nothing from donorsim, so any module may use it.
 """

@@ -29,14 +29,13 @@ from .propagator import (
     PulseSchedule,
     PulseSegment,
     _check_phase,
-    _Keyed,
     _lab_levels,
     _refine,
     _timed_segments,
     execute_schedule,
     validate_schedule_controls,
 )
-from .spin_model import SpinSystem, _read_only, frame_rotation, single_donor_static
+from .spin_model import SpinSystem, frame_rotation, single_donor_static
 
 __all__ = [
     "gate_fidelity",
@@ -218,47 +217,20 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
 
 
 @_memo.table
-def _oracle_propagator(keyed: _Keyed, p: DeviceParameters, donor: int, tol: float,
-                       include_nuclear_drive: bool) -> np.ndarray:
-    """Read-only converged electron (x) nucleus propagator of keyed.schedule's donor."""
-    return _read_only(_refine(_donor4_levels(keyed.schedule, donor, p, include_nuclear_drive),
-                              tol, 1 << 16, "nuclear oracle"))
-
-
-def frozen_nucleus_check(
-    schedule: PulseSchedule,
-    p: DeviceParameters,
-    donor: int | None = None,
-    tol: float = 1e-6,
-    include_nuclear_drive: bool = False,
-) -> tuple[float, float]:
-    """Full electron (x) nucleus simulation of a single-qubit schedule.
-
-    Returns (flip_probability, electron_fidelity_deviation): the worst final
-    nuclear-spin-down population over computational-basis electron starts with
-    the nucleus up, and the worst deviation of the conditional electron state
-    from the electron-only rotating-frame result.  The integration step is
-    refined until halving changes the propagator by at most tol in max-norm.
-
-    The converged propagator is computed once per (schedule content, p,
-    donor, tol, include_nuclear_drive) while the `_oracle_propagator` table
-    holds it, so a repeated check makes no kernel call; labels and
-    declared_target are not part of the content.  The argument checks, the
-    electron-only reference, the frame map and the populations still run on
-    every call, and errors are raised again on every call.
-    """
+def _oracle_check(schedule: PulseSchedule, p: DeviceParameters, donor: int, tol: float,
+                  include_nuclear_drive: bool) -> tuple[float, float]:
+    """frozen_nucleus_check's (flip, fdev), with the donor resolved."""
     if schedule.system.include_nuclei:
         raise ValueError("pass the electron-only schedule; the oracle adds the nucleus")
     validate_schedule_controls(schedule, p)
-    if donor is None:
-        touched = {q for seg in schedule.segments for q in seg.detunings}
-        donor = min(touched) if touched else 0
     schedule.system.electron_site(donor)
 
-    fine = _oracle_propagator(_Keyed(schedule), p, donor, tol, include_nuclear_drive)
+    fine = _refine(_donor4_levels(schedule, donor, p, include_nuclear_drive),
+                   tol, 1 << 16, "nuclear oracle")
 
     # electron-only reference: the donor's local rotating-frame schedule, also
-    # for a lab-frame input, since the oracle's result is mapped to that frame
+    # for a lab-frame input, since the oracle's result is mapped to that frame;
+    # _donor4_levels has rejected every nonzero dipole, and a zero one adds no term
     local = schedule.replace(
         frame="rotating",
         system=SpinSystem(num_donors=1),
@@ -271,6 +243,7 @@ def frozen_nucleus_check(
             )
             for seg in schedule.segments
         ),
+        dipole={},
         declared_target=None,
     )
     u_ref = execute_schedule(local).unitary
@@ -290,6 +263,33 @@ def frozen_nucleus_check(
         target = u_ref @ np.eye(2, dtype=complex)[:, e_idx]
         fdev = max(fdev, abs(1.0 - abs(np.vdot(target, cond)) ** 2))
     return flip, fdev
+
+
+def frozen_nucleus_check(
+    schedule: PulseSchedule,
+    p: DeviceParameters,
+    donor: int | None = None,
+    tol: float = 1e-6,
+    include_nuclear_drive: bool = False,
+) -> tuple[float, float]:
+    """Full electron (x) nucleus simulation of a single-qubit schedule.
+
+    Returns (flip_probability, electron_fidelity_deviation): the worst final
+    nuclear-spin-down population over computational-basis electron starts with
+    the nucleus up, and the worst deviation of the conditional electron state
+    from the electron-only rotating-frame result.  The integration step is
+    refined until halving changes the propagator by at most tol in max-norm.
+
+    The donor defaults to the lowest one the schedule detunes.  The result is
+    computed once per (schedule, p, donor, tol, include_nuclear_drive) while
+    the `_oracle_check` table holds it, the schedule compared by its controls
+    (see PulseSchedule), so a repeated check computes nothing.  Errors are
+    raised again on every call.
+    """
+    if donor is None:
+        touched = {q for seg in schedule.segments for q in seg.detunings}
+        donor = min(touched) if touched else 0
+    return _oracle_check(schedule, p, donor, tol, include_nuclear_drive)
 
 
 def nuclear_flip_probability(schedule: PulseSchedule, p: DeviceParameters,

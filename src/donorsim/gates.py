@@ -26,7 +26,7 @@ import numpy as np
 from . import _memo
 from .params import (DeviceParameters, InfeasibleDetuningError, _store_floats,
                      dipole_strength, exceeds_max_detuning, max_detuning)
-from .propagator import PulseSchedule, PulseSegment, execute_schedule
+from .propagator import PulseSchedule, PulseSegment, _execute_rotating, execute_schedule
 from .spin_model import ID2, SX, SY, SZ, SpinSystem, _read_only, embed
 
 __all__ = [
@@ -761,7 +761,7 @@ def _grade(spec: GateSpec, p: DeviceParameters, system: SpinSystem
     from .analysis import gate_fidelity
 
     schedule = _layout(spec, p, system)
-    fidelity = (gate_fidelity(schedule._rotating_unitary, schedule.declared_target)
+    fidelity = (gate_fidelity(_execute_rotating(schedule), schedule.declared_target)
                 if schedule.segments else 1.0)
     steps = tuple((seg.label, seg.duration) for seg in schedule.segments)
     notes = ""

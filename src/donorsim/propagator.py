@@ -108,7 +108,7 @@ class PulseSegment:
         return seg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSchedule:
     """Ordered control segments plus the context needed to execute them.
 
@@ -117,6 +117,12 @@ class PulseSchedule:
     applies during every segment; the mapping is a read-only copy.
     declared_target is the ideal unitary the schedule is meant to implement
     (None when unknown).
+
+    A schedule compares and hashes by its controls: system, frame, carrier,
+    b_ac, mu_b, hbar, rf_phase, the dipole pairs, and each segment's duration,
+    rf switch, detunings and exchange pairs.  Labels and declared_target are
+    annotations and take no part, so a schedule is the `_memo` key of its own
+    execution results.
     """
 
     segments: tuple[PulseSegment, ...]
@@ -164,17 +170,24 @@ class PulseSchedule:
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
 
+    # Pair and detuning tuples keep dict order, the order the Hamiltonian sums
+    # its terms in.  Numbers compare by value; a value equal to another gives
+    # the same bits (+0.0 and -0.0 only ever meet a nonzero term or a test
+    # against zero).
     @functools.cached_property
-    def _rotating_unitary(self) -> np.ndarray:
-        """Read-only rotating-frame unitary, computed on first use.
+    def _key(self) -> tuple:
+        """(hash, controls), computed on first use and kept on the object."""
+        controls = (self.system, self.frame, self.carrier, self.b_ac, self.mu_b, self.hbar,
+                    self.rf_phase, tuple(self.dipole.items()),
+                    tuple((seg.duration, seg.rf_on, tuple(seg.detunings.items()),
+                           tuple(seg.couplings.items())) for seg in self.segments))
+        return hash(controls), controls
 
-        Every input of the product is a frozen field, so the memo stays valid
-        for the object's life; it is stored in the instance dict, which
-        replace() does not copy.  It is not a `_memo` table: `_memo.clear()`
-        cannot reach it, so a schedule the caller still holds stays warm, and
-        a cold run executes `sched.replace()`.
-        """
-        return _read_only(_execute_rotating(self))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PulseSchedule) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._key[0]
 
     def replace(self, **kwargs) -> "PulseSchedule":
         return replace(self, **kwargs)
@@ -263,12 +276,14 @@ def _propagator(system: SpinSystem, drive: float, dipole_items: tuple, hbar: flo
     return _read_only(_exponentiate(w, v, duration, hbar))
 
 
+@_memo.table
 def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
+    """Read-only rotating-frame unitary of schedule: its cached propagators' product."""
     u = np.eye(schedule.system.dim, dtype=complex)
     for seg in schedule.segments:
         if seg.duration > 0.0:
             u = _propagator(*_segment_key(schedule, seg), seg.duration) @ u
-    return u
+    return _read_only(u)
 
 
 def _timed_segments(schedule: PulseSchedule):
@@ -395,44 +410,11 @@ def _lab_donor_levels(schedule: PulseSchedule, donor: int):
 
 
 # Verification repeats whole schedules, not only pulses: the lab realization
-# of a gate and its oracle check are asked for again and again, and each is a
-# full refinement.  So the converged results are memoized on the schedule's
-# content: every field lab execution or the oracle reads, with labels and
-# declared_target left out.  Numbers compare by value, as in _segment_key; a
-# value equal to another gives the same bits (+0.0 and -0.0 only ever meet a
-# nonzero term or a test against zero).
-def _schedule_key(schedule: PulseSchedule) -> tuple:
-    """(system, frame, carrier, b_ac, mu_b, hbar, rf_phase, dipole items, and
-    (duration, rf_on, detuning items, coupling items) of each segment)."""
-    return (schedule.system, schedule.frame, schedule.carrier, schedule.b_ac, schedule.mu_b,
-            schedule.hbar, schedule.rf_phase, tuple(schedule.dipole.items()),
-            tuple((seg.duration, seg.rf_on, tuple(seg.detunings.items()),
-                   tuple(seg.couplings.items())) for seg in schedule.segments))
-
-
-class _Keyed:
-    """A schedule that hashes and compares as its _schedule_key, so a memo
-    table taking it hits for every schedule of equal content while a miss
-    reads the schedule itself."""
-
-    __slots__ = ("schedule", "key", "_hash")
-
-    def __init__(self, schedule: PulseSchedule):
-        self.schedule = schedule
-        self.key = _schedule_key(schedule)
-        self._hash = hash(self.key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Keyed) and self.key == other.key
-
-
+# of a gate is asked for again and again, and each is a full refinement.  So
+# the converged result is memoized on the schedule, which is its own key.
 @_memo.table
-def _lab_unitary(keyed: _Keyed, lab_tol: float) -> np.ndarray:
-    """Read-only converged lab-frame unitary of keyed.schedule at lab_tol."""
-    schedule = keyed.schedule
+def _lab_unitary(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
+    """Read-only converged lab-frame unitary of schedule at lab_tol."""
     system = schedule.system
     if system.include_nuclei:
         raise NotImplementedError(
@@ -462,18 +444,16 @@ def _lab_unitary(keyed: _Keyed, lab_tol: float) -> np.ndarray:
 def execute_schedule(schedule: PulseSchedule, lab_tol: float = 1e-9) -> ExecutionResult:
     """Propagate a schedule to its total unitary.
 
-    Rotating-frame segments compose exactly, once per schedule object: later
-    calls copy its memo.  Lab-frame schedules are integrated with midpoint
-    stepping refined until a step-halving changes the result by at most
-    lab_tol in max-norm, once per (schedule content, lab_tol) while the
-    `_lab_unitary` table holds it: a schedule differing only in labels or
-    declared_target is a hit, and errors are raised again on every call.
-    The unitary is always a fresh, writable array.
+    Rotating-frame segments compose exactly.  Lab-frame schedules are
+    integrated with midpoint stepping refined until a step-halving changes
+    the result by at most lab_tol in max-norm.  Each result is computed once
+    per schedule (its controls, see PulseSchedule), with lab_tol, while its
+    `_memo` table (`_execute_rotating`, `_lab_unitary`) holds it; errors are
+    raised again on every call.  The unitary is always a fresh, writable
+    array.
     """
-    if schedule.frame == "rotating":
-        u = schedule._rotating_unitary
-    else:
-        u = _lab_unitary(_Keyed(schedule), lab_tol)
+    u = (_execute_rotating(schedule) if schedule.frame == "rotating"
+         else _lab_unitary(schedule, lab_tol))
     return ExecutionResult(unitary=u.copy(), duration=schedule.total_duration)
 
 

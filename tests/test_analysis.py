@@ -512,20 +512,21 @@ def test_oracle_memo_cold_and_warm_are_bit_identical(case, tol, include_nuclear_
     _memo.clear()
     cold = check(sched)
     assert check(sched.replace()) == cold
-    info = analysis._oracle_propagator.cache_info()
+    info = analysis._oracle_check.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 def test_oracle_memo_entries_are_read_only(p):
-    """The table holds a read-only propagator; the check's own arithmetic
-    cannot change a later hit."""
+    """The table holds the finished (flip, fdev) tuple, which no caller can
+    change, so a later hit returns the cold result."""
     sched = synth_y(4.7, 0, p, SpinSystem(1))
     _memo.clear()
     cold = frozen_nucleus_check(sched, p)
-    fine = analysis._oracle_propagator(analysis._Keyed(sched), p, 0, 1e-6, False)
-    assert analysis._oracle_propagator.cache_info().hits == 1
-    with pytest.raises(ValueError, match="read-only"):
-        fine[0, 0] = 0.0
+    entry = analysis._oracle_check(sched, p, 0, 1e-6, False)
+    assert analysis._oracle_check.cache_info().hits == 1
+    assert entry == cold and isinstance(entry, tuple)
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        entry[0] = 0.0
     assert frozen_nucleus_check(sched, p) == cold
 
 
@@ -605,17 +606,22 @@ def test_oracle_memo_ignores_labels_and_declared_target(p):
     _memo.clear()
     cold = frozen_nucleus_check(sched, p)
     assert frozen_nucleus_check(relabelled, p) == cold
-    info = analysis._oracle_propagator.cache_info()
+    info = analysis._oracle_check.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
 
 def _oracle_error_cases(p):
     """(schedule, options, exception, message) of each error the oracle's
-    refinement raises."""
+    argument checks and refinement raise."""
     base = _oracle_memo_base(p)
     lab = lab_realization(base, p)
     long = base.replace(segments=(*base.segments, PulseSegment(duration=1e250, rf_on=False)))
     return {
+        "nuclei": (base.replace(system=SpinSystem(2, include_nuclei=True)), {}, ValueError,
+                   "pass the electron-only schedule"),
+        "controls": (_with_segment(base, 1, detunings={0: 1.5 * max_detuning(p)}), {},
+                     ValueError, "segment 1: detuning .* on donor 0 exceeds the device bound"),
+        "donor": (base, {"donor": 2}, ValueError, "donor index 2 out of range"),
         "exchange": (base.replace(segments=(PulseSegment(0.5e-9, couplings={(0, 1): 1e-25}),)),
                      {}, ValueError, "covers single-qubit schedules only"),
         "dipole": (base.replace(dipole={(0, 1): 1e-25}), {}, ValueError,
@@ -630,11 +636,12 @@ def _oracle_error_cases(p):
     }
 
 
-@pytest.mark.parametrize("which", ["exchange", "dipole", "carrier", "huge_phase", "zero_tol",
-                                   "nan_tol", "not_converged"])
+@pytest.mark.parametrize("which", ["nuclei", "controls", "donor", "exchange", "dipole",
+                                   "carrier", "huge_phase", "zero_tol", "nan_tol",
+                                   "not_converged"])
 def test_oracle_memo_stores_no_error(p, which):
-    """An input the oracle's refinement rejects raises the same text on
-    every call and adds no table entry."""
+    """An input the oracle rejects raises the same text on every call and
+    adds no table entry."""
     sched, options, exc, message = _oracle_error_cases(p)[which]
     _memo.clear()
     frozen_nucleus_check(_oracle_memo_base(p), p)
@@ -644,8 +651,17 @@ def test_oracle_memo_stores_no_error(p, which):
             frozen_nucleus_check(sched, p, **options)
         texts.append(str(info.value))
     assert texts[0] == texts[1]
-    info = analysis._oracle_propagator.cache_info()
+    info = analysis._oracle_check.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 0, 3)
+
+
+def test_frozen_nucleus_check_accepts_zero_dipole_couplings(p):
+    """A zero dipole coupling on a multi-donor schedule adds no term, so the
+    check equals that of the same schedule without it."""
+    sched = synth_x(math.pi, 0, p, SpinSystem(2))
+    zero = sched.replace(dipole={(0, 1): 0.0})
+    assert zero != sched
+    assert frozen_nucleus_check(zero, p) == frozen_nucleus_check(sched, p)
 
 
 def test_nuclear_flip_zero_duration(p):

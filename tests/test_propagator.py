@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import donorsim
-from donorsim import _kernels, _memo, propagator
+from donorsim import _kernels, _memo, analysis, propagator
 from donorsim.analysis import (frozen_nucleus_check, gate_fidelity, lab_realization,
                                rabi_probability)
 from donorsim.params import DeviceParameters, carrier_frequency, max_detuning
@@ -208,9 +208,11 @@ def test_execute_rotating_against_reference_loop(p, make):
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
     assert propagator._propagator.cache_info().misses == len(distinct)
     assert u.tobytes() == reference.tobytes()
-    # a copy (which has no memo) takes every propagator from the cache and
-    # diagonalizes nothing
-    assert execute_schedule(sched.replace()).unitary.tobytes() == reference.tobytes()
+    # with the rotating table cleared, the schedule takes every propagator
+    # from the segment tables and diagonalizes nothing
+    propagator._execute_rotating.cache_clear()
+    assert execute_schedule(sched).unitary.tobytes() == reference.tobytes()
+    assert propagator._execute_rotating.cache_info().misses == 1
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
     assert propagator._propagator.cache_info().misses == len(distinct)
     assert propagator._propagator.cache_info().hits == 2 * len(timed) - len(distinct)
@@ -241,10 +243,9 @@ def _gate_cases(draw):
 
 
 def _memo_cases():
-    """A fresh copy of a synthesized gate: the synthesized schedule is shared and
-    may carry a memo already; a copy has none."""
+    """A synthesized gate, shared with the synthesis table."""
     p = DeviceParameters()
-    return _gate_cases().map(lambda case: synthesize(case[0], p, case[1]).replace())
+    return _gate_cases().map(lambda case: synthesize(case[0], p, case[1]))
 
 
 def _counters():
@@ -254,14 +255,18 @@ def _counters():
 @settings(max_examples=40, deadline=None)
 @given(sched=_memo_cases())
 def test_rotating_memo_matches_reference_loop(sched):
-    """The first call, a memo hit and a copy's call give the reference bits, each
-    as a fresh writable array; a hit touches no segment table."""
+    """The first call after the rotating table is cleared, a hit and an equal
+    copy's hit give the reference bits, each as a fresh writable array; a hit
+    touches no segment table."""
     reference = _execute_reference_loop(sched).tobytes()
+    propagator._execute_rotating.cache_clear()
     first = execute_schedule(sched).unitary
     before = _counters()
     hit = execute_schedule(sched).unitary
-    assert _counters() == before
     copied = execute_schedule(sched.replace()).unitary
+    assert _counters() == before
+    info = propagator._execute_rotating.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
     for u in (first, hit, copied):
         assert u.tobytes() == reference
         assert u.flags.writeable
@@ -270,7 +275,7 @@ def test_rotating_memo_matches_reference_loop(sched):
     hit[...] = np.nan
     assert execute_schedule(sched).unitary.tobytes() == reference
     with pytest.raises(ValueError, match="read-only"):
-        sched._rotating_unitary[0, 0] = 0.0
+        propagator._execute_rotating(sched)[0, 0] = 0.0
 
 
 def _key_variants(p):
@@ -305,13 +310,14 @@ def test_rotating_cache_key_is_complete(p, which):
     # needs z alignment, so that pair shares its unitary but not its key
     assert (len(set(references.values())) == 2) == (which != "alignment")
     first, second = pair
+    assert first != second and len({first, second}) == 2
     assert propagator._segment_key(first, first.segments[0]) != \
         propagator._segment_key(second, second.segments[0])
     for order in (pair, pair[::-1]):
         _memo.clear()
         for sched in order:
-            # a fresh copy has no memo, so each order goes through the segment table
-            assert execute_schedule(sched.replace()).unitary.tobytes() == references[id(sched)]
+            assert execute_schedule(sched).unitary.tobytes() == references[id(sched)]
+        assert propagator._execute_rotating.cache_info().misses == 2
 
 
 def test_rotating_caches_are_read_only_and_bounded(p):
@@ -359,7 +365,7 @@ def test_memo_cold_and_warm_are_bit_identical(case):
         report = compile_gate(spec, p, system)
         bits = [repr(sched.segments), repr(sorted(sched.dipole.items())),
                 sched.declared_target.tobytes(),
-                execute_schedule(sched.replace()).unitary.tobytes(),
+                execute_schedule(sched).unitary.tobytes(),
                 report.fidelity.hex(),
                 [(label, duration.hex()) for label, duration in report.step_durations],
                 report.notes]
@@ -711,7 +717,7 @@ def test_lab_memo_returns_fresh_writable_unitaries(p):
     hit[...] = np.nan
     assert execute_schedule(sched, lab_tol=1e-6).unitary.tobytes() == reference
     with pytest.raises(ValueError, match="read-only"):
-        propagator._lab_unitary(propagator._Keyed(sched), 1e-6)[0, 0] = 0.0
+        propagator._lab_unitary(sched, 1e-6)[0, 0] = 0.0
 
 
 def _lab_memo_base(p):
@@ -753,7 +759,9 @@ def test_lab_memo_key_is_complete(p, which):
     result, whichever of the two the table saw first."""
     base = (_lab_memo_base(p), 1e-8)
     other = (base[0], 1e-6) if which == "lab_tol" else (_lab_key_variants(p)[which], 1e-8)
-    assert propagator._Keyed(base[0]) != propagator._Keyed(other[0]) or base[1] != other[1]
+    # the schedules are distinct keys, except for the lab_tol pair's one schedule
+    assert (base[0] == other[0]) == (which == "lab_tol")
+    assert len({base[0], other[0]}) == (1 if which == "lab_tol" else 2)
     cold = []
     for sched, lab_tol in (base, other):
         _memo.clear()
@@ -776,6 +784,43 @@ def test_lab_memo_ignores_labels_and_declared_target(p):
     assert execute_schedule(relabelled, lab_tol=1e-6).unitary.tobytes() == u.tobytes()
     info = propagator._lab_unitary.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_schedules_compare_and_hash_by_their_controls(p):
+    """Labels and declared_target are annotations: schedules that differ only
+    in them are equal, hash equal, and are one memo key."""
+    sched = synth_y(4.5, 0, p, SpinSystem(2))
+    relabelled = sched.replace(segments=tuple(seg.with_label("other") for seg in sched.segments))
+    retargeted = sched.replace(declared_target=np.eye(4, dtype=complex))
+    untargeted = sched.replace(declared_target=None)
+    for other in (relabelled, retargeted, untargeted):
+        assert sched == other and other == sched
+        assert hash(other) == hash(sched)
+    assert len({sched, relabelled, retargeted, untargeted}) == 1
+    assert sched not in (None, sched.segments)
+    _memo.clear()
+    u = execute_schedule(sched).unitary
+    assert execute_schedule(retargeted).unitary.tobytes() == u.tobytes()
+    info = propagator._execute_rotating.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_memo_clear_is_a_cold_start_for_a_held_schedule(p):
+    """A schedule the caller still holds is computed again after
+    _memo.clear(), rotating, lab and oracle alike, with the same bits."""
+    sched = synth_y(4.5, 0, p, SpinSystem(1))
+    lab = lab_realization(sched, p)
+    runs = ((propagator._execute_rotating, lambda: execute_schedule(sched).unitary.tobytes()),
+            (propagator._lab_unitary,
+             lambda: execute_schedule(lab, lab_tol=1e-6).unitary.tobytes()),
+            (analysis._oracle_check, lambda: [x.hex() for x in frozen_nucleus_check(sched, p)]))
+    for table, run in runs:
+        first = run()
+        assert run() == first
+        _memo.clear()
+        assert run() == first
+        info = table.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
 
 
 def _lab_error_cases(p):
