@@ -16,20 +16,22 @@ delta = w*dt.  The n-step product therefore collapses exactly to
 which both kernels evaluate in closed form instead of stepping: the same
 discretization (and the same dt^2 error) at O(1) cost for SU(2) and O(log n)
 for the 4-dim step.  Both callers, the lab frame and the frozen-nucleus
-oracle, run through one level driver, `propagator._lab_levels`, which
-evaluates a block of refinement levels (steps per carrier period) at once:
-the refinement loop `propagator._refine` asks for 64 and 128 first, then for
-the further levels the dt^2 error predicts from the last step-halving
-difference.  The SU(2) kernel takes a block whole: `su2_lab_levels` returns
-one segment's stacked n-step products at every (dt, n) of the block, each
-level's scalars computed on their own (`su2_lab_product` is its one-level
-form).  The 4-dim kernel is called once per segment and level.  The driver
-re-unitarizes every segment product of the block in one stacked
-`nearest_unitary` call and forms the time-ordered products as stacked
-matmuls, each matrix still projected and multiplied on its own.  So a level
-has the same bits in any block, and since the loop still compares the
-levels pair by pair in order, it returns the array, and raises the error
-text, of evaluating one level at a time.
+oracle, run through one segment walk and level driver,
+`propagator._lab_levels`; each caller only hands it a `segment_step` that
+gives a segment's kernel (or, for an rf-off lab segment, its free
+precession).  The driver evaluates a block of refinement levels (steps per
+carrier period) at once: the refinement loop `propagator._refine` asks for
+64 and 128 first, then for the further levels the dt^2 error predicts from
+the last step-halving difference.  The SU(2) kernel takes a block whole:
+`su2_lab_levels` returns one segment's stacked n-step products at every
+(dt, n) of the block, each level's scalars computed on their own
+(`su2_lab_product` is its one-level form).  The 4-dim kernel is called once
+per segment and level.  The driver re-unitarizes every segment product of
+the block in one stacked `nearest_unitary` call and forms the time-ordered
+products as stacked matmuls, each matrix still projected and multiplied on
+its own.  So a level has the same bits in any block, and since the loop
+still compares the levels pair by pair in order, it returns the array, and
+raises the error text, of evaluating one level at a time.
 
 Global control repeats pulses (identical tilted half-revolutions and
 resonant pi pulses within and across gates), so the 4-dim kernel takes the

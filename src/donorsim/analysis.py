@@ -29,10 +29,9 @@ from .propagator import (
     PulseSchedule,
     PulseSegment,
     _check_phase,
+    _execute_rotating,
     _lab_levels,
     _refine,
-    _timed_segments,
-    execute_schedule,
     validate_schedule_controls,
 )
 from .spin_model import SpinSystem, frame_rotation, single_donor_static
@@ -170,15 +169,10 @@ def lab_realization(schedule: PulseSchedule, p: DeviceParameters) -> PulseSchedu
     return schedule.replace(frame="lab", carrier=carrier_frequency(p))
 
 
-def _each_level(kernel, t0: float, dts: list, ns: list) -> list:
-    """kernel(t0, dt, n) at each level (dt, n): one call per level."""
-    return [kernel(t0, dt, n) for dt, n in zip(dts, ns)]
-
-
-def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
-                   include_nuclear_drive: bool):
-    """Lab-frame propagator of one donor's electron (x) nucleus pair, as a
-    function of the steps per carrier period (see propagator._lab_levels).
+def _donor4_levels(local: PulseSchedule, p: DeviceParameters, include_nuclear_drive: bool):
+    """Lab-frame propagator of a one-donor schedule's electron (x) nucleus
+    pair, as a function of the steps per carrier period (see
+    propagator._lab_levels).
 
     Each timed segment steps with the split-step kernel on its static
     Hamiltonian, rf-off ones included (with zero drive), one kernel call per
@@ -190,30 +184,27 @@ def _donor4_levels(schedule: PulseSchedule, donor: int, p: DeviceParameters,
     |H| <= mu_B B + |g_n mu_n B| + 3 |A| (sigma_e . sigma_n has eigenvalues
     1 and -3) standing in for an eigh.
     """
-    if any(schedule.dipole.values()) or any(any(seg.couplings.values())
-                                            for seg in schedule.segments):
-        raise ValueError("the nuclear oracle covers single-qubit schedules only")
     w_ac = carrier_frequency(p)
-    if schedule.frame == "lab" and schedule.carrier != w_ac:
+    if local.frame == "lab" and local.carrier != w_ac:
         raise ValueError(f"the nuclear oracle runs at the device carrier {w_ac!r} rad/s; "
-                         f"the schedule's carrier is {schedule.carrier!r} rad/s")
-    c, hbar = p.constants, schedule.hbar
-    gx_e = schedule.transverse_energy / hbar
-    gx_n = -c.g_n * c.mu_n * schedule.b_ac / hbar if include_nuclear_drive else 0.0
+                         f"the schedule's carrier is {local.carrier!r} rad/s")
+    c, hbar = p.constants, local.hbar
+    gx_e = local.transverse_energy / hbar
+    gx_n = -c.g_n * c.mu_n * local.b_ac / hbar if include_nuclear_drive else 0.0
     zeeman = abs(c.mu_b * p.b) + abs(c.g_n * c.mu_n * p.b)
 
-    timed = []
-    for start, seg in _timed_segments(schedule):
+    def segment_step(seg: PulseSegment):
         # the schedule's detuning convention counts the full level-splitting
         # shift; the physical hyperfine value that produces the same
         # generalized Rabi frequency sits at half that resonance offset
-        a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(donor, 0.0), p)
+        a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(0, 0.0), p)
         _check_phase((zeeman + 3.0 * abs(a_phys)) / hbar * seg.duration, seg.duration)
-        timed.append((start, seg.duration, functools.partial(_each_level, functools.partial(
+        kernel = functools.partial(
             _kernels.donor4_strang_product, single_donor_static(a_phys, p), hbar,
-            gx_e if seg.rf_on else 0.0, -1.0, gx_n if seg.rf_on else 0.0,
-            w_ac, schedule.rf_phase))))
-    return _lab_levels(timed, 2.0 * math.pi / w_ac, 4)
+            gx_e if seg.rf_on else 0.0, -1.0, gx_n if seg.rf_on else 0.0, w_ac, local.rf_phase)
+        return lambda t0, dts, ns: [kernel(t0, dt, n) for dt, n in zip(dts, ns)]
+
+    return _lab_levels(local, w_ac, 4, segment_step)
 
 
 @_memo.table
@@ -224,29 +215,26 @@ def _oracle_check(schedule: PulseSchedule, p: DeviceParameters, donor: int, tol:
         raise ValueError("pass the electron-only schedule; the oracle adds the nucleus")
     validate_schedule_controls(schedule, p)
     schedule.system.electron_site(donor)
+    if any(schedule.dipole.values()) or any(any(seg.couplings.values())
+                                            for seg in schedule.segments):
+        raise ValueError("the nuclear oracle covers single-qubit schedules only")
 
-    fine = _refine(_donor4_levels(schedule, donor, p, include_nuclear_drive),
-                   tol, 1 << 16, "nuclear oracle")
-
-    # electron-only reference: the donor's local rotating-frame schedule, also
-    # for a lab-frame input, since the oracle's result is mapped to that frame;
-    # _donor4_levels has rejected every nonzero dipole, and a zero one adds no term
+    # the donor's own schedule, in the input's frame and at its carrier; no
+    # coupling is nonzero, so dropping them adds or removes no term
     local = schedule.replace(
-        frame="rotating",
         system=SpinSystem(num_donors=1),
-        segments=tuple(
-            PulseSegment(
-                duration=seg.duration,
-                detunings={0: seg.detunings[donor]} if donor in seg.detunings else {},
-                rf_on=seg.rf_on,
-                label=seg.label,
-            )
-            for seg in schedule.segments
-        ),
+        segments=tuple(PulseSegment(seg.duration,
+                                    {0: seg.detunings[donor]} if donor in seg.detunings else {},
+                                    rf_on=seg.rf_on)
+                       for seg in schedule.segments),
         dipole={},
         declared_target=None,
     )
-    u_ref = execute_schedule(local).unitary
+    fine = _refine(_donor4_levels(local, p, include_nuclear_drive), tol, 1 << 16,
+                   "nuclear oracle")
+    # electron-only reference: local's rotating-frame unitary, which reads
+    # controls only, so it is the reference in either frame
+    u_ref = _execute_rotating(local)
 
     # frame-map the electron part at the final time
     u_map = frame_rotation(schedule.total_duration, p, SpinSystem(1, include_nuclei=True)) @ fine
@@ -254,14 +242,9 @@ def _oracle_check(schedule: PulseSchedule, p: DeviceParameters, donor: int, tol:
     flip = 0.0
     fdev = 0.0
     for e_idx in (0, 1):
-        psi0 = np.zeros(4, dtype=complex)
-        psi0[e_idx * 2] = 1.0  # nucleus up
-        psi = u_map @ psi0
-        p_down = abs(psi[1]) ** 2 + abs(psi[3]) ** 2
-        flip = max(flip, p_down)
-        cond = np.array([psi[0], psi[2]])
-        target = u_ref @ np.eye(2, dtype=complex)[:, e_idx]
-        fdev = max(fdev, abs(1.0 - abs(np.vdot(target, cond)) ** 2))
+        psi = u_map[:, 2 * e_idx]  # the electron start e_idx, nucleus up
+        flip = max(flip, abs(psi[1]) ** 2 + abs(psi[3]) ** 2)
+        fdev = max(fdev, abs(1.0 - abs(np.vdot(u_ref[:, e_idx], psi[[0, 2]])) ** 2))
     return flip, fdev
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _memo, analysis, gates
-from .params import _UEV, DeviceParameters, load_device_parameters
+from .params import _CONFIG_FIELDS, _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
     _NotConverged,
     execute_schedule,
@@ -63,12 +63,8 @@ class RunConfig:
     out: str | None
 
     def as_dict(self) -> dict:
-        d = self.device
-        return {
-            "b": d.b, "b_ac": d.b_ac, "a0": d.a0, "a_min": d.a_min, "d": d.d,
-            "a_star": d.a_star, "eps_r": d.eps_r, "alignment": d.alignment,
-            "seed": self.seed, "format": self.fmt,
-        }
+        return {**{key: getattr(self.device, key) for key in _CONFIG_FIELDS},
+                "seed": self.seed, "format": self.fmt}
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -405,16 +405,10 @@ def _y_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
     segments: list[PulseSegment] = []
     for i in range(blocks):
         tag = f" {i + 1}/{blocks}" if blocks > 1 else ""
-        segments.extend(
-            [
-                PulseSegment(duration=t_tilted, detunings={target: dw},
-                             label=f"y{tag} tilted half-revolution"),
-                _resonant_segment(math.pi, p, f"y{tag} resonant pi"),
-                PulseSegment(duration=t_tilted, detunings={target: dw},
-                             label=f"y{tag} tilted half-revolution"),
-                _resonant_segment(math.pi, p, f"y{tag} resonant pi"),
-            ]
-        )
+        tilted = PulseSegment(duration=t_tilted, detunings={target: dw},
+                              label=f"y{tag} tilted half-revolution")
+        resonant = _resonant_segment(math.pi, p, f"y{tag} resonant pi")
+        segments += [tilted, resonant, tilted, resonant]
     return segments
 
 
@@ -446,11 +440,9 @@ def synth_hadamard(target: int, p: DeviceParameters,
 
 def _z_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
     theta = _normalize_angle(theta)
-    segments = _hadamard_block(target, p)
-    if theta > 0.0:
-        segments.append(_resonant_segment(theta, p, "z resonant rotation"))
-    segments += _hadamard_block(target, p)
-    return segments
+    hadamard = _hadamard_block(target, p)
+    rotation = [_resonant_segment(theta, p, "z resonant rotation")] if theta > 0.0 else []
+    return hadamard + rotation + hadamard
 
 
 def synth_z(theta: float, target: int, p: DeviceParameters,
@@ -758,7 +750,7 @@ def embed_ideal(spec: GateSpec, system: SpinSystem) -> np.ndarray:
 def _grade(spec: GateSpec, p: DeviceParameters, system: SpinSystem
            ) -> tuple[float, tuple[tuple[str, float], ...], str]:
     """(fidelity against the declared target, step durations, notes) of spec's schedule."""
-    from .analysis import gate_fidelity
+    from .analysis import gate_fidelity   # here, not at the top: analysis imports gates
 
     schedule = _layout(spec, p, system)
     fidelity = (gate_fidelity(_execute_rotating(schedule), schedule.declared_target)

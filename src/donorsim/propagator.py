@@ -22,8 +22,8 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels, _memo
-from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy,
-                     exceeds_max_detuning, hyperfine_for_frequency)
+from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, carrier_frequency,
+                     exceeds_max_detuning, hyperfine_for_frequency, resonant_frequency)
 from .spin_model import SpinSystem, _read_only, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
@@ -295,24 +295,25 @@ def _timed_segments(schedule: PulseSchedule):
         t0 += seg.duration
 
 
-def _lab_levels(timed: list, period: float, dim: int):
-    """A lab-frame evolution as a function of the steps per carrier period.
+def _lab_levels(schedule: PulseSchedule, carrier: float, dim: int, segment_step):
+    """A lab-frame evolution as a function of the steps per carrier period:
+    the lab frame's one walk over schedule's timed segments.
 
-    timed lists (start, duration, step) per timed segment in time order; step
-    is a fixed unitary or step(t0, dts, ns), the segment's n-step kernel
+    segment_step(seg) is each timed segment's step, built once, here, in time
+    order: a fixed unitary, or step(t0, dts, ns), the segment's n-step kernel
     products from global time t0 at each level's (dt, n), as a stack or a
     list.  The returned function takes a block of levels (a list of steps per
-    carrier period) and returns the stack of their unitaries; one int gives
-    that level's unitary alone.  A stepped segment takes at least 16 steps at
-    every level and makes one kernel call for the whole block.  The block's
-    stepped products are re-unitarized in one stacked nearest_unitary call
-    and multiplied in time order as stacked matmuls.  Each matrix is still
-    projected and multiplied on its own, so a level has the same bits in any
-    block.
+    carrier period, the period 2 pi / carrier) and returns the stack of their
+    unitaries.  A stepped segment takes at least 16 steps at every level and
+    makes one kernel call for the whole block.  The block's stepped products
+    are re-unitarized in one stacked nearest_unitary call and multiplied in
+    time order as stacked matmuls.  Each matrix is still projected and
+    multiplied on its own, so a level has the same bits in any block.
     """
-    def levels(steps_per_period) -> np.ndarray:
-        single = isinstance(steps_per_period, int)
-        block = [steps_per_period] if single else list(steps_per_period)
+    period = 2.0 * math.pi / carrier
+    timed = [(start, seg.duration, segment_step(seg)) for start, seg in _timed_segments(schedule)]
+
+    def levels(block: list) -> np.ndarray:
         products = []
         for start, duration, step in timed:
             if callable(step):
@@ -322,7 +323,7 @@ def _lab_levels(timed: list, period: float, dim: int):
         u = np.repeat(np.eye(dim, dtype=complex)[None], len(block), axis=0)
         for _, _, step in timed:
             u = (next(projected) if callable(step) else step) @ u
-        return u[0] if single else u
+        return u
 
     return levels
 
@@ -391,22 +392,21 @@ def _lab_donor_levels(schedule: PulseSchedule, donor: int):
     function of the steps per carrier period (see _lab_levels).
 
     Driven segments step with the SU(2) kernel; rf-off segments are their
-    free precession, computed once, here.
+    free precession, computed once, after the phase check.
     """
     w_ac = schedule.carrier
     ax = schedule.transverse_energy / schedule.hbar
-    timed = []
-    for start, seg in _timed_segments(schedule):
+
+    def segment_step(seg: PulseSegment):
         # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw)
         az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
         phase = az * seg.duration
         _check_phase(phase, seg.duration)
         if seg.rf_on:
-            step = functools.partial(_kernels.su2_lab_levels, az, ax, -w_ac, -schedule.rf_phase)
-        else:
-            step = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
-        timed.append((start, seg.duration, step))
-    return _lab_levels(timed, 2.0 * math.pi / w_ac, 2)
+            return functools.partial(_kernels.su2_lab_levels, az, ax, -w_ac, -schedule.rf_phase)
+        return np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
+
+    return _lab_levels(schedule, w_ac, 2, segment_step)
 
 
 # Verification repeats whole schedules, not only pulses: the lab realization
@@ -608,8 +608,6 @@ def schedule_to_text(schedule: PulseSchedule, p: DeviceParameters) -> str:
         out.write(f"dipole_uev = {pairs}\n")
     w_ac = schedule.carrier
     if w_ac is None:
-        from .params import carrier_frequency
-
         w_ac = carrier_frequency(p)
     for seg in schedule.segments:
         a_parts = ",".join(
@@ -695,8 +693,6 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     Hyperfine settings convert to detunings against the file's carrier, or
     the device carrier when the file names none, as schedule_to_text wrote them.
     """
-    from .params import carrier_frequency, resonant_frequency
-
     header: dict[str, tuple[str, int]] = {}   # key -> (value, line number)
     segment_lines: list[tuple[int, dict, bool, str]] = []   # (line number, fields, rf, label)
     for lineno, raw in enumerate(text.splitlines(), start=1):

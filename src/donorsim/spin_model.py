@@ -114,13 +114,6 @@ class SpinSystem:
             raise ValueError(f"donor index {donor} out of range")
         return donor * self.sites_per_donor
 
-    def nucleus_site(self, donor: int) -> int:
-        if not self.include_nuclei:
-            raise ValueError("system has no nuclear spins")
-        if not 0 <= donor < self.num_donors:
-            raise ValueError(f"donor index {donor} out of range")
-        return donor * self.sites_per_donor + 1
-
     def basis_labels(self) -> list[str]:
         """Basis-state labels: electrons as 0/1 (logical), nuclei as u/d."""
         labels = [""]

@@ -30,6 +30,7 @@ from .params import (
 from .propagator import (
     PulseSchedule,
     PulseSegment,
+    _lab_donor_levels,
     concat_schedules,
     execute_schedule,
     propagate_constant,
@@ -220,7 +221,6 @@ def check_rabi_match(p: DeviceParameters, rng) -> tuple[bool, str]:
 
 
 def check_integrator_order(p: DeviceParameters, rng) -> tuple[bool, str]:
-    from .propagator import _lab_donor_levels
     seg = PulseSegment(duration=2e-9, detunings={0: -0.4 * max_detuning(p)})
     sched = PulseSchedule(segments=(seg,), b_ac=p.b_ac, system=SpinSystem(1),
                           frame="lab", carrier=carrier_frequency(p),

@@ -360,7 +360,7 @@ def _rf_off_and_empty_schedule(p):
 def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nuclear_drive):
     """Per-segment kernel calls and one stacked projection per level change no bit."""
     sched = make(p)
-    u = _refine(_donor4_levels(sched, 0, p, include_nuclear_drive), 1e-6, 1 << 16,
+    u = _refine(_donor4_levels(sched, p, include_nuclear_drive), 1e-6, 1 << 16,
                 "nuclear oracle")
     # the reference computes every power afresh, not from the entries u left behind
     _memo.clear()
@@ -380,7 +380,7 @@ def test_frozen_nucleus_cache_state_changes_no_bit(kind, theta, include_nuclear_
              "hadamard": lambda: synth_hadamard(0, p, one)}[kind]()
 
     def unitary(drive):
-        return _refine(_donor4_levels(sched, 0, p, drive), 1e-6, 1 << 16,
+        return _refine(_donor4_levels(sched, p, drive), 1e-6, 1 << 16,
                        "nuclear oracle").tobytes()
 
     def check(drive):
@@ -411,12 +411,12 @@ def test_oracle_blocks_match_single_levels_and_the_sequential_loop(kind, theta,
     one = SpinSystem(1)
     sched = {"x": lambda: synth_x(theta, 0, p, one), "y": lambda: synth_y(theta, 0, p, one),
              "hadamard": lambda: synth_hadamard(0, p, one)}[kind]()
-    levels = _donor4_levels(sched, 0, p, include_nuclear_drive)
+    levels = _donor4_levels(sched, p, include_nuclear_drive)
     block = sorted(block)
     stack = levels(block)
     assert stack.shape == (len(block), 4, 4)
     for steps, u in zip(block, stack):
-        assert np.array_equal(u, levels(steps))
+        assert np.array_equal(u, levels([steps])[0])
     u = _refine(levels, 1e-6, 1 << 16, "nuclear oracle")
     _memo.clear()
     assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
