@@ -3,6 +3,7 @@
     python benchmarks/digest.py compile 1 2 3 --ops 700
     python benchmarks/digest.py lab_verify 1 301 --ops 700
     python benchmarks/digest.py session 1 3 7 11 301 302 303 2024
+    python benchmarks/digest.py session-warm 1 3
     python benchmarks/digest.py validate 7
     python benchmarks/digest.py gates 1 2 3
     python benchmarks/digest.py cli-gates 1 2
@@ -11,7 +12,8 @@ For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
 
     compile, lab_verify:  <seed> <index> <failures> <digest> <label>
-    session, validate:    <seed> <index> <exit code> <sha256 of its outputs> <label>
+    session, session-warm, validate:
+                          <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
     cli-gates:            <seed> <index> <exit code> <sha256 of its result> <label>
 
@@ -22,7 +24,11 @@ infidelities and max-norm errors, or the oracle's nuclear flip probability
 and electron deviation.  session runs every command of its fixed list once
 through `donorsim.cli.main` in a fresh temporary directory and hashes the
 `--out` file followed by the `--trace` CSV, if the command writes one; it
-takes no --ops.  validate is not a benchmark workload: it runs `donorsim
+takes no --ops.  Each seed starts from cleared memo tables (`_memo.clear()`),
+so session is a cold run; session-warm replays the same list twice in one
+process and prints only the second pass, whose every command can be answered
+from the memo tables, so diffing the two shows a memo hit that writes other
+bytes than a cold run.  validate is not a benchmark workload: it runs `donorsim
 validate --seed <seed>` through `cli.main` once in text and once in json and
 hashes each output file.  gates is not a workload either: it synthesizes
 one seeded list of gate requests, every kind and every cnot mode with each
@@ -84,11 +90,18 @@ def validate_commands(seed: int, workdir: str) -> list:
     return commands
 
 
-def cli_digests(make_commands, seed: int):
+def cli_digests(make_commands, seed: int, passes: int = 1):
     """Yield (index, exit code, sha256 hex, label) for each command of
-    make_commands(seed, workdir), run in order in a fresh temporary workdir."""
+    make_commands(seed, workdir), run in order in a fresh temporary workdir
+    from cleared memo tables; with passes > 1 the list is run that many times
+    and only the last pass is yielded."""
+    _memo.clear()
     with tempfile.TemporaryDirectory() as workdir:
-        for idx, (label, argv, outputs) in enumerate(make_commands(seed, workdir)):
+        commands = make_commands(seed, workdir)
+        for _ in range(passes - 1):
+            for _, argv, _ in commands:
+                cli.main(list(argv))
+        for idx, (label, argv, outputs) in enumerate(commands):
             code = cli.main(list(argv))
             h = hashlib.sha256()
             for path in outputs:
@@ -202,13 +215,20 @@ def cli_gate_digests(seed: int):
 
 
 OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
-CLI_WORKLOADS = {"session": lambda seed, workdir: SessionWorkload(seed, workdir).commands,
-                 "validate": validate_commands}
+
+
+def session_commands(seed: int, workdir: str) -> list:
+    return SessionWorkload(seed, workdir).commands
+
+
+# mode: (command list, passes per seed)
+CLI_MODES = {"session": (session_commands, 1), "session-warm": (session_commands, 2),
+             "validate": (validate_commands, 1)}
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
-    parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_WORKLOADS, "gates",
+    parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_MODES, "gates",
                                              "cli-gates"])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--ops", type=int,
@@ -228,9 +248,10 @@ def main(argv: list[str]) -> int:
             for idx, code, digest, label in cli_gate_digests(seed):
                 print(f"{seed} {idx:05d} {code} {digest} {label}")
         return 0
-    if args.workload in CLI_WORKLOADS:
+    if args.workload in CLI_MODES:
+        make_commands, passes = CLI_MODES[args.workload]
         for seed in args.seeds:
-            for idx, code, digest, label in cli_digests(CLI_WORKLOADS[args.workload], seed):
+            for idx, code, digest, label in cli_digests(make_commands, seed, passes):
                 print(f"{seed} {idx:02d} {code} {digest} {label}")
         return 0
     ops = 700 if args.ops is None else args.ops

@@ -14,6 +14,7 @@ import ast
 import functools
 import io
 import math
+import operator
 import tokenize
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -491,7 +492,11 @@ def validate_schedule_controls(schedule: PulseSchedule, p: DeviceParameters) -> 
 
 @dataclass(frozen=True)
 class EvolutionTrace:
-    """Uniformly sampled basis-state populations along a schedule."""
+    """Uniformly sampled basis-state populations along a schedule.
+
+    times and populations are read-only copies of the arrays passed in, so the
+    CSV rows formatted from them once (`_csv_rows`) cannot go stale.
+    """
 
     times: np.ndarray                 # s
     populations: np.ndarray           # (num_samples, dim)
@@ -499,9 +504,18 @@ class EvolutionTrace:
     initial_label: str
 
     def __post_init__(self):
+        object.__setattr__(self, "times", _read_only(np.array(self.times)))
+        object.__setattr__(self, "populations", _read_only(np.array(self.populations)))
         sums = self.populations.sum(axis=1)
         if not np.abs(sums - 1.0).max() <= 1e-9:
             raise ValueError("trace rows must sum to 1 within 1e-9")
+
+    @functools.cached_property
+    def _csv_rows(self) -> str:
+        """The CSV data rows, `time_ns` then each population, 12 significant digits."""
+        cells = np.column_stack([self.times * 1e9, self.populations])
+        row = ",".join(["%.12g"] * cells.shape[1]) + "\n"
+        return row * cells.shape[0] % tuple(cells.ravel().tolist())
 
 
 def _resolve_state(initial, system: SpinSystem) -> tuple[np.ndarray, str]:
@@ -525,11 +539,26 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
 
     The final sample applies exactly the execute_schedule propagator.  Basis
     populations are invariant under the frame map (it is diagonal), so these
-    traces equally describe the lab-frame evolution.
+    traces equally describe the lab-frame evolution.  Each trace is computed
+    once per schedule (its controls, see PulseSchedule), initial state and
+    sample count while the `_trace` table holds it, and is returned as the
+    same read-only EvolutionTrace; errors are raised again on every call.
     """
     if schedule.frame != "rotating":
         raise NotImplementedError("traces are computed in the rotating frame")
     psi0, init_label = _resolve_state(initial, schedule.system)
+    # an int, so that a float count raises here, before a warm entry could
+    # match it (2.0 hashes equal to 2)
+    return _trace(schedule, psi0.tobytes(), init_label, operator.index(samples))
+
+
+# The CLI writes the same few traces again and again, and a trace is a pure
+# function of the schedule's controls, the initial state and the sample count.
+@_memo.table
+def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
+           samples: int) -> EvolutionTrace:
+    """The population trace of schedule from the state whose complex bytes are psi0_bytes."""
+    psi0 = np.frombuffer(psi0_bytes, dtype=complex).copy()
     labels = tuple(schedule.system.basis_labels())
     total = schedule.total_duration
     if total == 0.0:
@@ -573,9 +602,7 @@ def trace_to_csv(trace: EvolutionTrace, stream, header: Mapping[str, object] | N
     try:
         lines = [f"# {key} = {val}\n" for key, val in (header or {}).items()]
         lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
-        cells = np.column_stack([trace.times * 1e9, trace.populations])
-        row = ",".join(["%.12g"] * cells.shape[1]) + "\n"
-        lines.append(row * cells.shape[0] % tuple(cells.ravel().tolist()))
+        lines.append(trace._csv_rows)
         stream.write("".join(lines))
     finally:
         if close:

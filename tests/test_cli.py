@@ -9,6 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from donorsim import _memo
 from donorsim.cli import _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
 from donorsim.params import _UEV
@@ -490,6 +491,31 @@ def test_option_defaults_match_explicit_values(tmp_path, capsys):
          ["--interaction-step-ns", "0.01"]),
     ]:
         assert run_cli(capsys, *implicit) == run_cli(capsys, *implicit, *explicit)
+
+
+def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
+    """A repeated `gate --trace` writes the bytes of its first run: after a
+    --config run in between whose trace is the same (a hit) under another
+    header, and from cleared memo tables."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("d = 3e-8\n")
+
+    def run(*config) -> tuple[bytes, bytes]:
+        out, trace = tmp_path / "x.json", tmp_path / "x.csv"
+        argv = [*config, "--out", str(out), "gate", "--gate", "x", "--trace", str(trace)]
+        assert main(argv) == 0
+        return out.read_bytes(), trace.read_bytes()
+
+    _memo.clear()
+    first = run()
+    assert run() == first
+    _, trace = run("--config", str(cfgfile))
+    assert _memo.stats()["_trace"]["hits"] == 2
+    assert trace != first[1] and b"# d = 3e-08\n" in trace
+    assert trace.split(b"time_ns,")[1] == first[1].split(b"time_ns,")[1]
+    assert run() == first
+    _memo.clear()
+    assert run() == first
 
 
 @pytest.mark.parametrize("flags", [["--initial", "zz"], ["--samples", "1"]],

@@ -376,6 +376,22 @@ def test_every_memo_table_is_registered_and_bounded():
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
 
 
+def test_memo_stats_lists_every_table(p):
+    """stats() reads the counters of every registered table, under its name."""
+    for info in pkgutil.iter_modules(donorsim.__path__):
+        importlib.import_module(f"donorsim.{info.name}")
+    trace_evolution(synth_x(1.0, 0, p, SpinSystem(1)), "0", samples=3)
+    stats = _memo.stats()
+    assert list(stats) == [memo.__qualname__ for memo in _memo.TABLES]
+    assert "_trace" in stats
+    for memo in _memo.TABLES:
+        info = memo.cache_info()
+        assert stats[memo.__qualname__] == {"hits": info.hits, "misses": info.misses,
+                                            "currsize": info.currsize,
+                                            "maxsize": _memo.SIZE}
+    assert stats["_trace"]["currsize"] >= 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=_gate_cases())
 def test_memo_cold_and_warm_are_bit_identical(case):
@@ -1283,16 +1299,86 @@ def test_trace_cached_eigensystems_match_per_segment_eigh(p, monkeypatch, make, 
     hamiltonians = {_hamiltonian_key(seg) for seg in sched.segments if seg.duration > 0.0}
     _memo.clear()
     cold = trace_evolution(sched, initial, samples=samples)
+    assert _trace_counts() == (0, 1)
     warm = trace_evolution(sched, initial, samples=samples)
+    assert _trace_counts() == (1, 1)
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
-    # reference: the same sampling with a fresh eigh of each segment Hamiltonian
+    # reference: the same sampling with a fresh eigh of each segment Hamiltonian,
+    # from cleared tables so that it samples again instead of hitting cold's entry
     monkeypatch.setattr(propagator, "_segment_key", lambda schedule, seg: (schedule, seg))
     monkeypatch.setattr(propagator, "_eigensystem", lambda schedule, seg: np.linalg.eigh(
         segment_hamiltonian(schedule, seg)))
+    _memo.clear()
     reference = trace_evolution(sched, initial, samples=samples)
+    assert _trace_counts() == (0, 1)
+    _memo.clear()
     for tr in (cold, warm):
         assert tr.times.tobytes() == reference.times.tobytes()
         assert tr.populations.tobytes() == reference.populations.tobytes()
+
+
+def _trace_counts() -> tuple[int, int]:
+    """(hits, misses) of the trace table."""
+    counts = _memo.stats()["_trace"]
+    return counts["hits"], counts["misses"]
+
+
+def _csv_text(trace, header=None) -> str:
+    buf = io.StringIO()
+    trace_to_csv(trace, buf, header=header)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("make,initial,samples", _TRACE_CASES)
+def test_trace_memo_cold_warm_and_cleared_are_bit_identical(p, make, initial, samples):
+    """A hit returns the stored trace; a trace sampled again from cleared tables
+    (of an equal copy of the schedule) has the same bits and CSV text; every
+    trace's arrays are read-only."""
+    sched = make(p)
+    _memo.clear()
+    cold = trace_evolution(sched, initial, samples=samples)
+    warm = trace_evolution(sched, initial, samples=samples)
+    _memo.clear()
+    cleared = trace_evolution(sched.replace(), initial, samples=samples)
+    assert warm is cold and cleared is not cold
+    assert _trace_counts() == (0, 1)
+    for tr in (cold, cleared):
+        assert tr.times.tobytes() == cold.times.tobytes()
+        assert tr.populations.tobytes() == cold.populations.tobytes()
+        assert (tr.basis_labels, tr.initial_label) == (cold.basis_labels, cold.initial_label)
+        assert _csv_text(tr) == _csv_text(cold) == _csv_reference(cold, {})
+        for array in (tr.times, tr.populations):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
+def test_trace_label_and_equal_vector_differ_only_in_initial_label(p):
+    sched = synth_hadamard(1, p, SpinSystem(2))
+    labels = sched.system.basis_labels()
+    _memo.clear()
+    by_label = trace_evolution(sched, "01", samples=64)
+    by_vector = trace_evolution(sched, _basis(sched.system.dim, labels.index("01")), samples=64)
+    assert _trace_counts() == (0, 2)
+    assert (by_label.initial_label, by_vector.initial_label) == ("01", "custom")
+    assert by_label.basis_labels == by_vector.basis_labels
+    assert by_label.times.tobytes() == by_vector.times.tobytes()
+    assert by_label.populations.tobytes() == by_vector.populations.tobytes()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_trace_samples_must_be_an_integer(p, warm):
+    """A float sample count raises TypeError from cleared tables and after the
+    equal int count's trace is stored (2.0 hashes equal to 2); an integer
+    count of another type shares the int's entry."""
+    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    _memo.clear()
+    if warm:
+        trace_evolution(sched, "0", samples=2)
+    with pytest.raises(TypeError):
+        trace_evolution(sched, "0", samples=2.0)
+    trace = trace_evolution(sched, "0", samples=2)
+    assert trace_evolution(sched, "0", samples=np.int64(2)) is trace
+    assert _trace_counts() == (1 + warm, 1)
 
 
 def _csv_reference(trace, header):
@@ -1317,6 +1403,19 @@ def test_trace_csv_matches_per_cell_format(p):
     text = buf.getvalue()
     assert text == _csv_reference(tr, header)
     assert ",1e-33," in text and ",2.3e-35," in text and ",1,0,0,0\n" in text
+
+
+def test_trace_csv_ignores_later_changes_to_the_input_arrays():
+    """A trace keeps copies of its arrays, so the CSV text it formats once
+    stays that of the values it was built from."""
+    times = np.linspace(0.0, 3e-9, 4)
+    pops = np.array([[1.0, 0.0], [0.75, 0.25], [0.5, 0.5], [0.0, 1.0]])
+    expected = _csv_reference(EvolutionTrace(times.copy(), pops.copy(), ("0", "1"), "0"), {})
+    tr = EvolutionTrace(times, pops, ("0", "1"), "0")
+    assert _csv_text(tr) == expected
+    times[:] = 7.0
+    pops[:] = 0.5
+    assert _csv_text(tr) == expected
 
 
 def test_trace_row_sum_guard():
