@@ -7,6 +7,7 @@
     python benchmarks/digest.py validate 7
     python benchmarks/digest.py gates 1 2 3
     python benchmarks/digest.py cli-gates 1 2
+    python benchmarks/digest.py configs 7
 
 For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
@@ -15,7 +16,7 @@ changed), runs its ops in order and prints one line per op:
     session, session-warm, validate:
                           <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
-    cli-gates:            <seed> <index> <exit code> <sha256 of its result> <label>
+    cli-gates, configs:   <seed> <index> <exit code> <sha256 of its result> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
 the op's own digest: for compile the executed unitary with its gate and
@@ -43,7 +44,12 @@ schedule dump` through `cli.main` for every gate kind, every cnot mode setting
 --target, --control, --j-uev, --d-nm, --duration-ns, --extended-correction and
 --interaction-step-ns, with option values drawn from the seed, and hashes each
 run's exit code, its stderr and its stdout, so a change to which requests are
-accepted, to an error message or to an output byte would show.  The
+accepted, to an error message or to an output byte would show.  configs is
+not a workload either: for each device config of a fixed list (the default,
+a_min = 1.2e-26, a_min = 1.5e-26 and alignment = x) it runs `donorsim table`
+I to VI, `validate --seed <seed>` and `schedule dump` of an x gate and a
+dipole cnot through `cli.main` and hashes each run like cli-gates, so a
+change that moves a non-default output would show, and on which config.  The
 package is imported from this checkout's `src`, so running the script in two
 checkouts and diffing the results shows whether they compute and write the
 same bits.
@@ -166,7 +172,7 @@ def gate_digests(seed: int):
                            [(pair, v.hex()) for pair, v in seg.couplings.items()],
                            seg.rf_on, seg.label)).encode())
         h.update(repr([(pair, v.hex()) for pair, v in sched.dipole.items()]).encode())
-        h.update(repr(sched.system).encode())
+        h.update(repr((sched.system.num_donors, sched.system.include_nuclei)).encode())
         h.update(sched.declared_target.tobytes())
         h.update(propagator.execute_schedule(sched).unitary.tobytes())
         for _ in range(2):
@@ -192,6 +198,16 @@ def gate_option_values(seed: int) -> dict:
     }
 
 
+def captured_run(argv: list) -> tuple[int, str]:
+    """Exit code and sha256 hex of the exit code, stderr and stdout of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    h = hashlib.sha256(f"{code}\n{err.getvalue()}".encode())
+    h.update(out.getvalue().encode())
+    return code, h.hexdigest()
+
+
 def cli_gate_digests(seed: int):
     """Yield (index, exit code, sha256 hex, label) of `gate` and `schedule dump`
     over every kind, cnot mode setting and subset of the seeded gate options."""
@@ -205,13 +221,33 @@ def cli_gate_digests(seed: int):
                     flags = ["--gate", kind] + (["--mode", mode] if mode else [])
                     flags += [arg for name in given for arg in options[name]]
                     for command in (["gate"], ["schedule", "dump"]):
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = cli.main(command + flags)
-                        h = hashlib.sha256(f"{code}\n{err.getvalue()}".encode())
-                        h.update(out.getvalue().encode())
-                        yield idx, code, h.hexdigest(), " ".join(command + flags)
+                        code, digest = captured_run(command + flags)
+                        yield idx, code, digest, " ".join(command + flags)
                         idx += 1
+
+
+# device config files of the configs mode, "" for the default device
+DEVICE_CONFIGS = ("", "a_min = 1.2e-26\n", "a_min = 1.5e-26\n", "alignment = x\n")
+
+
+def config_digests(seed: int):
+    """Yield (index, exit code, sha256 hex, label) of the tables, validate and
+    two schedule dumps on each device config, from cleared memo tables."""
+    commands = [["table", which] for which in ("I", "II", "III", "IV", "V", "VI")]
+    commands += [["--seed", str(seed), "validate"], ["schedule", "dump", "--gate", "x"],
+                 ["schedule", "dump", "--gate", "cnot", "--mode", "dipole"]]
+    _memo.clear()
+    idx = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "device.cfg")
+        for config in DEVICE_CONFIGS:
+            with open(path, "w") as fh:
+                fh.write(config)
+            flags = ["--config", path] if config else []
+            for command in commands:
+                code, digest = captured_run(flags + command)
+                yield idx, code, digest, f"{config.strip() or 'default'}: {' '.join(command)}"
+                idx += 1
 
 
 OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
@@ -229,7 +265,7 @@ CLI_MODES = {"session": (session_commands, 1), "session-warm": (session_commands
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_MODES, "gates",
-                                             "cli-gates"])
+                                             "cli-gates", "configs"])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--ops", type=int,
                         help="ops per seed, in the workload's order (default 700; "
@@ -243,9 +279,10 @@ def main(argv: list[str]) -> int:
             for idx, digest, label in gate_digests(seed):
                 print(f"{seed} {idx:02d} {digest} {label}")
         return 0
-    if args.workload == "cli-gates":
+    if args.workload in ("cli-gates", "configs"):
+        digests = cli_gate_digests if args.workload == "cli-gates" else config_digests
         for seed in args.seeds:
-            for idx, code, digest, label in cli_gate_digests(seed):
+            for idx, code, digest, label in digests(seed):
                 print(f"{seed} {idx:05d} {code} {digest} {label}")
         return 0
     if args.workload in CLI_MODES:

@@ -36,6 +36,7 @@ from .gates import (
 from .params import (
     CONSTANTS,
     DeviceParameters,
+    DipoleAlignmentError,
     InfeasibleDetuningError,
     PhysicalConstants,
     canonical_detuning_span,

@@ -51,18 +51,12 @@ __all__ = [
 ]
 
 
-@_memo.table
-def _identity(dim: int) -> np.ndarray:
-    """Read-only real identity of size dim, shared by every unitarity check."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
-
-
 def _assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.abs(u.conj().T @ u - _identity(u.shape[0])).max() <= tol:
+    dev = u.conj().T @ u
+    dev.flat[:: len(dev) + 1] -= 1   # u^dag u - I, on the diagonal only
+    if not np.abs(dev).max() <= tol:
         raise ValueError("matrix is not unitary within tolerance")
 
 

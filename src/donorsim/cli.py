@@ -193,16 +193,21 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
 # table command
 # ---------------------------------------------------------------------------
 
-def _grouped_steps(schedule) -> list[tuple[str, float]]:
-    """Sum segment durations by their 'step N' label prefix, preserving order."""
-    groups: list[tuple[str, float]] = []
-    for seg in schedule.segments:
-        key = " ".join(seg.label.split()[:2]) if seg.label.startswith("step") else seg.label
-        if groups and groups[-1][0] == key:
-            groups[-1] = (key, groups[-1][1] + seg.duration)
-        else:
-            groups.append((key, seg.duration))
-    return groups
+# Table II-VI: the gate each table times, and the published step (a key, in
+# order of first appearance) each of its segments counts toward, so a step
+# split into sub-steps sums them.
+_TABLE_GATES = {
+    "II": (lambda p: gates.synth_x(math.pi, 0, p),
+           lambda i, label: label.split()[-2]),             # detuned / resonant
+    "III": (lambda p: gates.synth_y(math.pi, 0, p),
+            lambda i, label: label == "correction"),         # y block, correction
+    "IV": (lambda p: gates.synth_hadamard(0, p), lambda i, label: i),
+    "V": (lambda p: gates.synth_z(math.pi, 0, p), lambda i, label: i),
+    "VI": (lambda p: gates.synth_cnot("exchange", 0, 1, p,
+                                      j=gates.interaction_coupling(1e-11, p),
+                                      extended_correction=True),
+           lambda i, label: label.split()[1]),               # 'step N ...'
+}
 
 
 def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]:
@@ -223,30 +228,19 @@ def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]
                 "t_cnot", "t_cnot_ref", "t2_over_tcnot", "t2_over_tcnot_ref"]
         return rows, cols
 
-    if which == "II":
-        sched = gates.synth_x(math.pi, 0, p)
-        steps = [seg.duration for seg in sched.segments]
-    elif which == "III":
-        sched = gates.synth_y(math.pi, 0, p)
-        steps = [sum(seg.duration for seg in sched.segments[:4]), sched.segments[4].duration]
-    elif which == "IV":
-        sched = gates.synth_hadamard(0, p)
-        steps = [seg.duration for seg in sched.segments]
-    elif which == "V":
-        sched = gates.synth_z(math.pi, 0, p)
-        steps = [seg.duration for seg in sched.segments]
-    elif which == "VI":
-        j = gates.interaction_coupling(1e-11, p)
-        sched = gates.synth_cnot("exchange", 0, 1, p, j=j, extended_correction=True)
-        steps = [dur for _, dur in _grouped_steps(sched)]
-    else:
-        raise ValueError(f"unknown table {which!r} (expected I..VI)")
+    synth, step_of = _TABLE_GATES[which]
+    sched = synth(p)
+    steps: dict = {}
+    for i, seg in enumerate(sched.segments):
+        key = step_of(i, seg.label)
+        steps[key] = steps.get(key, 0.0) + seg.duration
     refs = REFERENCE_TIMINGS_NS[which]
-    values_ns = [s * 1e9 for s in steps] + [sched.total_duration * 1e9]
-    rows = []
-    for (label, ref), val in zip(refs, values_ns):
-        rows.append({"step": label, "computed_ns": val, "reference_ns": ref,
-                     "rel_dev": abs(val - ref) / ref})
+    if len(steps) + 1 != len(refs):
+        raise ValueError(f"table {which}: the gate has {len(steps)} steps, "
+                         f"the published table {len(refs) - 1}")
+    values_ns = [s * 1e9 for s in steps.values()] + [sched.total_duration * 1e9]
+    rows = [{"step": label, "computed_ns": val, "reference_ns": ref,
+             "rel_dev": abs(val - ref) / ref} for (label, ref), val in zip(refs, values_ns)]
     return rows, ["step", "computed_ns", "reference_ns", "rel_dev"]
 
 

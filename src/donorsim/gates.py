@@ -24,8 +24,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _memo
-from .params import (DeviceParameters, InfeasibleDetuningError, _store_floats,
-                     dipole_strength, exceeds_max_detuning, max_detuning)
+from .params import (DeviceParameters, DipoleAlignmentError, InfeasibleDetuningError,
+                     _store_floats, dipole_strength, exceeds_max_detuning, max_detuning)
 from .propagator import PulseSchedule, PulseSegment, _execute_rotating, execute_schedule
 from .spin_model import ID2, SX, SY, SZ, SpinSystem, _read_only, embed
 
@@ -483,7 +483,7 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
     dipole = {}
     if d is not None:
         if p.alignment != "z":
-            raise ValueError("dipole-coupled gates need z-aligned donors")
+            raise DipoleAlignmentError("dipole-coupled gates need z-aligned donors")
         d_coupling = dipole_strength(d, p)
         sigma_coupling += d_coupling
         dipole = {(control, target): d_coupling}

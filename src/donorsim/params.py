@@ -20,6 +20,7 @@ __all__ = [
     "LocalControlTradeoff",
     "CONSTANTS",
     "InfeasibleDetuningError",
+    "DipoleAlignmentError",
     "resonant_frequency",
     "carrier_frequency",
     "detuning",
@@ -38,6 +39,10 @@ __all__ = [
 
 class InfeasibleDetuningError(ValueError):
     """Raised when a requested rotation needs a detuning outside the tunable range."""
+
+
+class DipoleAlignmentError(ValueError):
+    """Raised when a dipole term is asked of a device whose donors are not z-aligned."""
 
 
 @_memo.table

@@ -490,12 +490,13 @@ def validate_schedule_controls(schedule: PulseSchedule, p: DeviceParameters) -> 
 # population traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionTrace:
     """Uniformly sampled basis-state populations along a schedule.
 
     times and populations are read-only copies of the arrays passed in, so the
-    CSV rows formatted from them once (`_csv_rows`) cannot go stale.
+    CSV rows formatted from them once (`_csv_rows`) cannot go stale.  Traces
+    compare and hash by identity: their arrays have no single truth value.
     """
 
     times: np.ndarray                 # s
@@ -619,14 +620,14 @@ def _fmt(x: float) -> str:
 
 def schedule_to_text(schedule: PulseSchedule, p: DeviceParameters) -> str:
     """Serialize a schedule (units: ns for durations, ueV for couplings, A/A0 for
-    hyperfine settings), stable field order."""
+    hyperfine settings), stable field order; alignment is z, the dipole form."""
     out = io.StringIO()
     out.write("# donorsim schedule v1\n")
     out.write(f"frame = {schedule.frame}\n")
     out.write(f"b_ac = {_fmt(schedule.b_ac)}\n")
     out.write(f"num_donors = {schedule.system.num_donors}\n")
     out.write(f"include_nuclei = {str(schedule.system.include_nuclei).lower()}\n")
-    out.write(f"alignment = {schedule.system.alignment}\n")
+    out.write("alignment = z\n")
     out.write(f"rf_phase = {_fmt(schedule.rf_phase)}\n")
     if schedule.carrier is not None:
         out.write(f"carrier = {_fmt(schedule.carrier)}\n")
@@ -719,6 +720,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
 
     Hyperfine settings convert to detunings against the file's carrier, or
     the device carrier when the file names none, as schedule_to_text wrote them.
+    Dipole terms take the z-aligned form, so an x or y file may hold no nonzero one.
     """
     header: dict[str, tuple[str, int]] = {}   # key -> (value, line number)
     segment_lines: list[tuple[int, dict, bool, str]] = []   # (line number, fields, rf, label)
@@ -780,8 +782,8 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     include_nuclei = header_value("include_nuclei", "false",
                                   _one_of("include_nuclei", ("true", "false"))) == "true"
     alignment = header_value("alignment", "z", _one_of("alignment", ("x", "y", "z")))
-    system = header_value("num_donors", SpinSystem(1, include_nuclei, alignment),
-                          lambda text: SpinSystem(int(text), include_nuclei, alignment))
+    system = header_value("num_donors", SpinSystem(1, include_nuclei),
+                          lambda text: SpinSystem(int(text), include_nuclei))
     device_carrier = carrier_frequency(p)
     carrier = header_value("carrier", device_carrier if frame == "lab" else None,
                            _positive("carrier"))
@@ -808,6 +810,8 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
         pairs = _pair_values(text, _UEV, "dipole")
         if not all(0.0 <= d < math.inf for d in pairs.values()):
             raise ValueError("dipole couplings must be finite and non-negative")
+        if alignment != "z" and any(pairs.values()):
+            raise ValueError(f"dipole coupling requires z alignment, got alignment = {alignment}")
         return _check_pairs(pairs, "dipole", system)
 
     dipole = header_value("dipole_uev", {}, dipole_values)

@@ -33,6 +33,7 @@ import numpy as np
 from . import _memo
 from .params import (
     DeviceParameters,
+    DipoleAlignmentError,
     InfeasibleDetuningError,
     carrier_frequency,
     exceeds_max_detuning,
@@ -74,8 +75,6 @@ ID2 = np.eye(2, dtype=complex)
 E_SX, E_SY, E_SZ = SX, -SY, -SZ
 _E_AXIS = {"x": E_SX, "y": E_SY, "z": E_SZ}
 
-_AXES = ("x", "y", "z")
-
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -87,15 +86,12 @@ class SpinSystem:
 
     num_donors: int = 1
     include_nuclei: bool = False
-    alignment: str = "z"
 
     def __post_init__(self):
         if not 1 <= self.num_donors <= 3:
             raise ValueError("num_donors must be 1, 2 or 3")
         if self.include_nuclei and self.num_donors > 2:
             raise ValueError("nuclear spins supported for at most 2 donors")
-        if self.alignment not in _AXES:
-            raise ValueError("alignment must be one of 'x', 'y', 'z'")
 
     @property
     def sites_per_donor(self) -> int:
@@ -193,22 +189,13 @@ def hyperfine_dot(e_site: int, n_site: int, num_sites: int) -> np.ndarray:
 # single-donor Hamiltonians
 # ---------------------------------------------------------------------------
 
-@_memo.table
-def _donor_ops() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sigma_z^e, sigma_z^n and sigma_e . sigma_n on electron (x) nucleus, read-only."""
-    return (_read_only(pauli_on(E_SZ, 0, 2)), _read_only(pauli_on(SZ, 1, 2)),
-            _read_only(hyperfine_dot(0, 1, 2)))
-
-
 def single_donor_static(a: float, p: DeviceParameters) -> np.ndarray:
     """Static donor Hamiltonian on electron (x) nucleus (4-dim), no drive.
 
     mu_B B sigma_z^e - g_n mu_n B sigma_z^n + A sigma_e . sigma_n
 
-    The three operators are embedded once per process and cached read-only
-    (`_donor_ops`), as `rotating_hamiltonian` does with its basis; they are
-    exactly what pauli_on and hyperfine_dot return, so the sum is bit for bit
-    the per-term one.
+    The three operators come from `_register_ops`, the cached basis
+    `rotating_hamiltonian` sums, so the sum is bit for bit the per-term one.
 
     A is taken signed.  The frozen-nucleus oracle reads a detuning dw as
     A = hyperfine_for_frequency(omega_ac + 2 dw): its extended branch already
@@ -218,10 +205,10 @@ def single_donor_static(a: float, p: DeviceParameters) -> np.ndarray:
     if not math.isfinite(a):
         raise ValueError("hyperfine energy must be finite")
     c = p.constants
-    sz_e, sz_n, hyperfine = _donor_ops()
-    h = c.mu_b * p.b * sz_e
-    h -= c.g_n * c.mu_n * p.b * sz_n
-    h += a * hyperfine
+    ops = _register_ops(_NUCLEAR_DONOR)
+    h = c.mu_b * p.b * ops.sz[0]
+    h -= c.g_n * c.mu_n * p.b * ops.nuclear_sz[0]
+    h += a * ops.hyperfine[0]
     return h
 
 
@@ -284,12 +271,14 @@ def _check_detuning(dw: float, p: DeviceParameters) -> None:
 
 
 class _RegisterOps(NamedTuple):
-    """The rotating-frame operators of one SpinSystem, embedded and read-only."""
+    """The Hamiltonian operators of one SpinSystem, embedded and read-only."""
 
     sx: tuple[np.ndarray, ...]                            # sigma_x^e per donor
     sz: tuple[np.ndarray, ...]                            # sigma_z^e per donor
     exchange: Mapping[tuple[int, int], np.ndarray]        # s.s per ordered donor pair
     dipole: Mapping[tuple[int, int], np.ndarray]          # s.s - 3 sz sz, likewise
+    nuclear_sz: tuple[np.ndarray, ...]                    # sigma_z^n per donor, if nuclei
+    hyperfine: tuple[np.ndarray, ...]                     # sigma_e.sigma_n, likewise
 
 
 def _read_only(op: np.ndarray) -> np.ndarray:
@@ -299,15 +288,16 @@ def _read_only(op: np.ndarray) -> np.ndarray:
 
 @_memo.table
 def _register_ops(system: SpinSystem) -> _RegisterOps:
-    """The operator basis rotating_hamiltonian sums, built once per system.
+    """The operator basis both Hamiltonian assemblies sum, built once per system.
 
-    At most 15 systems exist (1-3 donors, nuclei on or off, three
-    alignments), so the cache stays small.  Each operator is exactly what
-    pauli_on, electron_pair_dot and dipole_term return (embed only moves
-    entries), so sums over it are bit for bit the per-term sums.
+    At most 5 systems exist (1-3 donors, nuclei for at most 2), so the cache
+    stays small.  Each operator is exactly what pauli_on, electron_pair_dot,
+    dipole_term("z") and hyperfine_dot return (embed only moves entries), so
+    sums over it are bit for bit the per-term sums.
     """
     n = system.num_sites
     sites = [system.electron_site(q) for q in range(system.num_donors)]
+    nuclei = sites if system.include_nuclei else []
     pairs = list(itertools.permutations(range(system.num_donors), 2))
     dipole_z = _dipole_pair("z")
     return _RegisterOps(
@@ -317,7 +307,13 @@ def _register_ops(system: SpinSystem) -> _RegisterOps:
             (a, b): _read_only(electron_pair_dot(sites[a], sites[b], n)) for a, b in pairs}),
         dipole=MappingProxyType({
             (a, b): _read_only(embed(dipole_z, (sites[a], sites[b]), n)) for a, b in pairs}),
+        nuclear_sz=tuple(_read_only(pauli_on(SZ, s + 1, n)) for s in nuclei),
+        hyperfine=tuple(_read_only(hyperfine_dot(s, s + 1, n)) for s in nuclei),
     )
+
+
+# the register of single_donor_static: one electron (x) its nucleus
+_NUCLEAR_DONOR = SpinSystem(1, include_nuclei=True)
 
 
 def _pair_op(table: Mapping[tuple[int, int], np.ndarray], system: SpinSystem,
@@ -345,11 +341,9 @@ def rotating_hamiltonian(
 
     drive is mu_B B_ac (0 while gated off), detunings map donors to dw (rad/s),
     couplings and dipole map donor pairs to J and D (J).  The dipole form holds
-    only for z-aligned donors; other alignments with dipole pairs are rejected.
+    only for z-aligned donors, which the device and the schedule loader check.
     Each term is a coefficient times an operator of the system's cached basis.
     """
-    if system.alignment != "z" and any(dipole.values()):
-        raise ValueError("rotating frame with dipole coupling requires z alignment")
     ops = _register_ops(system)
     h = np.zeros((system.dim, system.dim), dtype=complex)
     for donor in range(system.num_donors):
@@ -396,7 +390,7 @@ def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
     For z alignment this reduces to D (sigma.sigma - 3 sz sz), which commutes
     with sz1 + sz2 so the rotating frame stays valid; x/y alignments do not.
     """
-    if alignment not in _AXES:
+    if alignment not in _E_AXIS:
         raise ValueError("alignment must be a unit axis 'x', 'y' or 'z'")
     return d_coupling * embed(_dipole_pair(alignment), (site_a, site_b), num_sites)
 
@@ -406,7 +400,7 @@ def two_electron_rotating_full(
 ) -> np.ndarray:
     """Exchange plus dipole two-electron rotating-frame Hamiltonian (z-aligned only)."""
     if p.alignment != "z":
-        raise ValueError("rotating frame with dipole coupling requires z alignment")
+        raise DipoleAlignmentError("rotating frame with dipole coupling requires z alignment")
     if j < 0.0:
         raise ValueError("exchange coupling must be non-negative")
     return rotating_hamiltonian(SpinSystem(2), p.transverse_energy, {0: dw1, 1: dw2},

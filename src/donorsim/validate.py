@@ -2,8 +2,8 @@
 
 Each check returns (passed, detail).  Checks that synthesize gates treat a
 clean InfeasibleDetuningError as a pass when the device genuinely cannot reach
-the required detuning (e.g. zero tuning range): correct rejection is correct
-behavior.
+the required detuning (e.g. zero tuning range), and a DipoleAlignmentError as
+one when its donors are not z-aligned: correct rejection is correct behavior.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from . import analysis, gates
 from .params import (
     DeviceParameters,
+    DipoleAlignmentError,
     InfeasibleDetuningError,
     canonical_detuning_span,
     carrier_frequency,
@@ -67,11 +68,13 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _feasible(fn):
-    """Run a synthesis-dependent check; a clean infeasibility rejection passes."""
+    """Run a synthesis-dependent check; a clean infeasible or misaligned rejection passes."""
     try:
         return fn()
     except InfeasibleDetuningError as exc:
         return True, f"correctly rejected as infeasible: {exc}"
+    except DipoleAlignmentError as exc:
+        return True, f"correctly rejected as misaligned: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +144,14 @@ def check_hermitian_builders(p: DeviceParameters, rng) -> tuple[bool, str]:
         two_electron_rotating(-0.1 * dw, -0.2 * dw, 1e-27, p),
         dipole_term(1e-30, "x"),
         dipole_term(1e-30, "z"),
-        two_electron_rotating_full(0.0, 0.0, 1e-27, 1e-30, p),
     ]
+    rejected = ""
+    try:
+        ops.append(two_electron_rotating_full(0.0, 0.0, 1e-27, 1e-30, p))
+    except DipoleAlignmentError as exc:
+        rejected = f"; dipole pair correctly rejected as misaligned: {exc}"
     ok = all(is_hermitian(h) for h in ops)
-    return ok, f"{len(ops)} builders Hermitian to 1e-12 relative"
+    return ok, f"{len(ops)} builders Hermitian to 1e-12 relative{rejected}"
 
 
 def check_commutators(p: DeviceParameters, rng) -> tuple[bool, str]:

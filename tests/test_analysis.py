@@ -166,6 +166,7 @@ def test_grading_matches_reference_formulas_bitwise(rng, system):
     pytest.param(np.diag([1.0, 1.0 + 2e-10]), id="just_past_tol"),
     pytest.param(np.diag([1.0, 1.0 + 4e-11]), id="within_tol"),
     pytest.param(_haar(8, np.random.default_rng(5)), id="haar"),
+    pytest.param(np.array([[0, 1], [1, 0]]), id="integer_permutation"),
 ])
 def test_assert_unitary_agrees_with_the_reference(m):
     """Accepts what the former check accepted and rejects the rest with its message."""

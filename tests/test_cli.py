@@ -78,6 +78,25 @@ def test_tables_within_one_percent(capsys, which, total_ref):
     assert float(payload["rows"][-1]["reference_ns"]) == total_ref
 
 
+@pytest.mark.parametrize("a_min,which,steps_ns,total_ns", [
+    # X(pi) in two sub-steps of two segments each
+    ("1.2e-26", "II", [2 * 22.328038, 2 * 7.4426794], 59.541435),
+    # Y(pi) in two blocks of four segments, then the correction
+    ("1.5e-26", "III", [4 * 13.752278 + 4 * 14.885359, 93.844474], 208.39502),
+])
+def test_tables_sum_sub_steps(tmp_path, capsys, a_min, which, steps_ns, total_ns):
+    """A published step split into sub-steps sums them; the overall row is
+    the gate's whole duration."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text(f"a_min = {a_min}\n")
+    code, out = run_cli(capsys, "--config", str(cfgfile), "--format", "json", "table", which)
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == len(steps_ns) + 1
+    values = [float(row["computed_ns"]) for row in rows]
+    assert values == pytest.approx(steps_ns + [total_ns], rel=1e-7)
+    assert sum(values[:-1]) == pytest.approx(values[-1], rel=1e-12)
+
+
 def test_table_one(capsys):
     code, out = run_cli(capsys, "--format", "json", "table", "I")
     payload = json.loads(out)
@@ -142,6 +161,18 @@ def test_validate_high_drive_decomposes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_validate_passes_on_misaligned_devices(tmp_path, capsys, axis):
+    """A device whose donors are not z-aligned refuses the z-form dipole
+    terms, and validate counts that refusal as a pass."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text(f"alignment = {axis}\n")
+    code, out = run_cli(capsys, "--config", str(cfgfile), "validate")
+    assert code == 0
+    assert out.endswith("23/23 checks passed\n")
+    assert out.count("correctly rejected as misaligned") == 2
+
+
 def test_validate_zero_range_rejections(tmp_path, capsys):
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text("a_min = 1.938e-26\n")
@@ -184,8 +215,14 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  "mu_B * b_ac = 1e-323 J is not a normal positive float", id="subnormal_b_ac"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": "num_donors = 2\nalignment = x\ndipole_uev = 0-1:0.01\n"
-                             "segment duration_ns=1 rf=on\n"}, "z alignment",
-                 id="x_aligned_dipole"),
+                             "segment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 3: dipole coupling requires z alignment, "
+                 "got alignment = x", id="x_aligned_dipole"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "frame = lab\nnum_donors = 2\nalignment = x\n"
+                             "dipole_uev = 0-1:0.01\nsegment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 4: dipole coupling requires z alignment, "
+                 "got alignment = x", id="x_aligned_lab_dipole"),
     pytest.param(["sweep", "--metric", "spectator_period_ns", "--param", "b_ac=abc"], {},
                  "'abc'", id="non_numeric_sweep"),
     pytest.param(["sweep", "--metric", "x_gate_ns", "--param", "b_ac"], {},

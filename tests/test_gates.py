@@ -33,7 +33,7 @@ from donorsim.gates import (
     _hadamard_block,
     _make_schedule,
 )
-from donorsim.params import DeviceParameters, InfeasibleDetuningError
+from donorsim.params import DeviceParameters, DipoleAlignmentError, InfeasibleDetuningError
 from donorsim.propagator import PulseSegment, concat_schedules, execute_schedule
 from donorsim.spin_model import SpinSystem, embed
 
@@ -292,14 +292,11 @@ def test_cnot_combined_mode(p):
 def test_cnot_rejects(p):
     with pytest.raises(ValueError):
         synth_cnot("exchange", 0, 1, p)  # no coupling
-    with pytest.raises(ValueError):
-        synth_cnot("dipole", 0, 1, p.replace(alignment="x"), d=30e-9)
-    # an x-aligned register breaks the secular dipole form of the rotating frame
+    # an x-aligned device breaks the secular dipole form of the rotating frame
     for mode in ("dipole", "combined"):
-        with pytest.raises(ValueError, match="z alignment"):
-            compile_gate(GateSpec("cnot", (0, 1), mode=mode,
-                                  j=None if mode == "dipole" else 1e-27, d=30e-9), p,
-                         SpinSystem(2, alignment="x"))
+        with pytest.raises(DipoleAlignmentError, match="need z-aligned donors"):
+            synth_cnot(mode, 0, 1, p.replace(alignment="x"),
+                       j=None if mode == "dipole" else 1e-27, d=30e-9)
     with pytest.raises(ValueError):
         synth_cnot("exchange", 0, 0, p, j=1e-27)
 

@@ -316,7 +316,6 @@ def _key_variants(p):
         "b_ac": (base, base.replace(b_ac=1.5 * p.b_ac)),
         "hbar": (base, base.replace(hbar=1.01 * p.constants.hbar)),
         "dipole": (base.replace(dipole={(0, 1): d}), base.replace(dipole={(0, 1): 1.3 * d})),
-        "alignment": (base, base.replace(system=SpinSystem(2, alignment="x"))),
         "nuclei": (base, base.replace(system=SpinSystem(2, include_nuclei=True))),
         "coupling_order": (three.replace(segments=three.segments[:1]),
                            three.replace(segments=three.segments[1:])),
@@ -325,15 +324,13 @@ def _key_variants(p):
     }
 
 
-@pytest.mark.parametrize("which", ["b_ac", "hbar", "dipole", "alignment", "nuclei",
+@pytest.mark.parametrize("which", ["b_ac", "hbar", "dipole", "nuclei",
                                    "coupling_order", "dipole_order"])
 def test_rotating_cache_key_is_complete(p, which):
     """Each schedule of a pair matches its own uncached result, in either order."""
     pair = _key_variants(p)[which]
     references = {id(sched): _execute_reference_loop(sched).tobytes() for sched in pair}
-    # alignment only enters the rotating frame through a dipole term, which
-    # needs z alignment, so that pair shares its unitary but not its key
-    assert (len(set(references.values())) == 2) == (which != "alignment")
+    assert len(set(references.values())) == 2
     first, second = pair
     assert first != second and len({first, second}) == 2
     assert propagator._segment_key(first, first.segments[0]) != \
@@ -371,6 +368,7 @@ def test_every_memo_table_is_registered_and_bounded():
     registered = {id(memo) for memo in _memo.TABLES}
     assert sorted(found[key] for key in found.keys() - registered) == []
     assert found.keys() == registered
+    assert len(_memo.TABLES) == 12
     assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
     _memo.clear()
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
@@ -1424,6 +1422,18 @@ def test_trace_row_sum_guard():
                        basis_labels=("0", "1"), initial_label="0")
 
 
+def test_traces_compare_and_hash_by_identity():
+    """Equal-valued traces are distinct objects: == and hash() neither raise
+    nor look at the arrays."""
+    def make():
+        return EvolutionTrace(np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0]]), ("0", "1"), "0")
+
+    first, second = make(), make()
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert len({first, second, first}) == 2
+
+
 # ---------------------------------------------------------------------------
 # schedule file round trips
 # ---------------------------------------------------------------------------
@@ -1457,6 +1467,20 @@ def test_schedule_text_couplings(p):
     back = schedule_from_text(schedule_to_text(sched, p), p)
     assert back.segments[0].couplings[(0, 1)] == pytest.approx(2.5e-25, rel=1e-12)
     assert back.segments[0].rf_on is False
+
+
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_schedule_text_alignment_bounds_the_dipole_pairs(p, frame, axis):
+    """A non-z file may hold zero dipole pairs only; the loader names the line.
+    The writer's alignment is always z, the form of every dipole term."""
+    head = f"frame = {frame}\nnum_donors = 2\nalignment = {axis}\n"
+    zero = schedule_from_text(head + "dipole_uev = 0-1:0\nsegment duration_ns=1 rf=on\n", p)
+    assert dict(zero.dipole) == {(0, 1): 0.0}
+    with pytest.raises(ValueError, match=f"^line 4: dipole coupling requires z alignment, "
+                                         f"got alignment = {axis}$"):
+        schedule_from_text(head + "dipole_uev = 0-1:0.01\nsegment duration_ns=1 rf=on\n", p)
+    assert "\nalignment = z\n" in schedule_to_text(zero, p)
 
 
 def test_schedule_text_rejects_unknown(p):
