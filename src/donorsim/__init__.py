@@ -9,7 +9,6 @@ reference timings.
 from .analysis import (
     frozen_nucleus_check,
     gate_fidelity,
-    nuclear_flip_probability,
     rabi_probability,
     spectator_fidelity,
     sweep,
@@ -65,10 +64,6 @@ from .spin_model import (
     frame_rotation,
     single_donor_static,
     single_electron_lab,
-    single_electron_rotating,
-    to_rotating_frame,
-    two_electron_rotating,
-    two_electron_rotating_full,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@ the rotating-frame eigensystems and propagators, every execution result (the
 rotating-frame and converged lab-frame unitaries, the frozen-nucleus checks
 and the population traces, each keyed on the schedule, which compares by its
 controls), the oracle's Strang powers and a few small constants are memoized
-for the whole process: fourteen tables.  No table stores an exception, so a
+for the whole process: twelve tables.  No table stores an exception, so a
 rejected input raises again on every call.  Every such table is declared here
 with `table`, so each is a bounded LRU table of SIZE entries, `TABLES` lists
 them all (each with its `cache_info()`), `stats()` reads their counters and

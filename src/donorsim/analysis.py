@@ -43,7 +43,6 @@ __all__ = [
     "TimescaleRow",
     "timescale_table",
     "lab_realization",
-    "nuclear_flip_probability",
     "frozen_nucleus_check",
     "sweep",
     "SWEEP_FIELDS",
@@ -120,17 +119,21 @@ class TimescaleRow:
     note: str = ""
 
 
-def timescale_table(p: DeviceParameters, t2: float = 0.060,
-                    local_b_ac: float = 1e-5) -> list[TimescaleRow]:
+# drive amplitude (T) of the canonical local-control scheme, in Table I and the
+# local_pi_time_us sweep metric
+_LOCAL_B_AC = 1e-5
+
+
+def timescale_table(p: DeviceParameters, t2: float = 0.060) -> list[TimescaleRow]:
     """Electron-spin timescale rows for local vs global control.
 
-    The local row evaluates the canonical scheme at B_ac = 1e-5 T with qubits
-    parked a full hyperfine span off resonance; its CNOT time has no closed
-    form here and is reported as an order-of-magnitude note.  The global row
+    The local row evaluates the canonical scheme at B_ac = _LOCAL_B_AC with
+    qubits parked a full hyperfine span off resonance; its CNOT time has no
+    closed form here and is reported as an order-of-magnitude note.  The global row
     times the synthesized corrected X gate and the published-style CNOT (one
     extra spectator wrap in the final correction, interaction steps of 0.01 ns).
     """
-    tradeoff = local_control_tradeoff(local_b_ac, canonical_detuning_span(p), p.constants)
+    tradeoff = local_control_tradeoff(_LOCAL_B_AC, canonical_detuning_span(p), p.constants)
     local = TimescaleRow(
         scheme="e-spin (local control)",
         t_x=tradeoff.pi_time,
@@ -269,13 +272,6 @@ def frozen_nucleus_check(
     return _oracle_check(schedule, p, donor, tol, include_nuclear_drive)
 
 
-def nuclear_flip_probability(schedule: PulseSchedule, p: DeviceParameters,
-                             donor: int | None = None, tol: float = 1e-6) -> float:
-    """Worst-case nuclear spin-flip probability of a single-qubit schedule."""
-    flip, _ = frozen_nucleus_check(schedule, p, donor=donor, tol=tol)
-    return flip
-
-
 # ---------------------------------------------------------------------------
 # parameter sweeps
 # ---------------------------------------------------------------------------
@@ -327,7 +323,7 @@ def _metric_dipole_uev(p: DeviceParameters) -> float:
 
 
 def _metric_local_pi_time_us(p: DeviceParameters) -> float:
-    return local_control_tradeoff(1e-5, canonical_detuning_span(p),
+    return local_control_tradeoff(_LOCAL_B_AC, canonical_detuning_span(p),
                                   p.constants).pi_time * 1e6
 
 

@@ -499,13 +499,22 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
         return PulseSegment(duration=t_int, couplings=couplings,
                             rf_on=rf_during_interaction, label=label)
 
-    def x_on_control(label: str) -> PulseSegment:
-        if spec.x_conjugation:
-            # control resonant pi; target detuned to a whole revolution of the
-            # same duration (speed ratio 2)
-            return _full_revolution_segment(2.0, (target,), p, label)
-        # diagnostic variant: equal-duration idle (both qubits revolve)
-        return _full_revolution_segment(2.0, (control, target), p, label)
+    try:
+        # control resonant pi; target detuned to a whole revolution of the same
+        # duration (speed ratio 2).  The diagnostic variant is an equal-duration
+        # idle (both qubits revolve).
+        x_step = [_full_revolution_segment(
+            2.0, (target,) if spec.x_conjugation else (control, target), p, "")]
+    except InfeasibleDetuningError:
+        # a device too weak for that revolution: X(pi) on the control from the
+        # sub-steps synth_x uses, each a whole spectator period, so the target
+        # idles; the diagnostic variant is one resonant segment as long
+        x_step = _x_segments(math.pi, control, p)
+        if not spec.x_conjugation:
+            x_step = [PulseSegment(duration=sum(seg.duration for seg in x_step))]
+
+    def x_on_control(label: str) -> list[PulseSegment]:
+        return [seg.with_label(label) for seg in x_step]
 
     # steps 1 and 7 are the corrected Hadamard gate on the control (its table
     # entry on its own default system), relabelled; _layout, not synthesize, so
@@ -519,9 +528,9 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
 
     segments = hadamard_step(1)
     segments.append(interact("step 2 interaction"))
-    segments.append(x_on_control("step 3 x on control"))
+    segments += x_on_control("step 3 x on control")
     segments.append(interact("step 4 interaction"))
-    segments.append(x_on_control("step 5 x on control"))
+    segments += x_on_control("step 5 x on control")
     segments.append(_resonant_segment(math.pi / 2.0, p, "step 6 resonant pi/2 pair"))
     segments += hadamard_step(7)
     final_corr, _ = synth_correction(_deficit_after(segments, p), (control, target), p,

@@ -420,7 +420,7 @@ def _lab_unitary(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
     if system.include_nuclei:
         raise NotImplementedError(
             "lab-frame execution covers electron-only systems; "
-            "nuclear dynamics live in analysis.nuclear_flip_probability"
+            "nuclear dynamics live in analysis.frozen_nucleus_check"
         )
     for seg in schedule.segments:
         if any(seg.couplings.values()):

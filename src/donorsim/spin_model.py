@@ -31,15 +31,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _memo
-from .params import (
-    DeviceParameters,
-    DipoleAlignmentError,
-    InfeasibleDetuningError,
-    carrier_frequency,
-    exceeds_max_detuning,
-    max_detuning,
-    resonant_frequency,
-)
+from .params import DeviceParameters, carrier_frequency, resonant_frequency
 
 __all__ = [
     "SX",
@@ -56,14 +48,10 @@ __all__ = [
     "single_donor_driven",
     "single_electron_lab",
     "rotating_hamiltonian",
-    "single_electron_rotating",
-    "two_electron_rotating",
     "dipole_term",
-    "two_electron_rotating_full",
     "electron_pair_dot",
     "hyperfine_dot",
     "frame_rotation",
-    "to_rotating_frame",
 ]
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -263,13 +251,6 @@ def single_donor_driven(
 # rotating-frame Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _check_detuning(dw: float, p: DeviceParameters) -> None:
-    if exceeds_max_detuning(dw, p):
-        raise InfeasibleDetuningError(
-            f"detuning {dw:.6e} rad/s exceeds the tunable bound {max_detuning(p):.6e}"
-        )
-
-
 class _RegisterOps(NamedTuple):
     """The Hamiltonian operators of one SpinSystem, embedded and read-only."""
 
@@ -343,6 +324,10 @@ def rotating_hamiltonian(
     couplings and dipole map donor pairs to J and D (J).  The dipole form holds
     only for z-aligned donors, which the device and the schedule loader check.
     Each term is a coefficient times an operator of the system's cached basis.
+
+    A single driven electron's rotation axis satisfies
+    tan(phi) = hbar*dw / (mu_B B_ac) in spin axes, and its eigenvalue gap is
+    2*Omega with Omega^2 = (mu_B B_ac)^2 + hbar^2 dw^2.
     """
     ops = _register_ops(system)
     h = np.zeros((system.dim, system.dim), dtype=complex)
@@ -361,28 +346,6 @@ def rotating_hamiltonian(
     return h
 
 
-def single_electron_rotating(delta_omega: float, p: DeviceParameters) -> np.ndarray:
-    """Rotating-frame single-electron Hamiltonian hbar*dw*sigma_z^e + mu_B*B_ac*sigma_x^e.
-
-    The rotation axis satisfies tan(phi) = hbar*dw / (mu_B B_ac) in spin axes,
-    and the eigenvalue gap is 2*Omega with Omega^2 = (mu_B B_ac)^2 + hbar^2 dw^2.
-    """
-    _check_detuning(delta_omega, p)
-    return rotating_hamiltonian(SpinSystem(1), p.transverse_energy, {0: delta_omega}, {}, {},
-                                p.constants.hbar)
-
-
-def two_electron_rotating(dw1: float, dw2: float, j: float, p: DeviceParameters) -> np.ndarray:
-    """Two driven electrons with exchange (4-dim rotating frame).
-
-    mu_B B_ac (sx1 + sx2) + hbar dw1 sz1 + hbar dw2 sz2 + J sigma1 . sigma2
-    """
-    if j < 0.0:
-        raise ValueError("exchange coupling must be non-negative")
-    return rotating_hamiltonian(SpinSystem(2), p.transverse_energy, {0: dw1, 1: dw2},
-                                {(0, 1): j}, {}, p.constants.hbar)
-
-
 def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
                 site_a: int = 0, site_b: int = 1) -> np.ndarray:
     """Dipole-dipole operator D (sigma.sigma - 3 (sigma.n)(sigma.n)) for unit axis n.
@@ -395,18 +358,6 @@ def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
     return d_coupling * embed(_dipole_pair(alignment), (site_a, site_b), num_sites)
 
 
-def two_electron_rotating_full(
-    dw1: float, dw2: float, j: float, d_coupling: float, p: DeviceParameters
-) -> np.ndarray:
-    """Exchange plus dipole two-electron rotating-frame Hamiltonian (z-aligned only)."""
-    if p.alignment != "z":
-        raise DipoleAlignmentError("rotating frame with dipole coupling requires z alignment")
-    if j < 0.0:
-        raise ValueError("exchange coupling must be non-negative")
-    return rotating_hamiltonian(SpinSystem(2), p.transverse_energy, {0: dw1, 1: dw2},
-                                {(0, 1): j}, {(0, 1): d_coupling}, p.constants.hbar)
-
-
 # ---------------------------------------------------------------------------
 # frame transformation
 # ---------------------------------------------------------------------------
@@ -414,28 +365,12 @@ def two_electron_rotating_full(
 def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndarray:
     """R(t) = prod_e exp(i omega_ac t sigma_z^e / 2): lab -> rotating frame map.
 
-    Acts on electron sites only; nuclear sites are untouched.
+    Acts on electron sites only; nuclear sites are untouched.  A lab-frame
+    state psi maps into the rotating frame as R(t) @ psi, and a propagator
+    U(0 -> t) as R(t) @ U, since R(0) is the identity.
     """
     phase = 0.5 * carrier_frequency(p) * t
     # sigma_z^e = -Z in the logical basis, so the matrix is exp(-i phase Z)
     single = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
     electrons = tuple(system.electron_site(q) for q in range(system.num_donors))
     return embed(reduce(np.kron, [single] * len(electrons)), electrons, system.num_sites)
-
-
-def to_rotating_frame(
-    obj: np.ndarray, t: float, p: DeviceParameters, system: SpinSystem | None = None
-) -> np.ndarray:
-    """Map a lab-frame state or propagator into the rotating frame.
-
-    States map as R(t) psi.  A propagator U(0 -> t) maps as R(t) U, since
-    R(0) is the identity.  The map is unitary; dimensions must match.
-    """
-    if system is None:
-        num = obj.shape[0].bit_length() - 1
-        if 2**num != obj.shape[0] or not 1 <= num <= 3:
-            raise ValueError("cannot infer spin system; pass one explicitly")
-        system = SpinSystem(num_donors=num)
-    if obj.shape[0] != system.dim:
-        raise ValueError(f"dimension {obj.shape[0]} does not match system dim {system.dim}")
-    return frame_rotation(t, p, system) @ obj

@@ -16,7 +16,6 @@ from donorsim.analysis import (
     frozen_nucleus_check,
     gate_fidelity,
     lab_realization,
-    nuclear_flip_probability,
     rabi_probability,
     spectator_fidelity,
     sweep,
@@ -259,8 +258,6 @@ def test_frozen_nucleus_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
     message = f"nuclear oracle tolerance must be finite and positive, got {tol!r}"
     with pytest.raises(ValueError, match=message):
         frozen_nucleus_check(sched, p, tol=tol)
-    with pytest.raises(ValueError, match=message):
-        nuclear_flip_probability(sched, p, tol=tol)
 
 
 @pytest.mark.parametrize("mode,coupling", [("dipole", {"d": 30e-9}), ("exchange", {"j": 1e-25})])
@@ -281,8 +278,6 @@ def test_frozen_nucleus_rejects_absent_donor(p, donor):
     sched = synth_x(math.pi, 0, p, SpinSystem(1))
     with pytest.raises(ValueError, match=f"donor index {donor} out of range"):
         frozen_nucleus_check(sched, p, donor=donor)
-    with pytest.raises(ValueError, match=f"donor index {donor} out of range"):
-        nuclear_flip_probability(sched, p, donor=donor)
 
 
 def test_frozen_nucleus_takes_the_drive_from_the_schedule(p):
@@ -667,15 +662,15 @@ def test_frozen_nucleus_check_accepts_zero_dipole_couplings(p):
 
 def test_nuclear_flip_zero_duration(p):
     sched = synth_x(0.0, 0, p, SpinSystem(1))
-    assert nuclear_flip_probability(sched, p) == 0.0
+    assert frozen_nucleus_check(sched, p)[0] == 0.0
 
 
 def test_nuclear_flip_degrades_at_low_field(p):
     sched_hi = synth_x(math.pi, 0, p, SpinSystem(1))
-    flip_hi = nuclear_flip_probability(sched_hi, p)
+    flip_hi = frozen_nucleus_check(sched_hi, p)[0]
     p_low = p.replace(b=0.2)
     sched_lo = synth_x(math.pi, 0, p_low, SpinSystem(1))
-    flip_lo = nuclear_flip_probability(sched_lo, p_low)
+    flip_lo = frozen_nucleus_check(sched_lo, p_low)[0]
     assert flip_lo > flip_hi
 
 
@@ -684,7 +679,7 @@ def test_nuclear_flip_rejects_coupled_schedules(p):
 
     sched = synth_swap(1e-25, 0, 1, p)
     with pytest.raises(ValueError):
-        nuclear_flip_probability(sched, p)
+        frozen_nucleus_check(sched, p)
 
 
 def test_lab_realization(p):

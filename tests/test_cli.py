@@ -97,6 +97,27 @@ def test_tables_sum_sub_steps(tmp_path, capsys, a_min, which, steps_ns, total_ns
     assert sum(values[:-1]) == pytest.approx(values[-1], rel=1e-12)
 
 
+def test_cnot_splits_x_on_a_weak_device(tmp_path, capsys):
+    """Where the one-step X(pi) on the control needs more detuning than the
+    device has, the CNOT builds it from the sub-steps synth_x uses: Tables I
+    and VI print, and every cnot mode passes the default threshold."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("a_min = 1.2e-26\n")
+    cfg = ("--config", str(cfgfile))
+    code, out = run_cli(capsys, *cfg, "--format", "json", "table", "VI")
+    rows = json.loads(out)["rows"]
+    assert code == 0
+    # steps 3 and 5: X(pi) in two sub-steps, each a whole spectator period
+    values = [float(row["computed_ns"]) for row in rows]
+    assert [values[2], values[4], values[-1]] == pytest.approx([59.541435, 59.541435, 238.16574],
+                                                               rel=1e-7)
+    code, out = run_cli(capsys, *cfg, "table", "I")
+    assert code == 0
+    for mode in ("exchange", "dipole", "combined"):
+        code, out = run_cli(capsys, *cfg, "gate", "--gate", "cnot", "--mode", mode)
+        assert code == 0 and json.loads(out)["passed"]
+
+
 def test_table_one(capsys):
     code, out = run_cli(capsys, "--format", "json", "table", "I")
     payload = json.loads(out)
@@ -163,14 +184,28 @@ def test_validate_high_drive_decomposes(tmp_path, capsys):
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_validate_passes_on_misaligned_devices(tmp_path, capsys, axis):
-    """A device whose donors are not z-aligned refuses the z-form dipole
-    terms, and validate counts that refusal as a pass."""
+    """A device whose donors are not z-aligned refuses dipole-coupled gates,
+    and validate counts that refusal as a pass.  The Hamiltonian builders
+    check builds the z-form pair on any device: the refusal is the gate's."""
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text(f"alignment = {axis}\n")
     code, out = run_cli(capsys, "--config", str(cfgfile), "validate")
     assert code == 0
     assert out.endswith("23/23 checks passed\n")
-    assert out.count("correctly rejected as misaligned") == 2
+    assert out.count("correctly rejected as misaligned") == 1
+    assert ("PASS gates.dipole_refocus: correctly rejected as misaligned: "
+            "dipole-coupled gates need z-aligned donors\n") in out
+    assert "PASS spin_model.hermitian_builders: 8 builders Hermitian to 1e-12 relative\n" in out
+
+
+def test_validate_rejects_a_negative_seed(capsys):
+    assert main(["--seed", "-1", "validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "validate failed: seed must be a non-negative integer, got -1\n"
+    # the other commands draw no random numbers and take any seed
+    code, out = run_cli(capsys, "--seed", "-1", "--format", "json", "table", "II")
+    assert code == 0 and json.loads(out)["config"]["seed"] == -1
 
 
 def test_validate_zero_range_rejections(tmp_path, capsys):

@@ -281,6 +281,36 @@ def test_cnot_dipole_refocusing_improves(p):
     assert f_with > f_without
 
 
+def test_cnot_x_steps_fall_back_to_sub_steps(p):
+    """On a device too weak for the one-step revolution of the target, X(pi) on
+    the control is synth_x's own sub-steps, relabelled; its diagnostic idle is
+    one resonant segment as long.  The gate stays on the spectator clock, on
+    three donors too, and the X-conjugation still refocuses the dipole term."""
+    weak = p.replace(a_min=1.2e-26)
+    x_pi = synth_x(math.pi, 0, weak).segments
+    assert len(x_pi) == 4
+    for system in (None, SpinSystem(3)):
+        sched = synth_cnot("exchange", 0, 1, weak, j=_table_j(weak), system=system)
+        for step in (3, 5):
+            label = f"step {step} x on control"
+            steps = [seg for seg in sched.segments if seg.label == label]
+            assert steps == [seg.with_label(label) for seg in x_pi]
+        periods = sched.total_duration / spectator_period(weak)
+        assert abs(periods - round(periods)) <= 1e-9
+        u = execute_schedule(sched).unitary
+        assert gate_fidelity(u, sched.declared_target) >= 1.0 - 1e-4
+        if system is not None:
+            assert spectator_fidelity(u, CNOT_MATRIX, (0, 1), system) >= 1.0 - 1e-4
+    with_x = synth_cnot("dipole", 0, 1, weak, d=30e-9)
+    without = synth_cnot("dipole", 0, 1, weak, d=30e-9, x_conjugation=False)
+    idle = [seg for seg in without.segments if seg.label == "step 3 x on control"]
+    assert idle == [PulseSegment(duration=sum(seg.duration for seg in x_pi),
+                                 label="step 3 x on control")]
+    target = with_x.declared_target
+    f_with = gate_fidelity(execute_schedule(with_x).unitary, target)
+    assert f_with > gate_fidelity(execute_schedule(without).unitary, target)
+
+
 def test_cnot_combined_mode(p):
     j = _table_j(p, step_ns=1.9e3)  # interaction steps ~1.9 us
     sched = synth_cnot("combined", 0, 1, p, j=j, d=23e-9)

@@ -35,9 +35,9 @@ from donorsim.spin_model import (
     SX,
     SpinSystem,
     frame_rotation,
+    rotating_hamiltonian,
     single_donor_driven,
     single_donor_static,
-    single_electron_rotating,
 )
 from donorsim.gates import (
     GateSpec,
@@ -88,7 +88,9 @@ def test_propagate_rejects(p):
     # a phase w t / hbar that overflows is named, not turned into NaN
     for t in (1e300, math.inf):
         with pytest.raises(ValueError, match=re.escape(f"duration {t!r} s is too long")):
-            propagate_constant(single_electron_rotating(0.0, p), t, p.constants.hbar)
+            propagate_constant(rotating_hamiltonian(SpinSystem(1), p.transverse_energy,
+                                                    {0: 0.0}, {}, {}, p.constants.hbar),
+                               t, p.constants.hbar)
 
 
 def test_phase_bound_is_inclusive(p):
@@ -159,7 +161,9 @@ def test_rabi_populations_match_formula(p, rng):
     for _ in range(100):
         dw = rng.uniform(-max_detuning(p), max_detuning(p))
         t = rng.uniform(0.0, 80e-9)
-        u = propagate_constant(single_electron_rotating(dw, p), t, p.constants.hbar)
+        h = rotating_hamiltonian(SpinSystem(1), p.transverse_energy, {0: dw}, {}, {},
+                                 p.constants.hbar)
+        u = propagate_constant(h, t, p.constants.hbar)
         assert abs(abs(u[1, 0]) ** 2 - rabi_probability(t, dw, p.b_ac)) <= 1e-10
 
 
