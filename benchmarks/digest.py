@@ -8,6 +8,7 @@
     python benchmarks/digest.py gates 1 2 3
     python benchmarks/digest.py cli-gates 1 2
     python benchmarks/digest.py configs 7
+    python benchmarks/digest.py sweep 1 2
 
 For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
@@ -16,7 +17,8 @@ changed), runs its ops in order and prints one line per op:
     session, session-warm, validate:
                           <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
-    cli-gates, configs:   <seed> <index> <exit code> <sha256 of its result> <label>
+    cli-gates, configs, sweep:
+                          <seed> <index> <exit code> <sha256 of its result> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
 the op's own digest: for compile the executed unitary with its gate and
@@ -49,10 +51,15 @@ not a workload either: for each device config of a fixed list (the default,
 a_min = 1.2e-26, a_min = 1.5e-26 and alignment = x) it runs `donorsim table`
 I to VI, `validate --seed <seed>` and `schedule dump` of an x gate and a
 dipole cnot through `cli.main` and hashes each run like cli-gates, so a
-change that moves a non-default output would show, and on which config.  The
-package is imported from this checkout's `src`, so running the script in two
-checkouts and diffing the results shows whether they compute and write the
-same bits.
+change that moves a non-default output would show, and on which config.
+sweep is not a workload either: it runs `donorsim sweep` through `cli.main`
+for every metric of `analysis.SWEEP_METRICS` and every field of
+`analysis.SWEEP_FIELDS`, in text, csv and json, over seeded grids of the
+field around its default whose points reach devices where synthesis is
+infeasible or a value is out of range, and hashes each run like cli-gates.
+The package is imported from this checkout's `src`, so running the script in
+two checkouts and diffing the results shows whether they compute and write
+the same bits.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from donorsim import _memo, cli, gates, propagator  # noqa: E402
+from donorsim import _memo, analysis, cli, gates, propagator  # noqa: E402
 from donorsim.params import DeviceParameters  # noqa: E402
 from donorsim.spin_model import SpinSystem  # noqa: E402
 from workloads import CompileWorkload, LabVerifyWorkload, SessionWorkload  # noqa: E402
@@ -250,12 +257,49 @@ def config_digests(seed: int):
                 idx += 1
 
 
+def sweep_grids(seed: int) -> dict:
+    """field: its sweep grids, drawn from the seed as factors of the field's
+    default: three points within [0.9, 1.1], then one point in each of
+    [1/4, 1/2], [1/2, 2] and [2, 4], each its own grid, so a point that fails
+    hides no other."""
+    rng = np.random.default_rng([seed])
+    p = DeviceParameters()
+    bands = [(0.9, 1.1)] * 3 + [(0.25, 0.5), (0.5, 2.0), (2.0, 4.0)]
+    grids = {}
+    for field in analysis.SWEEP_FIELDS:
+        values = [repr(getattr(p, field) * float(np.exp(rng.uniform(np.log(lo), np.log(hi)))))
+                  for lo, hi in bands]
+        grids[field] = [",".join(values[:3]), *values[3:]]
+    return grids
+
+
+def sweep_digests(seed: int):
+    """Yield (index, exit code, sha256 hex, label) of `sweep` over every metric,
+    field, seeded grid and output format, from cleared memo tables."""
+    grids = sweep_grids(seed)
+    _memo.clear()
+    idx = 0
+    for metric in sorted(analysis.SWEEP_METRICS):
+        for field, field_grids in grids.items():
+            for values in field_grids:
+                for fmt in ("text", "csv", "json"):
+                    argv = ["--format", fmt, "sweep", "--metric", metric,
+                            "--param", f"{field}={values}"]
+                    code, digest = captured_run(argv)
+                    yield idx, code, digest, " ".join(argv)
+                    idx += 1
+
+
 OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
 
 
 def session_commands(seed: int, workdir: str) -> list:
     return SessionWorkload(seed, workdir).commands
 
+
+# modes that hash each run's exit code, stderr and stdout
+CAPTURED_MODES = {"cli-gates": cli_gate_digests, "configs": config_digests,
+                  "sweep": sweep_digests}
 
 # mode: (command list, passes per seed)
 CLI_MODES = {"session": (session_commands, 1), "session-warm": (session_commands, 2),
@@ -265,7 +309,7 @@ CLI_MODES = {"session": (session_commands, 1), "session-warm": (session_commands
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_MODES, "gates",
-                                             "cli-gates", "configs"])
+                                             *CAPTURED_MODES])
     parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
     parser.add_argument("--ops", type=int,
                         help="ops per seed, in the workload's order (default 700; "
@@ -279,8 +323,8 @@ def main(argv: list[str]) -> int:
             for idx, digest, label in gate_digests(seed):
                 print(f"{seed} {idx:02d} {digest} {label}")
         return 0
-    if args.workload in ("cli-gates", "configs"):
-        digests = cli_gate_digests if args.workload == "cli-gates" else config_digests
+    if args.workload in CAPTURED_MODES:
+        digests = CAPTURED_MODES[args.workload]
         for seed in args.seeds:
             for idx, code, digest, label in digests(seed):
                 print(f"{seed} {idx:05d} {code} {digest} {label}")

@@ -130,8 +130,14 @@ def timescale_table(p: DeviceParameters, t2: float = 0.060) -> list[TimescaleRow
     The local row evaluates the canonical scheme at B_ac = _LOCAL_B_AC with
     qubits parked a full hyperfine span off resonance; its CNOT time has no
     closed form here and is reported as an order-of-magnitude note.  The global row
-    times the synthesized corrected X gate and the published-style CNOT (one
-    extra spectator wrap in the final correction, interaction steps of 0.01 ns).
+    times the gates of Tables II and VI (gates.TABLE_GATES): the corrected X(pi)
+    and the published-style CNOT (one extra spectator wrap in the final
+    correction, interaction steps of 0.01 ns).
+
+    On the default device T2/T_CNOT is 4.03e5 against the published 6e5; the
+    paper's own 60 ms / 148 ns is 4.05e5, so its 6e5 does not follow from its
+    T2 and CNOT time.  The test accepts a factor of 2; the reference and the
+    window stay as published.
     """
     tradeoff = local_control_tradeoff(_LOCAL_B_AC, canonical_detuning_span(p), p.constants)
     local = TimescaleRow(
@@ -142,9 +148,8 @@ def timescale_table(p: DeviceParameters, t2: float = 0.060) -> list[TimescaleRow
         t2_over_tcnot=None,
         note="T_CNOT O(10 us): exchange-gate estimate, no closed form here",
     )
-    t_x = gates.synth_x(math.pi, 0, p).total_duration
-    j = gates.interaction_coupling(1e-11, p)  # 0.01 ns interaction steps
-    t_cnot = gates.synth_cnot("exchange", 0, 1, p, j=j, extended_correction=True).total_duration
+    t_x, t_cnot = (gates.synthesize(gates.TABLE_GATES[which][0](p), p).total_duration
+                   for which in ("II", "VI"))
     global_row = TimescaleRow(
         scheme="e-spin (global control)",
         t_x=t_x,
@@ -280,34 +285,9 @@ def _metric_spectator_period_ns(p: DeviceParameters) -> float:
     return gates.spectator_period(p) * 1e9
 
 
-def _metric_x_gate_ns(p: DeviceParameters) -> float:
-    return gates.synth_x(math.pi, 0, p).total_duration * 1e9
-
-
-def _metric_hadamard_ns(p: DeviceParameters) -> float:
-    return gates.synth_hadamard(0, p).total_duration * 1e9
-
-
-def _metric_y_gate_ns(p: DeviceParameters) -> float:
-    return gates.synth_y(math.pi, 0, p).total_duration * 1e9
-
-
-def _metric_z_gate_ns(p: DeviceParameters) -> float:
-    return gates.synth_z(math.pi, 0, p).total_duration * 1e9
-
-
-def _metric_cnot_exchange_ns(p: DeviceParameters) -> float:
-    return gates.synth_cnot("exchange", 0, 1, p,
-                            j=exchange_strength(p.d, p)).total_duration * 1e9
-
-
-def _metric_cnot_dipole_ns(p: DeviceParameters) -> float:
-    return gates.synth_cnot("dipole", 0, 1, p, d=p.d).total_duration * 1e9
-
-
-def _metric_cnot_combined_ns(p: DeviceParameters) -> float:
-    return gates.synth_cnot("combined", 0, 1, p, j=exchange_strength(p.d, p),
-                            d=p.d).total_duration * 1e9
+def _gate_ns(spec_of):
+    """Sweep metric: the duration in ns of the gate spec_of(p) on its default system."""
+    return lambda p: gates.synthesize(spec_of(p), p).total_duration * 1e9
 
 
 def _metric_max_detuning_rad_s(p: DeviceParameters) -> float:
@@ -331,13 +311,14 @@ SWEEP_FIELDS = tuple(f for f in _CONFIG_FIELDS if f != "alignment")
 
 SWEEP_METRICS = {
     "spectator_period_ns": _metric_spectator_period_ns,
-    "x_gate_ns": _metric_x_gate_ns,
-    "hadamard_ns": _metric_hadamard_ns,
-    "y_gate_ns": _metric_y_gate_ns,
-    "z_gate_ns": _metric_z_gate_ns,
-    "cnot_exchange_ns": _metric_cnot_exchange_ns,
-    "cnot_dipole_ns": _metric_cnot_dipole_ns,
-    "cnot_combined_ns": _metric_cnot_combined_ns,
+    "x_gate_ns": _gate_ns(gates.TABLE_GATES["II"][0]),
+    "hadamard_ns": _gate_ns(gates.TABLE_GATES["IV"][0]),
+    "y_gate_ns": _gate_ns(gates.TABLE_GATES["III"][0]),
+    "z_gate_ns": _gate_ns(gates.TABLE_GATES["V"][0]),
+    # the CNOT of each coupling mode at the device's own separation
+    **{f"cnot_{mode}_ns": _gate_ns(lambda p, mode=mode: gates.GateSpec(
+        "cnot", (0, 1), mode=mode, j=None if mode == "dipole" else exchange_strength(p.d, p),
+        d=None if mode == "exchange" else p.d)) for mode in ("exchange", "dipole", "combined")},
     "max_detuning_rad_s": _metric_max_detuning_rad_s,
     "exchange_uev": _metric_exchange_uev,
     "dipole_uev": _metric_dipole_uev,

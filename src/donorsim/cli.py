@@ -193,23 +193,6 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
 # table command
 # ---------------------------------------------------------------------------
 
-# Table II-VI: the gate each table times, and the published step (a key, in
-# order of first appearance) each of its segments counts toward, so a step
-# split into sub-steps sums them.
-_TABLE_GATES = {
-    "II": (lambda p: gates.synth_x(math.pi, 0, p),
-           lambda i, label: label.split()[-2]),             # detuned / resonant
-    "III": (lambda p: gates.synth_y(math.pi, 0, p),
-            lambda i, label: label == "correction"),         # y block, correction
-    "IV": (lambda p: gates.synth_hadamard(0, p), lambda i, label: i),
-    "V": (lambda p: gates.synth_z(math.pi, 0, p), lambda i, label: i),
-    "VI": (lambda p: gates.synth_cnot("exchange", 0, 1, p,
-                                      j=gates.interaction_coupling(1e-11, p),
-                                      extended_correction=True),
-           lambda i, label: label.split()[1]),               # 'step N ...'
-}
-
-
 def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]:
     if which == "I":
         rows = []
@@ -228,8 +211,8 @@ def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]
                 "t_cnot", "t_cnot_ref", "t2_over_tcnot", "t2_over_tcnot_ref"]
         return rows, cols
 
-    synth, step_of = _TABLE_GATES[which]
-    sched = synth(p)
+    spec_of, step_of = gates.TABLE_GATES[which]
+    sched = gates.synthesize(spec_of(p), p)
     steps: dict = {}
     for i, seg in enumerate(sched.segments):
         key = step_of(i, seg.label)

@@ -52,6 +52,7 @@ __all__ = [
     "ideal_unitary",
     "embed_ideal",
     "compile_gate",
+    "TABLE_GATES",
 ]
 
 HADAMARD = (SX + SZ) / math.sqrt(2.0)
@@ -425,9 +426,20 @@ def synth_y(theta: float, target: int, p: DeviceParameters,
 
 
 def _hadamard_block(target: int, p: DeviceParameters) -> list[PulseSegment]:
-    """Uncorrected Hadamard: half-revolution about (x+z)/sqrt2, tilt mu_B B_ac."""
+    """Uncorrected Hadamard: half-revolution about (x+z)/sqrt2, tilt mu_B B_ac.
+
+    A device too weak for that tilt runs Y(pi/2), then X(pi), instead:
+    R_x(pi) R_y(pi/2) = -i H, a global phase.  Where neither fits, the tilt's
+    error is the one raised.
+    """
     omega0 = p.transverse_energy
-    dw = _detuning_for_tilt(omega0, p)
+    try:
+        dw = _detuning_for_tilt(omega0, p)
+    except InfeasibleDetuningError as tilt_error:
+        try:
+            return _y_segments(math.pi / 2.0, target, p) + _x_segments(math.pi, target, p)
+        except InfeasibleDetuningError:
+            raise tilt_error from None
     duration = math.pi * p.constants.hbar / (2.0 * math.sqrt(2.0) * omega0)
     return [PulseSegment(duration=duration, detunings={target: dw}, label="hadamard pulse")]
 
@@ -519,12 +531,13 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
     # steps 1 and 7 are the corrected Hadamard gate on the control (its table
     # entry on its own default system), relabelled; _layout, not synthesize, so
     # a CNOT counts as one synthesis request
-    pulse, *correction = _layout(GateSpec("hadamard", (control,)), p,
-                                 SpinSystem(num_donors=control + 1)).segments
+    hadamard = _layout(GateSpec("hadamard", (control,)), p,
+                       SpinSystem(num_donors=control + 1)).segments
 
     def hadamard_step(step: int) -> list[PulseSegment]:
-        return [pulse.with_label(f"step {step} hadamard pulse"),
-                *(seg.with_label(f"step {step} hadamard correction") for seg in correction)]
+        return [seg.with_label(f"step {step} hadamard "
+                               + ("correction" if seg.label == "correction" else "pulse"))
+                for seg in hadamard]
 
     segments = hadamard_step(1)
     segments.append(interact("step 2 interaction"))
@@ -789,3 +802,24 @@ def compile_gate(spec: GateSpec, p: DeviceParameters,
     return GateReport(spec=spec, schedule=schedule, ideal=schedule.declared_target,
                       achieved=achieved, fidelity=fidelity, step_durations=steps,
                       notes=notes)
+
+
+# ---------------------------------------------------------------------------
+# the paper's timing tables
+# ---------------------------------------------------------------------------
+
+# Tables II-VI: the gate each table times, as spec_of(p), and the published
+# step (a key, in order of first appearance) each of its segments counts
+# toward, as step_of(index, label), so a step split into sub-steps sums them.
+# Table I's global row times the gates of II and VI.
+TABLE_GATES = {
+    "II": (lambda p: GateSpec("x", (0,), theta=math.pi),
+           lambda i, label: label.split()[-2]),             # detuned / resonant
+    "III": (lambda p: GateSpec("y", (0,), theta=math.pi),
+            lambda i, label: label == "correction"),         # y block, correction
+    "IV": (lambda p: GateSpec("hadamard", (0,)), lambda i, label: i),
+    "V": (lambda p: GateSpec("z", (0,), theta=math.pi), lambda i, label: i),
+    "VI": (lambda p: GateSpec("cnot", (0, 1), j=interaction_coupling(1e-11, p),
+                              extended_correction=True),
+           lambda i, label: label.split()[1]),               # 'step N ...'
+}

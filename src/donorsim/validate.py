@@ -65,14 +65,17 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _feasible(fn):
-    """Run a synthesis-dependent check; a clean infeasible or misaligned rejection passes."""
-    try:
-        return fn()
-    except InfeasibleDetuningError as exc:
-        return True, f"correctly rejected as infeasible: {exc}"
-    except DipoleAlignmentError as exc:
-        return True, f"correctly rejected as misaligned: {exc}"
+def _feasible(check):
+    """Decorate a synthesis-dependent check: a clean infeasible or misaligned rejection passes."""
+    def run(p: DeviceParameters, rng) -> tuple[bool, str]:
+        try:
+            return check(p, rng)
+        except InfeasibleDetuningError as exc:
+            return True, f"correctly rejected as infeasible: {exc}"
+        except DipoleAlignmentError as exc:
+            return True, f"correctly rejected as misaligned: {exc}"
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +246,14 @@ def check_integrator_order(p: DeviceParameters, rng) -> tuple[bool, str]:
     return slope >= 2.0 - 0.1, f"log-log error slope {slope:.2f} (want >= 2)"
 
 
+@_feasible
 def check_trace_rows(p: DeviceParameters, rng) -> tuple[bool, str]:
-    def run():
-        sched = gates.synth_x(math.pi, 0, p, SpinSystem(2))
-        tr = trace_evolution(sched, "00", samples=257)
-        worst = float(np.abs(tr.populations.sum(axis=1) - 1.0).max())
-        final_p1 = tr.populations[-1][tr.basis_labels.index("10")]
-        ok = worst <= 1e-9 and final_p1 >= 1.0 - 1e-6
-        return ok, f"row-sum dev {worst:.1e}, final target flip {final_p1:.8f}"
-
-    return _feasible(run)
+    sched = gates.synth_x(math.pi, 0, p, SpinSystem(2))
+    tr = trace_evolution(sched, "00", samples=257)
+    worst = float(np.abs(tr.populations.sum(axis=1) - 1.0).max())
+    final_p1 = tr.populations[-1][tr.basis_labels.index("10")]
+    ok = worst <= 1e-9 and final_p1 >= 1.0 - 1e-6
+    return ok, f"row-sum dev {worst:.1e}, final target flip {final_p1:.8f}"
 
 
 # ---------------------------------------------------------------------------
@@ -270,39 +271,35 @@ def _synth_all(p: DeviceParameters) -> list[tuple[str, PulseSchedule]]:
     return out
 
 
+@_feasible
 def check_duration_clock(p: DeviceParameters, rng) -> tuple[bool, str]:
-    def run():
-        t_spec = gates.spectator_period(p)
-        worst = 0.0
-        for name, sched in _synth_all(p):
-            total = sched.total_duration
-            periods = round(total / t_spec)
-            worst = max(worst, abs(total - periods * t_spec) / t_spec)
-        return worst <= 1e-9, f"worst off-clock fraction {worst:.1e}"
-
-    return _feasible(run)
+    t_spec = gates.spectator_period(p)
+    worst = 0.0
+    for name, sched in _synth_all(p):
+        total = sched.total_duration
+        periods = round(total / t_spec)
+        worst = max(worst, abs(total - periods * t_spec) / t_spec)
+    return worst <= 1e-9, f"worst off-clock fraction {worst:.1e}"
 
 
+@_feasible
 def check_single_qubit_fidelity(p: DeviceParameters, rng) -> tuple[bool, str]:
-    def run():
-        worst_f, worst_s = 1.0, 1.0
-        for n in (2, 3):
-            system = SpinSystem(num_donors=n)
-            for spec in (
-                gates.GateSpec("x", (0,), theta=math.pi),
-                gates.GateSpec("x", (1,), theta=math.pi / 2.0),
-                gates.GateSpec("y", (0,), theta=math.pi),
-                gates.GateSpec("z", (0,), theta=math.pi),
-                gates.GateSpec("hadamard", (0,)),
-            ):
-                rep = gates.compile_gate(spec, p, system)
-                worst_f = min(worst_f, rep.fidelity)
-                worst_s = min(worst_s, analysis.spectator_fidelity(
-                    rep.achieved, gates.ideal_unitary(spec), spec.targets, system))
-        ok = worst_f >= 1.0 - 1e-6 and worst_s >= 1.0 - 1e-6
-        return ok, f"worst gate fidelity {worst_f:.9f}, worst spectator {worst_s:.9f}"
-
-    return _feasible(run)
+    worst_f, worst_s = 1.0, 1.0
+    for n in (2, 3):
+        system = SpinSystem(num_donors=n)
+        for spec in (
+            gates.GateSpec("x", (0,), theta=math.pi),
+            gates.GateSpec("x", (1,), theta=math.pi / 2.0),
+            gates.GateSpec("y", (0,), theta=math.pi),
+            gates.GateSpec("z", (0,), theta=math.pi),
+            gates.GateSpec("hadamard", (0,)),
+        ):
+            rep = gates.compile_gate(spec, p, system)
+            worst_f = min(worst_f, rep.fidelity)
+            worst_s = min(worst_s, analysis.spectator_fidelity(
+                rep.achieved, gates.ideal_unitary(spec), spec.targets, system))
+    ok = worst_f >= 1.0 - 1e-6 and worst_s >= 1.0 - 1e-6
+    return ok, f"worst gate fidelity {worst_f:.9f}, worst spectator {worst_s:.9f}"
 
 
 def check_correction_minimality(p: DeviceParameters, rng) -> tuple[bool, str]:
@@ -336,16 +333,14 @@ def check_correction_minimality(p: DeviceParameters, rng) -> tuple[bool, str]:
     return mismatches == 0, f"{mismatches} of 1000 grid deficits disagree with exhaustive search{note}"
 
 
+@_feasible
 def check_multi_step_x(p: DeviceParameters, rng) -> tuple[bool, str]:
-    def run():
-        theta = 1.5 * math.pi
-        system = SpinSystem(2)
-        rep = gates.compile_gate(gates.GateSpec("x", (0,), theta=theta), p, system)
-        n_steps = len(rep.schedule.segments)
-        ok = n_steps >= 4 and rep.fidelity >= 1.0 - 1e-6
-        return ok, f"{n_steps} segments, fidelity {rep.fidelity:.9f}"
-
-    return _feasible(run)
+    theta = 1.5 * math.pi
+    system = SpinSystem(2)
+    rep = gates.compile_gate(gates.GateSpec("x", (0,), theta=theta), p, system)
+    n_steps = len(rep.schedule.segments)
+    ok = n_steps >= 4 and rep.fidelity >= 1.0 - 1e-6
+    return ok, f"{n_steps} segments, fidelity {rep.fidelity:.9f}"
 
 
 def check_frame_equivalence_random(p: DeviceParameters, rng) -> tuple[bool, str]:
@@ -366,46 +361,40 @@ def check_frame_equivalence_random(p: DeviceParameters, rng) -> tuple[bool, str]
     return worst <= 1e-8, f"worst infidelity {worst:.1e} over 20 random 1-3 segment schedules"
 
 
+@_feasible
 def check_frame_equivalence_gates(p: DeviceParameters, rng) -> tuple[bool, str]:
-    def run():
-        worst_f = 0.0
-        worst_norm = 0.0
-        for name, sched in (("x", gates.synth_x(math.pi, 0, p, SpinSystem(1))),
-                            ("hadamard", gates.synth_hadamard(0, p, SpinSystem(1)))):
-            lab = analysis.lab_realization(sched, p)
-            u_lab = execute_schedule(lab, lab_tol=1e-7).unitary
-            u_rot = execute_schedule(sched).unitary
-            u_map = frame_rotation(sched.total_duration, p, sched.system) @ u_lab
-            worst_f = max(worst_f, 1.0 - analysis.gate_fidelity(u_map, u_rot))
-            worst_norm = max(worst_norm, float(np.abs(u_map - u_rot).max()))
-        ok = worst_f <= 1e-6 and worst_norm <= 1e-4
-        return ok, f"worst infidelity {worst_f:.1e}, phase-exact max-norm {worst_norm:.1e}"
-
-    return _feasible(run)
+    worst_f = 0.0
+    worst_norm = 0.0
+    for name, sched in (("x", gates.synth_x(math.pi, 0, p, SpinSystem(1))),
+                        ("hadamard", gates.synth_hadamard(0, p, SpinSystem(1)))):
+        lab = analysis.lab_realization(sched, p)
+        u_lab = execute_schedule(lab, lab_tol=1e-7).unitary
+        u_rot = execute_schedule(sched).unitary
+        u_map = frame_rotation(sched.total_duration, p, sched.system) @ u_lab
+        worst_f = max(worst_f, 1.0 - analysis.gate_fidelity(u_map, u_rot))
+        worst_norm = max(worst_norm, float(np.abs(u_map - u_rot).max()))
+    ok = worst_f <= 1e-6 and worst_norm <= 1e-4
+    return ok, f"worst infidelity {worst_f:.1e}, phase-exact max-norm {worst_norm:.1e}"
 
 
+@_feasible
 def check_frozen_nucleus(p: DeviceParameters, rng) -> tuple[bool, str]:
-    def run():
-        sched = gates.synth_x(math.pi, 0, p, SpinSystem(1))
-        flip, fdev = analysis.frozen_nucleus_check(sched, p)
-        ok = flip <= 1e-4 and fdev <= 1e-3
-        return ok, f"flip probability {flip:.2e}, electron-fidelity deviation {fdev:.2e}"
-
-    return _feasible(run)
+    sched = gates.synth_x(math.pi, 0, p, SpinSystem(1))
+    flip, fdev = analysis.frozen_nucleus_check(sched, p)
+    ok = flip <= 1e-4 and fdev <= 1e-3
+    return ok, f"flip probability {flip:.2e}, electron-fidelity deviation {fdev:.2e}"
 
 
+@_feasible
 def check_dipole_refocus(p: DeviceParameters, rng) -> tuple[bool, str]:
-    def run():
-        d = 30e-9
-        with_x = gates.synth_cnot("dipole", 0, 1, p, d=d)
-        without = gates.synth_cnot("dipole", 0, 1, p, d=d, x_conjugation=False)
-        f_with = analysis.gate_fidelity(execute_schedule(with_x).unitary,
-                                        with_x.declared_target)
-        f_without = analysis.gate_fidelity(execute_schedule(without).unitary,
-                                           with_x.declared_target)
-        return f_with > f_without, f"refocused {f_with:.6f} vs idle-replaced {f_without:.6f}"
-
-    return _feasible(run)
+    d = 30e-9
+    with_x = gates.synth_cnot("dipole", 0, 1, p, d=d)
+    without = gates.synth_cnot("dipole", 0, 1, p, d=d, x_conjugation=False)
+    f_with = analysis.gate_fidelity(execute_schedule(with_x).unitary,
+                                    with_x.declared_target)
+    f_without = analysis.gate_fidelity(execute_schedule(without).unitary,
+                                       with_x.declared_target)
+    return f_with > f_without, f"refocused {f_with:.6f} vs idle-replaced {f_without:.6f}"
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from donorsim import _memo
-from donorsim.cli import _build_spec, build_parser, main
+from donorsim.cli import REFERENCE_TIMINGS_NS, _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
 from donorsim.params import _UEV
 
@@ -116,6 +116,64 @@ def test_cnot_splits_x_on_a_weak_device(tmp_path, capsys):
     for mode in ("exchange", "dipole", "combined"):
         code, out = run_cli(capsys, *cfg, "gate", "--gate", "cnot", "--mode", mode)
         assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("args,segments,total_ns,fidelity", [
+    (["--gate", "hadamard"], 11, 267.93645777, 1.0),
+    (["--gate", "z"], 22, 357.24861036, 1.0),
+    (["--gate", "cnot", "--mode", "exchange"], 38, 774.03865578, 0.99999554569),
+    (["--gate", "cnot", "--mode", "dipole"], 38, 231903.18057, 0.99998824454),
+    (["--gate", "cnot", "--mode", "combined", "--d-nm", "30"], 38, 774.05865578, 0.99999897412),
+])
+def test_hadamard_splits_on_a_weak_device(tmp_path, capsys, args, segments, total_ns, fidelity):
+    """Where the one-pulse Hadamard needs more detuning than the device has,
+    it runs as Y(pi/2) then X(pi): the Hadamard, Z and every CNOT mode pass
+    the default threshold."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("a_min = 1.5e-26\n")
+    code, out = run_cli(capsys, "--config", str(cfgfile), "gate", *args)
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"]
+    assert len(payload["steps"]) == segments
+    assert payload["total_duration_ns"] == pytest.approx(total_ns, rel=1e-9)
+    assert payload["fidelity"] == pytest.approx(fidelity, abs=1e-11)
+    if args[1] == "cnot":
+        labels = [step["label"] for step in payload["steps"]]
+        for step in (1, 7):
+            hadamard = [label for label in labels if label.startswith(f"step {step} ")]
+            assert hadamard == [f"step {step} hadamard pulse"] * 10 + [
+                f"step {step} hadamard correction"]
+
+
+@pytest.mark.parametrize("which,steps", [("IV", 11), ("V", 22)])
+def test_one_pulse_tables_reject_the_split_hadamard(tmp_path, capsys, which, steps):
+    """Tables IV and V time the one-pulse Hadamard, so a device that needs
+    the split one has more steps than the published table."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("a_min = 1.5e-26\n")
+    assert main(["--config", str(cfgfile), "table", which]) == 2
+    published = len(REFERENCE_TIMINGS_NS[which]) - 1
+    assert capsys.readouterr().err == (f"table failed: table {which}: the gate has {steps} "
+                                       f"steps, the published table {published}\n")
+
+
+@pytest.mark.parametrize("a_min", [None, "1.2e-26", "1.5e-26"])
+def test_table_one_times_the_gates_of_tables_two_and_six(tmp_path, capsys, a_min):
+    """Table I's global t_x and t_cnot are the overall rows of Tables II and VI."""
+    cfg = ()
+    if a_min is not None:
+        cfgfile = tmp_path / "dev.cfg"
+        cfgfile.write_text(f"a_min = {a_min}\n")
+        cfg = ("--config", str(cfgfile))
+    rows = {}
+    for which in ("I", "II", "VI"):
+        code, out = run_cli(capsys, *cfg, "--format", "json", "table", which)
+        assert code == 0
+        rows[which] = json.loads(out)["rows"]
+    (glob,) = [row for row in rows["I"] if row["scheme"] == "e-spin (global control)"]
+    assert float(glob["t_x"]) * 1e9 == pytest.approx(rows["II"][-1]["computed_ns"], rel=1e-11)
+    assert float(glob["t_cnot"]) * 1e9 == pytest.approx(rows["VI"][-1]["computed_ns"],
+                                                        rel=1e-11)
 
 
 def test_table_one(capsys):
