@@ -21,7 +21,7 @@ from .params import (
     carrier_frequency,
     dipole_strength,
     exchange_strength,
-    hyperfine_for_frequency,
+    hyperfine_for_detuning,
     local_control_tradeoff,
     max_detuning,
 )
@@ -34,7 +34,7 @@ from .propagator import (
     _refine,
     validate_schedule_controls,
 )
-from .spin_model import SpinSystem, frame_rotation, single_donor_static
+from .spin_model import E_SZ, SpinSystem, frame_rotation, single_donor_static
 
 __all__ = [
     "gate_fidelity",
@@ -196,10 +196,7 @@ def _donor4_levels(local: PulseSchedule, p: DeviceParameters, include_nuclear_dr
     zeeman = abs(c.mu_b * p.b) + abs(c.g_n * c.mu_n * p.b)
 
     def segment_step(seg: PulseSegment):
-        # the schedule's detuning convention counts the full level-splitting
-        # shift; the physical hyperfine value that produces the same
-        # generalized Rabi frequency sits at half that resonance offset
-        a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(0, 0.0), p)
+        a_phys = hyperfine_for_detuning(2.0 * seg.detunings.get(0, 0.0), w_ac, p)
         _check_phase((zeeman + 3.0 * abs(a_phys)) / hbar * seg.duration, seg.duration)
         kernel = functools.partial(
             _kernels.donor4_strang_product, single_donor_static(a_phys, p), hbar,
@@ -235,8 +232,13 @@ def _oracle_check(schedule: PulseSchedule, p: DeviceParameters, donor: int, tol:
     fine = _refine(_donor4_levels(local, p, include_nuclear_drive), tol, 1 << 16,
                    "nuclear oracle")
     # electron-only reference: local's rotating-frame unitary, which reads
-    # controls only, so it is the reference in either frame
+    # controls only, so it is the reference in either frame.  It runs at rf
+    # phase 0, and a phase phi turns the drive axis about z:
+    # U(phi) = R U(0) R^dagger with R = exp(-i phi sigma_z^e / 2)
     u_ref = _execute_rotating(local)
+    if local.rf_phase:
+        r = np.exp(-0.5j * local.rf_phase * np.diag(E_SZ).real)
+        u_ref = r[:, None] * u_ref * r.conj()
 
     # frame-map the electron part at the final time
     u_map = frame_rotation(schedule.total_duration, p, SpinSystem(1, include_nuclei=True)) @ fine

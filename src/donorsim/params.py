@@ -27,7 +27,8 @@ __all__ = [
     "max_detuning",
     "exceeds_max_detuning",
     "canonical_detuning_span",
-    "hyperfine_for_frequency",
+    "hyperfine_for_detuning",
+    "detuning_for_hyperfine",
     "exchange_strength",
     "exchange_peak_separation",
     "dipole_strength",
@@ -188,6 +189,39 @@ def carrier_frequency(p: DeviceParameters) -> float:
     return resonant_frequency(p.a0, p)
 
 
+def hyperfine_for_detuning(dw: float, carrier: float, p: DeviceParameters) -> float:
+    """The hyperfine energy A whose resonance omega(A) sits dw off carrier:
+    omega(A) = carrier + dw on the positive branch of the quadratic.
+
+    With detuning_for_hyperfine, the one map between the A-gate's control A
+    and a schedule's detuning dw.  The bound and the oracle pass the device
+    carrier, single_electron_lab half of it, and the schedule file the
+    schedule's own (the device's when it has none).
+
+    dw generates hbar*dw*sigma_z^e in the rotating frame.  The bound, the
+    schedule file and the lab Hamiltonian read it as the resonance offset.
+    The frozen-nucleus oracle reads it as the full level-splitting shift,
+    which puts the transition 2*dw off the carrier, as the generalized Rabi
+    frequency sqrt((mu_B B_ac)^2 + (hbar dw)^2) does; so it asks for
+    hyperfine_for_detuning(2 dw, carrier, p), whose A dips just below 0 near
+    -max_detuning (single_donor_static accepts it).  dw > 0 gives A > A0.
+    """
+    omega = carrier + dw
+    c = p.constants
+    den = _zeeman_denominator(p)
+    const = c.mu_b * p.b - omega * c.hbar / 2.0
+    disc = 1.0 - 4.0 * const / den
+    if disc < 0.0:
+        raise ValueError("frequency below the zero-hyperfine resonance")
+    return 0.5 * den * (math.sqrt(disc) - 1.0)
+
+
+def detuning_for_hyperfine(a: float, carrier: float, p: DeviceParameters) -> float:
+    """The offset omega(A) - carrier of the resonance at hyperfine energy A;
+    the inverse of hyperfine_for_detuning, whose docstring gives the convention."""
+    return resonant_frequency(a, p) - carrier
+
+
 def detuning(a: float, p: DeviceParameters) -> float:
     """Detuning omega(A) - omega_ac for a physically biased hyperfine value.
 
@@ -195,12 +229,12 @@ def detuning(a: float, p: DeviceParameters) -> float:
     """
     if not p.a_min <= a <= p.a0:
         raise ValueError(f"hyperfine energy {a} outside tunable range [{p.a_min}, {p.a0}]")
-    return resonant_frequency(a, p) - carrier_frequency(p)
+    return detuning_for_hyperfine(a, carrier_frequency(p), p)
 
 
 def max_detuning(p: DeviceParameters) -> float:
     """|omega(A_min) - omega(A0)|: the feasibility bound for all schedule synthesis."""
-    return abs(resonant_frequency(p.a_min, p) - carrier_frequency(p))
+    return abs(detuning_for_hyperfine(p.a_min, carrier_frequency(p), p))
 
 
 def exceeds_max_detuning(dw: float, p: DeviceParameters) -> bool:
@@ -214,22 +248,7 @@ def canonical_detuning_span(p: DeviceParameters) -> float:
     There the carrier sits at omega(0) and unbiased qubits are parked a full
     hyperfine shift off resonance.
     """
-    return carrier_frequency(p) - resonant_frequency(0.0, p)
-
-
-def hyperfine_for_frequency(omega: float, p: DeviceParameters) -> float:
-    """Invert omega(A) = omega for A (positive branch of the quadratic).
-
-    Values of omega above omega(A0) yield A > A0; this extended branch encodes
-    mirrored (positive) detunings used by schedule bookkeeping.
-    """
-    c = p.constants
-    den = _zeeman_denominator(p)
-    const = c.mu_b * p.b - omega * c.hbar / 2.0
-    disc = 1.0 - 4.0 * const / den
-    if disc < 0.0:
-        raise ValueError("frequency below the zero-hyperfine resonance")
-    return 0.5 * den * (math.sqrt(disc) - 1.0)
+    return abs(detuning_for_hyperfine(0.0, carrier_frequency(p), p))
 
 
 def exchange_strength(d: float, p: DeviceParameters) -> float:

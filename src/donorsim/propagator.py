@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels, _memo
 from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, carrier_frequency,
-                     exceeds_max_detuning, hyperfine_for_frequency, resonant_frequency)
+                     detuning_for_hyperfine, exceeds_max_detuning, hyperfine_for_detuning)
 from .spin_model import SpinSystem, _read_only, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
@@ -639,7 +639,7 @@ def schedule_to_text(schedule: PulseSchedule, p: DeviceParameters) -> str:
         w_ac = carrier_frequency(p)
     for seg in schedule.segments:
         a_parts = ",".join(
-            f"{q}:{_fmt(hyperfine_for_frequency(w_ac + dw, p) / p.a0)}"
+            f"{q}:{_fmt(hyperfine_for_detuning(dw, w_ac, p) / p.a0)}"
             for q, dw in sorted(seg.detunings.items())
         )
         j_parts = ",".join(f"{a}-{b}:{_fmt(j / _UEV)}" for (a, b), j in sorted(seg.couplings.items()))
@@ -793,7 +793,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
         try:
             fractions = _parse_pairs(fields.get("a_over_a0", ""), int,
                                      lambda q: f"donor {q} named twice in a_over_a0")
-            detunings = {q: resonant_frequency(frac * p.a0, p) - w_ac
+            detunings = {q: detuning_for_hyperfine(frac * p.a0, w_ac, p)
                          for q, frac in fractions.items()}
             seg = PulseSegment(
                 duration=float(fields["duration_ns"]) * 1e-9, detunings=detunings,

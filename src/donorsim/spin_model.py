@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _memo
-from .params import DeviceParameters, carrier_frequency, resonant_frequency
+from .params import DeviceParameters, carrier_frequency, detuning_for_hyperfine
 
 __all__ = [
     "SX",
@@ -185,10 +185,8 @@ def single_donor_static(a: float, p: DeviceParameters) -> np.ndarray:
     The three operators come from `_register_ops`, the cached basis
     `rotating_hamiltonian` sums, so the sum is bit for bit the per-term one.
 
-    A is taken signed.  The frozen-nucleus oracle reads a detuning dw as
-    A = hyperfine_for_frequency(omega_ac + 2 dw): its extended branch already
-    goes above A0 for positive dw, and at dw within ~0.05 % of -max_detuning
-    it steps just below 0.
+    A is taken signed, for the frozen-nucleus oracle's reading of a detuning
+    (see params.hyperfine_for_detuning).
     """
     if not math.isfinite(a):
         raise ValueError("hyperfine energy must be finite")
@@ -214,14 +212,14 @@ def _electron_drive(t: float, p: DeviceParameters, rf_phase: float) -> np.ndarra
 def single_electron_lab(a: float, t: float, p: DeviceParameters, rf_phase: float = 0.0) -> np.ndarray:
     """Driven single-electron lab-frame Hamiltonian (2-dim, time dependent).
 
-    The z coefficient is hbar*(omega(A) - omega_ac/2) on sigma_z^e; mapping by
-    the rotating frame exp(i omega_ac t sigma_z^e / 2) then reproduces the
-    rotating-frame operator hbar*dw*sigma_z^e + mu_B*B_ac*sigma_x^e exactly (no
+    The z coefficient is hbar*(omega(A) - omega_ac/2), the offset of A's
+    resonance from half the carrier, on sigma_z^e; mapping by the rotating
+    frame exp(i omega_ac t sigma_z^e / 2) then reproduces the rotating-frame
+    operator hbar*dw*sigma_z^e + mu_B*B_ac*sigma_x^e exactly (no
     residual scalar offset: every term here is traceless).  At A = A0 the z
     coefficient is mu_B B + A plus the second-order hyperfine shift.
     """
-    c = p.constants
-    z_coeff = c.hbar * (resonant_frequency(a, p) - 0.5 * carrier_frequency(p))
+    z_coeff = p.constants.hbar * detuning_for_hyperfine(a, 0.5 * carrier_frequency(p), p)
     return z_coeff * E_SZ + _electron_drive(t, p, rf_phase)
 
 

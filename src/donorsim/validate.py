@@ -307,9 +307,10 @@ def check_correction_minimality(p: DeviceParameters, rng) -> tuple[bool, str]:
     omega0 = p.transverse_energy
     omega_hi = math.hypot(omega0, p.constants.hbar * max_detuning(p))
     hbar = p.constants.hbar
+    wrap_limit = gates.correction_wrap_limit(p)   # the synthesizer's wrap budget
 
     def exhaustive_k(deficit: float) -> int | None:
-        for k in range(5):  # the synthesizer's documented wrap budget
+        for k in range(wrap_limit + 1):
             t_c = (deficit + 2.0 * math.pi * k) * hbar / (2.0 * omega0)
             n_lo = max(1, math.ceil(t_c / t_spec - 1e-12))
             n_hi = math.floor(t_c * omega_hi / (math.pi * hbar) + 1e-12)

@@ -22,7 +22,7 @@ from donorsim.analysis import (
     timescale_table,
 )
 from donorsim.gates import spectator_period, synth_cnot, synth_hadamard, synth_x, synth_y, synth_z
-from donorsim.params import carrier_frequency, hyperfine_for_frequency, max_detuning
+from donorsim.params import carrier_frequency, hyperfine_for_detuning, max_detuning
 from donorsim.propagator import PulseSchedule, PulseSegment, _refine
 from donorsim.spin_model import SX, SpinSystem, single_donor_static
 
@@ -299,6 +299,22 @@ def test_frozen_nucleus_takes_the_drive_from_the_schedule(p):
         frozen_nucleus_check(off, p)
 
 
+@pytest.mark.parametrize("frame", ["rotating", "lab"])
+def test_frozen_nucleus_check_is_invariant_under_the_rf_phase(p, frame):
+    """A phase of the global drive turns the frame's drive axis about z, so
+    the oracle's nuclear flip and electron deviation stay put: its reference
+    turns with the lab run."""
+    tol = 1e-6
+    for sched in (synth_x(math.pi, 0, p, SpinSystem(1)), synth_hadamard(0, p, SpinSystem(1)),
+                  synth_y(1.1, 0, p, SpinSystem(1))):
+        if frame == "lab":
+            sched = lab_realization(sched, p)
+        flip, fdev = frozen_nucleus_check(sched, p, tol=tol)
+        for phase in (0.7, -2.1):
+            turned = frozen_nucleus_check(sched.replace(rf_phase=phase), p, tol=tol)
+            assert turned == pytest.approx((flip, fdev), rel=0.0, abs=tol)
+
+
 def _donor4_reference(schedule, donor, p, steps_per_period, include_nuclear_drive):
     """The oracle's stream with the static Hamiltonian and projection per segment."""
     c = p.constants
@@ -310,7 +326,7 @@ def _donor4_reference(schedule, donor, p, steps_per_period, include_nuclear_driv
     t0 = 0.0
     for seg in schedule.segments:
         if seg.duration > 0.0:
-            a_phys = hyperfine_for_frequency(w_ac + 2.0 * seg.detunings.get(donor, 0.0), p)
+            a_phys = hyperfine_for_detuning(2.0 * seg.detunings.get(donor, 0.0), w_ac, p)
             n = max(int(math.ceil(seg.duration / period * steps_per_period)), 16)
             useg = _kernels.donor4_strang_product(
                 single_donor_static(a_phys, p), c.hbar, gx_e if seg.rf_on else 0.0, -1.0,

@@ -211,6 +211,36 @@ def test_sweep_command(capsys):
     assert vals[0] == pytest.approx(2 * vals[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("param", ["a_min=1.6666918461074218e-26",
+                                   "b_ac=0.0034850460491305853"])
+def test_sweep_times_the_split_hadamard_past_four_correction_wraps(capsys, param):
+    """Devices whose split Hadamard's correction first fits past four wraps
+    time it, as they time the Z gate."""
+    for metric in ("hadamard_ns", "z_gate_ns"):
+        code, out = run_cli(capsys, "--format", "json", "sweep", "--metric", metric,
+                            "--param", param)
+        assert code == 0, metric
+        assert json.loads(out)["rows"][0][metric] > 0.0
+
+
+@pytest.mark.parametrize("config", ["", "a_min = 1.2e-26\nb_ac = 1.1e-3\n"])
+def test_gate_config_block_reruns_byte_identically(tmp_path, capsys, config):
+    """The device keys of a gate report's config block, written back as a
+    --config file, reproduce the report byte for byte: runs are auditable."""
+    from donorsim.params import _CONFIG_FIELDS
+
+    first_cfg = tmp_path / "first.cfg"
+    first_cfg.write_text(config)
+    argv = ["--format", "json", "gate", "--gate", "hadamard"]
+    code, out = run_cli(capsys, "--config", str(first_cfg), *argv)
+    assert code == 0
+    block = json.loads(out)["config"]
+    audit = tmp_path / "audit.cfg"
+    audit.write_text("".join(f"{key} = {block[key]}\n" for key in _CONFIG_FIELDS))
+    code, again = run_cli(capsys, "--config", str(audit), *argv)
+    assert code == 0 and again == out
+
+
 def test_schedule_dump_and_load(tmp_path, capsys):
     path = tmp_path / "x.sched"
     code, out = run_cli(capsys, "--out", str(path), "schedule", "dump",

@@ -16,6 +16,7 @@ from donorsim.gates import (
     GateSpec,
     compile_gate,
     compose_parallel,
+    correction_wrap_limit,
     embed_ideal,
     ideal_unitary,
     max_single_step_angle,
@@ -137,6 +138,50 @@ def test_correction_minimality_grid(p):
 
     ok, detail = check_correction_minimality(p, np.random.default_rng(0))
     assert ok, detail
+
+
+@pytest.mark.parametrize("kwargs, wraps", [
+    ({}, 1),
+    ({"a_min": 1.2e-26}, 2),
+    ({"a_min": 1.5e-26}, 4),
+    ({"a_min": 1.6666918461074218e-26}, 9),
+    ({"b_ac": 0.0034850460491305853}, 7),
+])
+def test_correction_wrap_limit_holds_a_window_for_every_deficit(kwargs, wraps):
+    """From K = ceil(Omega0 / (Omega_max - Omega0)) wraps on, the window of
+    whole detuned revolutions spans at least one, so every deficit has a
+    correction within the search limit K + 1, and the search is still the
+    exhaustive minimum."""
+    from donorsim.validate import check_correction_minimality
+
+    dev = DeviceParameters(**kwargs)
+    assert correction_wrap_limit(dev) == wraps + 1
+    assert correction_wrap_limit(dev, extra_wraps=wraps + 3) == wraps + 4
+    for deficit in np.linspace(1e-6, 2.0 * math.pi - 1e-6, 200):
+        assert synth_correction(float(deficit), (0,), dev)[1].wrap_count <= wraps + 1
+    ok, detail = check_correction_minimality(dev, np.random.default_rng(0))
+    assert ok and "infeasible" not in detail, detail
+
+
+def test_split_hadamard_finds_its_correction_past_four_wraps():
+    """Where Omega_max / Omega0 = 1.113 the split Hadamard's correction first
+    fits at nine wraps, past the old budget of four."""
+    from donorsim.gates import _deficit_after
+
+    dev = DeviceParameters(a_min=1.6666918461074218e-26)
+    sched = synth_hadamard(0, dev)
+    assert sched.segments[-1].label == "correction"
+    segments = list(sched.segments[:-1])
+    assert synth_correction(_deficit_after(segments, dev), (0,), dev)[1].wrap_count == 9
+    rep = compile_gate(GateSpec("hadamard", (0,)), dev, SpinSystem(2))
+    assert rep.fidelity >= 1.0 - 1e-6
+
+
+def test_correction_without_tuning_range_keeps_its_error(p):
+    flat = p.replace(a_min=p.a0)
+    assert correction_wrap_limit(flat) == 1
+    with pytest.raises(InfeasibleDetuningError, match="^no feasible correction window found$"):
+        synth_correction(1.0, (0,), flat)
 
 
 def test_hadamard_durations_and_fidelity(p):

@@ -8,11 +8,13 @@ from donorsim.params import (
     CONSTANTS,
     DeviceParameters,
     canonical_detuning_span,
+    carrier_frequency,
     detuning,
+    detuning_for_hyperfine,
     dipole_strength,
     exchange_dipole_crossover,
     exchange_strength,
-    hyperfine_for_frequency,
+    hyperfine_for_detuning,
     load_device_parameters,
     local_control_tradeoff,
     max_detuning,
@@ -163,9 +165,59 @@ def test_canonical_span(p):
 
 
 def test_hyperfine_inversion(p):
-    for a in np.linspace(0.0, 1.4 * p.a0, 29):
-        w = resonant_frequency(float(a), p)
-        assert hyperfine_for_frequency(w, p) == pytest.approx(float(a), abs=1e-38, rel=1e-12)
+    """A -> detuning -> A over [0, 1.4 A0], at the device carrier and at one
+    1e-6 relative off it; above A0 the offset is positive."""
+    for carrier in (carrier_frequency(p), carrier_frequency(p) * (1.0 + 1e-6)):
+        for a in np.linspace(0.0, 1.4 * p.a0, 29):
+            dw = detuning_for_hyperfine(float(a), carrier, p)
+            assert dw == resonant_frequency(float(a), p) - carrier
+            back = hyperfine_for_detuning(dw, carrier, p)
+            assert back == pytest.approx(float(a), abs=1e-38, rel=1e-12)
+
+
+def test_detuning_map_pins(p):
+    """The bound, the canonical span and the A/A0 a dump writes for X(pi)'s
+    detuned step, bit for bit."""
+    from donorsim import gates
+    from donorsim.propagator import schedule_to_text
+
+    assert max_detuning(p).hex() == "0x1.5f0e20129b000p+27"
+    assert canonical_detuning_span(p).hex() == "0x1.5edf4e40cdc00p+28"
+    sched = gates.synthesize(gates.GateSpec("x", (0,), theta=math.pi), p)
+    dw = sched.segments[0].detunings[0]
+    a_over_a0 = hyperfine_for_detuning(dw, carrier_frequency(p), p) / p.a0
+    assert a_over_a0.hex() == "0x1.01c6fe6e30346p-1"
+    assert f"a_over_a0=0:{a_over_a0:.17g} " in schedule_to_text(sched, p)
+
+
+def test_detuning_map_against_mpmath(p):
+    """Both directions of the map and max_detuning against 50-digit
+    evaluations of the same quadratic on the same float inputs.  The bounds
+    are today's measured errors, so a cancellation-free form has a number to
+    beat."""
+    mp = pytest.importorskip("mpmath").MPContext()   # a private context, not the global one
+    mp.dps = 50
+    c = p.constants
+    zeeman = mp.mpf(c.mu_b) * mp.mpf(p.b)
+    den = zeeman + mp.mpf(c.g_n) * mp.mpf(c.mu_n) * mp.mpf(p.b)
+
+    def omega(a):
+        return 2 * (zeeman + a + a * a / den) / mp.mpf(c.hbar)
+
+    def hyperfine(w):
+        const = zeeman - w * mp.mpf(c.hbar) / 2
+        return den / 2 * (mp.sqrt(1 - 4 * const / den) - 1)
+
+    dw_max = max_detuning(p)
+    exact = abs(omega(mp.mpf(p.a_min)) - omega(mp.mpf(p.a0)))
+    assert abs(dw_max - exact) / exact <= 2.2e-13
+    for carrier in (carrier_frequency(p), carrier_frequency(p) * (1.0 + 1e-6)):
+        for a in np.linspace(0.0, 1.4 * p.a0, 57):
+            dw = detuning_for_hyperfine(float(a), carrier, p)
+            assert abs(dw - (omega(mp.mpf(float(a))) - carrier)) <= 3.5e-13 * dw_max
+        for dw in np.linspace(-dw_max, dw_max, 101):
+            a = hyperfine_for_detuning(float(dw), carrier, p)
+            assert abs(a - hyperfine(mp.mpf(carrier) + float(dw))) <= 1.8e-13 * p.a0
 
 
 def test_exchange_strength(p):
@@ -249,3 +301,14 @@ def test_config_loader_overrides():
 def test_config_loader_rejects(bad):
     with pytest.raises(ValueError):
         load_device_parameters(bad)
+
+
+def test_only_params_maps_hyperfine_to_frequency():
+    """The detuning<->hyperfine map is the one A <-> frequency conversion: no
+    other module binds resonant_frequency, and the absolute-frequency
+    inverse it replaced is gone."""
+    from donorsim import analysis, gates, propagator, spin_model
+
+    assert not hasattr(params, "hyperfine_for_frequency")
+    for module in (propagator, analysis, spin_model, gates):
+        assert not hasattr(module, "resonant_frequency"), module.__name__

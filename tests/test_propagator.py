@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import donorsim
-from donorsim import _kernels, _memo, analysis, propagator
+from donorsim import _kernels, _memo, analysis, propagator, spin_model
 from donorsim.analysis import (frozen_nucleus_check, gate_fidelity, lab_realization,
                                rabi_probability)
 from donorsim.params import DeviceParameters, carrier_frequency, max_detuning
@@ -561,6 +561,21 @@ def test_lab_frame_gate_equivalence(p):
     u_rot = execute_schedule(sched).unitary
     mapped = frame_rotation(sched.total_duration, p, SpinSystem(1)) @ u_lab
     assert 1.0 - gate_fidelity(mapped, u_rot) <= 1e-6
+
+
+def test_lab_frame_rf_phase_turns_the_unitary_about_z(p):
+    """A lab schedule at rf phase phi runs U(phi) = R U(0) R^dagger with
+    R = exp(-i phi sigma_z^e / 2): the phase turns the drive axis about z.
+    Both sides step on one grid, so they agree far below lab_tol."""
+    sz = np.diag(spin_model.E_SZ).real
+    for sched in (synth_x(math.pi, 0, p, SpinSystem(1)), synth_hadamard(0, p, SpinSystem(1))):
+        lab = lab_realization(sched, p)
+        u0 = execute_schedule(lab, lab_tol=1e-9).unitary
+        for phase in (0.7, -2.1):
+            r = np.exp(-0.5j * phase * sz)
+            u = execute_schedule(lab.replace(rf_phase=phase), lab_tol=1e-9).unitary
+            assert np.abs(u - r[:, None] * u0 * r.conj()).max() <= 1e-11
+            assert np.abs(u - u0).max() > 0.1
 
 
 def test_lab_convergence_error_reports_progress(p):
@@ -1552,7 +1567,7 @@ def _text_round_trip_cases(draw):
 def test_schedule_text_round_trip(p, sched):
     """Dumping and reloading keeps every control; execution agrees to 1e-10.
 
-    A/A0 passes through hyperfine_for_frequency, whose cancellation limits the
+    A/A0 passes through hyperfine_for_detuning, whose cancellation limits the
     detunings to about 1e-12 of the bound, so execution can differ by a few
     1e-12 (3.3e-12 at worst over 3200 random gates), not 1e-12.
     """
