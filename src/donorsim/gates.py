@@ -43,7 +43,6 @@ __all__ = [
     "synth_hadamard",
     "synth_z",
     "synth_correction",
-    "correction_wrap_limit",
     "synth_cnot",
     "synth_swap",
     "synth_idle",
@@ -295,9 +294,10 @@ def synth_correction(
     The duration is (deficit + 2*pi*k) * hbar / (2 mu_B B_ac) with the minimal
     wrap count k >= extra_wraps such that every idle target fits an integer
     number n >= 1 of whole detuned revolutions (required detuning within the
-    device bound).  deficit = 0 with no extra wraps needs no correction.  The
-    search ends at correction_wrap_limit, past which a window always exists,
-    so only a device with no tuning range finds none (an error).
+    device bound).  deficit = 0 with no extra wraps needs no correction.
+    For f = deficit / 2pi > 0 the fewest revolutions n = k + 1 fit once
+    (f + k) rho >= k + 1, rho = Omega_max / Omega0, so the scan starts one
+    wrap below (1 - f rho) / (rho - 1).  With no tuning range it is an error.
     """
     deficit = deficit % (2.0 * math.pi)
     if deficit < 1e-12 or 2.0 * math.pi - deficit < 1e-12:
@@ -308,7 +308,12 @@ def synth_correction(
     if deficit == 0.0 and extra_wraps == 0:
         return [], CorrectionPlan(0.0, 0, 0.0, 0.0, 0)
     omega_hi = _omega_max(p)
-    for k in range(extra_wraps, correction_wrap_limit(p, extra_wraps) + 1):
+    rho = omega_hi / omega0
+    f = deficit / (2.0 * math.pi)
+    first = extra_wraps
+    if idle_targets and rho > 1.0 and f > 1e-12:
+        first = max(extra_wraps, math.ceil((1.0 - f * rho) / (rho - 1.0)) - 1)
+    for k in range(first, first + 3):
         t_c = (deficit + 2.0 * math.pi * k) * hbar / (2.0 * omega0)
         if not idle_targets:
             plan = CorrectionPlan(deficit, k, t_c, 0.0, 0)
@@ -326,21 +331,6 @@ def synth_correction(
                            label="correction")
         return [seg], plan
     raise InfeasibleDetuningError("no feasible correction window found")
-
-
-def correction_wrap_limit(p: DeviceParameters, extra_wraps: int = 0) -> int:
-    """Largest wrap count synth_correction tries.
-
-    At wrap count k the whole detuned revolutions n that fit the correction
-    span a window of (deficit + 2*pi*k)(Omega_max - Omega0) / (2*pi*Omega0),
-    so every k >= K = ceil(Omega0 / (Omega_max - Omega0)) holds one; the
-    limit is max(extra_wraps, K) plus one for rounding.  With no tuning range
-    (Omega_max = Omega0) there is no K, and the search stops at extra_wraps + 1.
-    """
-    omega0 = p.transverse_energy
-    spread = _omega_max(p) - omega0
-    wraps = math.ceil(omega0 / spread) if spread > 0.0 else 0
-    return max(extra_wraps, wraps) + 1
 
 
 def _spectator_angle(segments, p: DeviceParameters) -> float:

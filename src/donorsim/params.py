@@ -190,21 +190,14 @@ def carrier_frequency(p: DeviceParameters) -> float:
 
 
 def hyperfine_for_detuning(dw: float, carrier: float, p: DeviceParameters) -> float:
-    """The hyperfine energy A whose resonance omega(A) sits dw off carrier:
-    omega(A) = carrier + dw on the positive branch of the quadratic.
+    """A with omega(A) = carrier + dw, on the positive branch of the quadratic.
 
     With detuning_for_hyperfine, the one map between the A-gate's control A
-    and a schedule's detuning dw.  The bound and the oracle pass the device
-    carrier, single_electron_lab half of it, and the schedule file the
-    schedule's own (the device's when it has none).
-
-    dw generates hbar*dw*sigma_z^e in the rotating frame.  The bound, the
-    schedule file and the lab Hamiltonian read it as the resonance offset.
-    The frozen-nucleus oracle reads it as the full level-splitting shift,
-    which puts the transition 2*dw off the carrier, as the generalized Rabi
-    frequency sqrt((mu_B B_ac)^2 + (hbar dw)^2) does; so it asks for
-    hyperfine_for_detuning(2 dw, carrier, p), whose A dips just below 0 near
-    -max_detuning (single_donor_static accepts it).  dw > 0 gives A > A0.
+    and a detuning dw (generator hbar*dw*sigma_z^e in the rotating frame).
+    The bound, the schedule file and the lab Hamiltonian read dw as the
+    resonance offset; the frozen-nucleus oracle reads it as the full level
+    splitting shift, asking for hyperfine_for_detuning(2 dw, carrier, p),
+    whose A dips just below 0 near -max_detuning.
     """
     omega = carrier + dw
     c = p.constants
@@ -217,8 +210,7 @@ def hyperfine_for_detuning(dw: float, carrier: float, p: DeviceParameters) -> fl
 
 
 def detuning_for_hyperfine(a: float, carrier: float, p: DeviceParameters) -> float:
-    """The offset omega(A) - carrier of the resonance at hyperfine energy A;
-    the inverse of hyperfine_for_detuning, whose docstring gives the convention."""
+    """omega(A) - carrier: the inverse of hyperfine_for_detuning."""
     return resonant_frequency(a, p) - carrier
 
 
@@ -248,7 +240,7 @@ def canonical_detuning_span(p: DeviceParameters) -> float:
     There the carrier sits at omega(0) and unbiased qubits are parked a full
     hyperfine shift off resonance.
     """
-    return abs(detuning_for_hyperfine(0.0, carrier_frequency(p), p))
+    return carrier_frequency(p) - resonant_frequency(0.0, p)
 
 
 def exchange_strength(d: float, p: DeviceParameters) -> float:

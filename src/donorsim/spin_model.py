@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _memo
-from .params import DeviceParameters, carrier_frequency, detuning_for_hyperfine
+from .params import DeviceParameters, carrier_frequency, resonant_frequency
 
 __all__ = [
     "SX",
@@ -212,14 +212,14 @@ def _electron_drive(t: float, p: DeviceParameters, rf_phase: float) -> np.ndarra
 def single_electron_lab(a: float, t: float, p: DeviceParameters, rf_phase: float = 0.0) -> np.ndarray:
     """Driven single-electron lab-frame Hamiltonian (2-dim, time dependent).
 
-    The z coefficient is hbar*(omega(A) - omega_ac/2), the offset of A's
-    resonance from half the carrier, on sigma_z^e; mapping by the rotating
-    frame exp(i omega_ac t sigma_z^e / 2) then reproduces the rotating-frame
-    operator hbar*dw*sigma_z^e + mu_B*B_ac*sigma_x^e exactly (no
+    The z coefficient is hbar*(omega(A) - omega_ac/2) on sigma_z^e; mapping by
+    the rotating frame exp(i omega_ac t sigma_z^e / 2) then reproduces the
+    rotating-frame operator hbar*dw*sigma_z^e + mu_B*B_ac*sigma_x^e exactly (no
     residual scalar offset: every term here is traceless).  At A = A0 the z
     coefficient is mu_B B + A plus the second-order hyperfine shift.
     """
-    z_coeff = p.constants.hbar * detuning_for_hyperfine(a, 0.5 * carrier_frequency(p), p)
+    c = p.constants
+    z_coeff = c.hbar * (resonant_frequency(a, p) - 0.5 * carrier_frequency(p))
     return z_coeff * E_SZ + _electron_drive(t, p, rf_phase)
 
 

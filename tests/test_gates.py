@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from donorsim.gates import (
     GateSpec,
     compile_gate,
     compose_parallel,
-    correction_wrap_limit,
     embed_ideal,
     ideal_unitary,
     max_single_step_angle,
@@ -34,7 +34,8 @@ from donorsim.gates import (
     _hadamard_block,
     _make_schedule,
 )
-from donorsim.params import DeviceParameters, DipoleAlignmentError, InfeasibleDetuningError
+from donorsim.params import (DeviceParameters, DipoleAlignmentError, InfeasibleDetuningError,
+                             exceeds_max_detuning, max_detuning)
 from donorsim.propagator import PulseSegment, concat_schedules, execute_schedule
 from donorsim.spin_model import SpinSystem, embed
 
@@ -146,17 +147,19 @@ def test_correction_minimality_grid(p):
     ({"a_min": 1.5e-26}, 4),
     ({"a_min": 1.6666918461074218e-26}, 9),
     ({"b_ac": 0.0034850460491305853}, 7),
+    ({"a_min": 1.9e-26}, 428),
 ])
-def test_correction_wrap_limit_holds_a_window_for_every_deficit(kwargs, wraps):
+def test_correction_holds_a_window_within_k_plus_one_wraps(kwargs, wraps):
     """From K = ceil(Omega0 / (Omega_max - Omega0)) wraps on, the window of
     whole detuned revolutions spans at least one, so every deficit has a
-    correction within the search limit K + 1, and the search is still the
-    exhaustive minimum."""
+    correction within K + 1 wraps, and the closed-form start still finds the
+    exhaustive minimum (which validate searches up to 64 wraps)."""
     from donorsim.validate import check_correction_minimality
 
     dev = DeviceParameters(**kwargs)
-    assert correction_wrap_limit(dev) == wraps + 1
-    assert correction_wrap_limit(dev, extra_wraps=wraps + 3) == wraps + 4
+    omega0 = dev.transverse_energy
+    assert math.ceil(omega0 / (math.hypot(omega0, dev.constants.hbar * max_detuning(dev))
+                               - omega0)) == wraps
     for deficit in np.linspace(1e-6, 2.0 * math.pi - 1e-6, 200):
         assert synth_correction(float(deficit), (0,), dev)[1].wrap_count <= wraps + 1
     ok, detail = check_correction_minimality(dev, np.random.default_rng(0))
@@ -177,9 +180,25 @@ def test_split_hadamard_finds_its_correction_past_four_wraps():
     assert rep.fidelity >= 1.0 - 1e-6
 
 
+def test_correction_on_a_narrow_tuning_range_is_found_in_closed_form(p):
+    """At a_min = 0.9999 a0 the first window is 1.6e7 wraps out; the scan
+    starts next to it, so Y synthesizes in milliseconds."""
+    from donorsim.gates import _deficit_after
+
+    dev = p.replace(a_min=0.9999 * p.a0)
+    start = time.perf_counter()
+    sched = synthesize(GateSpec("y", (0,), theta=1.0), dev, SpinSystem(2))
+    assert time.perf_counter() - start < 1.0
+    corr = sched.segments[-1]
+    assert corr.label == "correction"
+    plan = synth_correction(_deficit_after(list(sched.segments[:-1]), dev), (0,), dev)[1]
+    assert plan.wrap_count > 10**7 and plan.revolutions == plan.wrap_count + 1
+    assert corr.duration == plan.duration and corr.detunings == {0: plan.idle_detuning}
+    assert not exceeds_max_detuning(plan.idle_detuning, dev)
+
+
 def test_correction_without_tuning_range_keeps_its_error(p):
     flat = p.replace(a_min=p.a0)
-    assert correction_wrap_limit(flat) == 1
     with pytest.raises(InfeasibleDetuningError, match="^no feasible correction window found$"):
         synth_correction(1.0, (0,), flat)
 
