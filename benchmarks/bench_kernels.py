@@ -10,7 +10,8 @@ n-step power (with the eigensystem and half-step propagator behind it), so
 its closed-form time is taken with every memo table cleared (`_memo.clear()`)
 before every repeat, and the time of a cache hit (the same call again) is
 printed on a line of its own.  The step loop builds the half-step propagator
-itself.
+itself.  The two loops are `su2_loop` and `donor4_loop` of the test suite's
+reference module, tests/_reference.py.
 
 A last section times the refinement driver (`propagator._refine` over the
 level driver `_lab_levels`) on three runs: `execute_schedule` of the lab-frame
@@ -26,7 +27,8 @@ Usage: python benchmarks/bench_kernels.py [--steps N]
 """
 
 import argparse
-import math
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -37,36 +39,8 @@ from donorsim.gates import synth_x, synth_y
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.spin_model import SpinSystem, single_donor_static
 
-
-def _rot2(angle, th):
-    """exp(-i angle (X cos th + Y sin th))."""
-    c, s = math.cos(angle), -1j * math.sin(angle)
-    return np.array([[c, s * complex(math.cos(th), -math.sin(th))],
-                     [s * complex(math.cos(th), math.sin(th)), c]])
-
-
-def su2_loop(az, ax, omega, phi0, t0, dt, n):
-    w = math.hypot(az, ax)
-    ca, sa = math.cos(w * dt), math.sin(w * dt) / w
-    u = np.eye(2, dtype=complex)
-    for k in range(n):
-        th = omega * (t0 + (k + 0.5) * dt) + phi0
-        # exp(-i dt (az Z + ax (X cos th + Y sin th)))
-        off = -1j * sa * ax * complex(math.cos(th), math.sin(th))
-        u = np.array([[ca - 1j * sa * az, -off.conjugate()],
-                      [off, ca + 1j * sa * az]]) @ u
-    return u
-
-
-def donor4_loop(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
-    w, v = np.linalg.eigh(h_static)
-    e_half = (v * np.exp(-1j * w * (dt / (2 * hbar)))) @ v.conj().T
-    u = np.eye(4, dtype=complex)
-    for k in range(n):
-        th = omega * (t0 + (k + 0.5) * dt) + chi
-        mid = np.kron(_rot2(gx_e * dt, phase_sign_e * th), _rot2(gx_n * dt, th))
-        u = e_half @ mid @ e_half @ u
-    return u
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from _reference import donor4_loop, su2_loop  # noqa: E402
 
 
 def _time(fn, *args, repeats=3, before=None):

@@ -353,6 +353,22 @@ def _deficit_after(segments: list[PulseSegment], p: DeviceParameters) -> float:
 # single-qubit gates
 # ---------------------------------------------------------------------------
 
+# The most equal sub-steps (X steps or Y blocks) one rotation splits into.  A
+# device whose tuning range needs more is refused before any segment is built:
+# the count grows without bound as a_min nears a0.
+_MAX_SPLIT = 1 << 16
+
+
+def _split_count(kind: str, theta: float, per_step: float) -> int:
+    """Sub-steps of at most per_step rad that turn theta, within _MAX_SPLIT."""
+    steps = max(1, math.ceil(theta / per_step - 1e-12))
+    if steps > _MAX_SPLIT:
+        raise InfeasibleDetuningError(
+            f"{kind}({theta:.6g}) needs {steps} sub-steps on this device's tuning range, "
+            f"more than the cap of {_MAX_SPLIT}")
+    return steps
+
+
 def _x_step_segments(theta: float, target: int, p: DeviceParameters,
                      step_label: str = "") -> list[PulseSegment]:
     """One X-rotation step: detuned target revolution, then a resonant theta."""
@@ -371,7 +387,7 @@ def _x_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
     cap = min(math.pi, max_single_step_angle(p) * (1.0 - 1e-12))
     if cap <= 0.0:
         raise InfeasibleDetuningError("device has no tuning range for X rotations")
-    steps = max(1, math.ceil(theta / cap - 1e-12))
+    steps = _split_count("X", theta, cap)
     per_step = theta / steps
     segments: list[PulseSegment] = []
     for i in range(steps):
@@ -403,7 +419,7 @@ def _y_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
     if tan_phi_max <= 0.0:
         raise InfeasibleDetuningError("device has no tuning range for Y rotations")
     phi_max = math.atan(tan_phi_max) * (1.0 - 1e-12)
-    blocks = max(1, math.ceil(theta / (4.0 * phi_max) - 1e-12))
+    blocks = _split_count("Y", theta, 4.0 * phi_max)
     phi = theta / (4.0 * blocks)
     dw = _detuning_for_tilt(omega0 * math.tan(phi), p)
     omega = omega0 / math.cos(phi)

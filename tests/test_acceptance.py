@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import cnot_steps, table_j
 from donorsim import (
     CONSTANTS,
     DeviceParameters,
@@ -55,10 +56,6 @@ def _within(value, reference, rel):
     assert abs(value - reference) / abs(reference) <= rel, (
         f"{value} not within {rel:%} of {reference}"
     )
-
-
-def _table_j(step_ns=0.01):
-    return 3.0 * math.pi * HBAR / (8.0 * step_ns * 1e-9)
 
 
 def test_criterion_1_spectator_period():
@@ -124,16 +121,10 @@ def test_criterion_5_z_gate_table():
 
 
 def test_criterion_6_cnot_exchange():
-    j = _table_j()
+    j = table_j(P)
     refs_ns = [29.7, 0.01, 14.8, 0.01, 14.8, 7.4, 29.7]
     sched = synth_cnot("exchange", 0, 1, P, j=j)
-    grouped = []
-    for seg in sched.segments[:-1]:
-        key = " ".join(seg.label.split()[:2])
-        if grouped and grouped[-1][0] == key:
-            grouped[-1][1] += seg.duration
-        else:
-            grouped.append([key, seg.duration])
+    grouped = cnot_steps(sched)
     assert len(grouped) == 7
     for (label, dur), ref in zip(grouped, refs_ns):
         _within(dur * 1e9, ref, 0.01)
@@ -234,7 +225,7 @@ def test_criterion_11_commutator_identities():
 
 
 def test_criterion_12_swap():
-    j = _table_j()
+    j = table_j(P)
     sched = synth_swap(j, 0, 1, P)
     fid = gate_fidelity(execute_schedule(sched).unitary, SWAP_MATRIX)
     assert fid >= 1.0 - 1e-10
@@ -245,7 +236,7 @@ def test_criterion_12_swap():
 
 
 def test_criterion_13_parallel_composition():
-    j = _table_j()
+    j = table_j(P)
     specs = [GateSpec("x", (0,), theta=math.pi),
              GateSpec("cnot", (1, 2), mode="exchange", j=j)]
     sched = compose_parallel(specs, P)
@@ -260,7 +251,7 @@ def test_criterion_13_parallel_composition():
 
 def test_criterion_14_dipole_and_combined_regimes():
     # combined mode at 23 nm with J chosen so the two interaction windows dominate
-    j = _table_j(step_ns=1.9e3)
+    j = table_j(P, step_ns=1.9e3)
     combined = synth_cnot("combined", 0, 1, P, j=j, d=23e-9)
     total = combined.total_duration
     assert 2.0e-6 <= total <= 8.0e-6, "combined-mode duration within 2x of 4.0 us"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -8,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import (assert_unitary_reference, gate_fidelity_reference, haar, no_kernel,
+                        oracle_reference, rf_off_and_empty_segments, spectator_fidelity_loop,
+                        spectator_fidelity_reference, with_segment)
 from donorsim import DeviceParameters, _kernels, _memo, analysis, propagator, spin_model
 from donorsim.analysis import (
     SWEEP_FIELDS,
@@ -22,28 +24,22 @@ from donorsim.analysis import (
     timescale_table,
 )
 from donorsim.gates import spectator_period, synth_cnot, synth_hadamard, synth_x, synth_y, synth_z
-from donorsim.params import carrier_frequency, hyperfine_for_detuning, max_detuning
+from donorsim.params import max_detuning
 from donorsim.propagator import PulseSchedule, PulseSegment, _refine
 from donorsim.spin_model import SX, SpinSystem, single_donor_static
 
 
-def _haar(dim, rng):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def test_gate_fidelity_basics(rng):
-    u = _haar(4, rng)
+    u = haar(4, rng)
     assert gate_fidelity(u, u) == pytest.approx(1.0, abs=1e-12)
     assert gate_fidelity(SX.astype(complex), np.eye(2, dtype=complex)) == 0.0
     for _ in range(200):
-        f = gate_fidelity(_haar(2, rng), _haar(2, rng))
+        f = gate_fidelity(haar(2, rng), haar(2, rng))
         assert 0.0 <= f <= 1.0
 
 
 def test_gate_fidelity_phase_invariance_and_symmetry(rng):
-    u, v = _haar(4, rng), _haar(4, rng)
+    u, v = haar(4, rng), haar(4, rng)
     for alpha in rng.uniform(0, 2 * math.pi, size=8):
         assert gate_fidelity(u, np.exp(1j * alpha) * u) == pytest.approx(1.0, abs=1e-12)
     assert gate_fidelity(u, v) == pytest.approx(gate_fidelity(v, u), abs=1e-12)
@@ -59,82 +55,21 @@ def test_gate_fidelity_rejects(rng):
         gate_fidelity(np.full((2, 2), np.nan), np.eye(2))
 
 
-def _merge_bits(gate_idx, spec_idx, sites, spec_sites, n):
-    bits = [0] * n
-    for pos, s in enumerate(sites):
-        bits[s] = (gate_idx >> (len(sites) - 1 - pos)) & 1
-    for pos, s in enumerate(spec_sites):
-        bits[s] = (spec_idx >> (len(spec_sites) - 1 - pos)) & 1
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
-
-
-def _spectator_fidelity_loop(u, gate, targets, system):
-    """Reference: contract the target legs of u against conj(gate) index by index."""
-    n = system.num_sites
-    sites = [system.electron_site(q) for q in targets]
-    spec_sites = [s for s in range(n) if s not in sites]
-    k, m = len(sites), len(spec_sites)
-    dim_s = 2**m
-    block = np.zeros((dim_s, dim_s), dtype=complex)
-    for grow in range(2**k):
-        for gcol in range(2**k):
-            weight = np.conj(gate[grow, gcol])
-            if weight == 0.0:
-                continue
-            for srow in range(dim_s):
-                for scol in range(dim_s):
-                    row = _merge_bits(grow, srow, sites, spec_sites, n)
-                    col = _merge_bits(gcol, scol, sites, spec_sites, n)
-                    block[srow, scol] += weight * u[row, col]
-    block /= 2**k
-    scale = math.sqrt(max(np.trace(block.conj().T @ block).real / dim_s, 1e-300))
-    return float(abs(np.trace(block)) / (dim_s * scale))
-
-
 def test_spectator_fidelity_factorized(rng):
     system = SpinSystem(2)
-    gate = _haar(2, rng)
+    gate = haar(2, rng)
     ident = np.kron(gate, np.eye(2))
     assert spectator_fidelity(ident, gate, (0,), system) == pytest.approx(1.0, abs=1e-12)
-    rotated = np.kron(gate, _haar(2, rng))
+    rotated = np.kron(gate, haar(2, rng))
     assert spectator_fidelity(rotated, gate, (0,), system) < 1.0 - 1e-3
     # the tensor contraction agrees with the index loop for every target tuple
     for system in (SpinSystem(1), SpinSystem(2), SpinSystem(3),
                    SpinSystem(1, include_nuclei=True), SpinSystem(2, include_nuclei=True)):
         for k in range(1, system.num_donors + 1):
             for targets in itertools.permutations(range(system.num_donors), k):
-                u, gate = _haar(system.dim, rng), _haar(2**k, rng)
+                u, gate = haar(system.dim, rng), haar(2**k, rng)
                 assert spectator_fidelity(u, gate, targets, system) == pytest.approx(
-                    _spectator_fidelity_loop(u, gate, targets, system), abs=1e-14)
-
-
-# The grading formulas as first written (np.eye per call, np.trace and
-# np.tensordot): the rewritten ones must give their bits.
-def _assert_unitary_reference(u, tol=1e-10):
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol:
-        raise ValueError("matrix is not unitary within tolerance")
-
-
-def _gate_fidelity_reference(u, v):
-    return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
-
-
-def _spectator_fidelity_reference(u, gate, targets, system):
-    n = system.num_sites
-    sites = [system.electron_site(q) for q in targets]
-    rest = [s for s in range(n) if s not in sites]
-    dim_g, dim_s = 2 ** len(sites), 2 ** len(rest)
-    order = sites + rest
-    legs = u.reshape((2,) * (2 * n)).transpose(order + [n + s for s in order])
-    legs = legs.reshape(dim_g, dim_s, dim_g, dim_s)
-    block = np.tensordot(np.conj(gate), legs, axes=([0, 1], [0, 2])) / dim_g
-    scale = math.sqrt(max(np.trace(block.conj().T @ block).real / dim_s, 1e-300))
-    return float(abs(np.trace(block)) / (dim_s * scale))
+                    spectator_fidelity_loop(u, gate, targets, system), abs=1e-14)
 
 
 _GRADING_SYSTEMS = [SpinSystem(n, include_nuclei=nuclei)
@@ -146,15 +81,15 @@ _GRADING_SYSTEMS = [SpinSystem(n, include_nuclei=nuclei)
 def test_grading_matches_reference_formulas_bitwise(rng, system):
     for k in range(1, system.num_donors + 1):
         for targets in itertools.permutations(range(system.num_donors), k):
-            u, v, gate = _haar(system.dim, rng), _haar(system.dim, rng), _haar(2**k, rng)
-            assert gate_fidelity(u, v) == _gate_fidelity_reference(u, v)
+            u, v, gate = haar(system.dim, rng), haar(system.dim, rng), haar(2**k, rng)
+            assert gate_fidelity(u, v) == gate_fidelity_reference(u, v)
             assert spectator_fidelity(u, gate, targets, system) == \
-                _spectator_fidelity_reference(u, gate, targets, system)
+                spectator_fidelity_reference(u, gate, targets, system)
             # the gate embedded on its targets: spectators see the identity
             exact = spin_model.embed(gate, tuple(system.electron_site(q) for q in targets),
                                      system.num_sites)
             assert spectator_fidelity(exact, gate, targets, system) == \
-                _spectator_fidelity_reference(exact, gate, targets, system)
+                spectator_fidelity_reference(exact, gate, targets, system)
 
 
 @pytest.mark.parametrize("m", [
@@ -164,13 +99,13 @@ def test_grading_matches_reference_formulas_bitwise(rng, system):
     pytest.param(2.0 * np.eye(4, dtype=complex), id="non_unitary"),
     pytest.param(np.diag([1.0, 1.0 + 2e-10]), id="just_past_tol"),
     pytest.param(np.diag([1.0, 1.0 + 4e-11]), id="within_tol"),
-    pytest.param(_haar(8, np.random.default_rng(5)), id="haar"),
+    pytest.param(haar(8, np.random.default_rng(5)), id="haar"),
     pytest.param(np.array([[0, 1], [1, 0]]), id="integer_permutation"),
 ])
 def test_assert_unitary_agrees_with_the_reference(m):
     """Accepts what the former check accepted and rejects the rest with its message."""
     try:
-        _assert_unitary_reference(m)
+        assert_unitary_reference(m)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             analysis._assert_unitary(m)
@@ -251,9 +186,6 @@ def test_frozen_nucleus_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
     """A tolerance that is not finite and positive fails before any level runs."""
     sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
 
-    def no_kernel(*args):
-        raise AssertionError("a refinement level ran")
-
     monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
     message = f"nuclear oracle tolerance must be finite and positive, got {tol!r}"
     with pytest.raises(ValueError, match=message):
@@ -264,9 +196,6 @@ def test_frozen_nucleus_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
 def test_frozen_nucleus_rejects_coupled_schedules_up_front(p, monkeypatch, mode, coupling):
     """Dipole and exchange couplings are refused before any level runs."""
     sched = synth_cnot(mode, 0, 1, p, **coupling)
-
-    def no_kernel(*args):
-        raise AssertionError("a refinement level ran")
 
     monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
     with pytest.raises(ValueError, match="the nuclear oracle covers single-qubit schedules only"):
@@ -315,49 +244,10 @@ def test_frozen_nucleus_check_is_invariant_under_the_rf_phase(p, frame):
             assert turned == pytest.approx((flip, fdev), rel=0.0, abs=tol)
 
 
-def _donor4_reference(schedule, donor, p, steps_per_period, include_nuclear_drive):
-    """The oracle's stream with the static Hamiltonian and projection per segment."""
-    c = p.constants
-    w_ac = carrier_frequency(p)
-    period = 2.0 * math.pi / w_ac
-    gx_e = p.transverse_energy / c.hbar
-    gx_n = -c.g_n * c.mu_n * p.b_ac / c.hbar if include_nuclear_drive else 0.0
-    u = np.eye(4, dtype=complex)
-    t0 = 0.0
-    for seg in schedule.segments:
-        if seg.duration > 0.0:
-            a_phys = hyperfine_for_detuning(2.0 * seg.detunings.get(donor, 0.0), w_ac, p)
-            n = max(int(math.ceil(seg.duration / period * steps_per_period)), 16)
-            useg = _kernels.donor4_strang_product(
-                single_donor_static(a_phys, p), c.hbar, gx_e if seg.rf_on else 0.0, -1.0,
-                gx_n if seg.rf_on else 0.0, w_ac, schedule.rf_phase, t0, seg.duration / n, n)
-            u = _kernels.nearest_unitary(useg) @ u
-        t0 += seg.duration
-    return u
-
-
-def _oracle_reference(schedule, donor, p, tol, include_nuclear_drive):
-    steps = 64
-    coarse = _donor4_reference(schedule, donor, p, steps, include_nuclear_drive)
-    while True:
-        fine = _donor4_reference(schedule, donor, p, 2 * steps, include_nuclear_drive)
-        if np.abs(fine - coarse).max() <= tol:
-            return fine
-        coarse = fine
-        steps *= 2
-        assert steps <= 1 << 16
-
-
 def _rf_off_and_empty_schedule(p):
     """Rotating-frame twin of test_propagator's rf-off and zero-duration lab
     schedule, with its detunings made non-positive to stay within the device bound."""
-    dw = max_detuning(p)
-    segments = (PulseSegment(duration=0.0, detunings={0: -0.2 * dw}),
-                PulseSegment(duration=0.5e-9, detunings={0: -0.6 * dw}),
-                PulseSegment(duration=0.3e-9, detunings={0: -0.4 * dw}, rf_on=False),
-                PulseSegment(duration=0.0, rf_on=False),
-                PulseSegment(duration=0.8e-9, detunings={0: -0.1 * dw}),
-                PulseSegment(duration=0.2e-9, rf_on=False))
+    segments = rf_off_and_empty_segments(PulseSegment, max_detuning(p), non_positive=True)
     return synth_x(math.pi, 0, p, SpinSystem(1)).replace(segments=segments, declared_target=None)
 
 
@@ -376,7 +266,8 @@ def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nucle
                 "nuclear oracle")
     # the reference computes every power afresh, not from the entries u left behind
     _memo.clear()
-    assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
+    assert np.array_equal(u, oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive,
+                                              _kernels, single_donor_static))
 
 
 @settings(max_examples=25, deadline=None)
@@ -431,7 +322,8 @@ def test_oracle_blocks_match_single_levels_and_the_sequential_loop(kind, theta,
         assert np.array_equal(u, levels([steps])[0])
     u = _refine(levels, 1e-6, 1 << 16, "nuclear oracle")
     _memo.clear()
-    assert np.array_equal(u, _oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive))
+    assert np.array_equal(u, oracle_reference(sched, 0, p, 1e-6, include_nuclear_drive,
+                                              _kernels, single_donor_static))
 
 
 @pytest.mark.parametrize("rf_on", [True, False], ids=["rf_on", "rf_off"])
@@ -441,9 +333,6 @@ def test_frozen_nucleus_rejects_huge_phases_up_front(p, monkeypatch, rf_on):
     sched = synth_x(math.pi, 0, p, SpinSystem(1))
     long = PulseSegment(duration=1e250, detunings={0: -0.3 * max_detuning(p)}, rf_on=rf_on)
     sched = sched.replace(segments=(*sched.segments, long), declared_target=None)
-
-    def no_kernel(*args):
-        raise AssertionError("a refinement level ran")
 
     monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
     with warnings.catch_warnings():
@@ -552,13 +441,6 @@ def _oracle_memo_base(p):
                          rf_phase=0.3)
 
 
-def _with_segment(sched, i, **changes):
-    """sched with segment i rebuilt with changes."""
-    segments = list(sched.segments)
-    segments[i] = dataclasses.replace(segments[i], **changes)
-    return sched.replace(segments=tuple(segments))
-
-
 def _oracle_key_variants(p):
     """(schedule, device, options) of the base call changed in one key field."""
     base = _oracle_memo_base(p)
@@ -572,9 +454,9 @@ def _oracle_key_variants(p):
         "mu_b": (base.replace(mu_b=1.01 * c.mu_b), p, {}),
         "hbar": (base.replace(hbar=1.01 * c.hbar), p, {}),
         "rf_phase": (base.replace(rf_phase=0.4), p, {}),
-        "duration": (_with_segment(base, 1, duration=0.5e-9), p, {}),
-        "detuning": (_with_segment(base, 1, detunings={0: 0.4 * max_detuning(p)}), p, {}),
-        "rf_on": (_with_segment(base, 1, rf_on=False), p, {}),
+        "duration": (with_segment(base, 1, duration=0.5e-9), p, {}),
+        "detuning": (with_segment(base, 1, detunings={0: 0.4 * max_detuning(p)}), p, {}),
+        "rf_on": (with_segment(base, 1, rf_on=False), p, {}),
         "segment_order": (base.replace(segments=base.segments[::-1]), p, {}),
         "tol": (base, p, {"tol": 1e-10}),
         "donor": (base, p, {"donor": 1}),
@@ -631,7 +513,7 @@ def _oracle_error_cases(p):
     return {
         "nuclei": (base.replace(system=SpinSystem(2, include_nuclei=True)), {}, ValueError,
                    "pass the electron-only schedule"),
-        "controls": (_with_segment(base, 1, detunings={0: 1.5 * max_detuning(p)}), {},
+        "controls": (with_segment(base, 1, detunings={0: 1.5 * max_detuning(p)}), {},
                      ValueError, "segment 1: detuning .* on donor 0 exceeds the device bound"),
         "donor": (base, {"donor": 2}, ValueError, "donor index 2 out of range"),
         "exchange": (base.replace(segments=(PulseSegment(0.5e-9, couplings={(0, 1): 1e-25}),)),

@@ -5,10 +5,12 @@ import itertools
 import json
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import mp50, mp_table_durations
 from donorsim import _memo
 from donorsim.cli import REFERENCE_TIMINGS_NS, _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
@@ -157,6 +159,24 @@ def test_one_pulse_tables_reject_the_split_hadamard(tmp_path, capsys, which, ste
                                        f"steps, the published table {published}\n")
 
 
+@pytest.mark.parametrize("kind,theta,a_min,steps", [("x", "6", "1.9378062e-26", 15679048),
+                                                     ("y", "1", "1.937999999998062e-26",
+                                                      72039264177)],
+                         ids=["x_at_0.9999_a0", "y_at_1-1e-12_a0"])
+def test_split_rotation_past_the_cap_exits_2_at_once(tmp_path, capsys, kind, theta, a_min, steps):
+    """A tuning range so narrow that X or Y would split into more than 2**16
+    sub-steps is refused before a segment is built (X(6) at a_min = 0.9999 a0
+    would have 3.1e7 segments)."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text(f"a_min = {a_min}\n")
+    start = time.perf_counter()
+    assert main(["--config", str(cfgfile), "gate", "--gate", kind, "--theta", theta]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (f"gate failed: {kind.upper()}({theta}) needs {steps} "
+                                       f"sub-steps on this device's tuning range, more than "
+                                       f"the cap of 65536\n")
+
+
 @pytest.mark.parametrize("a_min", [None, "1.2e-26", "1.5e-26"])
 def test_table_one_times_the_gates_of_tables_two_and_six(tmp_path, capsys, a_min):
     """Table I's global t_x and t_cnot are the overall rows of Tables II and VI."""
@@ -190,6 +210,24 @@ def test_table_six_csv(capsys):
     rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert rows[0] == "step,computed_ns,reference_ns,rel_dev"
     assert len(rows) == 1 + 9
+
+
+# the largest relative error of a table's computed_ns against its 50-digit
+# closed form, as measured (at most 1.3 ulp)
+_TABLE_ERRORS = {"II": 3.0e-17, "III": 1.1e-16, "IV": 1.3e-16, "V": 1.7e-16, "VI": 1.8e-16}
+
+
+@pytest.mark.parametrize("which", sorted(_TABLE_ERRORS))
+def test_table_durations_against_mpmath(capsys, p, which):
+    """Each step and total of Tables II-VI on the default device agrees with
+    its closed form in terms of the spectator period, at 50 digits."""
+    exact = mp_table_durations(mp50(), p, interaction_coupling(1e-11, p))[which]
+    code, out = run_cli(capsys, "--format", "json", "table", which)
+    rows = json.loads(out)["rows"]
+    assert code == 0 and len(rows) == len(exact)
+    for row, want in zip(rows, exact):
+        want_ns = want * 10**9
+        assert abs(row["computed_ns"] - want_ns) / want_ns <= _TABLE_ERRORS[which], row["step"]
 
 
 def test_outputs_deterministic(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import cnot_steps, embed_loop, table_j
 from donorsim import _memo, analysis, gates
 from donorsim.analysis import gate_fidelity, spectator_fidelity
 from donorsim.gates import (
@@ -275,20 +276,10 @@ def test_z_zero_angle_collapses_to_identity(p):
 # CNOT
 # ---------------------------------------------------------------------------
 
-def _table_j(p, step_ns=0.01):
-    return 3.0 * math.pi * p.constants.hbar / (8.0 * step_ns * 1e-9)
-
-
 def test_cnot_exchange_steps(p):
-    sched = synth_cnot("exchange", 0, 1, p, j=_table_j(p))
+    sched = synth_cnot("exchange", 0, 1, p, j=table_j(p))
     refs_ns = [29.7, 0.01, 14.8, 0.01, 14.8, 7.4, 29.7]
-    grouped = []
-    for seg in sched.segments[:-1]:
-        key = " ".join(seg.label.split()[:2])
-        if grouped and grouped[-1][0] == key:
-            grouped[-1][1] += seg.duration
-        else:
-            grouped.append([key, seg.duration])
+    grouped = cnot_steps(sched)
     assert len(grouped) == 7
     for (label, dur), ref in zip(grouped, refs_ns):
         assert abs(dur * 1e9 - ref) / ref <= 0.01
@@ -298,7 +289,7 @@ def test_cnot_exchange_steps(p):
 
 def test_cnot_exchange_fidelity_and_clock(p):
     for extended in (False, True):
-        sched = synth_cnot("exchange", 0, 1, p, j=_table_j(p), extended_correction=extended)
+        sched = synth_cnot("exchange", 0, 1, p, j=table_j(p), extended_correction=extended)
         periods = sched.total_duration / spectator_period(p)
         assert abs(periods - round(periods)) <= 1e-9
         u = execute_schedule(sched).unitary
@@ -306,8 +297,8 @@ def test_cnot_exchange_fidelity_and_clock(p):
 
 
 def test_cnot_extended_correction_mode(p):
-    minimal = synth_cnot("exchange", 0, 1, p, j=_table_j(p))
-    extended = synth_cnot("exchange", 0, 1, p, j=_table_j(p), extended_correction=True)
+    minimal = synth_cnot("exchange", 0, 1, p, j=table_j(p))
+    extended = synth_cnot("exchange", 0, 1, p, j=table_j(p), extended_correction=True)
     assert abs(extended.segments[-1].duration * 1e9 - 51.9) / 51.9 <= 0.01
     assert abs(extended.total_duration * 1e9 - 148.4) / 148.4 <= 0.01
     assert extended.total_duration - minimal.total_duration == pytest.approx(
@@ -317,7 +308,7 @@ def test_cnot_extended_correction_mode(p):
 
 def test_cnot_on_three_qubit_system(p):
     system = SpinSystem(3)
-    sched = synth_cnot("exchange", 0, 1, p, j=_table_j(p), system=system)
+    sched = synth_cnot("exchange", 0, 1, p, j=table_j(p), system=system)
     u = execute_schedule(sched).unitary
     assert gate_fidelity(u, sched.declared_target) >= 1.0 - 1e-4
     assert spectator_fidelity(u, CNOT_MATRIX, (0, 1), system) >= 1.0 - 1e-4
@@ -354,7 +345,7 @@ def test_cnot_x_steps_fall_back_to_sub_steps(p):
     x_pi = synth_x(math.pi, 0, weak).segments
     assert len(x_pi) == 4
     for system in (None, SpinSystem(3)):
-        sched = synth_cnot("exchange", 0, 1, weak, j=_table_j(weak), system=system)
+        sched = synth_cnot("exchange", 0, 1, weak, j=table_j(weak), system=system)
         for step in (3, 5):
             label = f"step {step} x on control"
             steps = [seg for seg in sched.segments if seg.label == label]
@@ -376,7 +367,7 @@ def test_cnot_x_steps_fall_back_to_sub_steps(p):
 
 
 def test_cnot_combined_mode(p):
-    j = _table_j(p, step_ns=1.9e3)  # interaction steps ~1.9 us
+    j = table_j(p, step_ns=1.9e3)  # interaction steps ~1.9 us
     sched = synth_cnot("combined", 0, 1, p, j=j, d=23e-9)
     assert 2.0e-6 <= sched.total_duration <= 8.0e-6
     u = execute_schedule(sched).unitary
@@ -400,7 +391,7 @@ def test_cnot_rejects(p):
 # ---------------------------------------------------------------------------
 
 def test_swap_fidelity(p):
-    j = _table_j(p)
+    j = table_j(p)
     sched = synth_swap(j, 0, 1, p)
     assert sched.total_duration == pytest.approx(
         math.pi * p.constants.hbar / (4.0 * j), rel=1e-15
@@ -416,7 +407,7 @@ def test_swap_fidelity(p):
 
 def test_swap_note_counts_driven_time_only(p):
     system = SpinSystem(3)
-    rep = compile_gate(GateSpec("swap", (0, 1), j=_table_j(p)), p, system)
+    rep = compile_gate(GateSpec("swap", (0, 1), j=table_j(p)), p, system)
     assert "residual spectator rotation 0.000e+00 rad" in rep.notes
     assert spectator_fidelity(rep.achieved, SWAP_MATRIX, (0, 1), system) == 1.0
 
@@ -431,9 +422,9 @@ def test_idle(p):
 
 def test_parallel_x_with_cnot(p):
     specs = [GateSpec("x", (0,), theta=math.pi),
-             GateSpec("cnot", (1, 2), mode="exchange", j=_table_j(p))]
+             GateSpec("cnot", (1, 2), mode="exchange", j=table_j(p))]
     sched = compose_parallel(specs, p)
-    cnot_alone = synth_cnot("exchange", 1, 2, p, j=_table_j(p), system=SpinSystem(3))
+    cnot_alone = synth_cnot("exchange", 1, 2, p, j=table_j(p), system=SpinSystem(3))
     assert sched.total_duration == pytest.approx(cnot_alone.total_duration, rel=1e-12)
     u = execute_schedule(sched).unitary
     assert u.shape == (8, 8)
@@ -510,7 +501,7 @@ def test_parallel_rejects_drive_gated_gates(p):
     # a SWAP gates the drive off, which cannot run concurrently with driven gates
     with pytest.raises(ValueError):
         compose_parallel(
-            [GateSpec("x", (0,), theta=math.pi), GateSpec("swap", (1, 2), j=_table_j(p))], p
+            [GateSpec("x", (0,), theta=math.pi), GateSpec("swap", (1, 2), j=table_j(p))], p
         )
 
 
@@ -528,30 +519,6 @@ def test_ideal_unitaries():
     assert np.allclose(near, -np.eye(2), atol=1e-9)
 
 
-def _embed_loop(gate, sites, n):
-    """Reference embedding: walk every basis column and rewrite the target bits."""
-    dim = 2**n
-    out = np.zeros((dim, dim), dtype=complex)
-    k = len(sites)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - s)) & 1 for s in range(n)]
-        gate_col = 0
-        for b in (bits[s] for s in sites):
-            gate_col = (gate_col << 1) | b
-        for gate_row in range(2**k):
-            amp = gate[gate_row, gate_col]
-            if amp == 0.0:
-                continue
-            new_bits = list(bits)
-            for idx, s in enumerate(sites):
-                new_bits[s] = (gate_row >> (k - 1 - idx)) & 1
-            row = 0
-            for b in new_bits:
-                row = (row << 1) | b
-            out[row, col] += amp
-    return out
-
-
 def test_embed_ideal_orderings(p, rng):
     system = SpinSystem(3)
     emb = embed_ideal(GateSpec("cnot", (2, 0)), system)
@@ -566,11 +533,11 @@ def test_embed_ideal_orderings(p, rng):
         for k in range(1, n + 1):
             for sites in itertools.permutations(range(n), k):
                 op = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
-                assert np.array_equal(embed(op, sites, n), _embed_loop(op, sites, n))
+                assert np.array_equal(embed(op, sites, n), embed_loop(op, sites, n))
         for q in range(system.num_donors):
             spec = GateSpec("hadamard", (q,))
             assert np.array_equal(embed_ideal(spec, system),
-                                  _embed_loop(HADAMARD, (system.electron_site(q),), n))
+                                  embed_loop(HADAMARD, (system.electron_site(q),), n))
     with pytest.raises(ValueError):
         embed(np.eye(4), (0, 0), 2)
 
@@ -643,7 +610,7 @@ def test_synthesize_dispatch(p):
 
 
 def test_synth_functions_route_through_synthesize(p):
-    j = _table_j(p)
+    j = table_j(p)
     system = SpinSystem(3)
     t_idle = 3 * spectator_period(p)
     pairs = [
@@ -758,7 +725,7 @@ def _request_fields(draw, kind, donors, p):
             fields["extended_correction"] = draw(st.booleans())
             fields["x_conjugation"] = draw(st.booleans())
         if mode != "dipole":
-            fields["j"] = draw(st.floats(1.0, 10.0)) * _table_j(p)
+            fields["j"] = draw(st.floats(1.0, 10.0)) * table_j(p)
         if mode in ("dipole", "combined"):
             fields["d"] = draw(st.floats(20e-9, 40e-9))
     elif kind == "idle":
@@ -844,7 +811,7 @@ def test_unused_fields_and_flags_raise(p, data, kind):
 
 def _key_pairs(p):
     """Requests that differ in one input of the gate cache key, and in nothing else."""
-    j = _table_j(p)
+    j = table_j(p)
     x = GateSpec("x", (0,), theta=math.pi)
     cnot = GateSpec("cnot", (0, 1), mode="combined", j=j, d=30e-9)
     two = SpinSystem(2)
@@ -896,8 +863,8 @@ def test_synthesis_entries_are_shared_and_errors_are_not_cached(p):
     _memo.clear()
     x = synth_x(1.0, 1, p)
     assert synthesize(GateSpec("x", (1,), theta=1.0), p, SpinSystem(2)) is x
-    cnot = synth_cnot("exchange", 0, 1, p, j=_table_j(p), system=SpinSystem(3))
-    assert synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=_table_j(p)), p,
+    cnot = synth_cnot("exchange", 0, 1, p, j=table_j(p), system=SpinSystem(3))
+    assert synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p)), p,
                       SpinSystem(3)) is cnot
     hits = gates._layout.cache_info().hits
     compose_parallel([GateSpec("x", (1,), theta=1.0), GateSpec("hadamard", (0,))], p,
@@ -917,7 +884,7 @@ def test_equal_devices_share_entries_bit_for_bit():
     plain = DeviceParameters(b_ac=2.0**-10)
     numpy_typed = DeviceParameters(b_ac=np.float32(2.0**-10), b=np.int64(2))
     assert numpy_typed == plain
-    spec = GateSpec("cnot", (0, 1), mode="combined", j=_table_j(plain), d=30e-9)
+    spec = GateSpec("cnot", (0, 1), mode="combined", j=table_j(plain), d=30e-9)
     references = []
     for dev in (plain, numpy_typed):
         _memo.clear()
@@ -926,8 +893,8 @@ def test_equal_devices_share_entries_bit_for_bit():
 
 
 def test_cached_synthesis_is_read_only_and_bounded(p):
-    sched = synth_cnot("combined", 0, 1, p, j=_table_j(p), d=30e-9)
-    assert synth_cnot("combined", 0, 1, p, j=_table_j(p), d=30e-9) is sched
+    sched = synth_cnot("combined", 0, 1, p, j=table_j(p), d=30e-9)
+    assert synth_cnot("combined", 0, 1, p, j=table_j(p), d=30e-9) is sched
     with pytest.raises(ValueError, match="read-only"):
         sched.declared_target[0, 0] = 0.0
     with pytest.raises(TypeError):
@@ -951,7 +918,7 @@ def test_cnot_hadamard_steps_are_the_hadamard_gate(p, mode):
                  tuple((pair, _exact(v)) for pair, v in seg.couplings.items()))
                 for seg in segments]
 
-    j = None if mode == "dipole" else _table_j(p)
+    j = None if mode == "dipole" else table_j(p)
     d = None if mode == "exchange" else 30e-9
     _memo.clear()
     cnot = synth_cnot(mode, 1, 0, p, j=j, d=d, system=SpinSystem(3))
@@ -972,7 +939,7 @@ def test_synth_correction_returns_a_fresh_list(p):
 
 
 def test_with_label_equals_replace(p):
-    for seg in synth_cnot("combined", 0, 1, p, j=_table_j(p), d=30e-9).segments:
+    for seg in synth_cnot("combined", 0, 1, p, j=table_j(p), d=30e-9).segments:
         relabelled = seg.with_label("renamed")
         reference = dataclasses.replace(seg, label="renamed")
         assert type(relabelled) is PulseSegment

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import mp50, mp_detuning_map
 from donorsim import params
 from donorsim.params import (
     CONSTANTS,
@@ -195,19 +196,8 @@ def test_detuning_map_against_mpmath(p):
     evaluations of the same quadratic on the same float inputs.  The bounds
     are today's measured errors, so a cancellation-free form has a number to
     beat."""
-    mp = pytest.importorskip("mpmath").MPContext()   # a private context, not the global one
-    mp.dps = 50
-    c = p.constants
-    zeeman = mp.mpf(c.mu_b) * mp.mpf(p.b)
-    den = zeeman + mp.mpf(c.g_n) * mp.mpf(c.mu_n) * mp.mpf(p.b)
-
-    def omega(a):
-        return 2 * (zeeman + a + a * a / den) / mp.mpf(c.hbar)
-
-    def hyperfine(w):
-        const = zeeman - w * mp.mpf(c.hbar) / 2
-        return den / 2 * (mp.sqrt(1 - 4 * const / den) - 1)
-
+    mp = mp50()
+    omega, hyperfine = mp_detuning_map(mp, p)
     dw_max = max_detuning(p)
     exact = abs(omega(mp.mpf(p.a_min)) - omega(mp.mpf(p.a0)))
     assert abs(dw_max - exact) / exact <= 2.2e-13

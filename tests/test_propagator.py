@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import importlib
 import io
 import math
@@ -11,6 +12,10 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from _reference import (csv_reference, donor4_loop, execute_lab_reference, execute_loop,
+                        lab_donor_reference, midpoint_expm_product, no_kernel,
+                        rf_off_and_empty_segments, sequential_refine, su2_closed_form, su2_loop,
+                        trace_loop, with_segment)
 import donorsim
 from donorsim import _kernels, _memo, analysis, propagator, spin_model
 from donorsim.analysis import (frozen_nucleus_check, gate_fidelity, lab_realization,
@@ -131,9 +136,6 @@ def test_1e300_s_segment_fails_before_its_step_is_built(p, monkeypatch, check, r
     run = {"lab": lambda: execute_schedule(lab_realization(sched, p)),
            "oracle": lambda: frozen_nucleus_check(sched, p)}[check]
 
-    def no_kernel(*args):
-        raise AssertionError("a refinement level ran")
-
     monkeypatch.setattr(_kernels, "su2_lab_levels", no_kernel)
     monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
     with warnings.catch_warnings():
@@ -186,17 +188,6 @@ def test_execute_composition(p, rng):
     assert np.abs(u12 - u).max() <= 1e-13
 
 
-def _execute_reference_loop(schedule):
-    """One propagator per timed segment, nothing reused (the former loop)."""
-    u = np.eye(schedule.system.dim, dtype=complex)
-    for seg in schedule.segments:
-        if seg.duration == 0.0:
-            continue
-        u = propagate_constant(segment_hamiltonian(schedule, seg), seg.duration,
-                               schedule.hbar) @ u
-    return u
-
-
 def _repeats_with_zero_and_rf_off(p):
     dw, j = -0.4 * max_detuning(p), interaction_coupling(1e-11, p)
     a = PulseSegment(3e-9, {0: dw})
@@ -227,7 +218,7 @@ def _hamiltonian_key(seg):
 ])
 def test_execute_rotating_against_reference_loop(p, make):
     sched = make(p)
-    reference = _execute_reference_loop(sched)
+    reference = execute_loop(sched, segment_hamiltonian, propagate_constant)
     timed = [seg for seg in sched.segments if seg.duration > 0.0]
     hamiltonians = {_hamiltonian_key(seg) for seg in timed}
     distinct = {(seg.duration, *_hamiltonian_key(seg)) for seg in timed}
@@ -287,7 +278,7 @@ def test_rotating_memo_matches_reference_loop(sched):
     """The first call after the rotating table is cleared, a hit and an equal
     copy's hit give the reference bits, each as a fresh writable array; a hit
     touches no segment table."""
-    reference = _execute_reference_loop(sched).tobytes()
+    reference = execute_loop(sched, segment_hamiltonian, propagate_constant).tobytes()
     propagator._execute_rotating.cache_clear()
     first = execute_schedule(sched).unitary
     before = _counters()
@@ -333,7 +324,8 @@ def _key_variants(p):
 def test_rotating_cache_key_is_complete(p, which):
     """Each schedule of a pair matches its own uncached result, in either order."""
     pair = _key_variants(p)[which]
-    references = {id(sched): _execute_reference_loop(sched).tobytes() for sched in pair}
+    references = {id(sched): execute_loop(sched, segment_hamiltonian,
+                                          propagate_constant).tobytes() for sched in pair}
     assert len(set(references.values())) == 2
     first, second = pair
     assert first != second and len({first, second}) == 2
@@ -592,9 +584,6 @@ def test_lab_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
     seg = PulseSegment(duration=1e-9, detunings={0: -0.4 * max_detuning(p)})
     lab = _schedule([seg], p, frame="lab", carrier=carrier_frequency(p))
 
-    def no_kernel(*args):
-        raise AssertionError("a refinement level ran")
-
     monkeypatch.setattr(_kernels, "su2_lab_product", no_kernel)
     monkeypatch.setattr(_kernels, "su2_lab_levels", no_kernel)
     with pytest.raises(ValueError, match=f"lab-frame integration tolerance must be finite "
@@ -607,48 +596,6 @@ def test_lab_frame_rejects_couplings(p):
     lab = _schedule([seg], p, n=2, frame="lab", carrier=carrier_frequency(p))
     with pytest.raises(NotImplementedError):
         execute_schedule(lab)
-
-
-def _lab_donor_reference(schedule, donor, steps_per_period):
-    """One donor's lab-frame stream, set up again and projected per segment."""
-    w_ac = schedule.carrier
-    ax = schedule.transverse_energy / schedule.hbar
-    period = 2.0 * math.pi / w_ac
-    u = np.eye(2, dtype=complex)
-    t0 = 0.0
-    for seg in schedule.segments:
-        if seg.duration > 0.0:
-            az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
-            if seg.rf_on:
-                n = max(int(math.ceil(seg.duration / period * steps_per_period)), 16)
-                useg = _kernels.su2_lab_product(az, ax, -w_ac, -schedule.rf_phase,
-                                                t0, seg.duration / n, n)
-                useg = _kernels.nearest_unitary(useg)
-            else:
-                phase = az * seg.duration
-                useg = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
-            u = useg @ u
-        t0 += seg.duration
-    return u
-
-
-def _execute_lab_reference(schedule, lab_tol):
-    """Step-halving loop over the kron assembly of the per-donor streams."""
-    def assemble(steps_per_period):
-        u = np.array([[1.0 + 0.0j]])
-        for donor in range(schedule.system.num_donors):
-            u = np.kron(u, _lab_donor_reference(schedule, donor, steps_per_period))
-        return u
-
-    steps = 64
-    coarse = assemble(steps)
-    while True:
-        fine = assemble(2 * steps)
-        if np.abs(fine - coarse).max() <= lab_tol:
-            return fine
-        steps *= 2
-        coarse = fine
-        assert steps <= 1 << 18
 
 
 def _random_lab_schedule(p, rng, num_segments):
@@ -668,13 +615,7 @@ def _two_donor_lab_schedule(p):
 
 
 def _rf_off_and_empty_lab_schedule(p):
-    dw = max_detuning(p)
-    segments = [PulseSegment(duration=0.0, detunings={0: 0.2 * dw}),
-                PulseSegment(duration=0.5e-9, detunings={0: -0.6 * dw}),
-                PulseSegment(duration=0.3e-9, detunings={0: 0.4 * dw}, rf_on=False),
-                PulseSegment(duration=0.0, rf_on=False),
-                PulseSegment(duration=0.8e-9, detunings={0: 0.1 * dw}),
-                PulseSegment(duration=0.2e-9, rf_on=False)]
+    segments = rf_off_and_empty_segments(PulseSegment, max_detuning(p))
     return _schedule(segments, p, frame="lab", carrier=carrier_frequency(p))
 
 
@@ -696,10 +637,10 @@ def test_lab_refinement_against_reference_loop(p, rng, make, lab_tol):
     """Per-call setup and one stacked projection per level change no bit."""
     sched = make(p, rng)
     u = execute_schedule(sched, lab_tol=lab_tol).unitary
-    assert np.array_equal(u, _execute_lab_reference(sched, lab_tol))
+    assert np.array_equal(u, execute_lab_reference(sched, lab_tol, _kernels))
     level = _lab_donor_levels(sched, 0)
     for steps in (64, 128, 1024):
-        assert np.array_equal(level([steps])[0], _lab_donor_reference(sched, 0, steps))
+        assert np.array_equal(level([steps])[0], lab_donor_reference(sched, 0, steps, _kernels))
 
 
 @st.composite
@@ -742,9 +683,9 @@ def test_lab_blocks_match_single_levels_and_the_sequential_loop(case, lab_tol):
         assert stack.shape == (len(block), 2, 2)
         for steps, u in zip(block, stack):
             assert np.array_equal(u, levels([steps])[0])
-            assert np.array_equal(u, _lab_donor_reference(sched, donor, steps))
+            assert np.array_equal(u, lab_donor_reference(sched, donor, steps, _kernels))
     assert np.array_equal(execute_schedule(sched, lab_tol=lab_tol).unitary,
-                          _execute_lab_reference(sched, lab_tol))
+                          execute_lab_reference(sched, lab_tol, _kernels))
 
 
 @settings(max_examples=30, deadline=None)
@@ -786,13 +727,6 @@ def _lab_memo_base(p):
     return _schedule(segments, p, frame="lab", carrier=carrier_frequency(p), rf_phase=0.3)
 
 
-def _with_segment(sched, i, **changes):
-    """sched with segment i rebuilt with changes."""
-    segments = list(sched.segments)
-    segments[i] = dataclasses.replace(segments[i], **changes)
-    return sched.replace(segments=tuple(segments))
-
-
 def _lab_key_variants(p):
     """The base schedule changed in one field lab execution reads."""
     base = _lab_memo_base(p)
@@ -803,9 +737,9 @@ def _lab_key_variants(p):
         "mu_b": base.replace(mu_b=1.01 * c.mu_b),
         "hbar": base.replace(hbar=1.01 * c.hbar),
         "rf_phase": base.replace(rf_phase=0.4),
-        "duration": _with_segment(base, 1, duration=0.5e-9),
-        "detuning": _with_segment(base, 1, detunings={0: 0.4 * max_detuning(p)}),
-        "rf_on": _with_segment(base, 1, rf_on=False),
+        "duration": with_segment(base, 1, duration=0.5e-9),
+        "detuning": with_segment(base, 1, detunings={0: 0.4 * max_detuning(p)}),
+        "rf_on": with_segment(base, 1, rf_on=False),
         "segment_order": base.replace(segments=base.segments[::-1]),
     }
 
@@ -917,28 +851,6 @@ def test_lab_memo_stores_no_error(p, which):
     assert (info.currsize, info.hits, info.misses) == (1, 0, 3)
 
 
-def _su2_closed_form_reference(az, ax, omega, phi0, t0, dt, n):
-    """The one-level closed form in scalar arithmetic, telescope included."""
-    w = math.hypot(az, ax)
-    if w == 0.0 or n == 0:
-        return np.eye(2, dtype=complex)
-    ca, sa = math.cos(w * dt), math.sin(w * dt)
-    nz, nt = az / w, ax / w
-    c, s = math.cos(0.5 * omega * dt), math.sin(0.5 * omega * dt)
-    a0 = c * ca + s * sa * nz
-    vx, vy, vz = c * sa * nt, -s * sa * nt, c * sa * nz - s * ca
-    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    beta = math.atan2(norm, a0)
-    cb = math.cos(n * beta)
-    sb = math.sin(n * beta) / norm if norm > 0.0 else 0.0
-    power = np.array([[cb - 1j * sb * vz, -sb * (vy + 1j * vx)],
-                      [sb * (vy - 1j * vx), cb + 1j * sb * vz]])
-    th0 = omega * (t0 + 0.5 * dt) + phi0
-    th_end = omega * (t0 + (n + 0.5) * dt) + phi0
-    gen = np.array([1.0, -1.0])
-    return np.exp(-0.5j * th_end * gen)[:, None] * power * np.exp(0.5j * th0 * gen)[None, :]
-
-
 @settings(max_examples=60, deadline=None)
 @given(detuning=st.floats(-3e9, 3e9), ax=st.sampled_from([0.0]) | st.floats(1e6, 3e8),
        phi0=st.floats(-math.pi, math.pi), t0=st.floats(0.0, 5e-9),
@@ -956,28 +868,9 @@ def test_su2_levels_match_one_level_calls(detuning, ax, phi0, t0, duration, step
     for u, dt, n in zip(stack, dts, ns):
         one = _kernels.su2_lab_product(az, ax, -w_ac, phi0, t0, dt, n)
         assert u.tobytes() == one.tobytes()
-        assert one.tobytes() == _su2_closed_form_reference(az, ax, -w_ac, phi0, t0, dt,
-                                                           n).tobytes()
+        assert one.tobytes() == su2_closed_form(az, ax, -w_ac, phi0, t0, dt, n).tobytes()
     assert np.array_equal(_kernels.su2_lab_levels(0.0, 0.0, -w_ac, phi0, t0, dts, ns),
                           np.repeat(np.eye(2)[None], len(ns), axis=0))
-
-
-def _sequential_refine(propagate_one, tol, ceiling, what):
-    """The step-halving loop that evaluates one level at a time."""
-    steps = 64
-    coarse = propagate_one(steps)
-    while True:
-        fine = propagate_one(2 * steps)
-        diff = np.abs(fine - coarse).max()
-        if diff <= tol:
-            return fine
-        steps *= 2
-        coarse = fine
-        if steps > ceiling:
-            raise propagator._NotConverged(
-                f"{what} did not converge to {tol} in max-norm: last "
-                f"difference {diff:.3e} at {steps} steps per carrier period"
-            )
 
 
 def _outcome(refine, propagate, tol, ceiling):
@@ -1030,7 +923,8 @@ def test_refine_blocks_match_the_sequential_loop(script, tol, ceiling, bad):
     blocks, requests = _scripted_levels(values, bad)
     sequential, seq_requests = _scripted_levels(values, bad)
     got = _outcome(propagator._refine, blocks, tol, ceiling)
-    want = _outcome(_sequential_refine, lambda s: sequential([s])[0], tol, ceiling)
+    want = _outcome(functools.partial(sequential_refine, error=propagator._NotConverged),
+                    lambda s: sequential([s])[0], tol, ceiling)
     assert got == want
     levels = [s for block in requests for s in block]
     assert requests[0] == [64, 128] and max(levels) <= 2 * ceiling
@@ -1065,45 +959,12 @@ def test_refine_never_raises_at_a_level_it_asked_for_ahead_of_need():
     assert u.tobytes() == propagate([2048])[0].tobytes()
 
 
-def _su2_reference_loop(az, ax, omega, phi0, t0, dt, n):
-    """Step-by-step midpoint product, one closed-form 2x2 step at a time."""
-    w = math.hypot(az, ax)
-    ca, sa = math.cos(w * dt), math.sin(w * dt)
-    nz, nt = az / w, ax / w
-    u = np.eye(2, dtype=complex)
-    for k in range(n):
-        th = omega * (t0 + (k + 0.5) * dt) + phi0
-        off = -1j * sa * nt * complex(math.cos(th), math.sin(th))
-        u = np.array([[ca - 1j * sa * nz, -off.conjugate()],
-                      [off, ca + 1j * sa * nz]]) @ u
-    return u
-
-
 def test_su2_kernel_against_reference_loop(p):
     az, ax = -1.7e11, 1.1e8
     w = -carrier_frequency(p)
     u_kernel = _kernels.su2_lab_product(az, ax, w, 0.0, 0.0, 1e-14, 200000)
-    u_loop = _su2_reference_loop(az, ax, w, 0.0, 0.0, 1e-14, 200000)
+    u_loop = su2_loop(az, ax, w, 0.0, 0.0, 1e-14, 200000)
     assert np.abs(u_kernel - u_loop).max() <= 1e-10
-
-
-def _rot2(angle, th):
-    """exp(-i angle (X cos th + Y sin th))."""
-    c, s = math.cos(angle), -1j * math.sin(angle)
-    return np.array([[c, s * complex(math.cos(th), -math.sin(th))],
-                     [s * complex(math.cos(th), math.sin(th)), c]])
-
-
-def _donor4_reference_loop(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n):
-    """Step-by-step Strang product: e_half, midpoint-time drive, e_half."""
-    w, v = np.linalg.eigh(h_static)
-    e_half = (v * np.exp(-1j * w * (dt / (2.0 * hbar)))) @ v.conj().T
-    u = np.eye(4, dtype=complex)
-    for k in range(n):
-        th = omega * (t0 + (k + 0.5) * dt) + chi
-        mid = np.kron(_rot2(gx_e * dt, phase_sign_e * th), _rot2(gx_n * dt, th))
-        u = (e_half @ (mid @ e_half)) @ u
-    return u
 
 
 @pytest.mark.parametrize("rf_on,nuclear_drive", [(False, False), (True, False), (True, True)],
@@ -1119,19 +980,8 @@ def test_donor4_kernel_against_reference_loop(p, rf_on, nuclear_drive):
     args = (single_donor_static(0.7 * p.a0, p), c.hbar, gx_e, -1.0, gx_n, w_ac, 0.4, 1.3e-9,
             dt, 3000)
     u_kernel = _kernels.donor4_strang_product(*args)
-    u_loop = _donor4_reference_loop(*args)
+    u_loop = donor4_loop(*args)
     assert np.abs(u_kernel - u_loop).max() <= 1e-10
-
-
-def _driven_midpoint_loop(a, p, rf_phase, include_nuclear_drive, dt, n):
-    """exp(-i H(t_mid) dt / hbar) over n steps from t = 0, H the dense
-    single_donor_driven builder at each step's midpoint time."""
-    hs = np.array([single_donor_driven(a, (k + 0.5) * dt, p, rf_phase, include_nuclear_drive)
-                   for k in range(n)])
-    u = np.eye(4, dtype=complex)
-    for step in scipy.linalg.expm(-1j * (dt / p.constants.hbar) * hs):
-        u = step @ u
-    return u
 
 
 @pytest.mark.parametrize("include_nuclear_drive", [False, True],
@@ -1152,7 +1002,8 @@ def test_donor4_kernel_against_the_dense_driven_builder(p, include_nuclear_drive
         n = 40 * steps_per_period
         u_kernel = _kernels.donor4_strang_product(single_donor_static(a, p), c.hbar, gx_e, -1.0,
                                                   gx_n, w_ac, 0.4, 0.0, dt, n)
-        u_loop = _driven_midpoint_loop(a, p, 0.4, include_nuclear_drive, dt, n)
+        u_loop = midpoint_expm_product(
+            lambda t: single_donor_driven(a, t, p, 0.4, include_nuclear_drive), dt, n, c.hbar)
         errs.append(np.abs(u_kernel - u_loop).max())
     assert errs[0] <= 3.02e-5 and errs[1] <= 1.89e-6
     assert 15.9 <= errs[0] / errs[1] <= 16.1
@@ -1181,11 +1032,8 @@ def test_kernel_against_expm_oracle(p):
     z = np.diag([1.0, -1.0]).astype(complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    ref = np.eye(2, dtype=complex)
-    for k in range(n):
-        th = w * (k + 0.5) * dt
-        h = az * z + ax * (math.cos(th) * x + math.sin(th) * y)
-        ref = scipy.linalg.expm(-1j * h * dt) @ ref
+    ref = midpoint_expm_product(
+        lambda t: az * z + ax * (math.cos(w * t) * x + math.sin(w * t) * y), dt, n)
     assert np.abs(u - ref).max() <= 1e-9
 
 
@@ -1237,32 +1085,6 @@ def test_trace_csv_format(p):
     assert float(lines[-1].split(",")[1]) == pytest.approx(0.5, abs=1e-9)
 
 
-def _trace_reference_loop(schedule, psi0, samples):
-    """Per-sample populations, stepping segment by segment (the former loop)."""
-    total = schedule.total_duration
-    eigs, starts, t_acc = [], [], 0.0
-    for seg in schedule.segments:
-        if seg.duration == 0.0:
-            continue
-        eigs.append(np.linalg.eigh(segment_hamiltonian(schedule, seg)))
-        starts.append(t_acc)
-        t_acc += seg.duration
-    times = np.linspace(0.0, total, samples)
-    pops = np.empty((samples, schedule.system.dim))
-    seg_idx, psi_seg_start = 0, psi0
-    for i, t in enumerate(times):
-        while seg_idx + 1 < len(starts) and t >= starts[seg_idx + 1] - 1e-18 * total:
-            w, v = eigs[seg_idx]
-            dt_full = starts[seg_idx + 1] - starts[seg_idx]
-            phases = np.exp(-1j * w * (dt_full / schedule.hbar))
-            psi_seg_start = v @ (phases * (v.conj().T @ psi_seg_start))
-            seg_idx += 1
-        w, v = eigs[seg_idx]
-        phases = np.exp(-1j * w * ((t - starts[seg_idx]) / schedule.hbar))
-        pops[i] = np.abs(v @ (phases * (v.conj().T @ psi_seg_start))) ** 2
-    return times, pops
-
-
 def _basis(dim, index):
     psi = np.zeros(dim, dtype=complex)
     psi[index] = 1.0
@@ -1304,7 +1126,7 @@ def test_trace_against_reference_loop(p, make, initial, samples):
     tr = trace_evolution(sched, initial, samples=samples)
     psi0 = (_basis(sched.system.dim, sched.system.basis_labels().index(initial))
             if isinstance(initial, str) else initial)
-    times, pops = _trace_reference_loop(sched, psi0, samples)
+    times, pops = trace_loop(sched, psi0, samples, segment_hamiltonian)
     assert np.array_equal(tr.times, times)
     assert np.abs(tr.populations - pops).max() <= 1e-14
 
@@ -1363,7 +1185,7 @@ def test_trace_memo_cold_warm_and_cleared_are_bit_identical(p, make, initial, sa
         assert tr.times.tobytes() == cold.times.tobytes()
         assert tr.populations.tobytes() == cold.populations.tobytes()
         assert (tr.basis_labels, tr.initial_label) == (cold.basis_labels, cold.initial_label)
-        assert _csv_text(tr) == _csv_text(cold) == _csv_reference(cold, {})
+        assert _csv_text(tr) == _csv_text(cold) == csv_reference(cold, {})
         for array in (tr.times, tr.populations):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -1398,14 +1220,6 @@ def test_trace_samples_must_be_an_integer(p, warm):
     assert _trace_counts() == (1 + warm, 1)
 
 
-def _csv_reference(trace, header):
-    lines = [f"# {key} = {val}\n" for key, val in header.items()]
-    lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
-    for t, row in zip(trace.times, trace.populations):
-        lines.append(",".join([f"{t * 1e9:.12g}"] + [f"{x:.12g}" for x in row]) + "\n")
-    return "".join(lines)
-
-
 def test_trace_csv_matches_per_cell_format(p):
     sched = synth_hadamard(0, p, SpinSystem(2))
     tr = trace_evolution(sched, "00", samples=50)
@@ -1418,7 +1232,7 @@ def test_trace_csv_matches_per_cell_format(p):
     buf = io.StringIO()
     trace_to_csv(tr, buf, header=header)
     text = buf.getvalue()
-    assert text == _csv_reference(tr, header)
+    assert text == csv_reference(tr, header)
     assert ",1e-33," in text and ",2.3e-35," in text and ",1,0,0,0\n" in text
 
 
@@ -1427,7 +1241,7 @@ def test_trace_csv_ignores_later_changes_to_the_input_arrays():
     stays that of the values it was built from."""
     times = np.linspace(0.0, 3e-9, 4)
     pops = np.array([[1.0, 0.0], [0.75, 0.25], [0.5, 0.5], [0.0, 1.0]])
-    expected = _csv_reference(EvolutionTrace(times.copy(), pops.copy(), ("0", "1"), "0"), {})
+    expected = csv_reference(EvolutionTrace(times.copy(), pops.copy(), ("0", "1"), "0"), {})
     tr = EvolutionTrace(times, pops, ("0", "1"), "0")
     assert _csv_text(tr) == expected
     times[:] = 7.0

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from _reference import gate_fidelity_reference, midpoint_expm_product, rotating_reference
+from donorsim import spin_model
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.spin_model import (
     E_SX,
@@ -24,10 +26,6 @@ from donorsim.spin_model import (
     single_donor_static,
     single_electron_lab,
 )
-
-
-def _fid(u, v):
-    return abs(np.trace(u.conj().T @ v)) / u.shape[0]
 
 
 def test_spin_system_dimensions():
@@ -166,26 +164,6 @@ def test_register_ops_are_read_only():
     assert _bits(ops.sx[0]) == _bits(pauli_on(E_SX, 0, 2))
 
 
-def _rotating_reference(system, drive, detunings, couplings, dipole, hbar):
-    """Per-term assembly, every operator embedded on the spot (the former loop)."""
-    n = system.num_sites
-    h = np.zeros((system.dim, system.dim), dtype=complex)
-    for donor in range(system.num_donors):
-        site = system.electron_site(donor)
-        if drive:
-            h += drive * pauli_on(E_SX, site, n)
-        dw = detunings.get(donor, 0.0)
-        if dw:
-            h += hbar * dw * pauli_on(E_SZ, site, n)
-    for (qa, qb), j in couplings.items():
-        if j:
-            h += j * electron_pair_dot(system.electron_site(qa), system.electron_site(qb), n)
-    for (qa, qb), d in dipole.items():
-        if d:
-            h += dipole_term(d, "z", n, system.electron_site(qa), system.electron_site(qb))
-    return h
-
-
 def test_rotating_hamiltonian_against_per_term_assembly(p, rng):
     hbar, dw_max = p.constants.hbar, max_detuning(p)
     for system in ALL_SYSTEMS:
@@ -198,7 +176,8 @@ def test_rotating_hamiltonian_against_per_term_assembly(p, rng):
                          for pair in pairs if rng.uniform() < 0.5}
             dipole = {pair: float(rng.uniform(-1e-25, 1e-25)) for pair in pairs[:2]}
             args = (system, drive, detunings, couplings, dipole, hbar)
-            assert _bits(rotating_hamiltonian(*args)) == _bits(_rotating_reference(*args))
+            reference = rotating_reference(spin_model, *args)
+            assert _bits(rotating_hamiltonian(*args)) == _bits(reference)
 
 
 def test_rotating_hamiltonian_rejects_bad_pairs(p):
@@ -321,14 +300,12 @@ def test_lab_frame_equivalence_against_expm(p, rng):
         t_final = rng.uniform(0.3e-9, 2.0e-9)
         n = int(t_final * w_ac / (2.0 * math.pi) * 300)
         dt = t_final / n
-        u = np.eye(2, dtype=complex)
-        for k in range(n):
-            h = single_electron_lab(a, (k + 0.5) * dt, p)
-            u = scipy.linalg.expm(-1j * h * dt / p.constants.hbar) @ u
+        u = midpoint_expm_product(lambda t: single_electron_lab(a, t, p), dt, n,
+                                  p.constants.hbar)
         h_rot = rotating_hamiltonian(SpinSystem(1), p.transverse_energy, {0: dw}, {}, {},
                                      p.constants.hbar)
         u_rot = scipy.linalg.expm(-1j * h_rot * t_final / p.constants.hbar)
         mapped = frame_rotation(t_final, p, SpinSystem(1)) @ u
-        assert 1.0 - _fid(mapped, u_rot) <= 1e-8
+        assert 1.0 - gate_fidelity_reference(mapped, u_rot) <= 1e-8
         # phase-exact, not just fidelity-exact (no dropped scalar offsets)
         assert np.abs(mapped - u_rot).max() <= 1e-4
