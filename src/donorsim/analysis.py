@@ -165,9 +165,26 @@ def timescale_table(p: DeviceParameters, t2: float = 0.060) -> list[TimescaleRow
 # ---------------------------------------------------------------------------
 
 def lab_realization(schedule: PulseSchedule, p: DeviceParameters) -> PulseSchedule:
-    """The same control sequence expressed as a lab-frame schedule."""
+    """The same control sequence expressed as a lab-frame schedule.
+
+    A lab-frame input is returned as it is.  Verification asks for the twin
+    of the same few gates again and again, so each twin is built once while
+    the `_lab_twin` table holds it.  The twin carries its source's labels and
+    declared_target, annotations a schedule's own key leaves out, so the
+    table's key adds them: the labels by value, the target by identity (the
+    entry holds the target, so its id is not reused while the entry lives).
+    """
     if schedule.frame == "lab":
         return schedule
+    return _lab_twin(schedule, p, tuple(seg.label for seg in schedule.segments),
+                     id(schedule.declared_target))
+
+
+@_memo.table
+def _lab_twin(schedule: PulseSchedule, p: DeviceParameters, labels: tuple[str, ...],
+              target_id: int) -> PulseSchedule:
+    """lab_realization's lab-frame copy of a rotating-frame schedule; labels
+    and target_id only key the entry."""
     return schedule.replace(frame="lab", carrier=carrier_frequency(p))
 
 

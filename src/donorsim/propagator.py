@@ -535,6 +535,12 @@ def _resolve_state(initial, system: SpinSystem) -> tuple[np.ndarray, str]:
     return psi, "custom"
 
 
+# Most samples one trace takes, a thousand times the CLI's default.  A 3-donor
+# trace of 10**6 samples holds 64 MB of populations; a count far past it would
+# only fail in numpy's allocator, with a traceback instead of a message.
+_MAX_SAMPLES = 10**6
+
+
 def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> EvolutionTrace:
     """Sample basis populations uniformly over a rotating-frame schedule.
 
@@ -544,13 +550,17 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
     once per schedule (its controls, see PulseSchedule), initial state and
     sample count while the `_trace` table holds it, and is returned as the
     same read-only EvolutionTrace; errors are raised again on every call.
+    More than _MAX_SAMPLES samples is a ValueError, raised before the lookup.
     """
     if schedule.frame != "rotating":
         raise NotImplementedError("traces are computed in the rotating frame")
     psi0, init_label = _resolve_state(initial, schedule.system)
     # an int, so that a float count raises here, before a warm entry could
     # match it (2.0 hashes equal to 2)
-    return _trace(schedule, psi0.tobytes(), init_label, operator.index(samples))
+    samples = operator.index(samples)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"at most {_MAX_SAMPLES} trace samples, got {samples}")
+    return _trace(schedule, psi0.tobytes(), init_label, samples)
 
 
 # The CLI writes the same few traces again and again, and a trace is a pure

@@ -366,9 +366,20 @@ def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndar
     Acts on electron sites only; nuclear sites are untouched.  A lab-frame
     state psi maps into the rotating frame as R(t) @ psi, and a propagator
     U(0 -> t) as R(t) @ U, since R(0) is the identity.
+
+    Verification maps the same few gate durations again and again, so the
+    matrix is built once per (t, p, system) while the `_frame_rotation`
+    table holds it; each call returns a fresh, writable copy.
     """
+    return _frame_rotation(t, p, system).copy()
+
+
+@_memo.table
+def _frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndarray:
+    """Read-only R(t) of frame_rotation."""
     phase = 0.5 * carrier_frequency(p) * t
     # sigma_z^e = -Z in the logical basis, so the matrix is exp(-i phase Z)
     single = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
     electrons = tuple(system.electron_site(q) for q in range(system.num_donors))
-    return embed(reduce(np.kron, [single] * len(electrons)), electrons, system.num_sites)
+    return _read_only(embed(reduce(np.kron, [single] * len(electrons)), electrons,
+                            system.num_sites))

@@ -24,7 +24,7 @@ from donorsim.analysis import (
     timescale_table,
 )
 from donorsim.gates import spectator_period, synth_cnot, synth_hadamard, synth_x, synth_y, synth_z
-from donorsim.params import max_detuning
+from donorsim.params import carrier_frequency, max_detuning
 from donorsim.propagator import PulseSchedule, PulseSegment, _refine
 from donorsim.spin_model import SX, SpinSystem, single_donor_static
 
@@ -585,6 +585,38 @@ def test_lab_realization(p):
     lab = lab_realization(sched, p)
     assert lab.frame == "lab" and lab.carrier is not None
     assert lab_realization(lab, p) is lab
+
+
+def test_lab_twin_carries_its_own_source_annotations(p):
+    """Rotating schedules with equal controls but other labels or another
+    declared target are equal keys of the schedule's own tables; each gets a
+    twin carrying its own annotations, and a repeated request is a hit."""
+    _memo.clear()
+    base = synth_x(math.pi, 0, p, SpinSystem(1))
+    relabeled = base.replace(segments=tuple(seg.with_label(f"step {k}")
+                                            for k, seg in enumerate(base.segments)))
+    retargeted = base.replace(declared_target=base.declared_target.copy())
+    untargeted = base.replace(declared_target=None)
+    sources = (base, relabeled, retargeted, untargeted)
+    assert len(set(sources)) == 1
+    twins = [lab_realization(sched, p) for sched in sources]
+    for sched, twin in zip(sources, twins):
+        assert twin.frame == "lab" and twin.carrier == carrier_frequency(p)
+        assert twin == sched.replace(frame="lab", carrier=twin.carrier)
+        assert [seg.label for seg in twin.segments] == [seg.label for seg in sched.segments]
+        assert twin.declared_target is sched.declared_target
+        assert lab_realization(sched, p) is twin
+    assert analysis._lab_twin.cache_info()[:2] == (4, 4)
+
+
+def test_lab_twin_table_is_emptied_by_clear(p):
+    sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
+    twin = lab_realization(sched, p)
+    assert analysis._lab_twin.cache_info().currsize >= 1
+    _memo.clear()
+    assert analysis._lab_twin.cache_info().currsize == 0
+    again = lab_realization(sched, p)
+    assert again is not twin and again == twin
 
 
 def test_sweep_single_point_bitwise(p):

@@ -658,6 +658,18 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     assert len(captured.err.splitlines()) == 1 and message in captured.err
 
 
+def test_trace_samples_past_the_cap_exit_2(tmp_path, capsys):
+    """A --samples count one past the trace cap ends in one stderr line and
+    exit 2, and neither the report nor the trace is written."""
+    out, trace = tmp_path / "x.json", tmp_path / "x.csv"
+    code = main(["--out", str(out), "gate", "--gate", "x", "--trace", str(trace),
+                 "--samples", "1000001"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "gate failed: at most 1000000 trace samples, got 1000001\n"
+    assert not out.exists() and not trace.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gate", "--gate", "cnot", "--extended-correction"],
     ["gate", "--gate", "cnot", "--mode", "combined", "--interaction-step-ns", "0.02"],

@@ -364,7 +364,7 @@ def test_every_memo_table_is_registered_and_bounded():
     registered = {id(memo) for memo in _memo.TABLES}
     assert sorted(found[key] for key in found.keys() - registered) == []
     assert found.keys() == registered
-    assert len(_memo.TABLES) == 12
+    assert len(_memo.TABLES) == 14
     assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
     _memo.clear()
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
@@ -1218,6 +1218,17 @@ def test_trace_samples_must_be_an_integer(p, warm):
     trace = trace_evolution(sched, "0", samples=2)
     assert trace_evolution(sched, "0", samples=np.int64(2)) is trace
     assert _trace_counts() == (1 + warm, 1)
+
+
+def test_trace_samples_past_the_cap_raise_before_the_lookup(p):
+    """One sample more than the cap is a ValueError that computes and stores
+    nothing (no count that would allocate is tried)."""
+    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    _memo.clear()
+    with pytest.raises(ValueError, match=f"at most {propagator._MAX_SAMPLES} trace samples, "
+                                         f"got {propagator._MAX_SAMPLES + 1}"):
+        trace_evolution(sched, "0", samples=propagator._MAX_SAMPLES + 1)
+    assert _trace_counts() == (0, 0)
 
 
 def test_trace_csv_matches_per_cell_format(p):

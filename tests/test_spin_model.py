@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from _reference import gate_fidelity_reference, midpoint_expm_product, rotating_reference
-from donorsim import spin_model
+from donorsim import _memo, spin_model
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.spin_model import (
     E_SX,
@@ -286,6 +286,35 @@ def test_frame_map_skips_nuclei(p):
     # nuclear sub-block is untouched: r = diag(a, a, b, b)
     assert r[0, 0] == r[1, 1] and r[2, 2] == r[3, 3]
     assert r[0, 0] != r[2, 2]
+
+
+@pytest.mark.parametrize("system", [SpinSystem(1), SpinSystem(2), SpinSystem(3),
+                                    SpinSystem(1, include_nuclei=True)],
+                         ids=["one", "two", "three", "one_with_nucleus"])
+def test_frame_map_hit_is_bitwise_a_cold_build(p, system):
+    """From cleared tables, the stored R(t) and the hit that returns it are
+    bit for bit the matrix built without the table."""
+    t = 1.3e-9
+    _memo.clear()
+    cold = frame_rotation(t, p, system)
+    warm = frame_rotation(t, p, system)
+    assert spin_model._frame_rotation.cache_info()[:2] == (1, 1)
+    built = spin_model._frame_rotation.__wrapped__(t, p, system)
+    assert cold.tobytes() == warm.tobytes() == built.tobytes()
+    assert cold.shape == warm.shape == (system.dim, system.dim)
+
+
+def test_frame_map_returns_a_writable_copy(p):
+    """Writing into a returned R(t) changes neither the table's read-only
+    entry nor the next call's result."""
+    system = SpinSystem(2)
+    first = frame_rotation(0.7e-9, p, system)
+    expected = first.copy()
+    first[:] = 0.0
+    second = frame_rotation(0.7e-9, p, system)
+    assert second is not first and second.flags.writeable
+    assert second.tobytes() == expected.tobytes()
+    assert not spin_model._frame_rotation(0.7e-9, p, system).flags.writeable
 
 
 def test_lab_frame_equivalence_against_expm(p, rng):
