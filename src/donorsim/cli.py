@@ -19,6 +19,7 @@ from . import _memo, analysis, gates
 from .params import _CONFIG_FIELDS, _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
     _NotConverged,
+    _overwrite,
     execute_schedule,
     schedule_from_text,
     schedule_to_text,
@@ -69,7 +70,7 @@ class RunConfig:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        with _overwrite(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -183,9 +184,15 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
                   for lab, dur in report.step_durations],
         "notes": report.notes,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n", cfg.out)
-    if trace is not None:
-        trace_to_csv(trace, args.trace, header=cfg.as_dict())
+    report = json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n"
+    if trace is None:
+        _emit(report, cfg.out)
+    else:
+        # the trace file is opened before the report is written, so one that
+        # cannot be opened leaves no report behind either
+        with _overwrite(args.trace) as fh:
+            _emit(report, cfg.out)
+            trace_to_csv(trace, fh, header=cfg.as_dict())
     return 0 if payload["passed"] else 1
 
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from donorsim.params import carrier_frequency, hyperfine_for_detuning
+from donorsim.params import carrier_frequency, hyperfine_for_detuning, resonant_frequency
 
 
 def haar(dim, rng):
@@ -236,13 +236,33 @@ def donor4_loop(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, t0, dt, n)
 def midpoint_expm_product(hamiltonian, dt, n, hbar=1.0):
     """Product of exp(-i H(t_k) dt / hbar), t_k = (k + 1/2) dt, k < n, from
     one stacked expm."""
+    return stacked_expm_product(np.array([hamiltonian((k + 0.5) * dt) for k in range(n)]),
+                                dt, hbar)
+
+
+def stacked_expm_product(hs, dt, hbar=1.0):
+    """Product of exp(-i hs[k] dt / hbar) over the stack, first k rightmost,
+    from one stacked expm."""
     import scipy.linalg   # here: bench_kernels.py imports this module without scipy
 
-    hs = np.array([hamiltonian((k + 0.5) * dt) for k in range(n)])
     u = np.eye(hs.shape[-1], dtype=complex)
     for step in scipy.linalg.expm(-1j * (dt / hbar) * hs):
         u = step @ u
     return u
+
+
+def electron_lab_midpoints(a, p, dt, n):
+    """The driven single-electron lab Hamiltonians H(t_k), t_k = (k + 1/2) dt,
+    k < n, as one (n, 2, 2) stack: hbar (omega(A) - omega_ac / 2) on the
+    electron's sigma_z = diag(-1, 1) and the co-rotating drive
+    mu_B B_ac e^(+-i omega_ac t) off the diagonal."""
+    z = p.constants.hbar * (resonant_frequency(a, p) - 0.5 * carrier_frequency(p))
+    th = carrier_frequency(p) * ((np.arange(n) + 0.5) * dt)
+    hs = np.zeros((n, 2, 2), dtype=complex)
+    hs[:, 0, 0], hs[:, 1, 1] = -z, z
+    hs[:, 0, 1] = p.transverse_energy * (np.cos(th) + 1j * np.sin(th))
+    hs[:, 1, 0] = hs[:, 0, 1].conj()
+    return hs
 
 
 def lab_walk(schedule, carrier, dim, steps_per_period, segment_step):

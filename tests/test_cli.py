@@ -4,7 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import stat
 import time
 
 import pytest
@@ -739,6 +741,91 @@ def test_gate_trace_fails_before_writing(tmp_path, capsys, flags):
     assert not out.exists() and not trace.exists()
     code = main(["gate", "--gate", "x", "--trace", str(trace)] + flags)
     assert code == 2 and capsys.readouterr().out == ""
+
+
+def test_rewriting_longer_outputs_leaves_exactly_the_new_bytes(tmp_path, capsys):
+    """--out and --trace overwrite an existing file in place, and a shorter new
+    output leaves none of the old file's tail."""
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+
+    def run(where):
+        where.mkdir(exist_ok=True)
+        assert main(["--out", str(where / "t.txt"), "table", "II"]) == 0
+        assert main(["--out", str(where / "g.json"), "gate", "--gate", "x",
+                     "--samples", "10", "--trace", str(where / "g.csv")]) == 0
+
+    run(fresh)
+    old.mkdir()
+    for name in ("t.txt", "g.json", "g.csv"):
+        (old / name).write_bytes(b"#" * 200_000 + b"\n")
+    run(old)
+    for name in ("t.txt", "g.json", "g.csv"):
+        assert (old / name).read_bytes() == (fresh / name).read_bytes()
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", os.devnull, "table", "II"],
+    ["--out", os.devnull, "gate", "--gate", "x", "--trace", os.devnull],
+    ["gate", "--gate", "hadamard", "--trace", os.devnull],
+], ids=["table_out", "gate_out_and_trace", "gate_trace"])
+def test_outputs_to_a_device_exit_0(capsys, argv):
+    """A device that cannot be truncated takes the output as open(path, "w") would."""
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
+    """The error line of an --out that cannot be opened is open(path, "w")'s
+    (test_unwritable_trace_writes_no_report checks --trace)."""
+    target = tmp_path / "missing" / "x.json"
+    assert main(["--out", str(target), "gate", "--gate", "x"]) == 2
+    assert capsys.readouterr() == (
+        "", f"gate failed: [Errno 2] No such file or directory: '{target}'\n")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_output_files_get_the_umask_mode(tmp_path, capsys, umask):
+    out, trace = tmp_path / "x.json", tmp_path / "x.csv"
+    old = os.umask(umask)
+    try:
+        code = main(["--out", str(out), "gate", "--gate", "x", "--trace", str(trace)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    for path in (out, trace):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_and_trace_at_one_path_end_with_the_trace(tmp_path, capsys):
+    both, trace = tmp_path / "both.csv", tmp_path / "x.csv"
+    assert main(["gate", "--gate", "x", "--trace", str(trace)]) == 0
+    report = capsys.readouterr().out
+    for samples in ("1000", "2"):  # a trace longer, then shorter, than the report
+        assert main(["gate", "--gate", "x", "--samples", samples, "--trace", str(trace)]) == 0
+        assert main(["--out", str(both), "gate", "--gate", "x", "--samples", samples,
+                     "--trace", str(both)]) == 0
+        assert both.read_bytes() == trace.read_bytes()
+    assert len(trace.read_bytes()) < len(report)
+    assert capsys.readouterr().out == 2 * report
+
+
+def test_unwritable_trace_writes_no_report(tmp_path, capsys):
+    """Every output is opened before any byte is written: a --trace that cannot
+    be opened leaves stdout empty, an existing --out file as it was, and no new
+    --out file."""
+    bad = tmp_path / "missing" / "t.csv"
+    message = f"gate failed: [Errno 2] No such file or directory: '{bad}'\n"
+    assert main(["gate", "--gate", "x", "--trace", str(bad)]) == 2
+    assert capsys.readouterr() == ("", message)
+
+    out = tmp_path / "r.json"
+    assert main(["--out", str(out), "gate", "--gate", "x", "--trace", str(bad)]) == 2
+    assert capsys.readouterr() == ("", message) and not out.exists()
+    out.write_bytes(b"old report\n")
+    assert main(["--out", str(out), "gate", "--gate", "x", "--trace", str(bad)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert out.read_bytes() == b"old report\n"
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):

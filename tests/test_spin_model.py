@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _reference import gate_fidelity_reference, midpoint_expm_product, rotating_reference
+from _reference import (electron_lab_midpoints, gate_fidelity_reference, rotating_reference,
+                        stacked_expm_product)
 from donorsim import _memo, spin_model
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.spin_model import (
@@ -329,8 +330,10 @@ def test_lab_frame_equivalence_against_expm(p, rng):
         t_final = rng.uniform(0.3e-9, 2.0e-9)
         n = int(t_final * w_ac / (2.0 * math.pi) * 300)
         dt = t_final / n
-        u = midpoint_expm_product(lambda t: single_electron_lab(a, t, p), dt, n,
-                                  p.constants.hbar)
+        hs = electron_lab_midpoints(a, p, dt, n)
+        for k in [*range(0, n, 64), n - 1]:
+            assert np.array_equal(hs[k], single_electron_lab(a, (k + 0.5) * dt, p))
+        u = stacked_expm_product(hs, dt, p.constants.hbar)
         h_rot = rotating_hamiltonian(SpinSystem(1), p.transverse_energy, {0: dw}, {}, {},
                                      p.constants.hbar)
         u_rot = scipy.linalg.expm(-1j * h_rot * t_final / p.constants.hbar)
