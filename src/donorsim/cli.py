@@ -8,8 +8,12 @@ so runs are auditable, and identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import locale
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -19,7 +23,6 @@ from . import _memo, analysis, gates
 from .params import _CONFIG_FIELDS, _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
     _NotConverged,
-    _overwrite,
     execute_schedule,
     schedule_from_text,
     schedule_to_text,
@@ -68,10 +71,57 @@ class RunConfig:
                 "seed": self.seed, "format": self.fmt}
 
 
+def _open_outputs(paths: list[str]) -> list[int]:
+    """Open every path for writing before any byte is written, or none.
+
+    open(path, "w") empties an existing file as it opens it, which frees the
+    file's blocks only for the write to allocate them again; these opens keep
+    them, and _rewrite cuts the file once written.  A new file's mode and the
+    error on a path that cannot be opened are open(path, "w")'s.  If a path
+    cannot be opened, the files opened before it are closed unwritten and
+    those this call created are removed.
+    """
+    fds, created = [], []
+    try:
+        for path in paths:
+            try:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        for path in created:
+            os.unlink(path)
+        raise
+    return fds
+
+
+def _rewrite(fd: int, text: str) -> None:
+    """Write text over the file open at fd from its start, then close it.
+
+    A regular file is cut where the written bytes end: after a complete write
+    that leaves exactly the text, and after a write that raises, the partial
+    file a truncating write leaves.  A device such as /dev/null is not cut.
+    Only a process killed mid-write can leave the old file's tail behind.
+    """
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with _overwrite(out) as fh:
-            fh.write(text)
+        _rewrite(*_open_outputs([out]), text)
     else:
         sys.stdout.write(text)
 
@@ -184,15 +234,24 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
                   for lab, dur in report.step_durations],
         "notes": report.notes,
     }
-    report = json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n"
     if trace is None:
-        _emit(report, cfg.out)
+        _emit(text, cfg.out)
     else:
-        # the trace file is opened before the report is written, so one that
-        # cannot be opened leaves no report behind either
-        with _overwrite(args.trace) as fh:
-            _emit(report, cfg.out)
-            trace_to_csv(trace, fh, header=cfg.as_dict())
+        # both files are opened before the report is written, so a path that
+        # cannot be opened leaves no report behind and every file as it was
+        csv = io.StringIO()
+        trace_to_csv(trace, csv, header=cfg.as_dict())
+        *out_fd, trace_fd = _open_outputs([cfg.out, args.trace] if cfg.out else [args.trace])
+        try:
+            if out_fd:
+                _rewrite(*out_fd, text)
+            else:
+                sys.stdout.write(text)
+        except BaseException:
+            os.close(trace_fd)
+            raise
+        _rewrite(trace_fd, csv.getvalue())
     return 0 if payload["passed"] else 1
 
 

@@ -11,13 +11,10 @@ lab segments; drive phases are never reset at segment boundaries.
 from __future__ import annotations
 
 import ast
-import contextlib
 import functools
 import io
 import math
 import operator
-import os
-import stat
 import tokenize
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -607,31 +604,20 @@ def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
     return EvolutionTrace(times, pops, labels, init_label)
 
 
-@contextlib.contextmanager
-def _overwrite(path):
-    """A text handle that rewrites the file at path in place: open(path, "w")
-    without its truncation on open, which frees the file's blocks only for the
-    write to allocate them again.  On a clean exit a regular file is cut to
-    what was written, so the final bytes, a new file's mode and the errors on
-    open are those of open(path, "w"); a device such as /dev/null cannot be cut
-    and is left as is.  A write that fails leaves the old file's tail."""
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        yield fh
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()
-
-
 def trace_to_csv(trace: EvolutionTrace, stream, header: Mapping[str, object] | None = None) -> None:
     """Write a trace as CSV: `time_ns,pop_<label>,...`, 12 significant digits."""
-    lines = [f"# {key} = {val}\n" for key, val in (header or {}).items()]
-    lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
-    lines.append(trace._csv_rows)
-    text = "".join(lines)
+    close = False
     if isinstance(stream, (str, bytes)):
-        with _overwrite(stream) as fh:
-            fh.write(text)
-    else:
-        stream.write(text)
+        stream = open(stream, "w")
+        close = True
+    try:
+        lines = [f"# {key} = {val}\n" for key, val in (header or {}).items()]
+        lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
+        lines.append(trace._csv_rows)
+        stream.write("".join(lines))
+    finally:
+        if close:
+            stream.close()
 
 
 # ---------------------------------------------------------------------------

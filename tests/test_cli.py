@@ -828,6 +828,41 @@ def test_unwritable_trace_writes_no_report(tmp_path, capsys):
     assert out.read_bytes() == b"old report\n"
 
 
+def test_unwritable_out_writes_no_trace(tmp_path, capsys):
+    """An --out that cannot be opened leaves no new --trace file and an
+    existing one as it was."""
+    bad, trace = tmp_path / "missing" / "r.json", tmp_path / "t.csv"
+    message = f"gate failed: [Errno 2] No such file or directory: '{bad}'\n"
+    argv = ["--out", str(bad), "gate", "--gate", "x", "--trace", str(trace)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message) and not trace.exists()
+    trace.write_bytes(b"old trace\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+    assert trace.read_bytes() == b"old trace\n"
+
+
+def test_a_write_that_fails_leaves_the_partial_file(tmp_path, capsys, monkeypatch):
+    """A write that raises partway leaves the bytes written so far and none of
+    the old file's tail, as a truncating write would."""
+    out = tmp_path / "t.txt"
+    assert main(["--out", str(out), "table", "II"]) == 0
+    new = out.read_bytes()
+    out.write_bytes(b"#" * 2 * len(new))
+    real_write = os.write
+
+    def write_then_fail(fd, data):
+        if len(data) == len(new):
+            return real_write(fd, data[:100])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    assert main(["--out", str(out), "table", "II"]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "table failed: [Errno 28] No space left on device\n")
+    assert out.read_bytes() == new[:100]
+
+
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):
     assert build_parser() is build_parser()
     for grid in ("0.0006,0.0012", "0.0009"):
