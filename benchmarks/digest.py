@@ -9,6 +9,7 @@
     python benchmarks/digest.py cli-gates 1 2
     python benchmarks/digest.py configs 7
     python benchmarks/digest.py sweep 1 2
+    python benchmarks/digest.py cli-outputs 7
 
 For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
@@ -17,7 +18,7 @@ changed), runs its ops in order and prints one line per op:
     session, session-warm, validate:
                           <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
-    cli-gates, configs, sweep:
+    cli-gates, configs, sweep, cli-outputs:
                           <seed> <index> <exit code> <sha256 of its result> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
@@ -57,6 +58,15 @@ for every metric of `analysis.SWEEP_METRICS` and every field of
 `analysis.SWEEP_FIELDS`, in text, csv and json, over seeded grids of the
 field around its default whose points reach devices where synthesis is
 infeasible or a value is out of range, and hashes each run like cli-gates.
+cli-outputs is not a workload either: it runs `table`, `sweep`, `schedule
+dump`, `schedule load`, `validate`, `gate` and `gate --trace` with `--seed
+<seed>` through `cli.main` to each destination: stdout, a new `--out` file,
+an existing longer `--out` file, `--out /dev/null` and an `--out` in a
+missing directory, and `gate --trace` once more to each with a `--trace` in a
+missing directory.  It hashes each run like cli-gates, with the temporary
+directory's path masked in stderr, followed by whether each output file
+exists and its bytes, so a change to how a command's outputs are opened,
+written or left behind would show.
 The package is imported from this checkout's `src`, so running the script in
 two checkouts and diffing the results shows whether they compute and write
 the same bits.
@@ -205,13 +215,23 @@ def gate_option_values(seed: int) -> dict:
     }
 
 
-def captured_run(argv: list) -> tuple[int, str]:
-    """Exit code and sha256 hex of the exit code, stderr and stdout of cli.main(argv)."""
+def captured_run(argv: list, workdir: str | None = None, files=()) -> tuple[int, str]:
+    """Exit code and sha256 hex of the exit code, stderr and stdout of
+    cli.main(argv), then of whether each of files (relative to workdir)
+    exists and its bytes; workdir reads as <workdir> in stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    h = hashlib.sha256(f"{code}\n{err.getvalue()}".encode())
+    stderr = err.getvalue().replace(workdir, "<workdir>") if workdir else err.getvalue()
+    h = hashlib.sha256(f"{code}\n{stderr}".encode())
     h.update(out.getvalue().encode())
+    for name in files:
+        path = os.path.join(workdir, name)
+        exists = os.path.exists(path)
+        h.update(f"\n{name} {exists}\n".encode())
+        if exists:
+            with open(path, "rb") as fh:
+                h.update(fh.read())
     return code, h.hexdigest()
 
 
@@ -290,6 +310,53 @@ def sweep_digests(seed: int):
                     idx += 1
 
 
+# the commands of the cli-outputs mode; {sched} is an x gate's schedule file
+# and {trace} the --trace path
+OUTPUT_COMMANDS = {
+    "table": ["table", "II"],
+    "sweep": ["sweep", "--metric", "spectator_period_ns", "--param", "b_ac=0.0006,0.0012"],
+    "schedule dump": ["schedule", "dump", "--gate", "cnot", "--mode", "dipole"],
+    "schedule load": ["schedule", "load", "{sched}"],
+    "validate": ["validate"],
+    "gate": ["gate", "--gate", "x"],
+    "gate --trace": ["gate", "--gate", "hadamard", "--trace", "{trace}"],
+}
+
+# destination: its --out relative to the workdir, None for stdout
+OUTPUT_DESTINATIONS = {"stdout": None, "new file": "new.out", "longer file": "old.out",
+                       "device": os.devnull, "missing directory": "missing/x.out"}
+
+# every file a cli-outputs run may write, relative to the workdir
+OUTPUT_FILES = ("new.out", "old.out", "trace.csv", "missing/x.out", "missing/t.csv")
+
+
+def output_digests(seed: int):
+    """Yield (index, exit code, sha256 hex, label) of each command of
+    OUTPUT_COMMANDS to each destination, from cleared memo tables; before each
+    run new.out and trace.csv do not exist and old.out is longer than any output."""
+    runs = [(f"{name} > {dest}", name, dest, "trace.csv")
+            for name in OUTPUT_COMMANDS for dest in OUTPUT_DESTINATIONS]
+    runs += [(f"gate --trace missing/t.csv > {dest}", "gate --trace", dest, "missing/t.csv")
+             for dest in OUTPUT_DESTINATIONS]
+    _memo.clear()
+    with tempfile.TemporaryDirectory() as workdir:
+        sched = os.path.join(workdir, "x.sched")
+        assert cli.main(["--out", sched, "schedule", "dump", "--gate", "x"]) == 0
+        for idx, (label, name, dest, trace) in enumerate(runs):
+            for stale in ("new.out", "trace.csv"):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(os.path.join(workdir, stale))
+            with open(os.path.join(workdir, "old.out"), "wb") as fh:
+                fh.write(b"#" * 200_000 + b"\n")
+            argv = ["--seed", str(seed)]
+            if OUTPUT_DESTINATIONS[dest]:
+                argv += ["--out", os.path.join(workdir, OUTPUT_DESTINATIONS[dest])]
+            argv += [a.format(sched=sched, trace=os.path.join(workdir, trace))
+                     for a in OUTPUT_COMMANDS[name]]
+            code, digest = captured_run(argv, workdir, OUTPUT_FILES)
+            yield idx, code, digest, label
+
+
 OP_WORKLOADS = {"compile": CompileWorkload, "lab_verify": LabVerifyWorkload}
 
 
@@ -299,7 +366,7 @@ def session_commands(seed: int, workdir: str) -> list:
 
 # modes that hash each run's exit code, stderr and stdout
 CAPTURED_MODES = {"cli-gates": cli_gate_digests, "configs": config_digests,
-                  "sweep": sweep_digests}
+                  "sweep": sweep_digests, "cli-outputs": output_digests}
 
 # mode: (command list, passes per seed)
 CLI_MODES = {"session": (session_commands, 1), "session-warm": (session_commands, 2),

@@ -3,6 +3,8 @@
 Commands: gate, table, sweep, schedule (dump/load), validate.  Global flags
 --config/--format/--seed/--out; every output embeds the resolved parameter set
 so runs are auditable, and identical configs produce byte-identical output.
+Each command computes its outputs and returns them; `main` writes them all
+through `_write`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class RunConfig:
     device: DeviceParameters
     seed: int
     fmt: str
-    out: str | None
 
     def as_dict(self) -> dict:
         return {**{key: getattr(self.device, key) for key in _CONFIG_FIELDS},
@@ -119,11 +120,23 @@ def _rewrite(fd: int, text: str) -> None:
             os.close(fd)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        _rewrite(*_open_outputs([out]), text)
-    else:
-        sys.stdout.write(text)
+def _write(outputs: list[tuple[str | None, str]]) -> None:
+    """Write each (path, text) of outputs in order, to stdout where path is None.
+
+    Every path is opened before any byte is written, so a path that cannot be
+    opened leaves stdout empty and every file as it was; a write that raises
+    closes the files after it unwritten.
+    """
+    fds = iter(_open_outputs([path for path, _ in outputs if path]))
+    try:
+        for path, text in outputs:
+            if path:
+                _rewrite(next(fds), text)
+            else:
+                sys.stdout.write(text)
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def _fmt_num(x) -> str:
@@ -132,14 +145,17 @@ def _fmt_num(x) -> str:
     return f"{x:.12g}"
 
 
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n"
+
+
 def _audit_lines(cfg: RunConfig, comment: str = "#") -> str:
     return "".join(f"{comment} {k} = {v}\n" for k, v in sorted(cfg.as_dict().items()))
 
 
 def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
     if cfg.fmt == "json":
-        return json.dumps({"config": cfg.as_dict(), "rows": rows},
-                          indent=2, sort_keys=True, default=_fmt_num) + "\n"
+        return _json({"config": cfg.as_dict(), "rows": rows})
     lines = [_audit_lines(cfg)]
     if cfg.fmt == "csv":
         lines.append(",".join(columns) + "\n")
@@ -202,7 +218,7 @@ def _requested_system(args) -> SpinSystem | None:
     return None if args.qubits is None else SpinSystem(num_donors=args.qubits)
 
 
-def _cmd_gate(args, cfg: RunConfig) -> int:
+def _cmd_gate(args, cfg: RunConfig) -> tuple:
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
     if not args.trace:
@@ -214,13 +230,6 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
     spec = _build_spec(args, p)
     system = _requested_system(args)
     report = gates.compile_gate(spec, p, system=system)
-    # the trace is computed before anything is written, so a bad --initial or
-    # --samples leaves no gate report behind
-    trace = None
-    if args.trace:
-        initial = args.initial or "0" * report.schedule.system.num_sites
-        samples = 1000 if args.samples is None else args.samples
-        trace = trace_evolution(report.schedule, initial, samples=samples)
     payload = {
         "config": cfg.as_dict(),
         "gate": {"kind": spec.kind, "targets": list(spec.targets), "theta": spec.theta,
@@ -234,25 +243,15 @@ def _cmd_gate(args, cfg: RunConfig) -> int:
                   for lab, dur in report.step_durations],
         "notes": report.notes,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n"
-    if trace is None:
-        _emit(text, cfg.out)
-    else:
-        # both files are opened before the report is written, so a path that
-        # cannot be opened leaves no report behind and every file as it was
-        csv = io.StringIO()
-        trace_to_csv(trace, csv, header=cfg.as_dict())
-        *out_fd, trace_fd = _open_outputs([cfg.out, args.trace] if cfg.out else [args.trace])
-        try:
-            if out_fd:
-                _rewrite(*out_fd, text)
-            else:
-                sys.stdout.write(text)
-        except BaseException:
-            os.close(trace_fd)
-            raise
-        _rewrite(trace_fd, csv.getvalue())
-    return 0 if payload["passed"] else 1
+    code = 0 if payload["passed"] else 1
+    if not args.trace:
+        return code, _json(payload)
+    initial = args.initial or "0" * report.schedule.system.num_sites
+    samples = 1000 if args.samples is None else args.samples
+    trace = trace_evolution(report.schedule, initial, samples=samples)
+    csv = io.StringIO()
+    trace_to_csv(trace, csv, header=cfg.as_dict())
+    return code, _json(payload), (args.trace, csv.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +292,16 @@ def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]
     return rows, ["step", "computed_ns", "reference_ns", "rel_dev"]
 
 
-def _cmd_table(args, cfg: RunConfig) -> int:
+def _cmd_table(args, cfg: RunConfig) -> tuple:
     rows, cols = _table_rows(args.which, cfg.device)
-    _emit(_render_rows(rows, cols, cfg), cfg.out)
-    return 0
+    return 0, _render_rows(rows, cols, cfg)
 
 
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------
 
-def _cmd_sweep(args, cfg: RunConfig) -> int:
+def _cmd_sweep(args, cfg: RunConfig) -> tuple:
     grid = {}
     for item in args.param:
         key, _, values = item.partition("=")
@@ -313,21 +311,19 @@ def _cmd_sweep(args, cfg: RunConfig) -> int:
             raise ValueError(f"--param {key} given more than once")
         grid[key] = [float(v) for v in values.split(",")]
     rows = analysis.sweep(grid, args.metric, cfg.device)
-    _emit(_render_rows(rows, list(grid.keys()) + [args.metric], cfg), cfg.out)
-    return 0
+    return 0, _render_rows(rows, list(grid.keys()) + [args.metric], cfg)
 
 
 # ---------------------------------------------------------------------------
 # schedule command
 # ---------------------------------------------------------------------------
 
-def _cmd_schedule(args, cfg: RunConfig) -> int:
+def _cmd_schedule(args, cfg: RunConfig) -> tuple:
     p = cfg.device
     if args.action == "dump":
         spec = _build_spec(args, p)
         sched = gates.synthesize(spec, p, _requested_system(args))
-        _emit(_audit_lines(cfg) + schedule_to_text(sched, p), cfg.out)
-        return 0
+        return 0, _audit_lines(cfg) + schedule_to_text(sched, p)
     with open(args.file) as fh:
         sched = schedule_from_text(fh.read(), p)
     result = execute_schedule(sched)
@@ -340,19 +336,17 @@ def _cmd_schedule(args, cfg: RunConfig) -> int:
         "total_duration_ns": result.duration * 1e9,
         "unitarity_deviation": dev,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n", cfg.out)
-    return 0
+    return 0, _json(payload)
 
 
-def _cmd_validate(args, cfg: RunConfig) -> int:
+def _cmd_validate(args, cfg: RunConfig) -> tuple:
     results = run_validation(cfg.device, seed=cfg.seed)
     lines = [_audit_lines(cfg)]
     for r in results:
         lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
     failed = sum(not r.passed for r in results)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed\n")
-    _emit("".join(lines), cfg.out)
-    return 1 if failed else 0
+    return 1 if failed else 0, "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +432,9 @@ def main(argv: list[str] | None = None) -> int:
                 device = load_device_parameters(fh.read())
         else:
             device = DeviceParameters()
-        cfg = RunConfig(device=device, seed=args.seed, fmt=args.format, out=args.out)
-        return args.func(args, cfg)
+        code, text, *extra = args.func(args, RunConfig(device, args.seed, args.format))
+        _write([(args.out, text), *extra])
+        return code
     except (OSError, ValueError, NotImplementedError, _NotConverged) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2

@@ -550,7 +550,8 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
     once per schedule (its controls, see PulseSchedule), initial state and
     sample count while the `_trace` table holds it, and is returned as the
     same read-only EvolutionTrace; errors are raised again on every call.
-    More than _MAX_SAMPLES samples is a ValueError, raised before the lookup.
+    Fewer than 2 or more than _MAX_SAMPLES samples is a ValueError, raised
+    before the lookup, also for a zero-duration schedule, whose trace has one row.
     """
     if schedule.frame != "rotating":
         raise NotImplementedError("traces are computed in the rotating frame")
@@ -558,6 +559,8 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
     # an int, so that a float count raises here, before a warm entry could
     # match it (2.0 hashes equal to 2)
     samples = operator.index(samples)
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
     if samples > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} trace samples, got {samples}")
     return _trace(schedule, psi0.tobytes(), init_label, samples)
@@ -575,8 +578,6 @@ def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
     if total == 0.0:
         pops = np.abs(psi0[None, :]) ** 2
         return EvolutionTrace(np.zeros(1), pops, labels, init_label)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
 
     timed = list(_timed_segments(schedule))
     starts = [start for start, _ in timed]
@@ -605,19 +606,12 @@ def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
 
 
 def trace_to_csv(trace: EvolutionTrace, stream, header: Mapping[str, object] | None = None) -> None:
-    """Write a trace as CSV: `time_ns,pop_<label>,...`, 12 significant digits."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w")
-        close = True
-    try:
-        lines = [f"# {key} = {val}\n" for key, val in (header or {}).items()]
-        lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
-        lines.append(trace._csv_rows)
-        stream.write("".join(lines))
-    finally:
-        if close:
-            stream.close()
+    """Write a trace as CSV to the text stream: `# key = value` header lines,
+    then `time_ns,pop_<label>,...` and one row per sample, 12 significant digits."""
+    lines = [f"# {key} = {val}\n" for key, val in (header or {}).items()]
+    lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
+    lines.append(trace._csv_rows)
+    stream.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

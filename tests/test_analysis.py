@@ -45,6 +45,19 @@ def test_gate_fidelity_phase_invariance_and_symmetry(rng):
     assert gate_fidelity(u, v) == pytest.approx(gate_fidelity(v, u), abs=1e-12)
 
 
+@settings(max_examples=50, deadline=None)
+@given(dim=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+def test_gate_fidelity_is_invariant_under_a_shared_unitary(dim, seed):
+    """F(WU, WV) = F(UW, VW) = F(U, V), and a factor W on a further register
+    leaves F alone: F(U (x) W, V (x) W) = F(U, V)."""
+    rng = np.random.default_rng(seed)
+    u, v, w = haar(dim, rng), haar(dim, rng), haar(dim, rng)
+    f = gate_fidelity(u, v)
+    assert gate_fidelity(w @ u, w @ v) == pytest.approx(f, abs=1e-12)
+    assert gate_fidelity(u @ w, v @ w) == pytest.approx(f, abs=1e-12)
+    assert gate_fidelity(np.kron(u, w), np.kron(v, w)) == pytest.approx(f, abs=1e-12)
+
+
 def test_gate_fidelity_rejects(rng):
     with pytest.raises(ValueError):
         gate_fidelity(np.eye(2, dtype=complex), np.eye(4, dtype=complex))

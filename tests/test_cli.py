@@ -730,16 +730,21 @@ def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
     assert run() == first
 
 
-@pytest.mark.parametrize("flags", [["--initial", "zz"], ["--samples", "1"]],
-                         ids=["unknown_initial", "one_sample"])
-def test_gate_trace_fails_before_writing(tmp_path, capsys, flags):
+@pytest.mark.parametrize("kind, flags", [
+    ("x", ["--initial", "zz"]),
+    ("x", ["--samples", "1"]),
+    ("idle", ["--samples", "-5"]),
+], ids=["unknown_initial", "one_sample", "idle_negative_samples"])
+def test_gate_trace_fails_before_writing(tmp_path, capsys, kind, flags):
+    """A zero-duration trace has one row whatever the count, and still takes
+    --samples below 2 as an error."""
     out, trace = tmp_path / "x.json", tmp_path / "x.csv"
-    code = main(["--out", str(out), "gate", "--gate", "x", "--trace", str(trace)] + flags)
+    code = main(["--out", str(out), "gate", "--gate", kind, "--trace", str(trace)] + flags)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert not out.exists() and not trace.exists()
-    code = main(["gate", "--gate", "x", "--trace", str(trace)] + flags)
+    code = main(["gate", "--gate", kind, "--trace", str(trace)] + flags)
     assert code == 2 and capsys.readouterr().out == ""
 
 
@@ -764,24 +769,50 @@ def test_rewriting_longer_outputs_leaves_exactly_the_new_bytes(tmp_path, capsys)
     assert capsys.readouterr() == ("", "")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--out", os.devnull, "table", "II"],
-    ["--out", os.devnull, "gate", "--gate", "x", "--trace", os.devnull],
-    ["gate", "--gate", "hadamard", "--trace", os.devnull],
-], ids=["table_out", "gate_out_and_trace", "gate_trace"])
-def test_outputs_to_a_device_exit_0(capsys, argv):
+# one run of each command; {tmp} is the test's directory, where x.sched holds a
+# schedule for `schedule load`, and {trace} the --trace path
+_COMMANDS = {
+    "table": ["table", "II"],
+    "sweep": ["sweep", "--metric", "spectator_period_ns", "--param", "b_ac=0.0006,0.0012"],
+    "dump": ["schedule", "dump", "--gate", "x"],
+    "load": ["schedule", "load", "{tmp}/x.sched"],
+    "validate": ["validate"],
+    "gate": ["gate", "--gate", "x"],
+    "gate_trace": ["gate", "--gate", "hadamard", "--samples", "10", "--trace", "{trace}"],
+}
+
+
+def _command(tmp_path, name: str, trace: str) -> list[str]:
+    """The argv of _COMMANDS[name], with its schedule file written to tmp_path."""
+    assert main(["--out", str(tmp_path / "x.sched"), "schedule", "dump", "--gate", "x"]) == 0
+    return [a.format(tmp=tmp_path, trace=trace) for a in _COMMANDS[name]]
+
+
+@pytest.mark.parametrize("out, name", [
+    *(pytest.param(os.devnull, name, id=f"{name}_out")
+      for name in _COMMANDS if name != "gate_trace"),
+    pytest.param(os.devnull, "gate_trace", id="gate_out_and_trace"),
+    pytest.param(None, "gate_trace", id="gate_trace"),
+])
+def test_outputs_to_a_device_exit_0(tmp_path, capsys, out, name):
     """A device that cannot be truncated takes the output as open(path, "w") would."""
-    assert main(argv) == 0
+    argv = _command(tmp_path, name, os.devnull)
+    assert main((["--out", out] if out else []) + argv) == 0
     assert capsys.readouterr().err == ""
 
 
-def test_out_in_a_missing_directory_exits_2(tmp_path, capsys):
-    """The error line of an --out that cannot be opened is open(path, "w")'s
-    (test_unwritable_trace_writes_no_report checks --trace)."""
-    target = tmp_path / "missing" / "x.json"
-    assert main(["--out", str(target), "gate", "--gate", "x"]) == 2
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, name):
+    """The error line of an --out that cannot be opened is open(path, "w")'s,
+    and no other output is written (test_unwritable_trace_writes_no_report
+    checks --trace)."""
+    argv = _command(tmp_path, name, str(tmp_path / "x.csv"))
+    before = sorted(tmp_path.iterdir())
+    target = tmp_path / "missing" / "x.out"
+    assert main(["--out", str(target)] + argv) == 2
     assert capsys.readouterr() == (
-        "", f"gate failed: [Errno 2] No such file or directory: '{target}'\n")
+        "", f"{argv[0]} failed: [Errno 2] No such file or directory: '{target}'\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])

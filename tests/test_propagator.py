@@ -1061,6 +1061,10 @@ def test_trace_rejects(p):
     sched = synth_x(math.pi, 0, p, SpinSystem(1))
     with pytest.raises(ValueError):
         trace_evolution(sched, "0", samples=1)
+    # a zero-duration trace has one row whatever the count, yet takes no count below 2
+    for samples in (1, 0, -5):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            trace_evolution(_schedule([], p), "0", samples=samples)
     with pytest.raises(ValueError):
         trace_evolution(sched, np.array([0.5, 0.0], dtype=complex))
     with pytest.raises(NotImplementedError):
