@@ -50,12 +50,12 @@ __all__ = [
 ]
 
 
-def _assert_unitary(u: np.ndarray, tol: float = 1e-10) -> None:
+def _assert_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
     dev = u.conj().T @ u
     dev.flat[:: len(dev) + 1] -= 1   # u^dag u - I, on the diagonal only
-    if not np.abs(dev).max() <= tol:
+    if not np.abs(dev).max() <= 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -116,7 +116,6 @@ class TimescaleRow:
     t2_over_tx: float
     t_cnot: float | None
     t2_over_tcnot: float | None
-    note: str = ""
 
 
 # drive amplitude (T) of the canonical local-control scheme, in Table I and the
@@ -129,7 +128,7 @@ def timescale_table(p: DeviceParameters, t2: float = 0.060) -> list[TimescaleRow
 
     The local row evaluates the canonical scheme at B_ac = _LOCAL_B_AC with
     qubits parked a full hyperfine span off resonance; its CNOT time has no
-    closed form here and is reported as an order-of-magnitude note.  The global row
+    closed form here, so t_cnot and t2_over_tcnot are None.  The global row
     times the gates of Tables II and VI (gates.TABLE_GATES): the corrected X(pi)
     and the published-style CNOT (one extra spectator wrap in the final
     correction, interaction steps of 0.01 ns).
@@ -146,7 +145,6 @@ def timescale_table(p: DeviceParameters, t2: float = 0.060) -> list[TimescaleRow
         t2_over_tx=t2 / tradeoff.pi_time,
         t_cnot=None,
         t2_over_tcnot=None,
-        note="T_CNOT O(10 us): exchange-gate estimate, no closed form here",
     )
     t_x, t_cnot = (gates.synthesize(gates.TABLE_GATES[which][0](p), p).total_duration
                    for which in ("II", "VI"))
@@ -309,10 +307,6 @@ def _gate_ns(spec_of):
     return lambda p: gates.synthesize(spec_of(p), p).total_duration * 1e9
 
 
-def _metric_max_detuning_rad_s(p: DeviceParameters) -> float:
-    return max_detuning(p)
-
-
 def _metric_exchange_uev(p: DeviceParameters) -> float:
     return exchange_strength(p.d, p) / _UEV
 
@@ -338,7 +332,7 @@ SWEEP_METRICS = {
     **{f"cnot_{mode}_ns": _gate_ns(lambda p, mode=mode: gates.GateSpec(
         "cnot", (0, 1), mode=mode, j=None if mode == "dipole" else exchange_strength(p.d, p),
         d=None if mode == "exchange" else p.d)) for mode in ("exchange", "dipole", "combined")},
-    "max_detuning_rad_s": _metric_max_detuning_rad_s,
+    "max_detuning_rad_s": max_detuning,
     "exchange_uev": _metric_exchange_uev,
     "dipole_uev": _metric_dipole_uev,
     "local_pi_time_us": _metric_local_pi_time_us,

@@ -149,8 +149,8 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=_fmt_num) + "\n"
 
 
-def _audit_lines(cfg: RunConfig, comment: str = "#") -> str:
-    return "".join(f"{comment} {k} = {v}\n" for k, v in sorted(cfg.as_dict().items()))
+def _audit_lines(cfg: RunConfig) -> str:
+    return "".join(f"# {k} = {v}\n" for k, v in sorted(cfg.as_dict().items()))
 
 
 def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:

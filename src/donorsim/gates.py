@@ -129,8 +129,9 @@ class GateSpec:
     equal-duration idles.  GATE_KINDS says which fields each kind and mode
     uses; any other field that is set, or a flag that is not at its default,
     is a ValueError, so equal requests are equal specs.  Integer targets are
-    stored as ints and real numbers as floats, so equal specs, which share one
-    synthesis cache entry, also compute with the same types.
+    stored as ints (an idle's placeholder target as 0) and real numbers as
+    floats, so equal specs, which share one synthesis cache entry, also
+    compute with the same types.
     """
 
     kind: str
@@ -156,6 +157,8 @@ class GateSpec:
         if len(self.targets) != len(row.targets):
             raise ValueError(f"{self.kind} takes {len(row.targets)} target(s)")
         mode, uses, what = row.usage(self.kind, self.mode)
+        if "target" not in uses:
+            object.__setattr__(self, "targets", (row.defaults["target"],))
         if self.mode is None:
             object.__setattr__(self, "mode", mode)
         for name, default in _OPTIONAL_FIELDS:
@@ -370,7 +373,7 @@ def _split_count(kind: str, theta: float, per_step: float) -> int:
 
 
 def _x_step_segments(theta: float, target: int, p: DeviceParameters,
-                     step_label: str = "") -> list[PulseSegment]:
+                     step_label: str) -> list[PulseSegment]:
     """One X-rotation step: detuned target revolution, then a resonant theta."""
     speed_ratio = 2.0 * math.pi / (2.0 * math.pi - theta)
     return [
@@ -656,10 +659,8 @@ def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem) -> PulseSch
                     else _hadamard_block(target, p))
         # X's steps already end on whole spectator periods, so its correction is empty
         segments += synth_correction(_deficit_after(segments, p), (target,), p)[0]
-    # an idle is the identity on every donor, whichever target it names
-    declared = (np.eye(system.dim, dtype=complex) if spec.kind == "idle"
-                else embed_ideal(spec, system))
-    return _make_schedule(segments, p, system, declared_target=declared, dipole=dipole)
+    return _make_schedule(segments, p, system, declared_target=embed_ideal(spec, system),
+                          dipole=dipole)
 
 
 def synthesize(spec: GateSpec, p: DeviceParameters,
@@ -669,12 +670,12 @@ def synthesize(spec: GateSpec, p: DeviceParameters,
     Lays out the kind's resonant and detuned segments and, for single-qubit
     kinds, a correction that brings every spectator to a whole 2*pi turn, so
     each gate lasts whole spectator periods.  The default system has
-    max(targets) + 1 donors (one for idle).  The result comes from the gate
+    max(targets) + 1 donors.  The result comes from the gate
     table, keyed on (spec, p, system) with that default resolved first, so
     every equal request shares one entry.
     """
     if system is None:
-        system = SpinSystem(num_donors=1 if spec.kind == "idle" else max(spec.targets) + 1)
+        system = SpinSystem(num_donors=max(spec.targets) + 1)
     return _layout(spec, p, system)
 
 

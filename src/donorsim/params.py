@@ -262,9 +262,9 @@ def exchange_peak_separation(p: DeviceParameters) -> float:
     return 1.25 * p.a_star
 
 
-def dipole_strength(d: float, p: DeviceParameters | PhysicalConstants = CONSTANTS) -> float:
+def dipole_strength(d: float, p: DeviceParameters) -> float:
     """Magnetic dipole-dipole coupling D(d) = (mu_0 / 4 pi) mu_B^2 / d^3, in J."""
-    c = p.constants if isinstance(p, DeviceParameters) else p
+    c = p.constants
     try:
         strength = c.mu_0 / (4.0 * math.pi) * c.mu_b**2 / d**3
     except (OverflowError, ZeroDivisionError):   # d**3 overflows, or underflows to 0
@@ -276,7 +276,7 @@ def dipole_strength(d: float, p: DeviceParameters | PhysicalConstants = CONSTANT
     return strength
 
 
-def exchange_dipole_crossover(p: DeviceParameters, d_hi: float = 100e-9) -> float:
+def exchange_dipole_crossover(p: DeviceParameters) -> float:
     """Smallest separation beyond the exchange peak where J(d) < D(d) (bisection).
 
     Beyond this point the 1/d^3 dipole coupling dominates the exponentially
@@ -285,9 +285,9 @@ def exchange_dipole_crossover(p: DeviceParameters, d_hi: float = 100e-9) -> floa
     lo = exchange_peak_separation(p)
     if exchange_strength(lo, p) <= dipole_strength(lo, p):
         return lo
-    hi = d_hi
+    hi = 100e-9
     if exchange_strength(hi, p) >= dipole_strength(hi, p):
-        raise ValueError("no crossover below d_hi; increase the search range")
+        raise ValueError("no crossover below 100 nm")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if exchange_strength(mid, p) > dipole_strength(mid, p):
@@ -332,7 +332,7 @@ def local_control_tradeoff(
 _CONFIG_FIELDS = ("b", "b_ac", "a0", "a_min", "d", "a_star", "eps_r", "alignment")
 
 
-def load_device_parameters(text: str, constants: PhysicalConstants = CONSTANTS) -> DeviceParameters:
+def load_device_parameters(text: str) -> DeviceParameters:
     """Parse a flat key-value config ("key = value" lines, '#' comments, SI units).
 
     Every field is optional and falls back to the documented default; unknown
@@ -355,4 +355,4 @@ def load_device_parameters(text: str, constants: PhysicalConstants = CONSTANTS) 
         except ValueError:
             raise ValueError(f"config line {lineno}: {key} must be a number, "
                              f"got {val!r}") from None
-    return DeviceParameters(constants=constants, **values)
+    return DeviceParameters(**values)

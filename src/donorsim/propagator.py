@@ -459,10 +459,10 @@ def execute_schedule(schedule: PulseSchedule, lab_tol: float = 1e-9) -> Executio
 
 
 def concat_schedules(first: PulseSchedule, second: PulseSchedule) -> PulseSchedule:
-    """Concatenate two schedules on the same system and frame."""
+    """Concatenate two schedules that agree on every control but their segments."""
     if first.system != second.system:
         raise ValueError("schedules act on different systems")
-    for attr in ("frame", "b_ac", "carrier", "rf_phase"):
+    for attr in ("frame", "b_ac", "carrier", "rf_phase", "hbar", "mu_b"):
         if getattr(first, attr) != getattr(second, attr):
             raise ValueError(f"schedules disagree on {attr}")
     if first.dipole != second.dipole:
@@ -605,10 +605,10 @@ def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
     return EvolutionTrace(times, pops, labels, init_label)
 
 
-def trace_to_csv(trace: EvolutionTrace, stream, header: Mapping[str, object] | None = None) -> None:
+def trace_to_csv(trace: EvolutionTrace, stream, header: Mapping[str, object]) -> None:
     """Write a trace as CSV to the text stream: `# key = value` header lines,
     then `time_ns,pop_<label>,...` and one row per sample, 12 significant digits."""
-    lines = [f"# {key} = {val}\n" for key, val in (header or {}).items()]
+    lines = [f"# {key} = {val}\n" for key, val in header.items()]
     lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
     lines.append(trace._csv_rows)
     stream.write("".join(lines))
@@ -743,6 +743,8 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                 try:
                     label_repr, after = _leading_literal(tail)
                     label = ast.literal_eval(label_repr)
+                    if not isinstance(label, str):   # a bytes literal
+                        raise ValueError(f"label is {type(label).__name__}, not str")
                 except (ValueError, SyntaxError) as exc:
                     raise ValueError(f"line {lineno}: bad label literal") from exc
                 rest += after

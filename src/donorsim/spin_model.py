@@ -136,15 +136,16 @@ def electron_pauli(system: SpinSystem, donor: int, axis: str) -> np.ndarray:
     return pauli_on(_E_AXIS[axis], system.electron_site(donor), system.num_sites)
 
 
-def is_hermitian(h: np.ndarray, tol: float = 1e-12) -> bool:
+def is_hermitian(h: np.ndarray) -> bool:
+    """Whether max|h - h^dag| <= 1e-12 max|h|."""
     scale = max(np.abs(h).max(), 1e-300)
-    return bool(np.abs(h - h.conj().T).max() <= tol * scale)
+    return bool(np.abs(h - h.conj().T).max() <= 1e-12 * scale)
 
 
-def assert_hermitian(h: np.ndarray, tol: float = 1e-12) -> None:
+def assert_hermitian(h: np.ndarray) -> None:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if not is_hermitian(h, tol):
+    if not is_hermitian(h):
         raise ValueError("operator is not Hermitian within tolerance")
 
 

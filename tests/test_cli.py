@@ -472,6 +472,15 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  "schedule failed: line 3: segment field 'label' given twice",
                  id="segment_label_twice"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on label=b'x'\n"},
+                 "schedule failed: line 3: bad label literal", id="bytes_label"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on label='''x\n"},
+                 "schedule failed: line 3: bad label literal", id="unterminated_label"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 rf=on label=x\n"},
+                 "schedule failed: line 3: bad label literal", id="label_not_a_literal"),
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "segment duration_ns=1 a_over_a0=0:0.9,0:0.8 "
                                                 "rf=on\n"},
                  "schedule failed: line 3: donor 0 named twice in a_over_a0",
@@ -699,6 +708,9 @@ def test_option_defaults_match_explicit_values(tmp_path, capsys):
         (["gate", "--gate", "cnot"], ["--interaction-step-ns", "0.01"]),
         (["gate", "--gate", "swap"], ["--interaction-step-ns", "0.01"]),
         (["gate", "--gate", "idle"], ["--duration-ns", "0"]),
+        # a pair's target that would default onto the given control takes 0
+        (["gate", "--gate", "cnot", "--control", "1"], ["--target", "0"]),
+        (["gate", "--gate", "swap", "--control", "1"], ["--target", "0"]),
         (["schedule", "dump", "--gate", "cnot", "--mode", "combined"],
          ["--interaction-step-ns", "0.01"]),
     ]:
@@ -892,6 +904,22 @@ def test_a_write_that_fails_leaves_the_partial_file(tmp_path, capsys, monkeypatc
     monkeypatch.undo()
     assert capsys.readouterr() == ("", "table failed: [Errno 28] No space left on device\n")
     assert out.read_bytes() == new[:100]
+
+
+def test_a_write_that_fails_leaves_later_outputs_as_they_were(tmp_path, capsys, monkeypatch):
+    """A write that raises closes the outputs after it unwritten, so an
+    existing --trace file keeps its old bytes."""
+    out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+    trace.write_bytes(b"old trace\n")
+
+    def fail(fd, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", fail)
+    assert main(["--out", str(out), "gate", "--gate", "x", "--trace", str(trace)]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "gate failed: [Errno 28] No space left on device\n")
+    assert out.read_bytes() == b"" and trace.read_bytes() == b"old trace\n"
 
 
 def test_parser_reuse_leaks_no_state(tmp_path, capsys):

@@ -134,6 +134,13 @@ def test_correction_zero_deficit(p):
     assert segs == [] and plan.duration == 0.0
 
 
+def test_correction_without_idle_targets_is_one_resonant_segment(p):
+    segs, plan = synth_correction(1.0, (), p)
+    assert plan.wrap_count == 0 and plan.revolutions == 0
+    assert segs == [PulseSegment(duration=plan.duration, label="correction")]
+    assert plan.duration == 1.0 * p.constants.hbar / (2.0 * p.transverse_energy)
+
+
 def test_correction_minimality_grid(p):
     # spot-check against exhaustive wrap search (the full 1e3 grid runs in validate)
     from donorsim.validate import check_correction_minimality
@@ -497,12 +504,22 @@ def test_parallel_rejects_overlap(p):
         )
 
 
+def test_parallel_rejects_an_empty_list(p):
+    with pytest.raises(ValueError, match="^nothing to compose$"):
+        compose_parallel([], p)
+
+
 def test_parallel_rejects_drive_gated_gates(p):
     # a SWAP gates the drive off, which cannot run concurrently with driven gates
     with pytest.raises(ValueError):
         compose_parallel(
             [GateSpec("x", (0,), theta=math.pi), GateSpec("swap", (1, 2), j=table_j(p))], p
         )
+    # a swap lasting one spectator period lines up with X(pi), and still cannot
+    with pytest.raises(ValueError, match="^cannot compose gates that disagree on the global "
+                                         "drive state$"):
+        compose_parallel([GateSpec("swap", (0, 1), j=p.transverse_energy / 4.0),
+                          GateSpec("x", (2,), theta=math.pi)], p)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +645,10 @@ def test_synth_functions_route_through_synthesize(p):
         assert sched.segments == ref.segments and sched.dipole == ref.dipole
         assert np.array_equal(sched.declared_target, ref.declared_target)
     assert synth_x(2.0, 1, p).system == SpinSystem(2)
-    assert synthesize(GateSpec("idle", (2,), duration=0.0), p).system == SpinSystem(1)
+    # an idle's target is a placeholder, stored as 0
+    idle = synthesize(GateSpec("idle", (2,), duration=0.0), p)
+    assert idle.system == SpinSystem(1) and GateSpec("idle", (2,), duration=0.0).targets == (0,)
+    assert np.array_equal(idle.declared_target, np.eye(2))
 
 
 @pytest.mark.parametrize("b_ac", [2e-4, 5e-4, 1.2e-3, 2e-3, 5e-3])
@@ -987,3 +1007,30 @@ def test_relabelling_donors_permutes_the_legs(p, spec):
         gap = np.abs(_shift_legs(report.achieved, 3) - relabelled.achieved).max()
         assert gap <= 8.9e-15
         spec, report = moved, relabelled
+
+
+_SCALED_GATES = [GateSpec("x", (0,), theta=math.pi), GateSpec("x", (0,), theta=1.1),
+                 GateSpec("y", (0,), theta=math.pi), GateSpec("z", (0,), theta=math.pi),
+                 GateSpec("hadamard", (0,))]
+
+
+# Each s keeps every gate below on the s = 1 plateau: the same segments, each
+# duration scaled.  At s = 0.5 Y keeps its labels but moves its correction window.
+@pytest.mark.parametrize("s", [0.6, 0.7, 0.8, 0.9, 0.95, 0.99])
+def test_scaling_b_ac_scales_single_qubit_durations(p, s):
+    """Scaling B_ac by s scales every X, Y, Z and H segment duration by 1/s on
+    2 donors, and leaves the rotating unitary and the fidelity where they were.
+    The bounds hold the largest values measured over these points: 4.2e-16
+    relative in the durations (bound 2 ulp), 1 - F of 2.11e-15 and 4.34e-15
+    in max-norm between the unitaries."""
+    scaled = p.replace(b_ac=s * p.b_ac)
+    system = SpinSystem(2)
+    for spec in _SCALED_GATES:
+        ref, new = synthesize(spec, p, system), synthesize(spec, scaled, system)
+        assert [seg.label for seg in new.segments] == [seg.label for seg in ref.segments]
+        for seg, new_seg in zip(ref.segments, new.segments, strict=True):
+            assert abs(new_seg.duration * s - seg.duration) <= 4.4e-16 * seg.duration
+        fidelity = compile_gate(spec, scaled, system).fidelity
+        assert 1.0 - fidelity <= 2.11e-15 and fidelity >= 1.0 - 1e-12
+        gap = np.abs(execute_schedule(new).unitary - execute_schedule(ref).unitary).max()
+        assert gap <= 4.34e-15

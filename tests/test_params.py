@@ -256,6 +256,8 @@ def test_exchange_dipole_crossover(p):
     d_star = exchange_dipole_crossover(p)
     assert exchange_strength(d_star * 1.01, p) < dipole_strength(d_star * 1.01, p)
     assert exchange_strength(d_star * 0.99, p) > dipole_strength(d_star * 0.99, p)
+    with pytest.raises(ValueError, match="^no crossover below 100 nm$"):
+        exchange_dipole_crossover(p.replace(a_star=30e-9))
 
 
 def test_local_control_tradeoff(p):

@@ -423,11 +423,23 @@ def test_schedule_rejects_non_positive_carrier(p, frame, carrier):
 
 
 def test_concat_rejects_mismatch(p):
-    s1 = _schedule([PulseSegment(duration=1e-9)], p)
-    s2 = _schedule([PulseSegment(duration=1e-9)], p, frame="lab",
-                   carrier=carrier_frequency(p))
-    with pytest.raises(ValueError):
-        concat_schedules(s1, s2)
+    s1 = _schedule([PulseSegment(duration=1e-9)], p, n=2)
+    for s2, what in [(s1.replace(frame="lab", carrier=carrier_frequency(p)), "frame"),
+                     (s1.replace(hbar=1.5 * s1.hbar), "hbar"),
+                     (s1.replace(mu_b=1.1 * s1.mu_b), "mu_b"),
+                     (s1.replace(dipole={(0, 1): 1e-30}), "dipole couplings")]:
+        with pytest.raises(ValueError, match=f"^schedules disagree on {what}$"):
+            concat_schedules(s1, s2)
+    with pytest.raises(ValueError, match="^schedules act on different systems$"):
+        concat_schedules(s1, s1.replace(system=SpinSystem(3)))
+
+
+@pytest.mark.parametrize("frame,carrier,message", [
+    ("dressed", None, "frame must be 'rotating' or 'lab'"),
+    ("lab", None, "lab-frame schedules need the carrier frequency")])
+def test_schedule_rejects_bad_frame(p, frame, carrier, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _schedule([PulseSegment(duration=1e-9)], p, frame=frame, carrier=carrier)
 
 
 def test_segment_validation():
@@ -1067,6 +1079,8 @@ def test_trace_rejects(p):
             trace_evolution(_schedule([], p), "0", samples=samples)
     with pytest.raises(ValueError):
         trace_evolution(sched, np.array([0.5, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="^initial state has the wrong dimension$"):
+        trace_evolution(sched, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(NotImplementedError):
         trace_evolution(sched.replace(frame="lab", carrier=carrier_frequency(p)), "0")
     # NaN fails the norm and row-sum checks instead of passing through them
@@ -1166,9 +1180,9 @@ def _trace_counts() -> tuple[int, int]:
     return counts["hits"], counts["misses"]
 
 
-def _csv_text(trace, header=None) -> str:
+def _csv_text(trace) -> str:
     buf = io.StringIO()
-    trace_to_csv(trace, buf, header=header)
+    trace_to_csv(trace, buf, header={})
     return buf.getvalue()
 
 

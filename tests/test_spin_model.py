@@ -15,6 +15,7 @@ from donorsim.spin_model import (
     SZ,
     SpinSystem,
     _register_ops,
+    assert_hermitian,
     dipole_term,
     electron_pair_dot,
     electron_pauli,
@@ -227,6 +228,8 @@ def test_dipole_term_traceless_and_commutators():
     hx = dipole_term(1.0, "x")
     assert np.abs(hz @ sz_tot - sz_tot @ hz).max() <= 1e-12
     assert np.abs(hx @ sz_tot - sz_tot @ hx).max() > 1.0  # genuinely fails to commute
+    with pytest.raises(ValueError, match="^alignment must be a unit axis 'x', 'y' or 'z'$"):
+        dipole_term(1.0, "w")
 
 
 def test_zz_x_commutator_identity():
@@ -269,6 +272,10 @@ def test_builders_hermitian(p):
                              {(0, 1): 1e-30}, hbar),
     ):
         assert is_hermitian(h)
+    with pytest.raises(ValueError, match="^operator must be a square matrix$"):
+        assert_hermitian(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^operator is not Hermitian within tolerance$"):
+        assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_frame_map_identity_and_norm(p, rng):
