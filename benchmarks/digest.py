@@ -8,6 +8,7 @@
     python benchmarks/digest.py gates 1 2 3
     python benchmarks/digest.py cli-gates 1 2
     python benchmarks/digest.py configs 7
+    python benchmarks/digest.py configs-warm 7
     python benchmarks/digest.py sweep 1 2
     python benchmarks/digest.py cli-outputs 7
 
@@ -18,7 +19,7 @@ changed), runs its ops in order and prints one line per op:
     session, session-warm, validate:
                           <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
-    cli-gates, configs, sweep, cli-outputs:
+    cli-gates, configs, configs-warm, sweep, cli-outputs:
                           <seed> <index> <exit code> <sha256 of its result> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
@@ -53,6 +54,10 @@ a_min = 1.2e-26, a_min = 1.5e-26 and alignment = x) it runs `donorsim table`
 I to VI, `validate --seed <seed>` and `schedule dump` of an x gate and a
 dipole cnot through `cli.main` and hashes each run like cli-gates, so a
 change that moves a non-default output would show, and on which config.
+configs-warm runs the same list twice in one process and prints only the
+second pass, as session-warm does, so diffing it against configs shows a memo
+hit that writes other bytes than a cold run on any of the four devices, a
+request that exits 2 included.
 sweep is not a workload either: it runs `donorsim sweep` through `cli.main`
 for every metric of `analysis.SWEEP_METRICS` and every field of
 `analysis.SWEEP_FIELDS`, in text, csv and json, over seeded grids of the
@@ -257,24 +262,28 @@ def cli_gate_digests(seed: int):
 DEVICE_CONFIGS = ("", "a_min = 1.2e-26\n", "a_min = 1.5e-26\n", "alignment = x\n")
 
 
-def config_digests(seed: int):
+def config_digests(seed: int, passes: int = 1):
     """Yield (index, exit code, sha256 hex, label) of the tables, validate and
-    two schedule dumps on each device config, from cleared memo tables."""
+    two schedule dumps on each device config, from cleared memo tables; with
+    passes > 1 the list is run that many times and only the last pass is yielded."""
     commands = [["table", which] for which in ("I", "II", "III", "IV", "V", "VI")]
     commands += [["--seed", str(seed), "validate"], ["schedule", "dump", "--gate", "x"],
                  ["schedule", "dump", "--gate", "cnot", "--mode", "dipole"]]
     _memo.clear()
-    idx = 0
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "device.cfg")
-        for config in DEVICE_CONFIGS:
-            with open(path, "w") as fh:
-                fh.write(config)
-            flags = ["--config", path] if config else []
-            for command in commands:
-                code, digest = captured_run(flags + command)
-                yield idx, code, digest, f"{config.strip() or 'default'}: {' '.join(command)}"
-                idx += 1
+        for last in [False] * (passes - 1) + [True]:
+            idx = 0
+            for config in DEVICE_CONFIGS:
+                with open(path, "w") as fh:
+                    fh.write(config)
+                flags = ["--config", path] if config else []
+                for command in commands:
+                    code, digest = captured_run(flags + command)
+                    if last:
+                        yield (idx, code, digest,
+                               f"{config.strip() or 'default'}: {' '.join(command)}")
+                    idx += 1
 
 
 def sweep_grids(seed: int) -> dict:
@@ -366,6 +375,7 @@ def session_commands(seed: int, workdir: str) -> list:
 
 # modes that hash each run's exit code, stderr and stdout
 CAPTURED_MODES = {"cli-gates": cli_gate_digests, "configs": config_digests,
+                  "configs-warm": lambda seed: config_digests(seed, passes=2),
                   "sweep": sweep_digests, "cli-outputs": output_digests}
 
 # mode: (command list, passes per seed)

@@ -5,16 +5,18 @@ the rotating-frame eigensystems and propagators, every execution result (the
 rotating-frame and converged lab-frame unitaries, the frozen-nucleus checks
 and the population traces, each keyed on the schedule, which compares by its
 controls), the oracle's Strang powers, the frame map R(t), the lab twins of
-verified schedules and a few small constants are memoized for the whole
-process: fourteen tables.  The twin table (`analysis._lab_twin`) is the one
-whose key holds annotations, the labels and the declared target's identity,
-besides the schedule: its entry is itself a schedule that carries them, and
-schedules that differ only there are equal keys of every other table.  No
-table stores an exception, so a rejected input raises again on every call.
-Every such table is declared here with `table`, so each is a bounded LRU
-table of SIZE entries, `TABLES` lists them all (each with its
-`cache_info()`), `stats()` reads their counters and `clear()` empties them
-at once: a cold start for tests and benchmarks.
+verified schedules, the rendered text of each `donorsim table` request
+(`cli._table_text`, keyed on the table and the run config) and a few small
+constants are memoized for the whole process: fifteen tables.  The twin
+table (`analysis._lab_twin`) is the one whose key holds annotations, the
+labels and the declared target's identity, besides the schedule: its entry
+is itself a schedule that carries them, and schedules that differ only there
+are equal keys of every other table.  No table stores an exception, so a
+rejected input raises again on every call.  Every such table is declared
+here with `table`, so each is a bounded LRU table of SIZE entries, `TABLES`
+lists them all (each with its `cache_info()`), `stats()` reads their
+counters and `clear()` empties them at once: a cold start for tests and
+benchmarks.
 
 The largest entries are traces: a 1000-sample trace of a 2-donor CNOT holds
 32 KB of populations and 75 KB of CSV text once written, one of 3 donors

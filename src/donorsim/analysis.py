@@ -34,7 +34,7 @@ from .propagator import (
     _refine,
     validate_schedule_controls,
 )
-from .spin_model import E_SZ, SpinSystem, frame_rotation, single_donor_static
+from .spin_model import SpinSystem, frame_rotation, single_donor_static
 
 __all__ = [
     "gate_fidelity",
@@ -247,13 +247,9 @@ def _oracle_check(schedule: PulseSchedule, p: DeviceParameters, donor: int, tol:
     fine = _refine(_donor4_levels(local, p, include_nuclear_drive), tol, 1 << 16,
                    "nuclear oracle")
     # electron-only reference: local's rotating-frame unitary, which reads
-    # controls only, so it is the reference in either frame.  It runs at rf
-    # phase 0, and a phase phi turns the drive axis about z:
-    # U(phi) = R U(0) R^dagger with R = exp(-i phi sigma_z^e / 2)
+    # controls only (the rf phase among them), so it is the reference in
+    # either frame
     u_ref = _execute_rotating(local)
-    if local.rf_phase:
-        r = np.exp(-0.5j * local.rf_phase * np.diag(E_SZ).real)
-        u_ref = r[:, None] * u_ref * r.conj()
 
     # frame-map the electron part at the final time
     u_map = frame_rotation(schedule.total_duration, p, SpinSystem(1, include_nuclei=True)) @ fine

@@ -292,9 +292,21 @@ def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]
     return rows, ["step", "computed_ns", "reference_ns", "rel_dev"]
 
 
+@_memo.table
+def _table_text(which: str, cfg: RunConfig, zero_signs: tuple) -> str:
+    """Table `which` rendered for cfg, computed once per key while the table
+    holds it; an infeasible table raises again on every call.
+
+    zero_signs, the sign of each zero config field, only keys the entry:
+    -0.0 == 0.0, so two configs that print differently would share it.
+    """
+    return _render_rows(*_table_rows(which, cfg.device), cfg)
+
+
 def _cmd_table(args, cfg: RunConfig) -> tuple:
-    rows, cols = _table_rows(args.which, cfg.device)
-    return 0, _render_rows(rows, cols, cfg)
+    p = cfg.device
+    signs = tuple(math.copysign(1.0, v) for v in (p.a0, p.a_min) if v == 0.0)
+    return 0, _table_text(args.which, cfg, signs)
 
 
 # ---------------------------------------------------------------------------

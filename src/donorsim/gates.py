@@ -689,10 +689,13 @@ def compose_parallel(specs: list[GateSpec], p: DeviceParameters,
 
     Shorter gates are padded with whole-period resonant idles (exactly what
     spectators do); the merged duration is the longest component's, an integer
-    number of spectator periods.
+    number of spectator periods.  An idle acts on every donor, so it composes
+    only alone.
     """
     if not specs:
         raise ValueError("nothing to compose")
+    if len(specs) > 1 and any(spec.kind == "idle" for spec in specs):
+        raise ValueError("an idle acts on every donor, so it composes with no other gate")
     seen: set[int] = set()
     for spec in specs:
         overlap = seen.intersection(spec.targets)

@@ -280,14 +280,16 @@ def exchange_dipole_crossover(p: DeviceParameters) -> float:
     """Smallest separation beyond the exchange peak where J(d) < D(d) (bisection).
 
     Beyond this point the 1/d^3 dipole coupling dominates the exponentially
-    dying exchange.
+    dying exchange.  The search brackets it below 100 nm first, and doubles
+    that bound while J still reaches D there; J falls as exp(-2 d/a*) and D
+    only as d^-3, so the doubling ends.
     """
     lo = exchange_peak_separation(p)
     if exchange_strength(lo, p) <= dipole_strength(lo, p):
         return lo
     hi = 100e-9
-    if exchange_strength(hi, p) >= dipole_strength(hi, p):
-        raise ValueError("no crossover below 100 nm")
+    while exchange_strength(hi, p) >= dipole_strength(hi, p):
+        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if exchange_strength(mid, p) > dipole_strength(mid, p):

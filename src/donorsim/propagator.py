@@ -25,7 +25,8 @@ import numpy as np
 from . import _kernels, _memo
 from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, carrier_frequency,
                      detuning_for_hyperfine, exceeds_max_detuning, hyperfine_for_detuning)
-from .spin_model import SpinSystem, _read_only, assert_hermitian, rotating_hamiltonian
+from .spin_model import (SpinSystem, _read_only, _register_ops, assert_hermitian,
+                         rotating_hamiltonian)
 
 __all__ = [
     "PulseSegment",
@@ -277,13 +278,27 @@ def _propagator(system: SpinSystem, drive: float, dipole_items: tuple, hbar: flo
     return _read_only(_exponentiate(w, v, duration, hbar))
 
 
+def _phase_turn(system: SpinSystem, rf_phase: float) -> np.ndarray:
+    """Diagonal of R = prod_e exp(-i rf_phase sigma_z^e / 2).
+
+    The rotating-frame Hamiltonian drives at phase 0; a drive at phase phi
+    turns the drive axis about z, so a schedule at phi runs R U(0) R^dagger.
+    """
+    sz = sum(np.diag(op).real for op in _register_ops(system).sz)
+    return np.exp(-0.5j * rf_phase * sz)
+
+
 @_memo.table
 def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
-    """Read-only rotating-frame unitary of schedule: its cached propagators' product."""
+    """Read-only rotating-frame unitary of schedule: its cached propagators'
+    product, turned by the drive's phase (see _phase_turn)."""
     u = np.eye(schedule.system.dim, dtype=complex)
     for seg in schedule.segments:
         if seg.duration > 0.0:
             u = _propagator(*_segment_key(schedule, seg), seg.duration) @ u
+    if schedule.rf_phase:
+        r = _phase_turn(schedule.system, schedule.rf_phase)
+        u = r[:, None] * u * r.conj()
     return _read_only(u)
 
 
@@ -573,6 +588,9 @@ def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
            samples: int) -> EvolutionTrace:
     """The population trace of schedule from the state whose complex bytes are psi0_bytes."""
     psi0 = np.frombuffer(psi0_bytes, dtype=complex).copy()
+    if schedule.rf_phase:
+        # R U(t) R^dagger psi0 has the populations of U(t) R^dagger psi0 (R is diagonal)
+        psi0 *= _phase_turn(schedule.system, schedule.rf_phase).conj()
     labels = tuple(schedule.system.basis_labels())
     total = schedule.total_duration
     if total == 0.0:

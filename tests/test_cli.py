@@ -742,6 +742,53 @@ def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
     assert run() == first
 
 
+def test_table_bytes_repeat_across_memo_hits(capsys):
+    """Every table in every format writes the bytes of its first run when it
+    is repeated (one `_table_text` hit per repeat) and from cleared memo tables."""
+    requests = [(fmt, which) for which in ("I", "II", "III", "IV", "V", "VI")
+                for fmt in ("text", "csv", "json")]
+
+    def run_all() -> list:
+        return [run_cli(capsys, "--format", fmt, "table", which) for fmt, which in requests]
+
+    _memo.clear()
+    first = run_all()
+    assert all(code == 0 for code, _ in first)
+    assert _memo.stats()["_table_text"]["hits"] == 0
+    assert run_all() == first
+    assert _memo.stats()["_table_text"]["hits"] == len(requests)
+    _memo.clear()
+    assert run_all() == first
+
+
+def test_infeasible_table_exits_2_on_every_request(tmp_path, capsys):
+    """A table that is infeasible on a device stores no entry, so a repeat
+    exits 2 with the same message."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("a_min = 1.5e-26\n")
+    _memo.clear()
+    for _ in range(2):
+        assert main(["--config", str(cfgfile), "table", "IV"]) == 2
+        assert capsys.readouterr() == ("", "table failed: table IV: the gate has 11 steps, "
+                                           "the published table 2\n")
+    assert _memo.stats()["_table_text"]["currsize"] == 0
+
+
+def test_table_memo_tells_signed_zeros_apart(tmp_path, capsys):
+    """a_min = -0.0 equals a_min = 0.0 as a device, but its audit line prints
+    the sign, so the two configs do not share a table entry."""
+    outputs = {}
+    for value in ("0.0", "-0.0"):
+        cfgfile = tmp_path / f"{value}.cfg"
+        cfgfile.write_text(f"a_min = {value}\n")
+        _memo.clear()
+        outputs[value] = run_cli(capsys, "--config", str(cfgfile), "table", "II")
+        assert f"# a_min = {value}\n" in outputs[value][1]
+    for value in ("0.0", "-0.0", "0.0"):
+        assert run_cli(capsys, "--config", str(tmp_path / f"{value}.cfg"), "table",
+                       "II") == outputs[value]
+
+
 @pytest.mark.parametrize("kind, flags", [
     ("x", ["--initial", "zz"]),
     ("x", ["--samples", "1"]),

@@ -504,6 +504,19 @@ def test_parallel_rejects_overlap(p):
         )
 
 
+def test_parallel_idle_composes_only_alone(p):
+    """An idle acts on every donor, whichever donor it names, so it composes
+    with no other gate, beside a gate on donor 0 or on donor 1 alike."""
+    idle = GateSpec("idle", (0,), duration=spectator_period(p))
+    for target in (0, 1):
+        with pytest.raises(ValueError, match="^an idle acts on every donor, so it composes "
+                                             "with no other gate$"):
+            compose_parallel([idle, GateSpec("x", (target,), theta=math.pi)], p)
+    alone = compose_parallel([idle], p)
+    assert alone.total_duration == spectator_period(p)
+    assert np.array_equal(alone.declared_target, np.eye(2))
+
+
 def test_parallel_rejects_an_empty_list(p):
     with pytest.raises(ValueError, match="^nothing to compose$"):
         compose_parallel([], p)

@@ -256,8 +256,14 @@ def test_exchange_dipole_crossover(p):
     d_star = exchange_dipole_crossover(p)
     assert exchange_strength(d_star * 1.01, p) < dipole_strength(d_star * 1.01, p)
     assert exchange_strength(d_star * 0.99, p) > dipole_strength(d_star * 0.99, p)
-    with pytest.raises(ValueError, match="^no crossover below 100 nm$"):
-        exchange_dipole_crossover(p.replace(a_star=30e-9))
+    # beyond the first 100 nm bracket too
+    for a_star in (10e-9, 30e-9):
+        dev = p.replace(a_star=a_star)
+        d_star = exchange_dipole_crossover(dev)
+        assert d_star > 100e-9
+        below = math.nextafter(d_star, 0.0)
+        assert exchange_strength(below, dev) > dipole_strength(below, dev)
+        assert exchange_strength(d_star, dev) <= dipole_strength(d_star, dev)
 
 
 def test_local_control_tradeoff(p):

@@ -364,7 +364,7 @@ def test_every_memo_table_is_registered_and_bounded():
     registered = {id(memo) for memo in _memo.TABLES}
     assert sorted(found[key] for key in found.keys() - registered) == []
     assert found.keys() == registered
-    assert len(_memo.TABLES) == 14
+    assert len(_memo.TABLES) == 15
     assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
     _memo.clear()
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
@@ -580,6 +580,28 @@ def test_lab_frame_rf_phase_turns_the_unitary_about_z(p):
             u = execute_schedule(lab.replace(rf_phase=phase), lab_tol=1e-9).unitary
             assert np.abs(u - r[:, None] * u0 * r.conj()).max() <= 1e-11
             assert np.abs(u - u0).max() > 0.1
+
+
+@pytest.mark.parametrize("donors", [1, 2, 3])
+def test_rotating_frame_rf_phase_turns_the_unitary_about_z(p, donors):
+    """A rotating schedule at rf phase phi runs U(phi) = R U(0) R^dagger with
+    R = prod_e exp(-i phi sigma_z^e / 2), as the lab frame does, so it still
+    matches its frame-mapped lab twin at phi."""
+    system = SpinSystem(donors)
+    target = donors - 1
+    sz = np.diag(spin_model.E_SZ).real
+    for sched in (synth_x(math.pi, target, p, system), synth_hadamard(target, p, system),
+                  synth_y(1.1, target, p, system)):
+        u0 = execute_schedule(sched).unitary
+        for phase in (0.7, -2.1):
+            r = functools.reduce(np.kron, [np.exp(-0.5j * phase * sz)] * donors)
+            turned = sched.replace(rf_phase=phase)
+            u = execute_schedule(turned).unitary
+            assert np.abs(u - r[:, None] * u0 * r.conj()).max() <= 1e-15
+            assert np.abs(u - u0).max() > 0.1
+            u_lab = execute_schedule(lab_realization(turned, p), lab_tol=1e-6).unitary
+            mapped = frame_rotation(sched.total_duration, p, system) @ u_lab
+            assert 1.0 - gate_fidelity(mapped, u) <= 1e-6
 
 
 def test_lab_convergence_error_reports_progress(p):
@@ -1061,6 +1083,20 @@ def test_trace_x_gate(p):
     # final sample equals the executed propagator applied to the start
     psi = execute_schedule(sched).unitary @ np.array([1.0, 0.0], dtype=complex)
     assert np.abs(tr.populations[-1] - np.abs(psi) ** 2).max() <= 1e-12
+
+
+def test_trace_final_sample_follows_the_rf_phase(p):
+    """At rf phase phi the last sample of a trace from a superposition is the
+    executed R U(0) R^dagger applied to the start, not U(0)."""
+    sched = synth_hadamard(1, p, SpinSystem(2))
+    psi0 = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
+    for phase in (0.7, -2.1):
+        turned = sched.replace(rf_phase=phase)
+        tr = trace_evolution(turned, psi0, samples=11)
+        psi = execute_schedule(turned).unitary @ psi0
+        assert np.abs(tr.populations[-1] - np.abs(psi) ** 2).max() <= 1e-12
+        unturned = np.abs(execute_schedule(sched).unitary @ psi0) ** 2
+        assert np.abs(tr.populations[-1] - unturned).max() > 0.1
 
 
 def test_trace_zero_duration(p):
