@@ -35,7 +35,7 @@ import numpy as np
 
 from donorsim import DeviceParameters, _memo, analysis, propagator
 from donorsim._kernels import donor4_strang_product, su2_lab_product
-from donorsim.gates import synth_x, synth_y
+from donorsim.gates import GateSpec, synthesize
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.spin_model import SpinSystem, single_donor_static
 
@@ -123,12 +123,12 @@ def _level_traffic(run):
 
 def _report_refinements(p):
     one = SpinSystem(1)
-    x_lab = analysis.lab_realization(synth_x(np.pi, 0, p, one), p)
+    x_lab = analysis.lab_realization(synthesize(GateSpec("x", (0,), theta=np.pi), p, one), p)
     dw = max_detuning(p)
     three = x_lab.replace(segments=tuple(
         propagator.PulseSegment(duration=t, detunings={0: f * dw})
         for t, f in ((0.7e-9, -0.6), (1.3e-9, 0.2), (0.4e-9, 0.9))), declared_target=None)
-    y = synth_y(np.pi, 0, p, one)
+    y = synthesize(GateSpec("y", (0,), theta=np.pi), p, one)
     runs = (
         ("lab X(pi), lab_tol 1e-6", lambda: propagator.execute_schedule(x_lab, lab_tol=1e-6)),
         ("3-segment lab schedule, lab_tol 1e-8",

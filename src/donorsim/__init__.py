@@ -23,13 +23,7 @@ from .gates import (
     embed_ideal,
     ideal_unitary,
     spectator_period,
-    synth_cnot,
     synth_correction,
-    synth_hadamard,
-    synth_swap,
-    synth_x,
-    synth_y,
-    synth_z,
     synthesize,
 )
 from .params import (

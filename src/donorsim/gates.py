@@ -17,15 +17,15 @@ spin_model for the representation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import _memo
-from .params import (DeviceParameters, DipoleAlignmentError, InfeasibleDetuningError,
-                     _store_floats, dipole_strength, exceeds_max_detuning, max_detuning)
+from .params import (DeviceParameters, DipoleAlignmentError, InfeasibleDetuningError, _flag,
+                     _integer, _store_floats, dipole_strength, exceeds_max_detuning,
+                     max_detuning)
 from .propagator import PulseSchedule, PulseSegment, _execute_rotating, execute_schedule
 from .spin_model import ID2, SX, SY, SZ, SpinSystem, _read_only, embed
 
@@ -41,11 +41,7 @@ __all__ = [
     "synth_x",
     "synth_y",
     "synth_hadamard",
-    "synth_z",
     "synth_correction",
-    "synth_cnot",
-    "synth_swap",
-    "synth_idle",
     "synthesize",
     "interaction_coupling",
     "compose_parallel",
@@ -128,10 +124,10 @@ class GateSpec:
     final correction, and x_conjugation=False replaces its X steps with
     equal-duration idles.  GATE_KINDS says which fields each kind and mode
     uses; any other field that is set, or a flag that is not at its default,
-    is a ValueError, so equal requests are equal specs.  Integer targets are
-    stored as ints (an idle's placeholder target as 0) and real numbers as
-    floats, so equal specs, which share one synthesis cache entry, also
-    compute with the same types.
+    is a ValueError, so equal requests are equal specs.  Targets must be
+    integers and are stored as ints (an idle's placeholder target as 0), and
+    real numbers as floats, so equal specs, which share one synthesis cache
+    entry, also compute with the same types.
     """
 
     kind: str
@@ -146,8 +142,7 @@ class GateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(
-            int(t) if type(t) is not int and isinstance(t, numbers.Integral) else t
-            for t in self.targets))
+            t if type(t) is int else _integer(t, "target") for t in self.targets))
         _store_floats(self)
         row = GATE_KINDS.get(self.kind)
         if row is None:
@@ -164,9 +159,7 @@ class GateSpec:
         for name, default in _OPTIONAL_FIELDS:
             value = getattr(self, name)
             if default is not None:
-                if value not in (False, True):
-                    raise ValueError(f"{name} must be True or False, got {value!r}")
-                object.__setattr__(self, name, bool(value))
+                object.__setattr__(self, name, _flag(value, name))
             if value != default and name not in uses:
                 raise ValueError(f"{name} does not apply to {what}")
         if "theta" in uses and (self.theta is None
@@ -384,6 +377,14 @@ def _x_step_segments(theta: float, target: int, p: DeviceParameters,
 
 
 def _x_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
+    """X rotation per the two-step global-control recipe.
+
+    Step 1 detunes the target so it completes a whole revolution while the
+    spectators fall behind by theta; step 2 rotates everyone by theta.  The
+    two steps together last exactly one spectator period (for X(pi), 14.89 ns
+    each and 29.77 ns in all).  Angles beyond the single-step limit are split
+    into equal feasible rotations, each such pair of steps one period.
+    """
     theta = _normalize_angle(theta)
     if theta == 0.0:
         return []
@@ -401,18 +402,18 @@ def _x_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
 
 def synth_x(theta: float, target: int, p: DeviceParameters,
             system: SpinSystem | None = None) -> PulseSchedule:
-    """X rotation per the two-step global-control recipe.
-
-    Step 1 detunes the target so it completes a whole revolution while the
-    spectators fall behind by theta; step 2 rotates everyone by theta.  The
-    two steps together last exactly one spectator period (for X(pi), 14.89 ns
-    each and 29.77 ns in all).  Angles beyond the single-step limit are split
-    into equal feasible rotations, each such pair of steps one period.
-    """
+    """synthesize(GateSpec("x", ...)); kept only for perfbench/workloads.py."""
     return synthesize(GateSpec("x", (target,), theta=theta), p, system)
 
 
 def _y_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
+    """Y rotation from alternating tilted-axis and resonant pi rotations.
+
+    One block R_x(pi) R_n(pi) R_x(pi) R_n(pi) = R_y(4*phi) with
+    tan(phi) = hbar*dw/(mu_B B_ac); angles beyond 4*phi_max repeat the block.
+    synthesize adds a final correction step that walks the spectators to a
+    whole revolution while the target idles.
+    """
     theta = _normalize_angle(theta)
     if theta == 0.0:
         return []
@@ -439,18 +440,13 @@ def _y_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
 
 def synth_y(theta: float, target: int, p: DeviceParameters,
             system: SpinSystem | None = None) -> PulseSchedule:
-    """Y rotation from alternating tilted-axis and resonant pi rotations.
-
-    One block R_x(pi) R_n(pi) R_x(pi) R_n(pi) = R_y(4*phi) with
-    tan(phi) = hbar*dw/(mu_B B_ac); angles beyond 4*phi_max repeat the block.
-    A final correction step walks the spectators to a whole revolution while
-    the target idles.
-    """
+    """synthesize(GateSpec("y", ...)); kept only for perfbench/workloads.py."""
     return synthesize(GateSpec("y", (target,), theta=theta), p, system)
 
 
 def _hadamard_block(target: int, p: DeviceParameters) -> list[PulseSegment]:
-    """Uncorrected Hadamard: half-revolution about (x+z)/sqrt2, tilt mu_B B_ac.
+    """Uncorrected Hadamard: one half-revolution about (x+z)/sqrt2, tilted by
+    hbar*dw = mu_B B_ac; synthesize adds the spectators' correction step.
 
     A device too weak for that tilt runs Y(pi/2), then X(pi), instead:
     R_x(pi) R_y(pi/2) = -i H, a global phase.  Where neither fits, the tilt's
@@ -470,21 +466,16 @@ def _hadamard_block(target: int, p: DeviceParameters) -> list[PulseSegment]:
 
 def synth_hadamard(target: int, p: DeviceParameters,
                    system: SpinSystem | None = None) -> PulseSchedule:
-    """Hadamard: one tilted half-revolution (hbar*dw = mu_B B_ac) plus correction."""
+    """synthesize(GateSpec("hadamard", ...)); kept only for perfbench/workloads.py."""
     return synthesize(GateSpec("hadamard", (target,)), p, system)
 
 
 def _z_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
+    """Z rotation as H R_x(theta) H; synthesize adds a single merged correction step."""
     theta = _normalize_angle(theta)
     hadamard = _hadamard_block(target, p)
     rotation = [_resonant_segment(theta, p, "z resonant rotation")] if theta > 0.0 else []
     return hadamard + rotation + hadamard
-
-
-def synth_z(theta: float, target: int, p: DeviceParameters,
-            system: SpinSystem | None = None) -> PulseSchedule:
-    """Z rotation as H R_x(theta) H with a single merged correction step."""
-    return synthesize(GateSpec("z", (target,), theta=theta), p, system)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +496,15 @@ def interaction_coupling(step_s: float, p: DeviceParameters) -> float:
 
 
 def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegment], dict]:
+    """CNOT via Hadamards, a conjugated sigma.sigma interaction pair, and X steps.
+
+    The mode selects the interaction: exchange (coupling j), dipole
+    (separation d; always-on 1/d^3 coupling with its sigma_z sigma_z error
+    term) or combined (j plus dipole).  extended_correction adds one extra
+    spectator wrap to the final correction step; x_conjugation=False replaces
+    the X steps with equal-duration idles (diagnostic for the refocusing
+    property).  Returns the segments and the schedule's dipole couplings.
+    """
     control, target = spec.targets
     mode, j, d = spec.mode, spec.j, spec.d
     uses = GATE_KINDS["cnot"].modes[mode]
@@ -543,7 +543,7 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
             2.0, (target,) if spec.x_conjugation else (control, target), p, "")]
     except InfeasibleDetuningError:
         # a device too weak for that revolution: X(pi) on the control from the
-        # sub-steps synth_x uses, each a whole spectator period, so the target
+        # sub-steps an X gate uses, each a whole spectator period, so the target
         # idles; the diagnostic variant is one resonant segment as long
         x_step = _x_segments(math.pi, control, p)
         if not spec.x_conjugation:
@@ -576,32 +576,13 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
     return segments, dipole
 
 
-def synth_cnot(
-    mode: str,
-    control: int,
-    target: int,
-    p: DeviceParameters,
-    j: float | None = None,
-    d: float | None = None,
-    system: SpinSystem | None = None,
-    extended_correction: bool = False,
-    x_conjugation: bool = True,
-) -> PulseSchedule:
-    """CNOT via Hadamards, a conjugated sigma.sigma interaction pair, and X steps.
-
-    mode selects the interaction: exchange (coupling j), dipole (separation d;
-    always-on 1/d^3 coupling with its sigma_z sigma_z error term) or combined
-    (j plus dipole).  extended_correction adds one extra spectator wrap to the
-    final correction step; x_conjugation=False replaces the X steps with
-    equal-duration idles (diagnostic for the refocusing property).  The
-    arguments become one GateSpec, synthesized like any other.
-    """
-    return synthesize(GateSpec("cnot", (control, target), mode=mode, j=j, d=d,
-                               extended_correction=extended_correction,
-                               x_conjugation=x_conjugation), p, system)
-
-
 def _swap_segments(spec: GateSpec, p: DeviceParameters) -> list[PulseSegment]:
+    """SWAP: one exchange pulse with J*t = pi/4 (hbar units), drive gated off.
+
+    exp(-i pi/4 sigma.sigma) is SWAP up to global phase.  With the drive
+    gated off the spectators do not rotate, so no correction step is needed;
+    the gate report notes the (zero) residual spectator rotation.
+    """
     if spec.j is None or spec.j <= 0.0:
         raise ValueError("swap needs a positive exchange coupling")
     duration = math.pi * p.constants.hbar / (4.0 * spec.j)
@@ -609,29 +590,13 @@ def _swap_segments(spec: GateSpec, p: DeviceParameters) -> list[PulseSegment]:
                          rf_on=False, label="swap interaction")]
 
 
-def synth_swap(j: float, qubit_a: int, qubit_b: int, p: DeviceParameters,
-               system: SpinSystem | None = None) -> PulseSchedule:
-    """SWAP: one exchange pulse with J*t = pi/4 (hbar units), drive gated off.
-
-    exp(-i pi/4 sigma.sigma) is SWAP up to global phase.  With the drive
-    gated off the spectators do not rotate, so no correction step is needed;
-    the gate report notes the (zero) residual spectator rotation.
-    """
-    return synthesize(GateSpec("swap", (qubit_a, qubit_b), j=j), p, system)
-
-
 def _idle_segments(duration: float, p: DeviceParameters) -> list[PulseSegment]:
+    """Idle: resonant whole spectator periods (identity on everyone)."""
     t_spec = spectator_period(p)
     periods = round(duration / t_spec)
     if abs(duration - periods * t_spec) > 1e-9 * max(duration, t_spec):
         raise ValueError("idle duration must be an integer number of spectator periods")
     return [PulseSegment(duration=periods * t_spec, label="idle")] if periods else []
-
-
-def synth_idle(duration: float, p: DeviceParameters,
-               system: SpinSystem | None = None) -> PulseSchedule:
-    """Idle: resonant whole spectator periods (identity on everyone)."""
-    return synthesize(GateSpec("idle", (0,), duration=duration), p, system)
 
 
 # ---------------------------------------------------------------------------

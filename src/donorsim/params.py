@@ -66,6 +66,23 @@ def _store_floats(obj) -> None:
             object.__setattr__(obj, name, float(value))
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int; a float, a bool or any other non-integer is a
+    ValueError naming the field."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(value, name: str) -> bool:
+    """value as a bool; anything but True or False is a ValueError naming the field."""
+    if value not in (False, True):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Fundamental constants (SI).  Fixed at construction, never mutated.

@@ -23,8 +23,9 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels, _memo
-from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, carrier_frequency,
-                     detuning_for_hyperfine, exceeds_max_detuning, hyperfine_for_detuning)
+from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, _flag, _integer,
+                     carrier_frequency, detuning_for_hyperfine, exceeds_max_detuning,
+                     hyperfine_for_detuning)
 from .spin_model import (SpinSystem, _read_only, _register_ops, assert_hermitian,
                          rotating_hamiltonian)
 
@@ -45,15 +46,24 @@ __all__ = [
 
 
 def _sorted_pairs(pairs, what: str) -> dict:
-    """pairs keyed by each pair in ascending order; a pair given twice, in
-    either order, is a ValueError."""
+    """pairs keyed by each pair of int donor indices in ascending order; a pair
+    given twice, in either order, or a non-integer member is a ValueError."""
     out = {}
     for pair, value in dict(pairs).items():
-        key = tuple(sorted(pair))
+        if not isinstance(pair, tuple):
+            raise ValueError(f"{what} pair {pair!r} must be a tuple of donor indices")
+        key = tuple(sorted(q if type(q) is int else _integer(q, f"{what} pair member")
+                           for q in pair))
         if key in out:
             raise ValueError(f"{what} pair {'-'.join(map(str, key))} given twice")
         out[key] = value
     return out
+
+
+def _check_label(label) -> str:
+    if not isinstance(label, str):
+        raise ValueError(f"segment label must be a str, got {label!r}")
+    return label
 
 
 def _check_pairs(pairs: dict, what: str, system: SpinSystem | None = None) -> dict:
@@ -75,7 +85,8 @@ class PulseSegment:
     detunings maps donor index -> detuning omega(A) - omega_ac in rad/s
     (equivalently the per-donor hyperfine setting; the schedule file format
     stores A/A0).  couplings maps donor pairs -> exchange energy J in J.
-    Both are read-only copies, so one segment can be shared by many schedules.
+    Both are read-only copies with int donor indices, so one segment can be
+    shared by many schedules.  rf_on must be True or False, and label a str.
     """
 
     duration: float
@@ -85,7 +96,14 @@ class PulseSegment:
     label: str = ""
 
     def __post_init__(self):
+        if self.rf_on is not True and self.rf_on is not False:
+            object.__setattr__(self, "rf_on", _flag(self.rf_on, "rf_on"))
+        _check_label(self.label)
         detunings = dict(self.detunings)
+        for q in detunings:
+            if type(q) is not int:
+                detunings = {_integer(q, "detuning key"): v for q, v in detunings.items()}
+                break
         couplings = _sorted_pairs(self.couplings, "exchange")
         controls = (self.duration, *detunings.values(), *couplings.values())
         if not all(math.isfinite(v) for v in controls):
@@ -106,7 +124,7 @@ class PulseSegment:
         as they are instead of being checked again.
         """
         seg = object.__new__(type(self))
-        seg.__dict__.update(self.__dict__, label=label)
+        seg.__dict__.update(self.__dict__, label=_check_label(label))
         return seg
 
 

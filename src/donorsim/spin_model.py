@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _memo
-from .params import DeviceParameters, carrier_frequency, resonant_frequency
+from .params import DeviceParameters, _flag, _integer, carrier_frequency, resonant_frequency
 
 __all__ = [
     "SX",
@@ -69,13 +69,17 @@ class SpinSystem:
     """Hilbert-space descriptor.
 
     num_donors donors, each contributing one electron spin and, when
-    include_nuclei is set, one 31P nuclear spin.
+    include_nuclei (True or False) is set, one 31P nuclear spin.
     """
 
     num_donors: int = 1
     include_nuclei: bool = False
 
     def __post_init__(self):
+        if type(self.num_donors) is not int:
+            object.__setattr__(self, "num_donors", _integer(self.num_donors, "num_donors"))
+        if self.include_nuclei is not False and self.include_nuclei is not True:
+            object.__setattr__(self, "include_nuclei", _flag(self.include_nuclei, "include_nuclei"))
         if not 1 <= self.num_donors <= 3:
             raise ValueError("num_donors must be 1, 2 or 3")
         if self.include_nuclei and self.num_donors > 2:

@@ -248,7 +248,7 @@ def check_integrator_order(p: DeviceParameters, rng) -> tuple[bool, str]:
 
 @_feasible
 def check_trace_rows(p: DeviceParameters, rng) -> tuple[bool, str]:
-    sched = gates.synth_x(math.pi, 0, p, SpinSystem(2))
+    sched = gates.synthesize(gates.GateSpec("x", (0,), theta=math.pi), p, SpinSystem(2))
     tr = trace_evolution(sched, "00", samples=257)
     worst = float(np.abs(tr.populations.sum(axis=1) - 1.0).max())
     final_p1 = tr.populations[-1][tr.basis_labels.index("10")]
@@ -260,23 +260,17 @@ def check_trace_rows(p: DeviceParameters, rng) -> tuple[bool, str]:
 # gates
 # ---------------------------------------------------------------------------
 
-def _synth_all(p: DeviceParameters) -> list[tuple[str, PulseSchedule]]:
-    out = [("x(pi)", gates.synth_x(math.pi, 0, p)),
-           ("x(pi/2)", gates.synth_x(math.pi / 2.0, 0, p)),
-           ("y(pi)", gates.synth_y(math.pi, 0, p)),
-           ("z(pi)", gates.synth_z(math.pi, 0, p)),
-           ("hadamard", gates.synth_hadamard(0, p))]
-    j = gates.interaction_coupling(1e-11, p)
-    out.append(("cnot", gates.synth_cnot("exchange", 0, 1, p, j=j)))
-    return out
-
-
 @_feasible
 def check_duration_clock(p: DeviceParameters, rng) -> tuple[bool, str]:
     t_spec = gates.spectator_period(p)
+    j = gates.interaction_coupling(1e-11, p)
     worst = 0.0
-    for name, sched in _synth_all(p):
-        total = sched.total_duration
+    for spec in (gates.GateSpec("x", (0,), theta=math.pi),
+                 gates.GateSpec("x", (0,), theta=math.pi / 2.0),
+                 gates.GateSpec("y", (0,), theta=math.pi), gates.GateSpec("z", (0,), theta=math.pi),
+                 gates.GateSpec("hadamard", (0,)),
+                 gates.GateSpec("cnot", (0, 1), mode="exchange", j=j)):
+        total = gates.synthesize(spec, p).total_duration
         periods = round(total / t_spec)
         worst = max(worst, abs(total - periods * t_spec) / t_spec)
     return worst <= 1e-9, f"worst off-clock fraction {worst:.1e}"
@@ -372,8 +366,9 @@ def check_frame_equivalence_random(p: DeviceParameters, rng) -> tuple[bool, str]
 def check_frame_equivalence_gates(p: DeviceParameters, rng) -> tuple[bool, str]:
     worst_f = 0.0
     worst_norm = 0.0
-    for name, sched in (("x", gates.synth_x(math.pi, 0, p, SpinSystem(1))),
-                        ("hadamard", gates.synth_hadamard(0, p, SpinSystem(1)))):
+    one = SpinSystem(1)
+    for name, sched in (("x", gates.synthesize(gates.GateSpec("x", (0,), theta=math.pi), p, one)),
+                        ("hadamard", gates.synthesize(gates.GateSpec("hadamard", (0,)), p, one))):
         lab = analysis.lab_realization(sched, p)
         u_lab = execute_schedule(lab, lab_tol=1e-7).unitary
         u_rot = execute_schedule(sched).unitary
@@ -386,7 +381,7 @@ def check_frame_equivalence_gates(p: DeviceParameters, rng) -> tuple[bool, str]:
 
 @_feasible
 def check_frozen_nucleus(p: DeviceParameters, rng) -> tuple[bool, str]:
-    sched = gates.synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = gates.synthesize(gates.GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     flip, fdev = analysis.frozen_nucleus_check(sched, p)
     ok = flip <= 1e-4 and fdev <= 1e-3
     return ok, f"flip probability {flip:.2e}, electron-fidelity deviation {fdev:.2e}"
@@ -395,8 +390,9 @@ def check_frozen_nucleus(p: DeviceParameters, rng) -> tuple[bool, str]:
 @_feasible
 def check_dipole_refocus(p: DeviceParameters, rng) -> tuple[bool, str]:
     d = 30e-9
-    with_x = gates.synth_cnot("dipole", 0, 1, p, d=d)
-    without = gates.synth_cnot("dipole", 0, 1, p, d=d, x_conjugation=False)
+    with_x = gates.synthesize(gates.GateSpec("cnot", (0, 1), mode="dipole", d=d), p)
+    without = gates.synthesize(
+        gates.GateSpec("cnot", (0, 1), mode="dipole", d=d, x_conjugation=False), p)
     f_with = analysis.gate_fidelity(execute_schedule(with_x).unitary,
                                     with_x.declared_target)
     f_without = analysis.gate_fidelity(execute_schedule(without).unitary,

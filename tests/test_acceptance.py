@@ -26,12 +26,7 @@ from donorsim import (
     rabi_probability,
     spectator_fidelity,
     spectator_period,
-    synth_cnot,
-    synth_hadamard,
-    synth_swap,
-    synth_x,
-    synth_y,
-    synth_z,
+    synthesize,
 )
 from donorsim.analysis import frozen_nucleus_check, lab_realization
 from donorsim.gates import CNOT_MATRIX, SWAP_MATRIX, ideal_unitary
@@ -66,7 +61,7 @@ def test_criterion_1_spectator_period():
 
 
 def test_criterion_2_x_gate_table():
-    sched = synth_x(math.pi, 0, P, SpinSystem(2))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), P, SpinSystem(2))
     steps_ns = [seg.duration * 1e9 for seg in sched.segments]
     for val, ref in zip(steps_ns + [sched.total_duration * 1e9], [14.8, 14.8, 29.7]):
         _within(val, ref, 0.01)
@@ -80,7 +75,7 @@ def test_criterion_2_x_gate_table():
 
 
 def test_criterion_3_hadamard_table():
-    sched = synth_hadamard(0, P, SpinSystem(2))
+    sched = synthesize(GateSpec("hadamard", (0,)), P, SpinSystem(2))
     steps_ns = [seg.duration * 1e9 for seg in sched.segments]
     for val, ref in zip(steps_ns + [sched.total_duration * 1e9], [10.5, 19.2, 29.7]):
         _within(val, ref, 0.01)
@@ -93,7 +88,7 @@ def test_criterion_3_hadamard_table():
 def test_criterion_4_y_gate_table():
     from donorsim.gates import _deficit_after, synth_correction
 
-    sched = synth_y(math.pi, 0, P, SpinSystem(2))
+    sched = synthesize(GateSpec("y", (0,), theta=math.pi), P, SpinSystem(2))
     block_ns = sum(seg.duration for seg in sched.segments[:4]) * 1e9
     corr_ns = sched.segments[4].duration * 1e9
     total_ns = sched.total_duration * 1e9
@@ -109,7 +104,7 @@ def test_criterion_4_y_gate_table():
 
 
 def test_criterion_5_z_gate_table():
-    sched = synth_z(math.pi, 0, P, SpinSystem(2))
+    sched = synthesize(GateSpec("z", (0,), theta=math.pi), P, SpinSystem(2))
     steps_ns = [seg.duration * 1e9 for seg in sched.segments]
     refs = [10.5, 14.8, 10.5, 23.5, 59.4]
     for val, ref in zip(steps_ns + [sched.total_duration * 1e9], refs):
@@ -123,7 +118,7 @@ def test_criterion_5_z_gate_table():
 def test_criterion_6_cnot_exchange():
     j = table_j(P)
     refs_ns = [29.7, 0.01, 14.8, 0.01, 14.8, 7.4, 29.7]
-    sched = synth_cnot("exchange", 0, 1, P, j=j)
+    sched = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=j), P)
     grouped = cnot_steps(sched)
     assert len(grouped) == 7
     for (label, dur), ref in zip(grouped, refs_ns):
@@ -131,12 +126,14 @@ def test_criterion_6_cnot_exchange():
     uncorrected_ns = sum(d for _, d in grouped) * 1e9
     _within(uncorrected_ns, 96.5, 0.01)
     for extended in (False, True):
-        s = synth_cnot("exchange", 0, 1, P, j=j, extended_correction=extended)
+        s = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=j,
+                                extended_correction=extended), P)
         periods = s.total_duration / spectator_period(P)
         assert abs(periods - round(periods)) <= 1e-9
     fid = gate_fidelity(execute_schedule(sched).unitary, CNOT_MATRIX)
     assert fid >= 1.0 - 1e-4
-    extended_sched = synth_cnot("exchange", 0, 1, P, j=j, extended_correction=True)
+    extended_sched = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=j,
+                                         extended_correction=True), P)
     _within(extended_sched.segments[-1].duration * 1e9, 51.9, 0.01)
     _within(extended_sched.total_duration * 1e9, 148.4, 0.01)
     _ok(6, f"CNOT steps 1-7 within 1% (uncorrected {uncorrected_ns:.2f} ns), "
@@ -173,10 +170,10 @@ def test_criterion_8_local_control_row():
 def test_criterion_9_frame_equivalence():
     worst = 0.0
     for name, sched in (
-        ("x", synth_x(math.pi, 0, P, SpinSystem(2))),
-        ("y", synth_y(math.pi, 0, P, SpinSystem(2))),
-        ("z", synth_z(math.pi, 0, P, SpinSystem(2))),
-        ("hadamard", synth_hadamard(0, P, SpinSystem(2))),
+        ("x", synthesize(GateSpec("x", (0,), theta=math.pi), P, SpinSystem(2))),
+        ("y", synthesize(GateSpec("y", (0,), theta=math.pi), P, SpinSystem(2))),
+        ("z", synthesize(GateSpec("z", (0,), theta=math.pi), P, SpinSystem(2))),
+        ("hadamard", synthesize(GateSpec("hadamard", (0,)), P, SpinSystem(2))),
     ):
         lab = lab_realization(sched, P)
         u_lab = execute_schedule(lab, lab_tol=1e-6).unitary
@@ -192,10 +189,10 @@ def test_criterion_9_frame_equivalence():
 def test_criterion_10_frozen_nucleus():
     worst_flip, worst_dev = 0.0, 0.0
     for name, sched in (
-        ("x", synth_x(math.pi, 0, P, SpinSystem(1))),
-        ("y", synth_y(math.pi, 0, P, SpinSystem(1))),
-        ("z", synth_z(math.pi, 0, P, SpinSystem(1))),
-        ("hadamard", synth_hadamard(0, P, SpinSystem(1))),
+        ("x", synthesize(GateSpec("x", (0,), theta=math.pi), P, SpinSystem(1))),
+        ("y", synthesize(GateSpec("y", (0,), theta=math.pi), P, SpinSystem(1))),
+        ("z", synthesize(GateSpec("z", (0,), theta=math.pi), P, SpinSystem(1))),
+        ("hadamard", synthesize(GateSpec("hadamard", (0,)), P, SpinSystem(1))),
     ):
         flip, fdev = frozen_nucleus_check(sched, P)
         assert flip <= 1e-4, f"{name}: nuclear flip {flip}"
@@ -226,7 +223,7 @@ def test_criterion_11_commutator_identities():
 
 def test_criterion_12_swap():
     j = table_j(P)
-    sched = synth_swap(j, 0, 1, P)
+    sched = synthesize(GateSpec("swap", (0, 1), j=j), P)
     fid = gate_fidelity(execute_schedule(sched).unitary, SWAP_MATRIX)
     assert fid >= 1.0 - 1e-10
     fid2 = gate_fidelity(execute_schedule(concat_schedules(sched, sched)).unitary,
@@ -240,7 +237,7 @@ def test_criterion_13_parallel_composition():
     specs = [GateSpec("x", (0,), theta=math.pi),
              GateSpec("cnot", (1, 2), mode="exchange", j=j)]
     sched = compose_parallel(specs, P)
-    cnot = synth_cnot("exchange", 1, 2, P, j=j, system=SpinSystem(3))
+    cnot = synthesize(GateSpec("cnot", (1, 2), mode="exchange", j=j), P, SpinSystem(3))
     assert sched.system.dim == 8
     assert sched.total_duration == pytest.approx(cnot.total_duration, rel=1e-12)
     fid = gate_fidelity(execute_schedule(sched).unitary, sched.declared_target)
@@ -252,7 +249,7 @@ def test_criterion_13_parallel_composition():
 def test_criterion_14_dipole_and_combined_regimes():
     # combined mode at 23 nm with J chosen so the two interaction windows dominate
     j = table_j(P, step_ns=1.9e3)
-    combined = synth_cnot("combined", 0, 1, P, j=j, d=23e-9)
+    combined = synthesize(GateSpec("cnot", (0, 1), mode="combined", j=j, d=23e-9), P)
     total = combined.total_duration
     assert 2.0e-6 <= total <= 8.0e-6, "combined-mode duration within 2x of 4.0 us"
     interaction = sum(s.duration for s in combined.segments if not s.rf_on)
@@ -264,8 +261,9 @@ def test_criterion_14_dipole_and_combined_regimes():
     cubes = np.array([dipole_strength(float(d), P) * d**3 for d in ds])
     assert np.abs(cubes / cubes[0] - 1.0).max() <= 1e-12
 
-    dipole = synth_cnot("dipole", 0, 1, P, d=30e-9)
-    idle_variant = synth_cnot("dipole", 0, 1, P, d=30e-9, x_conjugation=False)
+    dipole = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=30e-9), P)
+    idle_variant = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=30e-9,
+                                       x_conjugation=False), P)
     f_refocused = gate_fidelity(execute_schedule(dipole).unitary, dipole.declared_target)
     f_idle = gate_fidelity(execute_schedule(idle_variant).unitary, dipole.declared_target)
     assert f_refocused > f_idle

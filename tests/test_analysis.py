@@ -23,7 +23,7 @@ from donorsim.analysis import (
     sweep,
     timescale_table,
 )
-from donorsim.gates import spectator_period, synth_cnot, synth_hadamard, synth_x, synth_y, synth_z
+from donorsim.gates import GateSpec, spectator_period, synthesize
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.propagator import PulseSchedule, PulseSegment, _refine
 from donorsim.spin_model import SX, SpinSystem, single_donor_static
@@ -161,7 +161,7 @@ def test_timescale_table_t2_scaling(p):
 
 
 def test_nuclear_flip_x_gate(p):
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     flip, fdev = frozen_nucleus_check(sched, p)
     assert flip <= 1e-4
     assert fdev <= 1e-3
@@ -172,7 +172,7 @@ def test_frozen_nucleus_near_detuning_bound(p):
 
     The oracle's reading of that detuning is a hyperfine value just below 0.
     """
-    sched = synth_y(4.177247349626241, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("y", (0,), theta=4.177247349626241), p, SpinSystem(1))
     assert min(dw for seg in sched.segments for dw in seg.detunings.values()) \
         < -0.999 * max_detuning(p)
     flip, fdev = frozen_nucleus_check(sched, p)
@@ -181,7 +181,7 @@ def test_frozen_nucleus_near_detuning_bound(p):
 
 
 def test_frozen_nucleus_rejects_out_of_bound_detuning(p):
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     seg = PulseSegment(duration=1e-9, detunings={0: -1.01 * max_detuning(p)})
     with pytest.raises(ValueError, match="exceeds the device bound"):
         frozen_nucleus_check(sched.replace(segments=(seg,)), p)
@@ -189,7 +189,7 @@ def test_frozen_nucleus_rejects_out_of_bound_detuning(p):
 
 def test_frozen_nucleus_convergence_error_reports_progress(p):
     """An unreachable tolerance ends at the step ceiling, saying how close it got."""
-    sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi / 2), p, SpinSystem(1))
     with pytest.raises(RuntimeError, match=r"last difference \S+ at 131072 steps"):
         frozen_nucleus_check(sched, p, tol=1e-300)
 
@@ -197,7 +197,7 @@ def test_frozen_nucleus_convergence_error_reports_progress(p):
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_frozen_nucleus_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
     """A tolerance that is not finite and positive fails before any level runs."""
-    sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi / 2), p, SpinSystem(1))
 
     monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
     message = f"nuclear oracle tolerance must be finite and positive, got {tol!r}"
@@ -208,7 +208,7 @@ def test_frozen_nucleus_rejects_bad_tolerance_up_front(p, monkeypatch, tol):
 @pytest.mark.parametrize("mode,coupling", [("dipole", {"d": 30e-9}), ("exchange", {"j": 1e-25})])
 def test_frozen_nucleus_rejects_coupled_schedules_up_front(p, monkeypatch, mode, coupling):
     """Dipole and exchange couplings are refused before any level runs."""
-    sched = synth_cnot(mode, 0, 1, p, **coupling)
+    sched = synthesize(GateSpec("cnot", (0, 1), mode=mode, **coupling), p)
 
     monkeypatch.setattr(_kernels, "donor4_strang_product", no_kernel)
     with pytest.raises(ValueError, match="the nuclear oracle covers single-qubit schedules only"):
@@ -217,7 +217,7 @@ def test_frozen_nucleus_rejects_coupled_schedules_up_front(p, monkeypatch, mode,
 
 @pytest.mark.parametrize("donor", [5, -1])
 def test_frozen_nucleus_rejects_absent_donor(p, donor):
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     with pytest.raises(ValueError, match=f"donor index {donor} out of range"):
         frozen_nucleus_check(sched, p, donor=donor)
 
@@ -226,14 +226,14 @@ def test_frozen_nucleus_takes_the_drive_from_the_schedule(p):
     """The oracle drives at the schedule's B_ac, as its electron-only reference
     does; a lab-frame schedule at the device carrier gives the rotating-frame
     result, and one off that carrier is refused."""
-    sched = synth_x(math.pi, 0, p, SpinSystem(1)).replace(b_ac=1.0e-3)
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1)).replace(b_ac=1.0e-3)
     flip, fdev = frozen_nucleus_check(sched, p)
     assert (flip, fdev) == frozen_nucleus_check(sched, p.replace(b_ac=1.0e-3))
     assert flip <= 1e-5 and fdev <= 1e-5
-    hadamard = synth_hadamard(0, p, SpinSystem(1))
+    hadamard = synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(1))
     assert frozen_nucleus_check(lab_realization(hadamard, p), p) \
         == frozen_nucleus_check(hadamard, p)
-    lab = lab_realization(synth_x(math.pi, 0, p, SpinSystem(1)), p)
+    lab = lab_realization(synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1)), p)
     off = lab.replace(carrier=lab.carrier * (1.0 + 1e-6))
     message = (f"device carrier {lab.carrier!r} rad/s; "
                f"the schedule's carrier is {off.carrier!r} rad/s")
@@ -247,8 +247,10 @@ def test_frozen_nucleus_check_is_invariant_under_the_rf_phase(p, frame):
     the oracle's nuclear flip and electron deviation stay put: its reference
     turns with the lab run."""
     tol = 1e-6
-    for sched in (synth_x(math.pi, 0, p, SpinSystem(1)), synth_hadamard(0, p, SpinSystem(1)),
-                  synth_y(1.1, 0, p, SpinSystem(1))):
+    one = SpinSystem(1)
+    for sched in (synthesize(GateSpec("x", (0,), theta=math.pi), p, one),
+                  synthesize(GateSpec("hadamard", (0,)), p, one),
+                  synthesize(GateSpec("y", (0,), theta=1.1), p, one)):
         if frame == "lab":
             sched = lab_realization(sched, p)
         flip, fdev = frozen_nucleus_check(sched, p, tol=tol)
@@ -261,15 +263,18 @@ def _rf_off_and_empty_schedule(p):
     """Rotating-frame twin of test_propagator's rf-off and zero-duration lab
     schedule, with its detunings made non-positive to stay within the device bound."""
     segments = rf_off_and_empty_segments(PulseSegment, max_detuning(p), non_positive=True)
-    return synth_x(math.pi, 0, p, SpinSystem(1)).replace(segments=segments, declared_target=None)
+    x = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
+    return x.replace(segments=segments, declared_target=None)
 
 
 @pytest.mark.parametrize("include_nuclear_drive", [False, True], ids=["electron_drive",
                                                                       "nuclear_drive"])
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda p: synth_hadamard(0, p, SpinSystem(1)), id="hadamard"),
-    pytest.param(lambda p: synth_x(2.1, 0, p, SpinSystem(1)), id="x_theta"),
-    pytest.param(lambda p: synth_y(4.7, 0, p, SpinSystem(1)), id="y_theta"),
+    pytest.param(lambda p: synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(1)), id="hadamard"),
+    pytest.param(lambda p: synthesize(GateSpec("x", (0,), theta=2.1), p, SpinSystem(1)),
+                 id="x_theta"),
+    pytest.param(lambda p: synthesize(GateSpec("y", (0,), theta=4.7), p, SpinSystem(1)),
+                 id="y_theta"),
     pytest.param(_rf_off_and_empty_schedule, id="rf_off_and_zero_duration"),
 ])
 def test_frozen_nucleus_refinement_against_reference_loop(p, make, include_nuclear_drive):
@@ -292,8 +297,8 @@ def test_frozen_nucleus_cache_state_changes_no_bit(kind, theta, include_nuclear_
     warm caches hold the entries of the other drive setting."""
     p = DeviceParameters()
     one = SpinSystem(1)
-    sched = {"x": lambda: synth_x(theta, 0, p, one), "y": lambda: synth_y(theta, 0, p, one),
-             "hadamard": lambda: synth_hadamard(0, p, one)}[kind]()
+    spec = GateSpec("hadamard", (0,)) if kind == "hadamard" else GateSpec(kind, (0,), theta=theta)
+    sched = synthesize(spec, p, one)
 
     def unitary(drive):
         return _refine(_donor4_levels(sched, p, drive), 1e-6, 1 << 16,
@@ -325,8 +330,8 @@ def test_oracle_blocks_match_single_levels_and_the_sequential_loop(kind, theta,
     block refinement returns the sequential reference loop's unitary."""
     p = DeviceParameters()
     one = SpinSystem(1)
-    sched = {"x": lambda: synth_x(theta, 0, p, one), "y": lambda: synth_y(theta, 0, p, one),
-             "hadamard": lambda: synth_hadamard(0, p, one)}[kind]()
+    spec = GateSpec("hadamard", (0,)) if kind == "hadamard" else GateSpec(kind, (0,), theta=theta)
+    sched = synthesize(spec, p, one)
     levels = _donor4_levels(sched, p, include_nuclear_drive)
     block = sorted(block)
     stack = levels(block)
@@ -343,7 +348,7 @@ def test_oracle_blocks_match_single_levels_and_the_sequential_loop(kind, theta,
 def test_frozen_nucleus_rejects_huge_phases_up_front(p, monkeypatch, rf_on):
     """A segment whose static phase passes 2**33 rad fails before any level
     runs, with the duration in the message and no numpy warning."""
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     long = PulseSegment(duration=1e250, detunings={0: -0.3 * max_detuning(p)}, rf_on=rf_on)
     sched = sched.replace(segments=(*sched.segments, long), declared_target=None)
 
@@ -369,7 +374,7 @@ def test_oracle_phase_bound_covers_the_static_spectrum(p, a_over_a0):
 def test_frozen_nucleus_power_cache_dedupes_segments(p, monkeypatch):
     """A Y gate's repeated pulses cost one power per distinct (segment, level),
     and a repeated check takes its propagator from the oracle table."""
-    sched = synth_y(4.7, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("y", (0,), theta=4.7), p, SpinSystem(1))
     timed = [seg for seg in sched.segments if seg.duration > 0.0]
     distinct = {(seg.duration, tuple(seg.detunings.items()), seg.rf_on) for seg in timed}
     assert (len(timed), len(distinct)) == (9, 3)
@@ -433,7 +438,7 @@ def test_oracle_memo_cold_and_warm_are_bit_identical(case, tol, include_nuclear_
 def test_oracle_memo_entries_are_read_only(p):
     """The table holds the finished (flip, fdev) tuple, which no caller can
     change, so a later hit returns the cold result."""
-    sched = synth_y(4.7, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("y", (0,), theta=4.7), p, SpinSystem(1))
     _memo.clear()
     cold = frozen_nucleus_check(sched, p)
     entry = analysis._oracle_check(sched, p, 0, 1e-6, False)
@@ -507,7 +512,7 @@ def test_oracle_memo_key_is_complete(p, which):
 
 
 def test_oracle_memo_ignores_labels_and_declared_target(p):
-    sched = synth_hadamard(0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(1))
     relabelled = sched.replace(segments=tuple(seg.with_label("other") for seg in sched.segments),
                                declared_target=None)
     _memo.clear()
@@ -565,36 +570,34 @@ def test_oracle_memo_stores_no_error(p, which):
 def test_frozen_nucleus_check_accepts_zero_dipole_couplings(p):
     """A zero dipole coupling on a multi-donor schedule adds no term, so the
     check equals that of the same schedule without it."""
-    sched = synth_x(math.pi, 0, p, SpinSystem(2))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(2))
     zero = sched.replace(dipole={(0, 1): 0.0})
     assert zero != sched
     assert frozen_nucleus_check(zero, p) == frozen_nucleus_check(sched, p)
 
 
 def test_nuclear_flip_zero_duration(p):
-    sched = synth_x(0.0, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=0.0), p, SpinSystem(1))
     assert frozen_nucleus_check(sched, p)[0] == 0.0
 
 
 def test_nuclear_flip_degrades_at_low_field(p):
-    sched_hi = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched_hi = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     flip_hi = frozen_nucleus_check(sched_hi, p)[0]
     p_low = p.replace(b=0.2)
-    sched_lo = synth_x(math.pi, 0, p_low, SpinSystem(1))
+    sched_lo = synthesize(GateSpec("x", (0,), theta=math.pi), p_low, SpinSystem(1))
     flip_lo = frozen_nucleus_check(sched_lo, p_low)[0]
     assert flip_lo > flip_hi
 
 
 def test_nuclear_flip_rejects_coupled_schedules(p):
-    from donorsim.gates import synth_swap
-
-    sched = synth_swap(1e-25, 0, 1, p)
+    sched = synthesize(GateSpec("swap", (0, 1), j=1e-25), p)
     with pytest.raises(ValueError):
         frozen_nucleus_check(sched, p)
 
 
 def test_lab_realization(p):
-    sched = synth_z(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("z", (0,), theta=math.pi), p, SpinSystem(1))
     lab = lab_realization(sched, p)
     assert lab.frame == "lab" and lab.carrier is not None
     assert lab_realization(lab, p) is lab
@@ -605,7 +608,7 @@ def test_lab_twin_carries_its_own_source_annotations(p):
     declared target are equal keys of the schedule's own tables; each gets a
     twin carrying its own annotations, and a repeated request is a hit."""
     _memo.clear()
-    base = synth_x(math.pi, 0, p, SpinSystem(1))
+    base = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     relabeled = base.replace(segments=tuple(seg.with_label(f"step {k}")
                                             for k, seg in enumerate(base.segments)))
     retargeted = base.replace(declared_target=base.declared_target.copy())
@@ -623,7 +626,7 @@ def test_lab_twin_carries_its_own_source_annotations(p):
 
 
 def test_lab_twin_table_is_emptied_by_clear(p):
-    sched = synth_x(math.pi / 2, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi / 2), p, SpinSystem(1))
     twin = lab_realization(sched, p)
     assert analysis._lab_twin.cache_info().currsize >= 1
     _memo.clear()

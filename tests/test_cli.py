@@ -103,7 +103,7 @@ def test_tables_sum_sub_steps(tmp_path, capsys, a_min, which, steps_ns, total_ns
 
 def test_cnot_splits_x_on_a_weak_device(tmp_path, capsys):
     """Where the one-step X(pi) on the control needs more detuning than the
-    device has, the CNOT builds it from the sub-steps synth_x uses: Tables I
+    device has, the CNOT builds it from the sub-steps an X gate uses: Tables I
     and VI print, and every cnot mode passes the default threshold."""
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text("a_min = 1.2e-26\n")

@@ -22,14 +22,7 @@ from donorsim.gates import (
     ideal_unitary,
     max_single_step_angle,
     spectator_period,
-    synth_cnot,
     synth_correction,
-    synth_hadamard,
-    synth_idle,
-    synth_swap,
-    synth_x,
-    synth_y,
-    synth_z,
     synthesize,
     interaction_coupling,
     _hadamard_block,
@@ -67,17 +60,17 @@ def test_spectator_period(p):
 
 
 def test_x_pi_durations(p):
-    sched = synth_x(math.pi, 0, p)
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p)
     assert _durations(sched) == pytest.approx([X_PI_STEP, X_PI_STEP], rel=1e-12)
     assert sched.total_duration == pytest.approx(T_SPEC, rel=1e-12)
 
 
 def test_x_zero_angle_empty(p):
-    assert synth_x(0.0, 0, p).segments == ()
+    assert synthesize(GateSpec("x", (0,), theta=0.0), p).segments == ()
 
 
 def test_x_half_pi_durations(p):
-    sched = synth_x(math.pi / 2.0, 0, p)
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi / 2.0), p)
     assert _durations(sched) == pytest.approx([X_HALF_PI_STEP1, X_HALF_PI_STEP2], rel=1e-12)
     # spectators complete exactly 2*pi
     assert sched.total_duration == pytest.approx(T_SPEC, rel=1e-12)
@@ -94,9 +87,10 @@ def test_x_fidelity(p, theta, n):
 
 def test_x_multi_step_decomposition(p):
     theta = 1.5 * math.pi
-    sched = synth_x(theta, 0, p)
+    sched = synthesize(GateSpec("x", (0,), theta=theta), p)
     assert len(sched.segments) == 4  # two feasible steps
-    two_halves = concat_schedules(synth_x(theta / 2, 0, p), synth_x(theta / 2, 0, p))
+    half = synthesize(GateSpec("x", (0,), theta=theta / 2), p)
+    two_halves = concat_schedules(half, half)
     u1 = execute_schedule(sched).unitary
     u2 = execute_schedule(two_halves).unitary
     assert gate_fidelity(u1, u2) >= 1.0 - 1e-12
@@ -105,7 +99,7 @@ def test_x_multi_step_decomposition(p):
 def test_x_high_drive_forces_decomposition():
     p = DeviceParameters(b_ac=5e-3)
     assert max_single_step_angle(p) < math.pi
-    sched = synth_x(math.pi, 0, p)
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p)
     assert len(sched.segments) > 2
     rep = compile_gate(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(2))
     assert rep.fidelity >= 1.0 - 1e-6
@@ -113,7 +107,7 @@ def test_x_high_drive_forces_decomposition():
 
 def test_x_infeasible_without_tuning_range(p):
     with pytest.raises(InfeasibleDetuningError):
-        synth_x(math.pi, 0, p.replace(a_min=p.a0))
+        synthesize(GateSpec("x", (0,), theta=math.pi), p.replace(a_min=p.a0))
 
 
 def test_correction_hadamard_case(p):
@@ -180,7 +174,7 @@ def test_split_hadamard_finds_its_correction_past_four_wraps():
     from donorsim.gates import _deficit_after
 
     dev = DeviceParameters(a_min=1.6666918461074218e-26)
-    sched = synth_hadamard(0, dev)
+    sched = synthesize(GateSpec("hadamard", (0,)), dev)
     assert sched.segments[-1].label == "correction"
     segments = list(sched.segments[:-1])
     assert synth_correction(_deficit_after(segments, dev), (0,), dev)[1].wrap_count == 9
@@ -212,7 +206,7 @@ def test_correction_without_tuning_range_keeps_its_error(p):
 
 
 def test_hadamard_durations_and_fidelity(p):
-    sched = synth_hadamard(0, p)
+    sched = synthesize(GateSpec("hadamard", (0,)), p)
     assert _durations(sched) == pytest.approx([H_PULSE, T_SPEC - H_PULSE], rel=1e-9)
     assert sched.total_duration == pytest.approx(T_SPEC, rel=1e-12)
     rep = compile_gate(GateSpec("hadamard", (0,)), p, SpinSystem(2))
@@ -232,11 +226,11 @@ def test_hadamard_squared_is_identity(p):
 
 def test_hadamard_infeasible(p):
     with pytest.raises(InfeasibleDetuningError):
-        synth_hadamard(0, p.replace(a_min=p.a0))
+        synthesize(GateSpec("hadamard", (0,)), p.replace(a_min=p.a0))
 
 
 def test_y_durations(p):
-    sched = synth_y(math.pi, 0, p)
+    sched = synthesize(GateSpec("y", (0,), theta=math.pi), p)
     block = sum(_durations(sched)[:4])
     assert block == pytest.approx(Y_BLOCK, rel=1e-12)
     assert _durations(sched)[4] == pytest.approx(Y_CORRECTION, rel=1e-12)
@@ -250,16 +244,16 @@ def test_y_fidelity(p, theta):
 
 
 def test_y_zero_angle_empty(p):
-    assert synth_y(0.0, 0, p).segments == ()
+    assert synthesize(GateSpec("y", (0,), theta=0.0), p).segments == ()
 
 
 def test_y_infeasible(p):
     with pytest.raises(InfeasibleDetuningError):
-        synth_y(math.pi, 0, p.replace(a_min=p.a0))
+        synthesize(GateSpec("y", (0,), theta=math.pi), p.replace(a_min=p.a0))
 
 
 def test_z_durations(p):
-    sched = synth_z(math.pi, 0, p)
+    sched = synthesize(GateSpec("z", (0,), theta=math.pi), p)
     assert _durations(sched) == pytest.approx(
         [H_PULSE, X_PI_STEP, H_PULSE, Z_CORRECTION], rel=1e-9
     )
@@ -273,7 +267,7 @@ def test_z_fidelity(p, theta):
 
 
 def test_z_zero_angle_collapses_to_identity(p):
-    sched = synth_z(0.0, 0, p)
+    sched = synthesize(GateSpec("z", (0,), theta=0.0), p)
     assert len(sched.segments) == 3  # H, H, merged correction
     u = execute_schedule(sched).unitary
     assert gate_fidelity(u, np.eye(2, dtype=complex)) >= 1.0 - 1e-6
@@ -284,7 +278,7 @@ def test_z_zero_angle_collapses_to_identity(p):
 # ---------------------------------------------------------------------------
 
 def test_cnot_exchange_steps(p):
-    sched = synth_cnot("exchange", 0, 1, p, j=table_j(p))
+    sched = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p)), p)
     refs_ns = [29.7, 0.01, 14.8, 0.01, 14.8, 7.4, 29.7]
     grouped = cnot_steps(sched)
     assert len(grouped) == 7
@@ -296,7 +290,8 @@ def test_cnot_exchange_steps(p):
 
 def test_cnot_exchange_fidelity_and_clock(p):
     for extended in (False, True):
-        sched = synth_cnot("exchange", 0, 1, p, j=table_j(p), extended_correction=extended)
+        sched = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p),
+                                    extended_correction=extended), p)
         periods = sched.total_duration / spectator_period(p)
         assert abs(periods - round(periods)) <= 1e-9
         u = execute_schedule(sched).unitary
@@ -304,8 +299,9 @@ def test_cnot_exchange_fidelity_and_clock(p):
 
 
 def test_cnot_extended_correction_mode(p):
-    minimal = synth_cnot("exchange", 0, 1, p, j=table_j(p))
-    extended = synth_cnot("exchange", 0, 1, p, j=table_j(p), extended_correction=True)
+    minimal = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p)), p)
+    extended = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p),
+                                   extended_correction=True), p)
     assert abs(extended.segments[-1].duration * 1e9 - 51.9) / 51.9 <= 0.01
     assert abs(extended.total_duration * 1e9 - 148.4) / 148.4 <= 0.01
     assert extended.total_duration - minimal.total_duration == pytest.approx(
@@ -315,28 +311,27 @@ def test_cnot_extended_correction_mode(p):
 
 def test_cnot_on_three_qubit_system(p):
     system = SpinSystem(3)
-    sched = synth_cnot("exchange", 0, 1, p, j=table_j(p), system=system)
+    sched = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p)), p, system)
     u = execute_schedule(sched).unitary
     assert gate_fidelity(u, sched.declared_target) >= 1.0 - 1e-4
     assert spectator_fidelity(u, CNOT_MATRIX, (0, 1), system) >= 1.0 - 1e-4
 
 
 def test_cnot_dipole_duration_scaling(p):
-    t30 = synth_cnot("dipole", 0, 1, p, d=30e-9).total_duration
-    t60 = synth_cnot("dipole", 0, 1, p, d=60e-9).total_duration
+    s30 = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=30e-9), p)
+    s60 = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=60e-9), p)
+    t30, t60 = s30.total_duration, s60.total_duration
     # interaction windows dominate and scale as d^3
-    int30 = sum(s.duration for s in synth_cnot("dipole", 0, 1, p, d=30e-9).segments
-                if not s.rf_on)
-    int60 = sum(s.duration for s in synth_cnot("dipole", 0, 1, p, d=60e-9).segments
-                if not s.rf_on)
+    int30 = sum(s.duration for s in s30.segments if not s.rf_on)
+    int60 = sum(s.duration for s in s60.segments if not s.rf_on)
     assert int60 / int30 == pytest.approx(8.0, rel=1e-12)
     assert t60 > t30
 
 
 def test_cnot_dipole_refocusing_improves(p):
     d = 30e-9
-    with_x = synth_cnot("dipole", 0, 1, p, d=d)
-    without = synth_cnot("dipole", 0, 1, p, d=d, x_conjugation=False)
+    with_x = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=d), p)
+    without = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=d, x_conjugation=False), p)
     target = with_x.declared_target
     f_with = gate_fidelity(execute_schedule(with_x).unitary, target)
     f_without = gate_fidelity(execute_schedule(without).unitary, target)
@@ -345,14 +340,14 @@ def test_cnot_dipole_refocusing_improves(p):
 
 def test_cnot_x_steps_fall_back_to_sub_steps(p):
     """On a device too weak for the one-step revolution of the target, X(pi) on
-    the control is synth_x's own sub-steps, relabelled; its diagnostic idle is
+    the control is the X gate's own sub-steps, relabelled; its diagnostic idle is
     one resonant segment as long.  The gate stays on the spectator clock, on
     three donors too, and the X-conjugation still refocuses the dipole term."""
     weak = p.replace(a_min=1.2e-26)
-    x_pi = synth_x(math.pi, 0, weak).segments
+    x_pi = synthesize(GateSpec("x", (0,), theta=math.pi), weak).segments
     assert len(x_pi) == 4
     for system in (None, SpinSystem(3)):
-        sched = synth_cnot("exchange", 0, 1, weak, j=table_j(weak), system=system)
+        sched = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(weak)), weak, system)
         for step in (3, 5):
             label = f"step {step} x on control"
             steps = [seg for seg in sched.segments if seg.label == label]
@@ -363,8 +358,9 @@ def test_cnot_x_steps_fall_back_to_sub_steps(p):
         assert gate_fidelity(u, sched.declared_target) >= 1.0 - 1e-4
         if system is not None:
             assert spectator_fidelity(u, CNOT_MATRIX, (0, 1), system) >= 1.0 - 1e-4
-    with_x = synth_cnot("dipole", 0, 1, weak, d=30e-9)
-    without = synth_cnot("dipole", 0, 1, weak, d=30e-9, x_conjugation=False)
+    with_x = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=30e-9), weak)
+    without = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=30e-9,
+                                  x_conjugation=False), weak)
     idle = [seg for seg in without.segments if seg.label == "step 3 x on control"]
     assert idle == [PulseSegment(duration=sum(seg.duration for seg in x_pi),
                                  label="step 3 x on control")]
@@ -375,7 +371,7 @@ def test_cnot_x_steps_fall_back_to_sub_steps(p):
 
 def test_cnot_combined_mode(p):
     j = table_j(p, step_ns=1.9e3)  # interaction steps ~1.9 us
-    sched = synth_cnot("combined", 0, 1, p, j=j, d=23e-9)
+    sched = synthesize(GateSpec("cnot", (0, 1), mode="combined", j=j, d=23e-9), p)
     assert 2.0e-6 <= sched.total_duration <= 8.0e-6
     u = execute_schedule(sched).unitary
     assert gate_fidelity(u, CNOT_MATRIX) >= 1.0 - 1e-3
@@ -383,14 +379,15 @@ def test_cnot_combined_mode(p):
 
 def test_cnot_rejects(p):
     with pytest.raises(ValueError):
-        synth_cnot("exchange", 0, 1, p)  # no coupling
+        synthesize(GateSpec("cnot", (0, 1), mode="exchange"), p)  # no coupling
     # an x-aligned device breaks the secular dipole form of the rotating frame
     for mode in ("dipole", "combined"):
         with pytest.raises(DipoleAlignmentError, match="need z-aligned donors"):
-            synth_cnot(mode, 0, 1, p.replace(alignment="x"),
-                       j=None if mode == "dipole" else 1e-27, d=30e-9)
+            synthesize(GateSpec("cnot", (0, 1), mode=mode,
+                                j=None if mode == "dipole" else 1e-27, d=30e-9),
+                       p.replace(alignment="x"))
     with pytest.raises(ValueError):
-        synth_cnot("exchange", 0, 0, p, j=1e-27)
+        synthesize(GateSpec("cnot", (0, 0), mode="exchange", j=1e-27), p)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +396,7 @@ def test_cnot_rejects(p):
 
 def test_swap_fidelity(p):
     j = table_j(p)
-    sched = synth_swap(j, 0, 1, p)
+    sched = synthesize(GateSpec("swap", (0, 1), j=j), p)
     assert sched.total_duration == pytest.approx(
         math.pi * p.constants.hbar / (4.0 * j), rel=1e-15
     )
@@ -409,7 +406,7 @@ def test_swap_fidelity(p):
     u2 = execute_schedule(concat_schedules(sched, sched)).unitary
     assert gate_fidelity(u2, np.eye(4, dtype=complex)) >= 1.0 - 1e-10
     with pytest.raises(ValueError):
-        synth_swap(0.0, 0, 1, p)
+        synthesize(GateSpec("swap", (0, 1), j=0.0), p)
 
 
 def test_swap_note_counts_driven_time_only(p):
@@ -420,18 +417,19 @@ def test_swap_note_counts_driven_time_only(p):
 
 
 def test_idle(p):
-    sched = synth_idle(2 * spectator_period(p), p, SpinSystem(1))
+    sched = synthesize(GateSpec("idle", (0,), duration=2 * spectator_period(p)), p, SpinSystem(1))
     u = execute_schedule(sched).unitary
     assert gate_fidelity(u, np.eye(2, dtype=complex)) >= 1.0 - 1e-12
     with pytest.raises(ValueError):
-        synth_idle(1.3 * spectator_period(p), p)
+        synthesize(GateSpec("idle", (0,), duration=1.3 * spectator_period(p)), p)
 
 
 def test_parallel_x_with_cnot(p):
     specs = [GateSpec("x", (0,), theta=math.pi),
              GateSpec("cnot", (1, 2), mode="exchange", j=table_j(p))]
     sched = compose_parallel(specs, p)
-    cnot_alone = synth_cnot("exchange", 1, 2, p, j=table_j(p), system=SpinSystem(3))
+    cnot_alone = synthesize(GateSpec("cnot", (1, 2), mode="exchange", j=table_j(p)), p,
+                            SpinSystem(3))
     assert sched.total_duration == pytest.approx(cnot_alone.total_duration, rel=1e-12)
     u = execute_schedule(sched).unitary
     assert u.shape == (8, 8)
@@ -443,7 +441,7 @@ def test_parallel_identical_x(p):
         [GateSpec("x", (0,), theta=math.pi), GateSpec("x", (1,), theta=math.pi)], p
     )
     assert sched.total_duration == pytest.approx(
-        synth_x(math.pi, 0, p).total_duration, rel=1e-12
+        synthesize(GateSpec("x", (0,), theta=math.pi), p).total_duration, rel=1e-12
     )
     u = execute_schedule(sched).unitary
     assert gate_fidelity(u, sched.declared_target) >= 1.0 - 1e-6
@@ -452,7 +450,7 @@ def test_parallel_identical_x(p):
 def test_parallel_single_gate_unchanged(p):
     single = compose_parallel([GateSpec("x", (0,), theta=math.pi)], p,
                               system=SpinSystem(1))
-    direct = synth_x(math.pi, 0, p, SpinSystem(1))
+    direct = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     assert [s.duration for s in single.segments] == [s.duration for s in direct.segments]
     assert [s.detunings for s in single.segments] == [s.detunings for s in direct.segments]
 
@@ -592,6 +590,17 @@ def test_gate_spec_validation():
         GateSpec("cnot", (0, 1), x_conjugation="no")
 
 
+def test_gate_spec_targets_must_be_integers(p):
+    """A float target is refused up front, not deep in synthesis; numpy
+    integers are stored as int and share the plain request's entry."""
+    for bad in (1.0, "1", None, True):
+        with pytest.raises(ValueError, match=f"^target must be an integer, got {bad!r}$"):
+            GateSpec("x", (bad,), theta=1.0)
+    spec = GateSpec("cnot", (np.int64(0), np.int32(1)), j=table_j(p))
+    assert spec.targets == (0, 1) and {type(t) for t in spec.targets} == {int}
+    assert synthesize(spec, p) is synthesize(GateSpec("cnot", (0, 1), j=table_j(p)), p)
+
+
 def test_compile_gate_report(p):
     rep = compile_gate(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(2))
     assert rep.fidelity >= 1.0 - 1e-6
@@ -640,24 +649,18 @@ def test_synthesize_dispatch(p):
 
 
 def test_synth_functions_route_through_synthesize(p):
-    j = table_j(p)
+    """The three wrappers the benchmark's workloads still call are synthesize."""
     system = SpinSystem(3)
-    t_idle = 3 * spectator_period(p)
     pairs = [
-        (synth_x(2.0, 1, p), GateSpec("x", (1,), theta=2.0)),
-        (synth_y(-1.0, 0, p, system), GateSpec("y", (0,), theta=-1.0)),
-        (synth_z(math.pi, 2, p), GateSpec("z", (2,), theta=math.pi)),
-        (synth_hadamard(1, p, system), GateSpec("hadamard", (1,))),
-        (synth_swap(j, 2, 0, p), GateSpec("swap", (2, 0), j=j)),
-        (synth_idle(t_idle, p), GateSpec("idle", (0,), duration=t_idle)),
-        (synth_cnot("combined", 1, 0, p, j=j, d=30e-9, extended_correction=True),
-         GateSpec("cnot", (1, 0), mode="combined", j=j, d=30e-9, extended_correction=True)),
+        (gates.synth_x(2.0, 1, p), GateSpec("x", (1,), theta=2.0)),
+        (gates.synth_y(-1.0, 0, p, system), GateSpec("y", (0,), theta=-1.0)),
+        (gates.synth_hadamard(1, p, system), GateSpec("hadamard", (1,))),
     ]
     for sched, spec in pairs:
         ref = synthesize(spec, p, sched.system)
         assert sched.segments == ref.segments and sched.dipole == ref.dipole
         assert np.array_equal(sched.declared_target, ref.declared_target)
-    assert synth_x(2.0, 1, p).system == SpinSystem(2)
+    assert gates.synth_x(2.0, 1, p).system == SpinSystem(2)
     # an idle's target is a placeholder, stored as 0
     idle = synthesize(GateSpec("idle", (2,), duration=0.0), p)
     assert idle.system == SpinSystem(1) and GateSpec("idle", (2,), duration=0.0).targets == (0,)
@@ -670,7 +673,7 @@ def test_x_needs_no_correction(b_ac):
     p = DeviceParameters(b_ac=b_ac)
     t_spec = spectator_period(p)
     for theta in np.linspace(-2.0 * math.pi, 2.0 * math.pi, 401)[1:-1]:
-        sched = synth_x(float(theta), 0, p)
+        sched = synthesize(GateSpec("x", (0,), theta=float(theta)), p)
         assert not any("correction" in seg.label for seg in sched.segments)
         periods = round(sched.total_duration / t_spec)
         assert abs(sched.total_duration - periods * t_spec) <= 1e-12 * t_spec * max(periods, 1)
@@ -691,7 +694,7 @@ def test_swap_needs_coupling(p):
 def test_interaction_coupling(p):
     j = interaction_coupling(1e-11, p)
     assert j == 3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11)
-    sched = synth_cnot("exchange", 0, 1, p, j=j)
+    sched = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=j), p)
     interactions = [seg for seg in sched.segments if seg.couplings]
     assert [seg.duration for seg in interactions] == pytest.approx([1e-11, 1e-11], rel=1e-12)
     for bad in (0.0, -1e-11, math.inf, math.nan):
@@ -717,14 +720,6 @@ def _fingerprint(sched):
     return (segments, tuple((pair, _exact(v)) for pair, v in sched.dipole.items()),
             sched.system, _exact(sched.b_ac), _exact(sched.hbar), _exact(sched.mu_b),
             sched.declared_target.tobytes(), execute_schedule(sched).unitary.tobytes())
-
-
-def _synth(spec, p, system=None):
-    if spec.kind == "cnot":
-        return synth_cnot(spec.mode, *spec.targets, p, j=spec.j, d=spec.d, system=system,
-                          extended_correction=spec.extended_correction,
-                          x_conjugation=spec.x_conjugation)
-    return synthesize(spec, p, system)
 
 
 def _equal_values(v):
@@ -801,12 +796,12 @@ def test_synthesis_cold_and_warm_are_bit_identical(p, case):
     spec, twin, system = case
     assert twin == spec
     _memo.clear()
-    cold = _fingerprint(_synth(spec, p, system))
-    assert _fingerprint(_synth(spec, p, system)) == cold
+    cold = _fingerprint(synthesize(spec, p, system))
+    assert _fingerprint(synthesize(spec, p, system)) == cold
     # an equal spec of other number types fills the entry spec then reads
     _memo.clear()
-    assert _fingerprint(_synth(twin, p, system)) == cold
-    assert _fingerprint(_synth(spec, p, system)) == cold
+    assert _fingerprint(synthesize(twin, p, system)) == cold
+    assert _fingerprint(synthesize(spec, p, system)) == cold
 
 
 @settings(max_examples=80, deadline=None)
@@ -815,9 +810,8 @@ def test_equal_requests_share_one_layout_entry(p, case):
     """However an equal request is written, it reads the entry the first made."""
     spec, twin, system = case
     _memo.clear()
-    first = _synth(spec, p, system)
+    first = synthesize(spec, p, system)
     misses = gates._layout.cache_info().misses
-    assert _synth(twin, p, system) is first
     assert synthesize(twin, p, system) is first
     assert gates._layout.cache_info().misses == misses
 
@@ -894,9 +888,9 @@ def test_synthesis_cache_key_is_complete(p, which):
 
 def test_synthesis_entries_are_shared_and_errors_are_not_cached(p):
     _memo.clear()
-    x = synth_x(1.0, 1, p)
+    x = synthesize(GateSpec("x", (1,), theta=1.0), p)
     assert synthesize(GateSpec("x", (1,), theta=1.0), p, SpinSystem(2)) is x
-    cnot = synth_cnot("exchange", 0, 1, p, j=table_j(p), system=SpinSystem(3))
+    cnot = synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p)), p, SpinSystem(3))
     assert synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=table_j(p)), p,
                       SpinSystem(3)) is cnot
     hits = gates._layout.cache_info().hits
@@ -907,7 +901,7 @@ def test_synthesis_entries_are_shared_and_errors_are_not_cached(p):
     size = gates._layout.cache_info().currsize
     for _ in range(2):
         with pytest.raises(InfeasibleDetuningError, match="exceeds the bound"):
-            synth_hadamard(0, bad)
+            synthesize(GateSpec("hadamard", (0,)), bad)
     assert gates._layout.cache_info().currsize == size
 
 
@@ -926,8 +920,8 @@ def test_equal_devices_share_entries_bit_for_bit():
 
 
 def test_cached_synthesis_is_read_only_and_bounded(p):
-    sched = synth_cnot("combined", 0, 1, p, j=table_j(p), d=30e-9)
-    assert synth_cnot("combined", 0, 1, p, j=table_j(p), d=30e-9) is sched
+    sched = synthesize(GateSpec("cnot", (0, 1), mode="combined", j=table_j(p), d=30e-9), p)
+    assert synthesize(GateSpec("cnot", (0, 1), mode="combined", j=table_j(p), d=30e-9), p) is sched
     with pytest.raises(ValueError, match="read-only"):
         sched.declared_target[0, 0] = 0.0
     with pytest.raises(TypeError):
@@ -954,8 +948,8 @@ def test_cnot_hadamard_steps_are_the_hadamard_gate(p, mode):
     j = None if mode == "dipole" else table_j(p)
     d = None if mode == "exchange" else 30e-9
     _memo.clear()
-    cnot = synth_cnot(mode, 1, 0, p, j=j, d=d, system=SpinSystem(3))
-    pulse, correction = synth_hadamard(1, p).segments
+    cnot = synthesize(GateSpec("cnot", (1, 0), mode=mode, j=j, d=d), p, SpinSystem(3))
+    pulse, correction = synthesize(GateSpec("hadamard", (1,)), p).segments
     for step in (1, 7):
         steps = [seg for seg in cnot.segments if seg.label.startswith(f"step {step} ")]
         assert bits(steps) == bits([pulse.with_label(f"step {step} hadamard pulse"),
@@ -972,7 +966,8 @@ def test_synth_correction_returns_a_fresh_list(p):
 
 
 def test_with_label_equals_replace(p):
-    for seg in synth_cnot("combined", 0, 1, p, j=table_j(p), d=30e-9).segments:
+    cnot = synthesize(GateSpec("cnot", (0, 1), mode="combined", j=table_j(p), d=30e-9), p)
+    for seg in cnot.segments:
         relabelled = seg.with_label("renamed")
         reference = dataclasses.replace(seg, label="renamed")
         assert type(relabelled) is PulseSegment

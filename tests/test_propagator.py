@@ -50,10 +50,6 @@ from donorsim.gates import (
     compose_parallel,
     interaction_coupling,
     synthesize,
-    synth_cnot,
-    synth_hadamard,
-    synth_x,
-    synth_y,
 )
 
 
@@ -148,7 +144,7 @@ def test_1e300_s_segment_fails_before_its_step_is_built(p, monkeypatch, check, r
 def test_dipole_cnot_windows_stay_within_the_phase_bound(p):
     """The longest windows the package synthesizes, the dipole CNOT's at the
     widest separation the benchmark draws, pass the lab-frame phase check."""
-    cnot = synth_cnot("dipole", 0, 1, p, d=40e-9)
+    cnot = synthesize(GateSpec("cnot", (0, 1), mode="dipole", d=40e-9), p)
     lab = lab_realization(cnot.replace(dipole={}), p)
     w_ac = carrier_frequency(p)
     phases = [abs(0.5 * w_ac + seg.detunings.get(q, 0.0)) * seg.duration
@@ -206,14 +202,17 @@ def _hamiltonian_key(seg):
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda p: synth_y(4.5, 0, p, SpinSystem(2)), id="multi_block_y"),
-    pytest.param(lambda p: synth_cnot("combined", 0, 1, p, j=interaction_coupling(1e-11, p),
-                                      d=30e-9), id="combined_cnot_dipole"),
+    pytest.param(lambda p: synthesize(GateSpec("y", (0,), theta=4.5), p, SpinSystem(2)),
+                 id="multi_block_y"),
+    pytest.param(lambda p: synthesize(GateSpec("cnot", (0, 1), mode="combined",
+                                               j=interaction_coupling(1e-11, p), d=30e-9), p),
+                 id="combined_cnot_dipole"),
     pytest.param(lambda p: compose_parallel([GateSpec("x", (0,), theta=1.0),
                                              GateSpec("y", (2,), theta=5.0)], p,
                                             SpinSystem(3)), id="parallel_padding"),
     pytest.param(_repeats_with_zero_and_rf_off, id="zero_duration_and_rf_off"),
-    pytest.param(lambda p: synth_y(5.0, 1, p, SpinSystem(2, include_nuclei=True)),
+    pytest.param(lambda p: synthesize(GateSpec("y", (1,), theta=5.0), p,
+                                      SpinSystem(2, include_nuclei=True)),
                  id="nuclei"),
 ])
 def test_execute_rotating_against_reference_loop(p, make):
@@ -339,7 +338,7 @@ def test_rotating_cache_key_is_complete(p, which):
 
 
 def test_rotating_caches_are_read_only_and_bounded(p):
-    sched = synth_y(4.5, 0, p, SpinSystem(2))
+    sched = synthesize(GateSpec("y", (0,), theta=4.5), p, SpinSystem(2))
     key = propagator._segment_key(sched, sched.segments[0])
     w, v = propagator._eigensystem(*key)
     step = propagator._propagator(*key, sched.segments[0].duration)
@@ -374,7 +373,8 @@ def test_memo_stats_lists_every_table(p):
     """stats() reads the counters of every registered table, under its name."""
     for info in pkgutil.iter_modules(donorsim.__path__):
         importlib.import_module(f"donorsim.{info.name}")
-    trace_evolution(synth_x(1.0, 0, p, SpinSystem(1)), "0", samples=3)
+    trace_evolution(synthesize(GateSpec("x", (0,), theta=1.0), p, SpinSystem(1)), "0",
+                    samples=3)
     stats = _memo.stats()
     assert list(stats) == [memo.__qualname__ for memo in _memo.TABLES]
     assert "_trace" in stats
@@ -472,6 +472,47 @@ def test_segment_checks_hold_at_every_boundary(p):
             schedule_from_text(header + line + "\n", p)
 
 
+@pytest.mark.parametrize("field,bad,message", [
+    ("rf_on", "off", "rf_on must be True or False, got 'off'"),
+    ("rf_on", None, "rf_on must be True or False, got None"),
+    ("label", None, "segment label must be a str, got None"),
+    ("label", b"x", "segment label must be a str, got b'x'"),
+    ("detunings", {1.0: -1e8}, "detuning key must be an integer, got 1.0"),
+    ("detunings", {"0": -1e8}, "detuning key must be an integer, got '0'"),
+    ("detunings", {True: -1e8}, "detuning key must be an integer, got True"),
+    ("couplings", {(0.0, 1): 1e-27}, "exchange pair member must be an integer, got 0.0"),
+    ("couplings", {(0, "1"): 1e-27}, "exchange pair member must be an integer, got '1'"),
+    ("couplings", {1: 1e-27}, "exchange pair 1 must be a tuple of donor indices"),
+])
+def test_segment_rejects_what_it_would_misread(field, bad, message):
+    """A string rf switch would read as on, a None label would break the
+    schedule dump and a float donor index would dump a line the loader refuses,
+    so each is a ValueError that names the field."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PulseSegment(duration=1e-9, **{field: bad})
+    if field == "label":
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PulseSegment(duration=1e-9).with_label(bad)
+
+
+def test_segment_stores_integer_indices_and_a_bool_switch(p):
+    """numpy integers and bools are stored as int and bool, and the segment
+    equals, executes and dumps as the one written with Python types."""
+    seg = PulseSegment(1e-9, {np.int64(1): -1e8}, {(np.int32(1), np.int64(0)): 1e-27},
+                       rf_on=np.bool_(True), label="s")
+    plain = PulseSegment(1e-9, {1: -1e8}, {(0, 1): 1e-27}, rf_on=True, label="s")
+    assert [type(q) for q in seg.detunings] == [int]
+    assert [tuple(map(type, pair)) for pair in seg.couplings] == [(int, int)]
+    assert type(seg.rf_on) is bool and seg == plain
+    off = PulseSegment(1e-9, rf_on=0)
+    assert off.rf_on is False
+    sched, ref = (_schedule([s, off], p, n=2) for s in (seg, plain))
+    assert execute_schedule(sched).unitary.tobytes() == execute_schedule(ref).unitary.tobytes()
+    assert schedule_to_text(sched, p) == schedule_to_text(ref, p)
+    with pytest.raises(ValueError, match=r"^dipole pair member must be an integer, got 1\.0$"):
+        _schedule([off], p, n=2, dipole={(0, 1.0): 1e-30})
+
+
 def test_segment_rejects_self_pair():
     with pytest.raises(ValueError, match="exchange pair 1-1 must name two different donors"):
         PulseSegment(duration=1e-9, couplings={(1, 1): 1e-27})
@@ -559,7 +600,7 @@ def test_lab_adaptive_default_tolerance(p):
 
 def test_lab_frame_gate_equivalence(p):
     """Synthesized gates agree between lab and rotating frames (criterion-9 style)."""
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     lab = sched.replace(frame="lab", carrier=carrier_frequency(p))
     u_lab = execute_schedule(lab, lab_tol=1e-6).unitary
     u_rot = execute_schedule(sched).unitary
@@ -572,7 +613,9 @@ def test_lab_frame_rf_phase_turns_the_unitary_about_z(p):
     R = exp(-i phi sigma_z^e / 2): the phase turns the drive axis about z.
     Both sides step on one grid, so they agree far below lab_tol."""
     sz = np.diag(spin_model.E_SZ).real
-    for sched in (synth_x(math.pi, 0, p, SpinSystem(1)), synth_hadamard(0, p, SpinSystem(1))):
+    one = SpinSystem(1)
+    for sched in (synthesize(GateSpec("x", (0,), theta=math.pi), p, one),
+                  synthesize(GateSpec("hadamard", (0,)), p, one)):
         lab = lab_realization(sched, p)
         u0 = execute_schedule(lab, lab_tol=1e-9).unitary
         for phase in (0.7, -2.1):
@@ -590,8 +633,9 @@ def test_rotating_frame_rf_phase_turns_the_unitary_about_z(p, donors):
     system = SpinSystem(donors)
     target = donors - 1
     sz = np.diag(spin_model.E_SZ).real
-    for sched in (synth_x(math.pi, target, p, system), synth_hadamard(target, p, system),
-                  synth_y(1.1, target, p, system)):
+    for sched in (synthesize(GateSpec("x", (target,), theta=math.pi), p, system),
+                  synthesize(GateSpec("hadamard", (target,)), p, system),
+                  synthesize(GateSpec("y", (target,), theta=1.1), p, system)):
         u0 = execute_schedule(sched).unitary
         for phase in (0.7, -2.1):
             r = functools.reduce(np.kron, [np.exp(-0.5j * phase * sz)] * donors)
@@ -602,6 +646,33 @@ def test_rotating_frame_rf_phase_turns_the_unitary_about_z(p, donors):
             u_lab = execute_schedule(lab_realization(turned, p), lab_tol=1e-6).unitary
             mapped = frame_rotation(sched.total_duration, p, system) @ u_lab
             assert 1.0 - gate_fidelity(mapped, u) <= 1e-6
+
+
+@pytest.mark.parametrize("donors", [2, 3])
+def test_negated_detunings_and_phase_conjugate_the_unitary_by_sigma_x(p, donors):
+    """Negating every detuning and the rf phase conjugates the rotating unitary
+    by sigma_x on every electron: sigma_x keeps the drive's x part and flips its
+    y part and every sigma_z, while J sigma.sigma and the z-aligned dipole term
+    commute with it.  A sign slip in the rotating builder breaks the relation.
+    The largest error measured is 9.98e-15, the exchange CNOT on three donors."""
+    j = interaction_coupling(1e-11, p)
+    system = SpinSystem(donors)
+    target = donors - 1
+    x = functools.reduce(np.kron, [SX] * donors)
+    for spec in (GateSpec("x", (target,), theta=1.1), GateSpec("y", (target,), theta=2.0),
+                 GateSpec("hadamard", (target,)), GateSpec("z", (target,), theta=0.3),
+                 GateSpec("cnot", (0, 1), mode="exchange", j=j),
+                 GateSpec("cnot", (0, 1), mode="dipole", d=30e-9),
+                 GateSpec("cnot", (0, 1), mode="combined", j=j, d=30e-9),
+                 GateSpec("swap", (0, target), j=j)):
+        sched = synthesize(spec, p, system)
+        mirrored = sched.replace(segments=tuple(
+            PulseSegment(seg.duration, {q: -dw for q, dw in seg.detunings.items()},
+                         seg.couplings, seg.rf_on, seg.label) for seg in sched.segments))
+        for phase in (0.0, 0.7, -2.1):
+            u = execute_schedule(sched.replace(rf_phase=phase)).unitary
+            v = execute_schedule(mirrored.replace(rf_phase=-phase)).unitary
+            assert np.abs(x @ u @ x - v).max() <= 1e-14, (spec, phase)
 
 
 def test_lab_convergence_error_reports_progress(p):
@@ -654,12 +725,13 @@ def _rf_off_and_empty_lab_schedule(p):
 
 
 @pytest.mark.parametrize("make,lab_tol", [
-    pytest.param(lambda p, rng: lab_realization(synth_x(math.pi, 0, p, SpinSystem(1)), p), 1e-6,
-                 id="x_pi"),
-    pytest.param(lambda p, rng: lab_realization(synth_x(math.pi / 2, 0, p, SpinSystem(1)), p),
-                 1e-6, id="x_half_pi"),
-    pytest.param(lambda p, rng: lab_realization(synth_hadamard(0, p, SpinSystem(1)), p), 1e-6,
-                 id="hadamard"),
+    pytest.param(lambda p, rng: lab_realization(
+        synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1)), p), 1e-6, id="x_pi"),
+    pytest.param(lambda p, rng: lab_realization(
+        synthesize(GateSpec("x", (0,), theta=math.pi / 2), p, SpinSystem(1)), p), 1e-6,
+                 id="x_half_pi"),
+    pytest.param(lambda p, rng: lab_realization(
+        synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(1)), p), 1e-6, id="hadamard"),
     pytest.param(lambda p, rng: _random_lab_schedule(p, rng, 1), 1e-8, id="random_1_segment"),
     pytest.param(lambda p, rng: _random_lab_schedule(p, rng, 2), 1e-8, id="random_2_segments"),
     pytest.param(lambda p, rng: _random_lab_schedule(p, rng, 3), 1e-8, id="random_3_segments"),
@@ -738,7 +810,7 @@ def test_lab_memo_cold_and_warm_are_bit_identical(sched, lab_tol):
 def test_lab_memo_returns_fresh_writable_unitaries(p):
     """Every call returns its own writable copy; mutating one leaves the
     read-only table entry, and so a later hit, unchanged."""
-    sched = lab_realization(synth_x(math.pi, 0, p, SpinSystem(1)), p)
+    sched = lab_realization(synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1)), p)
     _memo.clear()
     first = execute_schedule(sched, lab_tol=1e-6).unitary
     reference = first.tobytes()
@@ -802,7 +874,7 @@ def test_lab_memo_key_is_complete(p, which):
 
 
 def test_lab_memo_ignores_labels_and_declared_target(p):
-    sched = lab_realization(synth_hadamard(0, p, SpinSystem(1)), p)
+    sched = lab_realization(synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(1)), p)
     relabelled = sched.replace(segments=tuple(seg.with_label("other") for seg in sched.segments),
                                declared_target=None)
     _memo.clear()
@@ -815,7 +887,7 @@ def test_lab_memo_ignores_labels_and_declared_target(p):
 def test_schedules_compare_and_hash_by_their_controls(p):
     """Labels and declared_target are annotations: schedules that differ only
     in them are equal, hash equal, and are one memo key."""
-    sched = synth_y(4.5, 0, p, SpinSystem(2))
+    sched = synthesize(GateSpec("y", (0,), theta=4.5), p, SpinSystem(2))
     relabelled = sched.replace(segments=tuple(seg.with_label("other") for seg in sched.segments))
     retargeted = sched.replace(declared_target=np.eye(4, dtype=complex))
     untargeted = sched.replace(declared_target=None)
@@ -834,7 +906,7 @@ def test_schedules_compare_and_hash_by_their_controls(p):
 def test_memo_clear_is_a_cold_start_for_a_held_schedule(p):
     """A schedule the caller still holds is computed again after
     _memo.clear(), rotating, lab and oracle alike, with the same bits."""
-    sched = synth_y(4.5, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("y", (0,), theta=4.5), p, SpinSystem(1))
     lab = lab_realization(sched, p)
     runs = ((propagator._execute_rotating, lambda: execute_schedule(sched).unitary.tobytes()),
             (propagator._lab_unitary,
@@ -1076,7 +1148,7 @@ def test_kernel_against_expm_oracle(p):
 # ---------------------------------------------------------------------------
 
 def test_trace_x_gate(p):
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     tr = trace_evolution(sched, "0", samples=301)
     assert np.abs(tr.populations.sum(axis=1) - 1.0).max() <= 1e-9
     assert tr.populations[-1][1] >= 1.0 - 1e-6
@@ -1088,7 +1160,7 @@ def test_trace_x_gate(p):
 def test_trace_final_sample_follows_the_rf_phase(p):
     """At rf phase phi the last sample of a trace from a superposition is the
     executed R U(0) R^dagger applied to the start, not U(0)."""
-    sched = synth_hadamard(1, p, SpinSystem(2))
+    sched = synthesize(GateSpec("hadamard", (1,)), p, SpinSystem(2))
     psi0 = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
     for phase in (0.7, -2.1):
         turned = sched.replace(rf_phase=phase)
@@ -1106,7 +1178,7 @@ def test_trace_zero_duration(p):
 
 
 def test_trace_rejects(p):
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     with pytest.raises(ValueError):
         trace_evolution(sched, "0", samples=1)
     # a zero-duration trace has one row whatever the count, yet takes no count below 2
@@ -1128,7 +1200,7 @@ def test_trace_rejects(p):
 
 
 def test_trace_csv_format(p):
-    sched = synth_hadamard(0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(1))
     tr = trace_evolution(sched, "0", samples=5)
     buf = io.StringIO()
     trace_to_csv(tr, buf, header={"b": p.b})
@@ -1162,15 +1234,18 @@ def _boundary_samples(p):
 
 
 _TRACE_CASES = [
-    pytest.param(lambda p: synth_cnot("exchange", 0, 1, p, j=3.0 * math.pi * p.constants.hbar
-                                      / (8.0 * 1e-11), extended_correction=True),
+    pytest.param(lambda p: synthesize(GateSpec("cnot", (0, 1), mode="exchange",
+                                               j=3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11),
+                                               extended_correction=True), p),
                  "00", 1000, id="cnot_extended_1000"),
     pytest.param(_interleaved_zero_segments, "01", 97, id="zero_duration_segments"),
-    pytest.param(lambda p: synth_hadamard(0, p, SpinSystem(2)), "10", 2, id="two_samples"),
+    pytest.param(lambda p: synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(2)), "10", 2,
+                 id="two_samples"),
     pytest.param(_boundary_samples, "0", 5, id="boundary_samples"),
-    pytest.param(lambda p: synth_y(1.0, 1, p, SpinSystem(2)),
+    pytest.param(lambda p: synthesize(GateSpec("y", (1,), theta=1.0), p, SpinSystem(2)),
                  np.array([0.5, 0.5j, -0.5, 0.5 * np.exp(0.3j)]), 400, id="custom_initial"),
-    pytest.param(lambda p: synth_x(math.pi, 1, p, SpinSystem(3)), "010", 500, id="three_donors"),
+    pytest.param(lambda p: synthesize(GateSpec("x", (1,), theta=math.pi), p, SpinSystem(3)),
+                 "010", 500, id="three_donors"),
 ]
 
 
@@ -1246,7 +1321,7 @@ def test_trace_memo_cold_warm_and_cleared_are_bit_identical(p, make, initial, sa
 
 
 def test_trace_label_and_equal_vector_differ_only_in_initial_label(p):
-    sched = synth_hadamard(1, p, SpinSystem(2))
+    sched = synthesize(GateSpec("hadamard", (1,)), p, SpinSystem(2))
     labels = sched.system.basis_labels()
     _memo.clear()
     by_label = trace_evolution(sched, "01", samples=64)
@@ -1263,7 +1338,7 @@ def test_trace_samples_must_be_an_integer(p, warm):
     """A float sample count raises TypeError from cleared tables and after the
     equal int count's trace is stored (2.0 hashes equal to 2); an integer
     count of another type shares the int's entry."""
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     _memo.clear()
     if warm:
         trace_evolution(sched, "0", samples=2)
@@ -1277,7 +1352,7 @@ def test_trace_samples_must_be_an_integer(p, warm):
 def test_trace_samples_past_the_cap_raise_before_the_lookup(p):
     """One sample more than the cap is a ValueError that computes and stores
     nothing (no count that would allocate is tried)."""
-    sched = synth_x(math.pi, 0, p, SpinSystem(1))
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(1))
     _memo.clear()
     with pytest.raises(ValueError, match=f"at most {propagator._MAX_SAMPLES} trace samples, "
                                          f"got {propagator._MAX_SAMPLES + 1}"):
@@ -1286,7 +1361,7 @@ def test_trace_samples_past_the_cap_raise_before_the_lookup(p):
 
 
 def test_trace_csv_matches_per_cell_format(p):
-    sched = synth_hadamard(0, p, SpinSystem(2))
+    sched = synthesize(GateSpec("hadamard", (0,)), p, SpinSystem(2))
     tr = trace_evolution(sched, "00", samples=50)
     pops = np.vstack([tr.populations,
                       [[1.0, 0.0, 0.0, 0.0], [1.0 - 1e-33, 1e-33, 0.0, 0.0],
@@ -1337,8 +1412,8 @@ def test_traces_compare_and_hash_by_identity():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
-    lambda p: synth_x(math.pi, 0, p, SpinSystem(2)),
-    lambda p: synth_y(math.pi, 1, p, SpinSystem(2)),
+    lambda p: synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(2)),
+    lambda p: synthesize(GateSpec("y", (1,), theta=math.pi), p, SpinSystem(2)),
 ])
 def test_schedule_round_trip(p, make):
     sched = make(p)
@@ -1474,8 +1549,8 @@ def test_schedule_text_round_trip(p, sched):
 
 def test_schedule_round_trip_cnot_modes(p):
     j = 3.0 * math.pi * p.constants.hbar / (8.0 * 1e-11)
-    for sched in (synth_cnot("exchange", 0, 1, p, j=j),
-                  synth_cnot("combined", 0, 1, p, j=j, d=23e-9)):
+    for sched in (synthesize(GateSpec("cnot", (0, 1), mode="exchange", j=j), p),
+                  synthesize(GateSpec("cnot", (0, 1), mode="combined", j=j, d=23e-9), p)):
         back = schedule_from_text(schedule_to_text(sched, p), p)
         assert [s.rf_on for s in back.segments] == [s.rf_on for s in sched.segments]
         for pair, d_val in sched.dipole.items():

@@ -42,6 +42,23 @@ def test_spin_system_dimensions():
         SpinSystem(3, include_nuclei=True)
 
 
+def test_spin_system_checks_its_integer_and_its_flag():
+    """An integral donor count is stored as int and the nuclei flag as bool;
+    a float count (whose dim would be a float) or a flag other than True or
+    False is a ValueError that names the field."""
+    for n, nuclei in ((2, False), (np.int64(2), np.bool_(False)), (np.int32(2), 0)):
+        system = SpinSystem(n, include_nuclei=nuclei)
+        assert (type(system.num_donors), type(system.include_nuclei)) == (int, bool)
+        assert system == SpinSystem(2) and type(system.dim) is int
+    for bad in (2.0, "2", None, True):
+        with pytest.raises(ValueError, match=f"^num_donors must be an integer, got {bad!r}$"):
+            SpinSystem(bad)
+    for bad in ("no", None, 2):
+        with pytest.raises(ValueError,
+                           match=f"^include_nuclei must be True or False, got {bad!r}$"):
+            SpinSystem(1, include_nuclei=bad)
+
+
 def test_basis_labels():
     assert SpinSystem(2).basis_labels() == ["00", "01", "10", "11"]
     assert SpinSystem(1, include_nuclei=True).basis_labels() == ["0u", "0d", "1u", "1d"]
