@@ -213,6 +213,7 @@ def _donor4_levels(local: PulseSchedule, p: DeviceParameters, include_nuclear_dr
     def segment_step(seg: PulseSegment):
         a_phys = hyperfine_for_detuning(2.0 * seg.detunings.get(0, 0.0), w_ac, p)
         _check_phase((zeeman + 3.0 * abs(a_phys)) / hbar * seg.duration, seg.duration)
+        # phase_sign_e = -1: the drive phase turns the electron by spin_model._z_turn
         kernel = functools.partial(
             _kernels.donor4_strang_product, single_donor_static(a_phys, p), hbar,
             gx_e if seg.rf_on else 0.0, -1.0, gx_n if seg.rf_on else 0.0, w_ac, local.rf_phase)
@@ -325,9 +326,9 @@ SWEEP_METRICS = {
     "y_gate_ns": _gate_ns(gates.TABLE_GATES["III"][0]),
     "z_gate_ns": _gate_ns(gates.TABLE_GATES["V"][0]),
     # the CNOT of each coupling mode at the device's own separation
-    **{f"cnot_{mode}_ns": _gate_ns(lambda p, mode=mode: gates.GateSpec(
-        "cnot", (0, 1), mode=mode, j=None if mode == "dipole" else exchange_strength(p.d, p),
-        d=None if mode == "exchange" else p.d)) for mode in ("exchange", "dipole", "combined")},
+    **{f"cnot_{mode}_ns": _gate_ns(lambda p, mode=mode, uses=uses: gates.GateSpec(
+        "cnot", (0, 1), mode=mode, j=exchange_strength(p.d, p) if "j" in uses else None,
+        d=p.d if "d" in uses else None)) for mode, uses in gates.GATE_KINDS["cnot"].modes.items()},
     "max_detuning_rad_s": max_detuning,
     "exchange_uev": _metric_exchange_uev,
     "dipole_uev": _metric_dipole_uev,

@@ -91,7 +91,7 @@ class PhysicalConstants:
     """
 
     mu_b: float = 9.2740e-24     # Bohr magneton, J/T
-    hbar: float = 1.0546e-34     # reduced Planck constant, J*s
+    hbar: float = 1.0546e-34     # Planck constant over 2 pi, J*s
     mu_n: float = 5.0508e-27     # nuclear magneton, J/T
     g_n: float = 2.2632          # 31P nuclear g-factor
     mu_0: float = 4.0e-7 * math.pi  # vacuum permeability, T*m/A

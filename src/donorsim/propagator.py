@@ -26,8 +26,7 @@ from . import _kernels, _memo
 from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, _flag, _integer,
                      carrier_frequency, detuning_for_hyperfine, exceeds_max_detuning,
                      hyperfine_for_detuning)
-from .spin_model import (SpinSystem, _read_only, _register_ops, assert_hermitian,
-                         rotating_hamiltonian)
+from .spin_model import SpinSystem, _read_only, _z_turn, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
     "PulseSegment",
@@ -296,30 +295,6 @@ def _propagator(system: SpinSystem, drive: float, dipole_items: tuple, hbar: flo
     return _read_only(_exponentiate(w, v, duration, hbar))
 
 
-def _phase_turn(system: SpinSystem, rf_phase: float) -> np.ndarray:
-    """Diagonal of R = prod_e exp(-i rf_phase sigma_z^e / 2).
-
-    The rotating-frame Hamiltonian drives at phase 0; a drive at phase phi
-    turns the drive axis about z, so a schedule at phi runs R U(0) R^dagger.
-    """
-    sz = sum(np.diag(op).real for op in _register_ops(system).sz)
-    return np.exp(-0.5j * rf_phase * sz)
-
-
-@_memo.table
-def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
-    """Read-only rotating-frame unitary of schedule: its cached propagators'
-    product, turned by the drive's phase (see _phase_turn)."""
-    u = np.eye(schedule.system.dim, dtype=complex)
-    for seg in schedule.segments:
-        if seg.duration > 0.0:
-            u = _propagator(*_segment_key(schedule, seg), seg.duration) @ u
-    if schedule.rf_phase:
-        r = _phase_turn(schedule.system, schedule.rf_phase)
-        u = r[:, None] * u * r.conj()
-    return _read_only(u)
-
-
 def _timed_segments(schedule: PulseSchedule):
     """(start, segment) of each segment of positive duration, on one global clock."""
     t0 = 0.0
@@ -327,6 +302,19 @@ def _timed_segments(schedule: PulseSchedule):
         if seg.duration > 0.0:
             yield t0, seg
         t0 += seg.duration
+
+
+@_memo.table
+def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
+    """Read-only rotating-frame unitary of schedule: its cached propagators'
+    product R U(0) R^dagger, R the drive phase's spin_model._z_turn."""
+    u = np.eye(schedule.system.dim, dtype=complex)
+    for _, seg in _timed_segments(schedule):
+        u = _propagator(*_segment_key(schedule, seg), seg.duration) @ u
+    if schedule.rf_phase:
+        r = _z_turn(schedule.system, schedule.rf_phase)
+        u = r[:, None] * u * r.conj()
+    return _read_only(u)
 
 
 def _lab_levels(schedule: PulseSchedule, carrier: float, dim: int, segment_step):
@@ -432,7 +420,8 @@ def _lab_donor_levels(schedule: PulseSchedule, donor: int):
     ax = schedule.transverse_energy / schedule.hbar
 
     def segment_step(seg: PulseSegment):
-        # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw)
+        # matrix z-rate: sigma_z^e = -Z, so az = -(omega_ac/2 + dw); the kernel's
+        # (-w_ac, -rf_phase) is spin_model._z_turn's frame convention on Z
         az = -(0.5 * w_ac + seg.detunings.get(donor, 0.0))
         phase = az * seg.duration
         _check_phase(phase, seg.duration)
@@ -608,7 +597,7 @@ def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
     psi0 = np.frombuffer(psi0_bytes, dtype=complex).copy()
     if schedule.rf_phase:
         # R U(t) R^dagger psi0 has the populations of U(t) R^dagger psi0 (R is diagonal)
-        psi0 *= _phase_turn(schedule.system, schedule.rf_phase).conj()
+        psi0 *= _z_turn(schedule.system, schedule.rf_phase).conj()
     labels = tuple(schedule.system.basis_labels())
     total = schedule.total_duration
     if total == 0.0:
@@ -747,14 +736,6 @@ def _leading_literal(text: str) -> tuple[str, str]:
     return token.string, after
 
 
-def _pair_values(text: str, unit: float, what: str) -> dict:
-    """'a-b:v,...' as {(min, max): v * unit}; a pair given twice, in either
-    order, is a ValueError."""
-    pairs = _parse_pairs(text, lambda key: tuple(sorted(int(x) for x in key.split("-"))),
-                         lambda pair: f"{what} pair {'-'.join(map(str, pair))} given twice")
-    return {pair: v * unit for pair, v in pairs.items()}
-
-
 def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     """Parse the schedule file format written by schedule_to_text.
 
@@ -830,6 +811,14 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     carrier = header_value("carrier", device_carrier if frame == "lab" else None,
                            _positive("carrier"))
     w_ac = device_carrier if carrier is None else carrier
+
+    def pair_values(text: str, what: str) -> dict:
+        """'a-b:v,...' in ueV as {(a, b): v in J}, pairs as written (see _sorted_pairs)."""
+        pairs = _parse_pairs(text, lambda key: tuple(map(int, key.split("-"))),
+                             lambda pair: f"{what} pair {'-'.join(map(str, sorted(pair)))} "
+                                          "given twice")
+        return {pair: v * _UEV for pair, v in pairs.items()}
+
     segments = []
     for lineno, fields, rf_on, label in segment_lines:
         try:
@@ -839,7 +828,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
                          for q, frac in fractions.items()}
             seg = PulseSegment(
                 duration=float(fields["duration_ns"]) * 1e-9, detunings=detunings,
-                couplings=_pair_values(fields.get("j_uev", ""), _UEV, "exchange"),
+                couplings=pair_values(fields.get("j_uev", ""), "exchange"),
                 rf_on=rf_on, label=label)
             for q in [*seg.detunings, *(q for pair in seg.couplings for q in pair)]:
                 system.electron_site(q)
@@ -849,7 +838,7 @@ def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
         segments.append(seg)
 
     def dipole_values(text: str) -> dict:
-        pairs = _pair_values(text, _UEV, "dipole")
+        pairs = _sorted_pairs(pair_values(text, "dipole"), "dipole")
         if not all(0.0 <= d < math.inf for d in pairs.values()):
             raise ValueError("dipole couplings must be finite and non-negative")
         if alignment != "z" and any(pairs.values()):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -272,7 +271,7 @@ def _read_only(op: np.ndarray) -> np.ndarray:
 
 @_memo.table
 def _register_ops(system: SpinSystem) -> _RegisterOps:
-    """The operator basis both Hamiltonian assemblies sum, built once per system.
+    """The operator basis both Hamiltonian assemblies and _z_turn sum, built once per system.
 
     At most 5 systems exist (1-3 donors, nuclei for at most 2), so the cache
     stays small.  Each operator is exactly what pauli_on, electron_pair_dot,
@@ -353,7 +352,7 @@ def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
                 site_a: int = 0, site_b: int = 1) -> np.ndarray:
     """Dipole-dipole operator D (sigma.sigma - 3 (sigma.n)(sigma.n)) for unit axis n.
 
-    For z alignment this reduces to D (sigma.sigma - 3 sz sz), which commutes
+    For z alignment this becomes D (sigma.sigma - 3 sz sz), which commutes
     with sz1 + sz2 so the rotating frame stays valid; x/y alignments do not.
     """
     if alignment not in _E_AXIS:
@@ -365,10 +364,24 @@ def dipole_term(d_coupling: float, alignment: str, num_sites: int = 2,
 # frame transformation
 # ---------------------------------------------------------------------------
 
+def _z_turn(system: SpinSystem, angle: float) -> np.ndarray:
+    """Diagonal of prod_e exp(-i angle sigma_z^e / 2), the register's one electron z-turn.
+
+    sigma_z^e = -Z on every electron site; nuclei are untouched.  Every
+    electron feels one drive at carrier omega_ac and phase phi, so R(t) of
+    frame_rotation is the turn at -omega_ac t, and a drive at phi is the
+    phase-0 drive turned by the turn T at phi: a rotating schedule runs
+    T U(0) T^dagger.  The SU(2) kernel's (-omega_ac, -rf_phase) on Z and the
+    4-dim kernel's phase_sign_e = -1 on Z_e are this turn in their own bases.
+    """
+    sz = sum(np.diag(op).real for op in _register_ops(system).sz)
+    return np.exp(-0.5j * angle * sz)
+
+
 def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndarray:
     """R(t) = prod_e exp(i omega_ac t sigma_z^e / 2): lab -> rotating frame map.
 
-    Acts on electron sites only; nuclear sites are untouched.  A lab-frame
+    R(t) is _z_turn at -omega_ac t, so nuclear sites are untouched.  A lab-frame
     state psi maps into the rotating frame as R(t) @ psi, and a propagator
     U(0 -> t) as R(t) @ U, since R(0) is the identity.
 
@@ -382,9 +395,4 @@ def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndar
 @_memo.table
 def _frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndarray:
     """Read-only R(t) of frame_rotation."""
-    phase = 0.5 * carrier_frequency(p) * t
-    # sigma_z^e = -Z in the logical basis, so the matrix is exp(-i phase Z)
-    single = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
-    electrons = tuple(system.electron_site(q) for q in range(system.num_donors))
-    return _read_only(embed(reduce(np.kron, [single] * len(electrons)), electrons,
-                            system.num_sites))
+    return _read_only(np.diag(_z_turn(system, -carrier_frequency(p) * t)))

@@ -8,6 +8,7 @@ stay apart: the loop checks the value, the formula the former bits.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -263,6 +264,16 @@ def electron_lab_midpoints(a, p, dt, n):
     hs[:, 0, 1] = p.transverse_energy * (np.cos(th) + 1j * np.sin(th))
     hs[:, 1, 0] = hs[:, 0, 1].conj()
     return hs
+
+
+def frame_rotation_reference(t, p, system):
+    """R(t) as the Kronecker product of one diagonal per site: each electron's
+    exp(-i phase Z) with phase = omega_ac t / 2 (sigma_z^e = -Z), the identity
+    on each nucleus."""
+    phase = 0.5 * carrier_frequency(p) * t
+    single = np.diag([np.exp(-1j * phase), np.exp(1j * phase)])
+    sites = [single, np.eye(2)] if system.include_nuclei else [single]
+    return functools.reduce(np.kron, sites * system.num_donors)
 
 
 def lab_walk(schedule, carrier, dim, steps_per_period, segment_step):

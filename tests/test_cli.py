@@ -499,6 +499,12 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                              "segment duration_ns=1 rf=on\n"},
                  "schedule failed: line 2: dipole pair 1-2 given twice",
                  id="dipole_pair_twice_reversed"),
+    # the reversed repeat is refused before the negative value it carries is checked
+    pytest.param(["schedule", "load", "{tmp}/s.sched"],
+                 {"s.sched": "num_donors = 2\ndipole_uev = 0-1:-3,1-0:0.01\n"
+                             "segment duration_ns=1 rf=on\n"},
+                 "schedule failed: line 2: dipole pair 0-1 given twice",
+                 id="dipole_pair_twice_reversed_before_negative"),
     pytest.param(["schedule", "load", "{tmp}/s.sched"],
                  {"s.sched": _SCHEDULE_HEADER + "b_ac = -1e-3\nsegment duration_ns=1 rf=on\n"},
                  "schedule failed: line 3: b_ac must be finite and positive, got '-1e-3'",

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _reference import (electron_lab_midpoints, gate_fidelity_reference, rotating_reference,
-                        stacked_expm_product)
+from _reference import (electron_lab_midpoints, frame_rotation_reference,
+                        gate_fidelity_reference, rotating_reference, stacked_expm_product)
 from donorsim import _memo, spin_model
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.spin_model import (
@@ -15,6 +15,7 @@ from donorsim.spin_model import (
     SZ,
     SpinSystem,
     _register_ops,
+    _z_turn,
     assert_hermitian,
     dipole_term,
     electron_pair_dot,
@@ -327,6 +328,33 @@ def test_frame_map_hit_is_bitwise_a_cold_build(p, system):
     built = spin_model._frame_rotation.__wrapped__(t, p, system)
     assert cold.tobytes() == warm.tobytes() == built.tobytes()
     assert cold.shape == warm.shape == (system.dim, system.dim)
+
+
+# Largest |R(t) - frame_rotation_reference| over the test's 2002 times in
+# [0, 1 us]: 2.48e-16 at two donors and 5.82e-11 at three.  The sum of the
+# sigma_z^e diagonals and the Kronecker product of per-electron phases round
+# omega_ac t differently; one donor, with or without its nucleus, is exact.
+_FRAME_MAP_SHIFT = {1: 0.0, 2: 2.5e-16, 3: 6e-11}
+
+
+@pytest.mark.parametrize("system", [SpinSystem(1), SpinSystem(1, include_nuclei=True),
+                                    SpinSystem(2), SpinSystem(2, include_nuclei=True),
+                                    SpinSystem(3)],
+                         ids=["one", "one_with_nucleus", "two", "two_with_nuclei", "three"])
+def test_frame_map_is_the_z_turn_at_minus_carrier_time(p, system):
+    """R(t) is bit for bit np.diag(_z_turn(system, -omega_ac t)) on every
+    register, and matches the per-site Kronecker product: exactly for one
+    donor, within the rounding of omega_ac t for two and three."""
+    w_ac = carrier_frequency(p)
+    bound = _FRAME_MAP_SHIFT[system.num_donors]
+    for t in [0.0, 1e-6, *np.random.default_rng(0).uniform(0.0, 1e-6, 2000)]:
+        r = frame_rotation(t, p, system)
+        assert r.tobytes() == np.diag(_z_turn(system, -w_ac * t)).tobytes()
+        reference = frame_rotation_reference(t, p, system)
+        if bound == 0.0:
+            assert np.array_equal(r, reference)
+        else:
+            assert np.abs(r - reference).max() <= bound
 
 
 def test_frame_map_returns_a_writable_copy(p):
