@@ -23,6 +23,15 @@ it prints the levels a cold run evaluates, the levels a sequential
 step-halving loop needs (up to the level returned) and the number of blocks
 asked for.
 
+A grading section times `analysis.gate_fidelity` and
+`analysis.spectator_fidelity` on the gates the benchmark streams grade: the
+catalog's X(pi) and exchange CNOT on 2 and 3 donors, graded against their
+declared and ideal targets, and the frame-mapped lab X(pi) on 1 donor against
+its rotating-frame unitary.  Each is timed cold (every memo table cleared
+before every repeat, so the cost of a miss, key included, stays visible)
+and as a hit (the same arrays again, answered from `analysis._gate_fidelity`
+or `analysis._spectator_fidelity`).
+
 Usage: python benchmarks/bench_kernels.py [--steps N]
 """
 
@@ -35,9 +44,9 @@ import numpy as np
 
 from donorsim import DeviceParameters, _memo, analysis, propagator
 from donorsim._kernels import donor4_strang_product, su2_lab_product
-from donorsim.gates import GateSpec, synthesize
+from donorsim.gates import GateSpec, ideal_unitary, interaction_coupling, synthesize
 from donorsim.params import carrier_frequency, max_detuning
-from donorsim.spin_model import SpinSystem, single_donor_static
+from donorsim.spin_model import SpinSystem, frame_rotation, single_donor_static
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from _reference import donor4_loop, su2_loop  # noqa: E402
@@ -90,6 +99,7 @@ def main():
     _report("donor 4-dim split-step stream", m, cold, _time(donor4_loop, *d4_args, repeats=1),
             hit)
     _report_refinements(p)
+    _report_grading(p)
 
 
 def _level_traffic(run):
@@ -143,6 +153,35 @@ def _report_refinements(p):
         print(f"  {name}: cold {cold * 1e6:.0f} us, memo hit {hit * 1e6:.1f} us; "
               f"{evaluated} levels evaluated in {blocks} blocks, "
               f"{needed} needed by a sequential loop")
+
+
+def _report_grading(p):
+    j = interaction_coupling(1e-11, p)
+    cases = []
+    for donors, single, pair in ((2, (0,), (0, 1)), (3, (1,), (1, 2))):
+        system = SpinSystem(donors)
+        for spec in (GateSpec("x", single, theta=np.pi),
+                     GateSpec("cnot", pair, mode="exchange", j=j)):
+            sched = synthesize(spec, p, system)
+            u = propagator.execute_schedule(sched).unitary
+            cases.append((f"{spec.kind} on {donors} donors", u, sched.declared_target,
+                          (u, ideal_unitary(spec), spec.targets, system)))
+    one = SpinSystem(1)
+    x = synthesize(GateSpec("x", (0,), theta=np.pi), p, one)
+    lab = analysis.lab_realization(x, p)
+    u_map = frame_rotation(lab.total_duration, p, one) @ propagator.execute_schedule(
+        lab, lab_tol=1e-6).unitary
+    cases.append(("lab x on 1 donor", u_map, propagator.execute_schedule(x).unitary, None))
+    print("grading (best of 200; cold: memo tables cleared before every repeat):")
+    for name, u, target, spectator in cases:
+        line = f"  {name} ({u.shape[0]}x{u.shape[0]}):"
+        for what, fn, args in (("gate_fidelity", analysis.gate_fidelity, (u, target)),
+                               ("spectator_fidelity", analysis.spectator_fidelity, spectator)):
+            if args is not None:
+                cold, _ = _time(fn, *args, repeats=200, before=_memo.clear)
+                hit, _ = _time(fn, *args, repeats=200)
+                line += f" {what} cold {cold * 1e6:.1f} us, hit {hit * 1e6:.1f} us;"
+        print(line.rstrip(";"))
 
 
 if __name__ == "__main__":

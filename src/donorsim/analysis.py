@@ -17,6 +17,7 @@ from .params import (
     CONSTANTS,
     DeviceParameters,
     PhysicalConstants,
+    _integer,
     canonical_detuning_span,
     carrier_frequency,
     dipole_strength,
@@ -59,8 +60,41 @@ def _assert_unitary(u: np.ndarray) -> None:
         raise ValueError("matrix is not unitary within tolerance")
 
 
+# elements of the largest register's matrix: two donors with nuclei, 16x16
+_MAX_KEPT_SIZE = 256
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    """(dtype, shape, C-order bytes) of an array: a grading table's key for
+    it.  Only a bit-identical array of the same dtype and shape has the same
+    key, and the key holds no reference to the array, so changing the array
+    later cannot make an entry stale."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _key_array(key: tuple) -> np.ndarray:
+    """The read-only C-order array an _array_key was taken of."""
+    dtype, shape, data = key
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
-    """Global-phase-invariant overlap |Tr(U^dag V)| / dim of two unitaries."""
+    """Global-phase-invariant overlap |Tr(U^dag V)| / dim of two unitaries.
+
+    Computed once per bit-identical (u, v) while the `_gate_fidelity` table
+    holds it (see _array_key); a rejected input raises again on every call.
+    A matrix larger than any register's (16x16) is graded without being
+    kept, so a table entry holds at most 8 KB.
+    """
+    if u.size > _MAX_KEPT_SIZE or v.size > _MAX_KEPT_SIZE:
+        return _gate_fidelity.__wrapped__(_array_key(u), _array_key(v))
+    return _gate_fidelity(_array_key(u), _array_key(v))
+
+
+@_memo.table
+def _gate_fidelity(u_key: tuple, v_key: tuple) -> float:
+    """gate_fidelity of the arrays behind two _array_keys."""
+    u, v = _key_array(u_key), _key_array(v_key)
     if u.shape != v.shape:
         raise ValueError("unitaries have different dimensions")
     _assert_unitary(u)
@@ -75,14 +109,43 @@ def spectator_fidelity(u: np.ndarray, gate: np.ndarray, targets: Sequence[int],
     Contracts the target legs of `u` against the ideal gate; for an exactly
     factorized u = phase * (gate (x) S) the result is |Tr S| / dim normalized
     by the contraction's scale, i.e. 1 iff S is the identity up to phase.
+    u must be a unitary on `system` and gate a unitary on the distinct
+    integer targets.  Computed once per bit-identical (u, gate), targets (in
+    order, by value and type) and system while the `_spectator_fidelity`
+    table holds it (see _array_key); a rejected input raises again on every
+    call.
+    """
+    targets = tuple(targets)
+    return _spectator_fidelity(_array_key(u), _array_key(gate), targets,
+                               tuple(map(type, targets)), system)
+
+
+@_memo.table
+def _spectator_fidelity(u_key: tuple, gate_key: tuple, targets: tuple, target_types: tuple,
+                        system: SpinSystem) -> float:
+    """spectator_fidelity of the arrays behind two _array_keys; target_types
+    only keys the entry, so an entry for target 1 never answers True or 1.0.
+
     The contraction is one product of conj(gate), flattened, with u's legs
     ordered (target out, target in, rest out, rest in): the product
     np.tensordot forms for it.
     """
+    targets = [_integer(q, "target") for q in targets]
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"targets must be distinct, got {tuple(targets)}")
     n = system.num_sites
     sites = [system.electron_site(q) for q in targets]
     rest = [s for s in range(n) if s not in sites]
     dim_g, dim_s = 2 ** len(sites), 2 ** len(rest)
+    u, gate = _key_array(u_key), _key_array(gate_key)
+    if u.shape != (system.dim, system.dim):
+        raise ValueError(f"u must be {system.dim}x{system.dim} on {system}, "
+                         f"got shape {u.shape}")
+    if gate.shape != (dim_g, dim_g):
+        raise ValueError(f"gate must be {dim_g}x{dim_g} on {len(sites)} target(s), "
+                         f"got shape {gate.shape}")
+    _assert_unitary(u)
+    _assert_unitary(gate)
     legs = u.reshape((2,) * (2 * n)).transpose(
         sites + [n + s for s in sites] + rest + [n + s for s in rest])
     block = np.dot(np.conj(gate).reshape(1, dim_g * dim_g),

@@ -185,8 +185,9 @@ class PulseSchedule:
     def transverse_energy(self) -> float:
         return self.mu_b * self.b_ac
 
-    @property
+    @functools.cached_property
     def total_duration(self) -> float:
+        """The sum of the segment durations, computed on first use and kept on the object."""
         return sum(seg.duration for seg in self.segments)
 
     # Pair and detuning tuples keep dict order, the order the Hamiltonian sums

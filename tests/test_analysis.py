@@ -105,6 +105,157 @@ def test_grading_matches_reference_formulas_bitwise(rng, system):
                 spectator_fidelity_reference(exact, gate, targets, system)
 
 
+def _strided(a):
+    """a as a view with a stride of 2 elements in both axes."""
+    big = np.zeros((2 * a.shape[0], 2 * a.shape[1]), dtype=a.dtype)
+    big[::2, ::2] = a
+    return big[::2, ::2]
+
+
+_LAYOUTS = {"c": np.ascontiguousarray, "f": np.asfortranarray, "strided": _strided}
+
+
+def _grading_misses():
+    return (analysis._gate_fidelity.cache_info().misses,
+            analysis._spectator_fidelity.cache_info().misses)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("system", _GRADING_SYSTEMS, ids=lambda s: f"{s.num_donors}"
+                         f"{'_nuclei' if s.include_nuclei else ''}")
+def test_grading_tables_give_the_reference_bits_cold_and_warm(rng, system, layout):
+    """A cold call and a hit give the bits of the reference formulas on the
+    caller's own array, whatever its memory layout."""
+    arrange = _LAYOUTS[layout]
+    for k in range(1, system.num_donors + 1):
+        for targets in itertools.permutations(range(system.num_donors), k):
+            u, v, gate = (arrange(haar(d, rng)) for d in (system.dim, system.dim, 2**k))
+            f_ref = gate_fidelity_reference(u, v)
+            s_ref = spectator_fidelity_reference(u, gate, targets, system)
+            _memo.clear()
+            assert gate_fidelity(u, v) == f_ref
+            assert spectator_fidelity(u, gate, targets, system) == s_ref
+            assert _grading_misses() == (1, 1)
+            assert gate_fidelity(u, v) == f_ref
+            assert spectator_fidelity(u, gate, list(targets), system) == s_ref
+            assert _grading_misses() == (1, 1)
+
+
+def test_grading_tables_key_on_bits_dtype_shape_targets_and_system(rng):
+    """Only a bit-identical input of the same dtype and shape, with the same
+    targets in the same order and the same system, is answered from an entry."""
+    system = SpinSystem(2)
+    u, v, gate, gate1 = haar(4, rng), haar(4, rng), haar(4, rng), haar(2, rng)
+    _memo.clear()
+    f = gate_fidelity(u, v)
+    s = spectator_fidelity(u, gate, (0, 1), system)
+    flipped = u.copy()
+    flipped.view(np.uint64)[0, 0] ^= 1   # the last bit of u[0, 0].real
+    assert gate_fidelity(flipped, v) == gate_fidelity_reference(flipped, v)
+    assert spectator_fidelity(flipped, gate, (0, 1), system) == \
+        spectator_fidelity_reference(flipped, gate, (0, 1), system)
+    assert _grading_misses() == (2, 2)
+    # the same bytes under another shape: a miss, and this one is refused
+    with pytest.raises(ValueError, match="different dimensions"):
+        gate_fidelity(u.reshape(2, 8), v)
+    with pytest.raises(ValueError, match="u must be 4x4"):
+        spectator_fidelity(u.reshape(2, 8), gate, (0, 1), system)
+    assert _grading_misses() == (3, 3)
+    # the other target order
+    assert spectator_fidelity(u, gate, (1, 0), system) == \
+        spectator_fidelity_reference(u, gate, (1, 0), system)
+    assert _grading_misses() == (3, 4)
+    # another register of the same dimension, where target 0 is the same site
+    nuclei = SpinSystem(1, include_nuclei=True)
+    assert spectator_fidelity(u, gate1, (0,), system) == \
+        spectator_fidelity(u, gate1, (0,), nuclei)
+    assert _grading_misses() == (3, 6)
+    # equal values of another dtype, or with -0.0 for 0.0: misses with equal results
+    eye = np.eye(2, dtype=complex)
+    signed = eye.copy()
+    signed[0, 1] = -0.0
+    assert gate_fidelity(eye, eye) == gate_fidelity(eye.real, eye) == \
+        gate_fidelity(signed, eye) == 1.0
+    assert _grading_misses() == (6, 6)
+    # the first entries still answer
+    assert gate_fidelity(u, v) == f
+    assert spectator_fidelity(u, gate, (0, 1), system) == s
+    assert _grading_misses() == (6, 6)
+
+
+def test_grading_tables_hold_no_caller_array(rng):
+    """Writing to an array after grading it changes no later result."""
+    system = SpinSystem(2)
+    u, v, gate = haar(4, rng), haar(4, rng), haar(2, rng)
+    kept = u.copy()
+    f = gate_fidelity(u, v)
+    s = spectator_fidelity(u, gate, (1,), system)
+    u[...] = haar(4, rng)
+    assert gate_fidelity(u, v) == gate_fidelity_reference(u, v)
+    assert spectator_fidelity(u, gate, (1,), system) == \
+        spectator_fidelity_reference(u, gate, (1,), system)
+    assert gate_fidelity(kept, v) == f
+    assert spectator_fidelity(kept, gate, (1,), system) == s
+
+
+def test_gate_fidelity_keeps_no_matrix_larger_than_a_register(rng):
+    """A 32x32 pair is graded with the reference bits but not kept, so an
+    entry holds at most two 16x16 matrices."""
+    u, v = haar(32, rng), haar(32, rng)
+    _memo.clear()
+    for _ in range(2):
+        assert gate_fidelity(u, v) == gate_fidelity_reference(u, v)
+    info = analysis._gate_fidelity.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    u, v = haar(16, rng), haar(16, rng)
+    assert gate_fidelity(u, v) == gate_fidelity_reference(u, v)
+    assert analysis._gate_fidelity.cache_info().currsize == 1
+
+
+_NAN2 = np.full((2, 2), np.nan)
+_EYE2, _EYE4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param((_NAN2, _EYE2), "not unitary", id="nan_u"),
+    pytest.param((_EYE2, _NAN2), "not unitary", id="nan_v"),
+    pytest.param((2.0 * _EYE2, _EYE2), "not unitary", id="non_unitary"),
+    pytest.param((_EYE2, _EYE4), "different dimensions", id="shape_mismatch"),
+])
+def test_gate_fidelity_refusals_raise_every_time_and_store_nothing(args, message):
+    _memo.clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            gate_fidelity(*args)
+    assert analysis._gate_fidelity.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("u, gate, targets, message", [
+    pytest.param(np.full((4, 4), np.nan), _EYE2, (0,), "not unitary", id="nan_u"),
+    pytest.param(2.0 * _EYE4, _EYE2, (0,), "not unitary", id="scaled_identity_u"),
+    pytest.param(_EYE4, 2.0 * _EYE2, (0,), "not unitary", id="non_unitary_gate"),
+    pytest.param(_EYE4, np.full((2, 2), np.nan), (0,), "not unitary", id="nan_gate"),
+    pytest.param(_EYE2, _EYE2, (0,), re.escape("u must be 4x4"), id="u_of_another_system"),
+    pytest.param(_EYE4, _EYE4, (0,), re.escape("gate must be 2x2 on 1 target(s)"),
+                 id="gate_of_another_target_count"),
+    pytest.param(_EYE4, _EYE2, (True,), "target must be an integer, got True", id="bool_target"),
+    pytest.param(_EYE4, _EYE2, (1.0,), "target must be an integer, got 1.0", id="float_target"),
+    pytest.param(_EYE4, _EYE4, (0, 0), re.escape("targets must be distinct, got (0, 0)"),
+                 id="repeated_target"),
+    pytest.param(_EYE4, _EYE2, (2,), "donor index 2 out of range", id="target_out_of_range"),
+])
+def test_spectator_fidelity_refusals_raise_every_time_and_store_nothing(u, gate, targets,
+                                                                        message):
+    system = SpinSystem(2)
+    _memo.clear()
+    # an entry for the integer targets answers no bool or float target
+    spectator_fidelity(_EYE4, _EYE2, (1,), system)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            spectator_fidelity(u, gate, targets, system)
+    assert analysis._spectator_fidelity.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize("m", [
     pytest.param(np.full((2, 2), np.nan), id="nan"),
     pytest.param(np.eye(2, 3, dtype=complex), id="non_square"),

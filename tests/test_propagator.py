@@ -363,7 +363,7 @@ def test_every_memo_table_is_registered_and_bounded():
     registered = {id(memo) for memo in _memo.TABLES}
     assert sorted(found[key] for key in found.keys() - registered) == []
     assert found.keys() == registered
-    assert len(_memo.TABLES) == 15
+    assert len(_memo.TABLES) == 17
     assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
     _memo.clear()
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
