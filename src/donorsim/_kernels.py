@@ -37,21 +37,20 @@ Global control repeats pulses (identical tilted half-revolutions and
 resonant pi pulses within and across gates), so the 4-dim kernel takes the
 static Hamiltonian itself and memoizes everything that follows from it:
 `_strang_power`, a `_memo` table, keeps the 128 most recent n-step powers
-(P(-delta) M)^n, keyed on the bytes of H_static, the packed doubles (hbar,
-gx_e, phase_sign_e, gx_n, omega, dt) and n.  A miss computes, from the key
-alone, H_static's eigensystem, the half-step propagator, the commutator check
-and the power, so a hit has the bits of a recomputation and a failed check is
-never stored.  Only the key (the bytes of H_static and the packed scalars)
-and the telescope (which depends on t0 and chi) are computed on every call.
-Both callers also memoize their results on the schedule
-(`propagator._lab_unitary`, `analysis._oracle_check`), so a schedule
-verified again in the same process makes no kernel call at all.
+(P(-delta) M)^n, keyed with `_memo.array_key` on H_static and on the doubles
+(hbar, gx_e, phase_sign_e, gx_n, omega, dt), and on n.  A miss computes, from
+the key alone, H_static's eigensystem, the half-step propagator, the
+commutator check and the power, so a hit has the bits of a recomputation and
+a failed check is never stored.  Only the key and the telescope (which
+depends on t0 and chi) are computed on every call.  Both callers also
+memoize their results on the schedule (`propagator._lab_unitary`,
+`analysis._oracle_check`), so a schedule verified again in the same process
+makes no kernel call at all.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 
 import numpy as np
 
@@ -147,22 +146,20 @@ def donor4_strang_product(h_static, hbar, gx_e, phase_sign_e, gx_n, omega, chi, 
     """
     if n == 0:
         return np.eye(4, dtype=complex)
-    h_bytes = np.asarray(h_static, dtype=complex).tobytes()
-    power = _strang_power(h_bytes, struct.pack("6d", hbar, gx_e, phase_sign_e, gx_n, omega, dt),
+    power = _strang_power(_memo.array_key(np.asarray(h_static, dtype=complex)),
+                          _memo.array_key(np.array([hbar, gx_e, phase_sign_e, gx_n, omega, dt])),
                           int(n))
     return _telescope(power, phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N,
                       omega * (t0 + 0.5 * dt) + chi, omega * (t0 + (n + 0.5) * dt) + chi)
 
 
 @_memo.table
-def _strang_power(h_bytes: bytes, scalars: bytes, n: int) -> np.ndarray:
-    """(P(-delta) M)^n of donor4_strang_product, read-only, from its cache key.
-
-    h_bytes is the C-order 4x4 complex H_static and scalars the packed
-    doubles (hbar, gx_e, phase_sign_e, gx_n, omega, dt).
-    """
-    h_static = np.frombuffer(h_bytes, dtype=complex).reshape(4, 4)
-    hbar, gx_e, phase_sign_e, gx_n, omega, dt = struct.unpack("6d", scalars)
+def _strang_power(h_key: tuple, scalars_key: tuple, n: int) -> np.ndarray:
+    """(P(-delta) M)^n of donor4_strang_product, read-only, from its cache key:
+    the array_keys of the complex H_static and of the float64 scalars (hbar,
+    gx_e, phase_sign_e, gx_n, omega, dt)."""
+    h_static = _memo.key_array(h_key)
+    hbar, gx_e, phase_sign_e, gx_n, omega, dt = _memo.key_array(scalars_key).tolist()
     w, v = np.linalg.eigh(h_static)
     half = (v * np.exp(-1j * w * (dt / (2.0 * hbar)))) @ v.conj().T
     gen = phase_sign_e * _DONOR4_GEN_E + _DONOR4_GEN_N
@@ -171,6 +168,5 @@ def _strang_power(h_bytes: bytes, scalars: bytes, n: int) -> np.ndarray:
     # rot_e (x) rot_n as one outer product, the multiplications np.kron makes
     drive = (_rot2(gx_e * dt)[:, None, :, None] * _rot2(gx_n * dt)[None, :, None, :]).reshape(4, 4)
     step = half @ drive @ half
-    power = np.linalg.matrix_power(np.exp(0.5j * omega * dt * gen)[:, None] * step, n)
-    power.flags.writeable = False
-    return power
+    return _memo.read_only(
+        np.linalg.matrix_power(np.exp(0.5j * omega * dt * gen)[:, None] * step, n))

@@ -19,16 +19,15 @@ of SIZE entries, `TABLES` lists them all (each with its `cache_info()`),
 `stats()` reads their counters and `clear()` empties them at once: a cold
 start for tests and benchmarks.
 
-The grading tables key on each array's dtype, shape and C-order bytes (and
-the spectator's on the targets, with their types, and the system), so only
-a bit-identical input is answered from an entry, and no entry holds the
-caller's array.  An entry keeps at most two 16x16 complex arrays' bytes,
-8 KB, so a full grading table holds about 1 MB; in the benchmark workloads
-an entry is at most 2 KB.
-
-The largest entries are traces: a 1000-sample trace of a 2-donor CNOT holds
-32 KB of populations and 75 KB of CSV text once written, one of 3 donors
-64 KB and 141 KB, so a full `_trace` table of those holds about 27 MB.
+Arrays enter and leave tables only here: `array_key` keys an array on its
+dtype, shape and C-order bytes, `key_array` rebuilds it read-only, and
+`read_only` freezes every array a table keeps.  So only a bit-identical array
+is answered from an entry (-0.0 and 0.0 differ), and no entry holds the
+caller's array.  Two bounds keep entries small: a grading pair larger than
+16x16 and a trace of more than 1000 samples are computed without being kept.
+So a grading entry holds at most 8 KB (a full table about 1 MB), and a full
+`_trace` table of 1000-sample 3-donor traces (64 KB of populations and 141
+KB of CSV text each, once written) about 27 MB.
 
 This module imports nothing from donorsim, so any module may use it.
 """
@@ -37,7 +36,9 @@ from __future__ import annotations
 
 import functools
 
-__all__ = ["SIZE", "TABLES", "table", "stats", "clear"]
+import numpy as np
+
+__all__ = ["SIZE", "TABLES", "table", "stats", "clear", "array_key", "key_array", "read_only"]
 
 # Entries per table: the bound and the LRU policy live here, not at each memo.
 SIZE = 128
@@ -61,3 +62,22 @@ def clear() -> None:
     """Empty every table (their hit and miss counts restart at zero)."""
     for memo in TABLES:
         memo.cache_clear()
+
+
+def array_key(a: np.ndarray) -> tuple:
+    """(dtype, shape, C-order bytes) of an array: a table's key for it.  The
+    key holds no reference to the array, so changing the array later cannot
+    make an entry stale."""
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def key_array(key: tuple) -> np.ndarray:
+    """The read-only C-order array an array_key was taken of."""
+    dtype, shape, data = key
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, frozen in place: every array a table keeps is returned this way."""
+    a.flags.writeable = False
+    return a

@@ -19,8 +19,6 @@ import stat
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _memo, analysis, gates
 from .params import _CONFIG_FIELDS, _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
@@ -339,14 +337,12 @@ def _cmd_schedule(args, cfg: RunConfig) -> tuple:
     with open(args.file) as fh:
         sched = schedule_from_text(fh.read(), p)
     result = execute_schedule(sched)
-    dev = float(np.abs(result.unitary.conj().T @ result.unitary
-                       - np.eye(sched.system.dim)).max())
     payload = {
         "config": cfg.as_dict(),
         "segments": [{"label": seg.label, "duration_ns": seg.duration * 1e9}
                      for seg in sched.segments],
         "total_duration_ns": result.duration * 1e9,
-        "unitarity_deviation": dev,
+        "unitarity_deviation": analysis._unitarity_deviation(result.unitary),
     }
     return 0, _json(payload)
 

@@ -27,7 +27,7 @@ from .params import (DeviceParameters, DipoleAlignmentError, InfeasibleDetuningE
                      _integer, _store_floats, dipole_strength, exceeds_max_detuning,
                      max_detuning)
 from .propagator import PulseSchedule, PulseSegment, _execute_rotating, execute_schedule
-from .spin_model import ID2, SX, SY, SZ, SpinSystem, _read_only, embed
+from .spin_model import ID2, SX, SY, SZ, SpinSystem, embed
 
 __all__ = [
     "GateKind",
@@ -269,7 +269,7 @@ def _make_schedule(
         frame="rotating",
         rf_phase=0.0,
         dipole=dipole or {},
-        declared_target=None if declared_target is None else _read_only(declared_target),
+        declared_target=None if declared_target is None else _memo.read_only(declared_target),
         hbar=p.constants.hbar,
         mu_b=p.constants.mu_b,
     )

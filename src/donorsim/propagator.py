@@ -26,7 +26,7 @@ from . import _kernels, _memo
 from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, _flag, _integer,
                      carrier_frequency, detuning_for_hyperfine, exceeds_max_detuning,
                      hyperfine_for_detuning)
-from .spin_model import SpinSystem, _read_only, _z_turn, assert_hermitian, rotating_hamiltonian
+from .spin_model import SpinSystem, _z_turn, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
     "PulseSegment",
@@ -285,7 +285,7 @@ def _eigensystem(system: SpinSystem, drive: float, dipole_items: tuple, hbar: fl
                              dict(dipole_items), hbar)
     assert_hermitian(h)
     w, v = np.linalg.eigh(h)
-    return _read_only(w), _read_only(v)
+    return _memo.read_only(w), _memo.read_only(v)
 
 
 @_memo.table
@@ -293,7 +293,7 @@ def _propagator(system: SpinSystem, drive: float, dipole_items: tuple, hbar: flo
                 detuning_items: tuple, coupling_items: tuple, duration: float) -> np.ndarray:
     """Read-only exp(-i H t / hbar) of one segment Hamiltonian (same key as _eigensystem)."""
     w, v = _eigensystem(system, drive, dipole_items, hbar, detuning_items, coupling_items)
-    return _read_only(_exponentiate(w, v, duration, hbar))
+    return _memo.read_only(_exponentiate(w, v, duration, hbar))
 
 
 def _timed_segments(schedule: PulseSchedule):
@@ -315,7 +315,7 @@ def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
     if schedule.rf_phase:
         r = _z_turn(schedule.system, schedule.rf_phase)
         u = r[:, None] * u * r.conj()
-    return _read_only(u)
+    return _memo.read_only(u)
 
 
 def _lab_levels(schedule: PulseSchedule, carrier: float, dim: int, segment_step):
@@ -462,7 +462,7 @@ def _lab_unitary(schedule: PulseSchedule, lab_tol: float) -> np.ndarray:
                 len(block), u.shape[1] * v.shape[1], u.shape[2] * v.shape[2])
         return u
 
-    return _read_only(_refine(assemble, lab_tol, 1 << 18, "lab-frame integration"))
+    return _memo.read_only(_refine(assemble, lab_tol, 1 << 18, "lab-frame integration"))
 
 
 def execute_schedule(schedule: PulseSchedule, lab_tol: float = 1e-9) -> ExecutionResult:
@@ -528,8 +528,8 @@ class EvolutionTrace:
     initial_label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "times", _read_only(np.array(self.times)))
-        object.__setattr__(self, "populations", _read_only(np.array(self.populations)))
+        object.__setattr__(self, "times", _memo.read_only(np.array(self.times)))
+        object.__setattr__(self, "populations", _memo.read_only(np.array(self.populations)))
         sums = self.populations.sum(axis=1)
         if not np.abs(sums - 1.0).max() <= 1e-9:
             raise ValueError("trace rows must sum to 1 within 1e-9")
@@ -562,17 +562,22 @@ def _resolve_state(initial, system: SpinSystem) -> tuple[np.ndarray, str]:
 # trace of 10**6 samples holds 64 MB of populations; a count far past it would
 # only fail in numpy's allocator, with a traceback instead of a message.
 _MAX_SAMPLES = 10**6
+# Most samples of a trace the `_trace` table keeps, the default and the CLI's
+# count: this bounds a full table's bytes (see _memo).
+_MAX_KEPT_SAMPLES = 1000
 
 
 def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> EvolutionTrace:
     """Sample basis populations uniformly over a rotating-frame schedule.
 
-    The final sample applies exactly the execute_schedule propagator.  Basis
-    populations are invariant under the frame map (it is diagonal), so these
-    traces equally describe the lab-frame evolution.  Each trace is computed
-    once per schedule (its controls, see PulseSchedule), initial state and
-    sample count while the `_trace` table holds it, and is returned as the
-    same read-only EvolutionTrace; errors are raised again on every call.
+    The final sample is |U psi0|^2 of the execute_schedule propagator U, to
+    roundoff.  Basis populations are invariant under the frame map (it is
+    diagonal), so these traces equally describe the lab-frame evolution.  A
+    trace of at most _MAX_KEPT_SAMPLES (1000) samples is computed once per
+    schedule (its controls, see PulseSchedule), initial state (see
+    _memo.array_key) and sample count while the `_trace` table holds it, and
+    is returned as the same read-only EvolutionTrace; a longer one is computed
+    on every call and not kept.  Errors are raised again on every call.
     Fewer than 2 or more than _MAX_SAMPLES samples is a ValueError, raised
     before the lookup, also for a zero-duration schedule, whose trace has one row.
     """
@@ -586,16 +591,17 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
         raise ValueError("need at least 2 samples")
     if samples > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} trace samples, got {samples}")
-    return _trace(schedule, psi0.tobytes(), init_label, samples)
+    trace = _trace if samples <= _MAX_KEPT_SAMPLES else _trace.__wrapped__
+    return trace(schedule, _memo.array_key(psi0), init_label, samples)
 
 
 # The CLI writes the same few traces again and again, and a trace is a pure
 # function of the schedule's controls, the initial state and the sample count.
 @_memo.table
-def _trace(schedule: PulseSchedule, psi0_bytes: bytes, init_label: str,
+def _trace(schedule: PulseSchedule, psi0_key: tuple, init_label: str,
            samples: int) -> EvolutionTrace:
-    """The population trace of schedule from the state whose complex bytes are psi0_bytes."""
-    psi0 = np.frombuffer(psi0_bytes, dtype=complex).copy()
+    """The population trace of schedule from the state behind psi0_key."""
+    psi0 = _memo.key_array(psi0_key).copy()
     if schedule.rf_phase:
         # R U(t) R^dagger psi0 has the populations of U(t) R^dagger psi0 (R is diagonal)
         psi0 *= _z_turn(schedule.system, schedule.rf_phase).conj()

@@ -264,11 +264,6 @@ class _RegisterOps(NamedTuple):
     hyperfine: tuple[np.ndarray, ...]                     # sigma_e.sigma_n, likewise
 
 
-def _read_only(op: np.ndarray) -> np.ndarray:
-    op.flags.writeable = False
-    return op
-
-
 @_memo.table
 def _register_ops(system: SpinSystem) -> _RegisterOps:
     """The operator basis both Hamiltonian assemblies and _z_turn sum, built once per system.
@@ -284,14 +279,14 @@ def _register_ops(system: SpinSystem) -> _RegisterOps:
     pairs = list(itertools.permutations(range(system.num_donors), 2))
     dipole_z = _dipole_pair("z")
     return _RegisterOps(
-        sx=tuple(_read_only(pauli_on(E_SX, s, n)) for s in sites),
-        sz=tuple(_read_only(pauli_on(E_SZ, s, n)) for s in sites),
+        sx=tuple(_memo.read_only(pauli_on(E_SX, s, n)) for s in sites),
+        sz=tuple(_memo.read_only(pauli_on(E_SZ, s, n)) for s in sites),
         exchange=MappingProxyType({
-            (a, b): _read_only(electron_pair_dot(sites[a], sites[b], n)) for a, b in pairs}),
+            (a, b): _memo.read_only(electron_pair_dot(sites[a], sites[b], n)) for a, b in pairs}),
         dipole=MappingProxyType({
-            (a, b): _read_only(embed(dipole_z, (sites[a], sites[b]), n)) for a, b in pairs}),
-        nuclear_sz=tuple(_read_only(pauli_on(SZ, s + 1, n)) for s in nuclei),
-        hyperfine=tuple(_read_only(hyperfine_dot(s, s + 1, n)) for s in nuclei),
+            (a, b): _memo.read_only(embed(dipole_z, (sites[a], sites[b]), n)) for a, b in pairs}),
+        nuclear_sz=tuple(_memo.read_only(pauli_on(SZ, s + 1, n)) for s in nuclei),
+        hyperfine=tuple(_memo.read_only(hyperfine_dot(s, s + 1, n)) for s in nuclei),
     )
 
 
@@ -395,4 +390,4 @@ def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndar
 @_memo.table
 def _frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndarray:
     """Read-only R(t) of frame_rotation."""
-    return _read_only(np.diag(_z_turn(system, -carrier_frequency(p) * t)))
+    return _memo.read_only(np.diag(_z_turn(system, -carrier_frequency(p) * t)))

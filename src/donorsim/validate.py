@@ -190,7 +190,7 @@ def check_unitarity(p: DeviceParameters, rng) -> tuple[bool, str]:
         m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = (m + m.conj().T) * 1e-26
         u = propagate_constant(h, rng.uniform(0.0, 50e-9), p.constants.hbar)
-        worst = max(worst, float(np.abs(u.conj().T @ u - np.eye(dim)).max()))
+        worst = max(worst, analysis._unitarity_deviation(u))
     return worst <= 1e-12, f"worst |U^dag U - I| = {worst:.1e}"
 
 

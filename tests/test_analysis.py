@@ -277,6 +277,17 @@ def test_assert_unitary_agrees_with_the_reference(m):
         analysis._assert_unitary(m)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_unitarity_deviation_is_max_of_u_dag_u_minus_identity(dim):
+    """The one max|U^dag U - I|, which grading, `schedule load` and validate
+    read, has the bits of subtracting the identity matrix."""
+    rng = np.random.default_rng(dim)
+    for m in (haar(dim, rng), haar(dim, rng) * (1.0 + 3e-9),
+              rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))):
+        assert analysis._unitarity_deviation(m) == float(
+            np.abs(m.conj().T @ m - np.eye(dim)).max())
+
+
 def test_rabi_probability_limits(p):
     assert rabi_probability(0.0, 1e8, p.b_ac) == 0.0
     t_pi = math.pi * p.constants.hbar / (2.0 * p.transverse_energy)
@@ -789,6 +800,24 @@ def test_lab_twin_table_is_emptied_by_clear(p):
 def test_sweep_single_point_bitwise(p):
     rows = sweep({"b_ac": [p.b_ac]}, "spectator_period_ns", p)
     assert rows == [{"b_ac": p.b_ac, "spectator_period_ns": spectator_period(p) * 1e9}]
+
+
+def test_sweep_exchange_uev(p):
+    """J(d) in ueV at each swept separation (J(20 nm) and J(20)/J(30) frozen
+    from the closed form, as in test_params)."""
+    rows = sweep({"d": [20e-9, 30e-9]}, "exchange_uev", p)
+    assert [r["d"] for r in rows] == [20e-9, 30e-9]
+    assert rows[0]["exchange_uev"] == pytest.approx(1.9545816628675454e-24 / 1.602176634e-25,
+                                                    rel=1e-12)
+    assert rows[0]["exchange_uev"] / rows[1]["exchange_uev"] == pytest.approx(
+        285.1467318557543, rel=1e-12)
+
+
+def test_sweep_local_pi_time_us(p):
+    """The local-control pi time at B_ac = 1e-5 T over the canonical span, in us
+    (frozen from the closed form, as in test_params)."""
+    rows = sweep({"b_ac": [1e-3]}, "local_pi_time_us", p)
+    assert rows[0]["local_pi_time_us"] == pytest.approx(1.7862430517984666, rel=1e-12)
 
 
 def test_sweep_spectator_inverse_linear(p):

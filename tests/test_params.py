@@ -176,6 +176,16 @@ def test_hyperfine_inversion(p):
             assert back == pytest.approx(float(a), abs=1e-38, rel=1e-12)
 
 
+def test_hyperfine_for_detuning_refuses_below_the_zero_hyperfine_resonance(p):
+    """The oracle's deepest request, twice -max_detuning, still maps to a
+    (slightly negative) A; a frequency far below the resonance has none."""
+    carrier = carrier_frequency(p)
+    assert -1e-28 < hyperfine_for_detuning(-2.0 * max_detuning(p), carrier, p) < 0.0
+    for dw in (-0.5 * carrier, -carrier):
+        with pytest.raises(ValueError, match="^frequency below the zero-hyperfine resonance$"):
+            hyperfine_for_detuning(dw, carrier, p)
+
+
 def test_detuning_map_pins(p):
     """The bound, the canonical span and the A/A0 a dump writes for X(pi)'s
     detuned step, bit for bit."""
@@ -264,6 +274,14 @@ def test_exchange_dipole_crossover(p):
         below = math.nextafter(d_star, 0.0)
         assert exchange_strength(below, dev) > dipole_strength(below, dev)
         assert exchange_strength(d_star, dev) <= dipole_strength(d_star, dev)
+
+
+def test_exchange_dipole_crossover_is_the_peak_where_dipole_already_wins():
+    """At eps_r = 1e9 the exchange at its peak (5/4 a* = 3.75 nm) is already
+    below the dipole coupling, so the crossover is the peak itself."""
+    dev = DeviceParameters(eps_r=1e9)
+    assert exchange_strength(3.75e-9, dev) <= dipole_strength(3.75e-9, dev)
+    assert exchange_dipole_crossover(dev) == 3.75e-9
 
 
 def test_local_control_tradeoff(p):

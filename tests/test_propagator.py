@@ -3,8 +3,10 @@ import functools
 import importlib
 import io
 import math
+import pathlib
 import pkgutil
 import re
+import struct
 import warnings
 
 import numpy as np
@@ -367,6 +369,39 @@ def test_every_memo_table_is_registered_and_bounded():
     assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
     _memo.clear()
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
+
+
+def test_only_memo_turns_arrays_into_keys_or_freezes_them():
+    """Arrays enter and leave memo tables only through _memo.array_key and
+    key_array, and tables freeze what they keep only through _memo.read_only:
+    no other module of the package builds a byte key, rebuilds an array from
+    bytes or sets an array's writeable flag."""
+    package = pathlib.Path(donorsim.__file__).parent
+    found = [(path.name, word) for path in sorted(package.glob("*.py")) if path.name != "_memo.py"
+             for word in (".tobytes(", "frombuffer", "flags.writeable", "import struct")
+             if word in path.read_text()]
+    assert found == []
+
+
+def test_array_key_round_trips_bit_identical_arrays_only():
+    """key_array rebuilds a read-only copy of the keyed array that a later
+    change to the array does not reach; dtype, shape and every bit (the sign of
+    a zero too) tell keys apart; six float64 scalars key on the 48 bytes
+    struct.pack("6d") writes."""
+    a = np.arange(6, dtype=complex).reshape(2, 3) * (1 - 1j)
+    key = _memo.array_key(a)
+    a[0, 0] = 7.0
+    back = _memo.key_array(key)
+    assert back.dtype == complex and back.shape == (2, 3) and not back.flags.writeable
+    assert back.tobytes() == (np.arange(6, dtype=complex).reshape(2, 3) * (1 - 1j)).tobytes()
+    assert _memo.array_key(a.reshape(3, 2)) != _memo.array_key(a)
+    assert _memo.array_key(np.zeros(2)) != _memo.array_key(np.zeros(2, dtype=np.int64))
+    assert _memo.array_key(np.array([0.0])) != _memo.array_key(np.array([-0.0]))
+    scalars = (1.0545718176461565e-34, 1.5e8, -1.0, -0.0, 3.5e11, 1e-12)
+    assert _memo.array_key(np.array(scalars))[2] == struct.pack("6d", *scalars)
+    assert _memo.key_array(_memo.array_key(np.array(scalars))).tolist() == list(scalars)
+    frozen = np.zeros(3)
+    assert _memo.read_only(frozen) is frozen and not frozen.flags.writeable
 
 
 def test_memo_stats_lists_every_table(p):
@@ -1318,6 +1353,23 @@ def test_trace_memo_cold_warm_and_cleared_are_bit_identical(p, make, initial, sa
         for array in (tr.times, tr.populations):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+
+def test_trace_table_keeps_only_default_size_traces(p):
+    """A trace of more than 1000 samples is computed on every call and never
+    kept, with the same bits each time; a 1000-sample trace is kept."""
+    sched = synthesize(GateSpec("x", (0,), theta=math.pi), p, SpinSystem(2))
+    _memo.clear()
+    info = propagator._trace.cache_info()
+    long = trace_evolution(sched, "00", samples=1001)
+    again = trace_evolution(sched, "00", samples=1001)
+    assert propagator._trace.cache_info() == info
+    assert again is not long
+    assert again.times.tobytes() == long.times.tobytes()
+    assert again.populations.tobytes() == long.populations.tobytes()
+    kept = trace_evolution(sched, "00", samples=1000)
+    assert trace_evolution(sched, "00", samples=1000) is kept
+    assert _trace_counts() == (1, 1)
 
 
 def test_trace_label_and_equal_vector_differ_only_in_initial_label(p):

@@ -74,6 +74,12 @@ def test_static_donor_zeeman_spectrum(p):
     assert np.allclose(sorted(np.linalg.eigvalsh(h)), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_single_donor_static_refuses_a_non_finite_hyperfine(p, a):
+    with pytest.raises(ValueError, match="^hyperfine energy must be finite$"):
+        single_donor_static(a, p)
+
+
 def test_static_donor_level_ordering(p):
     # both |0,.>-type levels sit below both |1,.>-type levels
     h = single_donor_static(p.a0, p)
