@@ -11,6 +11,7 @@
     python benchmarks/digest.py configs-warm 7
     python benchmarks/digest.py sweep 1 2
     python benchmarks/digest.py cli-outputs 7
+    python benchmarks/digest.py all
 
 For each seed, builds the workload from `perfbench/workloads.py` (read, not
 changed), runs its ops in order and prints one line per op:
@@ -72,9 +73,12 @@ missing directory.  It hashes each run like cli-gates, with the temporary
 directory's path masked in stderr, followed by whether each output file
 exists and its bytes, so a change to how a command's outputs are opened,
 written or left behind would show.
+all takes no seeds: it runs the eleven standard sets of STANDARD_SETS in
+order, compile and lab_verify at 700 ops, each under a header line
+`== <mode> <seeds>`.
 The package is imported from this checkout's `src`, so running the script in
 two checkouts and diffing the results shows whether they compute and write
-the same bits.
+the same bits; for `all` one `cmp` of the two outputs does.
 """
 
 from __future__ import annotations
@@ -383,11 +387,36 @@ CLI_MODES = {"session": (session_commands, 1), "session-warm": (session_commands
              "validate": (validate_commands, 1)}
 
 
+# the standard mode and seed sets that `all` runs, in order
+STANDARD_SETS = (("compile", (1, 2, 3)), ("lab_verify", (1, 301)), ("session", (1, 3, 7, 11)),
+                 ("session-warm", (1, 3)), ("gates", (1, 2, 3)), ("cli-gates", (1, 2)),
+                 ("configs", (7,)), ("configs-warm", (7,)), ("cli-outputs", (7, 11)),
+                 ("sweep", (1, 2)), ("validate", (7,)))
+
+
+def print_digests(workload: str, seeds, ops: int) -> None:
+    """Print the digest lines of workload for each seed, in order."""
+    for seed in seeds:
+        if workload == "gates":
+            for idx, digest, label in gate_digests(seed):
+                print(f"{seed} {idx:02d} {digest} {label}")
+        elif workload in CAPTURED_MODES:
+            for idx, code, digest, label in CAPTURED_MODES[workload](seed):
+                print(f"{seed} {idx:05d} {code} {digest} {label}")
+        elif workload in CLI_MODES:
+            make_commands, passes = CLI_MODES[workload]
+            for idx, code, digest, label in cli_digests(make_commands, seed, passes):
+                print(f"{seed} {idx:02d} {code} {digest} {label}")
+        else:
+            for idx, failures, digest, label in op_digests(OP_WORKLOADS[workload], seed, ops):
+                print(f"{seed} {idx:04d} {failures} {digest} {label}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("workload", choices=[*OP_WORKLOADS, *CLI_MODES, "gates",
-                                             *CAPTURED_MODES])
-    parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
+                                             *CAPTURED_MODES, "all"])
+    parser.add_argument("seeds", nargs="*", type=int, metavar="SEED")
     parser.add_argument("--ops", type=int,
                         help="ops per seed, in the workload's order (default 700; "
                              "compile and lab_verify only)")
@@ -395,29 +424,19 @@ def main(argv: list[str]) -> int:
     if args.workload not in OP_WORKLOADS and args.ops is not None:
         parser.error(f"--ops does not apply to {args.workload}: "
                      f"it runs its fixed list")
-    if args.workload == "gates":
-        for seed in args.seeds:
-            for idx, digest, label in gate_digests(seed):
-                print(f"{seed} {idx:02d} {digest} {label}")
-        return 0
-    if args.workload in CAPTURED_MODES:
-        digests = CAPTURED_MODES[args.workload]
-        for seed in args.seeds:
-            for idx, code, digest, label in digests(seed):
-                print(f"{seed} {idx:05d} {code} {digest} {label}")
-        return 0
-    if args.workload in CLI_MODES:
-        make_commands, passes = CLI_MODES[args.workload]
-        for seed in args.seeds:
-            for idx, code, digest, label in cli_digests(make_commands, seed, passes):
-                print(f"{seed} {idx:02d} {code} {digest} {label}")
-        return 0
+    if args.workload == "all" and args.seeds:
+        parser.error("all takes no seeds")
+    if args.workload != "all" and not args.seeds:
+        parser.error(f"{args.workload} needs at least one seed")
     ops = 700 if args.ops is None else args.ops
     if ops < 0:
         parser.error("--ops must be non-negative")
-    for seed in args.seeds:
-        for idx, failures, digest, label in op_digests(OP_WORKLOADS[args.workload], seed, ops):
-            print(f"{seed} {idx:04d} {failures} {digest} {label}")
+    if args.workload != "all":
+        print_digests(args.workload, args.seeds, ops)
+        return 0
+    for workload, seeds in STANDARD_SETS:
+        print(f"== {workload} {' '.join(map(str, seeds))}")
+        print_digests(workload, seeds, ops)
     return 0
 
 

@@ -1,7 +1,8 @@
 """The one registry of donorsim's process-wide memo tables.
 
-Global control reuses a few pulses across many gates, so synthesis, each
-compiled gate's grade, the rotating-frame eigensystems and propagators, every
+Global control reuses a few pulses across many gates, so synthesis (each
+gate entry of `gates._layout` also keeps the gate's grade once `compile_gate`
+asks for it), the rotating-frame eigensystems and propagators, every
 execution result (the rotating-frame and converged lab-frame unitaries, the
 frozen-nucleus checks and the population traces, each keyed on the schedule,
 which compares by its controls), the oracle's Strang powers, the frame map
@@ -9,7 +10,7 @@ R(t), the lab twins of verified schedules, the rendered text of each
 `donorsim table` request (`cli._table_text`, keyed on the table and the run
 config), the gate and spectator fidelities (`analysis._gate_fidelity` and
 `_spectator_fidelity`) and a few small constants are memoized for the whole
-process: seventeen tables.  The twin table (`analysis._lab_twin`) is the one
+process: sixteen tables.  The twin table (`analysis._lab_twin`) is the one
 whose key holds annotations, the labels and the declared target's identity,
 besides the schedule: its entry is itself a schedule that carries them, and
 schedules that differ only there are equal keys of every other table.  No

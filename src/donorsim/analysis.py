@@ -85,7 +85,11 @@ def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 @_memo.table
 def _gate_fidelity(u_key: tuple, v_key: tuple) -> float:
     """gate_fidelity of the arrays behind two array_keys."""
-    u, v = _memo.key_array(u_key), _memo.key_array(v_key)
+    return _fidelity(_memo.key_array(u_key), _memo.key_array(v_key))
+
+
+def _fidelity(u: np.ndarray, v: np.ndarray) -> float:
+    """gate_fidelity's formula and checks on two C-order arrays, kept nowhere."""
     if u.shape != v.shape:
         raise ValueError("unitaries have different dimensions")
     _assert_unitary(u)
@@ -101,29 +105,27 @@ def spectator_fidelity(u: np.ndarray, gate: np.ndarray, targets: Sequence[int],
     factorized u = phase * (gate (x) S) the result is |Tr S| / dim normalized
     by the contraction's scale, i.e. 1 iff S is the identity up to phase.
     u must be a unitary on `system` and gate a unitary on the distinct
-    integer targets.  Computed once per bit-identical (u, gate), targets (in
-    order, by value and type) and system while the `_spectator_fidelity`
+    integer targets, which are taken as ints before the lookup, so a bool or
+    float target is refused on every call.  Computed once per bit-identical
+    (u, gate), targets (in order) and system while the `_spectator_fidelity`
     table holds it (see _memo.array_key); a rejected input raises again on
     every call.
     """
-    targets = tuple(targets)
-    return _spectator_fidelity(_memo.array_key(u), _memo.array_key(gate), targets,
-                               tuple(map(type, targets)), system)
+    targets = tuple(_integer(q, "target") for q in targets)
+    return _spectator_fidelity(_memo.array_key(u), _memo.array_key(gate), targets, system)
 
 
 @_memo.table
-def _spectator_fidelity(u_key: tuple, gate_key: tuple, targets: tuple, target_types: tuple,
+def _spectator_fidelity(u_key: tuple, gate_key: tuple, targets: tuple,
                         system: SpinSystem) -> float:
-    """spectator_fidelity of the arrays behind two array_keys; target_types
-    only keys the entry, so an entry for target 1 never answers True or 1.0.
+    """spectator_fidelity of the arrays behind two array_keys, on int targets.
 
     The contraction is one product of conj(gate), flattened, with u's legs
     ordered (target out, target in, rest out, rest in): the product
     np.tensordot forms for it.
     """
-    targets = [_integer(q, "target") for q in targets]
     if len(set(targets)) != len(targets):
-        raise ValueError(f"targets must be distinct, got {tuple(targets)}")
+        raise ValueError(f"targets must be distinct, got {targets}")
     n = system.num_sites
     sites = [system.electron_site(q) for q in targets]
     rest = [s for s in range(n) if s not in sites]

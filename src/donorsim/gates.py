@@ -16,6 +16,7 @@ spin_model for the representation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple
@@ -553,10 +554,9 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
         return [seg.with_label(label) for seg in x_step]
 
     # steps 1 and 7 are the corrected Hadamard gate on the control (its table
-    # entry on its own default system), relabelled; _layout, not synthesize, so
+    # entry on its own default system), relabelled; _gate, not synthesize, so
     # a CNOT counts as one synthesis request
-    hadamard = _layout(GateSpec("hadamard", (control,)), p,
-                       SpinSystem(num_donors=control + 1)).segments
+    hadamard = _gate(GateSpec("hadamard", (control,)), p).schedule.segments
 
     def hadamard_step(step: int) -> list[PulseSegment]:
         return [seg.with_label(f"step {step} hadamard "
@@ -603,13 +603,34 @@ def _idle_segments(duration: float, p: DeviceParameters) -> list[PulseSegment]:
 # the synthesis path
 # ---------------------------------------------------------------------------
 
-# Synthesis is a pure function of frozen inputs, so each whole gate is laid out
-# once per process in one bounded table keyed on (spec, device, system).  Its
-# schedules are shared: segments are frozen, and their mappings and declared
-# targets are read-only.
+class _Gate:
+    """A gate table entry: a request's schedule, and its grade once compile_gate asks."""
+
+    def __init__(self, spec: GateSpec, p: DeviceParameters, schedule: PulseSchedule):
+        self.spec, self.p, self.schedule = spec, p, schedule
+
+    @functools.cached_property
+    def grade(self) -> tuple[float, tuple[tuple[str, float], ...], str]:
+        """(fidelity against the declared target, step durations, notes); an
+        error raised here is not kept, so it is raised again on every call."""
+        from .analysis import _fidelity   # here, not at the top: analysis imports gates
+
+        segments = self.schedule.segments
+        fidelity = (_fidelity(_execute_rotating(self.schedule), self.schedule.declared_target)
+                    if segments else 1.0)
+        gamma = _spectator_angle(segments, self.p)   # only a swap's notes report it
+        notes = (f"drive gated off; residual spectator rotation {gamma:.3e} rad, "
+                 f"no correction step") if self.spec.kind == "swap" else ""
+        return fidelity, tuple((seg.label, seg.duration) for seg in segments), notes
+
+
+# Synthesis and grading are pure functions of frozen inputs, so each whole gate
+# is laid out and graded once per process in one bounded table keyed on (spec,
+# device, system).  Its schedules are shared: segments are frozen, and their
+# mappings and declared targets are read-only.
 @_memo.table
-def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem) -> PulseSchedule:
-    """Segments of spec's kind, wrapped once into a schedule with its declared target."""
+def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem) -> _Gate:
+    """spec's entry: its segments, wrapped once into a schedule with its declared target."""
     dipole: dict = {}
     if spec.kind == "cnot":
         segments, dipole = _cnot_segments(spec, p)
@@ -624,8 +645,13 @@ def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem) -> PulseSch
                     else _hadamard_block(target, p))
         # X's steps already end on whole spectator periods, so its correction is empty
         segments += synth_correction(_deficit_after(segments, p), (target,), p)[0]
-    return _make_schedule(segments, p, system, declared_target=embed_ideal(spec, system),
-                          dipole=dipole)
+    return _Gate(spec, p, _make_schedule(segments, p, system, embed_ideal(spec, system),
+                                         dipole))
+
+
+def _gate(spec: GateSpec, p: DeviceParameters, system: SpinSystem | None = None) -> _Gate:
+    """The gate table's entry for spec, on max(targets) + 1 donors by default."""
+    return _layout(spec, p, system or SpinSystem(num_donors=max(spec.targets) + 1))
 
 
 def synthesize(spec: GateSpec, p: DeviceParameters,
@@ -639,9 +665,7 @@ def synthesize(spec: GateSpec, p: DeviceParameters,
     table, keyed on (spec, p, system) with that default resolved first, so
     every equal request shares one entry.
     """
-    if system is None:
-        system = SpinSystem(num_donors=max(spec.targets) + 1)
-    return _layout(spec, p, system)
+    return _gate(spec, p, system).schedule
 
 
 # ---------------------------------------------------------------------------
@@ -755,41 +779,20 @@ def embed_ideal(spec: GateSpec, system: SpinSystem) -> np.ndarray:
     return embed(ideal_unitary(spec), sites, system.num_sites)
 
 
-# Grading a synthesized schedule is as pure as synthesis, so what compile_gate
-# derives from it lives in a second table with _layout's key.  Each entry holds
-# immutable values only; a miss checks both matrices' unitarity once.
-@_memo.table
-def _grade(spec: GateSpec, p: DeviceParameters, system: SpinSystem
-           ) -> tuple[float, tuple[tuple[str, float], ...], str]:
-    """(fidelity against the declared target, step durations, notes) of spec's schedule."""
-    from .analysis import gate_fidelity   # here, not at the top: analysis imports gates
-
-    schedule = _layout(spec, p, system)
-    fidelity = (gate_fidelity(_execute_rotating(schedule), schedule.declared_target)
-                if schedule.segments else 1.0)
-    steps = tuple((seg.label, seg.duration) for seg in schedule.segments)
-    notes = ""
-    if spec.kind == "swap":
-        gamma = _spectator_angle(schedule.segments, p)
-        notes = (f"drive gated off; residual spectator rotation {gamma:.3e} rad, "
-                 f"no correction step")
-    return fidelity, steps, notes
-
-
 def compile_gate(spec: GateSpec, p: DeviceParameters,
                  system: SpinSystem | None = None) -> GateReport:
     """Synthesize, execute and grade a gate against its ideal unitary.
 
-    The schedule comes from the gate table and its grade (fidelity, step
-    durations, notes) from the grade table, both keyed on (spec, p, system)
-    with the default system resolved first, so a repeated request does no
-    numerics.  `achieved` is a fresh, writable copy of the executed unitary;
-    `ideal` is the schedule's shared, read-only declared target.
+    The schedule and its grade (fidelity, step durations, notes) come from
+    one gate table entry, keyed on (spec, p, system) with the default system
+    resolved first, so a repeated request does no numerics.  `achieved` is a
+    fresh, writable copy of the executed unitary; `ideal` is the schedule's
+    shared, read-only declared target.
     """
-    schedule = synthesize(spec, p, system)
-    achieved = execute_schedule(schedule).unitary
-    fidelity, steps, notes = _grade(spec, p, schedule.system)
-    return GateReport(spec=spec, schedule=schedule, ideal=schedule.declared_target,
+    gate = _gate(spec, p, system)
+    achieved = execute_schedule(gate.schedule).unitary
+    fidelity, steps, notes = gate.grade
+    return GateReport(spec=spec, schedule=gate.schedule, ideal=gate.schedule.declared_target,
                       achieved=achieved, fidelity=fidelity, step_durations=steps,
                       notes=notes)
 

@@ -49,21 +49,23 @@ class DipoleAlignmentError(ValueError):
 @_memo.table
 def _float_fields(cls) -> tuple[str, ...]:
     """Names of the fields of dataclass cls that are annotated as floats."""
-    return tuple(f.name for f in fields(cls) if "float" in str(f.type))
+    return tuple(f.name for f in fields(cls) if f.type in ("float", "float | None"))
+
+
+def _as_float(value):
+    """value as a Python float if it is another real number, else value itself,
+    so equal inputs also compute with the same types (a numpy float32 would make
+    float32 arithmetic) and equal memo keys stand for bit-identical results."""
+    return float(value) if type(value) is not float and isinstance(value, numbers.Real) else value
 
 
 def _store_floats(obj) -> None:
     """Store each real number given for a float field of a frozen dataclass as
-    a Python float.
-
-    Equal inputs then also compute with the same types (a numpy float32 would
-    make float32 arithmetic), so equal keys of the synthesis and propagator
-    caches stand for bit-identical results.
-    """
+    a Python float (see _as_float)."""
     for name in _float_fields(type(obj)):
         value = getattr(obj, name)
-        if type(value) is not float and value is not None and isinstance(value, numbers.Real):
-            object.__setattr__(obj, name, float(value))
+        if type(value) is not float and value is not None:
+            object.__setattr__(obj, name, _as_float(value))
 
 
 def _integer(value, name: str) -> int:

@@ -23,9 +23,9 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels, _memo
-from .params import (_UEV, CONSTANTS, DeviceParameters, _check_drive_energy, _flag, _integer,
-                     carrier_frequency, detuning_for_hyperfine, exceeds_max_detuning,
-                     hyperfine_for_detuning)
+from .params import (_UEV, CONSTANTS, DeviceParameters, _as_float, _check_drive_energy, _flag,
+                     _integer, _store_floats, carrier_frequency, detuning_for_hyperfine,
+                     exceeds_max_detuning, hyperfine_for_detuning)
 from .spin_model import SpinSystem, _z_turn, assert_hermitian, rotating_hamiltonian
 
 __all__ = [
@@ -45,8 +45,9 @@ __all__ = [
 
 
 def _sorted_pairs(pairs, what: str) -> dict:
-    """pairs keyed by each pair of int donor indices in ascending order; a pair
-    given twice, in either order, or a non-integer member is a ValueError."""
+    """pairs keyed by each pair of int donor indices in ascending order, each
+    real value a Python float; a pair given twice, in either order, or a
+    non-integer member is a ValueError."""
     out = {}
     for pair, value in dict(pairs).items():
         if not isinstance(pair, tuple):
@@ -55,7 +56,7 @@ def _sorted_pairs(pairs, what: str) -> dict:
                            for q in pair))
         if key in out:
             raise ValueError(f"{what} pair {'-'.join(map(str, key))} given twice")
-        out[key] = value
+        out[key] = _as_float(value)
     return out
 
 
@@ -86,6 +87,7 @@ class PulseSegment:
     stores A/A0).  couplings maps donor pairs -> exchange energy J in J.
     Both are read-only copies with int donor indices, so one segment can be
     shared by many schedules.  rf_on must be True or False, and label a str.
+    Every real control is stored as a Python float (see params._as_float).
     """
 
     duration: float
@@ -98,10 +100,12 @@ class PulseSegment:
         if self.rf_on is not True and self.rf_on is not False:
             object.__setattr__(self, "rf_on", _flag(self.rf_on, "rf_on"))
         _check_label(self.label)
+        _store_floats(self)
         detunings = dict(self.detunings)
-        for q in detunings:
-            if type(q) is not int:
-                detunings = {_integer(q, "detuning key"): v for q, v in detunings.items()}
+        for q, v in detunings.items():
+            if type(q) is not int or type(v) is not float:
+                detunings = {_integer(q, "detuning key"): _as_float(v)
+                             for q, v in detunings.items()}
                 break
         couplings = _sorted_pairs(self.couplings, "exchange")
         controls = (self.duration, *detunings.values(), *couplings.values())
@@ -135,7 +139,8 @@ class PulseSchedule:
     dipole-dipole coupling D (J); unlike exchange it cannot be gated off, so it
     applies during every segment; the mapping is a read-only copy.
     declared_target is the ideal unitary the schedule is meant to implement
-    (None when unknown).
+    (None when unknown).  Every real control is stored as a Python float (see
+    params._as_float).
 
     A schedule compares and hashes by its controls: system, frame, carrier,
     b_ac, mu_b, hbar, rf_phase, the dipole pairs, and each segment's duration,
@@ -156,6 +161,7 @@ class PulseSchedule:
     mu_b: float = CONSTANTS.mu_b
 
     def __post_init__(self):
+        _store_floats(self)
         if self.frame not in ("rotating", "lab"):
             raise ValueError("frame must be 'rotating' or 'lab'")
         if self.frame == "lab" and self.carrier is None:

@@ -30,7 +30,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import _memo
-from .params import DeviceParameters, _flag, _integer, carrier_frequency, resonant_frequency
+from .params import (DeviceParameters, _as_float, _flag, _integer, carrier_frequency,
+                     resonant_frequency)
 
 __all__ = [
     "SX",
@@ -382,9 +383,10 @@ def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndar
 
     Verification maps the same few gate durations again and again, so the
     matrix is built once per (t, p, system) while the `_frame_rotation`
-    table holds it; each call returns a fresh, writable copy.
+    table holds it, t stored as a Python float (see params._as_float); each
+    call returns a fresh, writable copy.
     """
-    return _frame_rotation(t, p, system).copy()
+    return _frame_rotation(_as_float(t), p, system).copy()
 
 
 @_memo.table

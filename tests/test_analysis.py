@@ -125,7 +125,8 @@ def _grading_misses():
                          f"{'_nuclei' if s.include_nuclei else ''}")
 def test_grading_tables_give_the_reference_bits_cold_and_warm(rng, system, layout):
     """A cold call and a hit give the bits of the reference formulas on the
-    caller's own array, whatever its memory layout."""
+    caller's own array, whatever its memory layout; targets given as a list
+    or as numpy integers read the entry of the int tuple."""
     arrange = _LAYOUTS[layout]
     for k in range(1, system.num_donors + 1):
         for targets in itertools.permutations(range(system.num_donors), k):
@@ -138,6 +139,7 @@ def test_grading_tables_give_the_reference_bits_cold_and_warm(rng, system, layou
             assert _grading_misses() == (1, 1)
             assert gate_fidelity(u, v) == f_ref
             assert spectator_fidelity(u, gate, list(targets), system) == s_ref
+            assert spectator_fidelity(u, gate, tuple(map(np.int64, targets)), system) == s_ref
             assert _grading_misses() == (1, 1)
 
 
@@ -248,8 +250,11 @@ def test_spectator_fidelity_refusals_raise_every_time_and_store_nothing(u, gate,
                                                                         message):
     system = SpinSystem(2)
     _memo.clear()
-    # an entry for the integer targets answers no bool or float target
+    # an entry for the integer targets answers a numpy integer target, but no
+    # bool or float target
     spectator_fidelity(_EYE4, _EYE2, (1,), system)
+    spectator_fidelity(_EYE4, _EYE2, (np.int64(1),), system)
+    assert analysis._spectator_fidelity.cache_info().hits == 1
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             spectator_fidelity(u, gate, targets, system)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import mp50, mp_table_durations
-from donorsim import _memo
+from donorsim import _memo, validate
 from donorsim.cli import REFERENCE_TIMINGS_NS, _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
 from donorsim.params import _UEV
@@ -300,6 +300,23 @@ def test_validate_command(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().endswith("checks passed")
+
+
+def test_validate_reports_a_crashing_check_and_runs_the_rest(capsys, monkeypatch):
+    """A check that raises is a FAIL line naming the exception, the checks
+    after it still run, and validate exits 1."""
+    def crash(p, rng):
+        raise ValueError("no such invariant")
+
+    checks = [validate.CHECKS[0], ("test.crash", crash), validate.CHECKS[1]]
+    monkeypatch.setattr(validate, "CHECKS", checks)
+    code, out = run_cli(capsys, "validate")
+    assert code == 1
+    results = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert [line.split(":")[0] for line in results] == [
+        f"PASS {checks[0][0]}", "FAIL test.crash", f"PASS {checks[2][0]}"]
+    assert "FAIL test.crash: ValueError: no such invariant" in results
+    assert out.endswith("\n2/3 checks passed\n")
 
 
 def test_validate_high_drive_decomposes(tmp_path, capsys):

@@ -614,21 +614,22 @@ def test_compile_gate_report(p):
 @pytest.mark.parametrize("spec", [GateSpec("hadamard", (1,)), GateSpec("swap", (0, 1), j=1e-25)],
                          ids=["hadamard", "swap"])
 def test_equal_compile_requests_grade_once(p, spec, monkeypatch):
-    """A repeated request reads its grade: one _grade miss and one gate_fidelity
-    call (both unitarity checks) for two calls, the second with the default
-    system written out.  Each report gets its own writable achieved unitary;
-    the read-only ideal is shared."""
+    """A repeated request reads its grade from its gate table entry: one _layout
+    miss and one fidelity computation (both unitarity checks) for two calls,
+    the second with the default system written out.  Each report gets its own
+    writable achieved unitary; the read-only ideal is shared."""
     calls = []
+    fidelity = analysis._fidelity
 
     def counted(u, v):
         calls.append(1)
-        return gate_fidelity(u, v)
+        return fidelity(u, v)
 
-    monkeypatch.setattr(analysis, "gate_fidelity", counted)
+    monkeypatch.setattr(analysis, "_fidelity", counted)
     _memo.clear()
     first = compile_gate(spec, p)
     second = compile_gate(dataclasses.replace(spec), p, SpinSystem(2))
-    info = gates._grade.cache_info()
+    info = gates._layout.cache_info()
     assert (info.misses, info.hits, len(calls)) == (1, 1, 1)
     assert (second.fidelity, second.step_durations, second.notes) == (
         first.fidelity, first.step_durations, first.notes)
@@ -638,6 +639,25 @@ def test_equal_compile_requests_grade_once(p, spec, monkeypatch):
     second.achieved[0, 0] = 2.0
     assert first.achieved[0, 0] != 2.0
     assert second.ideal is first.ideal and not first.ideal.flags.writeable
+
+
+def test_a_grade_that_raises_is_not_kept(p, monkeypatch):
+    """An error raised while grading leaves the gate entry without a grade, so
+    the next request grades again."""
+    spec = GateSpec("x", (0,), theta=1.0)
+
+    def refused(u, v):
+        raise ValueError("matrix is not unitary within tolerance")
+
+    _memo.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_fidelity", refused)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not unitary"):
+                compile_gate(spec, p)
+    assert compile_gate(spec, p).fidelity == gate_fidelity(
+        execute_schedule(synthesize(spec, p)).unitary, synthesize(spec, p).declared_target)
+    assert gates._layout.cache_info().misses == 1
 
 
 def test_synthesize_dispatch(p):

@@ -353,6 +353,34 @@ def test_rotating_caches_are_read_only_and_bounded(p):
     assert step[0, 0] != 0.0
 
 
+def _float32_twin_schedule(real) -> PulseSchedule:
+    """A two-donor schedule whose every real control is real(x), x a float
+    that float32 holds exactly."""
+    seg = PulseSegment(duration=real(2.0**-30), detunings={0: real(-2.0**26)},
+                       couplings={(0, 1): real(2.0**-83)})
+    return PulseSchedule(segments=(seg,), b_ac=real(2.0**-10), system=SpinSystem(2),
+                         carrier=real(2.0**36), rf_phase=real(0.5),
+                         dipole={(0, 1): real(2.0**-84)}, mu_b=real(2.0**-76))
+
+
+def test_float32_controls_are_stored_as_floats():
+    """A segment or schedule given numpy float32 controls equals its float
+    twin as a key, so it stores them as floats: the entries it fills are the
+    twin's cold results, bit for bit."""
+    twin = _float32_twin_schedule(float)
+    _memo.clear()
+    cold = execute_schedule(twin).unitary
+    _memo.clear()
+    single = _float32_twin_schedule(np.float32)
+    assert single == twin
+    seg = single.segments[0]
+    assert {type(v) for v in (seg.duration, *seg.detunings.values(), *seg.couplings.values(),
+                              single.b_ac, single.carrier, single.rf_phase, single.mu_b,
+                              *single.dipole.values())} == {float}
+    assert execute_schedule(single).unitary.tobytes() == cold.tobytes()
+    assert execute_schedule(twin).unitary.tobytes() == cold.tobytes()
+
+
 def test_every_memo_table_is_registered_and_bounded():
     """Each memo table of the package is declared through _memo, so clear()
     reaches it and its bound is _memo.SIZE."""
@@ -365,7 +393,7 @@ def test_every_memo_table_is_registered_and_bounded():
     registered = {id(memo) for memo in _memo.TABLES}
     assert sorted(found[key] for key in found.keys() - registered) == []
     assert found.keys() == registered
-    assert len(_memo.TABLES) == 17
+    assert len(_memo.TABLES) == 16
     assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
     _memo.clear()
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
@@ -1163,6 +1191,20 @@ def test_donor4_kernel_rejects_non_commuting_e_half(p):
             _kernels.donor4_strang_product(*args)
     info = _kernels._strang_power.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_donor4_kernel_of_no_steps_is_the_identity(p):
+    """n = 0 gives the 4x4 identity without reading H_static: even one that
+    would fail the commutator check reaches no table."""
+    w_ac = carrier_frequency(p)
+    dt = 2.0 * math.pi / w_ac / 128
+    ax = p.transverse_energy / p.constants.hbar
+    _memo.clear()
+    u = _kernels.donor4_strang_product(single_donor_static(p.a0, p), p.constants.hbar, ax, 1.0,
+                                       0.0, w_ac, 0.0, 0.0, dt, 0)
+    assert u.dtype == complex and np.array_equal(u, np.eye(4))
+    info = _kernels._strang_power.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_kernel_against_expm_oracle(p):

@@ -336,6 +336,18 @@ def test_frame_map_hit_is_bitwise_a_cold_build(p, system):
     assert cold.shape == warm.shape == (system.dim, system.dim)
 
 
+def test_frame_map_of_a_float32_time_is_the_float_entry(p):
+    """A numpy float32 time equals its float twin as a key, so it is stored as
+    a float: the entry it fills is the twin's cold build, bit for bit."""
+    t, system = 2.0**-30, SpinSystem(1)
+    _memo.clear()
+    cold = frame_rotation(t, p, system)
+    _memo.clear()
+    assert frame_rotation(np.float32(t), p, system).tobytes() == cold.tobytes()
+    assert frame_rotation(t, p, system).tobytes() == cold.tobytes()
+    assert spin_model._frame_rotation.cache_info()[:2] == (1, 1)
+
+
 # Largest |R(t) - frame_rotation_reference| over the test's 2002 times in
 # [0, 1 us]: 2.48e-16 at two donors and 5.82e-11 at three.  The sum of the
 # sigma_z^e diagonals and the Kronecker product of per-electron phases round
