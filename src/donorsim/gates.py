@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -356,25 +356,29 @@ def _deficit_after(segments: list[PulseSegment], p: DeviceParameters) -> float:
 _MAX_SPLIT = 1 << 16
 
 
-def _split_count(kind: str, theta: float, per_step: float) -> int:
-    """Sub-steps of at most per_step rad that turn theta, within _MAX_SPLIT."""
-    steps = max(1, math.ceil(theta / per_step - 1e-12))
+def _split(kind: str, theta: float, cap: float,
+           sub_step: Callable[[float], list[PulseSegment]]) -> list[PulseSegment]:
+    """The rotation kind(theta) as n equal sub-steps of at most cap rad each.
+
+    sub_step(theta / n) builds one sub-step's segments, labelled "<kind> ...".
+    They are built and validated once; a split repeats them relabelled
+    "<kind> i/n ...", and an unsplit rotation keeps them as built.
+    """
+    theta = _normalize_angle(theta)
+    if theta == 0.0:
+        return []
+    if cap <= 0.0:
+        raise InfeasibleDetuningError(f"device has no tuning range for {kind.upper()} rotations")
+    steps = max(1, math.ceil(theta / cap - 1e-12))
     if steps > _MAX_SPLIT:
         raise InfeasibleDetuningError(
-            f"{kind}({theta:.6g}) needs {steps} sub-steps on this device's tuning range, "
-            f"more than the cap of {_MAX_SPLIT}")
-    return steps
-
-
-def _x_step_segments(theta: float, target: int, p: DeviceParameters,
-                     step_label: str) -> list[PulseSegment]:
-    """One X-rotation step: detuned target revolution, then a resonant theta."""
-    speed_ratio = 2.0 * math.pi / (2.0 * math.pi - theta)
-    return [
-        _full_revolution_segment(speed_ratio, (target,), p,
-                                 f"x{step_label} detuned revolution"),
-        _resonant_segment(theta, p, f"x{step_label} resonant rotation"),
-    ]
+            f"{kind.upper()}({theta:.6g}) needs {steps} sub-steps on this device's tuning "
+            f"range, more than the cap of {_MAX_SPLIT}")
+    block = sub_step(theta / steps)
+    if steps == 1:
+        return block
+    return [seg.with_label(f"{kind} {i}/{steps}{seg.label[len(kind):]}")
+            for i in range(1, steps + 1) for seg in block]
 
 
 def _x_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSegment]:
@@ -386,19 +390,12 @@ def _x_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
     each and 29.77 ns in all).  Angles beyond the single-step limit are split
     into equal feasible rotations, each such pair of steps one period.
     """
-    theta = _normalize_angle(theta)
-    if theta == 0.0:
-        return []
-    cap = min(math.pi, max_single_step_angle(p) * (1.0 - 1e-12))
-    if cap <= 0.0:
-        raise InfeasibleDetuningError("device has no tuning range for X rotations")
-    steps = _split_count("X", theta, cap)
-    per_step = theta / steps
-    segments: list[PulseSegment] = []
-    for i in range(steps):
-        tag = f" {i + 1}/{steps}" if steps > 1 else ""
-        segments.extend(_x_step_segments(per_step, target, p, tag))
-    return segments
+    def step(angle: float) -> list[PulseSegment]:
+        speed_ratio = 2.0 * math.pi / (2.0 * math.pi - angle)
+        return [_full_revolution_segment(speed_ratio, (target,), p, "x detuned revolution"),
+                _resonant_segment(angle, p, "x resonant rotation")]
+
+    return _split("x", theta, min(math.pi, max_single_step_angle(p) * (1.0 - 1e-12)), step)
 
 
 def synth_x(theta: float, target: int, p: DeviceParameters,
@@ -415,28 +412,20 @@ def _y_segments(theta: float, target: int, p: DeviceParameters) -> list[PulseSeg
     synthesize adds a final correction step that walks the spectators to a
     whole revolution while the target idles.
     """
-    theta = _normalize_angle(theta)
-    if theta == 0.0:
-        return []
     omega0 = p.transverse_energy
     hbar = p.constants.hbar
-    tan_phi_max = hbar * max_detuning(p) / omega0
-    if tan_phi_max <= 0.0:
-        raise InfeasibleDetuningError("device has no tuning range for Y rotations")
-    phi_max = math.atan(tan_phi_max) * (1.0 - 1e-12)
-    blocks = _split_count("Y", theta, 4.0 * phi_max)
-    phi = theta / (4.0 * blocks)
-    dw = _detuning_for_tilt(omega0 * math.tan(phi), p)
-    omega = omega0 / math.cos(phi)
-    t_tilted = math.pi * hbar / (2.0 * omega)
-    segments: list[PulseSegment] = []
-    for i in range(blocks):
-        tag = f" {i + 1}/{blocks}" if blocks > 1 else ""
-        tilted = PulseSegment(duration=t_tilted, detunings={target: dw},
-                              label=f"y{tag} tilted half-revolution")
-        resonant = _resonant_segment(math.pi, p, f"y{tag} resonant pi")
-        segments += [tilted, resonant, tilted, resonant]
-    return segments
+
+    def block(angle: float) -> list[PulseSegment]:
+        phi = angle / 4.0
+        omega = omega0 / math.cos(phi)
+        tilted = PulseSegment(duration=math.pi * hbar / (2.0 * omega),
+                              detunings={target: _detuning_for_tilt(omega0 * math.tan(phi), p)},
+                              label="y tilted half-revolution")
+        resonant = _resonant_segment(math.pi, p, "y resonant pi")
+        return [tilted, resonant, tilted, resonant]
+
+    return _split("y", theta, 4.0 * math.atan(hbar * max_detuning(p) / omega0) * (1.0 - 1e-12),
+                  block)
 
 
 def synth_y(theta: float, target: int, p: DeviceParameters,
@@ -509,8 +498,9 @@ def _cnot_segments(spec: GateSpec, p: DeviceParameters) -> tuple[list[PulseSegme
     control, target = spec.targets
     mode, j, d = spec.mode, spec.j, spec.d
     uses = GATE_KINDS["cnot"].modes[mode]
-    if any(name in uses and (value is None or value <= 0.0)
-           for name, value in (("j", j), ("d", d))):
+    # a non-finite d is left to dipole_strength, whose message names the separation
+    if (("j" in uses and not (j is not None and 0.0 < j < math.inf))
+            or ("d" in uses and (d is None or d <= 0.0))):
         raise ValueError(f"{mode} mode needs " + {"exchange": "a positive coupling j",
                                                   "dipole": "a positive separation d",
                                                   "combined": "positive j and d"}[mode])
@@ -583,7 +573,7 @@ def _swap_segments(spec: GateSpec, p: DeviceParameters) -> list[PulseSegment]:
     gated off the spectators do not rotate, so no correction step is needed;
     the gate report notes the (zero) residual spectator rotation.
     """
-    if spec.j is None or spec.j <= 0.0:
+    if not (spec.j is not None and 0.0 < spec.j < math.inf):
         raise ValueError("swap needs a positive exchange coupling")
     duration = math.pi * p.constants.hbar / (4.0 * spec.j)
     return [PulseSegment(duration=duration, couplings={spec.targets: spec.j},

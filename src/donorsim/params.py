@@ -47,25 +47,31 @@ class DipoleAlignmentError(ValueError):
 
 
 @_memo.table
-def _float_fields(cls) -> tuple[str, ...]:
-    """Names of the fields of dataclass cls that are annotated as floats."""
-    return tuple(f.name for f in fields(cls) if f.type in ("float", "float | None"))
+def _float_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """(name, whether None is allowed) of each float field of dataclass cls."""
+    return tuple((f.name, f.type == "float | None") for f in fields(cls)
+                 if f.type in ("float", "float | None"))
 
 
-def _as_float(value):
-    """value as a Python float if it is another real number, else value itself,
-    so equal inputs also compute with the same types (a numpy float32 would make
-    float32 arithmetic) and equal memo keys stand for bit-identical results."""
-    return float(value) if type(value) is not float and isinstance(value, numbers.Real) else value
+def _as_float(value, name: str) -> float:
+    """value as a Python float, so equal inputs also compute with the same types
+    (a numpy float32 would make float32 arithmetic) and equal memo keys stand
+    for bit-identical results; a bool, a numpy bool or anything that is not a
+    real number is a ValueError naming the field."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _store_floats(obj) -> None:
-    """Store each real number given for a float field of a frozen dataclass as
-    a Python float (see _as_float)."""
-    for name in _float_fields(type(obj)):
+    """Store the value of each float field of a frozen dataclass as a Python
+    float through _as_float; None stays only where the field is float | None."""
+    for name, optional in _float_fields(type(obj)):
         value = getattr(obj, name)
-        if type(value) is not float and value is not None:
-            object.__setattr__(obj, name, _as_float(value))
+        if type(value) is not float and not (optional and value is None):
+            object.__setattr__(obj, name, _as_float(value, name))
 
 
 def _integer(value, name: str) -> int:

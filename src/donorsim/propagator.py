@@ -46,8 +46,8 @@ __all__ = [
 
 def _sorted_pairs(pairs, what: str) -> dict:
     """pairs keyed by each pair of int donor indices in ascending order, each
-    real value a Python float; a pair given twice, in either order, or a
-    non-integer member is a ValueError."""
+    value a Python float; a pair given twice, in either order, a non-integer
+    member or a value that is not a real number is a ValueError."""
     out = {}
     for pair, value in dict(pairs).items():
         if not isinstance(pair, tuple):
@@ -56,7 +56,7 @@ def _sorted_pairs(pairs, what: str) -> dict:
                            for q in pair))
         if key in out:
             raise ValueError(f"{what} pair {'-'.join(map(str, key))} given twice")
-        out[key] = _as_float(value)
+        out[key] = _as_float(value, f"{what} coupling")
     return out
 
 
@@ -104,7 +104,7 @@ class PulseSegment:
         detunings = dict(self.detunings)
         for q, v in detunings.items():
             if type(q) is not int or type(v) is not float:
-                detunings = {_integer(q, "detuning key"): _as_float(v)
+                detunings = {_integer(q, "detuning key"): _as_float(v, "detuning")
                              for q, v in detunings.items()}
                 break
         couplings = _sorted_pairs(self.couplings, "exchange")

@@ -386,7 +386,7 @@ def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndar
     table holds it, t stored as a Python float (see params._as_float); each
     call returns a fresh, writable copy.
     """
-    return _frame_rotation(_as_float(t), p, system).copy()
+    return _frame_rotation(_as_float(t, "t"), p, system).copy()
 
 
 @_memo.table

@@ -611,6 +611,19 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
     pytest.param(["gate", "--gate", "cnot", "--mode", "combined", "--d-nm", "inf"], {},
                  "give a finite non-zero dipole coupling, got inf m",
                  id="combined_cnot_infinite_separation"),
+    pytest.param(["gate", "--gate", "cnot", "--j-uev", "nan"], {},
+                 "exchange mode needs a positive coupling j", id="exchange_cnot_nan_coupling"),
+    pytest.param(["gate", "--gate", "cnot", "--j-uev", "inf"], {},
+                 "exchange mode needs a positive coupling j", id="exchange_cnot_infinite_coupling"),
+    pytest.param(["gate", "--gate", "cnot", "--mode", "combined", "--j-uev", "inf", "--d-nm",
+                  "20"], {}, "combined mode needs positive j and d",
+                 id="combined_cnot_infinite_coupling"),
+    pytest.param(["schedule", "dump", "--gate", "cnot", "--mode", "combined", "--j-uev", "nan"],
+                 {}, "combined mode needs positive j and d", id="dump_combined_cnot_nan_coupling"),
+    pytest.param(["gate", "--gate", "swap", "--j-uev", "nan"], {},
+                 "swap needs a positive exchange coupling", id="swap_nan_coupling"),
+    pytest.param(["schedule", "dump", "--gate", "swap", "--j-uev", "inf"], {},
+                 "swap needs a positive exchange coupling", id="dump_swap_infinite_coupling"),
     pytest.param(["gate", "--gate", "cnot", "--mode", "dipole", "--d-nm", "1e200"], {},
                  "got 1e+191 m", id="dipole_cnot_cube_overflows"),
     pytest.param(["gate", "--gate", "cnot", "--mode", "combined", "--j-uev", "5",

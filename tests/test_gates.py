@@ -105,6 +105,42 @@ def test_x_high_drive_forces_decomposition():
     assert rep.fidelity >= 1.0 - 1e-6
 
 
+def test_a_split_rotation_builds_its_sub_step_once(p, monkeypatch):
+    """X(6) and Y(6) build and validate one sub-step whatever their sub-step
+    count; every other sub-step is a relabelled copy with the first one's
+    controls, bit for bit."""
+    built = []
+    post_init = PulseSegment.__post_init__
+
+    def counted(seg):
+        post_init(seg)
+        built.append(seg.label)
+
+    monkeypatch.setattr(PulseSegment, "__post_init__", counted)
+    labels = {"x": ("detuned revolution", "resonant rotation"),
+              "y": ("tilted half-revolution", "resonant pi") * 2}
+
+    def controls(seg):
+        return (seg.duration.hex(), [(q, v.hex()) for q, v in seg.detunings.items()], seg.rf_on)
+
+    constructions = []
+    for a_min, splits in ((1.2e-26, {"x": 3, "y": 2}), (0.99 * p.a0, {"x": 1570, "y": 43})):
+        _memo.clear()
+        built.clear()
+        for kind, n in splits.items():
+            segments = synthesize(GateSpec(kind, (0,), theta=6.0), p.replace(a_min=a_min)).segments
+            block = len(labels[kind])
+            steps = [seg for seg in segments if seg.label != "correction"]
+            assert len(steps) == n * block
+            for i in range(n):
+                sub_step = steps[i * block:(i + 1) * block]
+                assert [seg.label for seg in sub_step] == [f"{kind} {i + 1}/{n} {label}"
+                                                           for label in labels[kind]]
+                assert list(map(controls, sub_step)) == list(map(controls, steps[:block]))
+        constructions.append(sum(label != "correction" for label in built))
+    assert constructions == [4, 4]
+
+
 def test_x_infeasible_without_tuning_range(p):
     with pytest.raises(InfeasibleDetuningError):
         synthesize(GateSpec("x", (0,), theta=math.pi), p.replace(a_min=p.a0))

@@ -22,7 +22,7 @@ import donorsim
 from donorsim import _kernels, _memo, analysis, propagator, spin_model
 from donorsim.analysis import (frozen_nucleus_check, gate_fidelity, lab_realization,
                                rabi_probability)
-from donorsim.params import DeviceParameters, carrier_frequency, max_detuning
+from donorsim.params import DeviceParameters, PhysicalConstants, carrier_frequency, max_detuning
 from donorsim.propagator import (
     EvolutionTrace,
     PulseSchedule,
@@ -379,6 +379,58 @@ def test_float32_controls_are_stored_as_floats():
                               *single.dipole.values())} == {float}
     assert execute_schedule(single).unitary.tobytes() == cold.tobytes()
     assert execute_schedule(twin).unitary.tobytes() == cold.tobytes()
+
+
+def _schedule_with(**controls) -> PulseSchedule:
+    """A two-donor schedule with one segment, given controls overriding its own."""
+    seg = {name: controls.pop(name) for name in ("duration", "detunings", "couplings")
+           if name in controls}
+    return PulseSchedule(segments=(PulseSegment(**{"duration": 1e-9, **seg}),),
+                         **{"b_ac": 1e-3, "system": SpinSystem(2), **controls})
+
+
+# (field named in the message, build with value v) of each way to give a float control
+FLOAT_CONTROLS = {
+    "segment duration": ("duration", lambda v: _schedule_with(duration=v)),
+    "segment detuning": ("detuning", lambda v: _schedule_with(detunings={0: v})),
+    "segment coupling": ("exchange coupling", lambda v: _schedule_with(couplings={(0, 1): v})),
+    "schedule dipole": ("dipole coupling", lambda v: _schedule_with(dipole={(0, 1): v})),
+    "schedule b_ac": ("b_ac", lambda v: _schedule_with(b_ac=v)),
+    "schedule carrier": ("carrier", lambda v: _schedule_with(carrier=v)),
+    "schedule rf_phase": ("rf_phase", lambda v: _schedule_with(rf_phase=v)),
+    "schedule hbar": ("hbar", lambda v: _schedule_with(hbar=v)),
+    "frame time": ("t", lambda v: frame_rotation(v, DeviceParameters(), SpinSystem(1))),
+    "spec theta": ("theta", lambda v: GateSpec("x", (0,), theta=v)),
+    "spec j": ("j", lambda v: GateSpec("swap", (0, 1), j=v)),
+    "spec duration": ("duration", lambda v: GateSpec("idle", (0,), duration=v)),
+    "device b": ("b", lambda v: DeviceParameters(b=v)),
+    "device a_min": ("a_min", lambda v: DeviceParameters(a_min=v)),
+    "constant mu_b": ("mu_b", lambda v: PhysicalConstants(mu_b=v)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "1e-9", 1j], ids=repr)
+@pytest.mark.parametrize("name, build", FLOAT_CONTROLS.values(), ids=list(FLOAT_CONTROLS))
+def test_float_controls_refuse_bools_and_non_numbers(name, build, bad):
+    """A bool, a numpy bool or a value that is not a real number is a
+    ValueError naming the field, not a float (True used to run as 1.0) nor a
+    TypeError from the arithmetic that follows."""
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        build(bad)
+
+
+def test_none_is_refused_only_where_a_float_field_allows_it():
+    """None stays the 'not given' of a float | None field and is a ValueError
+    naming any other float field."""
+    assert DeviceParameters(a_min=None) == DeviceParameters()
+    assert _schedule_with(carrier=None).carrier is None
+    assert GateSpec("x", (0,), theta=1.0, j=None).j is None
+    for name, build in (("duration", lambda: PulseSegment(duration=None)),
+                        ("b_ac", lambda: _schedule_with(b_ac=None)),
+                        ("b", lambda: DeviceParameters(b=None)),
+                        ("hbar", lambda: PhysicalConstants(hbar=None))):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got None"):
+            build()
 
 
 def test_every_memo_table_is_registered_and_bounded():
