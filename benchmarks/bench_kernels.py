@@ -32,21 +32,33 @@ before every repeat, so the cost of a miss, key included, stays visible)
 and as a hit (the same arrays again, answered from `analysis._gate_fidelity`
 or `analysis._spectator_fidelity`).
 
+A fixed-cost section times what a request pays besides its numerics, as
+the best of 7 loops of CPU time per call (`time.process_time`), each loop
+after a warm-up call: building a default `DeviceParameters()`, a `table II`
+request through `cli.main` answered from `cli._table_text` (stdout sent to
+a buffer), the unitarity and Hermiticity checks on an 8x8 matrix, the body
+of `propagator._execute_rotating` for the 3-donor dipole CNOT with every
+segment's propagator a memo hit, and `gates.compose_parallel` of two gates
+already in the gate table.
+
 Usage: python benchmarks/bench_kernels.py [--steps N]
 """
 
 import argparse
+import contextlib
+import io
 import pathlib
 import sys
 import time
 
 import numpy as np
 
-from donorsim import DeviceParameters, _memo, analysis, propagator
+from donorsim import DeviceParameters, _memo, analysis, cli, propagator
 from donorsim._kernels import donor4_strang_product, su2_lab_product
-from donorsim.gates import GateSpec, ideal_unitary, interaction_coupling, synthesize
+from donorsim.gates import (GateSpec, compose_parallel, ideal_unitary, interaction_coupling,
+                            synthesize)
 from donorsim.params import carrier_frequency, max_detuning
-from donorsim.spin_model import SpinSystem, frame_rotation, single_donor_static
+from donorsim.spin_model import SpinSystem, frame_rotation, is_hermitian, single_donor_static
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 from _reference import donor4_loop, su2_loop  # noqa: E402
@@ -100,6 +112,7 @@ def main():
             hit)
     _report_refinements(p)
     _report_grading(p)
+    _report_fixed_costs(p)
 
 
 def _level_traffic(run):
@@ -182,6 +195,48 @@ def _report_grading(p):
                 hit, _ = _time(fn, *args, repeats=200)
                 line += f" {what} cold {cold * 1e6:.1f} us, hit {hit * 1e6:.1f} us;"
         print(line.rstrip(";"))
+
+
+def _cpu_per_call(fn, calls, loops=7):
+    """Best CPU time per call of fn() over `loops` loops of `calls` calls,
+    each loop after one warm-up call."""
+    best = float("inf")
+    for _ in range(loops):
+        fn()
+        t0 = time.process_time()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.process_time() - t0) / calls)
+    return best
+
+
+def _report_fixed_costs(p):
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    u, h = np.linalg.qr(m)[0], m + m.conj().T
+    dipole_cnot = synthesize(GateSpec("cnot", (1, 2), mode="dipole", d=30e-9), p, SpinSystem(3))
+    parallel = [GateSpec("x", (0,), theta=np.pi),
+                GateSpec("cnot", (1, 2), mode="exchange", j=interaction_coupling(1e-11, p))]
+    sink = io.StringIO()
+
+    def table_hit():
+        sink.seek(0)
+        with contextlib.redirect_stdout(sink):
+            cli.main(["table", "II"])
+
+    cases = (
+        ("DeviceParameters()", DeviceParameters, 20000),
+        ("table II hit through cli.main", table_hit, 2000),
+        ("_unitarity_deviation, 8x8", lambda: analysis._unitarity_deviation(u), 20000),
+        ("is_hermitian, 8x8", lambda: is_hermitian(h), 20000),
+        ("_execute_rotating body, 3-donor dipole CNOT, all propagators hit",
+         lambda: propagator._execute_rotating.__wrapped__(dipole_cnot), 2000),
+        ("compose_parallel of X(pi) and the exchange CNOT, both in the gate table",
+         lambda: compose_parallel(parallel, p, SpinSystem(3)), 2000),
+    )
+    print("fixed costs (best of 7 loops, CPU per call, warm):")
+    for name, fn, calls in cases:
+        print(f"  {name}: {_cpu_per_call(fn, calls) * 1e6:.1f} us")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .propagator import (
     _refine,
     validate_schedule_controls,
 )
-from .spin_model import SpinSystem, frame_rotation, single_donor_static
+from .spin_model import SpinSystem, _identity, frame_rotation, single_donor_static
 
 __all__ = [
     "gate_fidelity",
@@ -53,14 +53,14 @@ __all__ = [
 
 def _unitarity_deviation(u: np.ndarray) -> float:
     """max|U^dag U - I| of a square matrix."""
-    dev = u.conj().T @ u
-    dev.flat[:: len(dev) + 1] -= 1   # u^dag u - I, on the diagonal only
-    return float(np.abs(dev).max())
+    return float(np.maximum.reduce(np.abs(u.conj().T @ u - _identity(len(u))), axis=None))
 
 
 def _assert_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
+    if u.dtype == bool:
+        raise ValueError("expected a numeric matrix, got a bool one")
     if not _unitarity_deviation(u) <= 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
 

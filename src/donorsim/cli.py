@@ -429,6 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the device of every request without --config, built once per process: it is
+# frozen, and each memo key that holds it then compares it by identity first
+_DEFAULT_DEVICE = DeviceParameters()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # the one place where bad input (files, values, infeasible or unsupported
@@ -439,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config) as fh:
                 device = load_device_parameters(fh.read())
         else:
-            device = DeviceParameters()
+            device = _DEFAULT_DEVICE
         code, text, *extra = args.func(args, RunConfig(device, args.seed, args.format))
         _write([(args.out, text), *extra])
         return code

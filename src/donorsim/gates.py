@@ -28,7 +28,7 @@ from .params import (DeviceParameters, DipoleAlignmentError, InfeasibleDetuningE
                      _integer, _store_floats, dipole_strength, exceeds_max_detuning,
                      max_detuning)
 from .propagator import PulseSchedule, PulseSegment, _execute_rotating, execute_schedule
-from .spin_model import ID2, SX, SY, SZ, SpinSystem, embed
+from .spin_model import ID2, SX, SY, SZ, SpinSystem, _identity, embed
 
 __all__ = [
     "GateKind",
@@ -608,9 +608,9 @@ class _Gate:
         segments = self.schedule.segments
         fidelity = (_fidelity(_execute_rotating(self.schedule), self.schedule.declared_target)
                     if segments else 1.0)
-        gamma = _spectator_angle(segments, self.p)   # only a swap's notes report it
-        notes = (f"drive gated off; residual spectator rotation {gamma:.3e} rad, "
-                 f"no correction step") if self.spec.kind == "swap" else ""
+        notes = (f"drive gated off; residual spectator rotation "
+                 f"{_spectator_angle(segments, self.p):.3e} rad, no correction step"
+                 if self.spec.kind == "swap" else "")
         return fidelity, tuple((seg.label, seg.duration) for seg in segments), notes
 
 
@@ -633,7 +633,8 @@ def _layout(spec: GateSpec, p: DeviceParameters, system: SpinSystem) -> _Gate:
         rotation = {"x": _x_segments, "y": _y_segments, "z": _z_segments}.get(spec.kind)
         segments = (rotation(spec.theta, target, p) if rotation
                     else _hadamard_block(target, p))
-        # X's steps already end on whole spectator periods, so its correction is empty
+        # X's steps end on whole spectator periods, so its correction is empty only up
+        # to rounding; a long split's rounding can ask for a long one (ROADMAP item 14)
         segments += synth_correction(_deficit_after(segments, p), (target,), p)[0]
     return _Gate(spec, p, _make_schedule(segments, p, system, embed_ideal(spec, system),
                                          dipole))
@@ -732,9 +733,9 @@ def compose_parallel(specs: list[GateSpec], p: DeviceParameters,
     dipole: dict = {}
     for sched in schedules:
         dipole.update(sched.dipole)
-    target = np.eye(system.dim, dtype=complex)
-    for spec in specs:
-        target = embed_ideal(spec, system) @ target
+    target = _identity(system.dim)
+    for sched in schedules:
+        target = sched.declared_target @ target   # each is embed_ideal(spec, system)
     return _make_schedule(merged, p, system, declared_target=target, dipole=dipole)
 
 

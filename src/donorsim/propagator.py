@@ -26,7 +26,8 @@ from . import _kernels, _memo
 from .params import (_UEV, CONSTANTS, DeviceParameters, _as_float, _check_drive_energy, _flag,
                      _integer, _store_floats, carrier_frequency, detuning_for_hyperfine,
                      exceeds_max_detuning, hyperfine_for_detuning)
-from .spin_model import SpinSystem, _z_turn, assert_hermitian, rotating_hamiltonian
+from .spin_model import (SpinSystem, _identity, _z_turn, assert_hermitian,
+                         rotating_hamiltonian)
 
 __all__ = [
     "PulseSegment",
@@ -276,11 +277,16 @@ def segment_hamiltonian(schedule: PulseSchedule, segment: PulseSegment) -> np.nd
 # the most recent ones for the whole process.  The key holds every input of
 # rotating_hamiltonian; the pair tuples keep dict order, which is the order the
 # exchange and dipole terms are summed in, so equal keys give bit-identical H.
-def _segment_key(schedule: PulseSchedule, segment: PulseSegment) -> tuple:
-    """The Hamiltonian key of one segment: (system, drive, dipole, hbar, detunings, couplings)."""
-    return (schedule.system, schedule.transverse_energy if segment.rf_on else 0.0,
-            tuple(schedule.dipole.items()), schedule.hbar,
-            tuple(segment.detunings.items()), tuple(segment.couplings.items()))
+def _keyed_segments(schedule: PulseSchedule):
+    """(start, segment, key) of each timed segment (see _timed_segments), key
+    its Hamiltonian's (system, drive, dipole, hbar, detunings, couplings): the
+    _eigensystem key, and the _propagator key without the duration.  The
+    schedule's parts of the key are built once per schedule."""
+    system, drive, hbar = schedule.system, schedule.transverse_energy, schedule.hbar
+    dipole_items = tuple(schedule.dipole.items())
+    for start, seg in _timed_segments(schedule):
+        yield start, seg, (system, drive if seg.rf_on else 0.0, dipole_items, hbar,
+                           tuple(seg.detunings.items()), tuple(seg.couplings.items()))
 
 
 @_memo.table
@@ -315,9 +321,9 @@ def _timed_segments(schedule: PulseSchedule):
 def _execute_rotating(schedule: PulseSchedule) -> np.ndarray:
     """Read-only rotating-frame unitary of schedule: its cached propagators'
     product R U(0) R^dagger, R the drive phase's spin_model._z_turn."""
-    u = np.eye(schedule.system.dim, dtype=complex)
-    for _, seg in _timed_segments(schedule):
-        u = _propagator(*_segment_key(schedule, seg), seg.duration) @ u
+    u = _identity(schedule.system.dim)
+    for _, seg, key in _keyed_segments(schedule):
+        u = _propagator(*key, seg.duration) @ u
     if schedule.rf_phase:
         r = _z_turn(schedule.system, schedule.rf_phase)
         u = r[:, None] * u * r.conj()
@@ -617,10 +623,10 @@ def _trace(schedule: PulseSchedule, psi0_key: tuple, init_label: str,
         pops = np.abs(psi0[None, :]) ** 2
         return EvolutionTrace(np.zeros(1), pops, labels, init_label)
 
-    timed = list(_timed_segments(schedule))
-    starts = [start for start, _ in timed]
-    eigs = [_eigensystem(*_segment_key(schedule, seg)) for _, seg in timed]
-    for (_, seg), (w, _) in zip(timed, eigs):
+    timed = list(_keyed_segments(schedule))
+    starts = [start for start, _, _ in timed]
+    eigs = [_eigensystem(*key) for _, _, key in timed]
+    for (_, seg, _), (w, _) in zip(timed, eigs):
         _check_phase(seg.duration / schedule.hbar * _max_rate(w), seg.duration)
     times = np.linspace(0.0, total, samples)
     # segment of each sample: the last one starting at or before it (a sample

@@ -59,6 +59,18 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
+# read-only complex identities of every register size (0 to 4 sites), shared by
+# embed, the unitarity check and the products that start from the identity
+_IDENTITIES = {n: _memo.read_only(np.eye(n, dtype=complex)) for n in (1, 2, 4, 8, 16)}
+
+
+def _identity(n: int) -> np.ndarray:
+    """The n x n complex identity: a shared read-only one for a register size,
+    a fresh one for any other n."""
+    eye = _IDENTITIES.get(n)
+    return np.eye(n, dtype=complex) if eye is None else eye
+
+
 # electron spin operators in the logical basis (|0> = spin-down first)
 E_SX, E_SY, E_SZ = SX, -SY, -SZ
 _E_AXIS = {"x": E_SX, "y": E_SY, "z": E_SZ}
@@ -123,7 +135,7 @@ def embed(op: np.ndarray, sites: tuple[int, ...], num_sites: int) -> np.ndarray:
     if k + m != num_sites or op.shape != (2**k, 2**k):
         raise ValueError("sites must be distinct, in range and match the operator size")
     # one leg per site: op rows, op columns, identity rows, identity columns
-    full = np.multiply.outer(op, np.eye(2**m, dtype=complex)).reshape((2,) * (2 * num_sites))
+    full = np.multiply.outer(op, _identity(2**m)).reshape((2,) * (2 * num_sites))
     order = list(sites) + rest
     rows = [i if i < k else k + i for i in map(order.index, range(num_sites))]
     cols = [r + (k if r < k else m) for r in rows]
@@ -142,8 +154,8 @@ def electron_pauli(system: SpinSystem, donor: int, axis: str) -> np.ndarray:
 
 def is_hermitian(h: np.ndarray) -> bool:
     """Whether max|h - h^dag| <= 1e-12 max|h|."""
-    scale = max(np.abs(h).max(), 1e-300)
-    return bool(np.abs(h - h.conj().T).max() <= 1e-12 * scale)
+    scale = max(np.maximum.reduce(np.abs(h), axis=None), 1e-300)
+    return bool(np.maximum.reduce(np.abs(h - h.conj().T), axis=None) <= 1e-12 * scale)
 
 
 def assert_hermitian(h: np.ndarray) -> None:
@@ -384,12 +396,20 @@ def frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndar
     Verification maps the same few gate durations again and again, so the
     matrix is built once per (t, p, system) while the `_frame_rotation`
     table holds it, t stored as a Python float (see params._as_float); each
-    call returns a fresh, writable copy.
+    call returns a fresh, writable copy.  A t that is not finite, or whose
+    phase omega_ac t is not, is a ValueError naming t (a NaN t, never equal
+    to itself, is refused before it could take an entry).
     """
-    return _frame_rotation(_as_float(t, "t"), p, system).copy()
+    t = _as_float(t, "t")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return _frame_rotation(t, p, system).copy()
 
 
 @_memo.table
 def _frame_rotation(t: float, p: DeviceParameters, system: SpinSystem) -> np.ndarray:
     """Read-only R(t) of frame_rotation."""
-    return _memo.read_only(np.diag(_z_turn(system, -carrier_frequency(p) * t)))
+    phase = carrier_frequency(p) * t
+    if not math.isfinite(phase):
+        raise ValueError(f"t = {t!r} s turns the frame through a non-finite phase")
+    return _memo.read_only(np.diag(_z_turn(system, -phase)))

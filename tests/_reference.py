@@ -87,6 +87,19 @@ def assert_unitary_reference(u, tol=1e-10):
         raise ValueError("matrix is not unitary within tolerance")
 
 
+def unitarity_deviation_reference(u):
+    """max|U^dag U - I| with 1 taken off the diagonal in place, as first written."""
+    dev = u.conj().T @ u
+    dev.flat[:: len(dev) + 1] -= 1
+    return float(np.abs(dev).max())
+
+
+def is_hermitian_reference(h):
+    """The Hermiticity test as first written, through ndarray.max."""
+    scale = max(np.abs(h).max(), 1e-300)
+    return bool(np.abs(h - h.conj().T).max() <= 1e-12 * scale)
+
+
 def gate_fidelity_reference(u, v):
     return float(abs(np.trace(u.conj().T @ v)) / u.shape[0])
 

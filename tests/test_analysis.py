@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import (assert_unitary_reference, gate_fidelity_reference, haar, no_kernel,
                         oracle_reference, rf_off_and_empty_segments, spectator_fidelity_loop,
-                        spectator_fidelity_reference, with_segment)
+                        is_hermitian_reference, spectator_fidelity_reference,
+                        unitarity_deviation_reference, with_segment)
 from donorsim import DeviceParameters, _kernels, _memo, analysis, propagator, spin_model
 from donorsim.analysis import (
     SWEEP_FIELDS,
@@ -26,7 +27,7 @@ from donorsim.analysis import (
 from donorsim.gates import GateSpec, spectator_period, synthesize
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.propagator import PulseSchedule, PulseSegment, _refine
-from donorsim.spin_model import SX, SpinSystem, single_donor_static
+from donorsim.spin_model import SX, SpinSystem, is_hermitian, single_donor_static
 
 
 def test_gate_fidelity_basics(rng):
@@ -291,6 +292,66 @@ def test_unitarity_deviation_is_max_of_u_dag_u_minus_identity(dim):
               rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))):
         assert analysis._unitarity_deviation(m) == float(
             np.abs(m.conj().T @ m - np.eye(dim)).max())
+
+
+def _odd_entries(m, rng):
+    """m with NaN, +inf, -inf and -0.0 written at random places (as many as fit)."""
+    m = m.copy()
+    for value in (np.nan, np.inf, -np.inf, -0.0)[:m.size]:
+        m.flat[rng.integers(m.size)] = value
+    return m
+
+
+def _check_inputs(dim, rng):
+    """Complex, real and integer square matrices of size dim, each plain and,
+    for the float kinds, with NaN, infinite and -0.0 entries."""
+    u = haar(dim, rng)
+    h = u + u.conj().T
+    for m in (u, h, u * (1.0 + 3e-9), h + 3e-12 * rng.normal(size=(dim, dim)), h.real,
+              u.real):
+        yield m
+        yield _odd_entries(m, rng)
+    yield rng.integers(-3, 4, size=(dim, dim))
+    yield np.eye(dim, dtype=int)
+    yield np.zeros((dim, dim))
+    yield -np.zeros((dim, dim), dtype=complex)
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_unitarity_deviation_has_the_in_place_forms_bits(dim):
+    """Subtracting the shared identity gives the bits of taking 1 off the
+    diagonal in place, NaN for NaN, on complex, real and integer input."""
+    rng = np.random.default_rng(100 + dim)
+    with np.errstate(all="ignore"):
+        for m in _check_inputs(dim, rng):
+            new, old = analysis._unitarity_deviation(m), unitarity_deviation_reference(m)
+            assert new == old or (math.isnan(new) and math.isnan(old)), m
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_is_hermitian_gives_the_former_verdicts(dim):
+    """One-ufunc reductions accept and reject what ndarray.max's did."""
+    rng = np.random.default_rng(200 + dim)
+    verdicts = set()
+    with np.errstate(all="ignore"):
+        for m in _check_inputs(dim, rng):
+            verdicts.add(is_hermitian(m))
+            assert is_hermitian(m) == is_hermitian_reference(m), m
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", [np.eye(2, dtype=bool), np.ones((1, 1), dtype=bool),
+                               np.array([[False, True], [True, False]])],
+                         ids=["identity", "one", "swap"])
+def test_bool_matrices_are_refused_as_unitaries(m):
+    """A bool matrix cannot be checked in place, and is refused by name, not graded."""
+    with pytest.raises(TypeError):
+        unitarity_deviation_reference(m)
+    for check in (lambda: analysis._assert_unitary(m),
+                  lambda: gate_fidelity(m, m.astype(complex)),
+                  lambda: gate_fidelity(m.astype(complex), m)):
+        with pytest.raises(ValueError, match="^expected a numeric matrix, got a bool one$"):
+            check()
 
 
 def test_rabi_probability_limits(p):

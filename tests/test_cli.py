@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import mp50, mp_table_durations
-from donorsim import _memo, validate
+from donorsim import _memo, cli, validate
 from donorsim.cli import REFERENCE_TIMINGS_NS, _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
-from donorsim.params import _UEV
+from donorsim.params import _UEV, DeviceParameters
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,23 @@ def test_gate_trace(tmp_path, capsys):
     assert header == "time_ns,pop_0,pop_1"
     final = lines[-1].split(",")
     assert float(final[2]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_requests_without_config_share_one_device(tmp_path, monkeypatch, capsys):
+    """Every request without --config gets the one default device built per
+    process; each --config request gets a device of its own, even an equal one."""
+    devices = []
+    monkeypatch.setattr(cli, "_table_text",
+                        lambda which, cfg, signs: devices.append(cfg.device) or "")
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("")
+    for argv in (["table", "II"], ["--format", "json", "table", "III"],
+                 ["--config", str(cfgfile), "table", "II"],
+                 ["--config", str(cfgfile), "table", "II"]):
+        assert main(argv) == 0
+    assert devices[0] is devices[1] and devices[0] == DeviceParameters()
+    assert devices[2] == devices[0] and devices[2] is not devices[0]
+    assert devices[3] is not devices[2]
 
 
 def test_gate_infeasible_exit_code(tmp_path, capsys):

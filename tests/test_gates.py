@@ -491,6 +491,23 @@ def test_parallel_single_gate_unchanged(p):
     assert [s.detunings for s in single.segments] == [s.detunings for s in direct.segments]
 
 
+@pytest.mark.parametrize("make", [
+    lambda p: [GateSpec("x", (0,), theta=math.pi), GateSpec("y", (2,), theta=1.1)],
+    lambda p: [GateSpec("z", (2,), theta=0.7), GateSpec("hadamard", (0,)),
+               GateSpec("x", (1,), theta=2.5)],
+    lambda p: [GateSpec("x", (0,), theta=math.pi),
+               GateSpec("cnot", (1, 2), mode="exchange", j=table_j(p))],
+], ids=["two", "three", "with_cnot"])
+def test_parallel_target_is_the_product_of_embedded_ideals(p, make):
+    """The declared target, a product of the components' declared targets, has
+    the bytes of embedding each spec again and multiplying from the identity."""
+    specs, system = make(p), SpinSystem(3)
+    target = np.eye(system.dim, dtype=complex)
+    for spec in specs:
+        target = embed_ideal(spec, system) @ target
+    assert compose_parallel(specs, p, system).declared_target.tobytes() == target.tobytes()
+
+
 @st.composite
 def _disjoint_single_qubit_gates(draw):
     """Two random single-qubit gates on different donors of three, in qubit order."""

@@ -330,8 +330,8 @@ def test_rotating_cache_key_is_complete(p, which):
     assert len(set(references.values())) == 2
     first, second = pair
     assert first != second and len({first, second}) == 2
-    assert propagator._segment_key(first, first.segments[0]) != \
-        propagator._segment_key(second, second.segments[0])
+    assert next(propagator._keyed_segments(first))[2] != \
+        next(propagator._keyed_segments(second))[2]
     for order in (pair, pair[::-1]):
         _memo.clear()
         for sched in order:
@@ -341,7 +341,7 @@ def test_rotating_cache_key_is_complete(p, which):
 
 def test_rotating_caches_are_read_only_and_bounded(p):
     sched = synthesize(GateSpec("y", (0,), theta=4.5), p, SpinSystem(2))
-    key = propagator._segment_key(sched, sched.segments[0])
+    _, _, key = next(propagator._keyed_segments(sched))
     w, v = propagator._eigensystem(*key)
     step = propagator._propagator(*key, sched.segments[0].duration)
     for cached in (w, v, step):
@@ -1402,7 +1402,8 @@ def test_trace_cached_eigensystems_match_per_segment_eigh(p, monkeypatch, make, 
     assert propagator._eigensystem.cache_info().misses == len(hamiltonians)
     # reference: the same sampling with a fresh eigh of each segment Hamiltonian,
     # from cleared tables so that it samples again instead of hitting cold's entry
-    monkeypatch.setattr(propagator, "_segment_key", lambda schedule, seg: (schedule, seg))
+    monkeypatch.setattr(propagator, "_keyed_segments", lambda schedule: (
+        (start, seg, (schedule, seg)) for start, seg in propagator._timed_segments(schedule)))
     monkeypatch.setattr(propagator, "_eigensystem", lambda schedule, seg: np.linalg.eigh(
         segment_hamiltonian(schedule, seg)))
     _memo.clear()

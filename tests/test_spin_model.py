@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,21 @@ def test_frame_map_returns_a_writable_copy(p):
     assert second is not first and second.flags.writeable
     assert second.tobytes() == expected.tobytes()
     assert not spin_model._frame_rotation(0.7e-9, p, system).flags.writeable
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e300, -1e300, np.float64(np.nan)],
+                         ids=["nan", "inf", "minus_inf", "phase_overflow",
+                              "minus_phase_overflow", "numpy_nan"])
+def test_frame_map_refuses_a_non_finite_time_or_phase(p, t):
+    """A time or phase omega_ac t that is not finite is a ValueError naming t,
+    raised without a numpy warning and, call after call, without an entry."""
+    _memo.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"^t"):
+                frame_rotation(t, p, SpinSystem(1))
+    assert spin_model._frame_rotation.cache_info().currsize == 0
 
 
 def test_lab_frame_equivalence_against_expm(p, rng):
