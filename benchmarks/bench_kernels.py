@@ -35,8 +35,10 @@ or `analysis._spectator_fidelity`).
 A fixed-cost section times what a request pays besides its numerics, as
 the best of 7 loops of CPU time per call (`time.process_time`), each loop
 after a warm-up call: building a default `DeviceParameters()`, a `table II`
-request through `cli.main` answered from `cli._table_text` (stdout sent to
-a buffer), the unitarity and Hermiticity checks on an 8x8 matrix, the body
+request through `cli.main` answered from `cli._rendered` (stdout sent to
+a buffer), a `gate --trace` request of the exchange CNOT through `cli.main`
+answered from the same table (both files written to a temporary directory),
+the unitarity and Hermiticity checks on an 8x8 matrix, the body
 of `propagator._execute_rotating` for the 3-donor dipole CNOT with every
 segment's propagator a memo hit, and `gates.compose_parallel` of two gates
 already in the gate table.
@@ -49,6 +51,7 @@ import contextlib
 import io
 import pathlib
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -218,6 +221,9 @@ def _report_fixed_costs(p):
     parallel = [GateSpec("x", (0,), theta=np.pi),
                 GateSpec("cnot", (1, 2), mode="exchange", j=interaction_coupling(1e-11, p))]
     sink = io.StringIO()
+    workdir = tempfile.TemporaryDirectory()
+    gate_argv = ["--out", f"{workdir.name}/cnot.json", "gate", "--gate", "cnot", "--mode",
+                 "exchange", "--trace", f"{workdir.name}/cnot.csv"]
 
     def table_hit():
         sink.seek(0)
@@ -227,6 +233,7 @@ def _report_fixed_costs(p):
     cases = (
         ("DeviceParameters()", DeviceParameters, 20000),
         ("table II hit through cli.main", table_hit, 2000),
+        ("gate --trace hit through cli.main, exchange CNOT", lambda: cli.main(gate_argv), 1000),
         ("_unitarity_deviation, 8x8", lambda: analysis._unitarity_deviation(u), 20000),
         ("is_hermitian, 8x8", lambda: is_hermitian(h), 20000),
         ("_execute_rotating body, 3-donor dipole CNOT, all propagators hit",
@@ -235,8 +242,9 @@ def _report_fixed_costs(p):
          lambda: compose_parallel(parallel, p, SpinSystem(3)), 2000),
     )
     print("fixed costs (best of 7 loops, CPU per call, warm):")
-    for name, fn, calls in cases:
-        print(f"  {name}: {_cpu_per_call(fn, calls) * 1e6:.1f} us")
+    with workdir:
+        for name, fn, calls in cases:
+            print(f"  {name}: {_cpu_per_call(fn, calls) * 1e6:.1f} us")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@
     python benchmarks/digest.py validate 7
     python benchmarks/digest.py gates 1 2 3
     python benchmarks/digest.py cli-gates 1 2
+    python benchmarks/digest.py cli-gates-warm 1 2
     python benchmarks/digest.py configs 7
     python benchmarks/digest.py configs-warm 7
     python benchmarks/digest.py sweep 1 2
@@ -20,7 +21,7 @@ changed), runs its ops in order and prints one line per op:
     session, session-warm, validate:
                           <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
-    cli-gates, configs, configs-warm, sweep, cli-outputs:
+    cli-gates, cli-gates-warm, configs, configs-warm, sweep, cli-outputs:
                           <seed> <index> <exit code> <sha256 of its result> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
@@ -49,7 +50,12 @@ schedule dump` through `cli.main` for every gate kind, every cnot mode setting
 --target, --control, --j-uev, --d-nm, --duration-ns, --extended-correction and
 --interaction-step-ns, with option values drawn from the seed, and hashes each
 run's exit code, its stderr and its stdout, so a change to which requests are
-accepted, to an error message or to an output byte would show.  configs is
+accepted, to an error message or to an output byte would show.
+cli-gates-warm runs the same grid twice in one process and prints only the
+second pass, whose every accepted `gate` request can be answered from the
+memo tables, so diffing it against cli-gates shows a key that merges two
+requests that print differently; it is not in `all`, so `all` compares the
+same sets in two checkouts that lack it.  configs is
 not a workload either: for each device config of a fixed list (the default,
 a_min = 1.2e-26, a_min = 1.5e-26 and alignment = x) it runs `donorsim table`
 I to VI, `validate --seed <seed>` and `schedule dump` of an x gate and a
@@ -244,22 +250,28 @@ def captured_run(argv: list, workdir: str | None = None, files=()) -> tuple[int,
     return code, h.hexdigest()
 
 
-def cli_gate_digests(seed: int):
+def cli_gate_digests(seed: int, passes: int = 1):
     """Yield (index, exit code, sha256 hex, label) of `gate` and `schedule dump`
-    over every kind, cnot mode setting and subset of the seeded gate options."""
+    over every kind, cnot mode setting and subset of the seeded gate options;
+    with passes > 1 the grid is run that many times from cleared memo tables
+    and only the last pass is yielded."""
     options = gate_option_values(seed)
-    idx = 0
-    # fixed lists, not gates.GATE_KINDS, so that two checkouts run the same grid
-    for kind in ("x", "y", "z", "hadamard", "cnot", "swap", "idle"):
-        for mode in (None, "exchange", "dipole", "combined"):
-            for r in range(len(options) + 1):
-                for given in itertools.combinations(options, r):
-                    flags = ["--gate", kind] + (["--mode", mode] if mode else [])
-                    flags += [arg for name in given for arg in options[name]]
-                    for command in (["gate"], ["schedule", "dump"]):
-                        code, digest = captured_run(command + flags)
-                        yield idx, code, digest, " ".join(command + flags)
-                        idx += 1
+    if passes > 1:
+        _memo.clear()
+    for last in [False] * (passes - 1) + [True]:
+        idx = 0
+        # fixed lists, not gates.GATE_KINDS, so that two checkouts run the same grid
+        for kind in ("x", "y", "z", "hadamard", "cnot", "swap", "idle"):
+            for mode in (None, "exchange", "dipole", "combined"):
+                for r in range(len(options) + 1):
+                    for given in itertools.combinations(options, r):
+                        flags = ["--gate", kind] + (["--mode", mode] if mode else [])
+                        flags += [arg for name in given for arg in options[name]]
+                        for command in (["gate"], ["schedule", "dump"]):
+                            code, digest = captured_run(command + flags)
+                            if last:
+                                yield idx, code, digest, " ".join(command + flags)
+                            idx += 1
 
 
 # device config files of the configs mode, "" for the default device
@@ -378,7 +390,9 @@ def session_commands(seed: int, workdir: str) -> list:
 
 
 # modes that hash each run's exit code, stderr and stdout
-CAPTURED_MODES = {"cli-gates": cli_gate_digests, "configs": config_digests,
+CAPTURED_MODES = {"cli-gates": cli_gate_digests,
+                  "cli-gates-warm": lambda seed: cli_gate_digests(seed, passes=2),
+                  "configs": config_digests,
                   "configs-warm": lambda seed: config_digests(seed, passes=2),
                   "sweep": sweep_digests, "cli-outputs": output_digests}
 

@@ -35,7 +35,8 @@ from .propagator import (
     _refine,
     validate_schedule_controls,
 )
-from .spin_model import SpinSystem, _identity, frame_rotation, single_donor_static
+from .spin_model import (SpinSystem, _assert_numeric, _identity, frame_rotation,
+                         single_donor_static)
 
 __all__ = [
     "gate_fidelity",
@@ -59,8 +60,7 @@ def _unitarity_deviation(u: np.ndarray) -> float:
 def _assert_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("expected a square matrix")
-    if u.dtype == bool:
-        raise ValueError("expected a numeric matrix, got a bool one")
+    _assert_numeric(u)
     if not _unitarity_deviation(u) <= 1e-10:
         raise ValueError("matrix is not unitary within tolerance")
 

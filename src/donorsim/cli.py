@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from . import _memo, analysis, gates
 from .params import _CONFIG_FIELDS, _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
+    _MAX_KEPT_SAMPLES,
     _NotConverged,
     execute_schedule,
     schedule_from_text,
@@ -173,6 +174,33 @@ def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
+# rendered requests
+# ---------------------------------------------------------------------------
+
+@_memo.table
+def _rendered(render, cfg: RunConfig, zero_signs: tuple, *request) -> tuple:
+    """render(cfg, *request): the exit code and output texts of one `table` or
+    `gate` request, computed once per key while the table holds it; an error
+    raised while rendering is not kept, so it raises again on every call.
+
+    zero_signs, the sign of each zero float that reaches the output, only keys
+    the entry: -0.0 == 0.0, in a float and in a GateSpec, so two requests that
+    print differently would share it.  No output path is part of a key: main
+    writes every output on every call.
+    """
+    return render(cfg, *request)
+
+
+def _request(render, cfg: RunConfig, floats: tuple, *request, keep: bool = True) -> tuple:
+    """_rendered(render, cfg, ...) keyed on the sign of each zero among floats
+    (the request's floats that reach the output, None for one not given) and
+    the config's a0 and a_min; with keep False it is rendered without being kept."""
+    signs = tuple(math.copysign(1.0, v)
+                  for v in (cfg.device.a0, cfg.device.a_min, *floats) if v == 0.0)
+    return (_rendered if keep else _rendered.__wrapped__)(render, cfg, signs, *request)
+
+
+# ---------------------------------------------------------------------------
 # gate command
 # ---------------------------------------------------------------------------
 
@@ -224,32 +252,46 @@ def _cmd_gate(args, cfg: RunConfig) -> tuple:
             if getattr(args, name) is not None:
                 raise ValueError(f"--{name} does not apply without --trace: "
                                  f"only the population trace uses it")
-    p = cfg.device
-    spec = _build_spec(args, p)
-    system = _requested_system(args)
-    report = gates.compile_gate(spec, p, system=system)
+    spec = _build_spec(args, cfg.device)
+    request = (spec, _requested_system(args), args.threshold)
+    floats = (spec.theta, args.threshold)
+    if not args.trace:
+        return _request(_gate_outputs, cfg, floats, *request, None)
+    samples = 1000 if args.samples is None else args.samples
+    # a trace the `_trace` table would not keep is not kept here either
+    code, report, csv = _request(_gate_outputs, cfg, floats, *request, (args.initial, samples),
+                                 keep=samples <= _MAX_KEPT_SAMPLES)
+    return code, report, (args.trace, csv)
+
+
+def _gate_outputs(cfg: RunConfig, spec: gates.GateSpec, system: SpinSystem | None,
+                  threshold: float, trace: tuple | None) -> tuple:
+    """(exit code, JSON report) of one gate request; with trace, its (initial
+    label or None, samples), the population-trace CSV is a third item."""
+    report = gates.compile_gate(spec, cfg.device, system=system)
     payload = {
         "config": cfg.as_dict(),
         "gate": {"kind": spec.kind, "targets": list(spec.targets), "theta": spec.theta,
                  "mode": spec.mode, "j_uev": None if spec.j is None else spec.j / _UEV,
                  "d_nm": None if spec.d is None else spec.d * 1e9},
         "fidelity": report.fidelity,
-        "threshold": args.threshold,
-        "passed": bool(report.fidelity >= args.threshold),
+        "threshold": threshold,
+        "passed": bool(report.fidelity >= threshold),
         "total_duration_ns": report.schedule.total_duration * 1e9,
         "steps": [{"label": lab, "duration_ns": dur * 1e9}
                   for lab, dur in report.step_durations],
         "notes": report.notes,
     }
     code = 0 if payload["passed"] else 1
-    if not args.trace:
+    if trace is None:
         return code, _json(payload)
-    initial = args.initial or "0" * report.schedule.system.num_sites
-    samples = 1000 if args.samples is None else args.samples
-    trace = trace_evolution(report.schedule, initial, samples=samples)
+    initial, samples = trace
+    evolution = trace_evolution(report.schedule,
+                                initial or "0" * report.schedule.system.num_sites,
+                                samples=samples)
     csv = io.StringIO()
-    trace_to_csv(trace, csv, header=cfg.as_dict())
-    return code, _json(payload), (args.trace, csv.getvalue())
+    trace_to_csv(evolution, csv, header=cfg.as_dict())
+    return code, _json(payload), csv.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +332,12 @@ def _table_rows(which: str, p: DeviceParameters) -> tuple[list[dict], list[str]]
     return rows, ["step", "computed_ns", "reference_ns", "rel_dev"]
 
 
-@_memo.table
-def _table_text(which: str, cfg: RunConfig, zero_signs: tuple) -> str:
-    """Table `which` rendered for cfg, computed once per key while the table
-    holds it; an infeasible table raises again on every call.
-
-    zero_signs, the sign of each zero config field, only keys the entry:
-    -0.0 == 0.0, so two configs that print differently would share it.
-    """
-    return _render_rows(*_table_rows(which, cfg.device), cfg)
+def _table_outputs(cfg: RunConfig, which: str) -> tuple:
+    return 0, _render_rows(*_table_rows(which, cfg.device), cfg)
 
 
 def _cmd_table(args, cfg: RunConfig) -> tuple:
-    p = cfg.device
-    signs = tuple(math.copysign(1.0, v) for v in (p.a0, p.a_min) if v == 0.0)
-    return 0, _table_text(args.which, cfg, signs)
+    return _request(_table_outputs, cfg, (), args.which)
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,16 @@ def electron_pauli(system: SpinSystem, donor: int, axis: str) -> np.ndarray:
     return pauli_on(_E_AXIS[axis], system.electron_site(donor), system.num_sites)
 
 
+def _assert_numeric(m: np.ndarray) -> None:
+    """ValueError unless m holds integers, reals or complex numbers: a bool or
+    non-numeric matrix is refused by name, not left to numpy's TypeError."""
+    if m.dtype.kind not in "iufc":
+        raise ValueError(f"expected a numeric matrix, got a {m.dtype.name} one")
+
+
 def is_hermitian(h: np.ndarray) -> bool:
-    """Whether max|h - h^dag| <= 1e-12 max|h|."""
+    """Whether max|h - h^dag| <= 1e-12 max|h|; a bool or non-numeric h is a ValueError."""
+    _assert_numeric(h)
     scale = max(np.maximum.reduce(np.abs(h), axis=None), 1e-300)
     return bool(np.maximum.reduce(np.abs(h - h.conj().T), axis=None) <= 1e-12 * scale)
 

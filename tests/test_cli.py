@@ -68,8 +68,9 @@ def test_requests_without_config_share_one_device(tmp_path, monkeypatch, capsys)
     """Every request without --config gets the one default device built per
     process; each --config request gets a device of its own, even an equal one."""
     devices = []
-    monkeypatch.setattr(cli, "_table_text",
-                        lambda which, cfg, signs: devices.append(cfg.device) or "")
+    monkeypatch.setattr(cli, "_rendered",
+                        lambda render, cfg, signs, *request: devices.append(cfg.device)
+                        or (0, ""))
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text("")
     for argv in (["table", "II"], ["--format", "json", "table", "III"],
@@ -772,8 +773,9 @@ def test_option_defaults_match_explicit_values(tmp_path, capsys):
 
 def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
     """A repeated `gate --trace` writes the bytes of its first run: after a
-    --config run in between whose trace is the same (a hit) under another
-    header, and from cleared memo tables."""
+    --config run in between whose trace is the same (a `_trace` hit) under
+    another header, and from cleared memo tables.  The repeat itself is a
+    `_rendered` hit, so it asks `_trace` nothing."""
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text("d = 3e-8\n")
 
@@ -787,7 +789,8 @@ def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
     first = run()
     assert run() == first
     _, trace = run("--config", str(cfgfile))
-    assert _memo.stats()["_trace"]["hits"] == 2
+    assert _memo.stats()["_rendered"]["hits"] == 1
+    assert _memo.stats()["_trace"]["hits"] == 1
     assert trace != first[1] and b"# d = 3e-08\n" in trace
     assert trace.split(b"time_ns,")[1] == first[1].split(b"time_ns,")[1]
     assert run() == first
@@ -797,7 +800,7 @@ def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
 
 def test_table_bytes_repeat_across_memo_hits(capsys):
     """Every table in every format writes the bytes of its first run when it
-    is repeated (one `_table_text` hit per repeat) and from cleared memo tables."""
+    is repeated (one `_rendered` hit per repeat) and from cleared memo tables."""
     requests = [(fmt, which) for which in ("I", "II", "III", "IV", "V", "VI")
                 for fmt in ("text", "csv", "json")]
 
@@ -807,9 +810,9 @@ def test_table_bytes_repeat_across_memo_hits(capsys):
     _memo.clear()
     first = run_all()
     assert all(code == 0 for code, _ in first)
-    assert _memo.stats()["_table_text"]["hits"] == 0
+    assert _memo.stats()["_rendered"]["hits"] == 0
     assert run_all() == first
-    assert _memo.stats()["_table_text"]["hits"] == len(requests)
+    assert _memo.stats()["_rendered"]["hits"] == len(requests)
     _memo.clear()
     assert run_all() == first
 
@@ -824,7 +827,84 @@ def test_infeasible_table_exits_2_on_every_request(tmp_path, capsys):
         assert main(["--config", str(cfgfile), "table", "IV"]) == 2
         assert capsys.readouterr() == ("", "table failed: table IV: the gate has 11 steps, "
                                            "the published table 2\n")
-    assert _memo.stats()["_table_text"]["currsize"] == 0
+    assert _memo.stats()["_rendered"]["currsize"] == 0
+
+
+def _gate_run(tmp_path, capsys, *flags, out="x.json", trace=None) -> tuple:
+    """(exit code, stdout, stderr, report bytes, trace bytes or None) of one
+    `gate` request that writes its report to out and, given, its trace to trace."""
+    argv = ["--out", str(tmp_path / out), "gate", *flags]
+    if trace:
+        argv += ["--trace", str(tmp_path / trace)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    report = (tmp_path / out).read_bytes() if code in (0, 1) else None
+    traced = (tmp_path / trace).read_bytes() if trace and code in (0, 1) else None
+    return code, captured.out, captured.err, report, traced
+
+
+@pytest.mark.parametrize("first, second", [
+    (["--gate", "x", "--theta", "-0"], ["--gate", "x", "--theta", "0"]),
+    (["--gate", "x", "--threshold", "-0"], ["--gate", "x", "--threshold", "0"]),
+    (["--gate", "y", "--theta", "-0", "--threshold", "-0"],
+     ["--gate", "y", "--theta", "0", "--threshold", "0"]),
+], ids=["theta", "threshold", "both"])
+@pytest.mark.parametrize("traced", [False, True], ids=["report", "trace"])
+def test_gate_memo_tells_signed_zeros_apart(tmp_path, capsys, first, second, traced):
+    """-0.0 == 0.0 as a float and in a GateSpec, but the report prints the
+    sign, so each request in one process prints what it prints from cleared
+    tables."""
+    trace = "x.csv" if traced else None
+    cold = {}
+    for flags in (first, second):
+        _memo.clear()
+        cold[tuple(flags)] = _gate_run(tmp_path, capsys, *flags, trace=trace)
+    assert b": -0.0" in cold[tuple(first)][3]
+    assert cold[tuple(first)][3] != cold[tuple(second)][3]
+    _memo.clear()
+    for flags in (first, second, first, second):
+        assert _gate_run(tmp_path, capsys, *flags, trace=trace) == cold[tuple(flags)]
+
+
+@pytest.mark.parametrize("flags", [["--initial", "zz"], ["--samples", "1"]],
+                         ids=["unknown_initial", "one_sample"])
+def test_gate_request_that_fails_rendering_keeps_no_entry(tmp_path, capsys, flags):
+    """An error raised while rendering raises again on every call and is not kept."""
+    _memo.clear()
+    runs = [_gate_run(tmp_path, capsys, "--gate", "x", *flags, trace="x.csv")
+            for _ in range(3)]
+    assert runs[0][0] == 2 and runs[0][2].startswith("gate failed: ")
+    assert runs.count(runs[0]) == 3
+    assert _memo.stats()["_rendered"]["currsize"] == 0
+
+
+def test_gate_trace_past_the_kept_bound_keeps_no_entry(tmp_path, capsys):
+    """A trace of more than 1000 samples is rendered without being kept, and
+    writes what it writes from cleared tables."""
+    _memo.clear()
+    first = _gate_run(tmp_path, capsys, "--gate", "x", "--samples", "1001", trace="x.csv")
+    assert first[0] == 0 and first[4].count(b"\n") > 1001
+    assert _gate_run(tmp_path, capsys, "--gate", "x", "--samples", "1001",
+                     trace="x.csv") == first
+    assert _memo.stats()["_rendered"]["currsize"] == 0
+    assert _gate_run(tmp_path, capsys, "--gate", "x", "--samples", "1000",
+                     trace="x.csv")[0] == 0
+    assert _memo.stats()["_rendered"]["currsize"] == 1
+
+
+def test_gate_requests_differing_in_paths_share_one_entry(tmp_path, capsys):
+    """--out and --trace paths are not part of the key: two requests that
+    differ only there share one entry, and each writes its own files with the
+    same bytes."""
+    flags = ["--gate", "cnot", "--mode", "exchange", "--j-uev", "77.5"]
+    _memo.clear()
+    a = _gate_run(tmp_path, capsys, *flags, out="a.json", trace="a.csv")
+    b = _gate_run(tmp_path, capsys, *flags, out="b.json", trace="b.csv")
+    assert a[0] == 0 and a == b
+    assert _memo.stats()["_rendered"]["currsize"] == 1
+    assert _memo.stats()["_rendered"]["hits"] == 1
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_table_memo_tells_signed_zeros_apart(tmp_path, capsys):

@@ -790,6 +790,37 @@ def test_negated_detunings_and_phase_conjugate_the_unitary_by_sigma_x(p, donors)
             assert np.abs(x @ u @ x - v).max() <= 1e-14, (spec, phase)
 
 
+def test_time_reversal_turns_the_rotating_unitary_into_its_inverse(p):
+    """Reversing the segments, negating every detuning and adding pi to the rf
+    phase runs U^dagger: each segment's H(-dw, phi + pi) = -H(dw, phi), so its
+    propagator is the inverse of the original's, and the reversed order
+    undoes the product.  A product-order slip breaks it, which the sigma_x
+    relation cannot see.  Exchange and dipole terms are left out: J and D are
+    non-negative and cannot be negated.  Random schedules of 1-4 segments on
+    1-3 donors, rf-off segments and any phase included; the largest error
+    measured over these 200 is 2.46e-15."""
+    rng = np.random.default_rng(20)
+    kw = {"b_ac": p.b_ac, "hbar": p.constants.hbar, "mu_b": p.constants.mu_b}
+    worst = 0.0
+    for _ in range(200):
+        system = SpinSystem(int(rng.integers(1, 4)))
+        segments = [PulseSegment(float(rng.uniform(0.1, 40.0)) * 1e-9,
+                                 {q: float(rng.uniform(-1.0, 1.0)) * max_detuning(p)
+                                  for q in range(system.num_donors) if rng.integers(2)},
+                                 rf_on=bool(rng.integers(2)))
+                    for _ in range(int(rng.integers(1, 5)))]
+        phase = float(rng.uniform(-math.pi, math.pi))
+        u = execute_schedule(PulseSchedule(segments=tuple(segments), system=system,
+                                           rf_phase=phase, **kw)).unitary
+        reversed_segments = tuple(
+            PulseSegment(seg.duration, {q: -dw for q, dw in seg.detunings.items()},
+                         rf_on=seg.rf_on) for seg in reversed(segments))
+        v = execute_schedule(PulseSchedule(segments=reversed_segments, system=system,
+                                           rf_phase=phase + math.pi, **kw)).unitary
+        worst = max(worst, np.abs(u.conj().T - v).max())
+    assert worst <= 2.5e-15
+
+
 def test_lab_convergence_error_reports_progress(p):
     """An unreachable lab_tol ends at the step ceiling, saying how close it got."""
     seg = PulseSegment(duration=0.3e-9, detunings={0: -0.4 * max_detuning(p)})

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from _reference import (electron_lab_midpoints, frame_rotation_reference,
                         gate_fidelity_reference, rotating_reference, stacked_expm_product)
-from donorsim import _memo, spin_model
+from donorsim import _memo, analysis, propagator, spin_model
 from donorsim.params import carrier_frequency, max_detuning
 from donorsim.spin_model import (
     E_SX,
@@ -301,6 +301,23 @@ def test_builders_hermitian(p):
         assert_hermitian(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="^operator is not Hermitian within tolerance$"):
         assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("m, name", [
+    (np.eye(2, dtype=bool), "bool"),
+    (np.array([[False, True], [True, False]]), "bool"),
+    (np.array([["a", "b"], ["b", "a"]]), "str32"),
+    (np.eye(2, dtype=object), "object"),
+], ids=["bool_identity", "bool_swap", "str", "object"])
+def test_hermiticity_checks_refuse_non_numeric_matrices(m, name):
+    """A bool or non-numeric matrix is refused by name as _assert_unitary
+    refuses it, not with numpy's TypeError from h - h^dag."""
+    message = f"^expected a numeric matrix, got a {name} one$"
+    for check in (lambda: is_hermitian(m), lambda: assert_hermitian(m),
+                  lambda: propagator.propagate_constant(m, 1e-9),
+                  lambda: analysis._assert_unitary(m)):
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 def test_frame_map_identity_and_norm(p, rng):
