@@ -1,17 +1,18 @@
 """The one registry of donorsim's process-wide memo tables.
 
-Global control reuses a few pulses across many gates, so synthesis (each
-gate entry of `gates._layout` also keeps the gate's grade once `compile_gate`
-asks for it), the rotating-frame eigensystems and propagators, every
-execution result (the rotating-frame and converged lab-frame unitaries, the
-frozen-nucleus checks and the population traces, each keyed on the schedule,
-which compares by its controls), the oracle's Strang powers, the frame map
-R(t), the lab twins of verified schedules, the rendered outputs of each
-`donorsim table` and `donorsim gate` request (`cli._rendered`: the exit code
-and the texts, keyed on the request and the run config, never on an output
-path), the gate and spectator fidelities (`analysis._gate_fidelity` and
-`_spectator_fidelity`) and a few small constants are memoized for the whole
-process: sixteen tables.  The twin table (`analysis._lab_twin`) is the one
+Global control reuses a few pulses across many gates, so synthesis (each gate
+entry of `gates._layout` also keeps the gate's grade once `compile_gate` asks
+for it), the rotating-frame eigensystems and propagators, every execution
+result (the rotating-frame and converged lab-frame unitaries and the
+frozen-nucleus checks, each keyed on the schedule, which compares by its
+controls), the oracle's Strang powers, the frame map R(t), the lab twins of
+verified schedules, the rendered outputs of each `donorsim table` and
+`donorsim gate` request (`cli._rendered`: the exit code and the texts, keyed
+on the request and the run config, never on an output path), the gate and
+spectator fidelities (`analysis._gate_fidelity` and `_spectator_fidelity`) and
+a few small constants are memoized for the whole process: fifteen tables.
+Population traces are not kept: the CLI keeps the CSV text of each trace it
+writes, in `cli._rendered`.  The twin table (`analysis._lab_twin`) is the one
 whose key holds annotations, the labels and the declared target's identity,
 besides the schedule: its entry is itself a schedule that carries them, and
 schedules that differ only there are equal keys of every other table.  No
@@ -26,12 +27,11 @@ dtype, shape and C-order bytes, `key_array` rebuilds it read-only, and
 `read_only` freezes every array a table keeps.  So only a bit-identical array
 is answered from an entry (-0.0 and 0.0 differ), and no entry holds the
 caller's array.  Two bounds keep entries small: a grading pair larger than
-16x16 and a trace of more than 1000 samples are computed without being kept,
-by `_trace` and by `cli._rendered` alike.  So a grading entry holds at most
-8 KB (a full table about 1 MB), a full `_trace` table of 1000-sample 3-donor
-traces (64 KB of populations and 141 KB of CSV text each, once written)
-about 27 MB, and a full `cli._rendered` table of such `gate --trace`
-requests (the CSV text again, under its config header) about 18 MB.
+16x16 and a `gate --trace` request of more than 1000 samples are computed
+without being kept.  So a grading entry holds at most 8 KB (a full table
+about 1 MB), and a full `cli._rendered` table of 1000-sample 3-donor
+`gate --trace` requests (141 KB of CSV text each, under its config header)
+about 18 MB.
 
 This module imports nothing from donorsim, so any module may use it.
 """

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from . import _memo, analysis, gates
 from .params import _CONFIG_FIELDS, _UEV, DeviceParameters, load_device_parameters
 from .propagator import (
-    _MAX_KEPT_SAMPLES,
     _NotConverged,
     execute_schedule,
     schedule_from_text,
@@ -244,6 +243,12 @@ def _requested_system(args) -> SpinSystem | None:
     return None if args.qubits is None else SpinSystem(num_donors=args.qubits)
 
 
+# Most samples of a `gate --trace` request whose output `_rendered` keeps, the
+# CLI's default count: a 3-donor trace's CSV text is about 141 KB, so this
+# bounds a full table's bytes (see _memo).
+_MAX_KEPT_SAMPLES = 1000
+
+
 def _cmd_gate(args, cfg: RunConfig) -> tuple:
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
@@ -258,7 +263,6 @@ def _cmd_gate(args, cfg: RunConfig) -> tuple:
     if not args.trace:
         return _request(_gate_outputs, cfg, floats, *request, None)
     samples = 1000 if args.samples is None else args.samples
-    # a trace the `_trace` table would not keep is not kept here either
     code, report, csv = _request(_gate_outputs, cfg, floats, *request, (args.initial, samples),
                                  keep=samples <= _MAX_KEPT_SAMPLES)
     return code, report, (args.trace, csv)
@@ -286,9 +290,9 @@ def _gate_outputs(cfg: RunConfig, spec: gates.GateSpec, system: SpinSystem | Non
     if trace is None:
         return code, _json(payload)
     initial, samples = trace
-    evolution = trace_evolution(report.schedule,
-                                initial or "0" * report.schedule.system.num_sites,
-                                samples=samples)
+    if initial is None:
+        initial = "0" * report.schedule.system.num_sites
+    evolution = trace_evolution(report.schedule, initial, samples=samples)
     csv = io.StringIO()
     trace_to_csv(evolution, csv, header=cfg.as_dict())
     return code, _json(payload), csv.getvalue()

@@ -529,9 +529,9 @@ def validate_schedule_controls(schedule: PulseSchedule, p: DeviceParameters) -> 
 class EvolutionTrace:
     """Uniformly sampled basis-state populations along a schedule.
 
-    times and populations are read-only copies of the arrays passed in, so the
-    CSV rows formatted from them once (`_csv_rows`) cannot go stale.  Traces
-    compare and hash by identity: their arrays have no single truth value.
+    times and populations are read-only copies of the arrays passed in, so a
+    later change to those arrays cannot reach the trace or its CSV text.
+    Traces compare and hash by identity: their arrays have no single truth value.
     """
 
     times: np.ndarray                 # s
@@ -545,13 +545,6 @@ class EvolutionTrace:
         sums = self.populations.sum(axis=1)
         if not np.abs(sums - 1.0).max() <= 1e-9:
             raise ValueError("trace rows must sum to 1 within 1e-9")
-
-    @functools.cached_property
-    def _csv_rows(self) -> str:
-        """The CSV data rows, `time_ns` then each population, 12 significant digits."""
-        cells = np.column_stack([self.times * 1e9, self.populations])
-        row = ",".join(["%.12g"] * cells.shape[1]) + "\n"
-        return row * cells.shape[0] % tuple(cells.ravel().tolist())
 
 
 def _resolve_state(initial, system: SpinSystem) -> tuple[np.ndarray, str]:
@@ -574,9 +567,6 @@ def _resolve_state(initial, system: SpinSystem) -> tuple[np.ndarray, str]:
 # trace of 10**6 samples holds 64 MB of populations; a count far past it would
 # only fail in numpy's allocator, with a traceback instead of a message.
 _MAX_SAMPLES = 10**6
-# Most samples of a trace the `_trace` table keeps, the default and the CLI's
-# count: this bounds a full table's bytes (see _memo).
-_MAX_KEPT_SAMPLES = 1000
 
 
 def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> EvolutionTrace:
@@ -584,39 +574,25 @@ def trace_evolution(schedule: PulseSchedule, initial, samples: int = 1000) -> Ev
 
     The final sample is |U psi0|^2 of the execute_schedule propagator U, to
     roundoff.  Basis populations are invariant under the frame map (it is
-    diagonal), so these traces equally describe the lab-frame evolution.  A
-    trace of at most _MAX_KEPT_SAMPLES (1000) samples is computed once per
-    schedule (its controls, see PulseSchedule), initial state (see
-    _memo.array_key) and sample count while the `_trace` table holds it, and
-    is returned as the same read-only EvolutionTrace; a longer one is computed
-    on every call and not kept.  Errors are raised again on every call.
-    Fewer than 2 or more than _MAX_SAMPLES samples is a ValueError, raised
-    before the lookup, also for a zero-duration schedule, whose trace has one row.
+    diagonal), so these traces equally describe the lab-frame evolution.  Each
+    call samples afresh (no table keeps traces: the CLI keeps the CSV text it
+    writes, see cli._rendered).  Every input is checked before any work: fewer
+    than 2 or more than _MAX_SAMPLES samples is a ValueError, also for a
+    zero-duration schedule, whose trace has one row.
     """
     if schedule.frame != "rotating":
         raise NotImplementedError("traces are computed in the rotating frame")
     psi0, init_label = _resolve_state(initial, schedule.system)
-    # an int, so that a float count raises here, before a warm entry could
-    # match it (2.0 hashes equal to 2)
+    # an int: a float count raises TypeError, also one equal to an int (2.0)
     samples = operator.index(samples)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if samples > _MAX_SAMPLES:
         raise ValueError(f"at most {_MAX_SAMPLES} trace samples, got {samples}")
-    trace = _trace if samples <= _MAX_KEPT_SAMPLES else _trace.__wrapped__
-    return trace(schedule, _memo.array_key(psi0), init_label, samples)
-
-
-# The CLI writes the same few traces again and again, and a trace is a pure
-# function of the schedule's controls, the initial state and the sample count.
-@_memo.table
-def _trace(schedule: PulseSchedule, psi0_key: tuple, init_label: str,
-           samples: int) -> EvolutionTrace:
-    """The population trace of schedule from the state behind psi0_key."""
-    psi0 = _memo.key_array(psi0_key).copy()
     if schedule.rf_phase:
-        # R U(t) R^dagger psi0 has the populations of U(t) R^dagger psi0 (R is diagonal)
-        psi0 *= _z_turn(schedule.system, schedule.rf_phase).conj()
+        # R U(t) R^dagger psi0 has the populations of U(t) R^dagger psi0 (R is
+        # diagonal); a new vector, so the caller's is left as it was
+        psi0 = psi0 * _z_turn(schedule.system, schedule.rf_phase).conj()
     labels = tuple(schedule.system.basis_labels())
     total = schedule.total_duration
     if total == 0.0:
@@ -654,7 +630,9 @@ def trace_to_csv(trace: EvolutionTrace, stream, header: Mapping[str, object]) ->
     then `time_ns,pop_<label>,...` and one row per sample, 12 significant digits."""
     lines = [f"# {key} = {val}\n" for key, val in header.items()]
     lines.append("time_ns," + ",".join(f"pop_{lab}" for lab in trace.basis_labels) + "\n")
-    lines.append(trace._csv_rows)
+    cells = np.column_stack([trace.times * 1e9, trace.populations])
+    row = ",".join(["%.12g"] * cells.shape[1]) + "\n"
+    lines.append(row * cells.shape[0] % tuple(cells.ravel().tolist()))
     stream.write("".join(lines))
 
 

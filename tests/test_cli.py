@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import itertools
 import json
 import math
 import os
+import pathlib
 import re
 import stat
 import time
@@ -17,6 +19,7 @@ from donorsim import _memo, cli, validate
 from donorsim.cli import REFERENCE_TIMINGS_NS, _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
 from donorsim.params import _UEV, DeviceParameters
+from donorsim.propagator import trace_evolution
 
 
 def run_cli(capsys, *argv):
@@ -711,6 +714,8 @@ _SCHEDULE_HEADER = "# donorsim schedule v1\nnum_donors = 1\n"
                  "--samples does not apply without --trace", id="samples_without_trace"),
     pytest.param(["gate", "--gate", "x", "--initial", "0"], {},
                  "--initial does not apply without --trace", id="initial_without_trace"),
+    pytest.param(["gate", "--gate", "x", "--trace", "{tmp}/x.csv", "--initial", ""], {},
+                 "unknown basis label ''", id="empty_initial"),
 ])
 def test_bad_input_exits_2(tmp_path, capsys, argv, files, message):
     """Bad files and values end in one stderr line and exit 2, not a traceback."""
@@ -773,9 +778,9 @@ def test_option_defaults_match_explicit_values(tmp_path, capsys):
 
 def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
     """A repeated `gate --trace` writes the bytes of its first run: after a
-    --config run in between whose trace is the same (a `_trace` hit) under
-    another header, and from cleared memo tables.  The repeat itself is a
-    `_rendered` hit, so it asks `_trace` nothing."""
+    --config run in between whose trace rows are the same under another
+    header, and from cleared memo tables.  The repeat itself is a `_rendered`
+    hit."""
     cfgfile = tmp_path / "dev.cfg"
     cfgfile.write_text("d = 3e-8\n")
 
@@ -790,12 +795,36 @@ def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
     assert run() == first
     _, trace = run("--config", str(cfgfile))
     assert _memo.stats()["_rendered"]["hits"] == 1
-    assert _memo.stats()["_trace"]["hits"] == 1
     assert trace != first[1] and b"# d = 3e-08\n" in trace
     assert trace.split(b"time_ns,")[1] == first[1].split(b"time_ns,")[1]
     assert run() == first
     _memo.clear()
     assert run() == first
+
+
+def test_session_computes_each_trace_once(tmp_path, monkeypatch):
+    """Two passes of the benchmark's session, from cleared tables, sample each
+    distinct `gate --trace` request's trace once: every repeat is answered
+    from `_rendered`, so no table of traces beneath it would ever be asked.
+    The op stream is the benchmark's own, read through memo_traffic.traffic."""
+    spec = importlib.util.spec_from_file_location(
+        "memo_traffic", pathlib.Path(__file__).resolve().parent.parent
+        / "benchmarks" / "memo_traffic.py")
+    memo_traffic = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(memo_traffic)
+    commands = memo_traffic.make_workload("session", 3, str(tmp_path)).commands
+    traced = sum("--trace" in argv for _, argv, _ in commands)
+    calls = []
+
+    def counted(schedule, initial, samples=1000):
+        calls.append((schedule, initial, samples))
+        return trace_evolution(schedule, initial, samples=samples)
+
+    monkeypatch.setattr(cli, "trace_evolution", counted)
+    _, failed = memo_traffic.traffic("session", 3, 2 * len(commands), str(tmp_path))
+    assert failed == 0
+    assert len(calls) == traced == 4, "a repeated trace request missed _rendered"
+    assert len(set(calls)) == len(calls)
 
 
 def test_table_bytes_repeat_across_memo_hits(capsys):
