@@ -11,6 +11,7 @@
     python benchmarks/digest.py configs 7
     python benchmarks/digest.py configs-warm 7
     python benchmarks/digest.py sweep 1 2
+    python benchmarks/digest.py sweep-warm 1 2
     python benchmarks/digest.py cli-outputs 7
     python benchmarks/digest.py all
 
@@ -21,7 +22,7 @@ changed), runs its ops in order and prints one line per op:
     session, session-warm, validate:
                           <seed> <index> <exit code> <sha256 of its outputs> <label>
     gates:                <seed> <index> <sha256 of its fingerprint> <label>
-    cli-gates, cli-gates-warm, configs, configs-warm, sweep, cli-outputs:
+    cli-gates, cli-gates-warm, configs, configs-warm, sweep, sweep-warm, cli-outputs:
                           <seed> <index> <exit code> <sha256 of its result> <label>
 
 compile and lab_verify run their first N ops (--ops, default 700) and print
@@ -51,11 +52,13 @@ schedule dump` through `cli.main` for every gate kind, every cnot mode setting
 --interaction-step-ns, with option values drawn from the seed, and hashes each
 run's exit code, its stderr and its stdout, so a change to which requests are
 accepted, to an error message or to an output byte would show.
-cli-gates-warm runs the same grid twice in one process and prints only the
-second pass, whose every accepted `gate` request can be answered from the
-memo tables, so diffing it against cli-gates shows a key that merges two
-requests that print differently; it is not in `all`, so `all` compares the
-same sets in two checkouts that lack it.  configs is
+cli-gates-warm runs each request of the same grid twice back to back in one
+process and prints only the second run, which every accepted `gate` and
+`schedule dump` request can answer from the memo tables, so diffing it
+against cli-gates shows a key that merges two requests that print
+differently.  A whole second pass would not: the grid's accepted requests
+outnumber a memo table's 128 entries.  It is not in `all`, so `all` compares
+the same sets in two checkouts that lack it.  configs is
 not a workload either: for each device config of a fixed list (the default,
 a_min = 1.2e-26, a_min = 1.5e-26 and alignment = x) it runs `donorsim table`
 I to VI, `validate --seed <seed>` and `schedule dump` of an x gate and a
@@ -70,6 +73,12 @@ for every metric of `analysis.SWEEP_METRICS` and every field of
 `analysis.SWEEP_FIELDS`, in text, csv and json, over seeded grids of the
 field around its default whose points reach devices where synthesis is
 infeasible or a value is out of range, and hashes each run like cli-gates.
+sweep-warm runs each of those requests twice back to back in one process and
+prints only the second run, which can be answered from the memo tables, so
+diffing it against sweep shows a key that merges two requests that print
+differently.  A whole second pass would not: its 1008 requests outnumber a
+memo table's 128 entries, so every request of it would miss.  Like
+cli-gates-warm it is not in `all`.
 cli-outputs is not a workload either: it runs `table`, `sweep`, `schedule
 dump`, `schedule load`, `validate`, `gate` and `gate --trace` with `--seed
 <seed>` through `cli.main` to each destination: stdout, a new `--out` file,
@@ -250,28 +259,28 @@ def captured_run(argv: list, workdir: str | None = None, files=()) -> tuple[int,
     return code, h.hexdigest()
 
 
-def cli_gate_digests(seed: int, passes: int = 1):
+def cli_gate_digests(seed: int, runs: int = 1):
     """Yield (index, exit code, sha256 hex, label) of `gate` and `schedule dump`
     over every kind, cnot mode setting and subset of the seeded gate options;
-    with passes > 1 the grid is run that many times from cleared memo tables
-    and only the last pass is yielded."""
+    with runs > 1 each request is run that many times in a row from cleared
+    memo tables and only its last run is yielded."""
     options = gate_option_values(seed)
-    if passes > 1:
+    if runs > 1:
         _memo.clear()
-    for last in [False] * (passes - 1) + [True]:
-        idx = 0
-        # fixed lists, not gates.GATE_KINDS, so that two checkouts run the same grid
-        for kind in ("x", "y", "z", "hadamard", "cnot", "swap", "idle"):
-            for mode in (None, "exchange", "dipole", "combined"):
-                for r in range(len(options) + 1):
-                    for given in itertools.combinations(options, r):
-                        flags = ["--gate", kind] + (["--mode", mode] if mode else [])
-                        flags += [arg for name in given for arg in options[name]]
-                        for command in (["gate"], ["schedule", "dump"]):
-                            code, digest = captured_run(command + flags)
-                            if last:
-                                yield idx, code, digest, " ".join(command + flags)
-                            idx += 1
+    idx = 0
+    # fixed lists, not gates.GATE_KINDS, so that two checkouts run the same grid
+    for kind in ("x", "y", "z", "hadamard", "cnot", "swap", "idle"):
+        for mode in (None, "exchange", "dipole", "combined"):
+            for r in range(len(options) + 1):
+                for given in itertools.combinations(options, r):
+                    flags = ["--gate", kind] + (["--mode", mode] if mode else [])
+                    flags += [arg for name in given for arg in options[name]]
+                    for command in (["gate"], ["schedule", "dump"]):
+                        for _ in range(runs - 1):
+                            captured_run(command + flags)
+                        code, digest = captured_run(command + flags)
+                        yield idx, code, digest, " ".join(command + flags)
+                        idx += 1
 
 
 # device config files of the configs mode, "" for the default device
@@ -318,9 +327,11 @@ def sweep_grids(seed: int) -> dict:
     return grids
 
 
-def sweep_digests(seed: int):
+def sweep_digests(seed: int, runs: int = 1):
     """Yield (index, exit code, sha256 hex, label) of `sweep` over every metric,
-    field, seeded grid and output format, from cleared memo tables."""
+    field, seeded grid and output format, from cleared memo tables; with
+    runs > 1 each request is run that many times in a row and only its last
+    run is yielded."""
     grids = sweep_grids(seed)
     _memo.clear()
     idx = 0
@@ -330,6 +341,8 @@ def sweep_digests(seed: int):
                 for fmt in ("text", "csv", "json"):
                     argv = ["--format", fmt, "sweep", "--metric", metric,
                             "--param", f"{field}={values}"]
+                    for _ in range(runs - 1):
+                        captured_run(argv)
                     code, digest = captured_run(argv)
                     yield idx, code, digest, " ".join(argv)
                     idx += 1
@@ -391,10 +404,12 @@ def session_commands(seed: int, workdir: str) -> list:
 
 # modes that hash each run's exit code, stderr and stdout
 CAPTURED_MODES = {"cli-gates": cli_gate_digests,
-                  "cli-gates-warm": lambda seed: cli_gate_digests(seed, passes=2),
+                  "cli-gates-warm": lambda seed: cli_gate_digests(seed, runs=2),
                   "configs": config_digests,
                   "configs-warm": lambda seed: config_digests(seed, passes=2),
-                  "sweep": sweep_digests, "cli-outputs": output_digests}
+                  "sweep": sweep_digests,
+                  "sweep-warm": lambda seed: sweep_digests(seed, runs=2),
+                  "cli-outputs": output_digests}
 
 # mode: (command list, passes per seed)
 CLI_MODES = {"session": (session_commands, 1), "session-warm": (session_commands, 2),

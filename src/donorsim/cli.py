@@ -30,7 +30,6 @@ from .propagator import (
     trace_to_csv,
 )
 from .spin_model import SpinSystem
-from .validate import run_validation
 
 __all__ = ["main", "RunConfig", "REFERENCE_TIMINGS_NS", "REFERENCE_TIMESCALES"]
 
@@ -178,14 +177,17 @@ def _render_rows(rows: list[dict], columns: list[str], cfg: RunConfig) -> str:
 
 @_memo.table
 def _rendered(render, cfg: RunConfig, zero_signs: tuple, *request) -> tuple:
-    """render(cfg, *request): the exit code and output texts of one `table` or
-    `gate` request, computed once per key while the table holds it; an error
-    raised while rendering is not kept, so it raises again on every call.
+    """render(cfg, *request): the exit code and output texts of one `table`,
+    `gate`, `sweep` or `schedule dump` request, computed once per key while
+    the table holds it; an error raised while rendering is not kept, so it
+    raises again on every call.
 
     zero_signs, the sign of each zero float that reaches the output, only keys
     the entry: -0.0 == 0.0, in a float and in a GateSpec, so two requests that
     print differently would share it.  No output path is part of a key: main
-    writes every output on every call.
+    writes every output on every call.  Each command bounds what it keeps
+    (_MAX_KEPT_SAMPLES, _MAX_KEPT_POINTS, _MAX_KEPT_SEGMENTS), so no entry
+    holds more than about 141 KB of text.
     """
     return render(cfg, *request)
 
@@ -193,7 +195,8 @@ def _rendered(render, cfg: RunConfig, zero_signs: tuple, *request) -> tuple:
 def _request(render, cfg: RunConfig, floats: tuple, *request, keep: bool = True) -> tuple:
     """_rendered(render, cfg, ...) keyed on the sign of each zero among floats
     (the request's floats that reach the output, None for one not given) and
-    the config's a0 and a_min; with keep False it is rendered without being kept."""
+    the config's a0 and a_min; with keep False, decided by the caller before
+    anything is rendered, it is rendered without being kept."""
     signs = tuple(math.copysign(1.0, v)
                   for v in (cfg.device.a0, cfg.device.a_min, *floats) if v == 0.0)
     return (_rendered if keep else _rendered.__wrapped__)(render, cfg, signs, *request)
@@ -263,7 +266,11 @@ def _cmd_gate(args, cfg: RunConfig) -> tuple:
     if not args.trace:
         return _request(_gate_outputs, cfg, floats, *request, None)
     samples = 1000 if args.samples is None else args.samples
-    code, report, csv = _request(_gate_outputs, cfg, floats, *request, (args.initial, samples),
+    # the default label resolved here, so that it and the same label given share an entry
+    initial = args.initial
+    if initial is None:
+        initial = "0" * (args.qubits or max(spec.targets) + 1)
+    code, report, csv = _request(_gate_outputs, cfg, floats, *request, (initial, samples),
                                  keep=samples <= _MAX_KEPT_SAMPLES)
     return code, report, (args.trace, csv)
 
@@ -271,7 +278,7 @@ def _cmd_gate(args, cfg: RunConfig) -> tuple:
 def _gate_outputs(cfg: RunConfig, spec: gates.GateSpec, system: SpinSystem | None,
                   threshold: float, trace: tuple | None) -> tuple:
     """(exit code, JSON report) of one gate request; with trace, its (initial
-    label or None, samples), the population-trace CSV is a third item."""
+    label, samples), the population-trace CSV is a third item."""
     report = gates.compile_gate(spec, cfg.device, system=system)
     payload = {
         "config": cfg.as_dict(),
@@ -290,8 +297,6 @@ def _gate_outputs(cfg: RunConfig, spec: gates.GateSpec, system: SpinSystem | Non
     if trace is None:
         return code, _json(payload)
     initial, samples = trace
-    if initial is None:
-        initial = "0" * report.schedule.system.num_sites
     evolution = trace_evolution(report.schedule, initial, samples=samples)
     csv = io.StringIO()
     trace_to_csv(evolution, csv, header=cfg.as_dict())
@@ -348,6 +353,12 @@ def _cmd_table(args, cfg: RunConfig) -> tuple:
 # sweep command
 # ---------------------------------------------------------------------------
 
+# Most grid points of a `sweep` request whose output `_rendered` keeps: a JSON
+# row of all seven fields and the metric is at most about 361 bytes, so an
+# entry holds at most about 130 KB (see _memo).
+_MAX_KEPT_POINTS = 360
+
+
 def _cmd_sweep(args, cfg: RunConfig) -> tuple:
     grid = {}
     for item in args.param:
@@ -356,21 +367,45 @@ def _cmd_sweep(args, cfg: RunConfig) -> tuple:
             raise ValueError(f"bad --param {item!r}; expected name=v1,v2,...")
         if key in grid:
             raise ValueError(f"--param {key} given more than once")
-        grid[key] = [float(v) for v in values.split(",")]
-    rows = analysis.sweep(grid, args.metric, cfg.device)
-    return 0, _render_rows(rows, list(grid.keys()) + [args.metric], cfg)
+        grid[key] = tuple(float(v) for v in values.split(","))
+    floats = tuple(v for values in grid.values() for v in values)
+    return _request(_sweep_outputs, cfg, floats, args.metric, tuple(grid.items()),
+                    keep=math.prod(map(len, grid.values())) <= _MAX_KEPT_POINTS)
+
+
+def _sweep_outputs(cfg: RunConfig, metric: str, grid: tuple) -> tuple:
+    """(exit code, rendered rows) of one sweep request; grid holds its
+    (field, values) pairs in the order given."""
+    rows = analysis.sweep(dict(grid), metric, cfg.device)
+    return 0, _render_rows(rows, [field for field, _ in grid] + [metric], cfg)
 
 
 # ---------------------------------------------------------------------------
 # schedule command
 # ---------------------------------------------------------------------------
 
+# Most segments of a `schedule dump` request whose output `_rendered` keeps: a
+# segment line (three donors' settings, three couplings and a label) is at most
+# about 330 bytes, so an entry holds at most about 133 KB (see _memo).
+_MAX_KEPT_SEGMENTS = 400
+
+
+def _dump_outputs(cfg: RunConfig, spec: gates.GateSpec, system: SpinSystem | None) -> tuple:
+    """(exit code, schedule text under the config's audit lines) of one dump."""
+    sched = gates.synthesize(spec, cfg.device, system)
+    return 0, _audit_lines(cfg) + schedule_to_text(sched, cfg.device)
+
+
 def _cmd_schedule(args, cfg: RunConfig) -> tuple:
     p = cfg.device
     if args.action == "dump":
         spec = _build_spec(args, p)
-        sched = gates.synthesize(spec, p, _requested_system(args))
-        return 0, _audit_lines(cfg) + schedule_to_text(sched, p)
+        system = _requested_system(args)
+        # no request float reaches the text but through the schedule, which
+        # gates._layout shares between equal specs (theta -0.0 and 0.0 too)
+        segments = len(gates.synthesize(spec, p, system).segments)
+        return _request(_dump_outputs, cfg, (), spec, system,
+                        keep=segments <= _MAX_KEPT_SEGMENTS)
     with open(args.file) as fh:
         sched = schedule_from_text(fh.read(), p)
     result = execute_schedule(sched)
@@ -385,6 +420,8 @@ def _cmd_schedule(args, cfg: RunConfig) -> tuple:
 
 
 def _cmd_validate(args, cfg: RunConfig) -> tuple:
+    # here, not at the top: no other command needs validate's checks loaded
+    from .validate import run_validation
     results = run_validation(cfg.device, seed=cfg.seed)
     lines = [_audit_lines(cfg)]
     for r in results:

@@ -9,13 +9,15 @@ import os
 import pathlib
 import re
 import stat
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import mp50, mp_table_durations
-from donorsim import _memo, cli, validate
+from donorsim import _memo, analysis, cli, validate
 from donorsim.cli import REFERENCE_TIMINGS_NS, _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
 from donorsim.params import _UEV, DeviceParameters
@@ -802,16 +804,22 @@ def test_gate_trace_bytes_repeat_across_memo_hits(tmp_path):
     assert run() == first
 
 
-def test_session_computes_each_trace_once(tmp_path, monkeypatch):
-    """Two passes of the benchmark's session, from cleared tables, sample each
-    distinct `gate --trace` request's trace once: every repeat is answered
-    from `_rendered`, so no table of traces beneath it would ever be asked.
-    The op stream is the benchmark's own, read through memo_traffic.traffic."""
+def _memo_traffic():
+    """benchmarks/memo_traffic.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location(
         "memo_traffic", pathlib.Path(__file__).resolve().parent.parent
         / "benchmarks" / "memo_traffic.py")
     memo_traffic = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(memo_traffic)
+    return memo_traffic
+
+
+def test_session_computes_each_trace_once(tmp_path, monkeypatch):
+    """Two passes of the benchmark's session, from cleared tables, sample each
+    distinct `gate --trace` request's trace once: every repeat is answered
+    from `_rendered`, so no table of traces beneath it would ever be asked.
+    The op stream is the benchmark's own, read through memo_traffic.traffic."""
+    memo_traffic = _memo_traffic()
     commands = memo_traffic.make_workload("session", 3, str(tmp_path)).commands
     traced = sum("--trace" in argv for _, argv, _ in commands)
     calls = []
@@ -825,6 +833,195 @@ def test_session_computes_each_trace_once(tmp_path, monkeypatch):
     assert failed == 0
     assert len(calls) == traced == 4, "a repeated trace request missed _rendered"
     assert len(set(calls)) == len(calls)
+
+
+def test_session_renders_each_sweep_and_dump_once(tmp_path, monkeypatch):
+    """Two passes of the benchmark's session, from cleared tables, evaluate
+    its sweep and format its schedule dump once each: the repeats are
+    `_rendered` hits.  `schedule load` is computed on every call."""
+    memo_traffic = _memo_traffic()
+    commands = memo_traffic.make_workload("session", 3, str(tmp_path)).commands
+    calls = {"sweep": 0, "dump": 0, "load": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(analysis, "sweep", counted("sweep", analysis.sweep))
+    monkeypatch.setattr(cli, "schedule_to_text", counted("dump", cli.schedule_to_text))
+    monkeypatch.setattr(cli, "schedule_from_text", counted("load", cli.schedule_from_text))
+    _, failed = memo_traffic.traffic("session", 3, 2 * len(commands), str(tmp_path))
+    assert failed == 0
+    assert calls == {"sweep": 1, "dump": 1, "load": 2}
+
+
+# sweep and dump requests of the repeat test: every format, one and two swept
+# fields, each kind of dump, and dumps that differ only in their --qubits system
+_SWEEPS_AND_DUMPS = [
+    *(["--format", fmt, "sweep", "--metric", metric, *params]
+      for fmt in ("text", "csv", "json")
+      for metric, params in (("spectator_period_ns", ["--param", "b_ac=0.0006,0.0012"]),
+                             ("cnot_combined_ns", ["--param", "d=2.5e-08,3.1e-08",
+                                                   "--param", "eps_r=11.7,12"]))),
+    ["schedule", "dump", "--gate", "x", "--theta", "2.5"],
+    ["schedule", "dump", "--gate", "x", "--theta", "2.5", "--qubits", "2"],
+    ["schedule", "dump", "--gate", "cnot", "--mode", "dipole"],
+    ["schedule", "dump", "--gate", "cnot", "--mode", "combined", "--qubits", "3",
+     "--control", "2", "--j-uev", "3.3"],
+    ["--format", "json", "schedule", "dump", "--gate", "hadamard", "--target", "1"],
+]
+
+
+def test_sweep_and_dump_bytes_repeat_across_memo_hits(capsys):
+    """Every sweep and schedule dump writes the bytes of its first run when it
+    is repeated (one `_rendered` hit per repeat) and from cleared memo tables."""
+    def run_all() -> list:
+        return [run_cli(capsys, *argv) for argv in _SWEEPS_AND_DUMPS]
+
+    _memo.clear()
+    first = run_all()
+    assert all(code == 0 for code, _ in first)
+    assert _memo.stats()["_rendered"]["hits"] == 0
+    assert _memo.stats()["_rendered"]["currsize"] == len(_SWEEPS_AND_DUMPS)
+    assert run_all() == first
+    assert _memo.stats()["_rendered"]["hits"] == len(_SWEEPS_AND_DUMPS)
+    _memo.clear()
+    assert run_all() == first
+
+
+@pytest.mark.parametrize("fmt, printed", [("text", ["-0 ", "0 "]),
+                                          ("csv", ["-0,", "0,"]),
+                                          ("json", ['"a_min": -0.0', '"a_min": 0.0'])])
+def test_sweep_memo_tells_signed_zeros_apart(capsys, fmt, printed):
+    """a_min = -0.0 equals a_min = 0.0 as a float, but a sweep prints the
+    sign, so each grid keeps its own entry and prints what it prints from
+    cleared tables."""
+    argvs = [["--format", fmt, "sweep", "--metric", "x_gate_ns", "--param", f"a_min={v}"]
+             for v in ("-0.0", "0.0")]
+    cold = []
+    for argv, text in zip(argvs, printed):
+        _memo.clear()
+        cold.append(run_cli(capsys, *argv))
+        assert cold[-1][0] == 0 and text in cold[-1][1]
+    assert printed[0] not in cold[1][1]
+    _memo.clear()
+    for i in (0, 1, 0, 1):
+        assert run_cli(capsys, *argvs[i]) == cold[i]
+    assert _memo.stats()["_rendered"]["currsize"] == 2
+
+
+def test_dumps_of_signed_zero_thetas_share_one_entry(capsys):
+    """No request float reaches a dump but through its schedule, and theta =
+    -0.0 and 0.0 dump the same bytes from cleared tables: one entry serves both."""
+    cold = []
+    for theta in ("-0", "0"):
+        _memo.clear()
+        cold.append(run_cli(capsys, "schedule", "dump", "--gate", "y", "--theta", theta))
+    assert cold[0] == cold[1] and cold[0][0] == 0
+    _memo.clear()
+    for theta in ("-0", "0", "-0"):
+        assert run_cli(capsys, "schedule", "dump", "--gate", "y", "--theta", theta) == cold[0]
+    assert _memo.stats()["_rendered"]["currsize"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--metric", "x_gate_ns", "--param", "b=nan"], "b must be finite"),
+    (["sweep", "--metric", "x_gate_ns", "--param", "q=1"], "cannot sweep 'q'"),
+    (["sweep", "--metric", "x_gate_ns", "--param", "b=1,,2"], "could not convert"),
+    (["sweep", "--metric", "x_gate_ns", "--param", "b=1", "--param", "b=2"],
+     "--param b given more than once"),
+    (["schedule", "dump", "--gate", "hadamard", "--theta", "1"], "--theta does not apply"),
+    (["schedule", "dump", "--gate", "cnot", "--mode", "exchange", "--j-uev", "-0"],
+     "exchange mode needs a positive coupling j"),
+], ids=["nan", "unknown_field", "empty_value", "twice", "option", "infeasible"])
+def test_refused_sweep_or_dump_exits_2_on_every_request(capsys, argv, message):
+    """A sweep or dump that is refused, before the lookup or while rendering,
+    exits 2 with the same message on every call and keeps no entry."""
+    _memo.clear()
+    runs = [(main(argv), *capsys.readouterr()) for _ in range(3)]
+    code, out, err = runs[0]
+    assert code == 2 and out == ""
+    assert err.startswith(f"{argv[0]} failed: ") and message in err
+    assert runs.count(runs[0]) == 3
+    assert _memo.stats()["_rendered"]["currsize"] == 0
+
+
+def test_sweep_past_the_kept_bound_keeps_no_entry(capsys):
+    """A sweep of more than _MAX_KEPT_POINTS grid points is rendered without
+    being kept; the largest kept sweep, every field swept in json with
+    17-digit values, stays under the 141 KB bound of an entry."""
+    values = ",".join(repr(0.0006 + 1e-7 * i) for i in range(cli._MAX_KEPT_POINTS + 1))
+    argv = ["sweep", "--metric", "spectator_period_ns", "--param", f"b_ac={values}"]
+    _memo.clear()
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1].count("\n") > cli._MAX_KEPT_POINTS
+    assert run_cli(capsys, *argv) == first
+    assert _memo.stats()["_rendered"]["currsize"] == 0
+
+    lengths = dict(zip(analysis.SWEEP_FIELDS, (5, 3, 3, 2, 2, 2, 1)))
+    assert math.prod(lengths.values()) == cli._MAX_KEPT_POINTS
+    p = DeviceParameters()
+    params = []
+    for field, n in lengths.items():
+        grid = ",".join(repr(getattr(p, field) * (1.0 + 0.0123456789012345 * k))
+                        for k in range(n))
+        params += ["--param", f"{field}={grid}"]
+    code, out = run_cli(capsys, "--format", "json", "sweep", "--metric",
+                        "max_detuning_rad_s", *params)
+    assert code == 0 and len(json.loads(out)["rows"]) == cli._MAX_KEPT_POINTS
+    assert _memo.stats()["_rendered"]["currsize"] == 1
+    assert len(out.encode()) < 141_000
+
+
+def test_dump_past_the_kept_bound_keeps_no_entry(tmp_path, capsys):
+    """A dump of more than _MAX_KEPT_SEGMENTS segments (an X split into
+    sub-steps on a narrow tuning range) is rendered without being kept."""
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("a_min = 1.885e-26\n")
+
+    def dump(theta: str) -> tuple:
+        return run_cli(capsys, "--config", str(cfgfile), "schedule", "dump", "--gate", "x",
+                       "--theta", theta)
+
+    _memo.clear()
+    first = dump("6")
+    assert first[0] == 0 and first[1].count("\nsegment ") > cli._MAX_KEPT_SEGMENTS
+    assert dump("6") == first
+    assert _memo.stats()["_rendered"]["currsize"] == 0
+    code, out = dump("3")
+    assert code == 0 and 100 < out.count("\nsegment ") <= cli._MAX_KEPT_SEGMENTS
+    assert _memo.stats()["_rendered"]["currsize"] == 1
+
+
+@pytest.mark.parametrize("flags, label", [
+    (["--gate", "x"], "0"),
+    (["--gate", "cnot", "--mode", "exchange"], "00"),
+    (["--gate", "x", "--qubits", "3"], "000"),
+], ids=["one_donor", "two_donors", "qubits"])
+def test_default_trace_label_shares_the_explicit_entry(tmp_path, capsys, flags, label):
+    """`gate --trace` without --initial starts from all zeros on the request's
+    system (--qubits, or max(targets) + 1 donors), and shares its entry with
+    the same label given."""
+    _memo.clear()
+    default = _gate_run(tmp_path, capsys, *flags, trace="x.csv")
+    explicit = _gate_run(tmp_path, capsys, *flags, "--initial", label, trace="x.csv")
+    assert default[0] == 0 and default == explicit
+    assert {key: _memo.stats()["_rendered"][key]
+            for key in ("misses", "hits", "currsize")} == {"misses": 1, "hits": 1,
+                                                           "currsize": 1}
+
+
+def test_importing_the_cli_leaves_validate_unloaded():
+    """validate's checks load only when `donorsim validate` runs, so no other
+    command pays for importing them."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, donorsim.cli; print('donorsim.validate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def test_table_bytes_repeat_across_memo_hits(capsys):
