@@ -36,8 +36,10 @@ A fixed-cost section times what a request pays besides its numerics, as
 the best of 7 loops of CPU time per call (`time.process_time`), each loop
 after a warm-up call: building a default `DeviceParameters()`, a `table II`
 request through `cli.main` answered from `cli._rendered` (stdout sent to
-a buffer), a `gate --trace` request of the exchange CNOT through `cli.main`
-answered from the same table (both files written to a temporary directory),
+a buffer), a `schedule load` of the combined CNOT's dump through `cli.main`
+whose parse is a `propagator._parsed` hit (its output rendered, to the same
+buffer), a `gate --trace` request of the exchange CNOT through `cli.main`
+answered from `cli._rendered` (both files written to a temporary directory),
 the unitarity and Hermiticity checks on an 8x8 matrix, the body
 of `propagator._execute_rotating` for the 3-donor dipole CNOT with every
 segment's propagator a memo hit, and `gates.compose_parallel` of two gates
@@ -225,14 +227,19 @@ def _report_fixed_costs(p):
     gate_argv = ["--out", f"{workdir.name}/cnot.json", "gate", "--gate", "cnot", "--mode",
                  "exchange", "--trace", f"{workdir.name}/cnot.csv"]
 
-    def table_hit():
+    sched_path = f"{workdir.name}/cnot.sched"
+    cli.main(["--out", sched_path, "schedule", "dump", "--gate", "cnot", "--mode", "combined"])
+
+    def to_sink(argv):
         sink.seek(0)
         with contextlib.redirect_stdout(sink):
-            cli.main(["table", "II"])
+            cli.main(argv)
 
     cases = (
         ("DeviceParameters()", DeviceParameters, 20000),
-        ("table II hit through cli.main", table_hit, 2000),
+        ("table II hit through cli.main", lambda: to_sink(["table", "II"]), 2000),
+        ("schedule load hit through cli.main, combined CNOT",
+         lambda: to_sink(["schedule", "load", sched_path]), 1000),
         ("gate --trace hit through cli.main, exchange CNOT", lambda: cli.main(gate_argv), 1000),
         ("_unitarity_deviation, 8x8", lambda: analysis._unitarity_deviation(u), 20000),
         ("is_hermitian, 8x8", lambda: is_hermitian(h), 20000),

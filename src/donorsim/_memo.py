@@ -9,9 +9,11 @@ controls), the oracle's Strang powers, the frame map R(t), the lab twins of
 verified schedules, the rendered outputs of each `donorsim table`, `gate`,
 `sweep` and `schedule dump` request (`cli._rendered`: the exit code and the
 texts, keyed on the request and the run config, never on an output path;
-`schedule load` is computed on every call), the gate and spectator
-fidelities (`analysis._gate_fidelity` and `_spectator_fidelity`) and a few
-small constants are memoized for the whole process: fifteen tables.
+only the rendering of `schedule load` is done on every call), the parsed
+schedule texts (`propagator._parsed`, keyed on the text and the device), the
+gate and spectator fidelities (`analysis._gate_fidelity` and
+`_spectator_fidelity`) and a few small constants are memoized for the whole
+process: sixteen tables.
 Population traces are not kept: the CLI keeps the CSV text of each trace it
 writes, in `cli._rendered`.  The twin table (`analysis._lab_twin`) is the one
 whose key holds annotations, the labels and the declared target's identity,
@@ -29,13 +31,16 @@ dtype, shape and C-order bytes, `key_array` rebuilds it read-only, and
 is answered from an entry (-0.0 and 0.0 differ), and no entry holds the
 caller's array.  Bounds keep entries small: a grading pair larger than
 16x16, a `gate --trace` request of more than 1000 samples, a `sweep` of more
-than 360 grid points and a `schedule dump` of more than 400 segments are
-computed without being kept, each decided before anything is rendered.  So
-a grading entry holds at most 8 KB (a full table about 1 MB), and a
-`cli._rendered` entry at most about 141 KB: a 1000-sample 3-donor trace's
-CSV text under its config header, against about 130 KB for the largest kept
-sweep (JSON, every field swept) and 133 KB for the largest kept dump.  A full
-`cli._rendered` table holds at most about 18 MB.
+than 360 grid points, a `schedule dump` of more than 400 segments and a
+schedule text of more than 5000 characters are computed without being kept,
+each decided before anything is rendered or parsed.  So a grading entry
+holds at most 8 KB (a full table about 1 MB), and a `cli._rendered` entry at
+most about 141 KB: a 1000-sample 3-donor trace's CSV text under its config
+header, against about 130 KB for the largest kept sweep (JSON, every field
+swept) and 133 KB for the largest kept dump.  A full `cli._rendered` table
+holds at most about 18 MB.  A `propagator._parsed` entry, the text and its
+schedule, holds at most about 122 KB (5000 characters of the shortest
+segment lines with exchange pairs), and a 10-segment CNOT file's about 10 KB.
 
 This module imports nothing from donorsim, so any module may use it.
 """

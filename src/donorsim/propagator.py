@@ -733,13 +733,38 @@ def _leading_literal(text: str) -> tuple[str, str]:
     return token.string, after
 
 
+# Longest schedule text, in characters, whose parse `_parsed` keeps.  The
+# densest texts are runs of short segment lines that each hold exchange pairs
+# ("segment duration_ns=1 j_uev=0-1:1"), at most about 24.4 bytes of entry
+# (schedule and key) per character, so an entry holds at most about 122 KB
+# (see _memo); a 10-segment CNOT file is about 1.5 KB.
+_MAX_KEPT_TEXT = 5000
+
+
 def schedule_from_text(text: str, p: DeviceParameters) -> PulseSchedule:
     """Parse the schedule file format written by schedule_to_text.
 
     Hyperfine settings convert to detunings against the file's carrier, or
     the device carrier when the file names none, as schedule_to_text wrote them.
     Dipole terms take the z-aligned form, so an x or y file may hold no nonzero one.
+
+    Global control sends the same few compiled pulses through the file again
+    and again, so a text of at most _MAX_KEPT_TEXT characters is parsed once
+    per (text, p) while the `_parsed` table holds it, and every call returns
+    that one frozen schedule (whose execution results are then identity hits).
+    A longer text, or one that is not a str, is parsed on every call.  Every
+    check runs on a miss, and a refused text keeps no entry, so it raises the
+    same ValueError on every call.
     """
+    keep = type(text) is str and len(text) <= _MAX_KEPT_TEXT
+    return (_parsed if keep else _parsed.__wrapped__)(text, p)
+
+
+@_memo.table
+def _parsed(text: str, p: DeviceParameters) -> PulseSchedule:
+    """The schedule of schedule_from_text.  Devices that are equal share an
+    entry: a field's zero sign (a_min = -0.0) reaches no control, only the
+    bound checks, which compare by value."""
     header: dict[str, tuple[str, int]] = {}   # key -> (value, line number)
     segment_lines: list[tuple[int, dict, bool, str]] = []   # (line number, fields, rf, label)
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -469,6 +469,38 @@ def test_frozen_nucleus_takes_the_drive_from_the_schedule(p):
         frozen_nucleus_check(off, p)
 
 
+# fdev pins of the physical donor, nucleus frozen, against the rotating-frame
+# unitary, at the A the oracle reads from a detuning dw
+# (hyperfine_for_detuning(2 dw)) and at the A the schedule file writes
+# (hyperfine_for_detuning(dw)); flip stays below 1e-5 in both readings
+_DETUNING_READINGS = {
+    "oracle": {"x": 1.0884657e-06, "hadamard": 3.5611294e-07, "y": 3.1998590e-06},
+    "file": {"x": 0.43662347, "hadamard": 0.46730544, "y": 0.92107661},
+}
+
+
+@pytest.mark.parametrize("reading", sorted(_DETUNING_READINGS))
+def test_frozen_nucleus_check_tells_the_two_detuning_readings_apart(p, monkeypatch, reading):
+    """The one check that sees the factor of 2 between the two readings of a
+    detuning: run at the file's A, the donor misses X(pi), H and Y(pi) by an
+    fdev of 0.44-0.92, where the oracle's A meets them to a few 1e-6.  Settling
+    the convention flips which reading this test accepts."""
+    if reading == "file":
+        hyperfine = analysis.hyperfine_for_detuning
+        monkeypatch.setattr(analysis, "hyperfine_for_detuning",
+                            lambda dw, carrier, p: hyperfine(0.5 * dw, carrier, p))
+    specs = {"x": GateSpec("x", (0,), theta=math.pi), "hadamard": GateSpec("hadamard", (0,)),
+             "y": GateSpec("y", (0,), theta=math.pi)}
+    _memo.clear()
+    try:
+        for kind, fdev in _DETUNING_READINGS[reading].items():
+            flip, measured = frozen_nucleus_check(synthesize(specs[kind], p, SpinSystem(1)), p)
+            assert flip <= 1e-5
+            assert measured == pytest.approx(fdev, rel=1e-6), kind
+    finally:
+        _memo.clear()   # the tables may hold the patched reading's results
+
+
 @pytest.mark.parametrize("frame", ["rotating", "lab"])
 def test_frozen_nucleus_check_is_invariant_under_the_rf_phase(p, frame):
     """A phase of the global drive turns the frame's drive axis about z, so

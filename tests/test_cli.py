@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import mp50, mp_table_durations
-from donorsim import _memo, analysis, cli, validate
+from donorsim import _memo, analysis, cli, propagator, validate
 from donorsim.cli import REFERENCE_TIMINGS_NS, _build_spec, build_parser, main
 from donorsim.gates import GATE_KINDS, interaction_coupling
 from donorsim.params import _UEV, DeviceParameters
@@ -838,7 +838,8 @@ def test_session_computes_each_trace_once(tmp_path, monkeypatch):
 def test_session_renders_each_sweep_and_dump_once(tmp_path, monkeypatch):
     """Two passes of the benchmark's session, from cleared tables, evaluate
     its sweep and format its schedule dump once each: the repeats are
-    `_rendered` hits.  `schedule load` is computed on every call."""
+    `_rendered` hits.  `schedule load` parses its one file text once (a
+    `_parsed` miss, then a hit) and renders its output on every call."""
     memo_traffic = _memo_traffic()
     commands = memo_traffic.make_workload("session", 3, str(tmp_path)).commands
     calls = {"sweep": 0, "dump": 0, "load": 0}
@@ -852,9 +853,11 @@ def test_session_renders_each_sweep_and_dump_once(tmp_path, monkeypatch):
     monkeypatch.setattr(analysis, "sweep", counted("sweep", analysis.sweep))
     monkeypatch.setattr(cli, "schedule_to_text", counted("dump", cli.schedule_to_text))
     monkeypatch.setattr(cli, "schedule_from_text", counted("load", cli.schedule_from_text))
-    _, failed = memo_traffic.traffic("session", 3, 2 * len(commands), str(tmp_path))
+    stats, failed = memo_traffic.traffic("session", 3, 2 * len(commands), str(tmp_path))
     assert failed == 0
     assert calls == {"sweep": 1, "dump": 1, "load": 2}
+    assert {key: stats["_parsed"][key] for key in ("misses", "hits", "currsize")} \
+        == {"misses": 1, "hits": 1, "currsize": 1}
 
 
 # sweep and dump requests of the repeat test: every format, one and two swept
@@ -993,6 +996,86 @@ def test_dump_past_the_kept_bound_keeps_no_entry(tmp_path, capsys):
     code, out = dump("3")
     assert code == 0 and 100 < out.count("\nsegment ") <= cli._MAX_KEPT_SEGMENTS
     assert _memo.stats()["_rendered"]["currsize"] == 1
+
+
+def _dumped_cnot(tmp_path, capsys) -> pathlib.Path:
+    """A schedule file of the combined CNOT, as `schedule dump` writes it."""
+    path = tmp_path / "cnot.sched"
+    code, _ = run_cli(capsys, "--out", str(path), "schedule", "dump", "--gate", "cnot",
+                      "--mode", "combined")
+    assert code == 0
+    return path
+
+
+def test_schedule_load_bytes_repeat_across_parse_hits(tmp_path, capsys):
+    """A repeated `schedule load` of one file text is a `_parsed` hit and
+    writes the bytes of its first run, as it does from cleared tables."""
+    path = _dumped_cnot(tmp_path, capsys)
+    argv = ["schedule", "load", str(path)]
+    _memo.clear()
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and '"total_duration_ns"' in first[1]
+    assert run_cli(capsys, *argv) == first
+    assert run_cli(capsys, *argv) == first
+    info = _memo.stats()["_parsed"]
+    assert (info["misses"], info["hits"], info["currsize"]) == (1, 2, 1)
+    _memo.clear()
+    assert run_cli(capsys, *argv) == first
+
+
+def test_schedule_load_keeps_one_parse_per_device(tmp_path, capsys):
+    """One text loaded on the default device and on a --config device with
+    another a_min keeps two entries, and each writes its cold bytes."""
+    path = _dumped_cnot(tmp_path, capsys)
+    cfgfile = tmp_path / "dev.cfg"
+    cfgfile.write_text("a_min = 9e-27\n")
+    argvs = [["schedule", "load", str(path)],
+             ["--config", str(cfgfile), "schedule", "load", str(path)]]
+    cold = []
+    for argv in argvs:
+        _memo.clear()
+        cold.append(run_cli(capsys, *argv))
+        assert cold[-1][0] == 0
+    assert cold[0] != cold[1] and '"a_min": 9e-27' in cold[1][1]
+    _memo.clear()
+    for i in (0, 1, 0, 1):
+        assert run_cli(capsys, *argvs[i]) == cold[i]
+    info = _memo.stats()["_parsed"]
+    assert (info["misses"], info["hits"], info["currsize"]) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_SCHEDULE_HEADER + "segment duration_ns=1 rf=on label='''x\n", "line 3: bad label literal"),
+    (_SCHEDULE_HEADER + "segment duration_ns=1 a_over_a0=0:0.1 rf=on\n", "line 3: detuning"),
+    (_SCHEDULE_HEADER + "bogus = 3\nsegment duration_ns=1 rf=on\n",
+     "line 3: unknown key 'bogus'"),
+], ids=["label_literal", "detuning_bound", "unknown_key"])
+def test_refused_schedule_load_exits_2_on_every_call(tmp_path, capsys, text, message):
+    """A schedule text that is refused exits 2 with the same message on every
+    call and keeps no `_parsed` entry."""
+    path = tmp_path / "s.sched"
+    path.write_text(text)
+    _memo.clear()
+    runs = [(main(["schedule", "load", str(path)]), *capsys.readouterr()) for _ in range(3)]
+    code, out, err = runs[0]
+    assert code == 2 and out == ""
+    assert err.startswith("schedule failed: ") and message in err
+    assert runs.count(runs[0]) == 3
+    assert _memo.stats()["_parsed"]["currsize"] == 0
+
+
+def test_schedule_load_past_the_kept_bound_keeps_no_entry(tmp_path, capsys):
+    """A file text longer than propagator._MAX_KEPT_TEXT (here a dump padded
+    with comment lines) is parsed on every load, with the same bytes."""
+    path = _dumped_cnot(tmp_path, capsys)
+    text = path.read_text()
+    path.write_text(text + "# pad\n" * ((propagator._MAX_KEPT_TEXT - len(text)) // 6 + 1))
+    assert len(path.read_text()) > propagator._MAX_KEPT_TEXT
+    _memo.clear()
+    first = run_cli(capsys, "schedule", "load", str(path))
+    assert first[0] == 0
+    assert run_cli(capsys, "schedule", "load", str(path)) == first
+    assert _memo.stats()["_parsed"]["currsize"] == 0
 
 
 @pytest.mark.parametrize("flags, label", [

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import importlib
 import io
 import math
@@ -7,6 +8,7 @@ import pathlib
 import pkgutil
 import re
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -445,7 +447,7 @@ def test_every_memo_table_is_registered_and_bounded():
     registered = {id(memo) for memo in _memo.TABLES}
     assert sorted(found[key] for key in found.keys() - registered) == []
     assert found.keys() == registered
-    assert len(_memo.TABLES) == 15
+    assert len(_memo.TABLES) == 16
     assert all(memo.cache_info().maxsize == _memo.SIZE for memo in _memo.TABLES)
     _memo.clear()
     assert all(memo.cache_info().currsize == 0 for memo in _memo.TABLES)
@@ -1656,6 +1658,81 @@ def test_schedule_text_rejects_unknown(p):
         schedule_from_text("bogus = 3\n", p)
     with pytest.raises(ValueError):
         schedule_from_text("segment duration_ns=1 zap=2 label=''\n", p)
+
+
+def test_repeated_schedule_text_returns_the_first_parse(p):
+    """An equal text on an equal device is parsed once while `_parsed` holds
+    it: every call returns the first call's schedule, so executing it again is
+    an identity hit; a cleared table parses an equal schedule again."""
+    text = schedule_to_text(synthesize(GateSpec("cnot", (0, 1), mode="combined", j=1e-25,
+                                                d=30e-9), p), p)
+    _memo.clear()
+    first = schedule_from_text(text, p)
+    assert schedule_from_text("".join(list(text)), p) is first   # an equal str, not the same
+    assert schedule_from_text(text, DeviceParameters()) is first
+    info = propagator._parsed.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    _memo.clear()
+    again = schedule_from_text(text, p)
+    assert again is not first and again == first
+    assert [seg.label for seg in again.segments] == [seg.label for seg in first.segments]
+
+
+@pytest.mark.parametrize("text, error", [(b"segment duration_ns=1\n", TypeError),
+                                         (None, AttributeError),
+                                         (["segment duration_ns=1"], AttributeError)],
+                         ids=["bytes", "none", "list"])
+def test_schedule_text_that_is_not_a_str_fails_unkept(p, text, error):
+    """A text that is not a str is parsed as it is, never measured or looked
+    up (None has no length, a list no hash), and fails on the first str
+    method it lacks."""
+    _memo.clear()
+    with pytest.raises(error):
+        schedule_from_text(text, p)
+    assert propagator._parsed.cache_info().currsize == 0
+
+
+def test_schedule_text_past_the_kept_bound_keeps_no_entry(p):
+    """A text of more than _MAX_KEPT_TEXT characters is parsed on every call,
+    and one at the bound is kept."""
+    line = "segment duration_ns=1 rf=on label='pad'\n"
+    count = propagator._MAX_KEPT_TEXT // len(line)
+    _memo.clear()
+    longer = line * (count + 1)
+    first = schedule_from_text(longer, p)
+    second = schedule_from_text(longer, p)
+    assert second == first and second is not first and len(second.segments) == count + 1
+    assert propagator._parsed.cache_info().currsize == 0
+    kept = schedule_from_text(line * count, p)
+    assert schedule_from_text(line * count, p) is kept
+    assert propagator._parsed.cache_info().currsize == 1
+
+
+def _deep_size(*objs) -> int:
+    """sys.getsizeof summed over every object reachable from objs, types left out."""
+    seen, stack, total = set(), list(objs), 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def test_kept_schedule_text_entry_stays_under_the_entry_bound(p):
+    """The densest text at _MAX_KEPT_TEXT characters, short segment lines that
+    each hold every exchange pair of three donors, keeps an entry (text and
+    schedule, its key computed) under the 141 KB that _memo allows an entry."""
+    line = "segment duration_ns=1 j_uev=0-1:1,0-2:1,1-2:1\n"
+    head = "num_donors = 3\n"
+    text = head + line * ((propagator._MAX_KEPT_TEXT - len(head)) // len(line))
+    _memo.clear()
+    sched = schedule_from_text(text, p)
+    hash(sched)
+    assert propagator._parsed.cache_info().currsize == 1
+    assert 100_000 < _deep_size(text, sched) < 141_000
 
 
 def test_schedule_text_keeps_a_lab_carriers_detunings(p):
